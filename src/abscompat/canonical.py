@@ -22,7 +22,6 @@ from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     DimensionMismatch,
     DomainError,
-    NotAbsolutelyCompatible,
     NotCommuting,
     NotStrict,
     NotStrictParams,
@@ -34,21 +33,19 @@ from .errors import (
     SumExceedsOne,
 )
 from .hermitian import (
-    absolute_value,
+    _effects,
+    _hnorm,
+    _require_strict,
+    _strictness,
     as_matrix,
     cluster_indices,
-    commutator_norm,
     dagger,
-    eig_hermitian,
     hermitize,
     identity_like,
-    is_strict,
-    op_norm,
-    require_effect,
     require_projection,
     require_unitary,
 )
-from . import compat
+from .compat import _pair_spectra, _require_compatible
 from .io import matrix_to_json
 
 PIVOT_0 = np.diag([0.0, 1.0]).astype(complex)
@@ -280,7 +277,7 @@ def conjugate_to_pivot(p, tol: Tolerances = DEFAULT_TOL) -> SiteBlockMatrix:
     blocks[:, 1, 0] = a0
     blocks[:, 1, 1] = w * s0
     u = SiteBlockMatrix(blocks)
-    dev = op_norm((u.dagger() @ _pivot_sites(p.m, PIVOT_0) @ u).embed() - p.embed())
+    dev = _hnorm((u.dagger() @ _pivot_sites(p.m, PIVOT_0) @ u).embed() - p.embed())
     if dev > tol.proj:
         raise PostconditionFailure("pivot conjugation residual %.3e" % dev)
     return u
@@ -296,16 +293,11 @@ def dilate_commuting_pair(a, b, tol: Tolerances = DEFAULT_TOL):
 
         a1 = [[a^2, ab], [ab, 1-a^2]],  b1 = [[b^2, -ab], [-ab, 1-b^2]].
     """
-    a = require_effect(a, tol)
-    b = require_effect(b, tol)
-    if a.shape != b.shape:
-        raise DimensionMismatch("effects of shapes %r and %r" % (a.shape, b.shape))
-    if commutator_norm(a, b) > tol.compat:
+    (a, va), (b, vb) = _effects(a, b, tol)
+    # i[a, b] is Hermitian with the norm of [a, b]
+    if _hnorm(1j * (a @ b - b @ a)) > tol.compat:
         raise NotCommuting("||ab - ba|| exceeds %.3e" % tol.compat)
-    if not is_strict(a, tol):
-        raise NotStrict("first effect is not strict")
-    if not is_strict(b, tol):
-        raise NotStrict("second effect is not strict")
+    _require_strict(va, vb, tol)
     square_sum = hermitize(a @ a + b @ b)
     vals = np.linalg.eigvalsh(square_sum)
     if vals[-1] >= 1.0 - tol.spec:
@@ -318,9 +310,9 @@ def dilate_commuting_pair(a, b, tol: Tolerances = DEFAULT_TOL):
     a1 = np.block([[a @ a, ab], [ab, one - a @ a]])
     b1 = np.block([[b @ b, -ab], [-ab, one - b @ b]])
     a1, b1 = hermitize(a1), hermitize(b1)
-    report = compat.is_abs_compatible(a1, b1, tol)
-    if not report:
-        raise PostconditionFailure("dilated pair residual %.3e" % report.residual)
+    residual = _pair_spectra(a1, b1).residual
+    if residual > tol.compat:
+        raise PostconditionFailure("dilated pair residual %.3e" % residual)
     return a1, b1
 
 
@@ -341,21 +333,30 @@ def pair_from_params(x0, params: StrictProjectionParams, tol: Tolerances = DEFAU
         raise DimensionMismatch("x0 has %d sites, projection has %d" % (len(x0), params.m))
     sa, sb = _site_pair_blocks(x0, params)
     a, b = sa.embed(), sb.embed()
-    if not is_strict(a, tol) or not is_strict(b, tol):
+    if not (_strictness(np.linalg.eigvalsh(a), tol) and _strictness(np.linalg.eigvalsh(b), tol)):
         raise PostconditionFailure("constructed pair is not strict at this tolerance")
-    report = compat.is_abs_compatible(a, b, tol)
-    if not report:
-        raise PostconditionFailure("constructed pair residual %.3e" % report.residual)
+    residual = _pair_spectra(a, b).residual
+    if residual > tol.compat:
+        raise PostconditionFailure("constructed pair residual %.3e" % residual)
     return a, b
+
+
+def _conjugate_pair(u, site_pair):
+    return tuple(hermitize(u @ s.embed() @ dagger(u)) for s in site_pair)
 
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Conjugating unitary u0 plus the per-site parameters (x0, a0, w)."""
+    """Conjugating unitary u0 plus the per-site parameters (x0, a0, w).
+
+    ``residual`` is the reconstruction residual max(||a' - a||, ||b' - b||)
+    that ``canonicalize`` checked against ``tol.canon``.
+    """
 
     u0: np.ndarray
     x0: np.ndarray
     projection: StrictProjectionParams
+    residual: float
 
     @property
     def m(self) -> int:
@@ -373,10 +374,7 @@ class CanonicalForm:
         return _site_pair_blocks(self.x0, self.projection)
 
     def reconstruct(self):
-        sa, sb = self.site_pair()
-        a = hermitize(self.u0 @ sa.embed() @ dagger(self.u0))
-        b = hermitize(self.u0 @ sb.embed() @ dagger(self.u0))
-        return a, b
+        return _conjugate_pair(self.u0, self.site_pair())
 
     def to_json(self) -> dict:
         return {
@@ -388,14 +386,13 @@ class CanonicalForm:
         }
 
 
-def _joint_eigenbasis(mats, tol: Tolerances):
+def _joint_eigenbasis(mats, gap: float):
     """Unitary refining one eigenbasis through a list of commuting
-    Hermitian matrices, clustering nearly equal eigenvalues."""
+    Hermitian matrices, clustering eigenvalues closer than gap."""
     m = mats[0].shape[0]
     w = np.eye(m, dtype=complex)
     groups = [np.arange(m)]
     for mat in mats:
-        gap = tol.cluster * max(1.0, op_norm(mat))
         refined = []
         for idx in groups:
             if len(idx) == 1:
@@ -419,43 +416,33 @@ def canonicalize(a, b, tol: Tolerances = DEFAULT_TOL) -> CanonicalForm:
     the polar factor of the off-diagonal block of a aligns the negative
     half with the positive one and absorbs the phase gauge (so w = 1).
     """
-    a = require_effect(a, tol)
-    b = require_effect(b, tol)
-    if a.shape != b.shape:
-        raise DimensionMismatch("effects of shapes %r and %r" % (a.shape, b.shape))
+    (a, va), (b, vb) = _effects(a, b, tol)
     n = a.shape[0]
     if n % 2:
         raise OddDimension("canonical form needs even dimension, got %d" % n)
-    if not is_strict(a, tol):
-        raise NotStrict("first effect is not strict")
-    if not is_strict(b, tol):
-        raise NotStrict("second effect is not strict")
-    report = compat.is_abs_compatible(a, b, tol)
-    if not report:
-        raise NotAbsolutelyCompatible("residual %.3e > %.3e" % (report.residual, tol.compat))
+    _require_strict(va, vb, tol)
+    spectra = _require_compatible(a, b, tol)
 
     m = n // 2
-    one = identity_like(a)
-    diff = absolute_value(a - b, tol)
-    z = hermitize(one - a - b)
-
-    zdec = eig_hermitian(z, tol)
-    if float(np.min(np.abs(zdec.eigenvalues))) <= tol.spec:
+    diff = spectra.abs_diff
+    zvals, zvecs = spectra.rest
+    if float(np.min(np.abs(zvals))) <= tol.spec:
         raise PairingFailure("1 - a - b has an eigenvalue at zero")
-    neg = zdec.eigenvalues < 0.0
+    neg = zvals < 0.0
     if int(np.count_nonzero(neg)) != m:
         raise PairingFailure("spectral halves of 1 - a - b have unequal rank")
-    v_minus = zdec.eigenvectors[:, neg]
-    v_plus = zdec.eigenvectors[:, ~neg]
+    v_minus = zvecs[:, neg]
+    v_plus = zvecs[:, ~neg]
 
-    dvals = np.linalg.eigvalsh(diff)
-    gap = tol.cluster * max(1.0, float(dvals[-1]))
-    if float(np.max(np.abs(dvals[0::2] - dvals[1::2]))) > gap:
+    dvals = spectra.abs_diff_vals
+    if float(np.max(np.abs(dvals[0::2] - dvals[1::2]))) > tol.cluster * max(1.0, float(dvals[-1])):
         raise PairingFailure("eigenvalues of |a - b| do not pair up")
 
     m_pp = hermitize(dagger(v_plus) @ diff @ v_plus)
     a_pp = hermitize(dagger(v_plus) @ a @ v_plus)
-    w_rot = _joint_eigenbasis([m_pp, a_pp], tol)
+    # both are compressions of operators between 0 and 1, so the cluster
+    # gap tol.cluster * max(1, ||mat||) is tol.cluster
+    w_rot = _joint_eigenbasis([m_pp, a_pp], tol.cluster)
     f_plus = v_plus @ w_rot
 
     x0 = np.real(np.sum(np.conj(f_plus) * (diff @ f_plus), axis=0))
@@ -482,12 +469,12 @@ def canonicalize(a, b, tol: Tolerances = DEFAULT_TOL) -> CanonicalForm:
     u0[:, 0::2] = f_plus
     u0[:, 1::2] = f_minus
 
-    cf = CanonicalForm(u0=u0, x0=x0, projection=StrictProjectionParams(a0, np.ones(m)))
-    ra, rb = cf.reconstruct()
-    err = max(op_norm(ra - a), op_norm(rb - b))
+    projection = StrictProjectionParams(a0, np.ones(m))
+    ra, rb = _conjugate_pair(u0, _site_pair_blocks(x0, projection))
+    err = max(_hnorm(ra - a), _hnorm(rb - b))
     if err > tol.canon:
         raise PostconditionFailure("reconstruction residual %.3e > %.3e" % (err, tol.canon))
-    return cf
+    return CanonicalForm(u0=u0, x0=x0, projection=projection, residual=err)
 
 
 @dataclass(frozen=True)
@@ -514,10 +501,7 @@ class ExchangedPivotForm:
         return SiteBlockMatrix(a_blocks), SiteBlockMatrix(b_blocks)
 
     def reconstruct(self):
-        sa, sb = self.site_pair()
-        a = hermitize(self.u @ sa.embed() @ dagger(self.u))
-        b = hermitize(self.u @ sb.embed() @ dagger(self.u))
-        return a, b
+        return _conjugate_pair(self.u, self.site_pair())
 
 
 def exchanged_pivot_form(cf: CanonicalForm, tol: Tolerances = DEFAULT_TOL) -> ExchangedPivotForm:
@@ -539,7 +523,7 @@ def exchanged_pivot_form(cf: CanonicalForm, tol: Tolerances = DEFAULT_TOL) -> Ex
     form = ExchangedPivotForm(u=cf.u0 @ dagger(v.embed()), x0=cf.x0, a0=a0)
     ra, rb = form.reconstruct()
     ca, cb = cf.reconstruct()
-    err = max(op_norm(ra - ca), op_norm(rb - cb))
+    err = max(_hnorm(ra - ca), _hnorm(rb - cb))
     if err > tol.canon:
         raise PostconditionFailure("pivot exchange residual %.3e" % err)
     return form

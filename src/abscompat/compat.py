@@ -7,25 +7,23 @@ where b vanishes, and a strict remainder.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import DimensionMismatch, NotAbsolutelyCompatible, PostconditionFailure
 from .hermitian import (
-    absolute_value,
-    commutator_norm,
+    _compose,
+    _effects,
+    _hnorm,
+    _strictness,
     dagger,
-    eig_hermitian,
     hermitize,
     identity_like,
-    is_strict,
-    null_projection,
     op_norm,
-    projection_meet,
     require_effect,
     require_projection,
-    support_projection,
 )
 from .io import matrix_to_json
 
@@ -42,28 +40,51 @@ class CompatReport:
         return self.compatible
 
 
+class _PairSpectra(NamedTuple):
+    """The compatibility residual of a pair and the factorizations behind it."""
+
+    residual: float
+    abs_diff: np.ndarray  # |a - b|
+    abs_diff_vals: np.ndarray  # spectrum of |a - b|, ascending
+    rest: tuple  # eigh of 1 - a - b
+
+
+def _pair_spectra(a, b) -> _PairSpectra:
+    """|| |a-b| + |1-a-b| - 1 || from one eigh each of a - b and 1 - a - b.
+
+    The operands are put in a canonical order before any floating-point
+    work, so the residual is symmetric in (a, b) to the last bit.
+    """
+    if b.tobytes() < a.tobytes():
+        a, b = b, a
+    one = identity_like(a)
+    dvals, dvecs = np.linalg.eigh(a - b)
+    zvals, zvecs = rest = np.linalg.eigh(one - a - b)
+    abs_diff = _compose(np.abs(dvals), dvecs)
+    residual = _hnorm(abs_diff + _compose(np.abs(zvals), zvecs) - one)
+    return _PairSpectra(residual, abs_diff, np.sort(np.abs(dvals)), rest)
+
+
+def _require_compatible(a, b, tol: Tolerances) -> _PairSpectra:
+    spectra = _pair_spectra(a, b)
+    if spectra.residual > tol.compat:
+        raise NotAbsolutelyCompatible("residual %.3e > %.3e" % (spectra.residual, tol.compat))
+    return spectra
+
+
 def is_abs_compatible(a, b, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
     """Residual ||  |a-b| + |1-a-b| - 1  ||_op and the pass/fail flag.
 
     The report is symmetric in (a, b) by construction: arguments are put
     in a canonical order before any floating-point work.
     """
-    a = require_effect(a, tol)
-    b = require_effect(b, tol)
-    if a.shape != b.shape:
-        raise DimensionMismatch("effects of shapes %r and %r" % (a.shape, b.shape))
-    if b.tobytes() < a.tobytes():
-        a, b = b, a
-    one = identity_like(a)
-    res = op_norm(absolute_value(a - b, tol) + absolute_value(one - a - b, tol) - one)
+    (a, _), (b, _) = _effects(a, b, tol)
+    res = _pair_spectra(a, b).residual
     return CompatReport(res, res <= tol.compat, tol.compat)
 
 
 def is_orthogonal(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
-    a = require_effect(a, tol)
-    b = require_effect(b, tol)
-    if a.shape != b.shape:
-        raise DimensionMismatch("effects of shapes %r and %r" % (a.shape, b.shape))
+    (a, _), (b, _) = _effects(a, b, tol)
     return op_norm(a @ b) <= tol.compat
 
 
@@ -73,8 +94,9 @@ def projection_compat_equiv(p, a, tol: Tolerances = DEFAULT_TOL):
     a = require_effect(a, tol)
     if p.shape != a.shape:
         raise DimensionMismatch("shapes %r and %r" % (p.shape, a.shape))
-    lhs = is_abs_compatible(p, a, tol).compatible
-    rhs = commutator_norm(p, a) <= tol.compat
+    # a projection is an effect; i[p, a] is Hermitian with the norm of [p, a]
+    lhs = _pair_spectra(p, a).residual <= tol.compat
+    rhs = _hnorm(1j * (p @ a - a @ p)) <= tol.compat
     return lhs, rhs
 
 
@@ -97,13 +119,7 @@ class FiveBlockDecomposition:
     blocks_b: dict
 
     def projections(self) -> dict:
-        return {
-            "unit_a": self.unit_a,
-            "unit_b": self.unit_b,
-            "strict": self.strict,
-            "null_a": self.null_a,
-            "null_b": self.null_b,
-        }
+        return {name: getattr(self, name) for name in BLOCK_NAMES}
 
     def ranks(self) -> dict:
         return {name: self.bases[name].shape[1] for name in BLOCK_NAMES}
@@ -118,65 +134,65 @@ class FiveBlockDecomposition:
         }
 
 
-def _block_basis(p, tol):
-    if op_norm(p) < 0.5:
-        return np.zeros((p.shape[0], 0), dtype=complex)
-    dec = eig_hermitian(p, tol)
-    return dec.eigenvectors[:, dec.eigenvalues > 0.5]
-
-
 def five_block_decompose(a, b, tol: Tolerances = DEFAULT_TOL) -> FiveBlockDecomposition:
-    a = require_effect(a, tol)
-    b = require_effect(b, tol)
-    if a.shape != b.shape:
-        raise DimensionMismatch("effects of shapes %r and %r" % (a.shape, b.shape))
-    report = is_abs_compatible(a, b, tol)
-    if not report:
-        raise NotAbsolutelyCompatible("residual %.3e > %.3e" % (report.residual, tol.compat))
+    """Split an absolutely compatible pair into its five blocks.
 
-    one = identity_like(a)
-    # priority: unit_a > unit_b > null_a > null_b > strict; overlaps land
-    # in the earliest eligible block
-    unit_a = support_projection(a, tol)
-    unit_b = projection_meet(support_projection(b, tol), one - unit_a, tol)
-    null_a = projection_meet(null_projection(a, tol), one - unit_a - unit_b, tol)
-    null_b = projection_meet(null_projection(b, tol), one - unit_a - unit_b - null_a, tol)
-    strict = hermitize(one - unit_a - unit_b - null_a - null_b)
+    Overlaps land in the earliest eligible block of unit_a, unit_b, null_a,
+    null_b.  Each is cut out of the complement W of the earlier ones by one
+    eigh of W* x W: for x >= 0 the kernel of x inside ran W is W ker(W* x W),
+    and the unit eigenspace of an effect x is the kernel of 1 - x >= 0.
+    The rest is the strict block.
+    """
+    (a, va), (b, vb) = _effects(a, b, tol)
+    _require_compatible(a, b, tol)
 
-    projs = dict(zip(BLOCK_NAMES, (unit_a, unit_b, strict, null_a, null_b)))
-    _verify_five_blocks(a, b, projs, tol)
+    bases = dict.fromkeys(BLOCK_NAMES)
+    rest = identity_like(a)
+    for name, x, at_one in (("unit_a", a, True), ("unit_b", b, True),
+                            ("null_a", a, False), ("null_b", b, False)):
+        vals, vecs = np.linalg.eigh(hermitize(dagger(rest) @ x @ rest))
+        hit = vals >= 1.0 - tol.spec if at_one else vals <= tol.spec
+        bases[name], rest = rest @ vecs[:, hit], rest @ vecs[:, ~hit]
+    bases["strict"] = rest
 
-    bases = {name: _block_basis(p, tol) for name, p in projs.items()}
-    blocks_a = {name: dagger(v) @ a @ v for name, v in bases.items()}
-    blocks_b = {name: dagger(v) @ b @ v for name, v in bases.items()}
-    _verify_block_contents(a, b, bases, blocks_a, blocks_b, tol)
-
-    return FiveBlockDecomposition(
-        unit_a=unit_a, unit_b=unit_b, strict=strict, null_a=null_a, null_b=null_b,
-        bases=bases, blocks_a=blocks_a, blocks_b=blocks_b,
-    )
+    blocks_a, blocks_b = _reduced_blocks(a, b, va, vb, bases, tol)
+    _verify_block_contents(blocks_a, blocks_b, tol)
+    projs = {name: hermitize(v @ dagger(v)) for name, v in bases.items()}
+    return FiveBlockDecomposition(**projs, bases=bases, blocks_a=blocks_a, blocks_b=blocks_b)
 
 
-def _verify_five_blocks(a, b, projs, tol):
-    one = identity_like(a)
-    total = sum(projs.values())
-    if op_norm(total - one) > tol.proj:
-        raise PostconditionFailure("five blocks do not sum to the identity")
-    names = list(projs)
-    for i, ni in enumerate(names):
-        p = projs[ni]
-        if op_norm(p @ p - p) > tol.proj:
-            raise PostconditionFailure("block %s is not a projection" % ni)
-        for nj in names[i + 1 :]:
-            if op_norm(p @ projs[nj]) > tol.proj:
-                raise PostconditionFailure("blocks %s and %s are not orthogonal" % (ni, nj))
-    for name, p in projs.items():
-        for label, x in (("a", a), ("b", b)):
-            if commutator_norm(p, x) > tol.block:
-                raise PostconditionFailure("%s does not commute with block %s" % (label, name))
+def _reduced_blocks(a, b, va, vb, bases, tol):
+    """The compressions of a and b to the five blocks, once the blocks are
+    checked to reduce both.
+
+    Let V be the bases side by side, eps = ||V*V - I|| and, for x = a, b,
+    delta the off-block mass of V*xV.  Then ||V||^2 <= 1 + eps and:
+      - the projections V_k V_k* sum to VV*, and ||VV* - I|| = eps;
+      - each is idempotent and any two are orthogonal up to (1 + eps) eps;
+      - each commutes with x, and the blocks rebuild x, up to
+        (1 + eps) (delta + 2 eps ||x||).
+    So the two checks below enforce the sum, idempotence, orthogonality,
+    commutation and reconstruction postconditions at tol.proj and
+    tol.block.
+    """
+    v = np.hstack(list(bases.values()))
+    eps = _hnorm(dagger(v) @ v - identity_like(v))
+    if (1.0 + eps) * eps > tol.proj:
+        raise PostconditionFailure("five-block bases are not orthonormal, ||V*V - I|| = %.3e" % eps)
+    owner = np.repeat(np.arange(len(bases)), [w.shape[1] for w in bases.values()])
+    on_block = owner[:, None] == owner[None, :]
+    blocks = []
+    for label, x, vals in (("a", a, va), ("b", b, vb)):
+        m = hermitize(dagger(v) @ x @ v)
+        off = _hnorm(np.where(on_block, 0.0, m))
+        bound = (1.0 + eps) * (off + 2.0 * eps * float(np.max(np.abs(vals), initial=0.0)))
+        if bound > tol.block:
+            raise PostconditionFailure("blocks do not reduce %s: off-block bound %.3e" % (label, bound))
+        blocks.append({name: m[np.ix_(owner == k, owner == k)] for k, name in enumerate(bases)})
+    return blocks
 
 
-def _verify_block_contents(a, b, bases, blocks_a, blocks_b, tol):
+def _verify_block_contents(blocks_a, blocks_b, tol):
     checks = (
         ("unit_a", blocks_a, 1.0),
         ("unit_b", blocks_b, 1.0),
@@ -185,22 +201,11 @@ def _verify_block_contents(a, b, bases, blocks_a, blocks_b, tol):
     )
     for name, side, target in checks:
         blk = side[name]
-        if blk.size == 0:
-            continue
-        if op_norm(blk - target * identity_like(blk)) > tol.block:
+        if _hnorm(blk - target * identity_like(blk)) > tol.block:
             raise PostconditionFailure("restriction to %s is not %r" % (name, target))
     sa, sb = blocks_a["strict"], blocks_b["strict"]
-    if sa.size:
-        if not is_strict(sa, tol) or not is_strict(sb, tol):
-            raise PostconditionFailure("strict block has spectrum touching 0 or 1")
-        inner = is_abs_compatible(sa, sb, tol)
-        if not inner:
-            raise PostconditionFailure(
-                "strict block not absolutely compatible, residual %.3e" % inner.residual
-            )
-    for label, x, side in (("a", a, blocks_a), ("b", b, blocks_b)):
-        rebuilt = np.zeros_like(x)
-        for name, v in bases.items():
-            rebuilt += v @ side[name] @ dagger(v)
-        if op_norm(rebuilt - x) > tol.block:
-            raise PostconditionFailure("block reconstruction of %s exceeds tolerance" % label)
+    if not (_strictness(np.linalg.eigvalsh(sa), tol) and _strictness(np.linalg.eigvalsh(sb), tol)):
+        raise PostconditionFailure("strict block has spectrum touching 0 or 1")
+    inner = _pair_spectra(sa, sb).residual
+    if inner > tol.compat:
+        raise PostconditionFailure("strict block not absolutely compatible, residual %.3e" % inner)

@@ -10,15 +10,14 @@ class Tolerances:
     """Tolerance bundle for all validators and checks.
 
     All values are absolute unless a caller states otherwise; operators at the
-    sizes this package targets (n <= 64, double precision) leave several
-    digits of headroom over every default.
+    sizes the tests cover (n <= 16 throughout, single pairs up to n = 128,
+    double precision) leave several digits of headroom over every default.
     """
 
     herm: float = 1e-10      # max-norm asymmetry allowed in a Hermitian input
     spec: float = 1e-9       # slack on spectral membership tests (0/1 boundaries)
     proj: float = 1e-10      # operator-norm slack on idempotence / projection sums
     unit: float = 1e-10      # operator-norm slack on U*U = I
-    eig: float = 1e-10       # reconstruction slack for eigen/polar factorizations
     cluster: float = 1e-8    # eigenvalues closer than cluster*max(1,|H|) share a block
     compat: float = 1e-8     # residual threshold for absolute compatibility
     block: float = 1e-8      # off-block mass allowed in the five-block decomposition

@@ -1,7 +1,7 @@
 """Exception types raised by the package.
 
 Every error derives from :class:`AbscompatError`; the CLI maps subfamilies to
-exit codes (see ``cli.EXIT_CODES``).
+exit codes (see ``cli.exit_code_for``).
 """
 
 

@@ -22,27 +22,24 @@ from .errors import (
     DetOutOfRange,
     DimensionMismatch,
     EmptyInput,
-    NotAbsolutelyCompatible,
     NotOnSphere,
     NotProjection,
-    NotStrict,
     OutsideBall,
     PostconditionFailure,
     SpectralAmbiguity,
     TraceNotOne,
 )
 from .hermitian import (
-    absolute_value,
-    as_matrix,
-    eig_hermitian,
+    _effect,
+    _effects,
+    _hnorm,
+    _require_strict,
+    _strictness,
     hermitize,
-    is_strict,
-    op_norm,
-    require_effect,
     require_hermitian,
     require_projection,
 )
-from . import compat
+from .compat import _pair_spectra, _require_compatible
 
 BALL_CENTER = np.array([0.5, 0.0, 0.0])
 BALL_RADIUS = 0.5
@@ -55,9 +52,8 @@ def _point(pt) -> np.ndarray:
     return pt
 
 
-def bloch_point(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Chart a trace-one 2x2 effect to (x[0,0], Re x[0,1], Im x[0,1])."""
-    x = require_hermitian(x, tol)
+def _bloch(x, tol: Tolerances) -> np.ndarray:
+    """bloch_point of a validated Hermitian x."""
     if x.shape != (2, 2):
         raise DimensionMismatch("the chart is for 2x2 matrices")
     tr = float(np.real(np.trace(x)))
@@ -67,6 +63,11 @@ def bloch_point(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if det < -tol.geo or det > 0.25 + tol.geo:
         raise DetOutOfRange("det %.3e outside [0, 1/4]" % det)
     return np.array([float(np.real(x[0, 0])), float(np.real(x[0, 1])), float(np.imag(x[0, 1]))])
+
+
+def bloch_point(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Chart a trace-one 2x2 effect to (x[0,0], Re x[0,1], Im x[0,1])."""
+    return _bloch(require_hermitian(x, tol), tol)
 
 
 def bloch_matrix(pt, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -120,9 +121,9 @@ def _validate_spec(pivot, target, index, tol: Tolerances):
     if not 0.0 < index < 1.0:
         raise DegenerateSpec("index %r outside (0, 1)" % index)
     one = np.eye(2, dtype=complex)
-    if op_norm(pivot - target) <= tol.proj:
+    if _hnorm(pivot - target) <= tol.proj:
         raise DegenerateSpec("pivot equals the target projection")
-    if op_norm(pivot - (one - target)) <= tol.proj:
+    if _hnorm(pivot - (one - target)) <= tol.proj:
         raise DegenerateSpec("pivot equals the complement of the target")
     return pivot, target, index
 
@@ -133,11 +134,11 @@ def pair_from_projections(pivot, target, index, tol: Tolerances = DEFAULT_TOL):
     one = np.eye(2, dtype=complex)
     a = hermitize((1.0 - index) * pivot + index * target)
     b = hermitize((1.0 - index) * pivot + index * (one - target))
-    if not is_strict(a, tol) or not is_strict(b, tol):
+    if not (_strictness(np.linalg.eigvalsh(a), tol) and _strictness(np.linalg.eigvalsh(b), tol)):
         raise DegenerateSpec("projections too close to degeneracy at this tolerance")
-    report = compat.is_abs_compatible(a, b, tol)
-    if not report:
-        raise PostconditionFailure("constructed pair residual %.3e" % report.residual)
+    residual = _pair_spectra(a, b).residual
+    if residual > tol.compat:
+        raise PostconditionFailure("constructed pair residual %.3e" % residual)
     return a, b
 
 
@@ -145,35 +146,30 @@ def decompose_pair_m2(a, b, tol: Tolerances = DEFAULT_TOL) -> PairSpec:
     """Closed-form inverse of pair_from_projections.
 
     The index is the doubled eigenvalue of |a-b|; the pivot spans the top
-    eigenvector of a+b (eigenvalue 2 - index); the target is read off from
-    a by affine inversion.
+    eigenvector of a+b (eigenvalue 2 - index), which is the bottom
+    eigenvector of 1-a-b; the target is read off from a by affine
+    inversion.
     """
-    a = require_effect(a, tol)
-    b = require_effect(b, tol)
-    if a.shape != (2, 2) or b.shape != (2, 2):
+    (a, va), (b, vb) = _effects(a, b, tol)
+    if a.shape != (2, 2):
         raise DimensionMismatch("decomposition is for 2x2 effects")
-    if not is_strict(a, tol):
-        raise NotStrict("first effect is not strict")
-    if not is_strict(b, tol):
-        raise NotStrict("second effect is not strict")
-    report = compat.is_abs_compatible(a, b, tol)
-    if not report:
-        raise NotAbsolutelyCompatible("residual %.3e > %.3e" % (report.residual, tol.compat))
+    _require_strict(va, vb, tol)
+    spectra = _require_compatible(a, b, tol)
 
-    dvals = np.linalg.eigvalsh(absolute_value(a - b, tol))
+    dvals = spectra.abs_diff_vals
     if float(dvals[1] - dvals[0]) > tol.cluster * max(1.0, float(dvals[1])):
         raise SpectralAmbiguity("|a - b| does not have a doubled eigenvalue")
     index = float(0.5 * (dvals[0] + dvals[1]))
 
-    sdec = eig_hermitian(a + b, tol)
-    if abs(float(sdec.eigenvalues[1]) - (2.0 - index)) > 10.0 * tol.cluster:
+    zvals, zvecs = spectra.rest
+    if abs(1.0 - float(zvals[0]) - (2.0 - index)) > 10.0 * tol.cluster:
         raise PostconditionFailure("a + b has no eigenvalue at 2 - index")
-    v = sdec.eigenvectors[:, 1]
+    v = zvecs[:, 0]
     pivot = hermitize(np.outer(v, np.conj(v)))
     target = hermitize((a - (1.0 - index) * pivot) / index)
 
     ra, rb = pair_from_projections(pivot, target, index, tol)
-    err = max(op_norm(ra - a), op_norm(rb - b))
+    err = max(_hnorm(ra - a), _hnorm(rb - b))
     if err > tol.geo:
         raise PostconditionFailure("round-trip residual %.3e > %.3e" % (err, tol.geo))
     return PairSpec(pivot=pivot, target=target, index=index)
@@ -194,7 +190,10 @@ def pivotal_sphere(pivot, index, tol: Tolerances = DEFAULT_TOL) -> PivotalSphere
     index = float(index)
     if not 0.0 < index < 1.0:
         raise DegenerateSpec("index %r outside (0, 1)" % index)
-    p = bloch_point(_rank_one(pivot, tol), tol)
+    return _pivotal_sphere(_bloch(_rank_one(pivot, tol), tol), index)
+
+
+def _pivotal_sphere(p, index: float) -> PivotalSphere:
     antipode = 2.0 * BALL_CENTER - p
     far = (1.0 - index) * p + index * antipode
     return PivotalSphere(pivot=p, index=index, center=0.5 * (p + far), radius=0.5 * index)
@@ -246,10 +245,10 @@ def geometry_report(pivot, target, index, tol: Tolerances = DEFAULT_TOL) -> Geom
     parallelism of AB and QQ', the right angle at the pivot, and
     antipodality of A and B on the pivotal sphere."""
     pivot, target, index = _validate_spec(pivot, target, index, tol)
-    sphere = pivotal_sphere(pivot, index, tol)
+    sphere = _pivotal_sphere(_bloch(pivot, tol), index)
 
     p = sphere.pivot
-    q = bloch_point(target, tol)
+    q = _bloch(target, tol)
     pp = 2.0 * BALL_CENTER - p
     qp = 2.0 * BALL_CENTER - q
     a = (1.0 - index) * p + index * q
@@ -298,20 +297,18 @@ def spheroid_residual(a, partners, tol: Tolerances = DEFAULT_TOL) -> SpheroidSta
     partners = list(partners)
     if not partners:
         raise EmptyInput("no partner effects supplied")
-    a = as_matrix(a)
     if not in_punctured_ball(a, tol):
         raise DegenerateSpec("reference effect must lie in the open punctured ball")
-    focus = bloch_point(a, tol)
+    # inside the punctured ball a is a 2x2 effect with trace one
+    a = hermitize(np.asarray(a, dtype=complex))
+    focus = _bloch(a, tol)
     mirror = 2.0 * BALL_CENTER - focus
 
     sums = []
     for x in partners:
-        report = compat.is_abs_compatible(a, x, tol)
-        if not report:
-            raise NotAbsolutelyCompatible(
-                "partner residual %.3e > %.3e" % (report.residual, tol.compat)
-            )
-        pt = bloch_point(x, tol)
+        x, _ = _effect(x, tol)
+        pt = _bloch(x, tol)
+        _require_compatible(a, x, tol)
         sums.append(float(np.linalg.norm(pt - focus) + np.linalg.norm(pt - mirror)))
     sums = np.asarray(sums)
     mean = float(np.mean(sums))

@@ -17,6 +17,7 @@ from .errors import (
     NegativeSpectrum,
     NotHermitian,
     NotProjection,
+    NotStrict,
     NotUnitary,
 )
 
@@ -25,7 +26,7 @@ def as_matrix(x) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise DimensionMismatch("expected a square matrix, got shape %r" % (x.shape,))
-    if not np.all(np.isfinite(x.view(float))):
+    if not np.isfinite(x).all():
         raise DomainError("matrix has non-finite entries")
     return x
 
@@ -46,6 +47,13 @@ def op_norm(x) -> float:
     return float(np.linalg.norm(x, 2))
 
 
+def _hnorm(h) -> float:
+    """Operator norm of a Hermitian matrix: its largest |eigenvalue|."""
+    if h.size == 0:
+        return 0.0
+    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
+
+
 def identity_like(x) -> np.ndarray:
     return np.eye(x.shape[0], dtype=complex)
 
@@ -60,7 +68,7 @@ def require_hermitian(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def require_unitary(u, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     u = as_matrix(u)
-    dev = op_norm(dagger(u) @ u - identity_like(u))
+    dev = _hnorm(dagger(u) @ u - identity_like(u))
     if dev > tol.unit:
         raise NotUnitary("||U*U - I|| = %.3e > %.3e" % (dev, tol.unit))
     return u
@@ -68,23 +76,34 @@ def require_unitary(u, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def require_projection(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     p = require_hermitian(p, tol)
-    dev = op_norm(p @ p - p)
+    dev = _hnorm(p @ p - p)
     if dev > tol.proj:
         raise NotProjection("||P^2 - P|| = %.3e > %.3e" % (dev, tol.proj))
     return p
 
 
+def _effect(a, tol: Tolerances):
+    """The validated effect a and its ascending spectrum (eigvalsh)."""
+    a = require_hermitian(a, tol)
+    vals = np.linalg.eigvalsh(a)
+    if vals.size and vals[0] < -tol.spec:
+        raise NegativeSpectrum("smallest eigenvalue %.3e < -%.3e" % (vals[0], tol.spec))
+    if vals.size and vals[-1] > 1.0 + tol.spec:
+        raise DomainError("largest eigenvalue %.6f exceeds 1" % vals[-1])
+    return a, vals
+
+
 def require_effect(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Check 0 <= a <= 1 on the spectrum (within tol.spec)."""
-    a = require_hermitian(a, tol)
-    if a.size == 0:
-        return a
-    vals = np.linalg.eigvalsh(a)
-    if vals[0] < -tol.spec:
-        raise NegativeSpectrum("smallest eigenvalue %.3e < -%.3e" % (vals[0], tol.spec))
-    if vals[-1] > 1.0 + tol.spec:
-        raise DomainError("largest eigenvalue %.6f exceeds 1" % vals[-1])
-    return a
+    return _effect(a, tol)[0]
+
+
+def _effects(a, b, tol: Tolerances):
+    """Both validated effects with their spectra, ((a, vals), (b, vals))."""
+    a, b = _effect(a, tol), _effect(b, tol)
+    if a[0].shape != b[0].shape:
+        raise DimensionMismatch("effects of shapes %r and %r" % (a[0].shape, b[0].shape))
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -95,9 +114,7 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
     def apply(self, f) -> np.ndarray:
-        vals = _apply_scalar(f, self.eigenvalues)
-        v = self.eigenvectors
-        return hermitize((v * vals) @ dagger(v))
+        return _compose(_apply_scalar(f, self.eigenvalues), self.eigenvectors)
 
     def reconstruct(self) -> np.ndarray:
         return self.apply(lambda t: t)
@@ -108,20 +125,17 @@ class SpectralDecomposition:
         return hermitize(v @ dagger(v))
 
 
-def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    # gauge: largest-modulus component of each column made real positive
-    if vecs.size == 0:
-        return vecs
-    idx = np.argmax(np.abs(vecs), axis=0)
-    lead = vecs[idx, np.arange(vecs.shape[1])]
-    phase = np.where(np.abs(lead) > 0, lead / np.where(np.abs(lead) > 0, np.abs(lead), 1.0), 1.0)
-    return vecs / phase
+def _eig(h) -> SpectralDecomposition:
+    return SpectralDecomposition(*np.linalg.eigh(h))
 
 
 def eig_hermitian(h, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
-    h = require_hermitian(h, tol)
-    vals, vecs = np.linalg.eigh(h)
-    return SpectralDecomposition(vals, _fix_phases(vecs))
+    return _eig(require_hermitian(h, tol))
+
+
+def _compose(vals, vecs) -> np.ndarray:
+    """V diag(vals) V*, Hermitian for real vals."""
+    return hermitize((vecs * vals) @ dagger(vecs))
 
 
 def _apply_scalar(f, vals):
@@ -154,20 +168,21 @@ def absolute_value(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if x.size == 0:
         return x.copy()
     if float(np.max(np.abs(x - dagger(x)))) <= tol.herm:
-        return eig_hermitian(x, tol).apply(abs)
+        vals, vecs = np.linalg.eigh(hermitize(x))
+        return _compose(np.abs(vals), vecs)
     _, s, vh = np.linalg.svd(x)
-    return hermitize(dagger(vh) @ (s[:, None] * vh))
+    return _compose(s, dagger(vh))
 
 
 def support_projection(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Largest projection below the effect a: its eigenvalue-1 eigenspace."""
-    dec = eig_hermitian(require_effect(a, tol), tol)
+    dec = _eig(require_effect(a, tol))
     return dec.projection_where(dec.eigenvalues >= 1.0 - tol.spec)
 
 
 def null_projection(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Largest projection annihilating the effect a: its kernel."""
-    dec = eig_hermitian(require_effect(a, tol), tol)
+    dec = _eig(require_effect(a, tol))
     return dec.projection_where(dec.eigenvalues <= tol.spec)
 
 
@@ -175,7 +190,7 @@ def range_projection(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     a = require_hermitian(a, tol)
     if a.size == 0:
         return a.copy()
-    dec = eig_hermitian(a, tol)
+    dec = _eig(a)
     scale = max(1.0, float(np.max(np.abs(dec.eigenvalues))))
     if dec.eigenvalues[0] < -tol.spec * scale:
         raise NegativeSpectrum(
@@ -196,20 +211,33 @@ class StrictnessReport:
         return self.strict
 
 
-def is_strict(x, tol: Tolerances = DEFAULT_TOL) -> StrictnessReport:
-    """Spectrum of |x| inside (0, 1), both endpoints excluded.
-
-    The report carries the ranks of the offending eigenspaces at 1
-    (support) and 0 (null).
-    """
-    m = absolute_value(x, tol)
-    if m.size == 0:
+def _strictness(vals, tol: Tolerances) -> StrictnessReport:
+    """Strictness report from the spectrum of |x| (or of an effect x)."""
+    vals = np.abs(vals)
+    if vals.size == 0:
         return StrictnessReport(True, 0, 0, float("nan"), float("nan"))
-    vals = np.linalg.eigvalsh(m)
     support = int(np.count_nonzero(vals >= 1.0 - tol.spec))
     null = int(np.count_nonzero(vals <= tol.spec))
     return StrictnessReport(support == 0 and null == 0, support, null,
-                            float(vals[0]), float(vals[-1]))
+                            float(np.min(vals)), float(np.max(vals)))
+
+
+def _require_strict(va, vb, tol: Tolerances) -> None:
+    """Strictness of two validated effects, read off their spectra."""
+    if not _strictness(va, tol):
+        raise NotStrict("first effect is not strict")
+    if not _strictness(vb, tol):
+        raise NotStrict("second effect is not strict")
+
+
+def is_strict(x, tol: Tolerances = DEFAULT_TOL) -> StrictnessReport:
+    """Spectrum of |x| inside (0, 1), both endpoints excluded.
+
+    The spectrum of |x| is the set of singular values of x.  The report
+    carries the ranks of the offending eigenspaces at 1 (support) and 0
+    (null).
+    """
+    return _strictness(np.linalg.svd(as_matrix(x), compute_uv=False), tol)
 
 
 def polar_unitary(x, tol: Tolerances = DEFAULT_TOL):
@@ -223,7 +251,7 @@ def polar_unitary(x, tol: Tolerances = DEFAULT_TOL):
         return x.copy(), x.copy()
     u, s, vh = np.linalg.svd(x)
     w = u @ vh
-    mod = hermitize(dagger(vh) @ (s[:, None] * vh))
+    mod = _compose(s, dagger(vh))
     return w, mod
 
 
@@ -251,21 +279,3 @@ def cluster_indices(vals, gap: float):
     cuts = np.nonzero(np.diff(vals) > gap)[0]
     return [np.arange(a, b) for a, b in zip(np.r_[0, cuts + 1], np.r_[cuts + 1, len(vals)])]
 
-
-def projection_basis(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal columns spanning the range of a projection."""
-    p = require_projection(p, tol)
-    if p.size == 0:
-        return p.copy()
-    dec = eig_hermitian(p, tol)
-    return dec.eigenvectors[:, dec.eigenvalues > 0.5]
-
-
-def projection_meet(p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Intersection of two commuting projections via the spectral cut of PQP."""
-    p = require_projection(p, tol)
-    q = require_projection(q, tol)
-    if p.shape != q.shape:
-        raise DimensionMismatch("projections of shapes %r and %r" % (p.shape, q.shape))
-    dec = eig_hermitian(hermitize(p @ q @ p), tol)
-    return dec.projection_where(dec.eigenvalues >= 1.0 - tol.spec)
