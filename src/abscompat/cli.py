@@ -2,7 +2,8 @@
 
 Subcommands: check (compatibility report), decompose (canonical form,
 optionally the five-block decomposition), gen (seeded instances),
-geometry (Poincare-sphere report for 2x2 pairs), fuzz (property suites).
+geometry (Poincare-sphere report for 2x2 pairs), fuzz (the property
+suites of ``properties.REGISTRY``).
 
 Exit codes: 0 success, 1 usage or parse problem, 2 not absolutely
 compatible, 3 strictness violation, 4 structural failure.
@@ -14,53 +15,21 @@ import sys
 
 import numpy as np
 
-from .canonical import (
-    canonicalize,
-    exchanged_pivot_form,
-    pair_from_params,
-    strict_projection_from_params,
-)
-from .compat import five_block_decompose, is_abs_compatible, projection_compat_equiv
+from .canonical import canonicalize, strict_projection_from_params
+from .compat import five_block_decompose, is_abs_compatible
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
-    AbscompatError,
-    NotAbsolutelyCompatible,
-    NotStrict,
-    NotStrictParams,
-    NotStrictProjection,
-    NotStrictUnitary,
-    PairingFailure,
-    ParseError,
-    PostconditionFailure,
-    SpectralAmbiguity,
+    AbscompatError, NotAbsolutelyCompatible, NotStrict, NotStrictParams, NotStrictProjection,
+    NotStrictUnitary, PairingFailure, ParseError, PostconditionFailure, SpectralAmbiguity,
     UnknownSuite,
 )
 from .generate import (
-    derive_seed,
-    haar_unitary,
-    random_abscompat_pair,
-    random_commuting_projection_effect,
-    random_commuting_strict_pair,
-    random_orthogonal_pair,
-    random_pair_params,
-    random_pair_spec,
-    random_projection,
-    random_spheroid_partners,
-    random_strict_effect,
+    haar_unitary, random_abscompat_pair, random_commuting_strict_pair, random_projection,
     random_strict_projection_params,
 )
-from .geometry import (
-    ball_to_sphere,
-    bloch_matrix,
-    bloch_point,
-    decompose_pair_m2,
-    geometry_report,
-    pair_from_projections,
-    sphere_to_ball,
-    spheroid_residual,
-)
-from .hermitian import dagger, hermitize, op_norm
+from .geometry import bloch_matrix, decompose_pair_m2, geometry_report
 from .io import dump_json, load_matrix, matrix_to_json, save_matrix
+from .properties import REGISTRY, run as run_property
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -223,153 +192,28 @@ def cmd_geometry(args) -> int:
     return EXIT_OK
 
 
-def _suite_compat(seed, tol, record):
-    n = (2, 4, 8)[seed % 3]
-    a, b = random_abscompat_pair(n, derive_seed(seed, 1), 0.1)
-    record["a"], record["b"] = matrix_to_json(a), matrix_to_json(b)
-    fwd = is_abs_compatible(a, b, tol)
-    rev = is_abs_compatible(b, a, tol)
-    oa, ob = random_orthogonal_pair(n, derive_seed(seed, 2), 0.1)
-    ortho = is_abs_compatible(oa, ob, tol)
-    sum_excess = max(0.0, float(np.linalg.eigvalsh(oa + ob)[-1]) - 1.0)
-    five_block_decompose(oa, ob, tol)
-    return {
-        "pair_residual": (fwd.residual, tol.compat),
-        "symmetry": (abs(fwd.residual - rev.residual), 0.0),
-        "orthogonal_product": (op_norm(oa @ ob), tol.compat),
-        "orthogonal_residual": (ortho.residual, tol.compat),
-        "sum_excess": (sum_excess, tol.spec),
-    }
-
-
-def _suite_canonical(seed, tol, record):
-    n = (2, 4, 8)[seed % 3]
-    x0, params, u = random_pair_params(n, derive_seed(seed, 1), 0.1)
-    base_a, base_b = pair_from_params(x0, params, tol)
-    a = hermitize(u @ base_a @ dagger(u))
-    b = hermitize(u @ base_b @ dagger(u))
-    record["a"], record["b"] = matrix_to_json(a), matrix_to_json(b)
-    cf = canonicalize(a, b, tol)
-    ra, rb = cf.reconstruct()
-    recon = max(op_norm(ra - a), op_norm(rb - b))
-    x0_diff = float(np.max(np.abs(np.sort(x0) - cf.x0)))
-    ex = exchanged_pivot_form(cf, tol)
-    ea, eb = ex.reconstruct()
-    ex_res = max(op_norm(ea - ra), op_norm(eb - rb))
-    return {
-        "reconstruction": (recon, tol.canon),
-        "x0_multiset": (x0_diff, 1e-9),
-        "pivot_exchange": (ex_res, tol.canon),
-    }
-
-
-def _suite_m2(seed, tol, record):
-    pivot, target, index = random_pair_spec(derive_seed(seed, 1))
-    a, b = pair_from_projections(pivot, target, index, tol)
-    record["a"], record["b"] = matrix_to_json(a), matrix_to_json(b)
-    spec = decompose_pair_m2(a, b, tol)
-    ra, rb = pair_from_projections(spec.pivot, spec.target, spec.index, tol)
-    return {
-        "index_error": (abs(spec.index - index), 1e-9),
-        "pivot_error": (op_norm(spec.pivot - pivot), 1e-9),
-        "target_error": (op_norm(spec.target - target), 1e-9),
-        "roundtrip": (max(op_norm(ra - a), op_norm(rb - b)), 1e-9),
-    }
-
-
-def _suite_geometry(seed, tol, record):
-    pivot, target, index = random_pair_spec(derive_seed(seed, 1))
-    a, b = pair_from_projections(pivot, target, index, tol)
-    record["a"], record["b"] = matrix_to_json(a), matrix_to_json(b)
-    report = geometry_report(pivot, target, index, tol)
-    worst = max(report.residuals.values())
-    c_pt = bloch_point(a, tol)
-    r_pt, _ = sphere_to_ball(report.sphere, c_pt, tol)
-    bij = float(np.linalg.norm(r_pt - bloch_point(target, tol)))
-    c2, d2 = ball_to_sphere(report.sphere, r_pt, tol)
-    inv = max(
-        float(np.linalg.norm(c2 - c_pt)),
-        float(np.linalg.norm(d2 - bloch_point(b, tol))),
-    )
-    partners = random_spheroid_partners(a, 8, derive_seed(seed, 2), tol)
-    stats = spheroid_residual(a, partners, tol)
-    return {
-        "report": (worst, tol.geo),
-        "bijection": (bij, tol.geo),
-        "bijection_inverse": (inv, tol.geo),
-        "spheroid_spread": (stats.relative_spread, 1e-8),
-    }
-
-
-def _suite_equivalences(seed, tol, record):
-    n = (2, 4, 8)[seed % 3]
-    oa, ob = random_orthogonal_pair(n, derive_seed(seed, 1), 0.1)
-    record["a"], record["b"] = matrix_to_json(oa), matrix_to_json(ob)
-    fwd = is_abs_compatible(oa, ob, tol)
-    p, a = random_commuting_projection_effect(n, derive_seed(seed, 2), 0.1)
-    lhs, rhs = projection_compat_equiv(p, a, tol)
-    p2 = random_projection(n, 1 + seed % (n - 1), derive_seed(seed, 3))
-    a2 = random_strict_effect(n, derive_seed(seed, 4), 0.1)
-    lhs2, rhs2 = projection_compat_equiv(p2, a2, tol)
-    return {
-        "orthogonal_compatible": (fwd.residual, tol.compat),
-        "orthogonal_product": (op_norm(oa @ ob), tol.compat),
-        "criterion_commuting": (0.0 if lhs == rhs else 1.0, 0.0),
-        "criterion_generic": (0.0 if lhs2 == rhs2 else 1.0, 0.0),
-    }
-
-
-SUITES = {
-    "compat": _suite_compat,
-    "canonical": _suite_canonical,
-    "m2": _suite_m2,
-    "geometry": _suite_geometry,
-    "equivalences": _suite_equivalences,
-}
-
-
 def cmd_fuzz(args) -> int:
     tol = _tolerances(args)
-    if args.suite not in SUITES:
-        raise UnknownSuite("suite %r not among %s" % (args.suite, sorted(SUITES)))
+    if args.suite not in REGISTRY:
+        raise UnknownSuite("suite %r not among %s" % (args.suite, sorted(REGISTRY)))
     if args.trials < 1:
         raise ParseError("--trials must be at least 1")
-    fn = SUITES[args.suite]
-    worst = {}
-    failures = []
-    bundle = None
-    for i in range(args.trials):
-        s = derive_seed(args.seed, i)
-        record = {}
-        entry = None
-        try:
-            results = fn(s, tol, record)
-            for name, (residual, _) in results.items():
-                if name not in worst or residual > worst[name]:
-                    worst[name] = residual
-            bad = {k: r for k, (r, lim) in results.items() if r > lim}
-            if bad:
-                entry = {"trial": i, "seed": s, "violations": bad}
-        except AbscompatError as exc:
-            entry = {"trial": i, "seed": s, "error": "%s: %s" % (type(exc).__name__, exc)}
-        if entry is not None:
-            failures.append(entry)
-            if bundle is None:
-                bundle = dict(entry)
-                bundle["suite"] = args.suite
-                bundle["matrices"] = record
-    if bundle is not None:
+    out = run_property(REGISTRY[args.suite], args.trials, args.seed, tol)
+    if out.failures:
+        matrices = {name: matrix_to_json(x) for name, x in (out.first_inputs or {}).items()
+                    if isinstance(x, np.ndarray) and x.ndim == 2}
+        bundle = dict(out.failures[0], suite=args.suite, matrices=matrices)
         dump_json(args.fail_out or (args.suite + ".fail.json"), bundle)
     _emit(args, {
         "suite": args.suite,
         "trials": args.trials,
         "seed": args.seed,
-        "passed": args.trials - len(failures),
-        "failed": len(failures),
-        "worst_residual": worst,
-        "failures": failures[:10],
+        "passed": args.trials - len(out.failures),
+        "failed": len(out.failures),
+        "worst_residual": out.worst,
+        "failures": out.failures[:10],
     })
-    return EXIT_OK if not failures else EXIT_STRUCTURAL
+    return EXIT_OK if not out.failures else EXIT_STRUCTURAL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_geometry)
 
     p = sub.add_parser("fuzz", parents=[tolp], help="run a property suite over seeded trials")
-    p.add_argument("suite", help="one of %s" % ", ".join(sorted(SUITES)))
+    p.add_argument("suite", help="one of %s" % ", ".join(sorted(REGISTRY)))
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fail-out", help="failure bundle path (default <suite>.fail.json)")

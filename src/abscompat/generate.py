@@ -11,7 +11,7 @@ import numpy as np
 from .canonical import StrictProjectionParams, StrictUnitaryParams, pair_from_params
 from .config import DEFAULT_TOL, Tolerances
 from .errors import BadMargin, DegenerateSpec, DimensionMismatch, OddDimension
-from .geometry import BALL_CENTER, bloch_matrix, bloch_point, in_punctured_ball
+from .geometry import BALL_CENTER, _reference_focus, bloch_matrix, bloch_point
 from .hermitian import dagger, hermitize
 
 SEED_STRIDE = 0x9E3779B97F4A7C15
@@ -233,10 +233,8 @@ def random_spheroid_partners(a, count: int, seed, tol: Tolerances = DEFAULT_TOL)
     complementary mix."""
     if count < 1:
         raise DimensionMismatch("count must be positive")
-    if not in_punctured_ball(a, tol):
-        raise DegenerateSpec("reference effect must lie in the open punctured ball")
+    _, focus = _reference_focus(a, tol)
     gen = _generator(seed)
-    focus = bloch_point(a, tol)
     partners = []
     for _ in range(count):
         q = bloch_point(_rank_one_2x2(gen), tol)

@@ -62,6 +62,10 @@ def _bloch(x, tol: Tolerances) -> np.ndarray:
     det = float(np.real(np.linalg.det(x)))
     if det < -tol.geo or det > 0.25 + tol.geo:
         raise DetOutOfRange("det %.3e outside [0, 1/4]" % det)
+    return _chart(x)
+
+
+def _chart(x) -> np.ndarray:
     return np.array([float(np.real(x[0, 0])), float(np.real(x[0, 1])), float(np.imag(x[0, 1]))])
 
 
@@ -82,18 +86,26 @@ def in_punctured_ball(x, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Trace-one positive 2x2 with 0 < det < 1/4, both bounds strict with
     margin; the centre (1/2)I has det exactly 1/4 and is excluded."""
     try:
-        x = require_hermitian(x, tol)
+        _reference_focus(x, tol)
+    except DegenerateSpec:
+        return False
+    return True
+
+
+def _reference_focus(a, tol: Tolerances):
+    """a validated once as a point of the open punctured ball, and its chart
+    point.  With trace one a negative eigenvalue makes det negative, so the
+    det bounds cover positivity."""
+    try:
+        a = require_hermitian(a, tol)
+        vals = np.linalg.eigvalsh(a)
+        inside = (a.shape == (2, 2) and abs(float(np.real(np.trace(a))) - 1.0) <= tol.geo
+                  and tol.geo < float(vals[0] * vals[1]) < 0.25 - tol.geo)
     except Exception:
-        return False
-    if x.shape != (2, 2):
-        return False
-    if abs(float(np.real(np.trace(x))) - 1.0) > tol.geo:
-        return False
-    vals = np.linalg.eigvalsh(x)
-    if vals[0] < -tol.geo:
-        return False
-    det = float(vals[0] * vals[1])
-    return tol.geo < det < 0.25 - tol.geo
+        inside = False
+    if not inside:
+        raise DegenerateSpec("reference effect must lie in the open punctured ball")
+    return a, _chart(a)
 
 
 def _rank_one(p, tol: Tolerances) -> np.ndarray:
@@ -297,11 +309,7 @@ def spheroid_residual(a, partners, tol: Tolerances = DEFAULT_TOL) -> SpheroidSta
     partners = list(partners)
     if not partners:
         raise EmptyInput("no partner effects supplied")
-    if not in_punctured_ball(a, tol):
-        raise DegenerateSpec("reference effect must lie in the open punctured ball")
-    # inside the punctured ball a is a 2x2 effect with trace one
-    a = hermitize(np.asarray(a, dtype=complex))
-    focus = _bloch(a, tol)
+    a, focus = _reference_focus(a, tol)
     mirror = 2.0 * BALL_CENTER - focus
 
     sums = []

@@ -1,7 +1,8 @@
 """Acceptance gate: the nine headline properties at full scale.
 
-Each test prints one PASS/FAIL line (visible with pytest -s or in the
-captured output of a failing run) and asserts the stated bound.
+Each criterion runs an ``abscompat.properties`` registry entry with its own
+trial count, base seed and size set, asserts its own bounds on the worst
+residuals, and prints one PASS/FAIL line (visible with pytest -s).
 """
 
 import time
@@ -10,247 +11,108 @@ import numpy as np
 import pytest
 
 from abscompat import DEFAULT_TOL
-from abscompat.canonical import (
-    canonicalize,
-    conjugate_to_pivot,
-    dilate_commuting_pair,
-    is_strict_projection,
-    is_strict_unitary,
-    pair_from_params,
-    strict_projection_from_params,
-    strict_unitary_from_params,
-)
-from abscompat.compat import five_block_decompose, is_abs_compatible, projection_compat_equiv
 from abscompat.errors import NotAbsolutelyCompatible, NotStrict
-from abscompat.generate import (
-    derive_seed,
-    haar_unitary,
-    random_abscompat_pair,
-    random_commuting_projection_effect,
-    random_commuting_strict_pair,
-    random_orthogonal_pair,
-    random_pair_params,
-    random_pair_spec,
-    random_projection,
-    random_spheroid_partners,
-    random_strict_effect,
-    random_strict_projection_params,
-    random_strict_unitary_params,
-)
-from abscompat.geometry import (
-    decompose_pair_m2,
-    geometry_report,
-    pair_from_projections,
-    spheroid_residual,
-)
-from abscompat.hermitian import dagger, hermitize, is_strict, jordan_product, op_norm
+from abscompat.generate import derive_seed, random_strict_effect
+from abscompat.geometry import decompose_pair_m2
+from abscompat.properties import REGISTRY, Property, run
 
 BASE = 0xACCE97
 
+# criterion number -> the registry entry it runs
+ENTRIES = {1: "compat", 2: "canonical", 3: "m2", 4: "compat", 5: "equivalences",
+           6: "fiveblock", 7: "params", 8: "geometry", 9: "dilation"}
 
-def _line(num, slug, ok, detail):
+
+def _line(num, slug, out, ok, detail):
+    ok = ok and not out.failures
+    if out.failures:
+        detail += "; first failure %r" % (out.failures[0],)
     print("criterion %d %s: %s (%s)" % (num, slug, "PASS" if ok else "FAIL", detail))
     assert ok, "criterion %d %s: %s" % (num, slug, detail)
 
 
 def test_criterion_1_definition_identity():
     start = time.monotonic()
-    worst = 0.0
-    dims = (2, 4, 8, 16)
-    for i in range(1000):
-        a, b = random_abscompat_pair(dims[i % 4], derive_seed(BASE, i))
-        worst = max(worst, is_abs_compatible(a, b).residual)
+    out = run(REGISTRY[ENTRIES[1]], 1000, BASE, sizes=(2, 4, 8, 16))
     elapsed = time.monotonic() - start
-    ok = worst <= 1e-8 and elapsed <= 30.0
-    _line(1, "definition-identity", ok,
+    worst = out.worst["pair_residual"]
+    _line(1, "definition-identity", out, worst <= 1e-8 and elapsed <= 30.0,
           "1000 pairs, worst residual %.3e, %.1fs" % (worst, elapsed))
 
 
 def test_criterion_2_canonical_round_trip():
-    worst_rec = worst_x0 = 0.0
-    dims = (2, 4, 8)
-    for i in range(300):
-        x0, params, u = random_pair_params(dims[i % 3], derive_seed(BASE + 1, i))
-        base_a, base_b = pair_from_params(x0, params)
-        a = hermitize(u @ base_a @ dagger(u))
-        b = hermitize(u @ base_b @ dagger(u))
-        cf = canonicalize(a, b)
-        ra, rb = cf.reconstruct()
-        worst_rec = max(worst_rec, op_norm(ra - a), op_norm(rb - b))
-        worst_x0 = max(worst_x0, float(np.max(np.abs(np.sort(x0) - cf.x0))))
-    ok = worst_rec <= 1e-7 and worst_x0 <= 1e-9
-    _line(2, "canonical-round-trip", ok,
-          "300 pairs, reconstruction %.3e, x0 multiset %.3e" % (worst_rec, worst_x0))
+    out = run(REGISTRY[ENTRIES[2]], 300, BASE + 1, sizes=(2, 4, 8))
+    rec, x0 = out.worst["reconstruction"], out.worst["x0_multiset"]
+    _line(2, "canonical-round-trip", out, rec <= 1e-7 and x0 <= 1e-9,
+          "300 pairs, reconstruction %.3e, x0 multiset %.3e" % (rec, x0))
 
 
 def test_criterion_3_m2_characterization():
-    worst = 0.0
-    for i in range(500):
-        pivot, target, index = random_pair_spec(derive_seed(BASE + 2, i))
-        a, b = pair_from_projections(pivot, target, index)
-        spec = decompose_pair_m2(a, b)
-        worst = max(
-            worst,
-            abs(spec.index - index),
-            op_norm(spec.pivot - pivot),
-            op_norm(spec.target - target),
-        )
-    rejects = 0
+    out = run(REGISTRY[ENTRIES[3]], 500, BASE + 2, sizes=(2,))
+    worst = max(out.worst[k] for k in ("index_error", "pivot_error", "target_error"))
     strict_eff = random_strict_effect(2, derive_seed(BASE + 2, 9001))
     with pytest.raises(NotAbsolutelyCompatible):
         decompose_pair_m2(strict_eff, strict_eff)
-    rejects += 1
     p = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(NotStrict):
         decompose_pair_m2(p, np.eye(2) - p)
-    rejects += 1
-    ok = worst <= 1e-9 and rejects == 2
-    _line(3, "m2-characterization", ok,
+    _line(3, "m2-characterization", out, worst <= 1e-9,
           "500 specs, worst recovery error %.3e, 2 negative controls" % worst)
 
 
+def _generic_as_orthogonal(seed, n):
+    """The compat draw with its generic pair in the orthogonal pair's place."""
+    x = REGISTRY["compat"].draw(seed, n)
+    return dict(x, oa=x["a"], ob=x["b"])
+
+
 def test_criterion_4_orthogonality_equivalence():
-    violations = 0
-    for i in range(500):
-        n = (2, 4, 8)[i % 3]
-        a, b = random_orthogonal_pair(n, derive_seed(BASE + 3, i))
-        sum_ok = float(np.linalg.eigvalsh(a + b)[-1]) <= 1.0 + DEFAULT_TOL.compat
-        if not (op_norm(a @ b) <= DEFAULT_TOL.compat
-                and sum_ok
-                and is_abs_compatible(a, b).compatible):
-            violations += 1
-    for i in range(500):
-        n = (2, 4, 8)[i % 3]
-        a, b = random_abscompat_pair(n, derive_seed(BASE + 4, i))
-        # compatible but with sum above 1, so the product side must fail
-        if not is_abs_compatible(a, b).compatible:
-            violations += 1
-        if op_norm(a @ b) <= DEFAULT_TOL.compat:
-            violations += 1
-    _line(4, "orthogonality-equivalence", violations == 0,
-          "500 orthogonal + 500 generic pairs, %d violations" % violations)
+    out = run(REGISTRY[ENTRIES[4]], 500, BASE + 3, sizes=(2, 4, 8))
+    keys = ("orthogonal_product", "orthogonal_residual", "sum_excess", "pair_residual")
+    worst = max(out.worst[k] for k in keys)
+    # negative control: a generic compatible pair has a + b above 1, so
+    # every trial must fail on the product and the sum, and only there
+    generic = run(Property(_generic_as_orthogonal, REGISTRY["compat"].check, (2, 4, 8)),
+                  500, BASE + 4)
+    caught = sum(set(f.get("violations", ())) == {"orthogonal_product", "sum_excess"}
+                 for f in generic.failures)
+    _line(4, "orthogonality-equivalence", out, worst <= DEFAULT_TOL.compat and caught == 500,
+          "500 orthogonal + 500 generic pairs, worst residual %.3e, %d of 500 generic "
+          "pairs caught" % (worst, caught))
 
 
 def test_criterion_5_projection_criterion():
-    disagreements = 0
-    for i in range(500):
-        n = (2, 4, 8)[i % 3]
-        if i % 2:
-            p, a = random_commuting_projection_effect(n, derive_seed(BASE + 5, i))
-        else:
-            p = random_projection(n, 1 + i % max(1, n - 1), derive_seed(BASE + 5, i))
-            a = random_strict_effect(n, derive_seed(BASE + 6, i))
-        lhs, rhs = projection_compat_equiv(p, a)
-        if lhs != rhs:
-            disagreements += 1
-    _line(5, "projection-criterion", disagreements == 0,
-          "500 draws, %d disagreements" % disagreements)
-
-
-def _assemble_pair(seed):
-    """Direct sum of identity/zero slots and a strict block, Haar-mixed."""
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    strict_n = (2, 4)[int(gen.integers(0, 2))]
-    sa, sb = random_abscompat_pair(strict_n, derive_seed(seed, 1))
-    slots = []
-    for kind in ("unit_a", "unit_b", "null_a", "null_b"):
-        for _ in range(int(gen.integers(0, 2))):
-            v = 0.1 + 0.8 * gen.random()
-            pair = {
-                "unit_a": (1.0, gen.random()),
-                "unit_b": (gen.random(), 1.0),
-                "null_a": (0.0, v),
-                "null_b": (v, 0.0),
-            }[kind]
-            slots.append(pair)
-    n = strict_n + len(slots)
-    a = np.zeros((n, n), dtype=complex)
-    b = np.zeros_like(a)
-    a[:strict_n, :strict_n], b[:strict_n, :strict_n] = sa, sb
-    for k, (va, vb) in enumerate(slots):
-        a[strict_n + k, strict_n + k] = va
-        b[strict_n + k, strict_n + k] = vb
-    u = haar_unitary(n, derive_seed(seed, 2))
-    return hermitize(u @ a @ dagger(u)), hermitize(u @ b @ dagger(u)), strict_n
-
-
-def _off_block_mass(x, bases):
-    order = ("unit_a", "unit_b", "strict", "null_a", "null_b")
-    cols = [bases[name] for name in order if bases[name].shape[1]]
-    v = np.hstack(cols)
-    y = dagger(v) @ x @ v
-    sizes = [bases[name].shape[1] for name in order if bases[name].shape[1]]
-    offset = 0
-    for k in sizes:
-        y[offset:offset + k, offset:offset + k] = 0.0
-        offset += k
-    return op_norm(y)
+    out = run(REGISTRY[ENTRIES[5]], 500, BASE + 5, sizes=(2, 4, 8))
+    wrong = out.worst["criterion_commuting"] + out.worst["criterion_generic"]
+    _line(5, "projection-criterion", out, wrong == 0.0,
+          "500 commuting + 500 generic draws, %d failed trials" % len(out.failures))
 
 
 def test_criterion_6_five_block_postconditions():
-    worst = 0.0
-    for i in range(300):
-        a, b, strict_n = _assemble_pair(derive_seed(BASE + 7, i))
-        fb = five_block_decompose(a, b)
-        assert fb.ranks()["strict"] == strict_n
-        worst = max(worst, _off_block_mass(a, fb.bases), _off_block_mass(b, fb.bases))
-        sa = fb.blocks_a["strict"]
-        sb = fb.blocks_b["strict"]
-        assert is_strict(sa) and is_strict(sb)
-        assert is_abs_compatible(sa, sb).compatible
-    _line(6, "five-block-postconditions", worst <= 1e-8,
-          "300 assembled pairs, worst off-block mass %.3e" % worst)
+    out = run(REGISTRY[ENTRIES[6]], 300, BASE + 7, sizes=(2, 4))
+    worst, rank_error = out.worst["off_block_mass"], out.worst["strict_rank"]
+    _line(6, "five-block-postconditions", out, worst <= 1e-8 and rank_error == 0.0,
+          "300 assembled pairs, worst off-block mass %.3e, strict rank error %d"
+          % (worst, rank_error))
 
 
 def test_criterion_7_strict_parametrizations():
-    worst = 0.0
-    for i in range(500):
-        m = 1 + i % 3
-        q = random_strict_unitary_params(m, derive_seed(BASE + 8, i))
-        u = strict_unitary_from_params(q)
-        assert is_strict_unitary(u)
-        ue = u.embed()
-        worst = max(worst, op_norm(dagger(ue) @ ue - np.eye(2 * m)))
-
-        pq = random_strict_projection_params(m, derive_seed(BASE + 9, i))
-        p = strict_projection_from_params(pq)
-        assert is_strict_projection(p)
-        pe = p.embed()
-        worst = max(worst, op_norm(pe @ pe - pe))
-
-        conj = conjugate_to_pivot(p)
-        pivot = np.diag([0.0, 1.0] * m).astype(complex)
-        back = dagger(conj.embed()) @ pivot @ conj.embed()
-        worst = max(worst, op_norm(back - pe))
-    _line(7, "strict-parametrizations", worst <= 1e-9,
+    out = run(REGISTRY[ENTRIES[7]], 500, BASE + 8, sizes=(1, 2, 3))
+    worst = max(out.worst[k] for k in ("unitarity", "idempotence", "pivot_conjugation"))
+    _line(7, "strict-parametrizations", out, worst <= 1e-9,
           "500 draws, worst residual %.3e" % worst)
 
 
 def test_criterion_8_geometry_suite():
-    worst = 0.0
-    for i in range(500):
-        pivot, target, index = random_pair_spec(derive_seed(BASE + 10, i))
-        rep = geometry_report(pivot, target, index)
-        worst = max(worst, max(rep.residuals.values()))
-    a, _ = pair_from_projections(
-        np.diag([0.0, 1.0]).astype(complex), 0.5 * np.ones((2, 2)), 0.5
-    )
-    partners = random_spheroid_partners(a, 100, derive_seed(BASE + 11, 0))
-    stats = spheroid_residual(a, partners)
-    ok = worst <= 1e-9 and stats.relative_spread <= 1e-8
-    _line(8, "geometry-suite", ok,
-          "500 specs worst residual %.3e, spheroid spread %.3e over 100 partners"
-          % (worst, stats.relative_spread))
+    out = run(REGISTRY[ENTRIES[8]], 500, BASE + 10, sizes=(2,))
+    worst, spread = out.worst["report"], out.worst["spheroid_spread"]
+    _line(8, "geometry-suite", out, worst <= 1e-9 and spread <= 1e-8,
+          "500 specs worst residual %.3e, spheroid spread %.3e over 8 partners each"
+          % (worst, spread))
 
 
 def test_criterion_9_jordan_block_identity():
-    worst = 0.0
-    for i in range(200):
-        n = 1 + i % 4
-        a, b = random_commuting_strict_pair(n, derive_seed(BASE + 12, i))
-        a1, b1 = dilate_commuting_pair(a, b)
-        want = np.zeros((2 * n, 2 * n), dtype=complex)
-        want[n:, n:] = np.eye(n) - a @ a - b @ b
-        worst = max(worst, op_norm(jordan_product(a1, b1) - want))
-    _line(9, "jordan-block-identity", worst <= 1e-10,
+    out = run(REGISTRY[ENTRIES[9]], 200, BASE + 12, sizes=(1, 2, 3, 4))
+    worst = out.worst["jordan_block"]
+    _line(9, "jordan-block-identity", out, worst <= 1e-10,
           "200 dilations, worst deviation %.3e" % worst)

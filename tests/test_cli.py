@@ -14,7 +14,9 @@ import abscompat
 from abscompat.canonical import is_strict_projection
 from abscompat.cli import run
 from abscompat.compat import is_abs_compatible
+from abscompat.generate import random_abscompat_pair
 from abscompat.io import load_matrix, save_matrix
+from abscompat.properties import REGISTRY
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -167,7 +169,7 @@ def test_geometry_missing_spec():
 
 
 def test_fuzz_suites_pass(tmp_path):
-    for suite in ("compat", "canonical", "m2", "geometry", "equivalences"):
+    for suite in REGISTRY:
         out = tmp_path / (suite + ".json")
         assert run(["fuzz", suite, "--trials", "6", "--seed", "5", "--out", str(out)]) == 0
         blob = json.loads(out.read_text())
@@ -182,9 +184,16 @@ def test_fuzz_unknown_suite(capsys):
 
 def test_fuzz_deterministic_bytes(tmp_path):
     o1, o2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    run(["fuzz", "m2", "--trials", "10", "--seed", "77", "--out", str(o1)])
-    run(["fuzz", "m2", "--trials", "10", "--seed", "77", "--out", str(o2)])
-    assert o1.read_bytes() == o2.read_bytes()
+    for suite in REGISTRY:
+        run(["fuzz", suite, "--trials", "3", "--seed", "77", "--out", str(o1)])
+        run(["fuzz", suite, "--trials", "3", "--seed", "77", "--out", str(o2)])
+        assert o1.read_bytes() == o2.read_bytes(), suite
+
+
+def test_every_property_has_an_acceptance_criterion():
+    from test_acceptance import ENTRIES
+
+    assert set(ENTRIES.values()) == set(REGISTRY)
 
 
 def test_fuzz_failure_bundle(tmp_path):
@@ -207,6 +216,22 @@ def test_fuzz_failure_bundle(tmp_path):
     assert not rep.compatible
 
 
+@pytest.mark.parametrize("argv, a, b, error", [
+    (["geometry", "--a", "A", "--b", "B", "--tol-compat", "10"],
+     np.diag([0.3, 0.6]), np.diag([0.5, 0.5]), "SpectralAmbiguity"),
+    (["decompose", "A", "B", "--tol-compat", "2"],
+     0.5 * np.eye(2), 0.5 * np.eye(2), "PairingFailure"),
+    (["decompose", "A", "B", "--tol-canon", "1e-30"],
+     *random_abscompat_pair(4, 3), "PostconditionFailure"),
+], ids=["spectral-ambiguity", "pairing-failure", "postcondition-failure"])
+def test_structural_failures_exit_4(tmp_path, capsys, argv, a, b, error):
+    files = {"A": tmp_path / "a.json", "B": tmp_path / "b.json"}
+    save_matrix(files["A"], a)
+    save_matrix(files["B"], b)
+    assert run([str(files.get(arg, arg)) for arg in argv]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == error
+
+
 def _assert_help(cmd, env=None):
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -215,18 +240,21 @@ def _assert_help(cmd, env=None):
 
 
 def test_console_script_help():
-    """The declared ``abscompat`` entry point starts the CLI and exits 0.
+    """The declared ``abscompat`` entry point and ``python -m abscompat``
+    start the CLI and exit 0.
 
     The entry point is read from ``pyproject.toml`` and called in a child
     interpreter the way an installed console-script wrapper calls it, so the
     check needs no install; an installed script on PATH is run as well.
     """
+    src = Path(abscompat.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    _assert_help([sys.executable, "-m", "abscompat", "--help"], env)
+
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
         target = tomllib.load(fh)["project"]["scripts"]["abscompat"]
     mod, func = target.split(":")
-    src = Path(abscompat.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(src)}
     code = (
         "import sys, importlib; "
         f"sys.exit(getattr(importlib.import_module({mod!r}), {func!r})())"
