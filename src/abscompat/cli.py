@@ -10,7 +10,6 @@ compatible, 3 strictness violation, 4 structural failure.
 """
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -28,7 +27,7 @@ from .generate import (
     random_strict_projection_params,
 )
 from .geometry import bloch_matrix, decompose_pair_m2, geometry_report
-from .io import dump_json, load_matrix, matrix_to_json, save_matrix
+from .io import dump_json, json_text, load_matrix, matrix_to_json, save_matrix
 from .properties import REGISTRY, run as run_property
 
 EXIT_OK = 0
@@ -76,7 +75,7 @@ def _write_text(args, text: str) -> None:
 
 
 def _emit(args, payload) -> None:
-    _write_text(args, json.dumps(payload, indent=2) + "\n")
+    _write_text(args, json_text(payload))
 
 
 def cmd_check(args) -> int:
@@ -138,7 +137,7 @@ def cmd_gen(args) -> int:
         meta = {"kind": "projection", "n": int(p.shape[0]), "strict": bool(args.strict)}
     meta["seed"] = seed
     meta["files"] = files
-    sys.stdout.write(json.dumps(meta, indent=2) + "\n")
+    sys.stdout.write(json_text(meta))
     return EXIT_OK
 
 
@@ -282,10 +281,10 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except AbscompatError as exc:
-        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
+        sys.stderr.write(json_text({"error": type(exc).__name__, "message": str(exc)}))
         return exit_code_for(exc)
     except OSError as exc:
-        sys.stderr.write(json.dumps({"error": "OSError", "message": str(exc)}) + "\n")
+        sys.stderr.write(json_text({"error": "OSError", "message": str(exc)}))
         return EXIT_USAGE
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from .canonical import StrictProjectionParams, StrictUnitaryParams, pair_from_params
 from .config import DEFAULT_TOL, Tolerances
 from .errors import BadMargin, DegenerateSpec, DimensionMismatch, OddDimension
-from .geometry import BALL_CENTER, _reference_focus, bloch_matrix, bloch_point
+from .geometry import BALL_CENTER, _chart, _reference_focus, bloch_matrix
 from .hermitian import dagger, hermitize
 
 SEED_STRIDE = 0x9E3779B97F4A7C15
@@ -237,7 +237,7 @@ def random_spheroid_partners(a, count: int, seed, tol: Tolerances = DEFAULT_TOL)
     gen = _generator(seed)
     partners = []
     for _ in range(count):
-        q = bloch_point(_rank_one_2x2(gen), tol)
+        q = _chart(_rank_one_2x2(gen))
         d = focus - q
         t1 = -2.0 * float(np.dot(q - BALL_CENTER, d)) / float(np.dot(d, d))
         p = q + t1 * d

@@ -1,42 +1,50 @@
-"""Matrix (de)serialization.
-
-On-disk schema: ``{"n": <int>, "entries": [[[re, im], ...], ...]}`` with
-row-major entries. Floats are emitted by ``json`` at ``repr`` precision,
-which round-trips IEEE-754 doubles exactly.
+"""Matrix (de)serialization: ``{"n": <int>, "entries": [[[re, im], ...], ...]}``,
+row-major, written by ``json_text`` as compact JSON (C-encoded; ``repr`` floats
+round-trip doubles exactly). Indented files from earlier versions load the same.
 """
 
 import json
-import math
+from contextlib import suppress
+from itertools import chain
 
 import numpy as np
 
 from .errors import ParseError
 
 
+def json_text(obj) -> str:
+    return json.dumps(obj) + "\n"
+
+
 def matrix_to_json(x) -> dict:
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ParseError("matrix must be square, got shape %r" % (x.shape,))
-    n = int(x.shape[0])
-    entries = [
-        [[float(x[i, j].real), float(x[i, j].imag)] for j in range(n)]
-        for i in range(n)
-    ]
-    return {"n": n, "entries": entries}
+    return {"n": int(x.shape[0]), "entries": np.stack([x.real, x.imag], -1).tolist()}
 
 
 def _cell(value, i, j):
-    ok = (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    )
-    if not ok:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
         raise ParseError("entry (%d,%d) is not a [re, im] pair" % (i, j))
-    re, im = float(value[0]), float(value[1])
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise ParseError("entry (%d,%d) is not finite" % (i, j))
-    return complex(re, im)
+    with suppress(OverflowError):  # an int literal beyond double range
+        z = complex(float(value[0]), float(value[1]))
+        if np.isfinite(z):
+            return z
+    raise ParseError("entry (%d,%d) is not finite" % (i, j))
+
+
+def _values(level, n):
+    """The 2n^2 values if ``level`` is n rows of n [re, im] lists of finite numbers, else None."""
+    for size in (n, 2):  # rows of n cells, then cells of 2 numbers
+        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
+            return None
+        level = list(chain.from_iterable(level))
+    if set(map(type, level)) <= {int, float}:
+        with suppress(OverflowError):  # an int literal beyond double range
+            values = np.array(level, dtype=float)
+            return values if np.isfinite(values).all() else None
+    return None
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -48,6 +56,10 @@ def matrix_from_json(obj) -> np.ndarray:
     entries = obj.get("entries")
     if not isinstance(entries, list) or len(entries) != n:
         raise ParseError("'entries' must be a list of %d rows" % n)
+    values = _values(entries, n)
+    if values is not None:
+        return values.view(complex).reshape(n, n)
+    # a whole-list test failed: the loop names the first bad row or cell
     out = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != n:
@@ -71,11 +83,10 @@ def load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError("invalid JSON in %s: %s" % (path, exc)) from exc
 
 
 def dump_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(json_text(obj))

@@ -55,6 +55,17 @@ def test_check_malformed(tmp_path, capsys):
     assert "ParseError" in err
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe\x00garbage",
+    b'{"n": 1, "entries": [[[1' + b"0" * 400 + b', 0.0]]]}',
+], ids=["not-utf8", "over-range-int"])
+def test_check_unreadable_input_is_a_parse_error(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert run(["check", str(bad), str(bad)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
 def test_check_missing_args():
     assert run(["check"]) == 1
 
@@ -100,6 +111,26 @@ def test_gen_pair_then_check(tmp_path, capsys):
     b = load_matrix(prefix + "_b.json")
     assert is_abs_compatible(a, b).compatible
     assert run(["check", prefix + "_a.json", prefix + "_b.json"]) == 0
+
+
+def test_gen_and_decompose_same_seed_same_bytes(tmp_path):
+    """Two processes with the same seed write byte-identical pair, blocks
+    and canonical-form files."""
+    src = Path(abscompat.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    outputs = []
+    for k in (1, 2):
+        d = tmp_path / str(k)
+        d.mkdir()
+        for argv in (["gen", "pair", "--n", "8", "--seed", "3", "--out", "g"],
+                     ["decompose", "g_a.json", "g_b.json", "--blocks", "blocks.json",
+                      "--out", "canon.json"]):
+            proc = subprocess.run([sys.executable, "-m", "abscompat", *argv], cwd=d, env=env,
+                                  capture_output=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+        outputs.append([(d / f).read_bytes()
+                        for f in ("g_a.json", "g_b.json", "blocks.json", "canon.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_gen_strict_projection(tmp_path, capsys):
