@@ -35,6 +35,7 @@ from .errors import (
 from .hermitian import (
     _effects,
     _hnorm,
+    _hnorm_upto,
     _require_strict,
     _strictness,
     as_matrix,
@@ -277,7 +278,7 @@ def conjugate_to_pivot(p, tol: Tolerances = DEFAULT_TOL) -> SiteBlockMatrix:
     blocks[:, 1, 0] = a0
     blocks[:, 1, 1] = w * s0
     u = SiteBlockMatrix(blocks)
-    dev = _hnorm((u.dagger() @ _pivot_sites(p.m, PIVOT_0) @ u).embed() - p.embed())
+    dev = _hnorm_upto((u.dagger() @ _pivot_sites(p.m, PIVOT_0) @ u).embed() - p.embed(), tol.proj)
     if dev > tol.proj:
         raise PostconditionFailure("pivot conjugation residual %.3e" % dev)
     return u
@@ -295,7 +296,7 @@ def dilate_commuting_pair(a, b, tol: Tolerances = DEFAULT_TOL):
     """
     (a, va), (b, vb) = _effects(a, b, tol)
     # i[a, b] is Hermitian with the norm of [a, b]
-    if _hnorm(1j * (a @ b - b @ a)) > tol.compat:
+    if _hnorm_upto(1j * (a @ b - b @ a), tol.compat) > tol.compat:
         raise NotCommuting("||ab - ba|| exceeds %.3e" % tol.compat)
     _require_strict(va, vb, tol)
     square_sum = hermitize(a @ a + b @ b)
@@ -421,7 +422,7 @@ def canonicalize(a, b, tol: Tolerances = DEFAULT_TOL) -> CanonicalForm:
     if n % 2:
         raise OddDimension("canonical form needs even dimension, got %d" % n)
     _require_strict(va, vb, tol)
-    spectra = _require_compatible(a, b, tol)
+    spectra = _require_compatible(_pair_spectra(a, b), tol)
 
     m = n // 2
     diff = spectra.abs_diff
@@ -523,7 +524,7 @@ def exchanged_pivot_form(cf: CanonicalForm, tol: Tolerances = DEFAULT_TOL) -> Ex
     form = ExchangedPivotForm(u=cf.u0 @ dagger(v.embed()), x0=cf.x0, a0=a0)
     ra, rb = form.reconstruct()
     ca, cb = cf.reconstruct()
-    err = max(_hnorm(ra - ca), _hnorm(rb - cb))
+    err = max(_hnorm_upto(ra - ca, tol.canon), _hnorm_upto(rb - cb, tol.canon))
     if err > tol.canon:
         raise PostconditionFailure("pivot exchange residual %.3e" % err)
     return form

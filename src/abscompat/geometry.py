@@ -32,7 +32,7 @@ from .errors import (
 from .hermitian import (
     _effect,
     _effects,
-    _hnorm,
+    _hnorm_upto,
     _require_strict,
     _strictness,
     hermitize,
@@ -133,9 +133,9 @@ def _validate_spec(pivot, target, index, tol: Tolerances):
     if not 0.0 < index < 1.0:
         raise DegenerateSpec("index %r outside (0, 1)" % index)
     one = np.eye(2, dtype=complex)
-    if _hnorm(pivot - target) <= tol.proj:
+    if _hnorm_upto(pivot - target, tol.proj) <= tol.proj:
         raise DegenerateSpec("pivot equals the target projection")
-    if _hnorm(pivot - (one - target)) <= tol.proj:
+    if _hnorm_upto(pivot - (one - target), tol.proj) <= tol.proj:
         raise DegenerateSpec("pivot equals the complement of the target")
     return pivot, target, index
 
@@ -166,7 +166,7 @@ def decompose_pair_m2(a, b, tol: Tolerances = DEFAULT_TOL) -> PairSpec:
     if a.shape != (2, 2):
         raise DimensionMismatch("decomposition is for 2x2 effects")
     _require_strict(va, vb, tol)
-    spectra = _require_compatible(a, b, tol)
+    spectra = _require_compatible(_pair_spectra(a, b), tol)
 
     dvals = spectra.abs_diff_vals
     if float(dvals[1] - dvals[0]) > tol.cluster * max(1.0, float(dvals[1])):
@@ -181,7 +181,7 @@ def decompose_pair_m2(a, b, tol: Tolerances = DEFAULT_TOL) -> PairSpec:
     target = hermitize((a - (1.0 - index) * pivot) / index)
 
     ra, rb = pair_from_projections(pivot, target, index, tol)
-    err = max(_hnorm(ra - a), _hnorm(rb - b))
+    err = max(_hnorm_upto(ra - a, tol.geo), _hnorm_upto(rb - b, tol.geo))
     if err > tol.geo:
         raise PostconditionFailure("round-trip residual %.3e > %.3e" % (err, tol.geo))
     return PairSpec(pivot=pivot, target=target, index=index)
@@ -316,7 +316,7 @@ def spheroid_residual(a, partners, tol: Tolerances = DEFAULT_TOL) -> SpheroidSta
     for x in partners:
         x, _ = _effect(x, tol)
         pt = _bloch(x, tol)
-        _require_compatible(a, x, tol)
+        _require_compatible(_pair_spectra(a, x), tol)
         sums.append(float(np.linalg.norm(pt - focus) + np.linalg.norm(pt - mirror)))
     sums = np.asarray(sums)
     mean = float(np.mean(sums))

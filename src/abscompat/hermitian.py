@@ -54,6 +54,24 @@ def _hnorm(h) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(h))))
 
 
+def _fnorm(h) -> float:
+    """Frobenius norm: the l2 norm of all singular values, so never below
+    the operator norm, their largest."""
+    return float(np.sqrt(np.vdot(h, h).real))
+
+
+def _hnorm_upto(h, bound: float) -> float:
+    """||h||_F when that is at most bound, else the exact _hnorm(h).
+
+    For norms that are only compared with bound: ||h|| <= ||h||_F, so a
+    Frobenius norm within the bound settles `||h|| <= bound` without a
+    factorization, and a norm over the bound is always the exact one, so
+    failure messages report exact values.
+    """
+    frob = _fnorm(h)
+    return frob if frob <= bound else _hnorm(h)
+
+
 def identity_like(x) -> np.ndarray:
     return np.eye(x.shape[0], dtype=complex)
 
@@ -68,7 +86,7 @@ def require_hermitian(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def require_unitary(u, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     u = as_matrix(u)
-    dev = _hnorm(dagger(u) @ u - identity_like(u))
+    dev = _hnorm_upto(dagger(u) @ u - identity_like(u), tol.unit)
     if dev > tol.unit:
         raise NotUnitary("||U*U - I|| = %.3e > %.3e" % (dev, tol.unit))
     return u
@@ -76,20 +94,25 @@ def require_unitary(u, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def require_projection(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     p = require_hermitian(p, tol)
-    dev = _hnorm(p @ p - p)
+    dev = _hnorm_upto(p @ p - p, tol.proj)
     if dev > tol.proj:
         raise NotProjection("||P^2 - P|| = %.3e > %.3e" % (dev, tol.proj))
     return p
+
+
+def _require_unit_interval(vals, tol: Tolerances) -> None:
+    """An ascending spectrum inside [0, 1], within tol.spec."""
+    if vals.size and vals[0] < -tol.spec:
+        raise NegativeSpectrum("smallest eigenvalue %.3e < -%.3e" % (vals[0], tol.spec))
+    if vals.size and vals[-1] > 1.0 + tol.spec:
+        raise DomainError("largest eigenvalue %.6f exceeds 1" % vals[-1])
 
 
 def _effect(a, tol: Tolerances):
     """The validated effect a and its ascending spectrum (eigvalsh)."""
     a = require_hermitian(a, tol)
     vals = np.linalg.eigvalsh(a)
-    if vals.size and vals[0] < -tol.spec:
-        raise NegativeSpectrum("smallest eigenvalue %.3e < -%.3e" % (vals[0], tol.spec))
-    if vals.size and vals[-1] > 1.0 + tol.spec:
-        raise DomainError("largest eigenvalue %.6f exceeds 1" % vals[-1])
+    _require_unit_interval(vals, tol)
     return a, vals
 
 
@@ -174,15 +197,23 @@ def absolute_value(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return _compose(s, dagger(vh))
 
 
+def _effect_eig(a, tol: Tolerances) -> SpectralDecomposition:
+    """The eigendecomposition of the effect a, validated from its own
+    eigenvalues with the errors of _effect."""
+    dec = _eig(require_hermitian(a, tol))
+    _require_unit_interval(dec.eigenvalues, tol)
+    return dec
+
+
 def support_projection(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Largest projection below the effect a: its eigenvalue-1 eigenspace."""
-    dec = _eig(require_effect(a, tol))
+    dec = _effect_eig(a, tol)
     return dec.projection_where(dec.eigenvalues >= 1.0 - tol.spec)
 
 
 def null_projection(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Largest projection annihilating the effect a: its kernel."""
-    dec = _eig(require_effect(a, tol))
+    dec = _effect_eig(a, tol)
     return dec.projection_where(dec.eigenvalues <= tol.spec)
 
 

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from abscompat import DEFAULT_TOL
-from abscompat.errors import DimensionMismatch, DomainError, NegativeSpectrum, NotHermitian
+from abscompat.errors import (
+    DimensionMismatch,
+    DomainError,
+    NegativeSpectrum,
+    NotHermitian,
+    NotUnitary,
+)
 from abscompat.hermitian import (
     absolute_value,
     cluster_indices,
@@ -22,6 +28,7 @@ from abscompat.hermitian import (
     range_projection,
     require_effect,
     require_hermitian,
+    require_unitary,
     support_projection,
 )
 from abscompat.generate import derive_seed, haar_unitary, random_strict_effect
@@ -118,6 +125,29 @@ def test_support_null_range_fixtures():
     assert np.allclose(range_projection(np.zeros((2, 2))), np.zeros((2, 2)))
 
 
+def _conjugated(vals, seed):
+    u = haar_unitary(len(vals), seed)
+    return hermitize(u @ np.diag(vals) @ dagger(u))
+
+
+@pytest.mark.parametrize("bad", [
+    _conjugated([-0.25, 0.5, 0.75], 3),
+    _conjugated([-2e-9, 0.5, 0.75], 4),
+    _conjugated([0.5, 1.5], 5),
+    _conjugated([0.5, 1.0 + 2e-9], 6),
+    np.array([[0.5, 1e-3], [0.0, 0.5]]),
+    np.ones((2, 3)),
+], ids=["negative", "slightly-negative", "above-one", "slightly-above-one",
+        "non-hermitian", "non-square"])
+def test_support_null_reject_like_require_effect(bad):
+    with pytest.raises(Exception) as ref:
+        require_effect(bad)
+    for fn in (support_projection, null_projection):
+        with pytest.raises(type(ref.value)) as got:
+            fn(bad)
+        assert str(got.value) == str(ref.value)
+
+
 def test_range_rejects_negative():
     with pytest.raises(NegativeSpectrum):
         range_projection(np.diag([-0.5, 1.0]))
@@ -208,6 +238,19 @@ def test_require_effect_bounds():
         require_effect(np.diag([-0.1, 0.5]))
     with pytest.raises(DomainError):
         require_effect(np.diag([0.5, 1.1]))
+
+
+def test_gates_decide_on_the_operator_norm():
+    # ||U*U - I|| is t, its Frobenius norm 2t: inside tol.unit only the
+    # exact norm, and a rejection reports that norm
+    for t, ok in ((0.8e-10, True), (1.2e-10, False)):
+        u = np.sqrt(1.0 + t) * np.eye(4)
+        if ok:
+            require_unitary(u)
+            continue
+        with pytest.raises(NotUnitary) as exc:
+            require_unitary(u)
+        assert str(exc.value) == "||U*U - I|| = %.3e > %.3e" % (t, DEFAULT_TOL.unit)
 
 
 def test_require_hermitian_returns_symmetrized():
