@@ -34,7 +34,7 @@ from .errors import (
 )
 from .hermitian import (
     _effects,
-    _hnorm,
+    _factor_each,
     _hnorm_upto,
     _require_strict,
     _strictness,
@@ -302,7 +302,7 @@ def dilate_commuting_pair(a, b, tol: Tolerances = DEFAULT_TOL):
     square_sum = hermitize(a @ a + b @ b)
     vals = np.linalg.eigvalsh(square_sum)
     if vals[-1] >= 1.0 - tol.spec:
-        raise SumExceedsOne("largest eigenvalue of a^2 + b^2 is %.6f" % vals[-1])
+        raise SumExceedsOne("largest eigenvalue of a^2 + b^2 is %.3e" % vals[-1])
     if vals[0] <= tol.spec:
         raise NotStrict("a^2 + b^2 is not strict")
 
@@ -334,7 +334,8 @@ def pair_from_params(x0, params: StrictProjectionParams, tol: Tolerances = DEFAU
         raise DimensionMismatch("x0 has %d sites, projection has %d" % (len(x0), params.m))
     sa, sb = _site_pair_blocks(x0, params)
     a, b = sa.embed(), sb.embed()
-    if not (_strictness(np.linalg.eigvalsh(a), tol) and _strictness(np.linalg.eigvalsh(b), tol)):
+    va, vb = _factor_each(np.linalg.eigvalsh, a, b)
+    if not (_strictness(va, tol) and _strictness(vb, tol)):
         raise PostconditionFailure("constructed pair is not strict at this tolerance")
     residual = _pair_spectra(a, b).residual
     if residual > tol.compat:
@@ -472,7 +473,8 @@ def canonicalize(a, b, tol: Tolerances = DEFAULT_TOL) -> CanonicalForm:
 
     projection = StrictProjectionParams(a0, np.ones(m))
     ra, rb = _conjugate_pair(u0, _site_pair_blocks(x0, projection))
-    err = max(_hnorm(ra - a), _hnorm(rb - b))
+    spectra = _factor_each(np.linalg.eigvalsh, ra - a, rb - b)
+    err = max(float(np.abs(vals).max()) for vals in spectra)
     if err > tol.canon:
         raise PostconditionFailure("reconstruction residual %.3e > %.3e" % (err, tol.canon))
     return CanonicalForm(u0=u0, x0=x0, projection=projection, residual=err)

@@ -12,6 +12,7 @@ compatibility residual proves both operands are effects
 operator norm is too (hermitian._hnorm_upto).
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,16 +20,17 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
-    AbscompatError,
     DimensionMismatch,
     NotAbsolutelyCompatible,
     PostconditionFailure,
 )
 from .hermitian import (
+    _ROUNDING,
     _compose,
-    _effect,
     _effects,
+    _factor_each,
     _fnorm,
+    _hermitian_pair,
     _hnorm,
     _hnorm_upto,
     _strictness,
@@ -37,7 +39,6 @@ from .hermitian import (
     identity_like,
     op_norm,
     require_effect,
-    require_hermitian,
     require_projection,
 )
 from .io import matrix_to_json
@@ -56,38 +57,53 @@ class CompatReport:
 
 
 class _PairSpectra(NamedTuple):
-    """The compatibility residual of a pair and the factorizations behind it."""
+    """The compatibility residual of a pair and the factorizations behind
+    it; for a stack of pairs, each field is stacked over the same axes."""
 
-    residual: float
+    residual: float  # an array for a stack of pairs
     abs_diff: np.ndarray  # |a - b|
     abs_diff_vals: np.ndarray  # spectrum of |a - b|, ascending
     rest: tuple  # eigh of 1 - a - b
 
 
-def _pair_spectra(a, b) -> _PairSpectra:
-    """|| |a-b| + |1-a-b| - 1 || from one eigh each of a - b and 1 - a - b.
+def _canonical_order(a, b):
+    """(a, b) of one shape swapped, pair by pair over leading axes, so that
+    the first of each pair has the smaller bytes."""
+    shape = (math.prod(a.shape[:-2]),) + a.shape[-2:]
+    swap = [y.tobytes() < x.tobytes() for x, y in zip(a.reshape(shape), b.reshape(shape))]
+    if not any(swap):
+        return a, b
+    if all(swap):
+        return b, a
+    swap = np.reshape(swap, a.shape[:-2] + (1, 1))
+    return np.where(swap, b, a), np.where(swap, a, b)
 
-    The operands are put in a canonical order before any floating-point
-    work, so the residual is symmetric in (a, b) to the last bit.
+
+def _pair_spectra(a, b) -> _PairSpectra:
+    """|| |a-b| + |1-a-b| - 1 || from one eigh of the stack [a-b, 1-a-b]
+    (_factor_each).
+
+    a and b may be stacks of pairs of one shape; the residual is then an
+    array.  Each pair is put in a canonical order before any
+    floating-point work, so the residual is symmetric in (a, b) to the
+    last bit.  The two halves are composed apart, each on its own, so one
+    pair's products are plain 2-D products.
     """
-    if b.tobytes() < a.tobytes():
-        a, b = b, a
+    a, b = _canonical_order(a, b)
     one = identity_like(a)
-    dvals, dvecs = np.linalg.eigh(a - b)
-    zvals, zvecs = rest = np.linalg.eigh(one - a - b)
+    (dvals, dvecs), (zvals, zvecs) = _factor_each(np.linalg.eigh, a - b, one - a - b)
     abs_diff = _compose(np.abs(dvals), dvecs)
     residual = _hnorm(abs_diff + _compose(np.abs(zvals), zvecs) - one)
-    return _PairSpectra(residual, abs_diff, np.sort(np.abs(dvals)), rest)
+    return _PairSpectra(residual, abs_diff, np.sort(np.abs(dvals), axis=-1), (zvals, zvecs))
 
 
 def _require_compatible(spectra: _PairSpectra, tol: Tolerances) -> _PairSpectra:
-    if spectra.residual > tol.compat:
-        raise NotAbsolutelyCompatible("residual %.3e > %.3e" % (spectra.residual, tol.compat))
+    """spectra, once every residual in it is within tol.compat; an error
+    reports the largest."""
+    worst = np.max(spectra.residual)
+    if worst > tol.compat:
+        raise NotAbsolutelyCompatible("residual %.3e > %.3e" % (worst, tol.compat))
     return spectra
-
-
-# rounding allowance of the effect certificate per unit of dimension
-_CERT_ROUNDING = 1e3 * float(np.finfo(float).eps)
 
 
 def _certified_pair(a, b, tol: Tolerances):
@@ -118,17 +134,12 @@ def _certified_pair(a, b, tol: Tolerances):
     effect has and which could overflow a - b; a shape mismatch; a
     non-Hermitian b) _effects decides, exactly as before.
     """
-    a = require_hermitian(a, tol)
-    try:
-        b = require_hermitian(b, tol)
-    except (AbscompatError, TypeError, ValueError):
-        _effect(a, tol)  # _effects checks the spectrum of a before b
-        raise
+    a, b = _hermitian_pair(a, b, tol)
     spectra = None
     bounded = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)) <= 1.0 + tol.spec
     if a.shape == b.shape and bounded:
         spectra = _pair_spectra(a, b)
-        if spectra.residual + _CERT_ROUNDING * a.shape[0] <= tol.spec:
+        if spectra.residual + _ROUNDING * a.shape[0] <= tol.spec:
             return a, b, spectra
     _effects(a, b, tol)
     return a, b, spectra if spectra is not None else _pair_spectra(a, b)
@@ -293,7 +304,8 @@ def _verify_block_contents(blocks_a, blocks_b, tol):
         if _hnorm_upto(blk - target * identity_like(blk), tol.block) > tol.block:
             raise PostconditionFailure("restriction to %s is not %r" % (name, target))
     sa, sb = blocks_a["strict"], blocks_b["strict"]
-    if not (_strictness(np.linalg.eigvalsh(sa), tol) and _strictness(np.linalg.eigvalsh(sb), tol)):
+    va, vb = _factor_each(np.linalg.eigvalsh, sa, sb)
+    if not (_strictness(va, tol) and _strictness(vb, tol)):
         raise PostconditionFailure("strict block has spectrum touching 0 or 1")
     inner = _pair_spectra(sa, sb).residual
     if inner > tol.compat:

@@ -11,8 +11,8 @@ import numpy as np
 from .canonical import StrictProjectionParams, StrictUnitaryParams, pair_from_params
 from .config import DEFAULT_TOL, Tolerances
 from .errors import BadMargin, DegenerateSpec, DimensionMismatch, OddDimension
-from .geometry import BALL_CENTER, _chart, _reference_focus, bloch_matrix
-from .hermitian import dagger, hermitize
+from .geometry import BALL_CENTER, _bloch_matrices, _chart, _reference_focus
+from .hermitian import _vnorm, dagger, hermitize, op_norm
 
 SEED_STRIDE = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -28,23 +28,30 @@ def _generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
 
 
-def gaussian(gen, count: int) -> np.ndarray:
-    """Standard normals via Box-Muller pairs from the uniform stream."""
+def gaussian(gen, count: int, batch=()) -> np.ndarray:
+    """Standard normals via Box-Muller pairs from the uniform stream.
+
+    With a batch shape, an array of shape batch + (count,) whose rows are,
+    bit for bit, what successive unbatched calls would draw: Philox hands
+    out its doubles in order, so one gen.random call of the whole batch
+    holds each row's two uniform halves back to back.
+    """
     pairs = (count + 1) // 2
-    u1 = gen.random(pairs)
-    u2 = gen.random(pairs)
+    u = gen.random(tuple(batch) + (2, pairs))
+    u1, u2 = u[..., 0, :], u[..., 1, :]
     r = np.sqrt(-2.0 * np.log1p(-u1))
     th = 2.0 * np.pi * u2
-    out = np.empty(2 * pairs)
-    out[0::2] = r * np.cos(th)
-    out[1::2] = r * np.sin(th)
-    return out[:count]
+    out = np.empty(tuple(batch) + (2 * pairs,))
+    out[..., 0::2] = r * np.cos(th)
+    out[..., 1::2] = r * np.sin(th)
+    return out[..., :count]
 
 
-def gaussian_complex(gen, shape) -> np.ndarray:
+def gaussian_complex(gen, shape, batch=()) -> np.ndarray:
+    """Standard complex normals of the given shape, batched as gaussian."""
     n = int(np.prod(shape))
-    z = gaussian(gen, 2 * n)
-    return ((z[0::2] + 1j * z[1::2]) / np.sqrt(2.0)).reshape(shape)
+    z = gaussian(gen, 2 * n, batch)
+    return ((z[..., 0::2] + 1j * z[..., 1::2]) / np.sqrt(2.0)).reshape(tuple(batch) + tuple(shape))
 
 
 def _haar(gen, n: int) -> np.ndarray:
@@ -176,17 +183,24 @@ def random_projection(n: int, rank: int, seed) -> np.ndarray:
     return hermitize(v @ dagger(v))
 
 
-def _rank_one_2x2(gen) -> np.ndarray:
-    while True:
-        v = gaussian_complex(gen, (2,))
-        nrm = float(np.linalg.norm(v))
-        if nrm > 1e-6:
-            v = v / nrm
-            return hermitize(np.outer(v, np.conj(v)))
+def _rank_one_2x2s(gen, count: int) -> np.ndarray:
+    """count random rank-one 2x2 projections, (count, 2, 2), each the
+    projection onto a complex Gaussian vector; a vector of norm at most
+    1e-6 is skipped for the next draw.  Draws come count at a time, so the
+    result is what count draws one by one give, bit for bit."""
+    found = []
+    while count:
+        v = gaussian_complex(gen, (2,), (count,))
+        nrm = _vnorm(v)
+        keep = nrm > 1e-6
+        v = v[keep] / nrm[keep, None]
+        found.append(hermitize(v[:, :, None] * np.conj(v)[:, None, :]))
+        count -= len(v)
+    return np.concatenate(found)
 
 
 def random_rank_one_projection(seed) -> np.ndarray:
-    return _rank_one_2x2(_generator(seed))
+    return _rank_one_2x2s(_generator(seed), 1)[0]
 
 
 def random_pair_spec(seed, margin=0.05, separation=0.05):
@@ -195,14 +209,11 @@ def random_pair_spec(seed, margin=0.05, separation=0.05):
     margin = _check_margin(margin)
     gen = _generator(seed)
     index = margin + (1.0 - 2.0 * margin) * float(gen.random())
-    pivot = _rank_one_2x2(gen)
+    pivot = _rank_one_2x2s(gen, 1)[0]
     one = np.eye(2, dtype=complex)
     for _ in range(_MAX_REJECT):
-        target = _rank_one_2x2(gen)
-        gap = min(
-            float(np.linalg.norm(pivot - target, 2)),
-            float(np.linalg.norm(pivot - (one - target), 2)),
-        )
+        target = _rank_one_2x2s(gen, 1)[0]
+        gap = float(np.min(op_norm(np.array((pivot - target, pivot - (one - target))))))
         if gap >= separation:
             return pivot, target, index
     raise DegenerateSpec("could not separate the projections")
@@ -230,18 +241,13 @@ def random_spheroid_partners(a, count: int, seed, tol: Tolerances = DEFAULT_TOL)
     """Effects absolutely compatible with a, one per random rank-one
     projection: the chord through the chart point of a from the random
     boundary point fixes a decomposition of a, and the partner is its
-    complementary mix."""
+    complementary mix.  All count partners are built as one stack."""
     if count < 1:
         raise DimensionMismatch("count must be positive")
     _, focus = _reference_focus(a, tol)
-    gen = _generator(seed)
-    partners = []
-    for _ in range(count):
-        q = _chart(_rank_one_2x2(gen))
-        d = focus - q
-        t1 = -2.0 * float(np.dot(q - BALL_CENTER, d)) / float(np.dot(d, d))
-        p = q + t1 * d
-        index = (t1 - 1.0) / t1
-        partner = (1.0 - index) * p + index * (2.0 * BALL_CENTER - q)
-        partners.append(bloch_matrix(partner, tol))
-    return partners
+    q = _chart(_rank_one_2x2s(_generator(seed), count))
+    d = focus - q
+    t1 = (-2.0 * np.vecdot(q - BALL_CENTER, d) / np.vecdot(d, d))[:, None]
+    p = q + t1 * d
+    index = (t1 - 1.0) / t1
+    return list(_bloch_matrices((1.0 - index) * p + index * (2.0 * BALL_CENTER - q), tol))

@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
+    AbscompatError,
     DegenerateSpec,
     DetOutOfRange,
     DimensionMismatch,
@@ -30,11 +31,15 @@ from .errors import (
     TraceNotOne,
 )
 from .hermitian import (
-    _effect,
     _effects,
+    _factor_each,
     _hnorm_upto,
+    _hnorm_within,
     _require_strict,
+    _require_unit_interval,
     _strictness,
+    _vnorm,
+    as_matrix,
     hermitize,
     require_hermitian,
     require_projection,
@@ -52,21 +57,32 @@ def _point(pt) -> np.ndarray:
     return pt
 
 
+def _first(values, bad) -> float:
+    """The first of values where bad holds."""
+    return float(np.extract(bad, values)[0])
+
+
 def _bloch(x, tol: Tolerances) -> np.ndarray:
-    """bloch_point of a validated Hermitian x."""
-    if x.shape != (2, 2):
+    """bloch_point of a validated Hermitian x, or the (..., 3) points of a
+    (..., 2, 2) stack of them; an error reports the first offender."""
+    if x.shape[-2:] != (2, 2):
         raise DimensionMismatch("the chart is for 2x2 matrices")
-    tr = float(np.real(np.trace(x)))
-    if abs(tr - 1.0) > tol.geo:
-        raise TraceNotOne("trace %.12f is not 1" % tr)
-    det = float(np.real(np.linalg.det(x)))
-    if det < -tol.geo or det > 0.25 + tol.geo:
-        raise DetOutOfRange("det %.3e outside [0, 1/4]" % det)
+    tr = np.real(np.trace(x, axis1=-2, axis2=-1))
+    bad = np.abs(tr - 1.0) > tol.geo
+    if bad.any():
+        raise TraceNotOne("trace %.12f is not 1" % _first(tr, bad))
+    det = np.real(np.linalg.det(x))
+    bad = (det < -tol.geo) | (det > 0.25 + tol.geo)
+    if bad.any():
+        raise DetOutOfRange("det %.3e outside [0, 1/4]" % _first(det, bad))
     return _chart(x)
 
 
 def _chart(x) -> np.ndarray:
-    return np.array([float(np.real(x[0, 0])), float(np.real(x[0, 1])), float(np.imag(x[0, 1]))])
+    """(x[0,0], Re x[0,1], Im x[0,1]) over leading axes."""
+    pt = np.empty(x.shape[:-2] + (3,))
+    pt[..., 0], pt[..., 1], pt[..., 2] = x[..., 0, 0].real, x[..., 0, 1].real, x[..., 0, 1].imag
+    return pt
 
 
 def bloch_point(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -75,11 +91,20 @@ def bloch_point(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def bloch_matrix(pt, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    pt = _point(pt)
-    if float(np.sum((pt - BALL_CENTER) ** 2)) > BALL_RADIUS**2 + tol.geo:
-        raise OutsideBall("point %r lies outside the chart ball" % (pt.tolist(),))
-    al = pt[1] + 1j * pt[2]
-    return np.array([[pt[0], al], [np.conj(al), 1.0 - pt[0]]], dtype=complex)
+    return _bloch_matrices(_point(pt), tol)
+
+
+def _bloch_matrices(pts, tol: Tolerances) -> np.ndarray:
+    """bloch_matrix over leading axes of (..., 3) points; an error reports
+    the first point outside the ball."""
+    outside = np.sum((pts - BALL_CENTER) ** 2, axis=-1) > BALL_RADIUS**2 + tol.geo
+    if outside.any():
+        raise OutsideBall("point %r lies outside the chart ball" % (pts[outside][0].tolist(),))
+    t, al = pts[..., 0], pts[..., 1] + 1j * pts[..., 2]
+    out = np.empty(pts.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1] = t, al
+    out[..., 1, 0], out[..., 1, 1] = np.conj(al), 1.0 - t
+    return out
 
 
 def in_punctured_ball(x, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -127,15 +152,24 @@ class PairSpec:
 
 
 def _validate_spec(pivot, target, index, tol: Tolerances):
+    """Rank-one pivot and target, neither the target nor its complement
+    within tol.proj of the pivot, and an index in (0, 1).
+
+    The separations are only compared with tol.proj, and a Hermitian
+    n x n h has ||h||_F / sqrt(n) <= ||h|| <= ||h||_F, so a Frobenius norm
+    above sqrt(n) tol.proj, the common case, or within tol.proj settles a
+    test without a factorization (hermitian._hnorm_within), and every
+    DegenerateSpec decision is the one the exact norm gives.
+    """
     pivot = _rank_one(pivot, tol)
     target = _rank_one(target, tol)
     index = float(index)
     if not 0.0 < index < 1.0:
         raise DegenerateSpec("index %r outside (0, 1)" % index)
     one = np.eye(2, dtype=complex)
-    if _hnorm_upto(pivot - target, tol.proj) <= tol.proj:
+    if _hnorm_within(pivot - target, tol.proj):
         raise DegenerateSpec("pivot equals the target projection")
-    if _hnorm_upto(pivot - (one - target), tol.proj) <= tol.proj:
+    if _hnorm_within(pivot - (one - target), tol.proj):
         raise DegenerateSpec("pivot equals the complement of the target")
     return pivot, target, index
 
@@ -146,7 +180,8 @@ def pair_from_projections(pivot, target, index, tol: Tolerances = DEFAULT_TOL):
     one = np.eye(2, dtype=complex)
     a = hermitize((1.0 - index) * pivot + index * target)
     b = hermitize((1.0 - index) * pivot + index * (one - target))
-    if not (_strictness(np.linalg.eigvalsh(a), tol) and _strictness(np.linalg.eigvalsh(b), tol)):
+    va, vb = _factor_each(np.linalg.eigvalsh, a, b)
+    if not (_strictness(va, tol) and _strictness(vb, tol)):
         raise DegenerateSpec("projections too close to degeneracy at this tolerance")
     residual = _pair_spectra(a, b).residual
     if residual > tol.compat:
@@ -305,23 +340,43 @@ class SpheroidStats:
 def spheroid_residual(a, partners, tol: Tolerances = DEFAULT_TOL) -> SpheroidStats:
     """Constancy of |X - A| + |X - A'| over chart points X of effects
     absolutely compatible with A, where A' is the reflection of A through
-    the ball centre (the image of 1 - A)."""
+    the ball centre (the image of 1 - A).
+
+    The partners are validated, charted and checked as one stack.  When
+    any fails, each is checked alone, in order, as a batch of one, so the
+    error is the one the first failing partner raises by itself.
+    """
     partners = list(partners)
     if not partners:
         raise EmptyInput("no partner effects supplied")
     a, focus = _reference_focus(a, tol)
     mirror = 2.0 * BALL_CENTER - focus
 
-    sums = []
-    for x in partners:
-        x, _ = _effect(x, tol)
-        pt = _bloch(x, tol)
-        _require_compatible(_pair_spectra(a, x), tol)
-        sums.append(float(np.linalg.norm(pt - focus) + np.linalg.norm(pt - mirror)))
-    sums = np.asarray(sums)
+    try:
+        xs = as_matrix(partners, stack=True)
+        if xs.ndim != 3:
+            raise DimensionMismatch("partners do not stack into (k, n, n)")
+        pts = _partner_points(a, xs, tol)
+    except AbscompatError:
+        for x in partners:
+            _partner_points(a, as_matrix(x)[None], tol)
+        raise
+    sums = _vnorm(pts - focus) + _vnorm(pts - mirror)
     mean = float(np.mean(sums))
     spread = float(np.max(sums) - np.min(sums))
     return SpheroidStats(
         count=len(sums), mean=mean, spread=spread,
         relative_spread=spread / mean if mean > 0 else 0.0,
     )
+
+
+def _partner_points(a, xs, tol: Tolerances) -> np.ndarray:
+    """Chart points of a (k, n, n) stack of effects absolutely compatible
+    with a: each must be an effect, then in the chart's domain, then
+    compatible with a, and a batch of one raises what that partner fails
+    first."""
+    xs = require_hermitian(xs, tol, stack=True)
+    _require_unit_interval(np.linalg.eigvalsh(xs), tol)
+    pts = _bloch(xs, tol)
+    _require_compatible(_pair_spectra(np.broadcast_to(a, xs.shape), xs), tol)
+    return pts

@@ -81,10 +81,11 @@ def _check_canonical(x, tol):
     cf = canonicalize(a, b, tol)
     ra, rb = cf.reconstruct()
     ea, eb = exchanged_pivot_form(cf, tol).reconstruct()
+    norms = op_norm(np.array((ra - a, rb - b, ea - ra, eb - rb)))
     return {
-        "reconstruction": (max(op_norm(ra - a), op_norm(rb - b)), tol.canon),
+        "reconstruction": (float(norms[:2].max()), tol.canon),
         "x0_multiset": (float(np.max(np.abs(np.sort(x["x0"]) - cf.x0))), 1e-9),
-        "pivot_exchange": (max(op_norm(ea - ra), op_norm(eb - rb)), tol.canon),
+        "pivot_exchange": (float(norms[2:].max()), tol.canon),
     }
 
 
@@ -99,11 +100,13 @@ def _check_m2(x, tol):
     a, b = x["a"], x["b"]
     spec = decompose_pair_m2(a, b, tol)
     ra, rb = pair_from_projections(spec.pivot, spec.target, spec.index, tol)
+    pivot, target, *roundtrip = op_norm(
+        np.array((spec.pivot - x["pivot"], spec.target - x["target"], ra - a, rb - b)))
     return {
         "index_error": (abs(spec.index - x["index"]), 1e-9),
-        "pivot_error": (op_norm(spec.pivot - x["pivot"]), 1e-9),
-        "target_error": (op_norm(spec.target - x["target"]), 1e-9),
-        "roundtrip": (max(op_norm(ra - a), op_norm(rb - b)), 1e-9),
+        "pivot_error": (float(pivot), 1e-9),
+        "target_error": (float(target), 1e-9),
+        "roundtrip": (float(max(roundtrip)), 1e-9),
     }
 
 
@@ -209,12 +212,14 @@ def _check_params(x, tol):
     ue, pe = u.embed(), p.embed()
     conj = conjugate_to_pivot(p, tol).embed()
     pivot = np.diag([0.0, 1.0] * p.m).astype(complex)
+    unitarity, idempotence, conjugation = op_norm(
+        np.array((dagger(ue) @ ue - np.eye(len(ue)), pe @ pe - pe, dagger(conj) @ pivot @ conj - pe)))
     return {
         "strict_unitary": _holds(is_strict_unitary(u, tol)),
-        "unitarity": (op_norm(dagger(ue) @ ue - np.eye(len(ue))), 1e-9),
+        "unitarity": (float(unitarity), 1e-9),
         "strict_projection": _holds(is_strict_projection(p, tol)),
-        "idempotence": (op_norm(pe @ pe - pe), 1e-9),
-        "pivot_conjugation": (op_norm(dagger(conj) @ pivot @ conj - pe), 1e-9),
+        "idempotence": (float(idempotence), 1e-9),
+        "pivot_conjugation": (float(conjugation), 1e-9),
     }
 
 

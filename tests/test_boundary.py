@@ -1,10 +1,12 @@
 """The public boundary: inputs in any memory layout, and the number of
 factorizations one call makes."""
 
+import math
+
 import numpy as np
 import pytest
 
-from abscompat import DEFAULT_TOL, AbscompatError, PostconditionFailure, compat
+from abscompat import DEFAULT_TOL, AbscompatError, DomainError, PostconditionFailure, compat
 from abscompat.canonical import canonicalize
 from abscompat.compat import (
     BLOCK_NAMES,
@@ -12,14 +14,16 @@ from abscompat.compat import (
     _pair_spectra,
     five_block_decompose,
     is_abs_compatible,
+    is_orthogonal,
 )
 from abscompat.generate import (
     derive_seed,
     haar_unitary,
     random_abscompat_pair,
     random_pair_spec,
+    random_spheroid_partners,
 )
-from abscompat.geometry import decompose_pair_m2, pair_from_projections
+from abscompat.geometry import decompose_pair_m2, pair_from_projections, spheroid_residual
 from abscompat.hermitian import (
     _effects,
     _hnorm,
@@ -57,6 +61,18 @@ def test_any_memory_layout(layout):
     assert abs(decompose_pair_m2(f(p), f(q)).index - index) <= 1e-9
 
 
+@pytest.mark.parametrize("fn", [is_abs_compatible, five_block_decompose, canonicalize, is_orthogonal],
+                         ids=lambda fn: fn.__name__)
+def test_non_numeric_operands_raise_domain_error(fn):
+    a = random_abscompat_pair(4, 3)[0]
+    for args in ((a, "abc"), ("abc", a), (a, [[1, 2], [3]]), (a, 10**400)):
+        with pytest.raises(DomainError, match="expected a numeric matrix"):
+            fn(*args)
+    # the spectrum of the first operand is still checked before the second
+    with pytest.raises(DomainError, match=r"largest eigenvalue 2\.000e\+00 exceeds 1"):
+        fn(2.0 * np.eye(4), "abc")
+
+
 def _direct_sum(sa, sb, slots, seed):
     """The pair sa + diag(slot a-values), sb + diag(slot b-values) under a
     Haar conjugation u; returns (a, b, u)."""
@@ -77,7 +93,9 @@ def _assembled_pair(seed):
     return _direct_sum(sa, sb, slots, derive_seed(seed, 2))[:2]
 
 
-# numpy.linalg calls of one call at n = 8:
+# Matrices that numpy.linalg factorizes in one call at n = 8; a call on a
+# (k, n, n) stack counts k, so stacking several matrices into one call
+# cannot hide a factorization:
 #  - is_abs_compatible: one eigh each of a-b and 1-a-b and one eigvalsh
 #    for the norm of the residual, which also certifies both operands as
 #    effects, so neither takes a validating eigvalsh;
@@ -91,39 +109,50 @@ def _assembled_pair(seed):
 #    one eigvalsh for its residual; the orthonormality, off-block and
 #    block-content checks are settled by Frobenius norms;
 #  - support_projection and null_projection: one eigh, whose eigenvalues
-#    also validate the effect.
+#    also validate the effect;
+#  - decompose_pair_m2 (2x2): one eigvalsh per operand, the three of the
+#    residual, and in the round trip through pair_from_projections one
+#    eigvalsh per rebuilt operand for its strictness and the same three;
+#    the separation tests and the round-trip norms are settled by
+#    Frobenius bounds.
 BUDGET = {
     "is_abs_compatible": {"eigh": 2, "eigvalsh": 1, "svd": 0},
     "canonicalize": {"eigh": 3, "eigvalsh": 5, "svd": 1},
     "five_block_decompose": {"eigh": 7, "eigvalsh": 4, "svd": 0},
     "support_projection": {"eigh": 1, "eigvalsh": 0, "svd": 0},
     "null_projection": {"eigh": 1, "eigvalsh": 0, "svd": 0},
+    "decompose_pair_m2": {"eigh": 4, "eigvalsh": 6, "svd": 0},
 }
 
 
 def test_factorization_budget(monkeypatch):
     a, b = random_abscompat_pair(8, derive_seed(5, 0))
     c, d = _assembled_pair(derive_seed(5, 1))
+    p, q = pair_from_projections(*random_pair_spec(derive_seed(5, 2)))
     calls = {
         "is_abs_compatible": lambda: is_abs_compatible(a, b),
         "canonicalize": lambda: canonicalize(a, b),
         "five_block_decompose": lambda: five_block_decompose(c, d),
         "support_projection": lambda: support_projection(c),
         "null_projection": lambda: null_projection(c),
+        "decompose_pair_m2": lambda: decompose_pair_m2(p, q),
     }
     counts = dict.fromkeys(("eigh", "eigvalsh", "svd"), 0)
 
+    def matrices(x) -> int:
+        return math.prod(np.shape(x)[:-2])
+
     def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
+        def wrapper(x, *args, **kwargs):
+            counts[name] += matrices(x)
+            return fn(x, *args, **kwargs)
         return wrapper
 
     norm = np.linalg.norm
 
     def norm_counted(x, ord=None, *args, **kwargs):
-        if ord == 2 and np.ndim(x) == 2:  # the spectral norm of a matrix is an svd
-            counts["svd"] += 1
+        if ord == 2 and np.ndim(x) >= 2:  # the spectral norm of matrices is an svd
+            counts["svd"] += matrices(x)
         return norm(x, ord, *args, **kwargs)
 
     for name in counts:
@@ -135,6 +164,30 @@ def test_factorization_budget(monkeypatch):
         call()
         over = {k: v for k, v in counts.items() if v > BUDGET[label][k]}
         assert not over, "%s made %r, over its budget %r" % (label, counts, BUDGET[label])
+
+
+def test_spheroid_calls_do_not_grow_with_the_partners(monkeypatch):
+    """The partners are validated, charted and checked as one stack, so
+    2 and 8 partners take the same number of numpy.linalg calls."""
+    pivot, target, index = random_pair_spec(derive_seed(5, 3))
+    a, _ = pair_from_projections(pivot, target, index)
+    partners = random_spheroid_partners(a, 8, derive_seed(5, 4))
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "svd", "det", "qr", "norm"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    made = []
+    for k in (2, 8):
+        calls.clear()
+        spheroid_residual(a, partners[:k])
+        made.append(sorted(calls))
+    assert made[0] == made[1], made
 
 
 def _reference(a, b, tol):

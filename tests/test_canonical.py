@@ -176,7 +176,7 @@ def test_dilation_doubled_eigenvalue():
 
 def test_dilation_preconditions():
     nine = 0.9 * np.eye(2, dtype=complex)
-    with pytest.raises(SumExceedsOne):
+    with pytest.raises(SumExceedsOne, match=r"a\^2 \+ b\^2 is 1\.620e\+00$"):
         dilate_commuting_pair(nine, nine)
     with pytest.raises(NotStrict):
         dilate_commuting_pair(np.diag([1.0, 0.5]).astype(complex), 0.1 * np.eye(2))

@@ -10,6 +10,7 @@ from abscompat.errors import (
     DomainError,
     NegativeSpectrum,
     NotHermitian,
+    NotProjection,
     NotUnitary,
 )
 from abscompat.hermitian import (
@@ -28,6 +29,7 @@ from abscompat.hermitian import (
     range_projection,
     require_effect,
     require_hermitian,
+    require_projection,
     require_unitary,
     support_projection,
 )
@@ -251,6 +253,33 @@ def test_gates_decide_on_the_operator_norm():
         with pytest.raises(NotUnitary) as exc:
             require_unitary(u)
         assert str(exc.value) == "||U*U - I|| = %.3e > %.3e" % (t, DEFAULT_TOL.unit)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warning
+@pytest.mark.parametrize("gate, error", [(require_unitary, NotUnitary),
+                                         (require_projection, NotProjection)])
+def test_overflowing_gates_raise_their_own_error(gate, error):
+    # U*U - I and P^2 - P overflow to inf for finite entries near 1e300:
+    # the gate rejects with its own error and an infinite deviation
+    with pytest.raises(error) as exc:
+        gate(1e300 * np.eye(4))
+    assert " = inf > " in str(exc.value)
+
+
+def test_op_norm_rejects_what_is_not_a_finite_matrix():
+    with pytest.raises(DomainError):
+        op_norm(np.full((2, 2), np.inf))
+    with pytest.raises(DomainError):
+        op_norm("abc")
+    with pytest.raises(DimensionMismatch):
+        op_norm(np.ones(3))
+    assert op_norm(np.zeros((0, 0))) == 0.0
+
+
+def test_huge_eigenvalues_give_short_messages():
+    with pytest.raises(DomainError) as exc:
+        require_effect(1e300 * np.eye(4))
+    assert str(exc.value) == "largest eigenvalue 1.000e+300 exceeds 1"
 
 
 def test_require_hermitian_returns_symmetrized():
