@@ -12,6 +12,8 @@ commuting pair, pair from parameters), the parametrizations of strict
 unitaries and strict projections, and the inverse `canonicalize`.
 
 Site layout: site k occupies coordinates 2k and 2k+1 of the full matrix.
+It holds the M2 pair of geometry.py with pivot P0, target P and index x0[k],
+built by the same mixture, hermitian._mixed_pair.
 """
 
 from dataclasses import dataclass
@@ -36,8 +38,10 @@ from .hermitian import (
     _effects,
     _factor_each,
     _hnorm_upto,
+    _mixed_pair,
     _require_strict,
-    _strictness,
+    _two_by_two,
+    _vector,
     as_matrix,
     cluster_indices,
     dagger,
@@ -46,7 +50,7 @@ from .hermitian import (
     require_projection,
     require_unitary,
 )
-from .compat import _pair_spectra, _require_compatible
+from .compat import _built_pair, _eigh_on, _pair_spectra, _require_compatible
 from .io import matrix_to_json
 
 PIVOT_0 = np.diag([0.0, 1.0]).astype(complex)
@@ -81,11 +85,11 @@ class SiteBlockMatrix:
         return self.blocks[:, i, j]
 
     def embed(self) -> np.ndarray:
+        # out[k, :, l, :] is the (k, l) 2x2 block of the full matrix
         m = self.m
-        out = np.zeros((2 * m, 2 * m), dtype=complex)
-        for k in range(m):
-            out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = self.blocks[k]
-        return out
+        out = np.zeros((m, 2, m, 2), dtype=complex)
+        out[np.arange(m), :, np.arange(m), :] = self.blocks
+        return out.reshape(2 * m, 2 * m)
 
     @classmethod
     def extract(cls, x, atol: float = 1e-12):
@@ -94,15 +98,13 @@ class SiteBlockMatrix:
         if n % 2:
             raise OddDimension("site-block matrices have even dimension, got %d" % n)
         m = n // 2
-        blocks = np.empty((m, 2, 2), dtype=complex)
-        mask = np.ones((n, n), dtype=bool)
-        for k in range(m):
-            blocks[k] = x[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
-            mask[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = False
-        stray = float(np.max(np.abs(x[mask]))) if m > 1 else 0.0
+        sites = x.reshape(m, 2, m, 2)
+        off = np.abs(sites)
+        off[np.arange(m), :, np.arange(m), :] = 0.0
+        stray = float(off.max(initial=0.0))
         if stray > atol:
             raise DomainError("off-site mass %.3e exceeds %.3e" % (stray, atol))
-        return cls(blocks)
+        return cls(sites[np.arange(m), :, np.arange(m), :])
 
     def dagger(self):
         return SiteBlockMatrix(np.conj(np.swapaxes(self.blocks, 1, 2)))
@@ -111,25 +113,23 @@ class SiteBlockMatrix:
         return SiteBlockMatrix(self.blocks @ other.blocks)
 
 
-def _sites(x, atol: float = 1e-12) -> SiteBlockMatrix:
-    if isinstance(x, SiteBlockMatrix):
-        return x
-    return SiteBlockMatrix.extract(x, atol)
+def _sites(x) -> SiteBlockMatrix:
+    return x if isinstance(x, SiteBlockMatrix) else SiteBlockMatrix.extract(x)
 
 
 def _unimodular(w, label: str) -> np.ndarray:
-    w = np.asarray(w, dtype=complex).reshape(-1)
+    w = _vector(w, complex, label)
     mod = np.abs(w)
-    if np.any(np.abs(mod - 1.0) > 1e-9):
+    if not np.all(np.abs(mod - 1.0) <= 1e-9):
         raise NotStrictParams("%s phases must be unimodular" % label)
     return w / mod
 
 
 def _strict_reals(a0, label: str) -> np.ndarray:
-    a0 = np.asarray(a0, dtype=float).reshape(-1)
+    a0 = _vector(a0, float, label)
     if len(a0) == 0:
         raise NotStrictParams("%s needs at least one site" % label)
-    if np.any(a0 <= _PARAM_MARGIN) or np.any(a0 >= 1.0 - _PARAM_MARGIN):
+    if not np.all((a0 > _PARAM_MARGIN) & (a0 < 1.0 - _PARAM_MARGIN)):
         raise NotStrictParams("%s values must lie strictly inside (0, 1)" % label)
     return a0
 
@@ -185,23 +185,13 @@ class StrictUnitaryParams:
 def strict_projection_from_params(params: StrictProjectionParams) -> SiteBlockMatrix:
     a0, w = params.a0, params.w
     s0 = np.sqrt(1.0 - a0 * a0)
-    blocks = np.empty((params.m, 2, 2), dtype=complex)
-    blocks[:, 0, 0] = a0 * a0
-    blocks[:, 0, 1] = w * a0 * s0
-    blocks[:, 1, 0] = np.conj(w) * a0 * s0
-    blocks[:, 1, 1] = 1.0 - a0 * a0
-    return SiteBlockMatrix(blocks)
+    return SiteBlockMatrix(_two_by_two(a0 * a0, w * a0 * s0, np.conj(w) * a0 * s0, 1.0 - a0 * a0))
 
 
 def strict_unitary_from_params(params: StrictUnitaryParams) -> SiteBlockMatrix:
-    a0 = params.a0
+    a0, w1, w2, w3 = params.a0, params.w1, params.w2, params.w3
     s0 = np.sqrt(1.0 - a0 * a0)
-    blocks = np.empty((params.m, 2, 2), dtype=complex)
-    blocks[:, 0, 0] = params.w1 * a0
-    blocks[:, 0, 1] = params.w2 * s0
-    blocks[:, 1, 0] = params.w3 * s0
-    blocks[:, 1, 1] = -np.conj(params.w1) * params.w2 * params.w3 * a0
-    return SiteBlockMatrix(blocks)
+    return SiteBlockMatrix(_two_by_two(w1 * a0, w2 * s0, w3 * s0, -np.conj(w1) * w2 * w3 * a0))
 
 
 def is_strict_unitary(u, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -249,18 +239,9 @@ def projection_pair_from_unitary(u, tol: Tolerances = DEFAULT_TOL):
     u = _sites(u)
     if not is_strict_unitary(u, tol):
         raise NotStrictUnitary("projection pair needs a strict unitary")
-
-    def outer(r1, r2):
-        blocks = np.empty((u.m, 2, 2), dtype=complex)
-        blocks[:, 0, 0] = np.conj(r1) * r1
-        blocks[:, 0, 1] = np.conj(r1) * r2
-        blocks[:, 1, 0] = np.conj(r2) * r1
-        blocks[:, 1, 1] = np.conj(r2) * r2
-        return SiteBlockMatrix(blocks)
-
-    p = outer(u.entry(0, 0), u.entry(0, 1))
-    pc = outer(u.entry(1, 0), u.entry(1, 1))
-    return p, pc
+    # outer[k, r, i, j] = conj(u[k, r, i]) u[k, r, j]: row r's projection
+    outer = np.conj(u.blocks)[..., :, None] * u.blocks[..., None, :]
+    return SiteBlockMatrix(outer[:, 0]), SiteBlockMatrix(outer[:, 1])
 
 
 def conjugate_to_pivot(p, tol: Tolerances = DEFAULT_TOL) -> SiteBlockMatrix:
@@ -269,23 +250,22 @@ def conjugate_to_pivot(p, tol: Tolerances = DEFAULT_TOL) -> SiteBlockMatrix:
     if not is_strict_projection(p, tol):
         raise NotStrictProjection("conjugation to the pivot needs a strict projection")
     a0 = np.sqrt(np.real(p.entry(0, 0)))
-    s0 = np.sqrt(1.0 - a0 * a0)
-    w = p.entry(0, 1) / (a0 * s0)
-    w = w / np.abs(w)
-    blocks = np.empty((p.m, 2, 2), dtype=complex)
-    blocks[:, 0, 0] = s0
-    blocks[:, 0, 1] = -w * a0
-    blocks[:, 1, 0] = a0
-    blocks[:, 1, 1] = w * s0
-    u = SiteBlockMatrix(blocks)
-    dev = _hnorm_upto((u.dagger() @ _pivot_sites(p.m, PIVOT_0) @ u).embed() - p.embed(), tol.proj)
+    w = p.entry(0, 1) / (a0 * np.sqrt(1.0 - a0 * a0))
+    u = _pivot_unitary(a0, w / np.abs(w))
+    pivot = SiteBlockMatrix(np.broadcast_to(PIVOT_0, (p.m, 2, 2)).copy())
+    dev = _hnorm_upto((u.dagger() @ pivot @ u).embed() - p.embed(), tol.proj)
     if dev > tol.proj:
         raise PostconditionFailure("pivot conjugation residual %.3e" % dev)
     return u
 
 
-def _pivot_sites(m: int, pivot: np.ndarray) -> SiteBlockMatrix:
-    return SiteBlockMatrix(np.broadcast_to(pivot, (m, 2, 2)).copy())
+def _pivot_unitary(a0, w, exchange: bool = False) -> SiteBlockMatrix:
+    """Per site U = [[s0, -w a0], [a0, w s0]], s0 = (1 - a0^2)^(1/2), so
+    that U* diag(0,1) U is the strict projection with parameters (a0, w);
+    with exchange, diag(1,-1) U."""
+    s0 = np.sqrt(1.0 - a0 * a0)
+    lower = (-a0, -w * s0) if exchange else (a0, w * s0)
+    return SiteBlockMatrix(_two_by_two(s0, -w * a0, *lower))
 
 
 def dilate_commuting_pair(a, b, tol: Tolerances = DEFAULT_TOL):
@@ -319,12 +299,8 @@ def dilate_commuting_pair(a, b, tol: Tolerances = DEFAULT_TOL):
 
 def _site_pair_blocks(x0, params: StrictProjectionParams):
     proj = strict_projection_from_params(params).blocks
-    eye = np.broadcast_to(np.eye(2, dtype=complex), proj.shape)
-    piv = np.broadcast_to(PIVOT_0, proj.shape)
-    lam = x0[:, None, None]
-    a_blocks = (1.0 - lam) * piv + lam * proj
-    b_blocks = (1.0 - lam) * piv + lam * (eye - proj)
-    return SiteBlockMatrix(a_blocks), SiteBlockMatrix(b_blocks)
+    pair = _mixed_pair(x0[:, None, None], PIVOT_0, proj, np.eye(2, dtype=complex) - proj)
+    return tuple(map(SiteBlockMatrix, pair))
 
 
 def pair_from_params(x0, params: StrictProjectionParams, tol: Tolerances = DEFAULT_TOL):
@@ -333,14 +309,8 @@ def pair_from_params(x0, params: StrictProjectionParams, tol: Tolerances = DEFAU
     if len(x0) != params.m:
         raise DimensionMismatch("x0 has %d sites, projection has %d" % (len(x0), params.m))
     sa, sb = _site_pair_blocks(x0, params)
-    a, b = sa.embed(), sb.embed()
-    va, vb = _factor_each(np.linalg.eigvalsh, a, b)
-    if not (_strictness(va, tol) and _strictness(vb, tol)):
-        raise PostconditionFailure("constructed pair is not strict at this tolerance")
-    residual = _pair_spectra(a, b).residual
-    if residual > tol.compat:
-        raise PostconditionFailure("constructed pair residual %.3e" % residual)
-    return a, b
+    return _built_pair(sa.embed(), sb.embed(), tol,
+                       PostconditionFailure("constructed pair is not strict at this tolerance"))
 
 
 def _conjugate_pair(u, site_pair):
@@ -400,9 +370,7 @@ def _joint_eigenbasis(mats, gap: float):
             if len(idx) == 1:
                 refined.append(idx)
                 continue
-            cols = w[:, idx]
-            vals, vecs = np.linalg.eigh(hermitize(dagger(cols) @ mat @ cols))
-            w[:, idx] = cols @ vecs
+            w[:, idx], vals = _eigh_on(mat, w[:, idx])
             refined.extend(idx[g] for g in cluster_indices(vals, gap))
         groups = refined
     return w
@@ -495,13 +463,8 @@ class ExchangedPivotForm:
         return len(self.x0)
 
     def site_pair(self):
-        proj = strict_projection_from_params(
-            StrictProjectionParams(self.a0, np.ones(self.m))
-        ).blocks
-        lam = self.x0[:, None, None]
-        a_blocks = (1.0 - lam) * proj + lam * np.broadcast_to(PIVOT_0, proj.shape)
-        b_blocks = (1.0 - lam) * proj + lam * np.broadcast_to(PIVOT_1, proj.shape)
-        return SiteBlockMatrix(a_blocks), SiteBlockMatrix(b_blocks)
+        proj = strict_projection_from_params(StrictProjectionParams(self.a0, np.ones(self.m))).blocks
+        return tuple(map(SiteBlockMatrix, _mixed_pair(self.x0[:, None, None], proj, PIVOT_0, PIVOT_1)))
 
     def reconstruct(self):
         return _conjugate_pair(self.u, self.site_pair())
@@ -510,20 +473,13 @@ class ExchangedPivotForm:
 def exchanged_pivot_form(cf: CanonicalForm, tol: Tolerances = DEFAULT_TOL) -> ExchangedPivotForm:
     """Swap the roles of the strict projection and the pivots.
 
-    Per site, with s0 = (1 - a0^2)^(1/2) and V = diag(1,-1) [[s0, -w a0],
-    [a0, w s0]]: V ((1-x0) P0 + x0 P) V* = (1-x0) Phat + x0 P0, where Phat
+    Per site, with U the unitary of conjugate_to_pivot for P and V =
+    diag(1,-1) U: V ((1-x0) P0 + x0 P) V* = (1-x0) Phat + x0 P0, where Phat
     is the phase-free strict projection with the same a0, and the second
     effect picks up diag(1,0) instead.
     """
-    a0, w = cf.a0, cf.w
-    s0 = np.sqrt(1.0 - a0 * a0)
-    blocks = np.empty((cf.m, 2, 2), dtype=complex)
-    blocks[:, 0, 0] = s0
-    blocks[:, 0, 1] = -w * a0
-    blocks[:, 1, 0] = -a0
-    blocks[:, 1, 1] = -w * s0
-    v = SiteBlockMatrix(blocks)
-    form = ExchangedPivotForm(u=cf.u0 @ dagger(v.embed()), x0=cf.x0, a0=a0)
+    v = _pivot_unitary(cf.a0, cf.w, exchange=True)
+    form = ExchangedPivotForm(u=cf.u0 @ dagger(v.embed()), x0=cf.x0, a0=cf.a0)
     ra, rb = form.reconstruct()
     ca, cb = cf.reconstruct()
     err = max(_hnorm_upto(ra - ca, tol.canon), _hnorm_upto(rb - cb, tol.canon))

@@ -10,6 +10,7 @@ compatible, 3 strictness violation, 4 structural failure.
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -50,7 +51,7 @@ def exit_code_for(exc: AbscompatError) -> int:
     return EXIT_USAGE
 
 
-_TOL_FIELDS = ("herm", "spec", "proj", "unit", "cluster", "compat", "block", "canon", "geo")
+_TOL_FIELDS = tuple(field.name for field in dataclasses.fields(Tolerances))
 
 
 def _tol_parent() -> argparse.ArgumentParser:

@@ -106,6 +106,19 @@ def _require_compatible(spectra: _PairSpectra, tol: Tolerances) -> _PairSpectra:
     return spectra
 
 
+def _built_pair(a, b, tol: Tolerances, not_strict, incompatible="constructed pair residual %.3e"):
+    """(a, b), a pair a construction built, once both are strict (one eigvalsh
+    of the stack [a, b]) and their residual, not NaN, is within tol.compat;
+    otherwise raises not_strict or PostconditionFailure(incompatible % residual)."""
+    va, vb = _factor_each(np.linalg.eigvalsh, a, b)
+    if not (_strictness(va, tol) and _strictness(vb, tol)):
+        raise not_strict
+    residual = _pair_spectra(a, b).residual
+    if not residual <= tol.compat:
+        raise PostconditionFailure(incompatible % residual)
+    return a, b
+
+
 def _certified_pair(a, b, tol: Tolerances):
     """(a, b, _pair_spectra(a, b)) for two effects a and b; raises what
     _effects raises, in its order, when they are not effects.
@@ -303,10 +316,6 @@ def _verify_block_contents(blocks_a, blocks_b, tol):
         blk = side[name]
         if _hnorm_upto(blk - target * identity_like(blk), tol.block) > tol.block:
             raise PostconditionFailure("restriction to %s is not %r" % (name, target))
-    sa, sb = blocks_a["strict"], blocks_b["strict"]
-    va, vb = _factor_each(np.linalg.eigvalsh, sa, sb)
-    if not (_strictness(va, tol) and _strictness(vb, tol)):
-        raise PostconditionFailure("strict block has spectrum touching 0 or 1")
-    inner = _pair_spectra(sa, sb).residual
-    if inner > tol.compat:
-        raise PostconditionFailure("strict block not absolutely compatible, residual %.3e" % inner)
+    _built_pair(blocks_a["strict"], blocks_b["strict"], tol,
+                PostconditionFailure("strict block has spectrum touching 0 or 1"),
+                "strict block not absolutely compatible, residual %.3e")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .errors import DomainError
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -26,8 +28,8 @@ class Tolerances:
 
     def override(self, **kwargs: float) -> "Tolerances":
         for name, value in kwargs.items():
-            if value is not None and value <= 0:
-                raise ValueError(f"tolerance {name!r} must be positive, got {value}")
+            if value is not None and not 0.0 < value < float("inf"):
+                raise DomainError(f"tolerance {name!r} must be positive and finite, got {value}")
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
 
 

@@ -17,8 +17,8 @@ class NotHermitian(AbscompatError):
     pass
 
 
-class DomainError(AbscompatError):
-    """A scalar function was evaluated outside its domain."""
+class DomainError(AbscompatError, ValueError):
+    """A value outside its domain: non-numeric, non-finite or out of range."""
 
 
 class NegativeSpectrum(AbscompatError):

@@ -22,6 +22,7 @@ from .errors import (
     DegenerateSpec,
     DetOutOfRange,
     DimensionMismatch,
+    DomainError,
     EmptyInput,
     NotOnSphere,
     NotProjection,
@@ -32,29 +33,43 @@ from .errors import (
 )
 from .hermitian import (
     _effects,
-    _factor_each,
     _hnorm_upto,
     _hnorm_within,
+    _mixed_pair,
     _require_strict,
     _require_unit_interval,
-    _strictness,
+    _two_by_two,
+    _vector,
     _vnorm,
     as_matrix,
     hermitize,
     require_hermitian,
     require_projection,
 )
-from .compat import _pair_spectra, _require_compatible
+from .compat import _built_pair, _pair_spectra, _require_compatible
 
 BALL_CENTER = np.array([0.5, 0.0, 0.0])
 BALL_RADIUS = 0.5
 
 
 def _point(pt) -> np.ndarray:
-    pt = np.asarray(pt, dtype=float).reshape(-1)
+    pt = _vector(pt, float, "a point")
     if pt.shape != (3,):
         raise DimensionMismatch("a point needs exactly three coordinates")
+    if not np.isfinite(pt).all():
+        raise DomainError("point has non-finite coordinates")
     return pt
+
+
+def _index(index) -> float:
+    """index as a float inside (0, 1)."""
+    try:
+        index = float(index)
+    except (TypeError, ValueError) as exc:
+        raise DomainError("index must be numeric: %s" % exc) from exc
+    if not 0.0 < index < 1.0:
+        raise DegenerateSpec("index %r outside (0, 1)" % index)
+    return index
 
 
 def _first(values, bad) -> float:
@@ -101,10 +116,7 @@ def _bloch_matrices(pts, tol: Tolerances) -> np.ndarray:
     if outside.any():
         raise OutsideBall("point %r lies outside the chart ball" % (pts[outside][0].tolist(),))
     t, al = pts[..., 0], pts[..., 1] + 1j * pts[..., 2]
-    out = np.empty(pts.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0], out[..., 0, 1] = t, al
-    out[..., 1, 0], out[..., 1, 1] = np.conj(al), 1.0 - t
-    return out
+    return _two_by_two(t, al, np.conj(al), 1.0 - t)
 
 
 def in_punctured_ball(x, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -163,9 +175,7 @@ def _validate_spec(pivot, target, index, tol: Tolerances):
     """
     pivot = _rank_one(pivot, tol)
     target = _rank_one(target, tol)
-    index = float(index)
-    if not 0.0 < index < 1.0:
-        raise DegenerateSpec("index %r outside (0, 1)" % index)
+    index = _index(index)
     one = np.eye(2, dtype=complex)
     if _hnorm_within(pivot - target, tol.proj):
         raise DegenerateSpec("pivot equals the target projection")
@@ -175,18 +185,14 @@ def _validate_spec(pivot, target, index, tol: Tolerances):
 
 
 def pair_from_projections(pivot, target, index, tol: Tolerances = DEFAULT_TOL):
-    """A = (1-index) pivot + index target, B the same with 1 - target."""
+    """A = (1-index) pivot + index target, B the same with 1 - target.
+
+    Mixtures of exactly Hermitian matrices with real weights are exactly
+    Hermitian, so A and B need no hermitize."""
     pivot, target, index = _validate_spec(pivot, target, index, tol)
-    one = np.eye(2, dtype=complex)
-    a = hermitize((1.0 - index) * pivot + index * target)
-    b = hermitize((1.0 - index) * pivot + index * (one - target))
-    va, vb = _factor_each(np.linalg.eigvalsh, a, b)
-    if not (_strictness(va, tol) and _strictness(vb, tol)):
-        raise DegenerateSpec("projections too close to degeneracy at this tolerance")
-    residual = _pair_spectra(a, b).residual
-    if residual > tol.compat:
-        raise PostconditionFailure("constructed pair residual %.3e" % residual)
-    return a, b
+    a, b = _mixed_pair(index, pivot, target, np.eye(2, dtype=complex) - target)
+    not_strict = DegenerateSpec("projections too close to degeneracy at this tolerance")
+    return _built_pair(a, b, tol, not_strict)
 
 
 def decompose_pair_m2(a, b, tol: Tolerances = DEFAULT_TOL) -> PairSpec:
@@ -234,9 +240,7 @@ class PivotalSphere:
 
 
 def pivotal_sphere(pivot, index, tol: Tolerances = DEFAULT_TOL) -> PivotalSphere:
-    index = float(index)
-    if not 0.0 < index < 1.0:
-        raise DegenerateSpec("index %r outside (0, 1)" % index)
+    index = _index(index)
     return _pivotal_sphere(_bloch(_rank_one(pivot, tol), tol), index)
 
 
@@ -298,8 +302,7 @@ def geometry_report(pivot, target, index, tol: Tolerances = DEFAULT_TOL) -> Geom
     q = _bloch(target, tol)
     pp = 2.0 * BALL_CENTER - p
     qp = 2.0 * BALL_CENTER - q
-    a = (1.0 - index) * p + index * q
-    b = (1.0 - index) * p + index * qp
+    a, b = _mixed_pair(index, p, q, qp)
     points = {"P": p, "Pp": pp, "Q": q, "Qp": qp, "A": a, "B": b}
 
     tangency = abs(

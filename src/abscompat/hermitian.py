@@ -28,6 +28,7 @@ from .errors import (
     AbscompatError,
     DimensionMismatch,
     DomainError,
+    EmptyInput,
     NegativeSpectrum,
     NotHermitian,
     NotProjection,
@@ -65,6 +66,30 @@ def dagger(x) -> np.ndarray:
 
 def hermitize(x) -> np.ndarray:
     return 0.5 * (x + dagger(x))
+
+
+def _vector(x, dtype, label: str) -> np.ndarray:
+    """x flattened to a numeric vector of dtype."""
+    try:
+        return np.asarray(x, dtype=dtype).reshape(-1)
+    except (TypeError, ValueError) as exc:
+        raise DomainError("%s must be numeric: %s" % (label, exc)) from exc
+
+
+def _two_by_two(x00, x01, x10, x11) -> np.ndarray:
+    """The complex 2x2 matrices [[x00, x01], [x10, x11]] over the leading
+    axes of the four same-shape entries."""
+    out = np.empty(np.shape(x00) + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1] = x00, x01
+    out[..., 1, 0], out[..., 1, 1] = x10, x11
+    return out
+
+
+def _mixed_pair(lam, base, first, second):
+    """((1-lam) base + lam first, (1-lam) base + lam second): the M2 pair
+    of index lam with pivot base, for matrices or chart points alike."""
+    rest = 1.0 - lam
+    return rest * base + lam * first, rest * base + lam * second
 
 
 def _per_matrix(values):
@@ -357,11 +382,13 @@ def _strictness(vals, tol: Tolerances) -> StrictnessReport:
 
 
 def _require_strict(va, vb, tol: Tolerances) -> None:
-    """Strictness of two validated effects, read off their spectra."""
-    if not _strictness(va, tol):
-        raise NotStrict("first effect is not strict")
-    if not _strictness(vb, tol):
-        raise NotStrict("second effect is not strict")
+    """Strictness of two validated effects, read off their spectra; the
+    strict constructions need at least one dimension."""
+    if va.size == 0:
+        raise EmptyInput("strictness needs nonempty effects")
+    for vals, which in ((va, "first"), (vb, "second")):
+        if not _strictness(vals, tol):
+            raise NotStrict("%s effect is not strict" % which)
 
 
 def is_strict(x, tol: Tolerances = DEFAULT_TOL) -> StrictnessReport:

@@ -1,5 +1,7 @@
 """Canonical form, site-block algebra, strict parametrizations, dilation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,25 @@ def test_embed_extract_round_trip():
     sb = SiteBlockMatrix(blocks)
     back = SiteBlockMatrix.extract(sb.embed())
     assert np.allclose(back.blocks, blocks)
+
+
+def test_embed_extract_match_the_site_loop():
+    """The (m, 2, m, 2) views give the bits of one loop over the sites."""
+    gen = np.random.Generator(np.random.Philox(key=15))
+    for m in (1, 2, 5):
+        blocks = gen.standard_normal((m, 2, 2)) + 1j * gen.standard_normal((m, 2, 2))
+        full = np.zeros((2 * m, 2 * m), dtype=complex)
+        mask = np.ones((2 * m, 2 * m), dtype=bool)
+        for k in range(m):
+            full[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = blocks[k]
+            mask[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = False
+        assert SiteBlockMatrix(blocks).embed().tobytes() == full.tobytes()
+        assert SiteBlockMatrix.extract(full).blocks.tobytes() == blocks.tobytes()
+        if m > 1:
+            noisy = full + np.where(mask, gen.standard_normal(full.shape), 0.0)
+            stray = float(np.max(np.abs(noisy[mask])))
+            with pytest.raises(DomainError, match=re.escape("off-site mass %.3e exceeds" % stray)):
+                SiteBlockMatrix.extract(noisy)
 
 
 def test_extract_rejects_off_site_mass():

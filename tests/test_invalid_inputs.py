@@ -1,0 +1,244 @@
+"""Invalid inputs and the postconditions of built pairs.
+
+Every public entry point either returns a NaN-free result or raises an
+AbscompatError, and every postcondition the constructions share is reached
+from its caller (or, where no real input trips it, from the helper) with
+its class and message.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from abscompat import DEFAULT_TOL, AbscompatError
+from abscompat.canonical import (
+    StrictProjectionParams,
+    StrictUnitaryParams,
+    canonicalize,
+    conjugate_to_pivot,
+    dilate_commuting_pair,
+    exchanged_pivot_form,
+    pair_from_params,
+)
+from abscompat.cli import run
+from abscompat.compat import (
+    _verify_block_contents,
+    five_block_decompose,
+    is_abs_compatible,
+    is_orthogonal,
+    projection_compat_equiv,
+)
+from abscompat.config import Tolerances
+from abscompat.errors import (
+    DegenerateSpec,
+    DimensionMismatch,
+    DomainError,
+    EmptyInput,
+    NotStrict,
+    NotStrictParams,
+    PostconditionFailure,
+)
+from abscompat.generate import random_abscompat_pair, random_pair_spec
+from abscompat.geometry import (
+    ball_to_sphere,
+    bloch_matrix,
+    bloch_point,
+    decompose_pair_m2,
+    geometry_report,
+    in_punctured_ball,
+    pair_from_projections,
+    pivotal_sphere,
+    sphere_to_ball,
+    spheroid_residual,
+)
+from abscompat.io import save_matrix
+
+NAN, INF = float("nan"), float("inf")
+EMPTY = np.zeros((0, 0))
+HALF = 0.5 * np.eye(2)
+SITE = StrictProjectionParams([0.5], [1.0])
+PIVOT, TARGET, INDEX = random_pair_spec(1)
+SPHERE = pivotal_sphere(PIVOT, INDEX)
+A2, B2 = pair_from_projections(PIVOT, TARGET, INDEX)
+EXACT = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)  # P^2 = P in floats
+
+
+# --- the postconditions a built pair shares, and the raises around them ---
+
+
+def test_pair_from_params_postconditions():
+    with pytest.raises(PostconditionFailure, match="^constructed pair is not strict at this tolerance$"):
+        pair_from_params([0.3], SITE, DEFAULT_TOL.override(spec=0.2))
+    with pytest.raises(PostconditionFailure, match=r"^constructed pair residual \d\.\d{3}e-1\d$"):
+        pair_from_params([0.3], SITE, DEFAULT_TOL.override(compat=1e-30))
+
+
+def test_pair_from_projections_postconditions():
+    with pytest.raises(PostconditionFailure, match=r"^constructed pair residual \d\.\d{3}e-1\d$"):
+        pair_from_projections(PIVOT, TARGET, INDEX, DEFAULT_TOL.override(compat=1e-30))
+    with pytest.raises(DegenerateSpec, match="^projections too close to degeneracy at this tolerance$"):
+        pair_from_projections(PIVOT, TARGET, INDEX, DEFAULT_TOL.override(spec=0.49))
+
+
+def _blocks(strict):
+    empty = np.zeros((0, 0), dtype=complex)
+    return {"unit_a": empty, "unit_b": empty, "null_a": empty, "null_b": empty, "strict": strict}
+
+
+def test_strict_block_postconditions():
+    # a compatible pair's strict block always passes, so the helper is called itself
+    with pytest.raises(PostconditionFailure, match="^strict block has spectrum touching 0 or 1$"):
+        _verify_block_contents(_blocks(np.diag([0.0, 0.5])), _blocks(HALF), DEFAULT_TOL)
+    with pytest.raises(PostconditionFailure,
+                       match=r"^strict block not absolutely compatible, residual 1\.000e\+00$"):
+        _verify_block_contents(_blocks(HALF), _blocks(HALF), DEFAULT_TOL)
+
+
+def test_pivot_residuals():
+    with pytest.raises(PostconditionFailure, match=r"^pivot conjugation residual \d\.\d{3}e-1\d$"):
+        conjugate_to_pivot(EXACT, DEFAULT_TOL.override(proj=1e-30))
+    cf = canonicalize(*random_abscompat_pair(4, 3))
+    with pytest.raises(PostconditionFailure, match=r"^pivot exchange residual \d\.\d{3}e-1\d$"):
+        exchanged_pivot_form(cf, DEFAULT_TOL.override(canon=1e-30))
+
+
+def test_shape_and_length_mismatches():
+    with pytest.raises(DimensionMismatch, match=r"^shapes \(2, 2\) and \(4, 4\)$"):
+        projection_compat_equiv(np.eye(2), 0.5 * np.eye(4))
+    with pytest.raises(DimensionMismatch, match="^decomposition is for 2x2 effects$"):
+        decompose_pair_m2(*random_abscompat_pair(4, 3))
+    with pytest.raises(DimensionMismatch, match="^a0 and w must have the same number of sites$"):
+        StrictProjectionParams([0.5, 0.5], [1.0])
+    with pytest.raises(DimensionMismatch, match="^a0 and the phases must have the same number of sites$"):
+        StrictUnitaryParams([0.5, 0.5], [1.0, 1.0], [1.0], [1.0, 1.0])
+    for fn in (bloch_matrix, lambda pt: sphere_to_ball(SPHERE, pt), lambda pt: ball_to_sphere(SPHERE, pt)):
+        with pytest.raises(DimensionMismatch, match="^a point needs exactly three coordinates$"):
+            fn([0.5, 0.0])
+
+
+def test_second_operand_not_strict():
+    with pytest.raises(NotStrict, match="^second effect is not strict$"):
+        canonicalize(HALF, np.diag([0.0, 0.5]))
+
+
+# --- NaN through the strict gates, empty operands, tolerance overrides ---
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pair_from_params([NAN], SITE), "x0 values must lie strictly inside"),
+    (lambda: StrictProjectionParams([NAN], [1.0]), "a0 values must lie strictly inside"),
+    (lambda: StrictProjectionParams([0.5], [NAN]), "w phases must be unimodular"),
+    (lambda: StrictUnitaryParams([NAN], [1.0], [1.0], [1.0]), "a0 values must lie strictly inside"),
+    (lambda: StrictUnitaryParams([0.5], [1.0], [1.0], [NAN]), "w3 phases must be unimodular"),
+], ids=["pair_from_params", "projection-a0", "projection-w", "unitary-a0", "unitary-w3"])
+def test_nan_parameters_are_not_strict(call, message):
+    with pytest.raises(NotStrictParams, match=message):
+        call()
+
+
+@pytest.mark.parametrize("fn", [
+    bloch_matrix, lambda pt: sphere_to_ball(SPHERE, pt), lambda pt: ball_to_sphere(SPHERE, pt),
+], ids=["bloch_matrix", "sphere_to_ball", "ball_to_sphere"])
+def test_non_finite_points_are_domain_errors(fn):
+    for pt in ([NAN, 0.0, 0.0], [0.5, INF, 0.0]):
+        with pytest.raises(DomainError, match="^point has non-finite coordinates$"):
+            fn(pt)
+
+
+@pytest.mark.parametrize("fn", [canonicalize, dilate_commuting_pair], ids=lambda fn: fn.__name__)
+def test_empty_operands_raise_before_the_spectrum_is_read(fn):
+    with pytest.raises(EmptyInput, match="^strictness needs nonempty effects$"):
+        fn(EMPTY, EMPTY)
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, NAN, INF])
+def test_tolerance_override_rejects_non_positive_and_non_finite(value):
+    with pytest.raises(DomainError, match="must be positive and finite") as info:
+        DEFAULT_TOL.override(compat=value)
+    assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Tolerances)])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_cli_rejects_bad_tolerances(tmp_path, capsys, field, value):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_matrix(a, A2)
+    save_matrix(b, B2)
+    assert run(["check", str(a), str(b), "--tol-%s" % field, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "DomainError"
+    assert error["message"].startswith("tolerance %r must be positive and finite" % field)
+
+
+# --- the battery: a NaN-free result or an AbscompatError, nothing else ---
+
+
+def _nan_free(obj) -> bool:
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.kind not in "fc" or not np.isnan(obj).any()
+    if isinstance(obj, (float, complex, np.number)):
+        return not np.isnan(obj)
+    if isinstance(obj, (tuple, list)):
+        return all(map(_nan_free, obj))
+    if isinstance(obj, dict):
+        return all(map(_nan_free, obj.values()))
+    if dataclasses.is_dataclass(obj):
+        return _nan_free(vars(obj))
+    return True
+
+
+PAIRS = {
+    "empty": (EMPTY, EMPTY),
+    "nan": (np.full((2, 2), NAN), HALF),
+    "inf": (HALF, np.diag([INF, 0.5])),
+    "string": ("abc", HALF),
+    "non-square": (np.zeros((2, 3)), np.zeros((2, 3))),
+    "scalars": (NAN, INF),
+}
+PAIR_ENTRIES = [is_abs_compatible, five_block_decompose, canonicalize, is_orthogonal,
+                projection_compat_equiv, dilate_commuting_pair, decompose_pair_m2]
+VECTORS = {"nan": [NAN], "inf": [INF], "string": "abc", "empty": [], "nested-nan": [[NAN, 0.5]]}
+POINTS = {"nan": [NAN, 0.0, 0.0], "inf": [INF, 0.0, 0.0], "string": "abc",
+          "two": [0.5, 0.0], "nested-nan": [[0.5, NAN, 0.0]]}
+SCALARS = {"nan": NAN, "inf": INF, "string": "abc", "zero": 0.0, "list": [0.5, 0.5]}
+
+
+def _battery():
+    for kind, (a, b) in PAIRS.items():
+        for fn in PAIR_ENTRIES:
+            yield "%s-%s" % (fn.__name__, kind), lambda fn=fn, a=a, b=b: fn(a, b)
+        yield "bloch_point-" + kind, lambda a=a: bloch_point(a)
+        yield "in_punctured_ball-" + kind, lambda a=a: in_punctured_ball(a)
+        yield "pair_from_projections-pivot-" + kind, lambda a=a: pair_from_projections(a, TARGET, INDEX)
+        yield "spheroid_residual-focus-" + kind, lambda a=a: spheroid_residual(a, [B2])
+        yield "spheroid_residual-partner-" + kind, lambda a=a: spheroid_residual(A2, [B2, a])
+    for kind, v in VECTORS.items():
+        yield "StrictProjectionParams-a0-" + kind, lambda v=v: StrictProjectionParams(v, [1.0])
+        yield "StrictProjectionParams-w-" + kind, lambda v=v: StrictProjectionParams([0.5], v)
+        yield "StrictUnitaryParams-a0-" + kind, lambda v=v: StrictUnitaryParams(v, [1.0], [1.0], [1.0])
+        yield "StrictUnitaryParams-w2-" + kind, lambda v=v: StrictUnitaryParams([0.5], [1.0], v, [1.0])
+        yield "pair_from_params-" + kind, lambda v=v: pair_from_params(v, SITE)
+    for kind, pt in POINTS.items():
+        yield "bloch_matrix-" + kind, lambda pt=pt: bloch_matrix(pt)
+        yield "sphere_to_ball-" + kind, lambda pt=pt: sphere_to_ball(SPHERE, pt)
+        yield "ball_to_sphere-" + kind, lambda pt=pt: ball_to_sphere(SPHERE, pt)
+    for kind, x in SCALARS.items():
+        yield "pivotal_sphere-" + kind, lambda x=x: pivotal_sphere(PIVOT, x)
+        yield "pair_from_projections-index-" + kind, lambda x=x: pair_from_projections(PIVOT, TARGET, x)
+        yield "geometry_report-" + kind, lambda x=x: geometry_report(PIVOT, TARGET, x)
+
+
+BATTERY = dict(_battery())
+
+
+@pytest.mark.parametrize("case", sorted(BATTERY))
+def test_invalid_input_battery(case):
+    try:
+        out = BATTERY[case]()
+    except AbscompatError:
+        return
+    assert _nan_free(out), "%s returned NaN" % case
