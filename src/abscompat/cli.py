@@ -29,7 +29,6 @@ from .generate import (
 )
 from .geometry import bloch_matrix, decompose_pair_m2, geometry_report
 from .io import dump_json, json_text, load_matrix, matrix_to_json, save_matrix
-from .properties import REGISTRY, run as run_property
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -193,6 +192,9 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    # imported here, so that the other subcommands do not compile it
+    from .properties import REGISTRY, run as run_property
+
     tol = _tolerances(args)
     if args.suite not in REGISTRY:
         raise UnknownSuite("suite %r not among %s" % (args.suite, sorted(REGISTRY)))
@@ -263,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_geometry)
 
     p = sub.add_parser("fuzz", parents=[tolp], help="run a property suite over seeded trials")
-    p.add_argument("suite", help="one of %s" % ", ".join(sorted(REGISTRY)))
+    p.add_argument("suite", help="a property of abscompat.properties.REGISTRY, such as compat")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fail-out", help="failure bundle path (default <suite>.fail.json)")

@@ -27,19 +27,21 @@ from .errors import (
 from .hermitian import (
     _ROUNDING,
     _compose,
+    _effect,
     _effects,
     _factor_each,
     _fnorm,
     _hermitian_pair,
     _hnorm,
     _hnorm_upto,
-    _strictness,
+    _first,
+    _projection,
+    _first_failing,
+    _strict_rows,
     dagger,
     hermitize,
     identity_like,
     op_norm,
-    require_effect,
-    require_projection,
 )
 from .io import matrix_to_json
 
@@ -48,12 +50,16 @@ BLOCK_NAMES = ("unit_a", "unit_b", "strict", "null_a", "null_b")
 
 @dataclass(frozen=True)
 class CompatReport:
+    """The residual and the verdict of one pair, or arrays of them over
+    the leading axes of a stack of pairs; bool() holds when every pair
+    is compatible."""
+
     residual: float
     compatible: bool
     tolerance: float
 
     def __bool__(self) -> bool:
-        return self.compatible
+        return bool(np.all(self.compatible))
 
 
 class _PairSpectra(NamedTuple):
@@ -68,12 +74,18 @@ class _PairSpectra(NamedTuple):
 
 def _canonical_order(a, b):
     """(a, b) of one shape swapped, pair by pair over leading axes, so that
-    the first of each pair has the smaller bytes."""
-    shape = (math.prod(a.shape[:-2]),) + a.shape[-2:]
-    swap = [y.tobytes() < x.tobytes() for x, y in zip(a.reshape(shape), b.reshape(shape))]
-    if not any(swap):
+    the first of each pair has the smaller bytes: each pair's C-order
+    bytes compared at their first difference, as bytes objects compare."""
+    shape = (math.prod(a.shape[:-2]), a.shape[-1] ** 2)
+    xa, xb = (np.ascontiguousarray(x).reshape(shape).view(np.uint8) for x in (a, b))
+    differ = xa != xb
+    if not differ.any():
         return a, b
-    if all(swap):
+    at = (np.arange(len(differ)), differ.argmax(axis=1))
+    swap = differ[at] & (xb[at] < xa[at])
+    if not swap.any():
+        return a, b
+    if swap.all():
         return b, a
     swap = np.reshape(swap, a.shape[:-2] + (1, 1))
     return np.where(swap, b, a), np.where(swap, a, b)
@@ -100,28 +112,32 @@ def _pair_spectra(a, b) -> _PairSpectra:
 def _require_compatible(spectra: _PairSpectra, tol: Tolerances) -> _PairSpectra:
     """spectra, once every residual in it is within tol.compat; an error
     reports the largest."""
-    worst = np.max(spectra.residual)
-    if worst > tol.compat:
+    bad = spectra.residual > tol.compat
+    if np.any(bad):
+        worst = np.max(np.extract(bad, spectra.residual))
         raise NotAbsolutelyCompatible("residual %.3e > %.3e" % (worst, tol.compat))
     return spectra
 
 
 def _built_pair(a, b, tol: Tolerances, not_strict, incompatible="constructed pair residual %.3e"):
-    """(a, b), a pair a construction built, once both are strict (one eigvalsh
-    of the stack [a, b]) and their residual, not NaN, is within tol.compat;
-    otherwise raises not_strict or PostconditionFailure(incompatible % residual)."""
+    """(a, b), a pair a construction built, or stacks of such pairs, once
+    both are strict (one eigvalsh of the stack [a, b]) and their residual,
+    not NaN, is within tol.compat; otherwise raises not_strict or
+    PostconditionFailure(incompatible % residual)."""
     va, vb = _factor_each(np.linalg.eigvalsh, a, b)
-    if not (_strictness(va, tol) and _strictness(vb, tol)):
+    if not (np.all(_strict_rows(va, tol)) and np.all(_strict_rows(vb, tol))):
         raise not_strict
     residual = _pair_spectra(a, b).residual
-    if not residual <= tol.compat:
-        raise PostconditionFailure(incompatible % residual)
+    bad = np.logical_not(residual <= tol.compat)
+    if np.any(bad):
+        raise PostconditionFailure(incompatible % _first(residual, bad))
     return a, b
 
 
-def _certified_pair(a, b, tol: Tolerances):
-    """(a, b, _pair_spectra(a, b)) for two effects a and b; raises what
-    _effects raises, in its order, when they are not effects.
+def _certified_pair(a, b, tol: Tolerances, stack: bool = False):
+    """(a, b, _pair_spectra(a, b)) for two effects a and b, or with
+    stack=True two stacks of them; raises what _effects raises, in its
+    order, when they are not effects.
 
     A small residual proves both operands are effects.  With c = 1-a-b,
     d = a-b, their positive and negative parts c+, c-, d+, d- and
@@ -145,29 +161,33 @@ def _certified_pair(a, b, tol: Tolerances):
 
     Otherwise (a larger residual; an entry above 1 + tol.spec, which no
     effect has and which could overflow a - b; a shape mismatch; a
-    non-Hermitian b) _effects decides, exactly as before.
+    non-Hermitian b) _effects decides, exactly as before.  A stack is
+    certified when every pair of it is, and validated whole otherwise.
     """
-    a, b = _hermitian_pair(a, b, tol)
+    a, b = _hermitian_pair(a, b, tol, stack)
     spectra = None
     bounded = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)) <= 1.0 + tol.spec
     if a.shape == b.shape and bounded:
         spectra = _pair_spectra(a, b)
-        if spectra.residual + _ROUNDING * a.shape[0] <= tol.spec:
+        if np.all(spectra.residual + _ROUNDING * a.shape[-1] <= tol.spec):
             return a, b, spectra
-    _effects(a, b, tol)
+    _effects(a, b, tol, stack)
     return a, b, spectra if spectra is not None else _pair_spectra(a, b)
 
 
 def is_abs_compatible(a, b, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
-    """Residual ||  |a-b| + |1-a-b| - 1  ||_op and the pass/fail flag.
+    """Residual ||  |a-b| + |1-a-b| - 1  ||_op and the pass/fail flag, of
+    one pair or of each pair of two (..., n, n) stacks.
 
     The report is symmetric in (a, b) by construction: arguments are put
     in a canonical order before any floating-point work.  A residual
     within tol.spec, less a rounding allowance, certifies both operands
     as effects (_certified_pair); otherwise each is validated by its
-    spectrum.
+    spectrum.  A stack with an invalid pair raises what the first such
+    pair raises alone.
     """
-    res = _certified_pair(a, b, tol)[2].residual
+    res = _first_failing(lambda a, b: _certified_pair(a, b, tol, stack=True)[2].residual,
+                         (2, 2), a, b)
     return CompatReport(res, res <= tol.compat, tol.compat)
 
 
@@ -177,9 +197,14 @@ def is_orthogonal(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def projection_compat_equiv(p, a, tol: Tolerances = DEFAULT_TOL):
-    """(lhs, rhs) of the criterion: p absolutely compatible with a  <=>  pa = ap."""
-    p = require_projection(p, tol)
-    a = require_effect(a, tol)
+    """(lhs, rhs) of the criterion: p absolutely compatible with a  <=>  pa = ap,
+    for one pair or as arrays over two (..., n, n) stacks."""
+    return _first_failing(lambda p, a: _projection_compat_equiv(p, a, tol), (2, 2), p, a)
+
+
+def _projection_compat_equiv(p, a, tol: Tolerances):
+    p = _projection(p, tol, stack=True)
+    a = _effect(a, tol, stack=True)[0]
     if p.shape != a.shape:
         raise DimensionMismatch("shapes %r and %r" % (p.shape, a.shape))
     # a projection is an effect; i[p, a] is Hermitian with the norm of [p, a]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import DomainError
 
@@ -14,6 +14,8 @@ class Tolerances:
     All values are absolute unless a caller states otherwise; operators at the
     sizes the tests cover (n <= 16 throughout, single pairs up to n = 128,
     double precision) leave several digits of headroom over every default.
+    Every value must be positive and finite: a NaN would pass every
+    `x > tol.*` gate.
     """
 
     herm: float = 1e-10      # max-norm asymmetry allowed in a Hermitian input
@@ -26,10 +28,13 @@ class Tolerances:
     canon: float = 1e-7      # reconstruction residual allowed for canonical forms
     geo: float = 1e-9        # slack for Poincare-sphere geometry checks
 
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not 0.0 < value < float("inf"):
+                raise DomainError(f"tolerance {field.name!r} must be positive and finite, got {value}")
+
     def override(self, **kwargs: float) -> "Tolerances":
-        for name, value in kwargs.items():
-            if value is not None and not 0.0 < value < float("inf"):
-                raise DomainError(f"tolerance {name!r} must be positive and finite, got {value}")
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
 
 

@@ -10,15 +10,23 @@ lam in (0, 1).  Under the affine chart [[a, al], [conj(al), 1-a]] ->
 centred at (1/2, 0, 0), trace-one effects with 0 < det < 1/4 fill its
 open interior, and the pairs above live on the pivotal sphere of index
 lam with pivot at P.
+
+Stacks.  pair_from_projections, decompose_pair_m2, geometry_report,
+bloch_point, sphere_to_ball, ball_to_sphere and spheroid_residual take
+(..., 2, 2) stacks (indices (...), chart points (..., 3)) and return
+results stacked over the same leading axes; one pair keeps its 2-D
+shapes and float fields.  Every gate applies to each element, and a
+failing stack raises what its first failing element raises alone
+(hermitian._first_failing).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
-    AbscompatError,
     DegenerateSpec,
     DetOutOfRange,
     DimensionMismatch,
@@ -33,9 +41,13 @@ from .errors import (
 )
 from .hermitian import (
     _effects,
+    _first,
+    _first_failing,
     _hnorm_upto,
     _hnorm_within,
     _mixed_pair,
+    _per_matrix,
+    _projection,
     _require_strict,
     _require_unit_interval,
     _two_by_two,
@@ -44,7 +56,6 @@ from .hermitian import (
     as_matrix,
     hermitize,
     require_hermitian,
-    require_projection,
 )
 from .compat import _built_pair, _pair_spectra, _require_compatible
 
@@ -52,29 +63,36 @@ BALL_CENTER = np.array([0.5, 0.0, 0.0])
 BALL_RADIUS = 0.5
 
 
-def _point(pt) -> np.ndarray:
-    pt = _vector(pt, float, "a point")
-    if pt.shape != (3,):
+def _point(pt, lead=()) -> np.ndarray:
+    """pt as three coordinates (of any shape), or as the (lead..., 3)
+    points of a sphere stacked over lead."""
+    flat = _vector(pt, float, "a point")
+    if lead and np.shape(pt) != lead + (3,):
+        raise DimensionMismatch("points of shape %r for a sphere stacked over %r" % (np.shape(pt), lead))
+    if flat.size != 3 * math.prod(lead):
         raise DimensionMismatch("a point needs exactly three coordinates")
-    if not np.isfinite(pt).all():
+    if not np.isfinite(flat).all():
         raise DomainError("point has non-finite coordinates")
-    return pt
+    return flat.reshape(lead + (3,))
 
 
-def _index(index) -> float:
-    """index as a float inside (0, 1)."""
-    try:
-        index = float(index)
-    except (TypeError, ValueError) as exc:
-        raise DomainError("index must be numeric: %s" % exc) from exc
-    if not 0.0 < index < 1.0:
-        raise DegenerateSpec("index %r outside (0, 1)" % index)
-    return index
+def _index(index):
+    """index as a float inside (0, 1), or an array of them."""
+    if np.ndim(index) == 0:
+        try:
+            index = float(index)
+        except (TypeError, ValueError) as exc:
+            raise DomainError("index must be numeric: %s" % exc) from exc
+    index = _vector(index, float, "index").reshape(np.shape(index))
+    bad = np.logical_not((0.0 < index) & (index < 1.0))
+    if bad.any():
+        raise DegenerateSpec("index %r outside (0, 1)" % _first(index, bad))
+    return _per_matrix(index)
 
 
-def _first(values, bad) -> float:
-    """The first of values where bad holds."""
-    return float(np.extract(bad, values)[0])
+def _axes(index, k: int):
+    """index with k trailing unit axes, to weigh (..., k-axis) elements."""
+    return np.reshape(index, np.shape(index) + (1,) * k)
 
 
 def _bloch(x, tol: Tolerances) -> np.ndarray:
@@ -101,8 +119,9 @@ def _chart(x) -> np.ndarray:
 
 
 def bloch_point(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Chart a trace-one 2x2 effect to (x[0,0], Re x[0,1], Im x[0,1])."""
-    return _bloch(require_hermitian(x, tol), tol)
+    """Chart a trace-one 2x2 effect to (x[0,0], Re x[0,1], Im x[0,1]), or
+    each of a (..., 2, 2) stack to (..., 3)."""
+    return _first_failing(lambda x: _bloch(require_hermitian(x, tol, stack=True), tol), (2,), x)
 
 
 def bloch_matrix(pt, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -121,7 +140,8 @@ def _bloch_matrices(pts, tol: Tolerances) -> np.ndarray:
 
 def in_punctured_ball(x, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Trace-one positive 2x2 with 0 < det < 1/4, both bounds strict with
-    margin; the centre (1/2)I has det exactly 1/4 and is excluded."""
+    margin; the centre (1/2)I has det exactly 1/4 and is excluded.  An x
+    that is not a finite Hermitian matrix raises its own error."""
     try:
         _reference_focus(x, tol)
     except DegenerateSpec:
@@ -130,33 +150,43 @@ def in_punctured_ball(x, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def _reference_focus(a, tol: Tolerances):
-    """a validated once as a point of the open punctured ball, and its chart
-    point.  With trace one a negative eigenvalue makes det negative, so the
-    det bounds cover positivity."""
-    try:
-        a = require_hermitian(a, tol)
+    """a validated once as a point of the open punctured ball, or each of a
+    stack, and its chart point.  With trace one a negative eigenvalue makes
+    det negative, so the det bounds cover positivity.  A non-numeric,
+    non-finite or non-Hermitian a raises its own error."""
+    a = require_hermitian(a, tol, stack=True)
+    inside = a.shape[-2:] == (2, 2)
+    if inside:
+        tr = np.real(np.trace(a, axis1=-2, axis2=-1))
         vals = np.linalg.eigvalsh(a)
-        inside = (a.shape == (2, 2) and abs(float(np.real(np.trace(a))) - 1.0) <= tol.geo
-                  and tol.geo < float(vals[0] * vals[1]) < 0.25 - tol.geo)
-    except Exception:
-        inside = False
+        det = vals[..., 0] * vals[..., 1]
+        inside = np.all((np.abs(tr - 1.0) <= tol.geo) & (tol.geo < det) & (det < 0.25 - tol.geo))
     if not inside:
         raise DegenerateSpec("reference effect must lie in the open punctured ball")
     return a, _chart(a)
 
 
 def _rank_one(p, tol: Tolerances) -> np.ndarray:
-    p = require_projection(p, tol)
-    if p.shape != (2, 2):
+    p = _projection(p, tol, stack=True)
+    if p.shape[-2:] != (2, 2):
         raise DimensionMismatch("expected a 2x2 projection")
-    if abs(float(np.real(np.trace(p))) - 1.0) > tol.proj:
+    if np.any(np.abs(np.real(np.trace(p, axis1=-2, axis2=-1)) - 1.0) > tol.proj):
         raise NotProjection("expected a rank-one projection")
     return p
 
 
+def _require_lead(index, *projections):
+    """One leading shape (...) for the index and the (..., 2, 2) projections."""
+    shapes = [np.shape(index)] + [p.shape[:-2] for p in projections]
+    if len(set(shapes)) > 1:
+        raise DimensionMismatch("index and projections stacked over shapes %s"
+                                % ", ".join(map(repr, shapes)))
+
+
 @dataclass(frozen=True)
 class PairSpec:
-    """Rank-one projections and the mixing index of a dimension-2 pair."""
+    """Rank-one projections and the mixing index of a dimension-2 pair, or
+    of each pair of a stack: (..., 2, 2) projections, (...) indices."""
 
     pivot: np.ndarray
     target: np.ndarray
@@ -176,10 +206,11 @@ def _validate_spec(pivot, target, index, tol: Tolerances):
     pivot = _rank_one(pivot, tol)
     target = _rank_one(target, tol)
     index = _index(index)
+    _require_lead(index, pivot, target)
     one = np.eye(2, dtype=complex)
-    if _hnorm_within(pivot - target, tol.proj):
+    if np.any(_hnorm_within(pivot - target, tol.proj)):
         raise DegenerateSpec("pivot equals the target projection")
-    if _hnorm_within(pivot - (one - target), tol.proj):
+    if np.any(_hnorm_within(pivot - (one - target), tol.proj)):
         raise DegenerateSpec("pivot equals the complement of the target")
     return pivot, target, index
 
@@ -189,8 +220,13 @@ def pair_from_projections(pivot, target, index, tol: Tolerances = DEFAULT_TOL):
 
     Mixtures of exactly Hermitian matrices with real weights are exactly
     Hermitian, so A and B need no hermitize."""
+    return _first_failing(lambda *spec: _pair_from_projections(*spec, tol), (2, 2, 0),
+                          pivot, target, index)
+
+
+def _pair_from_projections(pivot, target, index, tol: Tolerances):
     pivot, target, index = _validate_spec(pivot, target, index, tol)
-    a, b = _mixed_pair(index, pivot, target, np.eye(2, dtype=complex) - target)
+    a, b = _mixed_pair(_axes(index, 2), pivot, target, np.eye(2, dtype=complex) - target)
     not_strict = DegenerateSpec("projections too close to degeneracy at this tolerance")
     return _built_pair(a, b, tol, not_strict)
 
@@ -203,35 +239,42 @@ def decompose_pair_m2(a, b, tol: Tolerances = DEFAULT_TOL) -> PairSpec:
     eigenvector of 1-a-b; the target is read off from a by affine
     inversion.
     """
-    (a, va), (b, vb) = _effects(a, b, tol)
-    if a.shape != (2, 2):
+    return _first_failing(lambda a, b: _decompose_pair_m2(a, b, tol), (2, 2), a, b)
+
+
+def _decompose_pair_m2(a, b, tol: Tolerances) -> PairSpec:
+    (a, va), (b, vb) = _effects(a, b, tol, stack=True)
+    if a.shape[-2:] != (2, 2):
         raise DimensionMismatch("decomposition is for 2x2 effects")
     _require_strict(va, vb, tol)
     spectra = _require_compatible(_pair_spectra(a, b), tol)
 
-    dvals = spectra.abs_diff_vals
-    if float(dvals[1] - dvals[0]) > tol.cluster * max(1.0, float(dvals[1])):
+    low, high = spectra.abs_diff_vals[..., 0], spectra.abs_diff_vals[..., 1]
+    if np.any(high - low > tol.cluster * np.maximum(1.0, high)):
         raise SpectralAmbiguity("|a - b| does not have a doubled eigenvalue")
-    index = float(0.5 * (dvals[0] + dvals[1]))
+    index = 0.5 * (low + high)
 
     zvals, zvecs = spectra.rest
-    if abs(1.0 - float(zvals[0]) - (2.0 - index)) > 10.0 * tol.cluster:
+    if np.any(np.abs(1.0 - zvals[..., 0] - (2.0 - index)) > 10.0 * tol.cluster):
         raise PostconditionFailure("a + b has no eigenvalue at 2 - index")
-    v = zvecs[:, 0]
-    pivot = hermitize(np.outer(v, np.conj(v)))
-    target = hermitize((a - (1.0 - index) * pivot) / index)
+    v = zvecs[..., 0]
+    pivot = hermitize(v[..., :, None] * np.conj(v)[..., None, :])
+    lam = _axes(index, 2)
+    target = hermitize((a - (1.0 - lam) * pivot) / lam)
 
-    ra, rb = pair_from_projections(pivot, target, index, tol)
-    err = max(_hnorm_upto(ra - a, tol.geo), _hnorm_upto(rb - b, tol.geo))
-    if err > tol.geo:
-        raise PostconditionFailure("round-trip residual %.3e > %.3e" % (err, tol.geo))
-    return PairSpec(pivot=pivot, target=target, index=index)
+    ra, rb = _pair_from_projections(pivot, target, index, tol)
+    err = np.maximum(_hnorm_upto(ra - a, tol.geo), _hnorm_upto(rb - b, tol.geo))
+    bad = err > tol.geo
+    if np.any(bad):
+        raise PostconditionFailure("round-trip residual %.3e > %.3e" % (_first(err, bad), tol.geo))
+    return PairSpec(pivot=pivot, target=target, index=_per_matrix(index))
 
 
 @dataclass(frozen=True)
 class PivotalSphere:
     """Sphere with diameter from the pivot point to (1-index) pivot +
-    index antipode; internally tangent to the chart ball at the pivot."""
+    index antipode; internally tangent to the chart ball at the pivot.
+    Stacked over leading axes: (..., 3) points, (...) index and radius."""
 
     pivot: np.ndarray
     index: float
@@ -241,33 +284,54 @@ class PivotalSphere:
 
 def pivotal_sphere(pivot, index, tol: Tolerances = DEFAULT_TOL) -> PivotalSphere:
     index = _index(index)
-    return _pivotal_sphere(_bloch(_rank_one(pivot, tol), tol), index)
+    pivot = _rank_one(pivot, tol)
+    _require_lead(index, pivot)
+    return _pivotal_sphere(_bloch(pivot, tol), index)
 
 
-def _pivotal_sphere(p, index: float) -> PivotalSphere:
+def _pivotal_sphere(p, index) -> PivotalSphere:
     antipode = 2.0 * BALL_CENTER - p
-    far = (1.0 - index) * p + index * antipode
+    lam = _axes(index, 1)
+    far = (1.0 - lam) * p + lam * antipode
     return PivotalSphere(pivot=p, index=index, center=0.5 * (p + far), radius=0.5 * index)
+
+
+# element axes of a PivotalSphere's fields (pivot, index, center, radius)
+# and of a chart point, for _first_failing
+_SPHERE_AXES = (1, 0, 1, 0, 1)
+
+
+def _sphere_fields(sphere: PivotalSphere) -> tuple:
+    return sphere.pivot, sphere.index, sphere.center, sphere.radius
 
 
 def sphere_to_ball(sphere: PivotalSphere, point, tol: Tolerances = DEFAULT_TOL):
     """Point C on the pivotal sphere -> the unique R on the chart ball with
-    C = (1-index) pivot + index R, plus the antipode of R."""
-    point = _point(point)
-    if abs(float(np.linalg.norm(point - sphere.center)) - sphere.radius) > tol.geo:
-        raise NotOnSphere("point is not on the pivotal sphere")
-    r = sphere.pivot + (point - sphere.pivot) / sphere.index
-    return r, 2.0 * BALL_CENTER - r
+    C = (1-index) pivot + index R, plus the antipode of R; (..., 3) points
+    for a stacked sphere."""
+    def to_ball(pivot, index, center, radius, point):
+        point = _point(point, np.shape(index))
+        if np.any(np.abs(_vnorm(point - center) - radius) > tol.geo):
+            raise NotOnSphere("point is not on the pivotal sphere")
+        r = pivot + (point - pivot) / _axes(index, 1)
+        return r, 2.0 * BALL_CENTER - r
+
+    return _first_failing(to_ball, _SPHERE_AXES, *_sphere_fields(sphere), point)
 
 
 def ball_to_sphere(sphere: PivotalSphere, point, tol: Tolerances = DEFAULT_TOL):
     """Point R on the chart ball boundary -> (C, D) antipodal on the
-    pivotal sphere, C = (1-index) pivot + index R."""
-    point = _point(point)
-    if abs(float(np.linalg.norm(point - BALL_CENTER)) - BALL_RADIUS) > tol.geo:
-        raise NotOnSphere("point is not on the chart ball")
-    c = (1.0 - sphere.index) * sphere.pivot + sphere.index * point
-    return c, 2.0 * sphere.center - c
+    pivotal sphere, C = (1-index) pivot + index R; (..., 3) points for a
+    stacked sphere."""
+    def to_sphere(pivot, index, center, radius, point):
+        point = _point(point, np.shape(index))
+        if np.any(np.abs(_vnorm(point - BALL_CENTER) - BALL_RADIUS) > tol.geo):
+            raise NotOnSphere("point is not on the chart ball")
+        lam = _axes(index, 1)
+        c = (1.0 - lam) * pivot + lam * point
+        return c, 2.0 * center - c
+
+    return _first_failing(to_sphere, _SPHERE_AXES, *_sphere_fields(sphere), point)
 
 
 @dataclass(frozen=True)
@@ -294,7 +358,13 @@ def geometry_report(pivot, target, index, tol: Tolerances = DEFAULT_TOL) -> Geom
     """Residuals of the five geometric facts about a dimension-2 pair:
     tangency of the pivotal sphere, coplanarity of the six points,
     parallelism of AB and QQ', the right angle at the pivot, and
-    antipodality of A and B on the pivotal sphere."""
+    antipodality of A and B on the pivotal sphere.  For a stack of specs
+    the sphere, the points and the residuals are stacked."""
+    return _first_failing(lambda *spec: _geometry_report(*spec, tol), (2, 2, 0),
+                          pivot, target, index)
+
+
+def _geometry_report(pivot, target, index, tol: Tolerances) -> GeometryReport:
     pivot, target, index = _validate_spec(pivot, target, index, tol)
     sphere = _pivotal_sphere(_bloch(pivot, tol), index)
 
@@ -302,25 +372,19 @@ def geometry_report(pivot, target, index, tol: Tolerances = DEFAULT_TOL) -> Geom
     q = _bloch(target, tol)
     pp = 2.0 * BALL_CENTER - p
     qp = 2.0 * BALL_CENTER - q
-    a, b = _mixed_pair(index, p, q, qp)
+    a, b = _mixed_pair(_axes(index, 1), p, q, qp)
     points = {"P": p, "Pp": pp, "Q": q, "Qp": qp, "A": a, "B": b}
 
-    tangency = abs(
-        float(np.linalg.norm(BALL_CENTER - sphere.center)) - (BALL_RADIUS - sphere.radius)
-    )
-    rows = np.vstack([pp - p, q - p, qp - p, a - p, b - p])
+    tangency = np.abs(_vnorm(BALL_CENTER - sphere.center) - (BALL_RADIUS - sphere.radius))
+    rows = np.stack([pp - p, q - p, qp - p, a - p, b - p], axis=-2)
     sv = np.linalg.svd(rows, compute_uv=False)
-    coplanarity = float(sv[2] / sv[0])
+    coplanarity = sv[..., 2] / sv[..., 0]
 
     u = a - b
     v = q - qp
-    parallelism = float(
-        np.linalg.norm(np.cross(u / np.linalg.norm(u), v / np.linalg.norm(v)))
-    )
-    right_angle = abs(
-        float(np.dot(a - p, b - p)) / (np.linalg.norm(a - p) * np.linalg.norm(b - p))
-    )
-    antipodality = float(np.linalg.norm(0.5 * (a + b) - sphere.center))
+    parallelism = _vnorm(np.cross(u / _axes(_vnorm(u), 1), v / _axes(_vnorm(v), 1)))
+    right_angle = np.abs(np.vecdot(a - p, b - p) / (_vnorm(a - p) * _vnorm(b - p)))
+    antipodality = _vnorm(0.5 * (a + b) - sphere.center)
 
     residuals = {
         "tangency": tangency,
@@ -329,11 +393,15 @@ def geometry_report(pivot, target, index, tol: Tolerances = DEFAULT_TOL) -> Geom
         "right_angle": right_angle,
         "antipodality": antipodality,
     }
+    residuals = {name: _per_matrix(np.asarray(value)) for name, value in residuals.items()}
     return GeometryReport(sphere=sphere, points=points, residuals=residuals)
 
 
 @dataclass(frozen=True)
 class SpheroidStats:
+    """Focal sums over the partners: floats for one reference, arrays over
+    the leading axes of a stack of references."""
+
     count: int
     mean: float
     spread: float
@@ -343,41 +411,46 @@ class SpheroidStats:
 def spheroid_residual(a, partners, tol: Tolerances = DEFAULT_TOL) -> SpheroidStats:
     """Constancy of |X - A| + |X - A'| over chart points X of effects
     absolutely compatible with A, where A' is the reflection of A through
-    the ball centre (the image of 1 - A).
+    the ball centre (the image of 1 - A).  A (..., 2, 2) stack of
+    references takes (..., k, 2, 2) partners.
 
     The partners are validated, charted and checked as one stack.  When
-    any fails, each is checked alone, in order, as a batch of one, so the
-    error is the one the first failing partner raises by itself.
+    any fails, each is checked alone, in order, so the error is the one
+    the first failing partner raises by itself (_first_failing).
     """
-    partners = list(partners)
-    if not partners:
+    return _first_failing(lambda a, partners: _spheroid(a, partners, tol), (2, 3),
+                          a, list(partners))
+
+
+def _spheroid(a, partners, tol: Tolerances) -> SpheroidStats:
+    if not len(partners):
         raise EmptyInput("no partner effects supplied")
     a, focus = _reference_focus(a, tol)
     mirror = 2.0 * BALL_CENTER - focus
 
-    try:
+    def stacked(partners, a):
         xs = as_matrix(partners, stack=True)
-        if xs.ndim != 3:
-            raise DimensionMismatch("partners do not stack into (k, n, n)")
-        pts = _partner_points(a, xs, tol)
-    except AbscompatError:
-        for x in partners:
-            _partner_points(a, as_matrix(x)[None], tol)
-        raise
-    sums = _vnorm(pts - focus) + _vnorm(pts - mirror)
-    mean = float(np.mean(sums))
-    spread = float(np.max(sums) - np.min(sums))
-    return SpheroidStats(
-        count=len(sums), mean=mean, spread=spread,
-        relative_spread=spread / mean if mean > 0 else 0.0,
-    )
+        if xs.shape[:-3] != a.shape[:-2] or xs.ndim != a.ndim + 1:
+            raise DimensionMismatch("partners do not stack into (..., k, n, n)")
+        if xs.shape[-3] == 0:
+            raise EmptyInput("no partner effects supplied")
+        return _partner_points(a[..., None, :, :], xs, tol)
+
+    pts = _first_failing(stacked, (2, 2), partners, a,
+                         alone=lambda x, a: _partner_points(a, as_matrix(x), tol))
+    sums = _vnorm(pts - focus[..., None, :]) + _vnorm(pts - mirror[..., None, :])
+    mean = np.mean(sums, axis=-1)
+    spread = np.max(sums, axis=-1) - np.min(sums, axis=-1)
+    relative = np.divide(spread, mean, out=np.zeros_like(spread), where=mean > 0)
+    return SpheroidStats(count=sums.shape[-1], mean=_per_matrix(mean), spread=_per_matrix(spread),
+                         relative_spread=_per_matrix(relative))
 
 
 def _partner_points(a, xs, tol: Tolerances) -> np.ndarray:
-    """Chart points of a (k, n, n) stack of effects absolutely compatible
-    with a: each must be an effect, then in the chart's domain, then
-    compatible with a, and a batch of one raises what that partner fails
-    first."""
+    """Chart points of effects xs absolutely compatible with a, one or a
+    stack broadcast against a: each must be an effect, then in the
+    chart's domain, then compatible with a, and one partner raises what
+    it fails first."""
     xs = require_hermitian(xs, tol, stack=True)
     _require_unit_interval(np.linalg.eigvalsh(xs), tol)
     pts = _bloch(xs, tol)

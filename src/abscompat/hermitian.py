@@ -16,7 +16,9 @@ of its cost, at small n; at n ~ 100 copying matrices into a stack costs
 more than the call it saves, and numpy's stacked matmul is about
 twice as slow as the same products made one by one.  So _factor_each
 stacks factorizations up to _STACK_N, and products are stacked only for
-small matrices.  Public entry points take one matrix per operand.
+small matrices.  The compatibility check and the dimension-2 entry
+points take stacks too; _first_failing makes a failing stack raise what
+its first failing element raises alone.
 """
 
 from dataclasses import dataclass
@@ -124,14 +126,18 @@ def _vnorm(v):
     return np.sqrt(np.vecdot(v, v))
 
 
-def _fnorm(h) -> float:
-    """Frobenius norm: the l2 norm of all singular values, so never below
-    the operator norm, their largest."""
-    return float(np.sqrt(np.vdot(h, h).real))
+def _fnorm(h):
+    """Frobenius norm over the last two axes: the l2 norm of all singular
+    values, so never below the operator norm, their largest.  A float for
+    one matrix, else an array; vecdot reduces with the BLAS dot that
+    np.vdot uses, so each norm has the bits np.vdot gives it."""
+    flat = h.reshape(h.shape[:-2] + (-1,))
+    return _per_matrix(np.sqrt(np.vecdot(flat, flat).real))
 
 
-def _hnorm_upto(h, bound: float) -> float:
-    """||h||_F when that is at most bound, else the exact _hnorm(h).
+def _hnorm_upto(h, bound: float):
+    """||h||_F when that is at most bound, else the exact _hnorm(h), for
+    each matrix over leading axes.
 
     For norms that are only compared with bound: ||h|| <= ||h||_F, so a
     Frobenius norm within the bound settles `||h|| <= bound` without a
@@ -139,14 +145,17 @@ def _hnorm_upto(h, bound: float) -> float:
     failure messages report exact values.
     """
     frob = _fnorm(h)
-    if frob <= bound:
+    if np.all(frob <= bound):
         return frob
     # an h that overflowed has no finite norm to report, and fails every bound
-    return _hnorm(h) if np.isfinite(h).all() else float("inf")
+    finite = np.isfinite(h).all(axis=(-2, -1), keepdims=True)
+    exact = np.where(finite[..., 0, 0], _hnorm(np.where(finite, h, 0.0)), np.inf)
+    return _per_matrix(np.where(frob <= bound, frob, exact))
 
 
-def _hnorm_within(h, bound: float) -> bool:
-    """Whether ||h|| <= bound for a Hermitian n x n h.
+def _hnorm_within(h, bound: float):
+    """Whether ||h|| <= bound for a Hermitian n x n h, or for each of a
+    stack of them.
 
     ||h||_F / sqrt(n) <= ||h|| <= ||h||_F, as h has at most n eigenvalues,
     so a Frobenius norm within the bound settles the test one way and one
@@ -156,11 +165,59 @@ def _hnorm_within(h, bound: float) -> bool:
     """
     n = h.shape[-1]
     frob = _fnorm(h)
-    if frob <= bound:
-        return True
-    if frob > bound * np.sqrt(n) * (1.0 + _ROUNDING * n):
-        return False
-    return _hnorm(h) <= bound
+    within = frob <= bound
+    undecided = np.logical_not(within | (frob > bound * np.sqrt(n) * (1.0 + _ROUNDING * n)))
+    if np.any(undecided):
+        within = within | (undecided & (_hnorm(h) <= bound))
+    return within
+
+
+def _first(values, bad) -> float:
+    """The first of values where bad holds."""
+    return float(np.extract(bad, values)[0])
+
+
+def _first_failing(fn, cores, *args, alone=None):
+    """fn(*args), where args[k] stacks elements of cores[k] axes over the
+    leading axes of args[0], and an arg of only cores[k] axes belongs to
+    every element.  When fn raises, each element goes alone, in order,
+    to alone (fn by default), so the error raised is the one the first
+    failing element raises by itself."""
+    try:
+        return fn(*args)
+    except AbscompatError:
+        for element in _elements(cores, args):
+            (alone or fn)(*element)
+        raise
+
+
+def _elements(cores, args) -> list:
+    """The elements of args in order, none when the args do not split over
+    one leading shape; a list that does not stack splits into its items."""
+    try:
+        first = np.asarray(args[0])
+    except ValueError:
+        if not isinstance(args[0], list):
+            return []
+        first, lead = args[0], (len(args[0]),)
+    else:
+        lead = first.shape[:max(first.ndim - cores[0], 0)]
+    if not lead:
+        return []
+    columns = [first]
+    for x, core in zip(args[1:], cores[1:]):
+        try:
+            x = np.asarray(x)
+        except ValueError:
+            return []
+        if x.ndim == core:
+            x = None
+        elif x.shape[:x.ndim - core] != lead:
+            return []
+        columns.append(x)
+    return [tuple(whole if x is None else x[i[0]] if isinstance(x, list) else x[i]
+                  for x, whole in zip(columns, args))
+            for i in np.ndindex(*lead)]
 
 
 def identity_like(x) -> np.ndarray:
@@ -186,10 +243,17 @@ def require_unitary(u, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def require_projection(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    p = require_hermitian(p, tol)
+    return _projection(p, tol)
+
+
+def _projection(p, tol: Tolerances, stack: bool = False) -> np.ndarray:
+    """p made exactly Hermitian, once it is idempotent within tol.proj;
+    with stack=True, each matrix of a (..., n, n) stack."""
+    p = require_hermitian(p, tol, stack)
     dev = _hnorm_upto(p @ p - p, tol.proj)
-    if dev > tol.proj:
-        raise NotProjection("||P^2 - P|| = %.3e > %.3e" % (dev, tol.proj))
+    bad = dev > tol.proj
+    if np.any(bad):
+        raise NotProjection("||P^2 - P|| = %.3e > %.3e" % (_first(dev, bad), tol.proj))
     return p
 
 
@@ -207,9 +271,10 @@ def _require_unit_interval(vals, tol: Tolerances) -> None:
         raise DomainError("largest eigenvalue %.3e exceeds 1" % high)
 
 
-def _effect(a, tol: Tolerances):
-    """The validated effect a and its ascending spectrum (eigvalsh)."""
-    a = require_hermitian(a, tol)
+def _effect(a, tol: Tolerances, stack: bool = False):
+    """The validated effect a and its ascending spectrum (eigvalsh); with
+    stack=True, of each matrix of a stack."""
+    a = require_hermitian(a, tol, stack)
     vals = np.linalg.eigvalsh(a)
     _require_unit_interval(vals, tol)
     return a, vals
@@ -220,14 +285,14 @@ def require_effect(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return _effect(a, tol)[0]
 
 
-def _hermitian_pair(a, b, tol: Tolerances):
+def _hermitian_pair(a, b, tol: Tolerances, stack: bool = False):
     """Both operands through require_hermitian; when b fails, the spectrum
     of a is checked first, as _effects checks a before b."""
-    a = require_hermitian(a, tol)
+    a = require_hermitian(a, tol, stack)
     try:
-        b = require_hermitian(b, tol)
+        b = require_hermitian(b, tol, stack)
     except AbscompatError:
-        _effect(a, tol)
+        _effect(a, tol, stack)
         raise
     return a, b
 
@@ -242,14 +307,14 @@ def _factor_each(fn, *mats) -> list:
     return list(zip(*out)) if isinstance(out, tuple) else list(out)
 
 
-def _effects(a, b, tol: Tolerances):
+def _effects(a, b, tol: Tolerances, stack: bool = False):
     """Both validated effects with their spectra, ((a, vals), (b, vals)),
     from one eigvalsh of the stack [a, b] (_factor_each).  Errors come in
     the order of validating a, then b, then comparing shapes."""
-    a, b = _hermitian_pair(a, b, tol)
+    a, b = _hermitian_pair(a, b, tol, stack)
     if a.shape != b.shape:
-        _effect(a, tol)
-        _effect(b, tol)
+        _effect(a, tol, stack)
+        _effect(b, tol, stack)
         raise DimensionMismatch("effects of shapes %r and %r" % (a.shape, b.shape))
     va, vb = _factor_each(np.linalg.eigvalsh, a, b)
     _require_unit_interval(va, tol)
@@ -370,24 +435,37 @@ class StrictnessReport:
         return self.strict
 
 
+def _at_one_and_zero(vals, tol: Tolerances):
+    """Masks of the eigenvalues of |x| (or of an effect x) at 1 and at 0,
+    within tol.spec."""
+    vals = np.abs(vals)
+    return vals >= 1.0 - tol.spec, vals <= tol.spec
+
+
 def _strictness(vals, tol: Tolerances) -> StrictnessReport:
     """Strictness report from the spectrum of |x| (or of an effect x)."""
     vals = np.abs(vals)
     if vals.size == 0:
         return StrictnessReport(True, 0, 0, float("nan"), float("nan"))
-    support = int(np.count_nonzero(vals >= 1.0 - tol.spec))
-    null = int(np.count_nonzero(vals <= tol.spec))
+    support, null = (int(np.count_nonzero(m)) for m in _at_one_and_zero(vals, tol))
     return StrictnessReport(support == 0 and null == 0, support, null,
                             float(vals.min()), float(vals.max()))
 
 
+def _strict_rows(vals, tol: Tolerances):
+    """Whether each spectrum over leading axes has no eigenvalue at 1 or
+    at 0: _strictness(vals).strict, per row."""
+    one, zero = _at_one_and_zero(vals, tol)
+    return ~np.any(one | zero, axis=-1)
+
+
 def _require_strict(va, vb, tol: Tolerances) -> None:
-    """Strictness of two validated effects, read off their spectra; the
-    strict constructions need at least one dimension."""
+    """Strictness of two validated effects, or stacks of them, read off
+    their spectra; the strict constructions need at least one dimension."""
     if va.size == 0:
         raise EmptyInput("strictness needs nonempty effects")
     for vals, which in ((va, "first"), (vb, "second")):
-        if not _strictness(vals, tol):
+        if not np.all(_strict_rows(vals, tol)):
             raise NotStrict("%s effect is not strict" % which)
 
 

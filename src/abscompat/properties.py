@@ -1,16 +1,25 @@
-"""The paper's properties, each coded once as a seeded draw and a check.
+"""The paper's properties, each coded once as a seeded draw and a check,
+both over batches of trials.
 
-``REGISTRY`` maps a name to a ``Property``: ``draw(seed, size)`` returns a
-trial's raw inputs by name, and ``check(inputs, tol)`` returns
-``{residual name: (value, bound)}``, each value recomputed from what the
-library returns.  A bound of 0.0 marks an exact property; a boolean
-residual is 0.0 when it holds.  ``run`` is the one trial loop, which
-``abscompat fuzz`` and the acceptance gate both use.  Draws build their
-instances at the default tolerances.  ``import abscompat`` does not load
-this module.
+``REGISTRY`` maps a name to a ``Property``.  ``draw(seeds, size)`` returns
+the raw inputs of one trial per seed by name, each stacked with the trial
+as its leading axis; a trial's generators take its own seed, so it draws
+the same bits in any batch.  ``check(stacks, tol)`` returns ``{residual
+name: (per-trial values, bound)}``, each value recomputed from what the
+library returns.  The suites whose library calls take stacks (compat,
+m2, geometry, equivalences) pass them the whole batch; the others keep a
+one-trial draw and check, which ``_per_trial`` maps over the batch with
+lists in place of stacks.  A bound of 0.0 marks an exact property; a
+boolean residual is 0.0 when it holds.  ``run`` is the one trial loop,
+which ``abscompat fuzz`` and the acceptance gate both use.  It checks the
+trials of each size as one batch and runs a batch that raises again one
+trial at a time, so its ``Outcome`` is the one a loop over single trials
+gives.  Draws build their instances at the default tolerances.  ``import
+abscompat`` does not load this module.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -33,23 +42,38 @@ from .geometry import (
     ball_to_sphere, bloch_point, decompose_pair_m2, geometry_report, pair_from_projections,
     sphere_to_ball, spheroid_residual,
 )
-from .hermitian import dagger, hermitize, is_strict, jordan_product, op_norm
+from .hermitian import _vnorm, dagger, hermitize, is_strict, jordan_product, op_norm
 
 
 class Property(NamedTuple):
-    draw: Callable  # (seed, size) -> {input name: value}
-    check: Callable  # (inputs, tol) -> {residual name: (value, bound)}
+    draw: Callable  # (seeds, size) -> {input name: stack over the trials}
+    check: Callable  # (stacks, tol) -> {residual name: (per-trial values, bound)}
     sizes: tuple  # size set: matrix dimensions, or site counts for "params"
 
 
-def _holds(flag) -> tuple:
-    return (0.0 if flag else 1.0, 0.0)
+def _holds(flags) -> tuple:
+    return (np.where(flags, 0.0, 1.0), 0.0)
 
 
-def _draw_compat(seed, n):
-    a, b = random_abscompat_pair(n, derive_seed(seed, 1), 0.1)
-    oa, ob = random_orthogonal_pair(n, derive_seed(seed, 2), 0.1)
-    return {"a": a, "b": b, "oa": oa, "ob": ob}
+def _larger(x, y):
+    """max(x, y) per trial as Python's max takes it: y only where y > x."""
+    return np.where(y > x, y, x)
+
+
+def _columns(trials) -> list:
+    """One stack over the trials per place of their tuples."""
+    return [np.array(column) for column in zip(*trials)]
+
+
+def _stacked(names, trials) -> dict:
+    """{name: stack over the trials} from one tuple of inputs per trial."""
+    return dict(zip(names, _columns(trials)))
+
+
+def _draw_compat(seeds, n):
+    return _stacked(("a", "b", "oa", "ob"), (
+        random_abscompat_pair(n, derive_seed(s, 1), 0.1) + random_orthogonal_pair(n, derive_seed(s, 2), 0.1)
+        for s in seeds))
 
 
 def _check_compat(x, tol):
@@ -58,13 +82,14 @@ def _check_compat(x, tol):
     a, b, oa, ob = x["a"], x["b"], x["oa"], x["ob"]
     fwd = is_abs_compatible(a, b, tol)
     rev = is_abs_compatible(b, a, tol)
-    five_block_decompose(oa, ob, tol)
+    for pair in zip(oa, ob):
+        five_block_decompose(*pair, tol)
     return {
         "pair_residual": (fwd.residual, tol.compat),
-        "symmetry": (abs(fwd.residual - rev.residual), 0.0),
+        "symmetry": (np.abs(fwd.residual - rev.residual), 0.0),
         "orthogonal_product": (op_norm(oa @ ob), tol.compat),
         "orthogonal_residual": (is_abs_compatible(oa, ob, tol).residual, tol.compat),
-        "sum_excess": (max(0.0, float(np.linalg.eigvalsh(oa + ob)[-1]) - 1.0), tol.spec),
+        "sum_excess": (_larger(0.0, np.linalg.eigvalsh(oa + ob)[:, -1] - 1.0), tol.spec),
     }
 
 
@@ -89,8 +114,8 @@ def _check_canonical(x, tol):
     }
 
 
-def _draw_m2(seed, n):
-    pivot, target, index = random_pair_spec(derive_seed(seed, 1))
+def _draw_m2(seeds, n):
+    pivot, target, index = _columns(random_pair_spec(derive_seed(s, 1)) for s in seeds)
     a, b = pair_from_projections(pivot, target, index)
     return {"pivot": pivot, "target": target, "index": index, "a": a, "b": b}
 
@@ -103,17 +128,18 @@ def _check_m2(x, tol):
     pivot, target, *roundtrip = op_norm(
         np.array((spec.pivot - x["pivot"], spec.target - x["target"], ra - a, rb - b)))
     return {
-        "index_error": (abs(spec.index - x["index"]), 1e-9),
-        "pivot_error": (float(pivot), 1e-9),
-        "target_error": (float(target), 1e-9),
-        "roundtrip": (float(max(roundtrip)), 1e-9),
+        "index_error": (np.abs(spec.index - x["index"]), 1e-9),
+        "pivot_error": (pivot, 1e-9),
+        "target_error": (target, 1e-9),
+        "roundtrip": (_larger(*roundtrip), 1e-9),
     }
 
 
-def _draw_geometry(seed, n):
+def _draw_geometry(seeds, n):
     """An M2 draw plus eight absolutely compatible partners of its a."""
-    x = _draw_m2(seed, n)
-    x["partners"] = random_spheroid_partners(x["a"], 8, derive_seed(seed, 2))
+    x = _draw_m2(seeds, n)
+    x["partners"] = np.array([random_spheroid_partners(a, 8, derive_seed(s, 2))
+                              for a, s in zip(x["a"], seeds)])
     return x
 
 
@@ -125,21 +151,24 @@ def _check_geometry(x, tol):
     c_pt = bloch_point(a, tol)
     r_pt, _ = sphere_to_ball(report.sphere, c_pt, tol)
     c2, d2 = ball_to_sphere(report.sphere, r_pt, tol)
-    inverse = max(float(np.linalg.norm(c2 - c_pt)), float(np.linalg.norm(d2 - bloch_point(b, tol))))
+    inverse = _larger(_vnorm(c2 - c_pt), _vnorm(d2 - bloch_point(b, tol)))
     return {
-        "report": (max(report.residuals.values()), tol.geo),
-        "bijection": (float(np.linalg.norm(r_pt - bloch_point(x["target"], tol))), tol.geo),
+        "report": (reduce(_larger, report.residuals.values()), tol.geo),
+        "bijection": (_vnorm(r_pt - bloch_point(x["target"], tol)), tol.geo),
         "bijection_inverse": (inverse, tol.geo),
         "spheroid_spread": (spheroid_residual(a, x["partners"], tol).relative_spread, 1e-8),
     }
 
 
-def _draw_equivalences(seed, n):
-    oa, ob = random_orthogonal_pair(n, derive_seed(seed, 1), 0.1)
-    p, e = random_commuting_projection_effect(n, derive_seed(seed, 2), 0.1)
-    p2 = random_projection(n, 1 + seed % (n - 1), derive_seed(seed, 3))
-    e2 = random_strict_effect(n, derive_seed(seed, 4), 0.1)
-    return {"oa": oa, "ob": ob, "p": p, "e": e, "p2": p2, "e2": e2}
+def _draw_equivalences(seeds, n):
+    def trial(s):
+        oa, ob = random_orthogonal_pair(n, derive_seed(s, 1), 0.1)
+        p, e = random_commuting_projection_effect(n, derive_seed(s, 2), 0.1)
+        p2 = random_projection(n, 1 + s % (n - 1), derive_seed(s, 3))
+        e2 = random_strict_effect(n, derive_seed(s, 4), 0.1)
+        return oa, ob, p, e, p2, e2
+
+    return _stacked(("oa", "ob", "p", "e", "p2", "e2"), map(trial, seeds))
 
 
 def _check_equivalences(x, tol):
@@ -237,15 +266,31 @@ def _check_dilation(x, tol):
     return {"jordan_block": (op_norm(jordan_product(a1, b1) - want), 1e-10)}
 
 
+def _per_trial(draw, check, sizes) -> Property:
+    """A Property from a one-trial draw(seed, size) and check(inputs, tol),
+    for a suite whose library calls take one trial: each input of the batch
+    is the list of its trials' values, and each residual the list of their
+    values."""
+    def draw_batch(seeds, size):
+        trials = [draw(s, size) for s in seeds]
+        return {name: [x[name] for x in trials] for name in trials[0]}
+
+    def check_batch(stacks, tol):
+        results = [check(dict(zip(stacks, inputs)), tol) for inputs in zip(*stacks.values())]
+        return {name: ([r[name][0] for r in results], bound) for name, (_, bound) in results[0].items()}
+
+    return Property(draw_batch, check_batch, sizes)
+
+
 REGISTRY = {
     "compat": Property(_draw_compat, _check_compat, (2, 4, 8)),
-    "canonical": Property(_draw_canonical, _check_canonical, (2, 4, 8)),
+    "canonical": _per_trial(_draw_canonical, _check_canonical, (2, 4, 8)),
     "m2": Property(_draw_m2, _check_m2, (2,)),
     "geometry": Property(_draw_geometry, _check_geometry, (2,)),
     "equivalences": Property(_draw_equivalences, _check_equivalences, (2, 4, 8)),
-    "fiveblock": Property(_draw_fiveblock, _check_fiveblock, (2, 4)),
-    "params": Property(_draw_params, _check_params, (1, 2, 3)),
-    "dilation": Property(_draw_dilation, _check_dilation, (1, 2, 3, 4)),
+    "fiveblock": _per_trial(_draw_fiveblock, _check_fiveblock, (2, 4)),
+    "params": _per_trial(_draw_params, _check_params, (1, 2, 3)),
+    "dilation": _per_trial(_draw_dilation, _check_dilation, (1, 2, 3, 4)),
 }
 
 
@@ -261,17 +306,22 @@ class Outcome:
 
 def run(prop: Property, trials: int, seed, tol: Tolerances = DEFAULT_TOL, sizes=None) -> Outcome:
     """Trial i draws from s = derive_seed(seed, i) at size sizes[s % len(sizes)]
-    (prop.sizes by default), checks at tol, and fails on a library error."""
+    (prop.sizes by default), checks at tol, and fails on a library error.
+    The trials of each size are checked as one batch (_batch), and the
+    outcome is then read in trial order."""
     sizes = sizes or prop.sizes
+    seeds = [derive_seed(seed, i) for i in range(trials)]
+    by_size = {}
+    for i, s in enumerate(seeds):
+        by_size.setdefault(sizes[s % len(sizes)], []).append(i)
+    done = [None] * trials
+    for size, members in by_size.items():
+        for i, trial in zip(members, _batch(prop, [seeds[i] for i in members], size, tol)):
+            done[i] = trial
     out = Outcome()
-    for i in range(trials):
-        s = derive_seed(seed, i)
-        inputs = None
-        try:
-            inputs = prop.draw(s, sizes[s % len(sizes)])
-            results = prop.check(inputs, tol)
-        except AbscompatError as exc:
-            entry = {"trial": i, "seed": s, "error": "%s: %s" % (type(exc).__name__, exc)}
+    for i, (results, inputs) in enumerate(done):
+        if isinstance(results, AbscompatError):
+            entry = {"trial": i, "seed": seeds[i], "error": "%s: %s" % (type(results).__name__, results)}
         else:
             for name, (value, _) in results.items():
                 if name not in out.worst or value > out.worst[name]:
@@ -279,8 +329,36 @@ def run(prop: Property, trials: int, seed, tol: Tolerances = DEFAULT_TOL, sizes=
             bad = {name: value for name, (value, bound) in results.items() if value > bound}
             if not bad:
                 continue
-            entry = {"trial": i, "seed": s, "violations": bad}
+            entry = {"trial": i, "seed": seeds[i], "violations": bad}
         if not out.failures:
             out.first_inputs = inputs
         out.failures.append(entry)
     return out
+
+
+def _batch(prop: Property, seeds, size, tol: Tolerances) -> list:
+    """(results, inputs) for each trial of a batch of one size: results maps
+    each residual to (value, bound), or is the library error the trial
+    raised; inputs are the trial's own inputs when it fails (None when its
+    draw raised), else None.  A batch that raises runs again one trial at
+    a time, so each error is the one its trial raises alone."""
+    stacks = None
+    try:
+        stacks = prop.draw(seeds, size)
+        checked = prop.check(stacks, tol)
+    except AbscompatError as exc:
+        if len(seeds) > 1:
+            return [trial for s in seeds for trial in _batch(prop, [s], size, tol)]
+        return [(exc, None if stacks is None else _inputs(stacks, 0))]
+    values = [(name, np.asarray(value).tolist(), bound) for name, (value, bound) in checked.items()]
+    out = []
+    for j in range(len(seeds)):
+        results = {name: (value[j], bound) for name, value, bound in values}
+        failed = any(value > bound for value, bound in results.values())
+        out.append((results, _inputs(stacks, j) if failed else None))
+    return out
+
+
+def _inputs(stacks, j) -> dict:
+    """Trial j's own inputs, by name."""
+    return {name: x[j] for name, x in stacks.items()}

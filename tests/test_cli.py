@@ -210,7 +210,22 @@ def test_fuzz_suites_pass(tmp_path):
 
 def test_fuzz_unknown_suite(capsys):
     assert run(["fuzz", "bogus"]) == 1
-    assert "UnknownSuite" in capsys.readouterr().err
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "UnknownSuite"
+    assert error["message"] == "suite 'bogus' not among %s" % sorted(REGISTRY)
+
+
+def test_cli_import_does_not_load_the_registry():
+    """Only fuzz reads the property registry, so importing the CLI, as every
+    check, decompose and gen process does, leaves abscompat.properties
+    unloaded."""
+    src = Path(abscompat.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, abscompat.cli; print('abscompat.properties' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_fuzz_deterministic_bytes(tmp_path):

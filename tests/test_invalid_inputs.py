@@ -36,11 +36,12 @@ from abscompat.errors import (
     DimensionMismatch,
     DomainError,
     EmptyInput,
+    NotHermitian,
     NotStrict,
     NotStrictParams,
     PostconditionFailure,
 )
-from abscompat.generate import random_abscompat_pair, random_pair_spec
+from abscompat.generate import random_abscompat_pair, random_pair_spec, random_spheroid_partners
 from abscompat.geometry import (
     ball_to_sphere,
     bloch_matrix,
@@ -118,6 +119,29 @@ def test_shape_and_length_mismatches():
             fn([0.5, 0.0])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: pivotal_sphere(PIVOT, [0.5, 0.5]),
+    lambda: pivotal_sphere(np.array([PIVOT] * 3), [0.5, 0.5]),
+    lambda: pivotal_sphere(np.array([PIVOT] * 2), 0.5),
+    lambda: pair_from_projections(PIVOT, TARGET, [0.5, 0.5]),
+    lambda: geometry_report(np.array([PIVOT] * 3), np.array([TARGET] * 3), [0.5, 0.5]),
+], ids=["sphere-list-index", "sphere-stack-short-index", "sphere-stack-scalar-index",
+        "pair-list-index", "report-stack-short-index"])
+def test_index_and_projections_over_different_shapes(call):
+    with pytest.raises(DimensionMismatch, match="^index and projections stacked over shapes "):
+        call()
+
+
+@pytest.mark.parametrize("fn", [sphere_to_ball, ball_to_sphere])
+@pytest.mark.parametrize("shape", [(3, 2), (6,), (2, 1, 3)])
+def test_points_of_a_stacked_sphere_keep_their_shape(fn, shape):
+    """A stacked sphere takes (..., 3) points: transposed or flat points
+    are not regrouped into other coordinates."""
+    sphere = pivotal_sphere(np.array([PIVOT] * 2), [0.3, 0.6])
+    with pytest.raises(DimensionMismatch):
+        fn(sphere, np.full(shape, 0.5))
+
+
 def test_second_operand_not_strict():
     with pytest.raises(NotStrict, match="^second effect is not strict$"):
         canonicalize(HALF, np.diag([0.0, 0.5]))
@@ -158,6 +182,32 @@ def test_tolerance_override_rejects_non_positive_and_non_finite(value):
     with pytest.raises(DomainError, match="must be positive and finite") as info:
         DEFAULT_TOL.override(compat=value)
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Tolerances)])
+@pytest.mark.parametrize("value", [-1.0, 0.0, NAN, INF])
+def test_tolerances_constructor_rejects_non_positive_and_non_finite(field, value):
+    """A NaN tolerance would pass every `x > tol.*` gate, so the bundle
+    checks itself, however it is built."""
+    with pytest.raises(DomainError, match="^tolerance %r must be positive and finite" % field) as info:
+        Tolerances(**{field: value})
+    assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("reference, error", [
+    ("abc", DomainError), (np.full((2, 2), NAN), DomainError),
+    (HALF + np.triu(np.full((2, 2), 1e-6), 1), NotHermitian), (np.eye(3) / 3, DegenerateSpec),
+    (HALF, DegenerateSpec),
+], ids=["string", "nan", "non-hermitian", "3x3", "centre"])
+def test_reference_effect_errors_keep_their_class(reference, error):
+    """Only the membership test of the punctured ball raises DegenerateSpec;
+    a reference that is no Hermitian matrix raises its own error."""
+    with pytest.raises(error):
+        spheroid_residual(reference, [B2])
+    with pytest.raises(error):
+        random_spheroid_partners(reference, 2, 1)
+    if error is DegenerateSpec:
+        assert not in_punctured_ball(reference)
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Tolerances)])

@@ -1,12 +1,20 @@
-"""The spectral core on (k, n, n) stacks: each matrix of a stack gets the
-bits it gets alone, and stacked validation raises what the first failing
-matrix raises on its own."""
+"""The spectral core, the stack-native entry points and the batched
+properties: each element of a stack gets the bits it gets alone, and a
+failing stack raises what its first failing element raises on its own."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from abscompat import DEFAULT_TOL, AbscompatError
-from abscompat.compat import _pair_spectra, _require_compatible
+from abscompat.compat import (
+    _canonical_order,
+    _pair_spectra,
+    _require_compatible,
+    is_abs_compatible,
+    projection_compat_equiv,
+)
 from abscompat.errors import (
     DegenerateSpec,
     DimensionMismatch,
@@ -19,18 +27,27 @@ from abscompat.generate import (
     _rank_one_2x2s,
     derive_seed,
     random_abscompat_pair,
+    random_commuting_projection_effect,
     random_pair_spec,
+    random_projection,
     random_spheroid_partners,
+    random_strict_effect,
 )
 from abscompat.geometry import (
     BALL_CENTER,
     _bloch,
     _reference_focus,
+    ball_to_sphere,
     bloch_matrix,
+    bloch_point,
+    decompose_pair_m2,
+    geometry_report,
     pair_from_projections,
+    sphere_to_ball,
     spheroid_residual,
 )
 from abscompat.hermitian import _effect, _effects, _hnorm, dagger, hermitize, op_norm
+from abscompat.properties import REGISTRY, Outcome, run
 
 SIZES = (2, 4, 8, 64)
 K = 5
@@ -271,3 +288,248 @@ def test_spheroid_partners_of_other_shapes_fail_like_the_loop():
         want = _error(_reference_spheroid_error, a, mixed, DEFAULT_TOL)
         assert want is not None
         assert _error(spheroid_residual, a, mixed) == want
+
+
+# --- the stack-native entry points: a stack equals its scalar calls ---
+
+B = 64
+
+
+def _bits(obj):
+    """obj as nested bytes, through dataclasses, dicts, tuples and lists:
+    equal exactly when every number has the same bits."""
+    if dataclasses.is_dataclass(obj):
+        return tuple(_bits(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    if isinstance(obj, dict):
+        return tuple((k, _bits(v)) for k, v in obj.items())
+    if isinstance(obj, (tuple, list)):
+        return tuple(map(_bits, obj))
+    x = np.asarray(obj)
+    return x.shape, x.dtype.str, x.tobytes()
+
+
+def _element(obj, i):
+    """Element i of a stacked result or input."""
+    if dataclasses.is_dataclass(obj):
+        return type(obj)(**{f.name: _element(getattr(obj, f.name), i) for f in dataclasses.fields(obj)})
+    if isinstance(obj, dict):
+        return {k: _element(v, i) for k, v in obj.items()}
+    if isinstance(obj, tuple):
+        return tuple(_element(v, i) for v in obj)
+    return obj[i] if isinstance(obj, np.ndarray) and obj.ndim else obj
+
+
+def _specs(seed):
+    return tuple(np.array(v) for v in zip(*(random_pair_spec(derive_seed(seed, i)) for i in range(B))))
+
+
+def _m2_pairs(seed):
+    return tuple(np.array(v) for v in zip(*(pair_from_projections(*random_pair_spec(derive_seed(seed, i)))
+                                             for i in range(B))))
+
+
+def _compat_pairs(n, seed):
+    """B compatible pairs, every other one reversed, and every fourth b
+    replaced by a generic strict effect, so some residuals fail."""
+    a, b = [], []
+    for i in range(B):
+        x, y = random_abscompat_pair(n, derive_seed(seed, i))
+        x, y = (y, x) if i % 2 else (x, y)
+        a.append(x)
+        b.append(random_strict_effect(n, derive_seed(seed, B + i)) if i % 4 == 3 else y)
+    return np.array(a), np.array(b)
+
+
+def _projection_pairs(n, seed):
+    """Commuting and generic (projection, effect) pairs, in turn."""
+    p, e = [], []
+    for i in range(B):
+        s = derive_seed(seed, i)
+        if i % 2:
+            p.append(random_projection(n, 1 + i % (n - 1), s))
+            e.append(random_strict_effect(n, derive_seed(s, 1)))
+        else:
+            x, y = random_commuting_projection_effect(n, s)
+            p.append(x)
+            e.append(y)
+    return np.array(p), np.array(e)
+
+
+def _geometry_points(seed):
+    pivot, target, index = _specs(seed)
+    sphere = geometry_report(pivot, target, index).sphere
+    a, _ = pair_from_projections(pivot, target, index)
+    return sphere, bloch_point(a), bloch_point(target)
+
+
+def _partners(seed):
+    a, _ = _m2_pairs(seed)
+    return a, np.array([random_spheroid_partners(x, 8, derive_seed(seed, B + i)) for i, x in enumerate(a)])
+
+
+STACKED = {
+    "is_abs_compatible": lambda n: (is_abs_compatible, *_compat_pairs(n, derive_seed(41, n))),
+    "projection_compat_equiv": lambda n: (projection_compat_equiv, *_projection_pairs(n, derive_seed(42, n))),
+    "pair_from_projections": lambda n: (pair_from_projections, *_specs(43)),
+    "decompose_pair_m2": lambda n: (decompose_pair_m2, *_m2_pairs(44)),
+    "geometry_report": lambda n: (geometry_report, *_specs(45)),
+    "bloch_point": lambda n: (bloch_point, _m2_pairs(46)[0]),
+    "sphere_to_ball": lambda n: (sphere_to_ball, *_geometry_points(47)[:2]),
+    "ball_to_sphere": lambda n: (ball_to_sphere, _geometry_points(48)[0], _geometry_points(48)[2]),
+    "spheroid_residual": lambda n: (spheroid_residual, *_partners(49)),
+}
+SIZED = ("is_abs_compatible", "projection_compat_equiv")
+CASES = [(name, n) for name in STACKED for n in ((2, 4, 8) if name in SIZED else (2,))]
+
+
+@pytest.mark.parametrize("name, n", CASES)
+def test_stack_equals_scalar_calls(name, n):
+    fn, *stacks = STACKED[name](n)
+    got = fn(*stacks)
+    for i in range(B):
+        want = fn(*(_element(x, i) for x in stacks))
+        assert _bits(_element(got, i)) == _bits(want), (name, i)
+    scalar = fn(*(_element(x, 0) for x in stacks))
+    floats = {"is_abs_compatible": lambda r: r.residual, "decompose_pair_m2": lambda r: r.index,
+              "geometry_report": lambda r: r.residuals["tangency"],
+              "spheroid_residual": lambda r: r.relative_spread}
+    if name in floats:
+        assert type(floats[name](scalar)) is float
+
+
+def test_compat_report_of_a_stack():
+    fn, a, b = STACKED["is_abs_compatible"](4)
+    report = fn(a, b)
+    assert report.residual.shape == report.compatible.shape == (B,)
+    assert 0 < report.compatible.sum() < B and not report
+    assert fn(a[::4], b[::4])  # bool() holds when every pair is compatible
+
+
+def _entry_faults():
+    """Per entry point: faults that make one element raise, each a function
+    of (stacks, i) that spoils element i."""
+    def put(k, value):
+        def spoil(stacks, i):
+            stacks[k][i] = value if not callable(value) else value(stacks[k][i])
+        return spoil
+
+    nan = put(0, lambda x: np.full_like(x, np.nan))
+    return {
+        "is_abs_compatible": {"nan": nan, "not-effect": put(1, lambda x: 2.0 * x),
+                              "skew": put(0, lambda x: x + np.triu(np.full_like(x, 1e-6), 1))},
+        "projection_compat_equiv": {"nan": nan, "non-projection": put(0, lambda x: 0.5 * x),
+                                    "not-effect": put(1, lambda x: -x)},
+        "pair_from_projections": {"nan": nan, "non-projection": put(0, lambda x: 0.5 * x),
+                                  "index": put(2, 1.5), "degenerate": _same_target},
+        "decompose_pair_m2": {"nan": nan, "incompatible": put(1, lambda x: x.conj()),
+                              "not-strict": put(0, np.diag([1.0, 0.0]))},
+        "geometry_report": {"nan": nan, "non-projection": put(1, lambda x: 0.5 * x),
+                            "index": put(2, -0.5)},
+        "bloch_point": {"nan": nan, "trace": put(0, lambda x: 0.9 * x)},
+        "spheroid_residual": {"nan": put(1, lambda x: np.where(np.arange(8)[:, None, None] == 3, np.nan, x)),
+                              "incompatible": put(1, lambda x: np.array([bloch_matrix([0.5, 0.2, -0.1])] * 8)),
+                              "reference": put(0, 0.5 * np.eye(2))},
+    }
+
+
+def _same_target(stacks, i):
+    stacks[1][i] = stacks[0][i]
+
+
+FAULTS = _entry_faults()
+
+
+@pytest.mark.parametrize("name, fault", [(name, f) for name in FAULTS for f in FAULTS[name]])
+def test_failing_stack_raises_what_its_first_failing_element_raises(name, fault):
+    fn, *stacks = STACKED[name](4)
+    stacks = [x.copy() for x in stacks]
+    FAULTS[name][fault](stacks, 37)
+    want = _error(fn, *(x[37] for x in stacks))
+    assert want is not None
+    assert _error(fn, *stacks) == want
+    # a fault of another kind further on does not take over
+    for other in FAULTS[name]:
+        spoiled = [x.copy() for x in stacks]
+        FAULTS[name][other](spoiled, 50)
+        assert _error(fn, *spoiled) == want, other
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4])
+def test_canonical_order_equals_the_bytes_loop(n):
+    """Pairs swapped, unswapped and identical, and pairs equal up to their
+    last byte, take the swap decision that comparing bytes objects takes."""
+    gen = np.random.default_rng(n)
+    a = gen.normal(size=(12, n, n)) + 1j * gen.normal(size=(12, n, n))
+    b = gen.normal(size=(12, n, n)) + 1j * gen.normal(size=(12, n, n))
+    b[1], b[2] = a[1], a[2]
+    if n:
+        b[2].flat[-1] = np.nextafter(a[2].flat[-1].real, 2.0) + 1j * a[2].flat[-1].imag
+        b[3] = a[3]
+        b[3].flat[0] = a[3].flat[0] - 1e-300j
+    for x, y in ((a, b), (b, a), (a[:1], b[:1]), (a[1:3], b[1:3]), (a[0], b[0])):
+        shape = (int(np.prod(x.shape[:-2])), n, n)
+        got = [np.reshape(z, shape) for z in _canonical_order(x, y)]
+        pairs = list(zip(x.reshape(shape), y.reshape(shape)))
+        want = [(v, u) if v.tobytes() < u.tobytes() else (u, v) for u, v in pairs]
+        assert _bits(got) == _bits([np.array([u for u, _ in want]), np.array([v for _, v in want])])
+
+
+# --- batched properties: run equals the loop over single trials ---
+
+
+def _loop(prop, trials, seed, tol):
+    """run as it was before batches: one trial at a time, each drawn and
+    checked as a batch of one."""
+    out = Outcome()
+    for i in range(trials):
+        s = derive_seed(seed, i)
+        inputs = None
+        try:
+            stacks = prop.draw([s], prop.sizes[s % len(prop.sizes)])
+            inputs = {name: x[0] for name, x in stacks.items()}
+            results = {name: (float(np.asarray(value)[0]), bound)
+                       for name, (value, bound) in prop.check(stacks, tol).items()}
+        except AbscompatError as exc:
+            entry = {"trial": i, "seed": s, "error": "%s: %s" % (type(exc).__name__, exc)}
+        else:
+            for name, (value, _) in results.items():
+                if name not in out.worst or value > out.worst[name]:
+                    out.worst[name] = value
+            bad = {name: value for name, (value, bound) in results.items() if value > bound}
+            if not bad:
+                continue
+            entry = {"trial": i, "seed": s, "violations": bad}
+        if not out.failures:
+            out.first_inputs = inputs
+        out.failures.append(entry)
+    return out
+
+
+RUNS = [(name, seed, DEFAULT_TOL) for name in REGISTRY for seed in (7, 8)]
+RUNS.append(("compat", 9, DEFAULT_TOL.override(compat=1e-17)))  # every trial raises
+RUNS.append(("compat", 10, DEFAULT_TOL.override(compat=2e-15)))  # a few raise, a few miss a bound
+
+
+@pytest.mark.parametrize("name, seed, tol", RUNS,
+                         ids=["%s-%d-%g" % (name, seed, tol.compat) for name, seed, tol in RUNS])
+def test_run_equals_the_loop_over_single_trials(name, seed, tol):
+    prop = REGISTRY[name]
+    got, want = run(prop, 40, seed, tol), _loop(prop, 40, seed, tol)
+    assert _bits(got.worst) == _bits(want.worst)
+    assert got.failures == want.failures
+    assert _bits(got.first_inputs) == _bits(want.first_inputs)
+    errors = sum("error" in entry for entry in got.failures)
+    if tol.compat < 1e-16:
+        assert errors == 40 and got.first_inputs["a"].ndim == 2
+    elif tol is not DEFAULT_TOL:  # the batch raises, and its other trials pass or fail alone
+        assert 0 < errors < len(got.failures) < 40
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_a_trial_draws_the_same_bits_in_any_batch(name):
+    prop = REGISTRY[name]
+    seeds = [derive_seed(10, i) for i in range(6)]
+    batch = prop.draw(seeds, prop.sizes[-1])
+    for j, s in enumerate(seeds):
+        alone = prop.draw([s], prop.sizes[-1])
+        assert _bits({k: x[j] for k, x in batch.items()}) == _bits({k: x[0] for k, x in alone.items()})
