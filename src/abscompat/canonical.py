@@ -85,11 +85,7 @@ class SiteBlockMatrix:
         return self.blocks[:, i, j]
 
     def embed(self) -> np.ndarray:
-        # out[k, :, l, :] is the (k, l) 2x2 block of the full matrix
-        m = self.m
-        out = np.zeros((m, 2, m, 2), dtype=complex)
-        out[np.arange(m), :, np.arange(m), :] = self.blocks
-        return out.reshape(2 * m, 2 * m)
+        return _embed(self.blocks)
 
     @classmethod
     def extract(cls, x, atol: float = 1e-12):
@@ -113,6 +109,16 @@ class SiteBlockMatrix:
         return SiteBlockMatrix(self.blocks @ other.blocks)
 
 
+def _embed(blocks) -> np.ndarray:
+    """The full 2m x 2m matrices of (..., m, 2, 2) site blocks."""
+    # out[..., k, :, l, :] is the (k, l) 2x2 block of the full matrix
+    lead, m = blocks.shape[:-3], blocks.shape[-3]
+    out = np.zeros(lead + (m, 2, m, 2), dtype=complex)
+    sites = np.arange(m)
+    out[..., sites, :, sites, :] = np.moveaxis(blocks, -3, 0)
+    return out.reshape(lead + (2 * m, 2 * m))
+
+
 def _sites(x) -> SiteBlockMatrix:
     return x if isinstance(x, SiteBlockMatrix) else SiteBlockMatrix.extract(x)
 
@@ -134,6 +140,16 @@ def _strict_reals(a0, label: str) -> np.ndarray:
     return a0
 
 
+def _projection_params(a0, w):
+    """(a0, w) of a strict projection once a0 is strict and w unimodular
+    (normalized to modulus one) over the same number of sites."""
+    a0 = _strict_reals(a0, "a0")
+    w = _unimodular(w, "w")
+    if len(w) != len(a0):
+        raise DimensionMismatch("a0 and w must have the same number of sites")
+    return a0, w
+
+
 @dataclass(frozen=True)
 class StrictProjectionParams:
     """Per-site data (a0, w) of a strict projection.
@@ -146,10 +162,7 @@ class StrictProjectionParams:
     w: np.ndarray
 
     def __post_init__(self):
-        a0 = _strict_reals(self.a0, "a0")
-        w = _unimodular(self.w, "w")
-        if len(w) != len(a0):
-            raise DimensionMismatch("a0 and w must have the same number of sites")
+        a0, w = _projection_params(self.a0, self.w)
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "w", w)
 
@@ -183,9 +196,14 @@ class StrictUnitaryParams:
 
 
 def strict_projection_from_params(params: StrictProjectionParams) -> SiteBlockMatrix:
-    a0, w = params.a0, params.w
+    return SiteBlockMatrix(_projection_blocks(params.a0, params.w))
+
+
+def _projection_blocks(a0, w) -> np.ndarray:
+    """The (..., m, 2, 2) site blocks of strict projections with per-site
+    parameters a0 and w of shape (..., m)."""
     s0 = np.sqrt(1.0 - a0 * a0)
-    return SiteBlockMatrix(_two_by_two(a0 * a0, w * a0 * s0, np.conj(w) * a0 * s0, 1.0 - a0 * a0))
+    return _two_by_two(a0 * a0, w * a0 * s0, np.conj(w) * a0 * s0, 1.0 - a0 * a0)
 
 
 def strict_unitary_from_params(params: StrictUnitaryParams) -> SiteBlockMatrix:
@@ -297,10 +315,23 @@ def dilate_commuting_pair(a, b, tol: Tolerances = DEFAULT_TOL):
     return a1, b1
 
 
+def _site_pairs(x0, a0, w):
+    """The site blocks of both effects of the pair of per-site (x0, a0, w),
+    each (..., m, 2, 2) for parameters of shape (..., m)."""
+    proj = _projection_blocks(a0, w)
+    return _mixed_pair(x0[..., None, None], PIVOT_0, proj, np.eye(2, dtype=complex) - proj)
+
+
 def _site_pair_blocks(x0, params: StrictProjectionParams):
-    proj = strict_projection_from_params(params).blocks
-    pair = _mixed_pair(x0[:, None, None], PIVOT_0, proj, np.eye(2, dtype=complex) - proj)
-    return tuple(map(SiteBlockMatrix, pair))
+    return tuple(map(SiteBlockMatrix, _site_pairs(x0, params.a0, params.w)))
+
+
+def _built_params_pair(x0, a0, w, tol: Tolerances):
+    """The pair of checked per-site (x0, a0, w) of shape (..., m), once
+    _built_pair passes it, or each pair of the stack."""
+    sa, sb = _site_pairs(x0, a0, w)
+    return _built_pair(_embed(sa), _embed(sb), tol,
+                       PostconditionFailure("constructed pair is not strict at this tolerance"))
 
 
 def pair_from_params(x0, params: StrictProjectionParams, tol: Tolerances = DEFAULT_TOL):
@@ -308,9 +339,21 @@ def pair_from_params(x0, params: StrictProjectionParams, tol: Tolerances = DEFAU
     x0 = _strict_reals(x0, "x0")
     if len(x0) != params.m:
         raise DimensionMismatch("x0 has %d sites, projection has %d" % (len(x0), params.m))
-    sa, sb = _site_pair_blocks(x0, params)
-    return _built_pair(sa.embed(), sb.embed(), tol,
-                       PostconditionFailure("constructed pair is not strict at this tolerance"))
+    return _built_params_pair(x0, params.a0, params.w, tol)
+
+
+def _pairs_from_params(x0, a0, w, tol: Tolerances = DEFAULT_TOL):
+    """pair_from_params over rows: per-site x0, a0 and raw phases w of one
+    shape (..., m), every row checked as StrictProjectionParams and
+    pair_from_params check it, the pairs built and postchecked as one
+    stack.  Each check runs over all rows at once, so a failing stack
+    raises the error of the first check that some row fails."""
+    shape = np.shape(a0)
+    a0, w = (v.reshape(shape) for v in _projection_params(a0, w))
+    x0 = _strict_reals(x0, "x0").reshape(np.shape(x0))
+    if x0.shape != shape:
+        raise DimensionMismatch("x0 has %d sites, projection has %d" % (x0.shape[-1], shape[-1]))
+    return _built_params_pair(x0, a0, w, tol)
 
 
 def _conjugate_pair(u, site_pair):

@@ -11,6 +11,7 @@ compatible, 3 strictness violation, 4 structural failure.
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -231,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", help="matrix JSON file")
     p.add_argument("b", help="matrix JSON file")
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("decompose", parents=[tolp],
                        help="canonical form of a strict compatible pair")
@@ -239,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", help="matrix JSON file")
     p.add_argument("--blocks", metavar="PATH", help="also write the five-block decomposition")
     p.add_argument("--out", help="write the canonical form here instead of stdout")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("gen", parents=[tolp], help="write seeded random instances")
     p.add_argument("kind", choices=("pair", "commuting", "unitary", "projection"))
@@ -250,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--margin", type=float, default=0.1)
     p.add_argument("--out", metavar="PREFIX", help="output path prefix (default 'gen')")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("geometry", parents=[tolp],
                        help="Poincare-sphere report for a dimension-2 pair")
@@ -262,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=0, help="sphere sample point count")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_geometry)
 
     p = sub.add_parser("fuzz", parents=[tolp], help="run a property suite over seeded trials")
     p.add_argument("suite", help="a property of abscompat.properties.REGISTRY, such as compat")
@@ -270,19 +267,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fail-out", help="failure bundle path (default <suite>.fail.json)")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_fuzz)
 
     return parser
 
 
+# run parses with one parser per process; build_parser() makes a fresh one
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
+        # looked up per call, so the cached parser runs the module's
+        # cmd_<command> as it is now, a wrapped or patched one included
+        return globals()["cmd_" + args.command](args)
     except AbscompatError as exc:
         sys.stderr.write(json_text({"error": type(exc).__name__, "message": str(exc)}))
         return exit_code_for(exc)

@@ -312,7 +312,8 @@ def _reduced_blocks(a, b, bases, tol):
     only when that does not settle them are they taken exactly.
     """
     v = np.hstack(list(bases.values()))
-    owner = np.repeat(np.arange(len(bases)), [w.shape[1] for w in bases.values()])
+    widths = [w.shape[1] for w in bases.values()]
+    owner = np.repeat(np.arange(len(bases)), widths)
     on_block = owner[:, None] == owner[None, :]
     gram = dagger(v) @ v - identity_like(v)
     ms = [hermitize(dagger(v) @ x @ v) for x in (a, b)]
@@ -327,7 +328,9 @@ def _reduced_blocks(a, b, bases, tol):
     for label, bound in zip("ab", bounds):
         if bound > tol.block:
             raise PostconditionFailure("blocks do not reduce %s: off-block bound %.3e" % (label, bound))
-    return [{name: m[np.ix_(owner == k, owner == k)] for k, name in enumerate(bases)} for m in ms]
+    # owner repeats each block's label over its width: block k owns edges[k]:edges[k + 1]
+    edges = np.cumsum([0] + widths)
+    return [{name: m[s:e, s:e].copy() for name, s, e in zip(bases, edges[:-1], edges[1:])} for m in ms]
 
 
 def _verify_block_contents(blocks_a, blocks_b, tol):

@@ -4,19 +4,36 @@ Randomness comes from the Philox counter-based generator keyed by the
 seed; normals are produced by Box-Muller from its uniform stream, so
 every generator is a pure function of (parameters, seed).  Per-trial
 seeds are derived by XOR with multiples of the 64-bit golden ratio.
+
+The generators the property registry draws from run through private
+batch cores that take a size and the seeds of a batch of trials
+(random_strict_projection_params, random_strict_unitary_params,
+random_commuting_strict_pair and random_rank_one_projection draw one
+trial from one stream).  Each trial draws only its uniforms (and
+integers) from its own stream, in a fixed order; everything after them
+(Box-Muller, the Haar QR and its phase fix, the products with the
+unitary, the canonical pair and its postcondition) runs once on the
+stack, with the trial as the leading axis, and gives each trial the bits
+it gets alone.  The streams of a batch come from one Philox, re-keyed to
+each trial's seed (counter 0, empty buffers): the stream a fresh
+Philox(key=seed) gives, without the entropy-seeded construction that the
+key then overrides.  The Philox is local to the call.  A public generator
+is a batch of one through the same core: given one seed rather than a
+list, a core returns that trial's arrays with no leading axis.
 """
 
 import numpy as np
 
-from .canonical import StrictProjectionParams, StrictUnitaryParams, pair_from_params
+from .canonical import StrictProjectionParams, StrictUnitaryParams, _pairs_from_params
 from .config import DEFAULT_TOL, Tolerances
 from .errors import BadMargin, DegenerateSpec, DimensionMismatch, OddDimension
 from .geometry import BALL_CENTER, _bloch_matrices, _chart, _reference_focus
-from .hermitian import _vnorm, dagger, hermitize, op_norm
+from .hermitian import _ROUNDING, _fnorm, _vnorm, dagger, hermitize, op_norm
 
 SEED_STRIDE = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 _MAX_REJECT = 10000
+_ONE = np.eye(2, dtype=complex)
 
 
 def derive_seed(base, index) -> int:
@@ -24,44 +41,83 @@ def derive_seed(base, index) -> int:
     return (int(base) ^ ((int(index) * SEED_STRIDE) & _MASK64)) & _MASK64
 
 
+def _streams(seeds):
+    """For each seed in turn, a Generator with the stream of a fresh
+    Philox(key=seed): one Philox, its state set to the seed's key with
+    counter 0 and empty buffers.  Each one is spent before the next."""
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    for seed in seeds:
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, np.uint64),
+                      "key": np.array([int(seed) & _MASK64, 0], np.uint64)},
+            "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        yield gen
+
+
 def _generator(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+    return next(_streams([seed]))
 
 
-def gaussian(gen, count: int, batch=()) -> np.ndarray:
-    """Standard normals via Box-Muller pairs from the uniform stream.
+def _uniforms(seeds, draw) -> tuple:
+    """draw(gen), a tuple of arrays, from each trial's own stream: for a
+    list of seeds each place stacked over the trials, for one seed that
+    trial's tuple."""
+    if np.ndim(seeds) == 0:
+        return draw(_generator(seeds))
+    return tuple(np.array(column) for column in zip(*(draw(gen) for gen in _streams(seeds))))
 
-    With a batch shape, an array of shape batch + (count,) whose rows are,
-    bit for bit, what successive unbatched calls would draw: Philox hands
-    out its doubles in order, so one gen.random call of the whole batch
-    holds each row's two uniform halves back to back.
-    """
-    pairs = (count + 1) // 2
-    u = gen.random(tuple(batch) + (2, pairs))
-    u1, u2 = u[..., 0, :], u[..., 1, :]
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    th = 2.0 * np.pi * u2
-    out = np.empty(tuple(batch) + (2 * pairs,))
+
+def _redraw(seeds, redo, alone, outs) -> tuple:
+    """outs, with the places of each trial where redo holds replaced by
+    alone(gen), drawn again from the start of that trial's stream."""
+    if np.ndim(seeds) == 0:
+        return alone(_generator(seeds)) if redo else outs
+    rows = np.flatnonzero(redo)
+    for i, gen in zip(rows, _streams([seeds[i] for i in rows])):
+        for out, value in zip(outs, alone(gen)):
+            out[i] = value
+    return outs
+
+
+def _gaussians(u) -> np.ndarray:
+    """Standard normals by Box-Muller from uniforms of shape (..., 2,
+    pairs), radii from the first row and angles from the second: (..., 2
+    pairs).  Philox hands out its doubles in order, so a trial's uniforms
+    drawn at once are, bit for bit, those it would draw piece by piece."""
+    r = np.sqrt(-2.0 * np.log1p(-u[..., 0, :]))
+    th = 2.0 * np.pi * u[..., 1, :]
+    out = np.empty(u.shape[:-2] + (2 * u.shape[-1],))
     out[..., 0::2] = r * np.cos(th)
     out[..., 1::2] = r * np.sin(th)
-    return out[..., :count]
+    return out
 
 
-def gaussian_complex(gen, shape, batch=()) -> np.ndarray:
-    """Standard complex normals of the given shape, batched as gaussian."""
-    n = int(np.prod(shape))
-    z = gaussian(gen, 2 * n, batch)
-    return ((z[..., 0::2] + 1j * z[..., 1::2]) / np.sqrt(2.0)).reshape(tuple(batch) + tuple(shape))
+def _complex_gaussians(u, shape) -> np.ndarray:
+    """Standard complex normals of the given shape over the leading axes
+    of uniforms u of shape (..., 2 prod(shape))."""
+    lead = u.shape[:-1]
+    z = _gaussians(u.reshape(lead + (2, -1)))
+    return ((z[..., 0::2] + 1j * z[..., 1::2]) / np.sqrt(2.0)).reshape(lead + tuple(shape))
 
 
-def _haar(gen, n: int) -> np.ndarray:
-    z = gaussian_complex(gen, (n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r).copy()
+def _haar(u, n: int) -> np.ndarray:
+    """Haar unitaries over the leading axes of uniforms u of shape
+    (..., 2 n^2): QR of a complex Gaussian matrix, with the diagonal of R
+    phase-fixed."""
+    q, r = np.linalg.qr(_complex_gaussians(u, (n, n)))
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     mod = np.abs(d)
     d[mod == 0] = 1.0
     mod[mod == 0] = 1.0
-    return q * (d / mod)
+    return q * (d / mod)[..., None, :]
+
+
+def _spectral(u, vals) -> np.ndarray:
+    """hermitize(u diag(vals) u*) over leading axes."""
+    return hermitize((u * vals[..., None, :]) @ dagger(u))
 
 
 def haar_unitary(n: int, seed) -> np.ndarray:
@@ -69,7 +125,7 @@ def haar_unitary(n: int, seed) -> np.ndarray:
     diagonal of R phase-fixed."""
     if n < 1:
         raise DimensionMismatch("dimension must be positive")
-    return _haar(_generator(seed), n)
+    return _haar(*_uniforms(seed, lambda gen: (gen.random(2 * n * n),)), n)
 
 
 def _check_margin(margin) -> float:
@@ -79,15 +135,17 @@ def _check_margin(margin) -> float:
     return margin
 
 
+def _strict_effects(n: int, seeds, margin: float) -> np.ndarray:
+    (u,) = _uniforms(seeds, lambda gen: (gen.random(n + 2 * n * n),))
+    return _spectral(_haar(u[..., n:], n), margin + (1.0 - 2.0 * margin) * u[..., :n])
+
+
 def random_strict_effect(n: int, seed, margin=0.1) -> np.ndarray:
     """Effect with spectrum drawn uniformly from [margin, 1 - margin]."""
     margin = _check_margin(margin)
     if n < 1:
         raise DimensionMismatch("dimension must be positive")
-    gen = _generator(seed)
-    vals = margin + (1.0 - 2.0 * margin) * gen.random(n)
-    u = _haar(gen, n)
-    return hermitize((u * vals) @ dagger(u))
+    return _strict_effects(n, seed, margin)
 
 
 def random_commuting_strict_pair(n: int, seed, margin=0.05):
@@ -112,27 +170,42 @@ def random_commuting_strict_pair(n: int, seed, margin=0.05):
     return np.diag(alpha).astype(complex), np.diag(beta).astype(complex)
 
 
+def _check_even(n: int) -> None:
+    if n < 2 or n % 2:
+        raise OddDimension("need a positive even dimension, got %r" % n)
+
+
+def _pair_params(n: int, seeds, margin: float):
+    """Per-site x0 and a0, the raw phases w and the Haar unitary of
+    random_pair_params, over seeds."""
+    m = n // 2
+    (u,) = _uniforms(seeds, lambda gen: (gen.random(3 * m + 2 * n * n),))
+    x0, a0 = (margin + (1.0 - 2.0 * margin) * u[..., k * m:(k + 1) * m] for k in (0, 1))
+    return x0, a0, np.exp(2j * np.pi * u[..., 2 * m:3 * m]), _haar(u[..., 3 * m:], n)
+
+
 def random_pair_params(n: int, seed, margin=0.1):
     """Ground-truth data behind random_abscompat_pair: per-site x0, the
     strict projection parameters, and the conjugating unitary."""
-    if n < 2 or n % 2:
-        raise OddDimension("need a positive even dimension, got %r" % n)
+    _check_even(n)
     margin = _check_margin(margin)
-    gen = _generator(seed)
-    m = n // 2
-    x0 = margin + (1.0 - 2.0 * margin) * gen.random(m)
-    a0 = margin + (1.0 - 2.0 * margin) * gen.random(m)
-    w = np.exp(2j * np.pi * gen.random(m))
-    u = _haar(gen, n)
+    x0, a0, w, u = _pair_params(n, seed, margin)
     return x0, StrictProjectionParams(a0, w), u
+
+
+def _abscompat_pairs(n: int, seeds, margin: float):
+    """x0 and the pair (a, b) of random_abscompat_pair, over seeds: the
+    canonical pairs are built and postchecked as one stack."""
+    x0, a0, w, u = _pair_params(n, seeds, margin)
+    a, b = _pairs_from_params(x0, a0, w)
+    return x0, hermitize(u @ a @ dagger(u)), hermitize(u @ b @ dagger(u))
 
 
 def random_abscompat_pair(n: int, seed, margin=0.1):
     """Strict absolutely compatible pair in dimension n (even), built from
     random canonical parameters and a Haar conjugation."""
-    x0, params, u = random_pair_params(n, seed, margin)
-    a, b = pair_from_params(x0, params)
-    return hermitize(u @ a @ dagger(u)), hermitize(u @ b @ dagger(u))
+    _check_even(n)
+    return _abscompat_pairs(n, seed, _check_margin(margin))[1:]
 
 
 def random_strict_projection_params(m: int, seed, margin=0.1) -> StrictProjectionParams:
@@ -157,21 +230,39 @@ def random_strict_unitary_params(m: int, seed, margin=0.1) -> StrictUnitaryParam
     return StrictUnitaryParams(a0, w1, w2, w3)
 
 
+def _split_spectra(n: int, seeds):
+    """A rank k drawn from [1, n), n uniforms and a Haar unitary per
+    trial, with the mask of the first k places of the spectrum."""
+    k, u = _uniforms(seeds, lambda gen: (gen.integers(1, n), gen.random(n + 2 * n * n)))
+    return np.arange(n) < np.expand_dims(k, -1), u[..., :n], _haar(u[..., n:], n)
+
+
+def _commuting_projection_effects(n: int, seeds, margin: float):
+    first, vals, u = _split_spectra(n, seeds)
+    return _spectral(u, np.where(first, 1.0, 0.0)), _spectral(u, margin + (1.0 - 2.0 * margin) * vals)
+
+
 def random_commuting_projection_effect(n: int, seed, margin=0.1):
     """Projection and strict effect diagonal in one Haar basis, so the
     two commute up to rounding."""
     margin = _check_margin(margin)
     if n < 2:
         raise DimensionMismatch("need dimension at least 2")
-    gen = _generator(seed)
-    k = int(gen.integers(1, n))
-    pvals = np.zeros(n)
-    pvals[:k] = 1.0
-    avals = margin + (1.0 - 2.0 * margin) * gen.random(n)
-    u = _haar(gen, n)
-    p = hermitize((u * pvals) @ dagger(u))
-    a = hermitize((u * avals) @ dagger(u))
-    return p, a
+    return _commuting_projection_effects(n, seed, margin)
+
+
+def _projections(n: int, ranks, seeds) -> np.ndarray:
+    """random_projection over seeds, one rank each; the Haar unitaries
+    are one stack, and each range's product is made alone."""
+    q = _haar(*_uniforms(seeds, lambda gen: (gen.random(2 * n * n),)), n)
+    if np.ndim(seeds) == 0:
+        return _range_projection(q, ranks)
+    return np.array([_range_projection(x, rank) for x, rank in zip(q, ranks)])
+
+
+def _range_projection(q, rank: int) -> np.ndarray:
+    v = q[:, :rank]
+    return hermitize(v @ dagger(v))
 
 
 def random_projection(n: int, rank: int, seed) -> np.ndarray:
@@ -179,8 +270,16 @@ def random_projection(n: int, rank: int, seed) -> np.ndarray:
         raise DimensionMismatch("rank %r outside [0, %d]" % (rank, n))
     if n < 1:
         raise DimensionMismatch("dimension must be positive")
-    v = _haar(_generator(seed), n)[:, :rank]
-    return hermitize(v @ dagger(v))
+    return _projections(n, rank, seed)
+
+
+def _rank_ones(u):
+    """The rank-one projections, (..., 2, 2), onto the complex Gaussian
+    vectors of uniforms of shape (..., 4), and the norms of the vectors."""
+    v = _complex_gaussians(u, (2,))
+    nrm = _vnorm(v)
+    v = v / np.where(nrm > 0.0, nrm, 1.0)[..., None]
+    return hermitize(v[..., :, None] * np.conj(v)[..., None, :]), nrm
 
 
 def _rank_one_2x2s(gen, count: int) -> np.ndarray:
@@ -190,12 +289,10 @@ def _rank_one_2x2s(gen, count: int) -> np.ndarray:
     result is what count draws one by one give, bit for bit."""
     found = []
     while count:
-        v = gaussian_complex(gen, (2,), (count,))
-        nrm = _vnorm(v)
+        proj, nrm = _rank_ones(gen.random((count, 4)))
         keep = nrm > 1e-6
-        v = v[keep] / nrm[keep, None]
-        found.append(hermitize(v[:, :, None] * np.conj(v)[:, None, :]))
-        count -= len(v)
+        found.append(proj[keep])
+        count -= int(np.count_nonzero(keep))
     return np.concatenate(found)
 
 
@@ -203,20 +300,64 @@ def random_rank_one_projection(seed) -> np.ndarray:
     return _rank_one_2x2s(_generator(seed), 1)[0]
 
 
+def _separates(pivot, target, separation: float):
+    """Whether gap >= separation, gap the smaller of ||pivot - target||
+    and ||pivot - (1 - target)||, for one pair or each of a stack, as the
+    exact operator norms decide it.
+
+    A 2x2 matrix has ||x|| <= ||x||_F <= sqrt(2) ||x||, so a Frobenius
+    norm below separation (1 - delta) rejects and one from sqrt(2)
+    separation (1 + delta) up accepts, delta = 2 _ROUNDING covering the
+    rounding of both norms; only a pair the bounds leave open takes the
+    op_norm (svd) of its two differences, so equality still accepts.
+    """
+    diffs = np.stack((pivot - target, pivot - (_ONE - target)), axis=-3)
+    frob = _fnorm(diffs)
+    delta = 2.0 * _ROUNDING
+    accept = np.array(np.all(frob >= np.sqrt(2.0) * separation * (1.0 + delta), axis=-1))
+    undecided = ~(accept | np.any(frob < separation * (1.0 - delta), axis=-1))
+    if np.any(undecided):
+        accept[undecided] = np.min(op_norm(diffs[undecided]), axis=-1) >= separation
+    return accept
+
+
+def _pair_spec_alone(gen, margin: float, separation: float):
+    """random_pair_spec from one stream: index, pivot, then targets until
+    one is separated from the pivot and its complement."""
+    index = margin + (1.0 - 2.0 * margin) * float(gen.random())
+    pivot = _rank_one_2x2s(gen, 1)[0]
+    for _ in range(_MAX_REJECT):
+        target = _rank_one_2x2s(gen, 1)[0]
+        if _separates(pivot, target, separation):
+            return pivot, target, index
+    raise DegenerateSpec("could not separate the projections")
+
+
+def _pair_specs(seeds, margin: float, separation: float):
+    """random_pair_spec over seeds.  Each trial draws the uniforms of its
+    index, pivot and first target; the stack builds them, and a trial
+    whose two vectors are drawn (norm above 1e-6) and separated keeps
+    them.  Any other trial draws again alone (_pair_spec_alone)."""
+    (u,) = _uniforms(seeds, lambda gen: (gen.random(9),))
+    index = margin + (1.0 - 2.0 * margin) * u[..., 0]
+    proj, nrm = _rank_ones(u[..., 1:].reshape(u.shape[:-1] + (2, 4)))
+    pivot, target = proj[..., 0, :, :].copy(), proj[..., 1, :, :].copy()
+    redo = ~(np.all(nrm > 1e-6, axis=-1) & _separates(pivot, target, separation))
+    return _redraw(seeds, redo, lambda gen: _pair_spec_alone(gen, margin, separation),
+                   (pivot, target, index))
+
+
 def random_pair_spec(seed, margin=0.05, separation=0.05):
     """Rank-one (pivot, target) with honest separation plus an index in
     [margin, 1 - margin]."""
-    margin = _check_margin(margin)
-    gen = _generator(seed)
-    index = margin + (1.0 - 2.0 * margin) * float(gen.random())
-    pivot = _rank_one_2x2s(gen, 1)[0]
-    one = np.eye(2, dtype=complex)
-    for _ in range(_MAX_REJECT):
-        target = _rank_one_2x2s(gen, 1)[0]
-        gap = float(np.min(op_norm(np.array((pivot - target, pivot - (one - target))))))
-        if gap >= separation:
-            return pivot, target, index
-    raise DegenerateSpec("could not separate the projections")
+    pivot, target, index = _pair_specs(seed, _check_margin(margin), separation)
+    return pivot, target, float(index)
+
+
+def _orthogonal_pairs(n: int, seeds, margin: float):
+    first, vals, u = _split_spectra(n, seeds)
+    vals = margin + (1.0 - margin) * vals
+    return _spectral(u, np.where(first, vals, 0.0)), _spectral(u, np.where(first, 0.0, vals))
 
 
 def random_orthogonal_pair(n: int, seed, margin=0.1):
@@ -225,16 +366,24 @@ def random_orthogonal_pair(n: int, seed, margin=0.1):
     margin = _check_margin(margin)
     if n < 2:
         raise DimensionMismatch("need dimension at least 2")
-    gen = _generator(seed)
-    k = int(gen.integers(1, n))
-    va = np.zeros(n)
-    vb = np.zeros(n)
-    va[:k] = margin + (1.0 - margin) * gen.random(k)
-    vb[k:] = margin + (1.0 - margin) * gen.random(n - k)
-    u = _haar(gen, n)
-    a = hermitize((u * va) @ dagger(u))
-    b = hermitize((u * vb) @ dagger(u))
-    return a, b
+    return _orthogonal_pairs(n, seed, margin)
+
+
+def _spheroid_partners(a, count: int, seeds, tol: Tolerances) -> np.ndarray:
+    """random_spheroid_partners of each effect of a (..., 2, 2) stack, one
+    seed each, as a (..., count, 2, 2) stack: the rank-one projections are
+    drawn per trial and everything else runs once."""
+    _, focus = _reference_focus(a, tol)
+    (u,) = _uniforms(seeds, lambda gen: (gen.random((count, 4)),))
+    proj, nrm = _rank_ones(u)
+    (proj,) = _redraw(seeds, ~np.all(nrm > 1e-6, axis=-1), lambda gen: (_rank_one_2x2s(gen, count),),
+                      (proj,))
+    q = _chart(proj)
+    d = focus[..., None, :] - q
+    t1 = (-2.0 * np.vecdot(q - BALL_CENTER, d) / np.vecdot(d, d))[..., None]
+    p = q + t1 * d
+    index = (t1 - 1.0) / t1
+    return _bloch_matrices((1.0 - index) * p + index * (2.0 * BALL_CENTER - q), tol)
 
 
 def random_spheroid_partners(a, count: int, seed, tol: Tolerances = DEFAULT_TOL):
@@ -244,10 +393,4 @@ def random_spheroid_partners(a, count: int, seed, tol: Tolerances = DEFAULT_TOL)
     complementary mix.  All count partners are built as one stack."""
     if count < 1:
         raise DimensionMismatch("count must be positive")
-    _, focus = _reference_focus(a, tol)
-    q = _chart(_rank_one_2x2s(_generator(seed), count))
-    d = focus - q
-    t1 = (-2.0 * np.vecdot(q - BALL_CENTER, d) / np.vecdot(d, d))[:, None]
-    p = q + t1 * d
-    index = (t1 - 1.0) / t1
-    return list(_bloch_matrices((1.0 - index) * p + index * (2.0 * BALL_CENTER - q), tol))
+    return list(_spheroid_partners(a, count, seed, tol))

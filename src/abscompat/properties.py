@@ -6,16 +6,19 @@ the raw inputs of one trial per seed by name, each stacked with the trial
 as its leading axis; a trial's generators take its own seed, so it draws
 the same bits in any batch.  ``check(stacks, tol)`` returns ``{residual
 name: (per-trial values, bound)}``, each value recomputed from what the
-library returns.  The suites whose library calls take stacks (compat,
-m2, geometry, equivalences) pass them the whole batch; the others keep a
-one-trial draw and check, which ``_per_trial`` maps over the batch with
-lists in place of stacks.  A bound of 0.0 marks an exact property; a
-boolean residual is 0.0 when it holds.  ``run`` is the one trial loop,
-which ``abscompat fuzz`` and the acceptance gate both use.  It checks the
-trials of each size as one batch and runs a batch that raises again one
-trial at a time, so its ``Outcome`` is the one a loop over single trials
-gives.  Draws build their instances at the default tolerances.  ``import
-abscompat`` does not load this module.
+library returns.  The draws of compat, canonical, m2, geometry and
+equivalences call the generators' batch cores, which build the whole
+batch as one stack.  The suites whose library calls take stacks (compat,
+m2, geometry, equivalences) check the whole batch at once; canonical
+checks it one trial at a time (``_check_each``); fiveblock, params and
+dilation keep a one-trial draw and check, which ``_per_trial`` maps over
+the batch with lists in place of stacks.  A bound of 0.0 marks an exact
+property; a boolean residual is 0.0 when it holds.  ``run`` is the one
+trial loop, which ``abscompat fuzz`` and the acceptance gate both use.
+It checks the trials of each size as one batch and runs a batch that
+raises again one trial at a time, so its ``Outcome`` is the one a loop
+over single trials gives.  Draws build their instances at the default
+tolerances.  ``import abscompat`` does not load this module.
 """
 
 from dataclasses import dataclass, field
@@ -26,17 +29,16 @@ import numpy as np
 
 from .canonical import (
     canonicalize, conjugate_to_pivot, dilate_commuting_pair, exchanged_pivot_form,
-    is_strict_projection, is_strict_unitary, pair_from_params, strict_projection_from_params,
+    is_strict_projection, is_strict_unitary, strict_projection_from_params,
     strict_unitary_from_params,
 )
 from .compat import five_block_decompose, is_abs_compatible, projection_compat_equiv
 from .config import DEFAULT_TOL, Tolerances
 from .errors import AbscompatError
 from .generate import (
-    derive_seed, haar_unitary, random_abscompat_pair, random_commuting_projection_effect,
-    random_commuting_strict_pair, random_orthogonal_pair, random_pair_params, random_pair_spec,
-    random_projection, random_spheroid_partners, random_strict_effect,
-    random_strict_projection_params, random_strict_unitary_params,
+    _abscompat_pairs, _commuting_projection_effects, _orthogonal_pairs, _pair_specs, _projections,
+    _spheroid_partners, _strict_effects, derive_seed, haar_unitary, random_abscompat_pair,
+    random_commuting_strict_pair, random_strict_projection_params, random_strict_unitary_params,
 )
 from .geometry import (
     ball_to_sphere, bloch_point, decompose_pair_m2, geometry_report, pair_from_projections,
@@ -60,20 +62,15 @@ def _larger(x, y):
     return np.where(y > x, y, x)
 
 
-def _columns(trials) -> list:
-    """One stack over the trials per place of their tuples."""
-    return [np.array(column) for column in zip(*trials)]
-
-
-def _stacked(names, trials) -> dict:
-    """{name: stack over the trials} from one tuple of inputs per trial."""
-    return dict(zip(names, _columns(trials)))
+def _derived(seeds, index) -> list:
+    """Each trial's seed for its index-th generator."""
+    return [derive_seed(s, index) for s in seeds]
 
 
 def _draw_compat(seeds, n):
-    return _stacked(("a", "b", "oa", "ob"), (
-        random_abscompat_pair(n, derive_seed(s, 1), 0.1) + random_orthogonal_pair(n, derive_seed(s, 2), 0.1)
-        for s in seeds))
+    _, a, b = _abscompat_pairs(n, _derived(seeds, 1), 0.1)
+    oa, ob = _orthogonal_pairs(n, _derived(seeds, 2), 0.1)
+    return {"a": a, "b": b, "oa": oa, "ob": ob}
 
 
 def _check_compat(x, tol):
@@ -93,10 +90,9 @@ def _check_compat(x, tol):
     }
 
 
-def _draw_canonical(seed, n):
-    x0, params, u = random_pair_params(n, derive_seed(seed, 1), 0.1)
-    base_a, base_b = pair_from_params(x0, params)
-    return {"x0": x0, "a": hermitize(u @ base_a @ dagger(u)), "b": hermitize(u @ base_b @ dagger(u))}
+def _draw_canonical(seeds, n):
+    x0, a, b = _abscompat_pairs(n, _derived(seeds, 1), 0.1)
+    return {"x0": x0, "a": a, "b": b}
 
 
 def _check_canonical(x, tol):
@@ -115,7 +111,7 @@ def _check_canonical(x, tol):
 
 
 def _draw_m2(seeds, n):
-    pivot, target, index = _columns(random_pair_spec(derive_seed(s, 1)) for s in seeds)
+    pivot, target, index = _pair_specs(_derived(seeds, 1), 0.05, 0.05)
     a, b = pair_from_projections(pivot, target, index)
     return {"pivot": pivot, "target": target, "index": index, "a": a, "b": b}
 
@@ -138,8 +134,7 @@ def _check_m2(x, tol):
 def _draw_geometry(seeds, n):
     """An M2 draw plus eight absolutely compatible partners of its a."""
     x = _draw_m2(seeds, n)
-    x["partners"] = np.array([random_spheroid_partners(a, 8, derive_seed(s, 2))
-                              for a, s in zip(x["a"], seeds)])
+    x["partners"] = _spheroid_partners(x["a"], 8, _derived(seeds, 2), DEFAULT_TOL)
     return x
 
 
@@ -161,14 +156,10 @@ def _check_geometry(x, tol):
 
 
 def _draw_equivalences(seeds, n):
-    def trial(s):
-        oa, ob = random_orthogonal_pair(n, derive_seed(s, 1), 0.1)
-        p, e = random_commuting_projection_effect(n, derive_seed(s, 2), 0.1)
-        p2 = random_projection(n, 1 + s % (n - 1), derive_seed(s, 3))
-        e2 = random_strict_effect(n, derive_seed(s, 4), 0.1)
-        return oa, ob, p, e, p2, e2
-
-    return _stacked(("oa", "ob", "p", "e", "p2", "e2"), map(trial, seeds))
+    oa, ob = _orthogonal_pairs(n, _derived(seeds, 1), 0.1)
+    p, e = _commuting_projection_effects(n, _derived(seeds, 2), 0.1)
+    p2 = _projections(n, [1 + s % (n - 1) for s in seeds], _derived(seeds, 3))
+    return {"oa": oa, "ob": ob, "p": p, "e": e, "p2": p2, "e2": _strict_effects(n, _derived(seeds, 4), 0.1)}
 
 
 def _check_equivalences(x, tol):
@@ -266,25 +257,30 @@ def _check_dilation(x, tol):
     return {"jordan_block": (op_norm(jordan_product(a1, b1) - want), 1e-10)}
 
 
-def _per_trial(draw, check, sizes) -> Property:
-    """A Property from a one-trial draw(seed, size) and check(inputs, tol),
-    for a suite whose library calls take one trial: each input of the batch
-    is the list of its trials' values, and each residual the list of their
+def _check_each(check):
+    """A batch check from a one-trial check(inputs, tol), for a suite whose
+    library calls take one trial: each residual is the list of the trials'
     values."""
-    def draw_batch(seeds, size):
-        trials = [draw(s, size) for s in seeds]
-        return {name: [x[name] for x in trials] for name in trials[0]}
-
     def check_batch(stacks, tol):
         results = [check(dict(zip(stacks, inputs)), tol) for inputs in zip(*stacks.values())]
         return {name: ([r[name][0] for r in results], bound) for name, (_, bound) in results[0].items()}
 
-    return Property(draw_batch, check_batch, sizes)
+    return check_batch
+
+
+def _per_trial(draw, check, sizes) -> Property:
+    """A Property from a one-trial draw(seed, size) and check(inputs, tol):
+    each input of the batch is the list of its trials' values."""
+    def draw_batch(seeds, size):
+        trials = [draw(s, size) for s in seeds]
+        return {name: [x[name] for x in trials] for name in trials[0]}
+
+    return Property(draw_batch, _check_each(check), sizes)
 
 
 REGISTRY = {
     "compat": Property(_draw_compat, _check_compat, (2, 4, 8)),
-    "canonical": _per_trial(_draw_canonical, _check_canonical, (2, 4, 8)),
+    "canonical": Property(_draw_canonical, _check_each(_check_canonical), (2, 4, 8)),
     "m2": Property(_draw_m2, _check_m2, (2,)),
     "geometry": Property(_draw_geometry, _check_geometry, (2,)),
     "equivalences": Property(_draw_equivalences, _check_equivalences, (2, 4, 8)),

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import abscompat
+from abscompat import cli
 from abscompat.canonical import is_strict_projection
 from abscompat.cli import run
 from abscompat.compat import is_abs_compatible
@@ -260,6 +261,21 @@ def test_fuzz_failure_bundle(tmp_path):
     b = matrix_from_json(blob["matrices"]["b"])
     rep = is_abs_compatible(a, b, DEFAULT_TOL.override(compat=1e-17))
     assert not rep.compatible
+
+
+def test_an_override_does_not_outlive_its_call(tmp_path, monkeypatch):
+    """run parses with one parser per process, so a --tol-compat of one
+    fuzz call must not reach the next call, which sees the default, and a
+    command patched after the parser was built still runs."""
+    out, bundle = tmp_path / "r.json", tmp_path / "f.json"
+    argv = ["fuzz", "compat", "--trials", "3", "--seed", "9", "--out", str(out), "--fail-out", str(bundle)]
+    assert run(argv + ["--tol-compat", "1e-17"]) == 4
+    assert json.loads(out.read_text())["failed"] == 3
+    assert run(argv) == 0
+    assert json.loads(out.read_text())["failed"] == 0
+    assert cli._parser() is cli._parser() and cli.build_parser() is not cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
+    assert run(["check", "a.json", "b.json"]) == 7
 
 
 @pytest.mark.parametrize("argv, a, b, error", [

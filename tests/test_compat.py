@@ -4,6 +4,7 @@ import pytest
 from abscompat import DEFAULT_TOL
 from abscompat.compat import (
     BLOCK_NAMES,
+    _reduced_blocks,
     five_block_decompose,
     is_abs_compatible,
     is_orthogonal,
@@ -156,6 +157,31 @@ def test_five_block_assembled():
             assert op_norm(p @ p - p) <= DEFAULT_TOL.proj
             assert op_norm(p @ a - a @ p) <= DEFAULT_TOL.block
             assert op_norm(p @ b - b @ p) <= DEFAULT_TOL.block
+
+
+@pytest.mark.parametrize("slots", [(1, 1, 1, 1), (0, 2, 0, 1), (0, 0, 0, 0)])
+def test_reduced_blocks_are_the_index_grid_compressions(slots):
+    """Each block owns a contiguous range of the bases side by side, so its
+    slice of V*xV is, bit for bit, the grid the block's mask picks out,
+    empty blocks included."""
+    a, b = random_abscompat_pair(4, derive_seed(73, sum(slots)))
+    dim = 4 + sum(slots)
+    big_a, big_b = np.zeros((dim, dim), dtype=complex), np.zeros((dim, dim), dtype=complex)
+    big_a[:4, :4], big_b[:4, :4] = a, b
+    diag = np.arange(4, dim)
+    big_a[diag, diag], big_b[diag, diag] = np.repeat([(1.0, 0.5), (0.5, 1.0), (0.0, 0.5), (0.5, 0.0)],
+                                                     slots, axis=0).T
+    u = haar_unitary(dim, derive_seed(74, dim))
+    big_a, big_b = hermitize(u @ big_a @ dagger(u)), hermitize(u @ big_b @ dagger(u))
+    bases = five_block_decompose(big_a, big_b).bases
+    v = np.hstack(list(bases.values()))
+    owner = np.repeat(np.arange(len(bases)), [w.shape[1] for w in bases.values()])
+    for got, x in zip(_reduced_blocks(big_a, big_b, bases, DEFAULT_TOL), (big_a, big_b)):
+        m = hermitize(dagger(v) @ x @ v)
+        for k, name in enumerate(bases):
+            want = m[np.ix_(owner == k, owner == k)]
+            assert got[name].shape == want.shape and got[name].tobytes() == want.tobytes(), name
+    assert [w.shape[1] for w in bases.values()] == [slots[0], slots[1], 4, slots[2], slots[3]]
 
 
 def test_five_block_rejects_incompatible():

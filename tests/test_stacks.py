@@ -1,13 +1,15 @@
-"""The spectral core, the stack-native entry points and the batched
-properties: each element of a stack gets the bits it gets alone, and a
-failing stack raises what its first failing element raises on its own."""
+"""The spectral core, the stack-native entry points, the batched
+properties and the stacked draws: each element of a stack gets the bits
+it gets alone, and a failing stack raises what its first failing element
+raises on its own."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from abscompat import DEFAULT_TOL, AbscompatError
+from abscompat import DEFAULT_TOL, AbscompatError, generate
+from abscompat.canonical import PIVOT_0
 from abscompat.compat import (
     _canonical_order,
     _pair_spectra,
@@ -23,11 +25,14 @@ from abscompat.errors import (
     TraceNotOne,
 )
 from abscompat.generate import (
-    _generator,
     _rank_one_2x2s,
+    _separates,
+    _streams,
     derive_seed,
     random_abscompat_pair,
     random_commuting_projection_effect,
+    random_orthogonal_pair,
+    random_pair_params,
     random_pair_spec,
     random_projection,
     random_spheroid_partners,
@@ -46,7 +51,7 @@ from abscompat.geometry import (
     sphere_to_ball,
     spheroid_residual,
 )
-from abscompat.hermitian import _effect, _effects, _hnorm, dagger, hermitize, op_norm
+from abscompat.hermitian import _ROUNDING, _effect, _effects, _fnorm, _hnorm, dagger, hermitize, op_norm
 from abscompat.properties import REGISTRY, Outcome, run
 
 SIZES = (2, 4, 8, 64)
@@ -166,10 +171,16 @@ def _reference_rank_one(gen):
             return hermitize(np.outer(v, np.conj(v)))
 
 
-def _reference_partners(a, count, seed):
+def _fresh(seed):
+    """A trial's generator as a new Philox keyed by its seed, the reference
+    for the re-keyed streams."""
+    return np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
+
+
+def _reference_partners(a, count, seed, gen=None):
     """random_spheroid_partners as a per-partner loop."""
     _, focus = _reference_focus(a, DEFAULT_TOL)
-    gen = _generator(seed)
+    gen = gen or _fresh(seed)
     partners = []
     for _ in range(count):
         p = _reference_rank_one(gen)
@@ -533,3 +544,282 @@ def test_a_trial_draws_the_same_bits_in_any_batch(name):
     for j, s in enumerate(seeds):
         alone = prop.draw([s], prop.sizes[-1])
         assert _bits({k: x[j] for k, x in batch.items()}) == _bits({k: x[0] for k, x in alone.items()})
+
+
+# --- stacked draws: each trial draws what the per-trial generators drew ---
+
+
+def _ref_gaussians(gen, count):
+    """Box-Muller normals as the one-trial generators drew them."""
+    pairs = (count + 1) // 2
+    u = gen.random((2, pairs))
+    r = np.sqrt(-2.0 * np.log1p(-u[0]))
+    th = 2.0 * np.pi * u[1]
+    out = np.empty(2 * pairs)
+    out[0::2], out[1::2] = r * np.cos(th), r * np.sin(th)
+    return out[:count]
+
+
+def _ref_haar(gen, n):
+    z = _ref_gaussians(gen, 2 * n * n)
+    q, r = np.linalg.qr(((z[0::2] + 1j * z[1::2]) / np.sqrt(2.0)).reshape(n, n))
+    d = np.diagonal(r).copy()
+    mod = np.abs(d)
+    d[mod == 0] = 1.0
+    mod[mod == 0] = 1.0
+    return q * (d / mod)
+
+
+def _ref_spectral(u, vals):
+    return hermitize((u * vals) @ dagger(u))
+
+
+def _ref_canonical_pair(n, seed, margin=0.1):
+    """x0 and the pair random_abscompat_pair drew in one trial: per-site
+    parameters, the site blocks ((1-x0) P0 + x0 P, (1-x0) P0 + x0 (1-P)),
+    and the Haar conjugation."""
+    gen = _fresh(seed)
+    m = n // 2
+    x0 = margin + (1.0 - 2.0 * margin) * gen.random(m)
+    a0 = margin + (1.0 - 2.0 * margin) * gen.random(m)
+    w = np.exp(2j * np.pi * gen.random(m))
+    u = _ref_haar(gen, n)
+    w = w / np.abs(w)
+    s0 = np.sqrt(1.0 - a0 * a0)
+    proj = np.empty((m, 2, 2), dtype=complex)
+    proj[:, 0, 0], proj[:, 0, 1] = a0 * a0, w * a0 * s0
+    proj[:, 1, 0], proj[:, 1, 1] = np.conj(w) * a0 * s0, 1.0 - a0 * a0
+    lam = x0[:, None, None]
+    pair = []
+    for site in ((1.0 - lam) * PIVOT_0 + lam * proj, (1.0 - lam) * PIVOT_0 + lam * (np.eye(2) - proj)):
+        full = np.zeros((n, n), dtype=complex)
+        for k in range(m):
+            full[2 * k:2 * k + 2, 2 * k:2 * k + 2] = site[k]
+        pair.append(hermitize(u @ full @ dagger(u)))
+    return (x0, *pair)
+
+
+def _ref_orthogonal_pair(n, seed, margin=0.1):
+    gen = _fresh(seed)
+    k = int(gen.integers(1, n))
+    va, vb = np.zeros(n), np.zeros(n)
+    va[:k] = margin + (1.0 - margin) * gen.random(k)
+    vb[k:] = margin + (1.0 - margin) * gen.random(n - k)
+    u = _ref_haar(gen, n)
+    return _ref_spectral(u, va), _ref_spectral(u, vb)
+
+
+def _ref_commuting_projection_effect(n, seed, margin=0.1):
+    gen = _fresh(seed)
+    k = int(gen.integers(1, n))
+    pvals = np.zeros(n)
+    pvals[:k] = 1.0
+    avals = margin + (1.0 - 2.0 * margin) * gen.random(n)
+    u = _ref_haar(gen, n)
+    return _ref_spectral(u, pvals), _ref_spectral(u, avals)
+
+
+def _ref_projection(n, rank, seed):
+    v = _ref_haar(_fresh(seed), n)[:, :rank]
+    return hermitize(v @ dagger(v))
+
+
+def _ref_strict_effect(n, seed, margin=0.1):
+    gen = _fresh(seed)
+    vals = margin + (1.0 - 2.0 * margin) * gen.random(n)
+    return _ref_spectral(_ref_haar(gen, n), vals)
+
+
+def _ref_pair_spec(seed, margin=0.05, separation=0.05, gen=None):
+    """random_pair_spec as one loop: index, pivot, then targets until the
+    svd op_norm gap to the pivot and its complement reaches separation."""
+    gen = gen or _fresh(seed)
+    index = margin + (1.0 - 2.0 * margin) * float(gen.random())
+    pivot = _reference_rank_one(gen)
+    while True:
+        target = _reference_rank_one(gen)
+        gap = float(np.min(op_norm(np.array((pivot - target, pivot - (np.eye(2) - target))))))
+        if gap >= separation:
+            return pivot, target, index
+
+
+def _public_canonical_pair(n, seed):
+    return (random_pair_params(n, seed, 0.1)[0], *random_abscompat_pair(n, seed, 0.1))
+
+
+REFERENCE = {"pair": _ref_canonical_pair, "orthogonal": _ref_orthogonal_pair,
+             "commuting": _ref_commuting_projection_effect, "projection": _ref_projection,
+             "effect": _ref_strict_effect, "spec": _ref_pair_spec, "partners": _reference_partners}
+PUBLIC = {"pair": _public_canonical_pair, "orthogonal": random_orthogonal_pair,
+          "commuting": random_commuting_projection_effect, "projection": random_projection,
+          "effect": random_strict_effect, "spec": random_pair_spec, "partners": random_spheroid_partners}
+
+
+def _trial_draw(gens, name, seed, n):
+    """One trial's inputs of a campaign entry, drawn by gens one trial at a
+    time: the per-trial draw code of the registry before stacked draws."""
+    def s(i):
+        return derive_seed(seed, i)
+
+    if name in ("compat", "canonical"):
+        x0, a, b = gens["pair"](n, s(1))
+        if name == "canonical":
+            return {"x0": x0, "a": a, "b": b}
+        oa, ob = gens["orthogonal"](n, s(2))
+        return {"a": a, "b": b, "oa": oa, "ob": ob}
+    if name in ("m2", "geometry"):
+        pivot, target, index = gens["spec"](s(1))
+        a, b = pair_from_projections(pivot, target, index)
+        x = {"pivot": pivot, "target": target, "index": index, "a": a, "b": b}
+        if name == "geometry":
+            x["partners"] = np.array(gens["partners"](a, 8, s(2)))
+        return x
+    oa, ob = gens["orthogonal"](n, s(1))
+    p, e = gens["commuting"](n, s(2))
+    return {"oa": oa, "ob": ob, "p": p, "e": e,
+            "p2": gens["projection"](n, 1 + seed % (n - 1), s(3)), "e2": gens["effect"](n, s(4))}
+
+
+DRAWN = ("compat", "canonical", "m2", "geometry", "equivalences")
+DRAW_CASES = [(name, n) for name in DRAWN for n in REGISTRY[name].sizes + ((16,) if name == "compat" else ())]
+
+
+@pytest.mark.parametrize("name, n", DRAW_CASES)
+def test_stacked_draws_equal_the_per_trial_generators(name, n):
+    """Every trial of a stacked campaign draw has the bits of the one-trial
+    draw code, with a fresh Philox per trial, and of the public generators,
+    each a batch of one.  In the m2 and geometry batches three trials
+    reject their first target and draw again alone."""
+    seeds = [derive_seed(38, i) for i in range(200 if n == 2 else 40)]
+    batch = REGISTRY[name].draw(seeds, n)
+    for j, s in enumerate(seeds):
+        got = {k: _bits(x[j]) for k, x in batch.items()}
+        assert got == {k: _bits(x) for k, x in _trial_draw(REFERENCE, name, s, n).items()}, j
+        assert got == {k: _bits(x) for k, x in _trial_draw(PUBLIC, name, s, n).items()}, j
+
+
+def test_a_rekeyed_philox_gives_the_stream_of_a_fresh_one():
+    """One Philox re-keyed per seed hands out what a new Philox(key=seed)
+    does, though each stream stops inside a Philox block (15 uint64s)
+    with half a uint64 of integers left in its buffer."""
+    seeds = [0, 1, 2**64 - 1, derive_seed(7, 3), 2**70 + 5]
+    draws = (lambda g: g.random(3), lambda g: g.integers(1, 2**31), lambda g: g.random((2, 5)),
+             lambda g: g.integers(1, 7, size=2))
+    for gen, s in zip(_streams(seeds), seeds):
+        fresh = _fresh(s)
+        for draw in draws:
+            assert np.array_equal(draw(gen), draw(fresh)), s
+
+
+_DELTA = 2.0 * _ROUNDING
+
+
+def _open_candidates(seeds, separation=0.05):
+    """How many candidate targets of random_pair_spec over seeds have a
+    Frobenius norm in the band [separation (1 - delta), sqrt(2) separation
+    (1 + delta)) where the bounds leave the decision to the svd."""
+    count = 0
+    for seed in seeds:
+        gen = _fresh(seed)
+        gen.random()
+        pivot = _reference_rank_one(gen)
+        while True:
+            target = _reference_rank_one(gen)
+            diffs = np.array((pivot - target, pivot - (np.eye(2) - target)))
+            frob = _fnorm(diffs)
+            if np.all(frob >= np.sqrt(2.0) * separation * (1.0 + _DELTA)):
+                break
+            if np.any(frob < separation * (1.0 - _DELTA)):
+                continue
+            count += 1
+            if np.min(op_norm(diffs)) >= separation:
+                break
+    return count
+
+
+def _count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_draws_stay_stacked(monkeypatch):
+    """A 30-trial campaign draw makes at most one QR per generator, and the
+    m2 and geometry draws make an svd only for a candidate target whose
+    Frobenius norms fall in the band.  Counts, unlike timings, hold on any
+    host."""
+    seeds = [derive_seed(32, i) for i in range(30)]
+    open_specs = _open_candidates([derive_seed(s, 1) for s in seeds])
+    calls = _count_calls(monkeypatch, ("qr", "svd"))
+    generators = {"compat": 2, "canonical": 1, "m2": 0, "geometry": 0, "equivalences": 4}
+    for name, count in generators.items():
+        for n in REGISTRY[name].sizes:
+            calls.update(qr=0, svd=0)
+            REGISTRY[name].draw(seeds, n)
+            assert calls["qr"] <= count, (name, n)
+            if name in ("m2", "geometry"):
+                assert calls["svd"] <= open_specs, (name, n)
+
+
+SCALES = (0.5, 0.7, 2**-0.5, 0.75, 0.99, 1.0, 1.01, 1.4, 2**0.5, 1.5, 3.0)
+
+
+def test_spec_separation_decisions_equal_the_exact_norm(monkeypatch):
+    """random_pair_spec keeps a target exactly when the svd op_norm of
+    pivot - target and of pivot - (1 - target) both reach the separation,
+    equality included, though the Frobenius bounds settle most candidates.
+    For rank-one P and Q at angle theta, ||P - Q|| = sin(theta) and
+    ||P - Q||_F = sqrt(2) sin(theta), so the scales from 1/sqrt(2) to 1
+    take the svd and the others do not."""
+    separation = 0.05
+    pivot = np.diag([1.0, 0.0]).astype(complex)
+    calls = _count_calls(monkeypatch, ("svd",))
+    targets = []
+    for scale in SCALES:
+        theta = np.arcsin(scale * separation)
+        v = np.array([np.cos(theta), np.sin(theta) * np.exp(0.3j)])
+        near = hermitize(np.outer(v, np.conj(v)))
+        for target in (near, np.eye(2) - near):  # near the pivot, near its complement
+            targets.append(target)
+            calls["svd"] = 0
+            assert bool(_separates(pivot, target, separation)) == (scale >= 1.0)
+            assert (calls["svd"] > 0) == (2**-0.5 <= scale <= 1.0), scale
+            gap = float(np.min(op_norm(np.array((pivot - target, pivot - (np.eye(2) - target))))))
+            for s in (gap, np.nextafter(gap, 0.0), np.nextafter(gap, 1.0)):
+                assert bool(_separates(pivot, target, s)) == (gap >= s), (scale, s)
+    stacked = _separates(np.array([pivot] * len(targets)), np.array(targets), separation)
+    assert stacked.tolist() == [bool(_separates(pivot, t, separation)) for t in targets]
+
+
+def _spoiled_stream(seed, spoils):
+    """A fixed stream of uniforms for seed, with the places spoils names
+    set to 1e-15: a radius uniform that small gives a vector of norm about
+    4e-8, which the draws skip."""
+    values = np.random.default_rng(seed).random(400)
+    values[list(spoils.get(seed, ()))] = 1e-15
+    return values
+
+
+def test_a_trial_with_a_skipped_vector_draws_again_alone(monkeypatch):
+    """A trial whose pivot, first target or a partner vector is skipped
+    draws again from the start of its own stream, as the one-trial loop
+    did, and the other trials of the batch keep their stacked draws."""
+    seeds = [derive_seed(33, i) for i in range(4)]
+    spec, partners = [derive_seed(s, 1) for s in seeds], [derive_seed(s, 2) for s in seeds]
+    # uniforms: index 0, pivot 1-4 (radii 1-2), first target 5-8 (radii 5-6); partner k at 4k
+    spoils = {spec[1]: (1, 2), spec[2]: (5, 6), partners[3]: (12, 13)}
+    monkeypatch.setattr(generate, "_streams",
+                        lambda seeds: (_Stream(_spoiled_stream(s, spoils)) for s in seeds))
+    batch = REGISTRY["geometry"].draw(seeds, 2)
+    for j in range(len(seeds)):
+        spec_gen = _Stream(_spoiled_stream(spec[j], spoils))
+        pivot, target, index = _ref_pair_spec(None, gen=spec_gen)
+        partner_gen = _Stream(_spoiled_stream(partners[j], spoils))
+        want = _reference_partners(batch["a"][j], 8, None, gen=partner_gen)
+        assert _bits((batch["pivot"][j], batch["target"][j], batch["index"][j], batch["partners"][j])) \
+            == _bits((pivot, target, np.float64(index), np.array(want))), j
+        assert (spec_gen.pos > 9) == (j in (1, 2)) and (partner_gen.pos > 32) == (j == 3)
