@@ -38,17 +38,12 @@ from .errors import (
 )
 from .hermitian import (
     absolute_value,
-    commutator_norm,
     dagger,
-    eig_hermitian,
     hermitize,
     is_strict,
     jordan_product,
-    matrix_function,
     null_projection,
     op_norm,
-    polar_unitary,
-    range_projection,
     require_effect,
     require_hermitian,
     require_projection,

@@ -88,7 +88,7 @@ class SiteBlockMatrix:
         return _embed(self.blocks)
 
     @classmethod
-    def extract(cls, x, atol: float = 1e-12):
+    def extract(cls, x):
         x = as_matrix(x)
         n = x.shape[0]
         if n % 2:
@@ -98,8 +98,8 @@ class SiteBlockMatrix:
         off = np.abs(sites)
         off[np.arange(m), :, np.arange(m), :] = 0.0
         stray = float(off.max(initial=0.0))
-        if stray > atol:
-            raise DomainError("off-site mass %.3e exceeds %.3e" % (stray, atol))
+        if stray > 1e-12:
+            raise DomainError("off-site mass %.3e exceeds 1e-12" % stray)
         return cls(sites[np.arange(m), :, np.arange(m), :])
 
     def dagger(self):

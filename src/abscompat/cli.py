@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", metavar="PATH", help="also write the five-block decomposition")
     p.add_argument("--out", help="write the canonical form here instead of stdout")
 
-    p = sub.add_parser("gen", parents=[tolp], help="write seeded random instances")
+    p = sub.add_parser("gen", help="write seeded random instances")
     p.add_argument("kind", choices=("pair", "commuting", "unitary", "projection"))
     p.add_argument("--n", type=int, default=4, help="matrix dimension")
     p.add_argument("--sites", type=int, default=2, help="site count for --strict projections")

@@ -35,8 +35,10 @@ from .hermitian import (
     _hnorm,
     _hnorm_upto,
     _first,
+    _levels,
     _projection,
     _first_failing,
+    _span,
     _strict_rows,
     dagger,
     hermitize,
@@ -277,14 +279,8 @@ def five_block_decompose(a, b, tol: Tolerances = DEFAULT_TOL) -> FiveBlockDecomp
 
     blocks_a, blocks_b = _reduced_blocks(a, b, bases, tol)
     _verify_block_contents(blocks_a, blocks_b, tol)
-    projs = {name: hermitize(v @ dagger(v)) for name, v in bases.items()}
+    projs = {name: _span(v) for name, v in bases.items()}
     return FiveBlockDecomposition(**projs, bases=bases, blocks_a=blocks_a, blocks_b=blocks_b)
-
-
-def _levels(vals, tol):
-    """Masks of the eigenvalues at 1 and, of the others, at 0, within tol.spec."""
-    one = vals >= 1.0 - tol.spec
-    return one, ~one & (vals <= tol.spec)
 
 
 def _eigh_on(x, w):

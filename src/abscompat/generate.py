@@ -28,7 +28,7 @@ from .canonical import StrictProjectionParams, StrictUnitaryParams, _pairs_from_
 from .config import DEFAULT_TOL, Tolerances
 from .errors import BadMargin, DegenerateSpec, DimensionMismatch, OddDimension
 from .geometry import BALL_CENTER, _bloch_matrices, _chart, _reference_focus
-from .hermitian import _ROUNDING, _fnorm, _vnorm, dagger, hermitize, op_norm
+from .hermitian import _ROUNDING, _fnorm, _span, _vnorm, dagger, hermitize, op_norm
 
 SEED_STRIDE = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -256,13 +256,8 @@ def _projections(n: int, ranks, seeds) -> np.ndarray:
     are one stack, and each range's product is made alone."""
     q = _haar(*_uniforms(seeds, lambda gen: (gen.random(2 * n * n),)), n)
     if np.ndim(seeds) == 0:
-        return _range_projection(q, ranks)
-    return np.array([_range_projection(x, rank) for x, rank in zip(q, ranks)])
-
-
-def _range_projection(q, rank: int) -> np.ndarray:
-    v = q[:, :rank]
-    return hermitize(v @ dagger(v))
+        return _span(q[:, :ranks])
+    return np.array([_span(x[:, :rank]) for x, rank in zip(q, ranks)])
 
 
 def random_projection(n: int, rank: int, seed) -> np.ndarray:

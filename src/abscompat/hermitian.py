@@ -1,5 +1,5 @@
-"""Hermitian building blocks: eigendecomposition, functional calculus,
-support/null/range projections, polar decomposition, strictness tests.
+"""Hermitian building blocks: validation, norms, |x|, the support and
+null projections of an effect, strictness tests.
 
 All inputs are plain complex numpy arrays; all functions are pure.  An
 "effect" is a Hermitian matrix with spectrum in [0, 1]; an effect is
@@ -322,56 +322,9 @@ def _effects(a, b, tol: Tolerances, stack: bool = False):
     return (a, va), (b, vb)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues ascending, eigenvectors as unitary columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def apply(self, f) -> np.ndarray:
-        return _compose(_apply_scalar(f, self.eigenvalues), self.eigenvectors)
-
-    def reconstruct(self) -> np.ndarray:
-        return self.apply(lambda t: t)
-
-    def projection_where(self, mask) -> np.ndarray:
-        """Orthogonal projection onto the span of the selected eigenvectors."""
-        v = self.eigenvectors[:, np.asarray(mask, dtype=bool)]
-        return hermitize(v @ dagger(v))
-
-
-def _eig(h) -> SpectralDecomposition:
-    return SpectralDecomposition(*np.linalg.eigh(h))
-
-
-def eig_hermitian(h, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
-    return _eig(require_hermitian(h, tol))
-
-
 def _compose(vals, vecs) -> np.ndarray:
     """V diag(vals) V*, Hermitian for real vals, over leading axes."""
     return hermitize((vecs * vals[..., None, :]) @ dagger(vecs))
-
-
-def _apply_scalar(f, vals):
-    out = np.empty(len(vals), dtype=float)
-    for i, t in enumerate(vals):
-        try:
-            with np.errstate(all="ignore"):
-                y = f(float(t))
-        except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
-            raise DomainError("function undefined at eigenvalue %r: %s" % (t, exc)) from exc
-        y = float(y)
-        if not np.isfinite(y):
-            raise DomainError("function not finite at eigenvalue %r" % t)
-        out[i] = y
-    return out
-
-
-def matrix_function(h, f, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian functional calculus: V diag(f(lambda)) V*."""
-    return eig_hermitian(h, tol).apply(f)
 
 
 def absolute_value(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -390,37 +343,36 @@ def absolute_value(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return _compose(s, dagger(vh))
 
 
-def _effect_eig(a, tol: Tolerances) -> SpectralDecomposition:
-    """The eigendecomposition of the effect a, validated from its own
-    eigenvalues with the errors of _effect."""
-    dec = _eig(require_hermitian(a, tol))
-    _require_unit_interval(dec.eigenvalues, tol)
-    return dec
+def _span(v) -> np.ndarray:
+    """The orthogonal projection onto the span of the orthonormal columns
+    of v."""
+    return hermitize(v @ dagger(v))
+
+
+def _levels(vals, tol: Tolerances):
+    """Masks of the eigenvalues at 1 and, of the others, at 0, within tol.spec."""
+    one = vals >= 1.0 - tol.spec
+    return one, ~one & (vals <= tol.spec)
+
+
+def _effect_eigh(a, tol: Tolerances):
+    """eigh of the effect a, validated from its own eigenvalues with the
+    errors of _effect."""
+    vals, vecs = np.linalg.eigh(require_hermitian(a, tol))
+    _require_unit_interval(vals, tol)
+    return vals, vecs
 
 
 def support_projection(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Largest projection below the effect a: its eigenvalue-1 eigenspace."""
-    dec = _effect_eig(a, tol)
-    return dec.projection_where(dec.eigenvalues >= 1.0 - tol.spec)
+    vals, vecs = _effect_eigh(a, tol)
+    return _span(vecs[:, _levels(vals, tol)[0]])
 
 
 def null_projection(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Largest projection annihilating the effect a: its kernel."""
-    dec = _effect_eig(a, tol)
-    return dec.projection_where(dec.eigenvalues <= tol.spec)
-
-
-def range_projection(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    a = require_hermitian(a, tol)
-    if a.size == 0:
-        return a.copy()
-    dec = _eig(a)
-    scale = max(1.0, float(np.max(np.abs(dec.eigenvalues))))
-    if dec.eigenvalues[0] < -tol.spec * scale:
-        raise NegativeSpectrum(
-            "range projection needs a positive input, min eigenvalue %.3e" % dec.eigenvalues[0]
-        )
-    return dec.projection_where(dec.eigenvalues > tol.spec * scale)
+    vals, vecs = _effect_eigh(a, tol)
+    return _span(vecs[:, vals <= tol.spec])
 
 
 @dataclass(frozen=True)
@@ -479,35 +431,12 @@ def is_strict(x, tol: Tolerances = DEFAULT_TOL) -> StrictnessReport:
     return _strictness(np.linalg.svd(as_matrix(x), compute_uv=False), tol)
 
 
-def polar_unitary(x, tol: Tolerances = DEFAULT_TOL):
-    """Unitary polar factor: x = u |x| with u unitary.
-
-    For singular x the SVD supplies the kernel-to-cokernel completion;
-    x = 0 returns (I, 0).
-    """
-    x = as_matrix(x)
-    if x.size == 0:
-        return x.copy(), x.copy()
-    u, s, vh = np.linalg.svd(x)
-    w = u @ vh
-    mod = _compose(s, dagger(vh))
-    return w, mod
-
-
 def jordan_product(a, b) -> np.ndarray:
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
         raise DimensionMismatch("jordan product needs equal shapes, got %r and %r" % (a.shape, b.shape))
     return 0.5 * (a @ b + b @ a)
-
-
-def commutator_norm(a, b) -> float:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch("commutator needs equal shapes, got %r and %r" % (a.shape, b.shape))
-    return op_norm(a @ b - b @ a)
 
 
 def cluster_indices(vals, gap: float):

@@ -36,8 +36,8 @@ from .compat import five_block_decompose, is_abs_compatible, projection_compat_e
 from .config import DEFAULT_TOL, Tolerances
 from .errors import AbscompatError
 from .generate import (
-    _abscompat_pairs, _commuting_projection_effects, _orthogonal_pairs, _pair_specs, _projections,
-    _spheroid_partners, _strict_effects, derive_seed, haar_unitary, random_abscompat_pair,
+    _abscompat_pairs, _commuting_projection_effects, _generator, _orthogonal_pairs, _pair_specs,
+    _projections, _spheroid_partners, _strict_effects, derive_seed, haar_unitary, random_abscompat_pair,
     random_commuting_strict_pair, random_strict_projection_params, random_strict_unitary_params,
 )
 from .geometry import (
@@ -179,7 +179,7 @@ def _check_equivalences(x, tol):
 def _draw_fiveblock(seed, n):
     """Direct sum of a strict pair of size n and zero to four identity or
     zero slots, under a Haar conjugation."""
-    gen = np.random.Generator(np.random.Philox(key=seed))
+    gen = _generator(seed)
     sa, sb = random_abscompat_pair(n, derive_seed(seed, 1))
     slots = []
     for kind in range(4):  # unit_a, unit_b, null_a, null_b

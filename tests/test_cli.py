@@ -148,6 +148,13 @@ def test_gen_odd_dimension(tmp_path, capsys):
     assert "OddDimension" in capsys.readouterr().err
 
 
+def test_gen_takes_no_tolerances(tmp_path):
+    """gen checks nothing against a tolerance, so a --tol-* flag is a
+    usage error, not a silently ignored override."""
+    assert run(["gen", "pair", "--tol-compat", "1e-6", "--out", str(tmp_path / "x")]) == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_gen_commuting_and_unitary(tmp_path, capsys):
     prefix = str(tmp_path / "c")
     assert run(["gen", "commuting", "--n", "3", "--seed", "4", "--out", prefix]) == 0

@@ -20,7 +20,7 @@ from abscompat.generate import (
     random_projection,
     random_strict_effect,
 )
-from abscompat.hermitian import dagger, hermitize, op_norm
+from abscompat.hermitian import dagger, hermitize, op_norm, support_projection
 
 FIX_A = np.array([[0.25, 0.25], [0.25, 0.75]], dtype=complex)
 FIX_B = np.array([[0.25, -0.25], [-0.25, 0.75]], dtype=complex)
@@ -148,6 +148,8 @@ def test_five_block_assembled():
 
         fb = five_block_decompose(a, b)
         assert fb.ranks() == {"unit_a": 1, "unit_b": 1, "strict": 4, "null_a": 1, "null_b": 1}
+        # both cut a at 1 with the same eigh and the same _levels
+        assert support_projection(a).tobytes() == fb.unit_a.tobytes()
 
         proj = fb.projections()
         total = sum(proj.values())

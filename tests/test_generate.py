@@ -21,7 +21,7 @@ from abscompat.generate import (
 )
 from abscompat.canonical import is_strict_projection, strict_projection_from_params
 from abscompat.geometry import in_punctured_ball, pair_from_projections
-from abscompat.hermitian import commutator_norm, dagger, is_strict, op_norm
+from abscompat.hermitian import dagger, is_strict, op_norm
 
 
 def test_derive_seed():
@@ -54,7 +54,7 @@ def test_strict_effect():
 def test_commuting_strict_pair():
     for i in range(10):
         a, b = random_commuting_strict_pair(3, derive_seed(23, i))
-        assert commutator_norm(a, b) == 0.0
+        assert op_norm(a @ b - b @ a) == 0.0
         assert is_strict(a) and is_strict(b)
         s = a @ a + b @ b
         vals = np.linalg.eigvalsh(s)
@@ -85,7 +85,7 @@ def test_commuting_projection_effect():
     for i in range(8):
         p, a = random_commuting_projection_effect(4, derive_seed(43, i))
         assert op_norm(p @ p - p) <= 1e-12
-        assert commutator_norm(p, a) <= 1e-13
+        assert op_norm(p @ a - a @ p) <= 1e-13
         assert is_strict(a)
 
 

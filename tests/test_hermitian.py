@@ -1,5 +1,5 @@
-"""Spectral toolbox tests: eigendecomposition, functional calculus,
-support/null/range projections, strictness, polar factor."""
+"""Spectral toolbox tests: validation, norms, |x|, support and null
+projections, strictness."""
 
 import numpy as np
 import pytest
@@ -14,79 +14,29 @@ from abscompat.errors import (
     NotUnitary,
 )
 from abscompat.hermitian import (
+    _levels,
+    _span,
     absolute_value,
     cluster_indices,
-    commutator_norm,
     dagger,
-    eig_hermitian,
     hermitize,
     is_strict,
     jordan_product,
-    matrix_function,
     null_projection,
     op_norm,
-    polar_unitary,
-    range_projection,
     require_effect,
     require_hermitian,
     require_projection,
     require_unitary,
     support_projection,
 )
-from abscompat.generate import derive_seed, haar_unitary, random_strict_effect
+from abscompat.generate import derive_seed, haar_unitary, random_projection, random_strict_effect
 
 
 def _rand_hermitian(n, seed):
     gen = np.random.Generator(np.random.Philox(key=seed))
     x = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
     return hermitize(x)
-
-
-def test_eig_fixtures():
-    vals = eig_hermitian(np.eye(2)).eigenvalues
-    assert np.allclose(vals, [1.0, 1.0])
-
-    dec = eig_hermitian(np.diag([0.0, 1.0]))
-    assert np.allclose(dec.eigenvalues, [0.0, 1.0])
-    assert np.allclose(np.abs(dec.eigenvectors), np.eye(2))
-
-    # characteristic polynomial t^2 - 2t
-    dec = eig_hermitian(np.ones((2, 2)))
-    assert np.allclose(dec.eigenvalues, [0.0, 2.0], atol=1e-12)
-
-
-def test_eig_reconstruction_and_determinism():
-    for i in range(25):
-        h = _rand_hermitian(2 + i % 7, derive_seed(101, i))
-        dec = eig_hermitian(h)
-        res = op_norm(dec.reconstruct() - h)
-        assert res <= 1e-10 * max(1.0, op_norm(h))
-        again = eig_hermitian(h.copy())
-        assert again.eigenvalues.tobytes() == dec.eigenvalues.tobytes()
-        assert again.eigenvectors.tobytes() == dec.eigenvectors.tobytes()
-
-
-def test_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_matrix_function_fixtures():
-    h = _rand_hermitian(5, 7)
-    assert op_norm(matrix_function(h, lambda t: t) - h) <= 1e-12
-
-    root = matrix_function(np.diag([4.0, 9.0]), np.sqrt)
-    assert np.allclose(root, np.diag([2.0, 3.0]))
-
-    sq = matrix_function(np.ones((2, 2)), lambda t: t * t)
-    assert np.allclose(sq, 2.0 * np.ones((2, 2)), atol=1e-12)
-
-
-def test_matrix_function_domain_error():
-    with pytest.raises(DomainError):
-        matrix_function(np.diag([1.0, -4.0]), np.sqrt)
-    with pytest.raises(DomainError):
-        matrix_function(np.diag([0.0, 1.0]), lambda t: 1.0 / t)
 
 
 def test_absolute_value_fixtures():
@@ -113,6 +63,46 @@ def test_abs_idempotent_on_positives():
         assert op_norm(absolute_value(a) - a) <= 1e-12
 
 
+def test_absolute_value_of_hermitian_is_root_of_square():
+    # for Hermitian h, |h| = (h^2)^(1/2): eigenvalues |t|, eigenvectors kept
+    assert np.allclose(absolute_value(np.diag([-2.0, 3.0])), np.diag([2.0, 3.0]))
+    assert np.allclose(absolute_value(np.ones((2, 2))), np.ones((2, 2)), atol=1e-12)
+    for i in range(10):
+        h = _rand_hermitian(2 + i % 5, derive_seed(101, i))
+        m = absolute_value(h)
+        scale = max(1.0, op_norm(h)) ** 2
+        assert op_norm(m @ m - h @ h) <= 1e-10 * scale
+        assert op_norm(m @ h - h @ m) <= 1e-10 * scale
+        assert np.linalg.eigvalsh(m).min() >= -1e-12
+
+
+def test_absolute_value_polar_invariance():
+    # |u| = I for unitary u, |u x| = |x|, and x |x|^(-1) is unitary
+    w = haar_unitary(4, 9)
+    assert op_norm(absolute_value(w) - np.eye(4)) <= 1e-12
+    for i in range(10):
+        gen = np.random.Generator(np.random.Philox(key=derive_seed(88, i)))
+        x = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
+        m = absolute_value(x)
+        assert op_norm(absolute_value(haar_unitary(4, derive_seed(89, i)) @ x) - m) <= 1e-10
+        u = x @ np.linalg.inv(m)
+        assert op_norm(dagger(u) @ u - np.eye(4)) <= 1e-9
+
+
+def test_absolute_value_rejects_what_is_not_a_finite_matrix():
+    with pytest.raises(DomainError):
+        absolute_value(np.diag([np.nan, 1.0]))
+    with pytest.raises(DimensionMismatch):
+        absolute_value(np.ones((2, 3)))
+    assert absolute_value(np.zeros((0, 0))).shape == (0, 0)
+
+
+def test_absolute_value_deterministic():
+    for i in range(10):
+        h = _rand_hermitian(2 + i % 7, derive_seed(102, i))
+        assert absolute_value(h.copy()).tobytes() == absolute_value(h).tobytes()
+
+
 def test_support_null_range_fixtures():
     assert np.allclose(support_projection(np.eye(3)), np.eye(3))
     assert np.allclose(support_projection(np.diag([1.0, 0.5])), np.diag([1.0, 0.0]))
@@ -121,10 +111,6 @@ def test_support_null_range_fixtures():
     assert np.allclose(null_projection(np.zeros((2, 2))), np.eye(2))
     assert np.allclose(null_projection(np.diag([0.0, 0.5])), np.diag([1.0, 0.0]))
     assert op_norm(null_projection(random_strict_effect(4, 2))) == 0.0
-
-    assert np.allclose(range_projection(np.diag([0.0, 0.3])), np.diag([0.0, 1.0]))
-    assert np.allclose(range_projection(np.eye(2)), np.eye(2))
-    assert np.allclose(range_projection(np.zeros((2, 2))), np.zeros((2, 2)))
 
 
 def _conjugated(vals, seed):
@@ -150,25 +136,90 @@ def test_support_null_reject_like_require_effect(bad):
         assert str(got.value) == str(ref.value)
 
 
-def test_range_rejects_negative():
-    with pytest.raises(NegativeSpectrum):
-        range_projection(np.diag([-0.5, 1.0]))
-
-
 def test_projection_identities():
-    # r(a) + n(a) = I and s(a) n(a) = 0 on random effects with mixed spectrum
+    # s(a) n(a) = 0 on random effects with mixed spectrum
     for i in range(15):
         gen = np.random.Generator(np.random.Philox(key=derive_seed(44, i)))
         n = 5
         vals = np.concatenate([[0.0, 1.0], gen.random(n - 2)])
         u = haar_unitary(n, derive_seed(45, i))
         a = hermitize((u * vals) @ dagger(u))
-        r = range_projection(a)
         nn = null_projection(a)
         s = support_projection(a)
-        assert op_norm(r + nn - np.eye(n)) <= 1e-9
         assert op_norm(s @ nn) <= 1e-9
-        assert op_norm(r @ a - a) <= 1e-9
+
+
+def test_support_null_degenerate_fixtures():
+    s = support_projection(np.eye(2))
+    assert op_norm(s - np.eye(2)) <= 1e-15
+    assert op_norm(null_projection(np.eye(2))) == 0.0
+
+    # ones/2 has spectrum {0, 1}: s and n split C^2 along (1, 1) and (1, -1)
+    half = 0.5 * np.ones((2, 2))
+    s, nn = support_projection(half), null_projection(half)
+    assert op_norm(s - half) <= 1e-12
+    assert op_norm(nn - (np.eye(2) - half)) <= 1e-12
+
+
+def test_support_null_of_a_projection():
+    # a projection p is its own support, and I - p is its kernel
+    for i in range(10):
+        n = 2 + i % 5
+        p = random_projection(n, 1 + i % (n - 1), derive_seed(46, i))
+        assert op_norm(support_projection(p) - p) <= 1e-9
+        assert op_norm(null_projection(p) - (np.eye(n) - p)) <= 1e-9
+
+
+def test_support_null_are_exact_projections_and_deterministic():
+    for i in range(15):
+        gen = np.random.Generator(np.random.Philox(key=derive_seed(47, i)))
+        n = 5
+        vals = np.concatenate([[0.0, 0.0, 1.0], gen.random(n - 3)])
+        u = haar_unitary(n, derive_seed(48, i))
+        a = hermitize((u * vals) @ dagger(u))
+        for fn, rank in ((support_projection, 1), (null_projection, 2)):
+            q = fn(a)
+            assert op_norm(q - dagger(q)) == 0.0
+            assert op_norm(q @ q - q) <= 1e-12
+            assert round(float(np.trace(q).real)) == rank
+            assert fn(a.copy()).tobytes() == q.tobytes()
+        assert op_norm(a @ support_projection(a) - support_projection(a)) <= 1e-9
+        assert op_norm(a @ null_projection(a)) <= 1e-9
+
+
+def test_require_hermitian_rejects_asymmetry():
+    with pytest.raises(NotHermitian):
+        require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for fn in (support_projection, null_projection):
+        with pytest.raises(NotHermitian):
+            fn(np.array([[0.5, 2 * DEFAULT_TOL.herm], [0.0, 0.5]]))
+    # a stack is rejected when any of its matrices is
+    with pytest.raises(NotHermitian):
+        require_hermitian(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]), stack=True)
+
+
+def test_span_is_the_column_projection():
+    for i in range(8):
+        n = 2 + i % 5
+        q = haar_unitary(n, derive_seed(49, i))
+        for k in range(n + 1):
+            p = _span(q[:, :k])
+            assert op_norm(p - dagger(p)) == 0.0
+            assert op_norm(p @ p - p) <= 1e-12
+            assert op_norm(p @ q - q[:, :k] @ dagger(q[:, :k]) @ q) <= 1e-12
+            assert round(float(np.trace(p).real)) == k
+
+
+def test_levels_masks():
+    tol = DEFAULT_TOL
+    vals = np.array([-tol.spec, 0.0, tol.spec, 2 * tol.spec, 0.5,
+                     1.0 - 2 * tol.spec, 1.0 - tol.spec, 1.0, 1.0 + tol.spec])
+    one, zero = _levels(vals, tol)
+    assert one.tolist() == [False] * 6 + [True] * 3
+    assert zero.tolist() == [True] * 3 + [False] * 6
+    # a value within tol.spec of both ends counts at 1 only
+    one, zero = _levels(np.array([0.5]), tol.override(spec=0.6))
+    assert one.tolist() == [True] and zero.tolist() == [False]
 
 
 def test_is_strict():
@@ -193,30 +244,6 @@ def test_strict_complement_property():
         assert is_strict(np.eye(6) - a)
 
 
-def test_polar_fixtures():
-    u, mod = polar_unitary(np.diag([-1.0, 2.0]))
-    assert np.allclose(u, np.diag([-1.0, 1.0]))
-    assert np.allclose(mod, np.diag([1.0, 2.0]))
-
-    w = haar_unitary(4, 9)
-    u, mod = polar_unitary(w)
-    assert op_norm(u - w) <= 1e-12
-    assert op_norm(mod - np.eye(4)) <= 1e-12
-
-    u, mod = polar_unitary(np.zeros((3, 3)))
-    assert np.allclose(u, np.eye(3))
-    assert op_norm(mod) == 0.0
-
-
-def test_polar_reconstructs():
-    for i in range(15):
-        gen = np.random.Generator(np.random.Philox(key=derive_seed(88, i)))
-        x = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
-        u, mod = polar_unitary(x)
-        assert op_norm(dagger(u) @ u - np.eye(4)) <= DEFAULT_TOL.unit
-        assert op_norm(u @ mod - x) <= 1e-10 * max(1.0, op_norm(x))
-
-
 def test_jordan_product():
     a = np.diag([0.2, 0.5])
     b = np.diag([0.4, 0.1])
@@ -225,13 +252,6 @@ def test_jordan_product():
     assert np.allclose(jordan_product(h, h), h @ h)
     with pytest.raises(DimensionMismatch):
         jordan_product(np.eye(2), np.eye(3))
-
-
-def test_commutator_norm():
-    assert commutator_norm(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])) == 0.0
-    p = np.diag([1.0, 0.0])
-    q = 0.5 * np.ones((2, 2))
-    assert commutator_norm(p, q) > 0.4
 
 
 def test_require_effect_bounds():
