@@ -11,12 +11,20 @@ phase w.  This module holds the forward constructions (dilation of a
 commuting pair, pair from parameters), the parametrizations of strict
 unitaries and strict projections, and the inverse `canonicalize`.
 
+`canonicalize` and `exchanged_pivot_form` run on private cores over
+(..., n, n) stacks of pairs (`_canonical`, `_exchanged`), of which a
+single pair is a batch of one with no leading axis: every step is one
+computation on the whole stack that gives each pair the bits it gets
+alone, and only a pair whose |a-b| spectrum clusters takes a step of
+its own.
+
 Site layout: site k occupies coordinates 2k and 2k+1 of the full matrix.
 It holds the M2 pair of geometry.py with pivot P0, target P and index x0[k],
 built by the same mixture, hermitian._mixed_pair.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +45,7 @@ from .errors import (
 from .hermitian import (
     _effects,
     _factor_each,
+    _first,
     _hnorm_upto,
     _mixed_pair,
     _require_strict,
@@ -269,7 +278,7 @@ def conjugate_to_pivot(p, tol: Tolerances = DEFAULT_TOL) -> SiteBlockMatrix:
         raise NotStrictProjection("conjugation to the pivot needs a strict projection")
     a0 = np.sqrt(np.real(p.entry(0, 0)))
     w = p.entry(0, 1) / (a0 * np.sqrt(1.0 - a0 * a0))
-    u = _pivot_unitary(a0, w / np.abs(w))
+    u = SiteBlockMatrix(_pivot_unitary(a0, w / np.abs(w)))
     pivot = SiteBlockMatrix(np.broadcast_to(PIVOT_0, (p.m, 2, 2)).copy())
     dev = _hnorm_upto((u.dagger() @ pivot @ u).embed() - p.embed(), tol.proj)
     if dev > tol.proj:
@@ -277,13 +286,13 @@ def conjugate_to_pivot(p, tol: Tolerances = DEFAULT_TOL) -> SiteBlockMatrix:
     return u
 
 
-def _pivot_unitary(a0, w, exchange: bool = False) -> SiteBlockMatrix:
-    """Per site U = [[s0, -w a0], [a0, w s0]], s0 = (1 - a0^2)^(1/2), so
-    that U* diag(0,1) U is the strict projection with parameters (a0, w);
-    with exchange, diag(1,-1) U."""
+def _pivot_unitary(a0, w, exchange: bool = False) -> np.ndarray:
+    """The (..., m, 2, 2) site blocks U = [[s0, -w a0], [a0, w s0]],
+    s0 = (1 - a0^2)^(1/2), so that U* diag(0,1) U is the strict projection
+    with parameters (a0, w); with exchange, diag(1,-1) U."""
     s0 = np.sqrt(1.0 - a0 * a0)
     lower = (-a0, -w * s0) if exchange else (a0, w * s0)
-    return SiteBlockMatrix(_two_by_two(s0, -w * a0, *lower))
+    return _two_by_two(s0, -w * a0, *lower)
 
 
 def dilate_commuting_pair(a, b, tol: Tolerances = DEFAULT_TOL):
@@ -322,10 +331,6 @@ def _site_pairs(x0, a0, w):
     return _mixed_pair(x0[..., None, None], PIVOT_0, proj, np.eye(2, dtype=complex) - proj)
 
 
-def _site_pair_blocks(x0, params: StrictProjectionParams):
-    return tuple(map(SiteBlockMatrix, _site_pairs(x0, params.a0, params.w)))
-
-
 def _built_params_pair(x0, a0, w, tol: Tolerances):
     """The pair of checked per-site (x0, a0, w) of shape (..., m), once
     _built_pair passes it, or each pair of the stack."""
@@ -357,7 +362,8 @@ def _pairs_from_params(x0, a0, w, tol: Tolerances = DEFAULT_TOL):
 
 
 def _conjugate_pair(u, site_pair):
-    return tuple(hermitize(u @ s.embed() @ dagger(u)) for s in site_pair)
+    """u S u* for both site blocks S of site_pair, over leading axes."""
+    return tuple(hermitize(u @ _embed(s) @ dagger(u)) for s in site_pair)
 
 
 @dataclass(frozen=True)
@@ -386,10 +392,10 @@ class CanonicalForm:
         return self.projection.w
 
     def site_pair(self):
-        return _site_pair_blocks(self.x0, self.projection)
+        return tuple(map(SiteBlockMatrix, _site_pairs(self.x0, self.a0, self.w)))
 
     def reconstruct(self):
-        return _conjugate_pair(self.u0, self.site_pair())
+        return _conjugate_pair(self.u0, _site_pairs(self.x0, self.a0, self.w))
 
     def to_json(self) -> dict:
         return {
@@ -401,22 +407,94 @@ class CanonicalForm:
         }
 
 
-def _joint_eigenbasis(mats, gap: float):
-    """Unitary refining one eigenbasis through a list of commuting
-    Hermitian matrices, clustering eigenvalues closer than gap."""
-    m = mats[0].shape[0]
-    w = np.eye(m, dtype=complex)
-    groups = [np.arange(m)]
-    for mat in mats:
-        refined = []
-        for idx in groups:
-            if len(idx) == 1:
-                refined.append(idx)
-                continue
-            w[:, idx], vals = _eigh_on(mat, w[:, idx])
-            refined.extend(idx[g] for g in cluster_indices(vals, gap))
-        groups = refined
+class _Canonical(NamedTuple):
+    """The canonical form of each pair of a stack, over its leading axes,
+    and the reconstruction (ra, rb) its residual was checked on."""
+
+    u0: np.ndarray
+    x0: np.ndarray
+    a0: np.ndarray
+    w: np.ndarray  # all ones: the polar factor absorbs the phase gauge
+    residual: np.ndarray  # 0-d for one pair
+    rebuilt: tuple
+
+
+def _joint_eigenbasis(a, diff, v_plus, gap: float):
+    """For each pair, a unitary w diagonalizing |a-b| compressed to the
+    positive half v_plus of 1-a-b and, inside each cluster of its
+    eigenvalues closer than gap, the compression of a as well.  One eigh
+    of the stack; only a pair with a cluster compresses a, on its own."""
+    if v_plus.shape[-1] == 1:
+        return identity_like(v_plus)
+    vals, w = np.linalg.eigh(hermitize(dagger(v_plus) @ diff @ v_plus))
+    clustered = np.any(np.diff(vals, axis=-1) <= gap, axis=-1)
+    for i in map(tuple, np.argwhere(clustered)):
+        a_pp = hermitize(dagger(v_plus[i]) @ a[i] @ v_plus[i])
+        for idx in cluster_indices(vals[i], gap):
+            if len(idx) > 1:
+                w[i][:, idx] = _eigh_on(a_pp, w[i][:, idx])[0]
     return w
+
+
+def _canonical(a, b, tol: Tolerances, stack: bool = False) -> _Canonical:
+    """canonicalize of one pair, or with stack=True of each pair of two
+    (..., n, n) stacks: each step runs once on the whole stack, and a
+    stack raises at the first step some pair of it fails."""
+    (a, va), (b, vb) = _effects(a, b, tol, stack)
+    n = a.shape[-1]
+    if n % 2:
+        raise OddDimension("canonical form needs even dimension, got %d" % n)
+    _require_strict(va, vb, tol)
+    spectra = _require_compatible(_pair_spectra(a, b), tol)
+
+    m = n // 2
+    diff = spectra.abs_diff
+    zvals, zvecs = spectra.rest
+    if float(np.min(np.abs(zvals))) <= tol.spec:
+        raise PairingFailure("1 - a - b has an eigenvalue at zero")
+    if np.any(np.count_nonzero(zvals < 0.0, axis=-1) != m):
+        raise PairingFailure("spectral halves of 1 - a - b have unequal rank")
+    # the eigenvalues ascend, so the negative half is the first m of them
+    v_minus, v_plus = zvecs[..., :m], zvecs[..., m:]
+
+    dvals = spectra.abs_diff_vals
+    unpaired = np.max(np.abs(dvals[..., 0::2] - dvals[..., 1::2]), axis=-1)
+    if np.any(unpaired > tol.cluster * np.maximum(1.0, dvals[..., -1])):
+        raise PairingFailure("eigenvalues of |a - b| do not pair up")
+
+    # both compressions are of operators between 0 and 1, so the cluster
+    # gap tol.cluster * max(1, ||mat||) is tol.cluster
+    f_plus = v_plus @ _joint_eigenbasis(a, diff, v_plus, tol.cluster)
+    x0 = np.real(np.sum(np.conj(f_plus) * (diff @ f_plus), axis=-2))
+    d = np.real(np.sum(np.conj(f_plus) * (a @ f_plus), axis=-2))
+
+    # cross-half pairing: polar factor of the off-diagonal block of a
+    u_svd, s, vh_svd = np.linalg.svd(dagger(f_plus) @ a @ v_minus)
+    if np.any(s[..., -1] <= tol.spec):
+        raise PairingFailure("off-diagonal block of a is numerically singular")
+    f_minus = v_minus @ dagger(u_svd @ vh_svd)
+
+    if np.any(x0 <= tol.spec) or np.any(x0 >= 1.0 - tol.spec):
+        raise PostconditionFailure("recovered x0 is not strict")
+    if np.any(d <= tol.spec) or np.any(x0 - d <= tol.spec):
+        raise PostconditionFailure("recovered projection parameter is not strict")
+    a0 = np.sqrt(d / x0)
+    _strict_reals(a0, "a0")  # what StrictProjectionParams checks
+
+    order = np.lexsort((a0, x0), axis=-1)
+    x0, a0 = (np.take_along_axis(v, order, axis=-1) for v in (x0, a0))
+    u0 = np.zeros(a.shape, dtype=complex)
+    u0[..., 0::2] = np.take_along_axis(f_plus, order[..., None, :], axis=-1)
+    u0[..., 1::2] = np.take_along_axis(f_minus, order[..., None, :], axis=-1)
+
+    w = np.ones(x0.shape, dtype=complex)
+    ra, rb = _conjugate_pair(u0, _site_pairs(x0, a0, w))
+    err = np.maximum(*(np.abs(vals).max(axis=-1)
+                       for vals in _factor_each(np.linalg.eigvalsh, ra - a, rb - b)))
+    bad = err > tol.canon
+    if np.any(bad):
+        raise PostconditionFailure("reconstruction residual %.3e > %.3e" % (_first(err, bad), tol.canon))
+    return _Canonical(u0, x0, a0, w, err, (ra, rb))
 
 
 def canonicalize(a, b, tol: Tolerances = DEFAULT_TOL) -> CanonicalForm:
@@ -429,66 +507,16 @@ def canonicalize(a, b, tol: Tolerances = DEFAULT_TOL) -> CanonicalForm:
     the polar factor of the off-diagonal block of a aligns the negative
     half with the positive one and absorbs the phase gauge (so w = 1).
     """
-    (a, va), (b, vb) = _effects(a, b, tol)
-    n = a.shape[0]
-    if n % 2:
-        raise OddDimension("canonical form needs even dimension, got %d" % n)
-    _require_strict(va, vb, tol)
-    spectra = _require_compatible(_pair_spectra(a, b), tol)
+    cf = _canonical(a, b, tol)
+    return CanonicalForm(u0=cf.u0, x0=cf.x0, projection=StrictProjectionParams(cf.a0, cf.w),
+                         residual=float(cf.residual))
 
-    m = n // 2
-    diff = spectra.abs_diff
-    zvals, zvecs = spectra.rest
-    if float(np.min(np.abs(zvals))) <= tol.spec:
-        raise PairingFailure("1 - a - b has an eigenvalue at zero")
-    neg = zvals < 0.0
-    if int(np.count_nonzero(neg)) != m:
-        raise PairingFailure("spectral halves of 1 - a - b have unequal rank")
-    v_minus = zvecs[:, neg]
-    v_plus = zvecs[:, ~neg]
 
-    dvals = spectra.abs_diff_vals
-    if float(np.max(np.abs(dvals[0::2] - dvals[1::2]))) > tol.cluster * max(1.0, float(dvals[-1])):
-        raise PairingFailure("eigenvalues of |a - b| do not pair up")
-
-    m_pp = hermitize(dagger(v_plus) @ diff @ v_plus)
-    a_pp = hermitize(dagger(v_plus) @ a @ v_plus)
-    # both are compressions of operators between 0 and 1, so the cluster
-    # gap tol.cluster * max(1, ||mat||) is tol.cluster
-    w_rot = _joint_eigenbasis([m_pp, a_pp], tol.cluster)
-    f_plus = v_plus @ w_rot
-
-    x0 = np.real(np.sum(np.conj(f_plus) * (diff @ f_plus), axis=0))
-    d = np.real(np.sum(np.conj(f_plus) * (a @ f_plus), axis=0))
-
-    # cross-half pairing: polar factor of the off-diagonal block of a
-    t = dagger(f_plus) @ a @ v_minus
-    u_svd, s, vh_svd = np.linalg.svd(t)
-    if float(s[-1]) <= tol.spec:
-        raise PairingFailure("off-diagonal block of a is numerically singular")
-    f_minus = v_minus @ dagger(u_svd @ vh_svd)
-
-    if np.any(x0 <= tol.spec) or np.any(x0 >= 1.0 - tol.spec):
-        raise PostconditionFailure("recovered x0 is not strict")
-    if np.any(d <= tol.spec) or np.any(x0 - d <= tol.spec):
-        raise PostconditionFailure("recovered projection parameter is not strict")
-    a0 = np.sqrt(d / x0)
-
-    order = np.lexsort((a0, x0))
-    x0, a0 = x0[order], a0[order]
-    f_plus, f_minus = f_plus[:, order], f_minus[:, order]
-
-    u0 = np.zeros((n, n), dtype=complex)
-    u0[:, 0::2] = f_plus
-    u0[:, 1::2] = f_minus
-
-    projection = StrictProjectionParams(a0, np.ones(m))
-    ra, rb = _conjugate_pair(u0, _site_pair_blocks(x0, projection))
-    spectra = _factor_each(np.linalg.eigvalsh, ra - a, rb - b)
-    err = max(float(np.abs(vals).max()) for vals in spectra)
-    if err > tol.canon:
-        raise PostconditionFailure("reconstruction residual %.3e > %.3e" % (err, tol.canon))
-    return CanonicalForm(u0=u0, x0=x0, projection=projection, residual=err)
+def _exchanged_sites(x0, a0):
+    """The site blocks of both effects of the exchanged form, over leading
+    axes of x0 and a0."""
+    proj = _projection_blocks(a0, np.ones(np.shape(a0), dtype=complex))
+    return _mixed_pair(x0[..., None, None], proj, PIVOT_0, PIVOT_1)
 
 
 @dataclass(frozen=True)
@@ -506,11 +534,24 @@ class ExchangedPivotForm:
         return len(self.x0)
 
     def site_pair(self):
-        proj = strict_projection_from_params(StrictProjectionParams(self.a0, np.ones(self.m))).blocks
-        return tuple(map(SiteBlockMatrix, _mixed_pair(self.x0[:, None, None], proj, PIVOT_0, PIVOT_1)))
+        a0 = StrictProjectionParams(self.a0, np.ones(self.m)).a0
+        return tuple(map(SiteBlockMatrix, _exchanged_sites(self.x0, a0)))
 
     def reconstruct(self):
-        return _conjugate_pair(self.u, self.site_pair())
+        return _conjugate_pair(self.u, [s.blocks for s in self.site_pair()])
+
+
+def _exchanged(cf, rebuilt, tol: Tolerances):
+    """The exchanged unitary and its reconstruction (ea, eb) of the
+    canonical form cf, or of each form of a stack, checked against cf's
+    own reconstruction rebuilt = (ra, rb)."""
+    u = cf.u0 @ dagger(_embed(_pivot_unitary(cf.a0, cf.w, exchange=True)))
+    ea, eb = _conjugate_pair(u, _exchanged_sites(cf.x0, cf.a0))
+    err = np.maximum(*(_hnorm_upto(e - r, tol.canon) for e, r in zip((ea, eb), rebuilt)))
+    bad = err > tol.canon
+    if np.any(bad):
+        raise PostconditionFailure("pivot exchange residual %.3e" % _first(err, bad))
+    return u, (ea, eb)
 
 
 def exchanged_pivot_form(cf: CanonicalForm, tol: Tolerances = DEFAULT_TOL) -> ExchangedPivotForm:
@@ -521,11 +562,5 @@ def exchanged_pivot_form(cf: CanonicalForm, tol: Tolerances = DEFAULT_TOL) -> Ex
     is the phase-free strict projection with the same a0, and the second
     effect picks up diag(1,0) instead.
     """
-    v = _pivot_unitary(cf.a0, cf.w, exchange=True)
-    form = ExchangedPivotForm(u=cf.u0 @ dagger(v.embed()), x0=cf.x0, a0=cf.a0)
-    ra, rb = form.reconstruct()
-    ca, cb = cf.reconstruct()
-    err = max(_hnorm_upto(ra - ca, tol.canon), _hnorm_upto(rb - cb, tol.canon))
-    if err > tol.canon:
-        raise PostconditionFailure("pivot exchange residual %.3e" % err)
-    return form
+    u, _ = _exchanged(cf, cf.reconstruct(), tol)
+    return ExchangedPivotForm(u=u, x0=cf.x0, a0=cf.a0)

@@ -15,7 +15,8 @@ class Tolerances:
     sizes the tests cover (n <= 16 throughout, single pairs up to n = 128,
     double precision) leave several digits of headroom over every default.
     Every value must be positive and finite: a NaN would pass every
-    `x > tol.*` gate.
+    `x > tol.*` gate.  spec must also be below 1/2, so that no eigenvalue
+    is within spec of both 0 and 1.
     """
 
     herm: float = 1e-10      # max-norm asymmetry allowed in a Hermitian input
@@ -33,6 +34,8 @@ class Tolerances:
             value = getattr(self, field.name)
             if not 0.0 < value < float("inf"):
                 raise DomainError(f"tolerance {field.name!r} must be positive and finite, got {value}")
+        if not self.spec < 0.5:
+            raise DomainError(f"tolerance 'spec' must be below 0.5, got {self.spec}")
 
     def override(self, **kwargs: float) -> "Tolerances":
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})

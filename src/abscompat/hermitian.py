@@ -350,9 +350,9 @@ def _span(v) -> np.ndarray:
 
 
 def _levels(vals, tol: Tolerances):
-    """Masks of the eigenvalues at 1 and, of the others, at 0, within tol.spec."""
-    one = vals >= 1.0 - tol.spec
-    return one, ~one & (vals <= tol.spec)
+    """Masks of the eigenvalues at 1 and at 0, within tol.spec; as
+    tol.spec < 0.5, no eigenvalue is at both."""
+    return vals >= 1.0 - tol.spec, vals <= tol.spec
 
 
 def _effect_eigh(a, tol: Tolerances):
@@ -387,19 +387,12 @@ class StrictnessReport:
         return self.strict
 
 
-def _at_one_and_zero(vals, tol: Tolerances):
-    """Masks of the eigenvalues of |x| (or of an effect x) at 1 and at 0,
-    within tol.spec."""
-    vals = np.abs(vals)
-    return vals >= 1.0 - tol.spec, vals <= tol.spec
-
-
 def _strictness(vals, tol: Tolerances) -> StrictnessReport:
     """Strictness report from the spectrum of |x| (or of an effect x)."""
     vals = np.abs(vals)
     if vals.size == 0:
         return StrictnessReport(True, 0, 0, float("nan"), float("nan"))
-    support, null = (int(np.count_nonzero(m)) for m in _at_one_and_zero(vals, tol))
+    support, null = (int(np.count_nonzero(m)) for m in _levels(vals, tol))
     return StrictnessReport(support == 0 and null == 0, support, null,
                             float(vals.min()), float(vals.max()))
 
@@ -407,7 +400,7 @@ def _strictness(vals, tol: Tolerances) -> StrictnessReport:
 def _strict_rows(vals, tol: Tolerances):
     """Whether each spectrum over leading axes has no eigenvalue at 1 or
     at 0: _strictness(vals).strict, per row."""
-    one, zero = _at_one_and_zero(vals, tol)
+    one, zero = _levels(np.abs(vals), tol)
     return ~np.any(one | zero, axis=-1)
 
 

@@ -9,16 +9,17 @@ name: (per-trial values, bound)}``, each value recomputed from what the
 library returns.  The draws of compat, canonical, m2, geometry and
 equivalences call the generators' batch cores, which build the whole
 batch as one stack.  The suites whose library calls take stacks (compat,
-m2, geometry, equivalences) check the whole batch at once; canonical
-checks it one trial at a time (``_check_each``); fiveblock, params and
-dilation keep a one-trial draw and check, which ``_per_trial`` maps over
-the batch with lists in place of stacks.  A bound of 0.0 marks an exact
-property; a boolean residual is 0.0 when it holds.  ``run`` is the one
-trial loop, which ``abscompat fuzz`` and the acceptance gate both use.
-It checks the trials of each size as one batch and runs a batch that
-raises again one trial at a time, so its ``Outcome`` is the one a loop
-over single trials gives.  Draws build their instances at the default
-tolerances.  ``import abscompat`` does not load this module.
+canonical, m2, geometry, equivalences) check the whole batch at once,
+canonical through the stacked cores of canonicalize and
+exchanged_pivot_form; fiveblock, params and dilation keep a one-trial
+draw and check, which ``_per_trial`` maps over the batch with lists in
+place of stacks.  A bound of 0.0 marks an exact property; a boolean
+residual is 0.0 when it holds.  ``run`` is the one trial loop, which
+``abscompat fuzz`` and the acceptance gate both use.  It checks the
+trials of each size as one batch and runs a batch that raises again
+one trial at a time, so its ``Outcome`` is the one a loop over single
+trials gives.  Draws build their instances at the default tolerances.
+``import abscompat`` does not load this module.
 """
 
 from dataclasses import dataclass, field
@@ -28,9 +29,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .canonical import (
-    canonicalize, conjugate_to_pivot, dilate_commuting_pair, exchanged_pivot_form,
-    is_strict_projection, is_strict_unitary, strict_projection_from_params,
-    strict_unitary_from_params,
+    _canonical, _exchanged, conjugate_to_pivot, dilate_commuting_pair, is_strict_projection,
+    is_strict_unitary, strict_projection_from_params, strict_unitary_from_params,
 )
 from .compat import five_block_decompose, is_abs_compatible, projection_compat_equiv
 from .config import DEFAULT_TOL, Tolerances
@@ -99,14 +99,14 @@ def _check_canonical(x, tol):
     """Round trip of the canonical form ((p-x0)(x)I2)P0 + (x0(x)I2)P and of
     its pivot-exchanged form."""
     a, b = x["a"], x["b"]
-    cf = canonicalize(a, b, tol)
-    ra, rb = cf.reconstruct()
-    ea, eb = exchanged_pivot_form(cf, tol).reconstruct()
-    norms = op_norm(np.array((ra - a, rb - b, ea - ra, eb - rb)))
+    cf = _canonical(a, b, tol, stack=True)
+    ra, rb = cf.rebuilt
+    _, (ea, eb) = _exchanged(cf, cf.rebuilt, tol)
+    norms = op_norm(np.stack((ra - a, rb - b, ea - ra, eb - rb), axis=-3))
     return {
-        "reconstruction": (float(norms[:2].max()), tol.canon),
-        "x0_multiset": (float(np.max(np.abs(np.sort(x["x0"]) - cf.x0))), 1e-9),
-        "pivot_exchange": (float(norms[2:].max()), tol.canon),
+        "reconstruction": (norms[..., :2].max(axis=-1), tol.canon),
+        "x0_multiset": (np.max(np.abs(np.sort(x["x0"]) - cf.x0), axis=-1), 1e-9),
+        "pivot_exchange": (norms[..., 2:].max(axis=-1), tol.canon),
     }
 
 
@@ -257,30 +257,24 @@ def _check_dilation(x, tol):
     return {"jordan_block": (op_norm(jordan_product(a1, b1) - want), 1e-10)}
 
 
-def _check_each(check):
-    """A batch check from a one-trial check(inputs, tol), for a suite whose
-    library calls take one trial: each residual is the list of the trials'
-    values."""
-    def check_batch(stacks, tol):
-        results = [check(dict(zip(stacks, inputs)), tol) for inputs in zip(*stacks.values())]
-        return {name: ([r[name][0] for r in results], bound) for name, (_, bound) in results[0].items()}
-
-    return check_batch
-
-
 def _per_trial(draw, check, sizes) -> Property:
     """A Property from a one-trial draw(seed, size) and check(inputs, tol):
-    each input of the batch is the list of its trials' values."""
+    each input of the batch is the list of its trials' values, and so is
+    each residual."""
     def draw_batch(seeds, size):
         trials = [draw(s, size) for s in seeds]
         return {name: [x[name] for x in trials] for name in trials[0]}
 
-    return Property(draw_batch, _check_each(check), sizes)
+    def check_batch(stacks, tol):
+        results = [check(dict(zip(stacks, inputs)), tol) for inputs in zip(*stacks.values())]
+        return {name: ([r[name][0] for r in results], bound) for name, (_, bound) in results[0].items()}
+
+    return Property(draw_batch, check_batch, sizes)
 
 
 REGISTRY = {
     "compat": Property(_draw_compat, _check_compat, (2, 4, 8)),
-    "canonical": Property(_draw_canonical, _check_each(_check_canonical), (2, 4, 8)),
+    "canonical": Property(_draw_canonical, _check_canonical, (2, 4, 8)),
     "m2": Property(_draw_m2, _check_m2, (2,)),
     "geometry": Property(_draw_geometry, _check_geometry, (2,)),
     "equivalences": Property(_draw_equivalences, _check_equivalences, (2, 4, 8)),

@@ -100,9 +100,11 @@ def _assembled_pair(seed):
 #    for the norm of the residual, which also certifies both operands as
 #    effects, so neither takes a validating eigvalsh;
 #  - canonicalize: one eigvalsh per operand for its strictness, the same
-#    three, one eigh of |a-b| on the positive half of 1-a-b, one svd for
-#    the polar factor of the cross block, and one eigvalsh per
-#    reconstruction residual;
+#    three, one eigh of |a-b| on the positive half of 1-a-b (a pair whose
+#    eigenvalues there cluster takes one more eigh per cluster, of a on
+#    the cluster; a random pair has none), one svd for the polar factor
+#    of the cross block, and one eigvalsh per reconstruction residual;
+#    the same count for a stack of pairs, each call on the whole stack;
 #  - five_block_decompose: the same three as is_abs_compatible, one eigh
 #    of a, one eigh of b on each of the kernel of a and the rest, two
 #    eigvalsh for the strictness of the strict block, and two eigh and

@@ -155,6 +155,21 @@ def test_gen_takes_no_tolerances(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("spec", ["0.5", "0.6"])
+def test_spec_of_half_or_more_exits_1(tmp_path, capsys, spec):
+    """At spec >= 0.5 an eigenvalue could be within spec of both 0 and 1,
+    so such a tolerance is a usage error."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path, x in zip((a, b), random_abscompat_pair(4, 3)):
+        save_matrix(path, x)
+    assert run(["check", str(a), str(b), "--tol-spec", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "DomainError"
+    assert error["message"] == "tolerance 'spec' must be below 0.5, got %s" % spec
+
+
 def test_gen_commuting_and_unitary(tmp_path, capsys):
     prefix = str(tmp_path / "c")
     assert run(["gen", "commuting", "--n", "3", "--seed", "4", "--out", prefix]) == 0

@@ -217,9 +217,9 @@ def test_levels_masks():
     one, zero = _levels(vals, tol)
     assert one.tolist() == [False] * 6 + [True] * 3
     assert zero.tolist() == [True] * 3 + [False] * 6
-    # a value within tol.spec of both ends counts at 1 only
-    one, zero = _levels(np.array([0.5]), tol.override(spec=0.6))
-    assert one.tolist() == [True] and zero.tolist() == [False]
+    # no value can be within tol.spec of both ends: such a spec is refused
+    with pytest.raises(DomainError, match="^tolerance 'spec' must be below 0.5, got 0.6$"):
+        tol.override(spec=0.6)
 
 
 def test_is_strict():

@@ -8,10 +8,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from abscompat import DEFAULT_TOL, AbscompatError, generate
-from abscompat.canonical import PIVOT_0
+from abscompat import DEFAULT_TOL, AbscompatError, canonical, generate
+from abscompat.canonical import PIVOT_0, StrictProjectionParams, _canonical, canonicalize, pair_from_params
 from abscompat.compat import (
     _canonical_order,
+    _eigh_on,
     _pair_spectra,
     _require_compatible,
     is_abs_compatible,
@@ -51,7 +52,9 @@ from abscompat.geometry import (
     sphere_to_ball,
     spheroid_residual,
 )
-from abscompat.hermitian import _ROUNDING, _effect, _effects, _fnorm, _hnorm, dagger, hermitize, op_norm
+from abscompat.hermitian import (
+    _ROUNDING, _STACK_N, _effect, _effects, _fnorm, _hnorm, dagger, hermitize, op_norm,
+)
 from abscompat.properties import REGISTRY, Outcome, run
 
 SIZES = (2, 4, 8, 64)
@@ -519,6 +522,7 @@ def _loop(prop, trials, seed, tol):
 RUNS = [(name, seed, DEFAULT_TOL) for name in REGISTRY for seed in (7, 8)]
 RUNS.append(("compat", 9, DEFAULT_TOL.override(compat=1e-17)))  # every trial raises
 RUNS.append(("compat", 10, DEFAULT_TOL.override(compat=2e-15)))  # a few raise, a few miss a bound
+RUNS.append(("canonical", 10, DEFAULT_TOL.override(canon=2e-15)))  # a few raise, none only misses a bound
 
 
 @pytest.mark.parametrize("name, seed, tol", RUNS,
@@ -532,6 +536,8 @@ def test_run_equals_the_loop_over_single_trials(name, seed, tol):
     errors = sum("error" in entry for entry in got.failures)
     if tol.compat < 1e-16:
         assert errors == 40 and got.first_inputs["a"].ndim == 2
+    elif tol.canon < DEFAULT_TOL.canon:
+        assert 0 < errors < 40
     elif tol is not DEFAULT_TOL:  # the batch raises, and its other trials pass or fail alone
         assert 0 < errors < len(got.failures) < 40
 
@@ -763,6 +769,58 @@ def test_draws_stay_stacked(monkeypatch):
             assert calls["qr"] <= count, (name, n)
             if name in ("m2", "geometry"):
                 assert calls["svd"] <= open_specs, (name, n)
+
+
+def test_canonical_check_stays_stacked(monkeypatch):
+    """The canonical check of a 30-trial batch makes a fixed number of
+    numpy.linalg calls at each size, where one trial at a time made six or
+    seven per trial; a lone canonicalize above _STACK_N hands numpy.linalg
+    only 2-D arrays, as no single pair gains a leading axis.  Counts,
+    unlike timings, hold on any host."""
+    seeds = [derive_seed(33, i) for i in range(30)]
+    prop = REGISTRY["canonical"]
+    batches = {n: prop.draw(seeds, n) for n in prop.sizes}
+    pair = random_abscompat_pair(_STACK_N + 8, derive_seed(33, 30))
+    names = ("eigh", "eigvalsh", "svd", "qr", "det", "norm")
+    calls = _count_calls(monkeypatch, names)
+    for n, stacks in batches.items():
+        calls.update(dict.fromkeys(names, 0))
+        prop.check(stacks, DEFAULT_TOL)
+        assert sum(calls.values()) <= 10, (n, calls)
+
+    ndims = []
+    for name in names:
+        def spy(x, *args, _real=getattr(np.linalg, name), **kwargs):
+            ndims.append(np.ndim(x))
+            return _real(x, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    canonicalize(*pair)
+    assert ndims and set(ndims) == {2}, ndims
+
+
+def test_a_clustered_pair_in_a_stack_gets_its_own_bits(monkeypatch):
+    """A pair whose x0 repeats a value has a cluster in the spectrum of
+    |a-b| on the positive half of 1-a-b, which only that pair refines
+    with a, in one more eigh; every pair of the stack still gets the bits
+    of its own canonicalize."""
+    x0 = np.array([0.3, 0.3, 0.6])
+    params = StrictProjectionParams([0.4, 0.5, 0.7], np.exp(1j * np.array([0.2, 1.1, 2.0])))
+    ca, cb = pair_from_params(x0, params)
+    u = generate.haar_unitary(6, derive_seed(34, 0))
+    pairs = [random_abscompat_pair(6, derive_seed(34, i)) for i in range(1, 6)]
+    pairs.insert(2, (hermitize(u @ ca @ dagger(u)), hermitize(u @ cb @ dagger(u))))
+    a, b = (np.array(x) for x in zip(*pairs))
+
+    refined = []
+    monkeypatch.setattr(canonical, "_eigh_on", lambda *args: refined.append(args) or _eigh_on(*args))
+    stacked = _canonical(a, b, DEFAULT_TOL, stack=True)
+    assert len(refined) == 1 and refined[0][1].shape == (3, 2)
+    np.testing.assert_allclose(stacked.x0[2], x0, rtol=0.0, atol=1e-12)
+    for j, pair in enumerate(pairs):
+        alone = canonicalize(*pair)
+        assert stacked.u0[j].tobytes() == alone.u0.tobytes(), j
+        assert stacked.x0[j].tobytes() == alone.x0.tobytes(), j
+        assert stacked.residual[j].tobytes() == np.float64(alone.residual).tobytes(), j
 
 
 SCALES = (0.5, 0.7, 2**-0.5, 0.75, 0.99, 1.0, 1.01, 1.4, 2**0.5, 1.5, 3.0)
