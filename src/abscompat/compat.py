@@ -258,29 +258,85 @@ def five_block_decompose(a, b, tol: Tolerances = DEFAULT_TOL) -> FiveBlockDecomp
     of a, and the rest R; one eigh of b compressed to K splits it into
     its b = 1 part (unit_b) and null_a; one eigh of b compressed to R
     splits it into its b = 1 part (unit_b), its b = 0 part (null_b) and
-    the strict block.  _reduced_blocks checks the reduction claim.
+    the strict block.  _reduced_blocks checks the reduction claim.  The
+    pair runs through _five_blocks as a batch of one.
     """
-    a, b, spectra = _certified_pair(a, b, tol)
-    _require_compatible(spectra, tol)
-
-    vals, vecs = np.linalg.eigh(a)
-    one_a, zero_a = _levels(vals, tol)
-    kernel, kvals = _eigh_on(b, vecs[:, zero_a])
-    rest, rvals = _eigh_on(b, vecs[:, ~(one_a | zero_a)])
-    one_k, _ = _levels(kvals, tol)
-    one_r, zero_r = _levels(rvals, tol)
-    bases = {
-        "unit_a": vecs[:, one_a],
-        "unit_b": np.hstack([kernel[:, one_k], rest[:, one_r]]),
-        "strict": rest[:, ~(one_r | zero_r)],
-        "null_a": kernel[:, ~one_k],
-        "null_b": rest[:, zero_r],
-    }
-
-    blocks_a, blocks_b = _reduced_blocks(a, b, bases, tol)
-    _verify_block_contents(blocks_a, blocks_b, tol)
+    ((_, bases, blocks_a, blocks_b),) = _five_blocks(a, b, tol)
     projs = {name: _span(v) for name, v in bases.items()}
     return FiveBlockDecomposition(**projs, bases=bases, blocks_a=blocks_a, blocks_b=blocks_b)
+
+
+class _Blocks(NamedTuple):
+    """The bases and blocks of the pairs of a stack that share one pattern
+    of block ranks, stacked in the order of at."""
+
+    at: object  # index arrays into the leading axes; Ellipsis for one pair
+    bases: dict
+    blocks_a: dict
+    blocks_b: dict
+
+
+def _five_blocks(a, b, tol: Tolerances, stack: bool = False) -> list:
+    """five_block_decompose of one pair, or with stack=True of each pair of
+    two (..., n, n) stacks, as one _Blocks per pattern of block ranks.
+
+    The certificate and the eigh of a run on the whole stack.  eigh sorts
+    each spectrum in ascending order, so the kernel of a is a prefix of
+    its eigenvectors, its eigenspace at 1 a suffix and the rest between
+    them; the pairs with the same counts slice the same columns, and
+    each such group takes one eigh of b on the kernel and one on the
+    rest.  Those spectra ascend too, so the pairs of a group are grouped
+    again by their counts at 1 and 0, which fix the columns of every
+    block, and each of those groups checks its blocks as one stack.
+    Every postcondition holds for every pair; a stack raises at the
+    first check some pair of it fails.
+    """
+    a, b, spectra = _certified_pair(a, b, tol, stack)
+    _require_compatible(spectra, tol)
+    n = a.shape[-1]
+    vals, vecs = np.linalg.eigh(a)
+    out = []
+    for at, (units, zeros) in _patterns(_level_counts(vals, tol)):
+        v, ga, gb = vecs[at], a[at], b[at]
+        kernel, kvals = _eigh_on(gb, v[..., :zeros])
+        rest, rvals = _eigh_on(gb, v[..., zeros:n - units])
+        counts = np.concatenate([_level_counts(kvals, tol)[..., :1], _level_counts(rvals, tol)], axis=-1)
+        for inner, (unit_k, unit_r, zero_r) in _patterns(counts):
+            k, r = kernel[inner], rest[inner]
+            top = r.shape[-1] - unit_r
+            bases = {
+                "unit_a": v[inner][..., n - units:],
+                "unit_b": np.concatenate([k[..., zeros - unit_k:], r[..., top:]], axis=-1),
+                "strict": r[..., zero_r:top],
+                "null_a": k[..., :zeros - unit_k],
+                "null_b": r[..., :zero_r],
+            }
+            blocks_a, blocks_b = _reduced_blocks(ga[inner], gb[inner], bases, tol)
+            _verify_block_contents(blocks_a, blocks_b, tol)
+            out.append(_Blocks(_within(at, inner), bases, blocks_a, blocks_b))
+    return out
+
+
+def _level_counts(vals, tol: Tolerances) -> np.ndarray:
+    """How many eigenvalues of each ascending spectrum are at 1, a suffix,
+    and at 0, a prefix (_levels), over the leading axes."""
+    return np.stack([np.count_nonzero(m, axis=-1) for m in _levels(vals, tol)], axis=-1)
+
+
+def _patterns(counts) -> list:
+    """(at, pattern) for each distinct row of counts, one row per element
+    over the leading axes: at picks the elements with that row as index
+    arrays, or is Ellipsis when counts is the one row of a lone element."""
+    if counts.ndim == 1:
+        return [(Ellipsis, tuple(counts.tolist()))]
+    rows, which = np.unique(counts.reshape(-1, counts.shape[-1]), axis=0, return_inverse=True)
+    which = which.reshape(counts.shape[:-1])
+    return [(np.nonzero(which == i), tuple(row.tolist())) for i, row in enumerate(rows)]
+
+
+def _within(outer, inner):
+    """The elements inner picks from those outer picked."""
+    return inner if outer is Ellipsis else tuple(ix[inner] for ix in outer)
 
 
 def _eigh_on(x, w):
@@ -292,7 +348,7 @@ def _eigh_on(x, w):
 
 def _reduced_blocks(a, b, bases, tol):
     """The compressions of a and b to the five blocks, once the blocks are
-    checked to reduce both.
+    checked to reduce both; for stacks, pair by pair.
 
     Let V be the bases side by side, eps = ||V*V - I|| and, for x = a, b,
     delta the off-block mass of V*xV.  Then ||V||^2 <= 1 + eps and:
@@ -305,31 +361,45 @@ def _reduced_blocks(a, b, bases, tol):
     commutation and reconstruction postconditions at tol.proj and
     tol.block.  Both bounds grow with eps and delta, so they are first
     taken with Frobenius norms, which are never below the operator norms;
-    only when that does not settle them are they taken exactly.
+    only a pair they do not settle takes them exactly.
     """
-    v = np.hstack(list(bases.values()))
-    widths = [w.shape[1] for w in bases.values()]
+    v = np.concatenate(list(bases.values()), axis=-1)
+    widths = [w.shape[-1] for w in bases.values()]
     owner = np.repeat(np.arange(len(bases)), widths)
     on_block = owner[:, None] == owner[None, :]
     gram = dagger(v) @ v - identity_like(v)
     ms = [hermitize(dagger(v) @ x @ v) for x in (a, b)]
-    offs = [np.where(on_block, 0.0, m) for m in ms]
-    for norm in (_fnorm, _hnorm):
-        eps = norm(gram)
-        bounds = [(1.0 + eps) * (norm(off) + 2.0 * eps * (1.0 + tol.spec)) for off in offs]
-        if (1.0 + eps) * eps <= tol.proj and max(bounds) <= tol.block:
-            break
-    if (1.0 + eps) * eps > tol.proj:
-        raise PostconditionFailure("five-block bases are not orthonormal, ||V*V - I|| = %.3e" % eps)
+    mats = [gram] + [np.where(on_block, 0.0, m) for m in ms]
+    norms = np.array([_fnorm(x) for x in mats])
+    eps, bounds = _reduction_bounds(norms, tol)
+    open_ = np.logical_not(((1.0 + eps) * eps <= tol.proj) & np.all(bounds <= tol.block, axis=0))
+    if np.any(open_):
+        at = np.nonzero(open_) if open_.ndim else ()
+        exact = _factor_each(np.linalg.eigvalsh, *(x[at] for x in mats))
+        norms[(slice(None),) + at] = [np.abs(x).max(axis=-1) for x in exact]
+        eps, bounds = _reduction_bounds(norms, tol)
+    bad = (1.0 + eps) * eps > tol.proj
+    if np.any(bad):
+        raise PostconditionFailure("five-block bases are not orthonormal, ||V*V - I|| = %.3e" % _first(eps, bad))
     for label, bound in zip("ab", bounds):
-        if bound > tol.block:
-            raise PostconditionFailure("blocks do not reduce %s: off-block bound %.3e" % (label, bound))
+        bad = bound > tol.block
+        if np.any(bad):
+            raise PostconditionFailure("blocks do not reduce %s: off-block bound %.3e" % (label, _first(bound, bad)))
     # owner repeats each block's label over its width: block k owns edges[k]:edges[k + 1]
     edges = np.cumsum([0] + widths)
-    return [{name: m[s:e, s:e].copy() for name, s, e in zip(bases, edges[:-1], edges[1:])} for m in ms]
+    return [{name: m[..., s:e, s:e].copy() for name, s, e in zip(bases, edges[:-1], edges[1:])} for m in ms]
+
+
+def _reduction_bounds(norms, tol):
+    """eps and the two off-block bounds of _reduced_blocks from the norms
+    of V*V - I and of the off-block parts of V*aV and V*bV."""
+    eps = norms[0]
+    return eps, (1.0 + eps) * (norms[1:] + 2.0 * eps * (1.0 + tol.spec))
 
 
 def _verify_block_contents(blocks_a, blocks_b, tol):
+    """The unit and null blocks are 1 and 0, and the strict blocks are
+    strict and absolutely compatible, for each pair of stacked blocks."""
     checks = (
         ("unit_a", blocks_a, 1.0),
         ("unit_b", blocks_b, 1.0),
@@ -338,7 +408,7 @@ def _verify_block_contents(blocks_a, blocks_b, tol):
     )
     for name, side, target in checks:
         blk = side[name]
-        if _hnorm_upto(blk - target * identity_like(blk), tol.block) > tol.block:
+        if np.any(_hnorm_upto(blk - target * identity_like(blk), tol.block) > tol.block):
             raise PostconditionFailure("restriction to %s is not %r" % (name, target))
     _built_pair(blocks_a["strict"], blocks_b["strict"], tol,
                 PostconditionFailure("strict block has spectrum touching 0 or 1"),

@@ -11,15 +11,17 @@ equivalences call the generators' batch cores, which build the whole
 batch as one stack.  The suites whose library calls take stacks (compat,
 canonical, m2, geometry, equivalences) check the whole batch at once,
 canonical through the stacked cores of canonicalize and
-exchanged_pivot_form; fiveblock, params and dilation keep a one-trial
-draw and check, which ``_per_trial`` maps over the batch with lists in
-place of stacks.  A bound of 0.0 marks an exact property; a boolean
-residual is 0.0 when it holds.  ``run`` is the one trial loop, which
-``abscompat fuzz`` and the acceptance gate both use.  It checks the
-trials of each size as one batch and runs a batch that raises again
-one trial at a time, so its ``Outcome`` is the one a loop over single
-trials gives.  Draws build their instances at the default tolerances.
-``import abscompat`` does not load this module.
+exchanged_pivot_form, and compat through the stacked core of
+five_block_decompose, which splits the batch by pattern of block ranks
+and runs each pattern's pairs as one computation; fiveblock, params and
+dilation keep a one-trial draw and check, which ``_per_trial`` maps
+over the batch with lists in place of stacks.  A bound of 0.0 marks an
+exact property; a boolean residual is 0.0 when it holds.  ``run`` is the
+one trial loop, which ``abscompat fuzz`` and the acceptance gate both
+use.  It checks the trials of each size as one batch and runs a batch
+that raises again one trial at a time, so its ``Outcome`` is the one a
+loop over single trials gives.  Draws build their instances at the
+default tolerances.  ``import abscompat`` does not load this module.
 """
 
 from dataclasses import dataclass, field
@@ -32,7 +34,7 @@ from .canonical import (
     _canonical, _exchanged, conjugate_to_pivot, dilate_commuting_pair, is_strict_projection,
     is_strict_unitary, strict_projection_from_params, strict_unitary_from_params,
 )
-from .compat import five_block_decompose, is_abs_compatible, projection_compat_equiv
+from .compat import _five_blocks, five_block_decompose, is_abs_compatible, projection_compat_equiv
 from .config import DEFAULT_TOL, Tolerances
 from .errors import AbscompatError
 from .generate import (
@@ -75,12 +77,13 @@ def _draw_compat(seeds, n):
 
 def _check_compat(x, tol):
     """The definition identity on (a, b); on the orthogonal pair (oa, ob),
-    ab = 0, a + b <= 1 and absolute compatibility hold together."""
+    ab = 0, a + b <= 1 and absolute compatibility hold together, and the
+    five-block decomposition of the whole batch passes its checks, one
+    computation per pattern of block ranks (compat._five_blocks)."""
     a, b, oa, ob = x["a"], x["b"], x["oa"], x["ob"]
     fwd = is_abs_compatible(a, b, tol)
     rev = is_abs_compatible(b, a, tol)
-    for pair in zip(oa, ob):
-        five_block_decompose(*pair, tol)
+    _five_blocks(oa, ob, tol, stack=True)
     return {
         "pair_residual": (fwd.residual, tol.compat),
         "symmetry": (np.abs(fwd.residual - rev.residual), 0.0),
@@ -124,10 +127,10 @@ def _check_m2(x, tol):
     pivot, target, *roundtrip = op_norm(
         np.array((spec.pivot - x["pivot"], spec.target - x["target"], ra - a, rb - b)))
     return {
-        "index_error": (np.abs(spec.index - x["index"]), 1e-9),
-        "pivot_error": (pivot, 1e-9),
-        "target_error": (target, 1e-9),
-        "roundtrip": (_larger(*roundtrip), 1e-9),
+        "index_error": (np.abs(spec.index - x["index"]), tol.geo),
+        "pivot_error": (pivot, tol.geo),
+        "target_error": (target, tol.geo),
+        "roundtrip": (_larger(*roundtrip), tol.geo),
     }
 
 

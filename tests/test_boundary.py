@@ -109,7 +109,9 @@ def _assembled_pair(seed):
 #    of a, one eigh of b on each of the kernel of a and the rest, two
 #    eigvalsh for the strictness of the strict block, and two eigh and
 #    one eigvalsh for its residual; the orthonormality, off-block and
-#    block-content checks are settled by Frobenius norms;
+#    block-content checks are settled by Frobenius norms; the same count
+#    per pair for a stack, each call on the whole stack or on the pairs
+#    of one pattern of block ranks;
 #  - support_projection and null_projection: one eigh, whose eigenvalues
 #    also validate the effect;
 #  - decompose_pair_m2 (2x2): one eigvalsh per operand, the three of the

@@ -11,10 +11,13 @@ import pytest
 from abscompat import DEFAULT_TOL, AbscompatError, canonical, generate
 from abscompat.canonical import PIVOT_0, StrictProjectionParams, _canonical, canonicalize, pair_from_params
 from abscompat.compat import (
+    BLOCK_NAMES,
     _canonical_order,
     _eigh_on,
+    _five_blocks,
     _pair_spectra,
     _require_compatible,
+    five_block_decompose,
     is_abs_compatible,
     projection_compat_equiv,
 )
@@ -23,9 +26,12 @@ from abscompat.errors import (
     DimensionMismatch,
     NotAbsolutelyCompatible,
     NotHermitian,
+    PostconditionFailure,
     TraceNotOne,
 )
 from abscompat.generate import (
+    _abscompat_pairs,
+    _orthogonal_pairs,
     _rank_one_2x2s,
     _separates,
     _streams,
@@ -53,7 +59,7 @@ from abscompat.geometry import (
     spheroid_residual,
 )
 from abscompat.hermitian import (
-    _ROUNDING, _STACK_N, _effect, _effects, _fnorm, _hnorm, dagger, hermitize, op_norm,
+    _ROUNDING, _STACK_N, _effect, _effects, _fnorm, _hnorm, _span, dagger, hermitize, op_norm,
 )
 from abscompat.properties import REGISTRY, Outcome, run
 
@@ -523,10 +529,15 @@ RUNS = [(name, seed, DEFAULT_TOL) for name in REGISTRY for seed in (7, 8)]
 RUNS.append(("compat", 9, DEFAULT_TOL.override(compat=1e-17)))  # every trial raises
 RUNS.append(("compat", 10, DEFAULT_TOL.override(compat=2e-15)))  # a few raise, a few miss a bound
 RUNS.append(("canonical", 10, DEFAULT_TOL.override(canon=2e-15)))  # a few raise, none only misses a bound
+RUNS.append(("compat", 10, DEFAULT_TOL.override(block=1e-15)))  # a few raise in five-block, none only misses a bound
 
 
-@pytest.mark.parametrize("name, seed, tol", RUNS,
-                         ids=["%s-%d-%g" % (name, seed, tol.compat) for name, seed, tol in RUNS])
+def _run_id(name, seed, tol):
+    block = "" if tol.block == DEFAULT_TOL.block else "-block%g" % tol.block
+    return "%s-%d-%g%s" % (name, seed, tol.compat, block)
+
+
+@pytest.mark.parametrize("name, seed, tol", RUNS, ids=[_run_id(*run) for run in RUNS])
 def test_run_equals_the_loop_over_single_trials(name, seed, tol):
     prop = REGISTRY[name]
     got, want = run(prop, 40, seed, tol), _loop(prop, 40, seed, tol)
@@ -537,6 +548,8 @@ def test_run_equals_the_loop_over_single_trials(name, seed, tol):
     if tol.compat < 1e-16:
         assert errors == 40 and got.first_inputs["a"].ndim == 2
     elif tol.canon < DEFAULT_TOL.canon:
+        assert 0 < errors < 40
+    elif tol.block < DEFAULT_TOL.block:
         assert 0 < errors < 40
     elif tol is not DEFAULT_TOL:  # the batch raises, and its other trials pass or fail alone
         assert 0 < errors < len(got.failures) < 40
@@ -821,6 +834,110 @@ def test_a_clustered_pair_in_a_stack_gets_its_own_bits(monkeypatch):
         assert stacked.u0[j].tobytes() == alone.u0.tobytes(), j
         assert stacked.x0[j].tobytes() == alone.x0.tobytes(), j
         assert stacked.residual[j].tobytes() == np.float64(alone.residual).tobytes(), j
+
+
+# --- stacked five-block decomposition: each pair gets the bits it gets alone ---
+
+
+def _slotted(seed, strict, slots):
+    """A strict pair of size strict beside the diagonal slots (a-value,
+    b-value), under a Haar conjugation."""
+    sa, sb = random_abscompat_pair(strict, derive_seed(seed, 1))
+    n = strict + len(slots)
+    a, b = np.zeros((2, n, n), dtype=complex)
+    a[:strict, :strict], b[:strict, :strict] = sa, sb
+    a[strict:, strict:], b[strict:, strict:] = (np.diag(v) for v in zip(*slots))
+    u = generate.haar_unitary(n, derive_seed(seed, 2))
+    return hermitize(u @ a @ dagger(u)), hermitize(u @ b @ dagger(u))
+
+
+# unit_a, unit_b on the kernel of a, unit_b on its rest, null_a, null_b
+UA, UB_KERNEL, UB_REST, NA, NB = (1.0, 0.3), (0.0, 1.0), (0.4, 1.0), (0.0, 0.6), (0.7, 0.0)
+# a strict 4x4 pair beside four slots: the counts of a's kernel and of its
+# eigenspace at 1 give four patterns, and the first of them splits into two
+# by the counts of b at 1 and at 0 on the rest
+MIXED = [[UA, UB_REST, NA, NB], [UA, UB_REST, NA, NB], [UA, UB_REST, UB_REST, NA],
+         [UB_KERNEL, UB_REST, NA, NB], [UA, UA, NB, NB], [UB_KERNEL, NA, NA, UA]]
+
+
+def _stack(kind, n):
+    seeds = [derive_seed(37, i) for i in range(12)]
+    if kind == "orthogonal":
+        return _orthogonal_pairs(n, seeds, 0.1)
+    if kind == "strict":
+        return _abscompat_pairs(n, seeds, 0.1)[1:]
+    pairs = [_slotted(derive_seed(38, i), 4, slots) for i, slots in enumerate(MIXED)]
+    return tuple(np.array(x) for x in zip(*pairs))
+
+
+FIVE_BLOCK_STACKS = [("orthogonal", n) for n in (2, 4, 8, _STACK_N + 8)] + [("strict", n) for n in (2, 4, 8)]
+FIVE_BLOCK_STACKS.append(("mixed", 8))
+
+
+@pytest.mark.parametrize("kind, n", FIVE_BLOCK_STACKS)
+def test_five_block_stack_elements_equal_their_lone_calls(kind, n):
+    """Every pair of a stack, whichever pattern of block ranks it has, gets
+    the bases, blocks and projections of its own five_block_decompose."""
+    a, b = _stack(kind, n)
+    groups = _five_blocks(a, b, DEFAULT_TOL, stack=True)
+    seen = []
+    for group in groups:
+        for j, (i,) in enumerate(zip(*group.at)):
+            alone = five_block_decompose(a[i], b[i])
+            for name in BLOCK_NAMES:
+                basis = group.bases[name][j]
+                for x, y in ((basis, alone.bases[name]), (_span(basis), getattr(alone, name)),
+                             (group.blocks_a[name][j], alone.blocks_a[name]),
+                             (group.blocks_b[name][j], alone.blocks_b[name])):
+                    assert x.shape == y.shape and x.tobytes() == y.tobytes(), (i, name)
+            seen.append(i)
+    assert sorted(seen) == list(range(len(a)))
+    if kind == "mixed":
+        assert len(groups) == 5
+        assert {j for group in groups for j in group.at[0]} == set(range(len(MIXED)))
+        units_b = [five_block_decompose(a[i], b[i]).ranks()["unit_b"] for i in (3, 5)]
+        assert units_b == [2, 1]
+
+
+def test_compat_check_stays_stacked(monkeypatch):
+    """The compat check of a 30-trial batch makes a fixed number of
+    numpy.linalg calls per pattern of block ranks, where one five-block
+    call per trial made seven per trial; a lone five_block_decompose above
+    _STACK_N hands numpy.linalg only 2-D arrays, on its exact-norm path
+    too.  Counts, unlike timings, hold on any host."""
+    seeds = [derive_seed(39, i) for i in range(30)]
+    prop = REGISTRY["compat"]
+    batches = {n: prop.draw(seeds, n) for n in prop.sizes}
+    patterns = {n: len({tuple(five_block_decompose(*pair).ranks().values()) for pair in zip(x["oa"], x["ob"])})
+                for n, x in batches.items()}
+    a, b = _slotted(derive_seed(39, 30), _STACK_N + 4, [UA, UB_KERNEL, NA, NB])
+    names = ("eigh", "eigvalsh", "svd", "qr", "det", "norm")
+    calls = _count_calls(monkeypatch, names)
+    for n, stacks in batches.items():
+        calls.update(dict.fromkeys(names, 0))
+        prop.check(stacks, DEFAULT_TOL)
+        assert sum(calls.values()) <= 12 + 5 * patterns[n], (n, patterns[n], calls)
+
+    ndims = []
+    for name in names:
+        def spy(x, *args, _real=getattr(np.linalg, name), **kwargs):
+            ndims.append(np.ndim(x))
+            return _real(x, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    five_block_decompose(a, b)
+    count = len(ndims)
+    with pytest.raises(PostconditionFailure, match="off-block bound"):
+        five_block_decompose(a, b, DEFAULT_TOL.override(block=1e-15))
+    assert count and len(ndims) > count and set(ndims) == {2}, ndims
+
+
+def test_m2_bounds_follow_the_geo_tolerance():
+    """The m2 check's four bounds are tol.geo, so --tol-geo reaches them."""
+    prop = REGISTRY["m2"]
+    stacks = prop.draw([derive_seed(40, i) for i in range(4)], 2)
+    for geo in (DEFAULT_TOL.geo, 1e-7):
+        bounds = {name: bound for name, (_, bound) in prop.check(stacks, DEFAULT_TOL.override(geo=geo)).items()}
+        assert bounds == dict.fromkeys(("index_error", "pivot_error", "target_error", "roundtrip"), geo)
 
 
 SCALES = (0.5, 0.7, 2**-0.5, 0.75, 0.99, 1.0, 1.01, 1.4, 2**0.5, 1.5, 3.0)
