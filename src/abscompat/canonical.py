@@ -47,8 +47,10 @@ from .hermitian import (
     _factor_each,
     _first,
     _hnorm_upto,
+    _levels,
     _mixed_pair,
     _require_strict,
+    _strict_rows,
     _two_by_two,
     _vector,
     as_matrix,
@@ -225,8 +227,7 @@ def is_strict_unitary(u, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when u is unitary and all four entry operators are strict."""
     u = _sites(u)
     require_unitary(u.embed(), tol)
-    mods = np.abs(u.blocks)
-    return bool(np.all(mods > tol.spec) and np.all(mods < 1.0 - tol.spec))
+    return bool(np.all(_strict_rows(u.blocks, tol)))
 
 
 def is_strict_projection(p, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -238,7 +239,7 @@ def is_strict_projection(p, tol: Tolerances = DEFAULT_TOL) -> bool:
     trace = np.real(p.entry(0, 0) + p.entry(1, 1))
     if np.any(np.abs(trace - 1.0) > tol.proj):
         return False
-    return bool(np.all(p11 > tol.spec) and np.all(p11 < 1.0 - tol.spec))
+    return not np.any(np.logical_or(*_levels(p11, tol)))
 
 
 def params_from_strict_unitary(u, tol: Tolerances = DEFAULT_TOL) -> StrictUnitaryParams:
@@ -308,9 +309,10 @@ def dilate_commuting_pair(a, b, tol: Tolerances = DEFAULT_TOL):
     _require_strict(va, vb, tol)
     square_sum = hermitize(a @ a + b @ b)
     vals = np.linalg.eigvalsh(square_sum)
-    if vals[-1] >= 1.0 - tol.spec:
+    at_one, at_zero = _levels(vals, tol)
+    if at_one[-1]:
         raise SumExceedsOne("largest eigenvalue of a^2 + b^2 is %.3e" % vals[-1])
-    if vals[0] <= tol.spec:
+    if at_zero[0]:
         raise NotStrict("a^2 + b^2 is not strict")
 
     one = identity_like(a)
@@ -332,18 +334,19 @@ def _site_pairs(x0, a0, w):
 
 
 def _built_params_pair(x0, a0, w, tol: Tolerances):
-    """The pair of checked per-site (x0, a0, w) of shape (..., m), once
-    _built_pair passes it, or each pair of the stack."""
-    sa, sb = _site_pairs(x0, a0, w)
+    """The pair of per-site (x0, a0, w) of shape (..., m), (a0, w) checked
+    and w normalized, once x0 is strict over as many sites as a0 and
+    _built_pair passes the pair, or each pair of the stack."""
+    x0 = _strict_reals(x0, "x0")
+    if x0.size != np.size(a0):
+        raise DimensionMismatch("x0 has %d sites, projection has %d" % (x0.size, np.size(a0)))
+    sa, sb = _site_pairs(x0.reshape(np.shape(a0)), a0, w)
     return _built_pair(_embed(sa), _embed(sb), tol,
                        PostconditionFailure("constructed pair is not strict at this tolerance"))
 
 
 def pair_from_params(x0, params: StrictProjectionParams, tol: Tolerances = DEFAULT_TOL):
     """Strict absolutely compatible pair from per-site (x0, a0, w)."""
-    x0 = _strict_reals(x0, "x0")
-    if len(x0) != params.m:
-        raise DimensionMismatch("x0 has %d sites, projection has %d" % (len(x0), params.m))
     return _built_params_pair(x0, params.a0, params.w, tol)
 
 
@@ -355,9 +358,6 @@ def _pairs_from_params(x0, a0, w, tol: Tolerances = DEFAULT_TOL):
     raises the error of the first check that some row fails."""
     shape = np.shape(a0)
     a0, w = (v.reshape(shape) for v in _projection_params(a0, w))
-    x0 = _strict_reals(x0, "x0").reshape(np.shape(x0))
-    if x0.shape != shape:
-        raise DimensionMismatch("x0 has %d sites, projection has %d" % (x0.shape[-1], shape[-1]))
     return _built_params_pair(x0, a0, w, tol)
 
 
@@ -474,7 +474,7 @@ def _canonical(a, b, tol: Tolerances, stack: bool = False) -> _Canonical:
         raise PairingFailure("off-diagonal block of a is numerically singular")
     f_minus = v_minus @ dagger(u_svd @ vh_svd)
 
-    if np.any(x0 <= tol.spec) or np.any(x0 >= 1.0 - tol.spec):
+    if np.any(np.logical_or(*_levels(x0, tol))):
         raise PostconditionFailure("recovered x0 is not strict")
     if np.any(d <= tol.spec) or np.any(x0 - d <= tol.spec):
         raise PostconditionFailure("recovered projection parameter is not strict")

@@ -108,36 +108,25 @@ def cmd_decompose(args) -> int:
 
 def cmd_gen(args) -> int:
     prefix = args.out or "gen"
-    seed = args.seed
-    if args.kind == "pair":
-        a, b = random_abscompat_pair(args.n, seed, args.margin)
-        files = [prefix + "_a.json", prefix + "_b.json"]
-        save_matrix(files[0], a)
-        save_matrix(files[1], b)
-        meta = {"kind": "pair", "n": args.n}
-    elif args.kind == "commuting":
-        a, b = random_commuting_strict_pair(args.n, seed, args.margin)
-        files = [prefix + "_a.json", prefix + "_b.json"]
-        save_matrix(files[0], a)
-        save_matrix(files[1], b)
-        meta = {"kind": "commuting", "n": args.n}
+    meta = {"kind": args.kind, "n": args.n}
+    if args.kind in ("pair", "commuting"):
+        draw = random_abscompat_pair if args.kind == "pair" else random_commuting_strict_pair
+        mats = dict(zip("ab", draw(args.n, args.seed, args.margin)))
     elif args.kind == "unitary":
-        u = haar_unitary(args.n, seed)
-        files = [prefix + "_u.json"]
-        save_matrix(files[0], u)
-        meta = {"kind": "unitary", "n": args.n}
+        mats = {"u": haar_unitary(args.n, args.seed)}
     else:
         if args.strict:
-            params = random_strict_projection_params(args.sites, seed, args.margin)
+            params = random_strict_projection_params(args.sites, args.seed, args.margin)
             p = strict_projection_from_params(params).embed()
         else:
             rank = args.rank if args.rank is not None else args.n // 2
-            p = random_projection(args.n, rank, seed)
-        files = [prefix + "_p.json"]
-        save_matrix(files[0], p)
-        meta = {"kind": "projection", "n": int(p.shape[0]), "strict": bool(args.strict)}
-    meta["seed"] = seed
-    meta["files"] = files
+            p = random_projection(args.n, rank, args.seed)
+        mats = {"p": p}
+        meta.update(n=int(p.shape[0]), strict=bool(args.strict))
+    meta["seed"] = args.seed
+    meta["files"] = ["%s_%s.json" % (prefix, name) for name in mats]
+    for path, x in zip(meta["files"], mats.values()):
+        save_matrix(path, x)
     sys.stdout.write(json_text(meta))
     return EXIT_OK
 
@@ -177,12 +166,10 @@ def cmd_geometry(args) -> int:
     report = geometry_report(pivot, target, index, tol)
     samples = _sphere_samples(report.sphere, args.sample) if args.sample > 0 else None
     if args.format == "csv":
-        lines = ["name,x,y,z"]
-        for name, pt in report.points.items():
-            lines.append("%s,%r,%r,%r" % (name, float(pt[0]), float(pt[1]), float(pt[2])))
+        rows = list(report.points.items())
         if samples is not None:
-            for k, pt in enumerate(samples):
-                lines.append("sample_%d,%r,%r,%r" % (k, float(pt[0]), float(pt[1]), float(pt[2])))
+            rows += [("sample_%d" % k, pt) for k, pt in enumerate(samples)]
+        lines = ["name,x,y,z"] + ["%s,%r,%r,%r" % (name, *map(float, pt)) for name, pt in rows]
         _write_text(args, "\n".join(lines) + "\n")
     else:
         payload = report.to_json()

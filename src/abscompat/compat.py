@@ -261,7 +261,7 @@ def five_block_decompose(a, b, tol: Tolerances = DEFAULT_TOL) -> FiveBlockDecomp
     the strict block.  _reduced_blocks checks the reduction claim.  The
     pair runs through _five_blocks as a batch of one.
     """
-    ((_, bases, blocks_a, blocks_b),) = _five_blocks(a, b, tol)
+    _, ((_, bases, blocks_a, blocks_b),) = _five_blocks(a, b, tol)
     projs = {name: _span(v) for name, v in bases.items()}
     return FiveBlockDecomposition(**projs, bases=bases, blocks_a=blocks_a, blocks_b=blocks_b)
 
@@ -276,9 +276,10 @@ class _Blocks(NamedTuple):
     blocks_b: dict
 
 
-def _five_blocks(a, b, tol: Tolerances, stack: bool = False) -> list:
+def _five_blocks(a, b, tol: Tolerances, stack: bool = False):
     """five_block_decompose of one pair, or with stack=True of each pair of
-    two (..., n, n) stacks, as one _Blocks per pattern of block ranks.
+    two (..., n, n) stacks: (the compatibility residual its certificate
+    computed, one _Blocks per pattern of block ranks).
 
     The certificate and the eigh of a run on the whole stack.  eigh sorts
     each spectrum in ascending order, so the kernel of a is a prefix of
@@ -314,7 +315,7 @@ def _five_blocks(a, b, tol: Tolerances, stack: bool = False) -> list:
             blocks_a, blocks_b = _reduced_blocks(ga[inner], gb[inner], bases, tol)
             _verify_block_contents(blocks_a, blocks_b, tol)
             out.append(_Blocks(_within(at, inner), bases, blocks_a, blocks_b))
-    return out
+    return spectra.residual, out
 
 
 def _level_counts(vals, tol: Tolerances) -> np.ndarray:
@@ -398,8 +399,9 @@ def _reduction_bounds(norms, tol):
 
 
 def _verify_block_contents(blocks_a, blocks_b, tol):
-    """The unit and null blocks are 1 and 0, and the strict blocks are
-    strict and absolutely compatible, for each pair of stacked blocks."""
+    """The unit and null blocks are 1 and 0, and the strict blocks, unless
+    they are 0x0, are strict and absolutely compatible, for each pair of
+    stacked blocks."""
     checks = (
         ("unit_a", blocks_a, 1.0),
         ("unit_b", blocks_b, 1.0),
@@ -410,6 +412,7 @@ def _verify_block_contents(blocks_a, blocks_b, tol):
         blk = side[name]
         if np.any(_hnorm_upto(blk - target * identity_like(blk), tol.block) > tol.block):
             raise PostconditionFailure("restriction to %s is not %r" % (name, target))
-    _built_pair(blocks_a["strict"], blocks_b["strict"], tol,
-                PostconditionFailure("strict block has spectrum touching 0 or 1"),
-                "strict block not absolutely compatible, residual %.3e")
+    if blocks_a["strict"].shape[-1]:
+        _built_pair(blocks_a["strict"], blocks_b["strict"], tol,
+                    PostconditionFailure("strict block has spectrum touching 0 or 1"),
+                    "strict block not absolutely compatible, residual %.3e")

@@ -28,7 +28,7 @@ from .canonical import StrictProjectionParams, StrictUnitaryParams, _pairs_from_
 from .config import DEFAULT_TOL, Tolerances
 from .errors import BadMargin, DegenerateSpec, DimensionMismatch, OddDimension
 from .geometry import BALL_CENTER, _bloch_matrices, _chart, _reference_focus
-from .hermitian import _ROUNDING, _fnorm, _span, _vnorm, dagger, hermitize, op_norm
+from .hermitian import _ROUNDING, _compose, _fnorm, _span, _vnorm, dagger, hermitize, op_norm
 
 SEED_STRIDE = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -115,11 +115,6 @@ def _haar(u, n: int) -> np.ndarray:
     return q * (d / mod)[..., None, :]
 
 
-def _spectral(u, vals) -> np.ndarray:
-    """hermitize(u diag(vals) u*) over leading axes."""
-    return hermitize((u * vals[..., None, :]) @ dagger(u))
-
-
 def haar_unitary(n: int, seed) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Gaussian matrix with the
     diagonal of R phase-fixed."""
@@ -137,7 +132,7 @@ def _check_margin(margin) -> float:
 
 def _strict_effects(n: int, seeds, margin: float) -> np.ndarray:
     (u,) = _uniforms(seeds, lambda gen: (gen.random(n + 2 * n * n),))
-    return _spectral(_haar(u[..., n:], n), margin + (1.0 - 2.0 * margin) * u[..., :n])
+    return _compose(margin + (1.0 - 2.0 * margin) * u[..., :n], _haar(u[..., n:], n))
 
 
 def random_strict_effect(n: int, seed, margin=0.1) -> np.ndarray:
@@ -239,7 +234,7 @@ def _split_spectra(n: int, seeds):
 
 def _commuting_projection_effects(n: int, seeds, margin: float):
     first, vals, u = _split_spectra(n, seeds)
-    return _spectral(u, np.where(first, 1.0, 0.0)), _spectral(u, margin + (1.0 - 2.0 * margin) * vals)
+    return _compose(np.where(first, 1.0, 0.0), u), _compose(margin + (1.0 - 2.0 * margin) * vals, u)
 
 
 def random_commuting_projection_effect(n: int, seed, margin=0.1):
@@ -352,7 +347,7 @@ def random_pair_spec(seed, margin=0.05, separation=0.05):
 def _orthogonal_pairs(n: int, seeds, margin: float):
     first, vals, u = _split_spectra(n, seeds)
     vals = margin + (1.0 - margin) * vals
-    return _spectral(u, np.where(first, vals, 0.0)), _spectral(u, np.where(first, 0.0, vals))
+    return _compose(np.where(first, vals, 0.0), u), _compose(np.where(first, 0.0, vals), u)
 
 
 def random_orthogonal_pair(n: int, seed, margin=0.1):

@@ -19,6 +19,11 @@ stacks factorizations up to _STACK_N, and products are stacked only for
 small matrices.  The compatibility check and the dimension-2 entry
 points take stacks too; _first_failing makes a failing stack raise what
 its first failing element raises alone.
+
+One strictness cut: _levels puts a value at 1 from 1 - tol.spec up and
+at 0 up to tol.spec in every such decision of the package, for kernels
+and eigenspaces at 1, strict spectra, strict unitaries and projections,
+a canonical form's x0 and the gates of dilate_commuting_pair.
 """
 
 from dataclasses import dataclass
@@ -350,8 +355,8 @@ def _span(v) -> np.ndarray:
 
 
 def _levels(vals, tol: Tolerances):
-    """Masks of the eigenvalues at 1 and at 0, within tol.spec; as
-    tol.spec < 0.5, no eigenvalue is at both."""
+    """Masks of the values (eigenvalues, singular values, entry moduli) at
+    1 and at 0, within tol.spec; as tol.spec < 0.5, no value is at both."""
     return vals >= 1.0 - tol.spec, vals <= tol.spec
 
 
@@ -372,7 +377,7 @@ def support_projection(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def null_projection(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Largest projection annihilating the effect a: its kernel."""
     vals, vecs = _effect_eigh(a, tol)
-    return _span(vecs[:, vals <= tol.spec])
+    return _span(vecs[:, _levels(vals, tol)[1]])
 
 
 @dataclass(frozen=True)
@@ -387,19 +392,10 @@ class StrictnessReport:
         return self.strict
 
 
-def _strictness(vals, tol: Tolerances) -> StrictnessReport:
-    """Strictness report from the spectrum of |x| (or of an effect x)."""
-    vals = np.abs(vals)
-    if vals.size == 0:
-        return StrictnessReport(True, 0, 0, float("nan"), float("nan"))
-    support, null = (int(np.count_nonzero(m)) for m in _levels(vals, tol))
-    return StrictnessReport(support == 0 and null == 0, support, null,
-                            float(vals.min()), float(vals.max()))
-
-
 def _strict_rows(vals, tol: Tolerances):
-    """Whether each spectrum over leading axes has no eigenvalue at 1 or
-    at 0: _strictness(vals).strict, per row."""
+    """Whether each row over leading axes, a spectrum or entry moduli, has
+    no value whose absolute value is at 1 or at 0: is_strict's decision,
+    per row."""
     one, zero = _levels(np.abs(vals), tol)
     return ~np.any(one | zero, axis=-1)
 
@@ -421,7 +417,12 @@ def is_strict(x, tol: Tolerances = DEFAULT_TOL) -> StrictnessReport:
     carries the ranks of the offending eigenspaces at 1 (support) and 0
     (null).
     """
-    return _strictness(np.linalg.svd(as_matrix(x), compute_uv=False), tol)
+    vals = np.linalg.svd(as_matrix(x), compute_uv=False)
+    if vals.size == 0:
+        return StrictnessReport(True, 0, 0, float("nan"), float("nan"))
+    support, null = (int(np.count_nonzero(m)) for m in _levels(vals, tol))
+    return StrictnessReport(support == 0 and null == 0, support, null,
+                            float(vals.min()), float(vals.max()))
 
 
 def jordan_product(a, b) -> np.ndarray:

@@ -13,15 +13,18 @@ canonical, m2, geometry, equivalences) check the whole batch at once,
 canonical through the stacked cores of canonicalize and
 exchanged_pivot_form, and compat through the stacked core of
 five_block_decompose, which splits the batch by pattern of block ranks
-and runs each pattern's pairs as one computation; fiveblock, params and
-dilation keep a one-trial draw and check, which ``_per_trial`` maps
-over the batch with lists in place of stacks.  A bound of 0.0 marks an
-exact property; a boolean residual is 0.0 when it holds.  ``run`` is the
-one trial loop, which ``abscompat fuzz`` and the acceptance gate both
-use.  It checks the trials of each size as one batch and runs a batch
-that raises again one trial at a time, so its ``Outcome`` is the one a
-loop over single trials gives.  Draws build their instances at the
-default tolerances.  ``import abscompat`` does not load this module.
+and runs each pattern's pairs as one computation, and whose certificate
+gives the orthogonal residual, so each orthogonal pair is certified
+once; fiveblock, params and dilation keep a one-trial draw and check,
+which ``_per_trial`` maps over the batch with lists in place of stacks.
+Every bound is a field of the check's tolerances, so each ``--tol-*``
+flag reaches it, or 0.0 for an exact property; a boolean residual is
+0.0 when it holds.  ``run`` is the one trial loop, which ``abscompat
+fuzz`` and the acceptance gate both use.  It checks the trials of each
+size as one batch and runs a batch that raises again one trial at a
+time, so its ``Outcome`` is the one a loop over single trials gives.
+Draws build their instances at the default tolerances.  ``import
+abscompat`` does not load this module.
 """
 
 from dataclasses import dataclass, field
@@ -79,16 +82,18 @@ def _check_compat(x, tol):
     """The definition identity on (a, b); on the orthogonal pair (oa, ob),
     ab = 0, a + b <= 1 and absolute compatibility hold together, and the
     five-block decomposition of the whole batch passes its checks, one
-    computation per pattern of block ranks (compat._five_blocks)."""
+    computation per pattern of block ranks (compat._five_blocks).  The
+    orthogonal residual is the one the decomposition's certificate
+    computed, the residual is_abs_compatible reports for the pair."""
     a, b, oa, ob = x["a"], x["b"], x["oa"], x["ob"]
     fwd = is_abs_compatible(a, b, tol)
     rev = is_abs_compatible(b, a, tol)
-    _five_blocks(oa, ob, tol, stack=True)
+    orthogonal, _ = _five_blocks(oa, ob, tol, stack=True)
     return {
         "pair_residual": (fwd.residual, tol.compat),
         "symmetry": (np.abs(fwd.residual - rev.residual), 0.0),
         "orthogonal_product": (op_norm(oa @ ob), tol.compat),
-        "orthogonal_residual": (is_abs_compatible(oa, ob, tol).residual, tol.compat),
+        "orthogonal_residual": (orthogonal, tol.compat),
         "sum_excess": (_larger(0.0, np.linalg.eigvalsh(oa + ob)[:, -1] - 1.0), tol.spec),
     }
 
@@ -108,7 +113,7 @@ def _check_canonical(x, tol):
     norms = op_norm(np.stack((ra - a, rb - b, ea - ra, eb - rb), axis=-3))
     return {
         "reconstruction": (norms[..., :2].max(axis=-1), tol.canon),
-        "x0_multiset": (np.max(np.abs(np.sort(x["x0"]) - cf.x0), axis=-1), 1e-9),
+        "x0_multiset": (np.max(np.abs(np.sort(x["x0"]) - cf.x0), axis=-1), tol.spec),
         "pivot_exchange": (norms[..., 2:].max(axis=-1), tol.canon),
     }
 
@@ -154,7 +159,7 @@ def _check_geometry(x, tol):
         "report": (reduce(_larger, report.residuals.values()), tol.geo),
         "bijection": (_vnorm(r_pt - bloch_point(x["target"], tol)), tol.geo),
         "bijection_inverse": (inverse, tol.geo),
-        "spheroid_spread": (spheroid_residual(a, x["partners"], tol).relative_spread, 1e-8),
+        "spheroid_spread": (spheroid_residual(a, x["partners"], tol).relative_spread, tol.geo),
     }
 
 
@@ -239,10 +244,10 @@ def _check_params(x, tol):
         np.array((dagger(ue) @ ue - np.eye(len(ue)), pe @ pe - pe, dagger(conj) @ pivot @ conj - pe)))
     return {
         "strict_unitary": _holds(is_strict_unitary(u, tol)),
-        "unitarity": (float(unitarity), 1e-9),
+        "unitarity": (float(unitarity), tol.unit),
         "strict_projection": _holds(is_strict_projection(p, tol)),
-        "idempotence": (float(idempotence), 1e-9),
-        "pivot_conjugation": (float(conjugation), 1e-9),
+        "idempotence": (float(idempotence), tol.proj),
+        "pivot_conjugation": (float(conjugation), tol.proj),
     }
 
 
@@ -257,7 +262,7 @@ def _check_dilation(x, tol):
     a1, b1 = dilate_commuting_pair(a, b, tol)
     zero = np.zeros_like(a)
     want = np.block([[zero, zero], [zero, np.eye(len(a)) - a @ a - b @ b]])
-    return {"jordan_block": (op_norm(jordan_product(a1, b1) - want), 1e-10)}
+    return {"jordan_block": (op_norm(jordan_product(a1, b1) - want), tol.proj)}
 
 
 def _per_trial(draw, check, sizes) -> Property:

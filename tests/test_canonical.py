@@ -1,5 +1,6 @@
 """Canonical form, site-block algebra, strict parametrizations, dilation."""
 
+import contextlib
 import re
 
 import numpy as np
@@ -43,7 +44,10 @@ from abscompat.generate import (
     random_strict_projection_params,
     random_strict_unitary_params,
 )
-from abscompat.hermitian import absolute_value, dagger, hermitize, is_strict, jordan_product, op_norm
+from abscompat.hermitian import (
+    absolute_value, dagger, hermitize, is_strict, jordan_product, null_projection, op_norm,
+    support_projection,
+)
 
 RT2 = 1.0 / np.sqrt(2.0)
 FIX_A = np.array([[0.25, 0.25], [0.25, 0.75]], dtype=complex)
@@ -215,6 +219,65 @@ def test_dilation_jordan_identity():
         want[3:, 3:] = np.eye(3) - a @ a - b @ b
         assert op_norm(jordan_product(a1, b1) - want) <= 1e-10
         assert is_abs_compatible(a1, b1).residual <= DEFAULT_TOL.compat
+
+
+def _edges(cut):
+    """cut and the floats one ulp below and above it."""
+    return [cut, np.nextafter(cut, -1.0), np.nextafter(cut, 2.0)]
+
+
+# every strictness gate cuts at tol.spec and 1 - tol.spec (hermitian._levels)
+SPEC = DEFAULT_TOL.spec
+EDGES = _edges(SPEC) + _edges(1.0 - SPEC)
+
+
+@pytest.mark.parametrize("v", EDGES)
+def test_null_and_support_ranks_at_the_cut(v):
+    """An eigenvalue v of an effect is in the kernel when v <= tol.spec and
+    in the eigenspace at 1 when v >= 1 - tol.spec, to the ulp."""
+    a = np.diag([v, 0.5]).astype(complex)
+    assert v in np.linalg.eigh(a)[0]
+    assert round(np.trace(null_projection(a)).real) == int(v <= SPEC)
+    assert round(np.trace(support_projection(a)).real) == int(v >= 1.0 - SPEC)
+
+
+@pytest.mark.parametrize("v", EDGES)
+def test_strict_entry_gates_at_the_cut(v):
+    """A site's entry modulus, or its projection's (1,1) entry, is strict
+    exactly when it lies inside (tol.spec, 1 - tol.spec), to the ulp.  The
+    unitary gate is read at a unitarity slack that lets one modulus sit
+    at any value beside strict ones."""
+    strict = SPEC < v < 1.0 - SPEC
+    loose = DEFAULT_TOL.override(unit=1.0)
+    assert is_strict_unitary(SiteBlockMatrix(np.array([[[v, 0.5], [0.5, -v]]], dtype=complex)), loose) == strict
+    off = np.sqrt(v * (1.0 - v))
+    p = SiteBlockMatrix(np.array([[[v, off], [off, 1.0 - v]]], dtype=complex))
+    assert p.entry(0, 0)[0].real == v
+    assert is_strict_projection(p) == strict
+
+
+def _square_sum(x):
+    """The 1x1 effect x and the eigenvalue of a^2 + b^2 that
+    dilate_commuting_pair computes for the pair (x, x)."""
+    a = np.array([[x]], dtype=complex)
+    return a, np.linalg.eigvalsh(hermitize(a @ a + a @ a))[0]
+
+
+@pytest.mark.parametrize("step", range(3))
+def test_dilation_gates_at_the_cut(step):
+    """a^2 + b^2 exceeds one when an eigenvalue s is at least 1 - tol.spec,
+    and is not strict when one is at most tol.spec, to the ulp: tol.spec
+    puts the cut on s, one ulp below it or one above it."""
+    a, s = _square_sum(0.67)
+    cut = _edges(s)[step]
+    tol = DEFAULT_TOL.override(spec=1.0 - cut)
+    assert 1.0 - tol.spec == cut
+    with pytest.raises(SumExceedsOne) if s >= cut else contextlib.nullcontext():
+        dilate_commuting_pair(a, a, tol)
+    a, s = _square_sum(0.2)
+    cut = _edges(s)[step]
+    with pytest.raises(NotStrict, match=r"a\^2 \+ b\^2") if s <= cut else contextlib.nullcontext():
+        dilate_commuting_pair(a, a, DEFAULT_TOL.override(spec=cut))
 
 
 def test_pair_from_params_fixture():

@@ -12,10 +12,13 @@ import pytest
 
 import abscompat
 from abscompat import cli
-from abscompat.canonical import is_strict_projection
+from abscompat.canonical import is_strict_projection, strict_projection_from_params
 from abscompat.cli import run
 from abscompat.compat import is_abs_compatible
-from abscompat.generate import random_abscompat_pair
+from abscompat.generate import (
+    haar_unitary, random_abscompat_pair, random_commuting_strict_pair, random_projection,
+    random_strict_projection_params,
+)
 from abscompat.io import load_matrix, save_matrix
 from abscompat.properties import REGISTRY
 
@@ -177,6 +180,42 @@ def test_gen_commuting_and_unitary(tmp_path, capsys):
     capsys.readouterr()
     u = load_matrix(prefix + "_u.json")
     assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
+
+
+GEN_CASES = [
+    (["pair", "--n", "6", "--seed", "5", "--margin", "0.2"],
+     lambda: dict(zip("ab", random_abscompat_pair(6, 5, 0.2))), {"kind": "pair", "n": 6, "seed": 5}),
+    (["commuting", "--n", "3", "--seed", "4", "--margin", "0.1"],
+     lambda: dict(zip("ab", random_commuting_strict_pair(3, 4, 0.1))), {"kind": "commuting", "n": 3, "seed": 4}),
+    (["unitary", "--n", "5", "--seed", "6"], lambda: {"u": haar_unitary(5, 6)},
+     {"kind": "unitary", "n": 5, "seed": 6}),
+    (["projection", "--n", "6", "--seed", "8"], lambda: {"p": random_projection(6, 3, 8)},
+     {"kind": "projection", "n": 6, "strict": False, "seed": 8}),
+    (["projection", "--n", "5", "--rank", "2", "--seed", "8"], lambda: {"p": random_projection(5, 2, 8)},
+     {"kind": "projection", "n": 5, "strict": False, "seed": 8}),
+    (["projection", "--strict", "--sites", "3", "--seed", "9", "--margin", "0.2"],
+     lambda: {"p": strict_projection_from_params(random_strict_projection_params(3, 9, 0.2)).embed()},
+     {"kind": "projection", "n": 6, "strict": True, "seed": 9}),
+]
+
+
+@pytest.mark.parametrize("argv, draw, meta", GEN_CASES,
+                         ids=["pair", "commuting", "unitary", "projection", "rank", "strict"])
+def test_gen_writes_the_library_draw(tmp_path, capsys, argv, draw, meta):
+    """Each kind writes save_matrix of the library call with the same
+    arguments, one file per matrix, and a meta line whose keys come in
+    the order kind, n, [strict,] seed, files."""
+    prefix = str(tmp_path / "g")
+    assert run(["gen", *argv, "--out", prefix]) == 0
+    want = draw()
+    files = ["%s_%s.json" % (prefix, name) for name in want]
+    out = json.loads(capsys.readouterr().out)
+    assert list(out.items()) == list({**meta, "files": files}.items())
+    (tmp_path / "want").mkdir()
+    for path, (name, x) in zip(files, want.items()):
+        save_matrix(tmp_path / "want" / name, x)
+        assert Path(path).read_bytes() == (tmp_path / "want" / name).read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([Path(f).name for f in files] + ["want"])
 
 
 def test_geometry_fixture_flags(tmp_path):

@@ -877,9 +877,11 @@ FIVE_BLOCK_STACKS.append(("mixed", 8))
 @pytest.mark.parametrize("kind, n", FIVE_BLOCK_STACKS)
 def test_five_block_stack_elements_equal_their_lone_calls(kind, n):
     """Every pair of a stack, whichever pattern of block ranks it has, gets
-    the bases, blocks and projections of its own five_block_decompose."""
+    the bases, blocks and projections of its own five_block_decompose, and
+    the residual its certificate computed is is_abs_compatible's."""
     a, b = _stack(kind, n)
-    groups = _five_blocks(a, b, DEFAULT_TOL, stack=True)
+    residual, groups = _five_blocks(a, b, DEFAULT_TOL, stack=True)
+    assert residual.tobytes() == is_abs_compatible(a, b).residual.tobytes()
     seen = []
     for group in groups:
         for j, (i,) in enumerate(zip(*group.at)):
@@ -902,9 +904,11 @@ def test_five_block_stack_elements_equal_their_lone_calls(kind, n):
 def test_compat_check_stays_stacked(monkeypatch):
     """The compat check of a 30-trial batch makes a fixed number of
     numpy.linalg calls per pattern of block ranks, where one five-block
-    call per trial made seven per trial; a lone five_block_decompose above
-    _STACK_N hands numpy.linalg only 2-D arrays, on its exact-norm path
-    too.  Counts, unlike timings, hold on any host."""
+    call per trial made seven per trial: the orthogonal pairs are
+    certified once, and their 0x0 strict blocks take no factorization.  A
+    lone five_block_decompose above _STACK_N hands numpy.linalg only 2-D
+    arrays, on its exact-norm path too.  Counts, unlike timings, hold on
+    any host."""
     seeds = [derive_seed(39, i) for i in range(30)]
     prop = REGISTRY["compat"]
     batches = {n: prop.draw(seeds, n) for n in prop.sizes}
@@ -916,7 +920,7 @@ def test_compat_check_stays_stacked(monkeypatch):
     for n, stacks in batches.items():
         calls.update(dict.fromkeys(names, 0))
         prop.check(stacks, DEFAULT_TOL)
-        assert sum(calls.values()) <= 12 + 5 * patterns[n], (n, patterns[n], calls)
+        assert sum(calls.values()) <= 9 + 2 * patterns[n], (n, patterns[n], calls)
 
     ndims = []
     for name in names:
@@ -931,13 +935,29 @@ def test_compat_check_stays_stacked(monkeypatch):
     assert count and len(ndims) > count and set(ndims) == {2}, ndims
 
 
-def test_m2_bounds_follow_the_geo_tolerance():
-    """The m2 check's four bounds are tol.geo, so --tol-geo reaches them."""
-    prop = REGISTRY["m2"]
-    stacks = prop.draw([derive_seed(40, i) for i in range(4)], 2)
-    for geo in (DEFAULT_TOL.geo, 1e-7):
-        bounds = {name: bound for name, (_, bound) in prop.check(stacks, DEFAULT_TOL.override(geo=geo)).items()}
-        assert bounds == dict.fromkeys(("index_error", "pivot_error", "target_error", "roundtrip"), geo)
+# (property, size): {residual: (the Tolerances field its bound reads, the
+# literal bound it replaced, or None)}
+REGISTRY_BOUNDS = {
+    ("m2", 2): dict.fromkeys(("index_error", "pivot_error", "target_error", "roundtrip"), ("geo", None)),
+    ("canonical", 4): {"x0_multiset": ("spec", 1e-9)},
+    ("geometry", 2): {"spheroid_spread": ("geo", 1e-8)},
+    ("params", 2): {"unitarity": ("unit", 1e-9), "idempotence": ("proj", 1e-9),
+                    "pivot_conjugation": ("proj", 1e-9)},
+    ("dilation", 2): {"jordan_block": ("proj", 1e-10)},
+}
+
+
+@pytest.mark.parametrize("name, size", list(REGISTRY_BOUNDS))
+def test_registry_bounds_follow_their_tolerance(name, size):
+    """Each of these bounds is a Tolerances field, so its --tol-* flag
+    reaches it, and no default is looser than the literal it replaced."""
+    prop, fields = REGISTRY[name], REGISTRY_BOUNDS[name, size]
+    stacks = prop.draw([derive_seed(40, i) for i in range(4)], size)
+    for scale in (1.0, 100.0):
+        tol = DEFAULT_TOL.override(**{f: scale * getattr(DEFAULT_TOL, f) for f, _ in fields.values()})
+        bounds = {k: bound for k, (_, bound) in prop.check(stacks, tol).items()}
+        assert {k: bounds[k] for k in fields} == {k: getattr(tol, f) for k, (f, _) in fields.items()}
+    assert all(getattr(DEFAULT_TOL, f) <= literal for f, literal in fields.values() if literal)
 
 
 SCALES = (0.5, 0.7, 2**-0.5, 0.75, 0.99, 1.0, 1.01, 1.4, 2**0.5, 1.5, 3.0)
