@@ -16,7 +16,11 @@ unitaries and strict projections, and the inverse `canonicalize`.
 single pair is a batch of one with no leading axis: every step is one
 computation on the whole stack that gives each pair the bits it gets
 alone, and only a pair whose |a-b| spectrum clusters takes a step of
-its own.
+its own.  A pair whose residual certifies both operands as effects has
+its strictness certified last, by the recovered sites and the
+reconstruction residual (Weyl's inequality), so a canonicalize call
+makes 3 eigh, 2 eigvalsh and 1 svd, where validating both spectra and
+taking the exact residual would add 3 eigvalsh.
 
 Site layout: site k occupies coordinates 2k and 2k+1 of the full matrix.
 It holds the M2 pair of geometry.py with pivot P0, target P and index x0[k],
@@ -30,6 +34,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
+    AbscompatError,
     DimensionMismatch,
     DomainError,
     NotCommuting,
@@ -43,6 +48,7 @@ from .errors import (
     SumExceedsOne,
 )
 from .hermitian import (
+    _ROUNDING,
     _effects,
     _factor_each,
     _first,
@@ -61,7 +67,7 @@ from .hermitian import (
     require_projection,
     require_unitary,
 )
-from .compat import _built_pair, _eigh_on, _pair_spectra, _require_compatible
+from .compat import _built_pair, _certified_pair, _eigh_on, _pair_spectra, _require_compatible
 from .io import matrix_to_json
 
 PIVOT_0 = np.diag([0.0, 1.0]).astype(complex)
@@ -320,7 +326,7 @@ def dilate_commuting_pair(a, b, tol: Tolerances = DEFAULT_TOL):
     a1 = np.block([[a @ a, ab], [ab, one - a @ a]])
     b1 = np.block([[b @ b, -ab], [-ab, one - b @ b]])
     a1, b1 = hermitize(a1), hermitize(b1)
-    residual = _pair_spectra(a1, b1).residual
+    residual = _pair_spectra(a1, b1, tol.compat).residual
     if residual > tol.compat:
         raise PostconditionFailure("dilated pair residual %.3e" % residual)
     return a1, b1
@@ -439,14 +445,52 @@ def _joint_eigenbasis(a, diff, v_plus, gap: float):
 def _canonical(a, b, tol: Tolerances, stack: bool = False) -> _Canonical:
     """canonicalize of one pair, or with stack=True of each pair of two
     (..., n, n) stacks: each step runs once on the whole stack, and a
-    stack raises at the first step some pair of it fails."""
-    (a, va), (b, vb) = _effects(a, b, tol, stack)
+    stack raises at the first step some pair of it fails.
+
+    A pair whose residual certifies both operands as effects
+    (compat._certified_pair) has no spectra of them at hand, so its
+    strictness is settled last, by the recovered form.  A site of a is
+    (1-x0) P0 + x0 P, of trace 1 and determinant x0 a0^2 (1-x0), so its
+    eigenvalues are lam and 1 - lam with lam (1 - lam) = x0 a0^2 (1-x0);
+    those of b have x0 (1 - a0^2)(1-x0).  The reconstruction ra = U0 S U0*
+    has these eigenvalues up to the departure of the computed U0 from
+    unitarity and the rounding of the products, about n u, and by Weyl's
+    inequality each eigenvalue of a is within ||ra - a|| = err of one of
+    ra's, and each eigenvalue that eigvalsh computes within p(n) u of
+    that.  So when every lam clears the _levels cut by err + _ROUNDING n,
+    both effects are strict and their eigvalsh is skipped; otherwise one
+    eigvalsh of [a, b] decides, as it does for a pair validated by its
+    spectra.  An AbscompatError raised before that point first runs the
+    same eigvalsh, so a pair that is not strict raises NotStrict, ahead
+    of every later error, as it does when its spectra are checked first.
+    """
+    a, b, spectra, vals = _certified_pair(a, b, tol, stack, compared=True)
     n = a.shape[-1]
     if n % 2:
         raise OddDimension("canonical form needs even dimension, got %d" % n)
-    _require_strict(va, vb, tol)
-    spectra = _require_compatible(_pair_spectra(a, b), tol)
+    if vals is not None or not a.size:
+        _require_strict(*(vals or _factor_each(np.linalg.eigvalsh, a, b)), tol)
+        return _recovered(a, b, spectra, tol)
+    try:
+        cf = _recovered(a, b, spectra, tol)
+    except AbscompatError:
+        _require_strict(*_factor_each(np.linalg.eigvalsh, a, b), tol)
+        raise
+    spread, sq = cf.x0 * (1.0 - cf.x0), cf.a0 * cf.a0
+    p = np.concatenate([spread * sq, spread * (1.0 - sq)], axis=-1)
+    # the smaller root of lam (1 - lam) = p, where p < (1 - tol.spec)/4 by
+    # the gates on d; the larger root, 1 - lam, clears the same cut
+    lam = 2.0 * p / (1.0 + np.sqrt(1.0 - 4.0 * p))
+    if not np.all(_strict_rows(lam, tol, cf.residual[..., None] + _ROUNDING * n)):
+        _require_strict(*_factor_each(np.linalg.eigvalsh, a, b), tol)
+    return cf
 
+
+def _recovered(a, b, spectra, tol: Tolerances) -> _Canonical:
+    """The canonical form of each pair of two stacks of effects (a, b) of
+    even size, from their _pair_spectra, once it is checked."""
+    spectra = _require_compatible(spectra, tol)
+    n = a.shape[-1]
     m = n // 2
     diff = spectra.abs_diff
     zvals, zvecs = spectra.rest

@@ -9,7 +9,13 @@ A check is settled by the cheapest certificate that settles it, and a
 factorization runs only when the certificate is inconclusive: a small
 compatibility residual proves both operands are effects
 (_certified_pair), and a Frobenius norm within a bound proves the
-operator norm is too (hermitian._hnorm_upto).
+operator norm is too (hermitian._hnorm_upto), so a residual that is
+only compared with tol.compat is taken Frobenius-first.  Five-block
+certifies its strict block from what it already holds: the spectra the
+block interlaces clear the strictness cut (_strict_by_interlacing), and the
+whole pair's residual plus its off-block norms bound the block's residual
+(_strict_block_bound).  A five-block call makes 5 eigh and 1 eigvalsh,
+where computing both would make 7 and 4.
 """
 
 import math
@@ -93,9 +99,10 @@ def _canonical_order(a, b):
     return np.where(swap, b, a), np.where(swap, a, b)
 
 
-def _pair_spectra(a, b) -> _PairSpectra:
+def _pair_spectra(a, b, bound=None) -> _PairSpectra:
     """|| |a-b| + |1-a-b| - 1 || from one eigh of the stack [a-b, 1-a-b]
-    (_factor_each).
+    (_factor_each); a residual that is only compared with a bound is
+    taken Frobenius-first (_hnorm_upto), and is exact where it exceeds it.
 
     a and b may be stacks of pairs of one shape; the residual is then an
     array.  Each pair is put in a canonical order before any
@@ -107,7 +114,8 @@ def _pair_spectra(a, b) -> _PairSpectra:
     one = identity_like(a)
     (dvals, dvecs), (zvals, zvecs) = _factor_each(np.linalg.eigh, a - b, one - a - b)
     abs_diff = _compose(np.abs(dvals), dvecs)
-    residual = _hnorm(abs_diff + _compose(np.abs(zvals), zvecs) - one)
+    excess = abs_diff + _compose(np.abs(zvals), zvecs) - one
+    residual = _hnorm(excess) if bound is None else _hnorm_upto(excess, bound)
     return _PairSpectra(residual, abs_diff, np.sort(np.abs(dvals), axis=-1), (zvals, zvecs))
 
 
@@ -129,17 +137,20 @@ def _built_pair(a, b, tol: Tolerances, not_strict, incompatible="constructed pai
     va, vb = _factor_each(np.linalg.eigvalsh, a, b)
     if not (np.all(_strict_rows(va, tol)) and np.all(_strict_rows(vb, tol))):
         raise not_strict
-    residual = _pair_spectra(a, b).residual
+    residual = _pair_spectra(a, b, tol.compat).residual
     bad = np.logical_not(residual <= tol.compat)
     if np.any(bad):
         raise PostconditionFailure(incompatible % _first(residual, bad))
     return a, b
 
 
-def _certified_pair(a, b, tol: Tolerances, stack: bool = False):
-    """(a, b, _pair_spectra(a, b)) for two effects a and b, or with
-    stack=True two stacks of them; raises what _effects raises, in its
-    order, when they are not effects.
+def _certified_pair(a, b, tol: Tolerances, stack: bool = False, compared: bool = False):
+    """(a, b, _pair_spectra(a, b), vals) for two effects a and b, or with
+    stack=True two stacks of them, where vals is None when the residual
+    certifies both and the spectra (va, vb) of _effects otherwise; raises
+    what _effects raises, in its order, when they are not effects.  With
+    compared=True, for a caller that only compares the residual with
+    tol.compat, the residual is taken Frobenius-first.
 
     A small residual proves both operands are effects.  With c = 1-a-b,
     d = a-b, their positive and negative parts c+, c-, d+, d- and
@@ -165,16 +176,19 @@ def _certified_pair(a, b, tol: Tolerances, stack: bool = False):
     effect has and which could overflow a - b; a shape mismatch; a
     non-Hermitian b) _effects decides, exactly as before.  A stack is
     certified when every pair of it is, and validated whole otherwise.
+    A Frobenius-first residual is never below the exact one, so what it
+    certifies the exact residual certifies too.
     """
     a, b = _hermitian_pair(a, b, tol, stack)
+    bound = tol.compat if compared else None
     spectra = None
     bounded = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)) <= 1.0 + tol.spec
     if a.shape == b.shape and bounded:
-        spectra = _pair_spectra(a, b)
+        spectra = _pair_spectra(a, b, bound)
         if np.all(spectra.residual + _ROUNDING * a.shape[-1] <= tol.spec):
-            return a, b, spectra
-    _effects(a, b, tol, stack)
-    return a, b, spectra if spectra is not None else _pair_spectra(a, b)
+            return a, b, spectra, None
+    (_, va), (_, vb) = _effects(a, b, tol, stack)
+    return a, b, spectra if spectra is not None else _pair_spectra(a, b, bound), (va, vb)
 
 
 def is_abs_compatible(a, b, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
@@ -210,7 +224,7 @@ def _projection_compat_equiv(p, a, tol: Tolerances):
     if p.shape != a.shape:
         raise DimensionMismatch("shapes %r and %r" % (p.shape, a.shape))
     # a projection is an effect; i[p, a] is Hermitian with the norm of [p, a]
-    lhs = _pair_spectra(p, a).residual <= tol.compat
+    lhs = _pair_spectra(p, a, tol.compat).residual <= tol.compat
     rhs = _hnorm_upto(1j * (p @ a - a @ p), tol.compat) <= tol.compat
     return lhs, rhs
 
@@ -291,11 +305,17 @@ def _five_blocks(a, b, tol: Tolerances, stack: bool = False):
     block, and each of those groups checks its blocks as one stack.
     Every postcondition holds for every pair; a stack raises at the
     first check some pair of it fails.
+
+    The strict block of a pair is strict when the spectra it interlaces
+    clear the cut (_strict_by_interlacing) and compatible when
+    _strict_block_bound is within tol.compat; only the pairs that these
+    certificates leave open take _built_pair on their strict blocks.
     """
-    a, b, spectra = _certified_pair(a, b, tol, stack)
+    a, b, spectra, _ = _certified_pair(a, b, tol, stack)
     _require_compatible(spectra, tol)
     n = a.shape[-1]
     vals, vecs = np.linalg.eigh(a)
+    residual = np.asarray(spectra.residual)
     out = []
     for at, (units, zeros) in _patterns(_level_counts(vals, tol)):
         v, ga, gb = vecs[at], a[at], b[at]
@@ -303,6 +323,7 @@ def _five_blocks(a, b, tol: Tolerances, stack: bool = False):
         rest, rvals = _eigh_on(gb, v[..., zeros:n - units])
         counts = np.concatenate([_level_counts(kvals, tol)[..., :1], _level_counts(rvals, tol)], axis=-1)
         for inner, (unit_k, unit_r, zero_r) in _patterns(counts):
+            where = _within(at, inner)
             k, r = kernel[inner], rest[inner]
             top = r.shape[-1] - unit_r
             bases = {
@@ -312,9 +333,12 @@ def _five_blocks(a, b, tol: Tolerances, stack: bool = False):
                 "null_a": k[..., :zeros - unit_k],
                 "null_b": r[..., :zero_r],
             }
-            blocks_a, blocks_b = _reduced_blocks(ga[inner], gb[inner], bases, tol)
-            _verify_block_contents(blocks_a, blocks_b, tol)
-            out.append(_Blocks(_within(at, inner), bases, blocks_a, blocks_b))
+            blocks_a, blocks_b, frob = _reduced_blocks(ga[inner], gb[inner], bases, tol)
+            strict = _strict_by_interlacing(vals[where][..., zeros:n - units], rvals[inner][..., zero_r:top],
+                                            n, tol)
+            settled = strict & (_strict_block_bound(residual[where], frob, n, tol) <= tol.compat)
+            _verify_block_contents(blocks_a, blocks_b, tol, settled)
+            out.append(_Blocks(where, bases, blocks_a, blocks_b))
     return spectra.residual, out
 
 
@@ -362,7 +386,9 @@ def _reduced_blocks(a, b, bases, tol):
     commutation and reconstruction postconditions at tol.proj and
     tol.block.  Both bounds grow with eps and delta, so they are first
     taken with Frobenius norms, which are never below the operator norms;
-    only a pair they do not settle takes them exactly.
+    only a pair they do not settle takes them exactly.  Returns the
+    compressions of a, of b and the Frobenius norms (eps, delta_a,
+    delta_b), over leading axes.
     """
     v = np.concatenate(list(bases.values()), axis=-1)
     widths = [w.shape[-1] for w in bases.values()]
@@ -371,10 +397,11 @@ def _reduced_blocks(a, b, bases, tol):
     gram = dagger(v) @ v - identity_like(v)
     ms = [hermitize(dagger(v) @ x @ v) for x in (a, b)]
     mats = [gram] + [np.where(on_block, 0.0, m) for m in ms]
-    norms = np.array([_fnorm(x) for x in mats])
+    frob = norms = np.array([_fnorm(x) for x in mats])
     eps, bounds = _reduction_bounds(norms, tol)
     open_ = np.logical_not(((1.0 + eps) * eps <= tol.proj) & np.all(bounds <= tol.block, axis=0))
     if np.any(open_):
+        norms = frob.copy()
         at = np.nonzero(open_) if open_.ndim else ()
         exact = _factor_each(np.linalg.eigvalsh, *(x[at] for x in mats))
         norms[(slice(None),) + at] = [np.abs(x).max(axis=-1) for x in exact]
@@ -388,7 +415,9 @@ def _reduced_blocks(a, b, bases, tol):
             raise PostconditionFailure("blocks do not reduce %s: off-block bound %.3e" % (label, _first(bound, bad)))
     # owner repeats each block's label over its width: block k owns edges[k]:edges[k + 1]
     edges = np.cumsum([0] + widths)
-    return [{name: m[..., s:e, s:e].copy() for name, s, e in zip(bases, edges[:-1], edges[1:])} for m in ms]
+    blocks_a, blocks_b = ({name: m[..., s:e, s:e].copy() for name, s, e in zip(bases, edges[:-1], edges[1:])}
+                          for m in ms)
+    return blocks_a, blocks_b, frob
 
 
 def _reduction_bounds(norms, tol):
@@ -398,10 +427,62 @@ def _reduction_bounds(norms, tol):
     return eps, (1.0 + eps) * (norms[1:] + 2.0 * eps * (1.0 + tol.spec))
 
 
-def _verify_block_contents(blocks_a, blocks_b, tol):
+def _strict_by_interlacing(rest_a, middle_b, n: int, tol: Tolerances):
+    """Whether the strict block of each pair of n x n effects is certified
+    strict: a's eigenvalues on the rest, rest_a, and b's on the strict
+    block, middle_b, all clear the _levels cut by _ROUNDING n.
+
+    The strict basis is W Q, with W the computed eigenvectors of a on the
+    rest and Q orthonormal eigenvectors of W*bW.  W*aW is diag(rest_a)
+    and Q*(W*bW)Q is diag(middle_b), each up to the backward error of its
+    eigh (p(n) u ||x||, LAPACK Users' Guide, section 4.7) and the
+    rounding of the products (about n u ||x||), with ||x|| <= 1 + tol.spec
+    for an effect.  By Cauchy interlacing the spectrum of Q* diag(rest_a) Q
+    lies between the extremes of rest_a, and by Weyl's inequality the
+    eigenvalues that _built_pair's eigvalsh computes for the compressions
+    of a and b lie within those errors of rest_a's range and of
+    middle_b.  _ROUNDING n = 2e3 n u covers them, as in _certified_pair,
+    so when every value clears the cut by it, that eigvalsh would find
+    both compressions strict.
+    """
+    return _strict_rows(np.concatenate([rest_a, middle_b], axis=-1), tol, _ROUNDING * n)
+
+
+def _strict_block_bound(residual, frob, n: int, tol: Tolerances):
+    """A bound on the compatibility residual of the strict block of each
+    pair of n x n effects, from the residual of the whole pair and the
+    Frobenius norms frob = (eps, delta_a, delta_b) of V*V - I and of the
+    off-block parts of V*aV and V*bV that _reduced_blocks takes.
+
+    Write f(x, y) = |x-y| + |1-x-y| - 1.  For Hermitian S and T,
+    || |S| - |T| ||_F <= ||S - T||_F, the Hilbert-Schmidt form of the
+    continuity of S -> |S| (Kato 1973; Bhatia, Matrix Analysis, ch. X),
+    which carries no log factor: in eigenbases of S and T the entries of
+    |S| - |T| are (|s_i| - |t_j|) c_ij and those of S - T are
+    (s_i - t_j) c_ij.  So ||f(x, y) - f(x', y')||_F <= 2 (||x - x'||_F
+    + ||y - y'||_F), and:
+      - V = UP with U unitary and P = (V*V)^(1/2), so ||P - I||_F <= eps
+        and ||V*xV - U*xU||_F <= eps (2 + eps) ||x||, with
+        ||x|| <= 1 + tol.spec for an effect; f(U*aU, U*bU) = U* f(a, b) U
+        has the norm r of the whole pair's residual;
+      - dropping the off-block parts moves f by at most 2 (delta_a +
+        delta_b) and leaves a block diagonal pair, whose f has the strict
+        block's f as one diagonal block.
+    So the strict block's residual is at most
+        r + 2 (delta_a + delta_b) + 4 eps (2 + eps) (1 + tol.spec),
+    and _ROUNDING n covers the rounding of the two computed residuals and
+    of the compressions, about n u each, as in _certified_pair.
+    """
+    eps, delta_a, delta_b = frob
+    return (residual + 2.0 * (delta_a + delta_b) + 4.0 * eps * (2.0 + eps) * (1.0 + tol.spec)
+            + _ROUNDING * n)
+
+
+def _verify_block_contents(blocks_a, blocks_b, tol, settled=np.False_):
     """The unit and null blocks are 1 and 0, and the strict blocks, unless
     they are 0x0, are strict and absolutely compatible, for each pair of
-    stacked blocks."""
+    stacked blocks; _built_pair checks the strict blocks of the pairs
+    that settled, a mask over leading axes, leaves open."""
     checks = (
         ("unit_a", blocks_a, 1.0),
         ("unit_b", blocks_b, 1.0),
@@ -412,7 +493,8 @@ def _verify_block_contents(blocks_a, blocks_b, tol):
         blk = side[name]
         if np.any(_hnorm_upto(blk - target * identity_like(blk), tol.block) > tol.block):
             raise PostconditionFailure("restriction to %s is not %r" % (name, target))
-    if blocks_a["strict"].shape[-1]:
-        _built_pair(blocks_a["strict"], blocks_b["strict"], tol,
+    if blocks_a["strict"].shape[-1] and not np.all(settled):
+        at = np.nonzero(~settled) if settled.ndim else ()
+        _built_pair(blocks_a["strict"][at], blocks_b["strict"][at], tol,
                     PostconditionFailure("strict block has spectrum touching 0 or 1"),
                     "strict block not absolutely compatible, residual %.3e")

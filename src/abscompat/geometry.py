@@ -238,6 +238,22 @@ def decompose_pair_m2(a, b, tol: Tolerances = DEFAULT_TOL) -> PairSpec:
     eigenvector of a+b (eigenvalue 2 - index), which is the bottom
     eigenvector of 1-a-b; the target is read off from a by affine
     inversion.
+
+    The check that a+b has its top eigenvalue at 2 - index allows
+    10 tol.cluster.  For an exact M2 pair, |a-b| = index and a+b has the
+    eigenvalues 2 - index and index.  A pair that passed the gates before
+    the check has |a-b| = index + D, with ||D|| <= (high - low)/2 <=
+    tol.cluster (1 + tol.spec)/2 by the doubling test, and |1-a-b| =
+    1 - index - D + R, where ||R|| = r <= tol.compat is its residual.  By
+    Weyl's inequality both eigenvalues of |1-a-b| lie within
+    tol.cluster (1 + tol.spec)/2 + tol.compat of 1 - index, so where
+    1-a-b has a negative eigenvalue, 1 minus it, the top eigenvalue of
+    a+b, is that close to 2 - index, up to the rounding of the eigh.  At
+    the default tolerances (tol.compat = tol.cluster) that is about
+    1.5 tol.cluster, so the factor 10 leaves more than six times
+    headroom, and holds whenever tol.compat stays below about
+    9.5 tol.cluster.  The check does not have to be tight: a pivot read
+    off the wrong eigenvector fails the round-trip residual behind it.
     """
     return _first_failing(lambda a, b: _decompose_pair_m2(a, b, tol), (2, 2), a, b)
 
@@ -247,7 +263,7 @@ def _decompose_pair_m2(a, b, tol: Tolerances) -> PairSpec:
     if a.shape[-2:] != (2, 2):
         raise DimensionMismatch("decomposition is for 2x2 effects")
     _require_strict(va, vb, tol)
-    spectra = _require_compatible(_pair_spectra(a, b), tol)
+    spectra = _require_compatible(_pair_spectra(a, b, tol.compat), tol)
 
     low, high = spectra.abs_diff_vals[..., 0], spectra.abs_diff_vals[..., 1]
     if np.any(high - low > tol.cluster * np.maximum(1.0, high)):
@@ -454,5 +470,5 @@ def _partner_points(a, xs, tol: Tolerances) -> np.ndarray:
     xs = require_hermitian(xs, tol, stack=True)
     _require_unit_interval(np.linalg.eigvalsh(xs), tol)
     pts = _bloch(xs, tol)
-    _require_compatible(_pair_spectra(np.broadcast_to(a, xs.shape), xs), tol)
+    _require_compatible(_pair_spectra(np.broadcast_to(a, xs.shape), xs, tol.compat), tol)
     return pts

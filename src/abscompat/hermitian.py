@@ -354,10 +354,12 @@ def _span(v) -> np.ndarray:
     return hermitize(v @ dagger(v))
 
 
-def _levels(vals, tol: Tolerances):
+def _levels(vals, tol: Tolerances, margin=0.0):
     """Masks of the values (eigenvalues, singular values, entry moduli) at
-    1 and at 0, within tol.spec; as tol.spec < 0.5, no value is at both."""
-    return vals >= 1.0 - tol.spec, vals <= tol.spec
+    1 and at 0, within tol.spec; as tol.spec < 0.5, no value is at both.
+    A margin widens both levels, for a certificate that a value clears the
+    cut by it."""
+    return vals >= 1.0 - tol.spec - margin, vals <= tol.spec + margin
 
 
 def _effect_eigh(a, tol: Tolerances):
@@ -392,11 +394,11 @@ class StrictnessReport:
         return self.strict
 
 
-def _strict_rows(vals, tol: Tolerances):
+def _strict_rows(vals, tol: Tolerances, margin=0.0):
     """Whether each row over leading axes, a spectrum or entry moduli, has
     no value whose absolute value is at 1 or at 0: is_strict's decision,
-    per row."""
-    one, zero = _levels(np.abs(vals), tol)
+    per row; with a margin, whether every value clears the cut by it."""
+    one, zero = _levels(np.abs(vals), tol, margin)
     return ~np.any(one | zero, axis=-1)
 
 

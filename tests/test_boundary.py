@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from abscompat import DEFAULT_TOL, AbscompatError, DomainError, PostconditionFailure, compat
-from abscompat.canonical import canonicalize
+from abscompat import DEFAULT_TOL, AbscompatError, DomainError, PostconditionFailure, canonical, compat
+from abscompat.canonical import _embed, _site_pairs, canonicalize
 from abscompat.compat import (
     BLOCK_NAMES,
     CompatReport,
     _pair_spectra,
+    _reduced_blocks,
+    _strict_block_bound,
     five_block_decompose,
     is_abs_compatible,
     is_orthogonal,
@@ -25,6 +27,7 @@ from abscompat.generate import (
 )
 from abscompat.geometry import decompose_pair_m2, pair_from_projections, spheroid_residual
 from abscompat.hermitian import (
+    _ROUNDING,
     _effects,
     _hnorm,
     dagger,
@@ -93,39 +96,54 @@ def _assembled_pair(seed):
     return _direct_sum(sa, sb, slots, derive_seed(seed, 2))[:2]
 
 
+def _n96_pairs():
+    """30 strict 64x64 pairs, each beside eight slots of each overlap."""
+    for i in range(30):
+        seed = derive_seed(17, i)
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        sa, sb = random_abscompat_pair(64, derive_seed(seed, 1))
+        slots = []
+        for kind in range(4):  # unit_a, unit_b, null_a, null_b
+            for v in 0.1 + 0.8 * gen.random(8):
+                slots.append(((1.0, v), (v, 1.0), (0.0, v), (v, 0.0))[kind])
+        yield _direct_sum(sa, sb, slots, derive_seed(seed, 2))[:2]
+
+
 # Matrices that numpy.linalg factorizes in one call at n = 8; a call on a
 # (k, n, n) stack counts k, so stacking several matrices into one call
 # cannot hide a factorization:
 #  - is_abs_compatible: one eigh each of a-b and 1-a-b and one eigvalsh
 #    for the norm of the residual, which also certifies both operands as
 #    effects, so neither takes a validating eigvalsh;
-#  - canonicalize: one eigvalsh per operand for its strictness, the same
-#    three, one eigh of |a-b| on the positive half of 1-a-b (a pair whose
-#    eigenvalues there cluster takes one more eigh per cluster, of a on
-#    the cluster; a random pair has none), one svd for the polar factor
-#    of the cross block, and one eigvalsh per reconstruction residual;
-#    the same count for a stack of pairs, each call on the whole stack;
+#  - canonicalize: the two eigh of the residual, whose Frobenius norm
+#    certifies both operands and their compatibility, one eigh of |a-b|
+#    on the positive half of 1-a-b (a pair whose eigenvalues there
+#    cluster takes one more eigh per cluster, of a on the cluster; a
+#    random pair has none), one svd for the polar factor of the cross
+#    block, and one eigvalsh per reconstruction residual, which with the
+#    recovered sites also certifies strictness; the same count for a
+#    stack of pairs, each call on the whole stack;
 #  - five_block_decompose: the same three as is_abs_compatible, one eigh
-#    of a, one eigh of b on each of the kernel of a and the rest, two
-#    eigvalsh for the strictness of the strict block, and two eigh and
-#    one eigvalsh for its residual; the orthonormality, off-block and
+#    of a, and one eigh of b on each of the kernel of a and the rest; the
+#    strictness and compatibility of the strict block are read off those
+#    spectra and norms, and the orthonormality, off-block and
 #    block-content checks are settled by Frobenius norms; the same count
 #    per pair for a stack, each call on the whole stack or on the pairs
 #    of one pattern of block ranks;
 #  - support_projection and null_projection: one eigh, whose eigenvalues
 #    also validate the effect;
-#  - decompose_pair_m2 (2x2): one eigvalsh per operand, the three of the
-#    residual, and in the round trip through pair_from_projections one
-#    eigvalsh per rebuilt operand for its strictness and the same three;
-#    the separation tests and the round-trip norms are settled by
-#    Frobenius bounds.
+#  - decompose_pair_m2 (2x2): one eigvalsh per operand, the two eigh of
+#    the residual, and in the round trip through pair_from_projections one
+#    eigvalsh per rebuilt operand for its strictness and the same two
+#    eigh; both residuals, the separation tests and the round-trip norms
+#    are settled by Frobenius bounds.
 BUDGET = {
     "is_abs_compatible": {"eigh": 2, "eigvalsh": 1, "svd": 0},
-    "canonicalize": {"eigh": 3, "eigvalsh": 5, "svd": 1},
-    "five_block_decompose": {"eigh": 7, "eigvalsh": 4, "svd": 0},
+    "canonicalize": {"eigh": 3, "eigvalsh": 2, "svd": 1},
+    "five_block_decompose": {"eigh": 5, "eigvalsh": 1, "svd": 0},
     "support_projection": {"eigh": 1, "eigvalsh": 0, "svd": 0},
     "null_projection": {"eigh": 1, "eigvalsh": 0, "svd": 0},
-    "decompose_pair_m2": {"eigh": 4, "eigvalsh": 6, "svd": 0},
+    "decompose_pair_m2": {"eigh": 4, "eigvalsh": 4, "svd": 0},
 }
 
 
@@ -258,6 +276,170 @@ def test_certificate_parity(case, monkeypatch):
         assert np.array_equal(fb.bases[name], certified.bases[name])
 
 
+def _site_pair(x0, a0, seed):
+    """The pair of per-site (x0, a0), w = 1, under a Haar conjugation."""
+    x0, a0 = np.asarray(x0, dtype=float), np.asarray(a0, dtype=float)
+    sa, sb = (_embed(s) for s in _site_pairs(x0, a0, np.ones(len(x0), dtype=complex)))
+    u = haar_unitary(len(sa), seed)
+    return hermitize(u @ sa @ dagger(u)), hermitize(u @ sb @ dagger(u))
+
+
+def _a0_at(x0, lam, side):
+    """The a0 that puts the smaller eigenvalue of side a or b of a site of
+    index x0 at lam: lam (1 - lam) = x0 a0^2 (1 - x0) for a and
+    x0 (1 - a0^2)(1 - x0) for b."""
+    sq = lam * (1.0 - lam) / (x0 * (1.0 - x0))
+    return math.sqrt(sq if side == "a" else 1.0 - sq)
+
+
+def _near_cut(n, offset, side="a", seed=0):
+    """A strict-by-construction pair of size n whose side has a smallest
+    eigenvalue tol.spec + offset * _ROUNDING * n, past the cut for a
+    negative offset."""
+    lam = DEFAULT_TOL.spec + offset * _ROUNDING * n
+    x0 = [0.5] + list(np.linspace(0.2, 0.8, n // 2 - 1))
+    a0 = [_a0_at(0.5, lam, side)] + [0.6] * (n // 2 - 1)
+    return _site_pair(x0, a0, derive_seed(23, seed))
+
+
+def _near_cut_assembled(n, offset, side, seed):
+    """_near_cut beside two slots.  The slots are where the other effect is
+    0 or 1: a slot where side is 0 or 1 would sit within about tol.spec
+    of its eigenvalue near the cut, and so split from it only to about
+    u / tol.spec."""
+    slots = [(0.3, 1.0), (0.6, 0.0)] if side == "a" else [(1.0, 0.5), (0.0, 0.7)]
+    return _direct_sum(*_near_cut(n, offset, side, seed), slots, derive_seed(23, seed))[:2]
+
+
+def _spy(log, fn):
+    def spy(*args, **kwargs):
+        log.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return spy
+
+
+def _uncertified(monkeypatch, fn, *args):
+    """fn(*args) with every certificate inconclusive, so each check is
+    computed as it was before the certificates: no finite residual clears
+    an infinite rounding allowance."""
+    with monkeypatch.context() as m:
+        m.setattr(compat, "_ROUNDING", np.inf)
+        return _outcome(fn, *args)
+
+
+def _canonical_bits(a, b, tol):
+    cf = canonicalize(a, b, tol)
+    return tuple(np.asarray(x).tobytes() for x in (cf.u0, cf.x0, cf.a0, cf.w, cf.residual))
+
+
+def _canonical_cases():
+    valid = random_abscompat_pair(8, derive_seed(11, 3))
+    sa, sb = random_abscompat_pair(4, derive_seed(11, 4))
+    unpaired = _direct_sum(sa, sb, [(1.0, 0.0), (0.0, 0.0)], derive_seed(11, 5))[:2]
+    return {
+        # path: "validated" when the residual does not certify the operands,
+        # "deferred" when it does and the recovered form leaves strictness
+        # to one eigvalsh, "certified" when the form settles it
+        "certified": (*valid, DEFAULT_TOL, "certified"),
+        "tight-spec": (*valid, DEFAULT_TOL.override(spec=1e-16), "validated"),
+        "compatible-not-strict": (*_assembled_pair(derive_seed(5, 1)), DEFAULT_TOL, "deferred"),
+        "not-strict-and-unpaired": (*unpaired, DEFAULT_TOL, "deferred"),
+        "within-allowance-of-cut": (*_near_cut(4, 0.5), DEFAULT_TOL, "deferred"),
+        "below-cut-b": (*_near_cut(4, -0.5, "b"), DEFAULT_TOL, "deferred"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_canonical_cases()))
+def test_canonical_certificate_parity(case, monkeypatch):
+    """canonicalize raises what checking both spectra first raises, or
+    returns the same form bit for bit, whichever path settles strictness."""
+    a, b, tol, path = _canonical_cases()[case]
+    ref = _uncertified(monkeypatch, _canonical_bits, a, b, tol)
+    ran = []
+    monkeypatch.setattr(compat, "_effects", _spy(ran, compat._effects))
+    monkeypatch.setattr(canonical, "_require_strict", _spy(ran, canonical._require_strict))
+    assert _outcome(_canonical_bits, a, b, tol) == ref
+    took = "validated" if "_effects" in ran else "deferred" if ran else "certified"
+    assert took == path, ran
+
+
+def _five_block_bits(a, b, tol):
+    fb = five_block_decompose(a, b, tol)
+    return tuple(x[name].tobytes() for x in (fb.bases, fb.blocks_a, fb.blocks_b) for name in BLOCK_NAMES)
+
+
+def _strict_residuals(a, b, fb):
+    """The residuals of the whole pair and of the strict block of its
+    decomposition fb."""
+    return _pair_spectra(a, b).residual, _pair_spectra(fb.blocks_a["strict"], fb.blocks_b["strict"]).residual
+
+
+def _strict_block_failure():
+    """A pair whose strict block has a larger residual than the whole pair,
+    with a tol.compat between the two."""
+    for k in range(20):
+        a, b = _assembled_pair(derive_seed(19, k))
+        whole, strict = _strict_residuals(a, b, five_block_decompose(a, b))
+        if strict > 1.5 * whole:
+            return a, b, DEFAULT_TOL.override(compat=0.5 * (whole + strict))
+    raise AssertionError("no seed gives a strict block residual above the whole pair's")
+
+
+def _five_block_cases():
+    assembled = _assembled_pair(derive_seed(5, 1))
+    return {
+        # path: "computed" when _built_pair checks the strict block
+        "certified": (*assembled, DEFAULT_TOL, "certified"),
+        "within-allowance-of-cut-a": (*_near_cut_assembled(4, 0.5, "a", 1), DEFAULT_TOL, "computed"),
+        "within-allowance-of-cut-b": (*_near_cut_assembled(4, 0.5, "b", 2), DEFAULT_TOL, "computed"),
+        "clear-of-cut-a": (*_near_cut_assembled(4, 2.0, "a", 3), DEFAULT_TOL, "certified"),
+        "compat-below-the-allowance": (*assembled, DEFAULT_TOL.override(compat=1e-12), "computed"),
+        "strict-block-fails": (*_strict_block_failure(), "computed"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_five_block_cases()))
+def test_five_block_certificate_parity(case, monkeypatch):
+    """five_block_decompose raises what checking the strict block by its
+    own factorizations raises, or returns the same blocks bit for bit; the
+    strict block is factorized only when the certificates leave it open."""
+    a, b, tol, path = _five_block_cases()[case]
+    ref = _uncertified(monkeypatch, _five_block_bits, a, b, tol)
+    ran = []
+    monkeypatch.setattr(compat, "_built_pair", _spy(ran, compat._built_pair))
+    got = _outcome(_five_block_bits, a, b, tol)
+    assert got == ref
+    assert ("computed" if ran else "certified") == path
+    if case == "strict-block-fails":
+        assert got[0] is PostconditionFailure and got[1].startswith("strict block not absolutely compatible")
+
+
+def _perturbed(a, b, scale, seed):
+    """a and b each moved by a Hermitian matrix of norm scale."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    out = []
+    for x in (a, b):
+        e = hermitize(gen.normal(size=x.shape) + 1j * gen.normal(size=x.shape))
+        out.append(x + scale / _hnorm(e) * e)
+    return out
+
+
+def test_strict_block_bound_bounds():
+    """The bound that certifies the strict block is at least the residual
+    its own factorizations give, and is not carried by the rounding
+    allowance alone, on exact, near-cut and perturbed pairs."""
+    pairs = list(_n96_pairs())
+    pairs += [_near_cut_assembled(n, k, side, n) for n in (4, 8) for k in (0.5, 2.0) for side in "ab"]
+    pairs += [_perturbed(a, b, scale, k) for k, (a, b) in enumerate(pairs[:3]) for scale in (1e-11, 1e-10)]
+    for a, b in pairs:
+        n = a.shape[-1]
+        fb = five_block_decompose(a, b)
+        frob = _reduced_blocks(a, b, fb.bases, DEFAULT_TOL)[2]
+        whole, strict = _strict_residuals(a, b, fb)
+        bound = _strict_block_bound(whole, frob, n, DEFAULT_TOL)
+        assert bound >= strict and bound - _ROUNDING * n >= strict, (n, whole, strict, bound)
+
+
 def _slot_pair(n, seed):
     """A strict pair of size n/2 beside n/8 slots of each overlap, listed
     with the block each must land in, under a Haar conjugation."""
@@ -283,15 +465,7 @@ def test_five_block_overlaps_take_the_first_eligible_block(n):
 
 
 def test_five_block_ranks_at_n96():
-    for i in range(30):
-        seed = derive_seed(17, i)
-        gen = np.random.Generator(np.random.Philox(key=seed))
-        sa, sb = random_abscompat_pair(64, derive_seed(seed, 1))
-        slots = []
-        for kind in range(4):  # unit_a, unit_b, null_a, null_b
-            for v in 0.1 + 0.8 * gen.random(8):
-                slots.append(((1.0, v), (v, 1.0), (0.0, v), (v, 0.0))[kind])
-        a, b, _ = _direct_sum(sa, sb, slots, derive_seed(seed, 2))
+    for a, b in _n96_pairs():
         ranks = five_block_decompose(a, b).ranks()
         assert ranks == {"unit_a": 8, "unit_b": 8, "strict": 64, "null_a": 8, "null_b": 8}
 
