@@ -15,12 +15,14 @@ unitaries and strict projections, and the inverse `canonicalize`.
 (..., n, n) stacks of pairs (`_canonical`, `_exchanged`), of which a
 single pair is a batch of one with no leading axis: every step is one
 computation on the whole stack that gives each pair the bits it gets
-alone, and only a pair whose |a-b| spectrum clusters takes a step of
-its own.  A pair whose residual certifies both operands as effects has
-its strictness certified last, by the recovered sites and the
-reconstruction residual (Weyl's inequality), so a canonicalize call
-makes 3 eigh, 2 eigvalsh and 1 svd, where validating both spectra and
-taking the exact residual would add 3 eigvalsh.
+alone, and only a pair whose 1-a-b spectrum clusters takes a step of
+its own.  The form comes from one eigh of 1-a-b, whose positive half
+gives x0 and the site pairing, and its reconstruction certifies the
+pair: compatible by the continuity of S -> |S|, strict effects by
+Weyl's inequality (_form_bounds).  So a canonicalize call makes 1 eigh,
+2 eigvalsh (the reconstruction residual) and 1 svd; a pair the
+certificates leave open is validated as before they existed, which
+adds 2 eigh and 2 eigvalsh.
 
 Site layout: site k occupies coordinates 2k and 2k+1 of the full matrix.
 It holds the M2 pair of geometry.py with pivot P0, target P and index x0[k],
@@ -52,6 +54,8 @@ from .hermitian import (
     _effects,
     _factor_each,
     _first,
+    _fnorm,
+    _hermitian_pair,
     _hnorm_upto,
     _levels,
     _mixed_pair,
@@ -67,7 +71,7 @@ from .hermitian import (
     require_projection,
     require_unitary,
 )
-from .compat import _built_pair, _certified_pair, _eigh_on, _pair_spectra, _require_compatible
+from .compat import _bounded, _built_pair, _certified_pair, _eigh_on, _pair_spectra, _require_compatible
 from .io import matrix_to_json
 
 PIVOT_0 = np.diag([0.0, 1.0]).astype(complex)
@@ -425,21 +429,24 @@ class _Canonical(NamedTuple):
     rebuilt: tuple
 
 
-def _joint_eigenbasis(a, diff, v_plus, gap: float):
-    """For each pair, a unitary w diagonalizing |a-b| compressed to the
-    positive half v_plus of 1-a-b and, inside each cluster of its
-    eigenvalues closer than gap, the compression of a as well.  One eigh
-    of the stack; only a pair with a cluster compresses a, on its own."""
-    if v_plus.shape[-1] == 1:
-        return identity_like(v_plus)
-    vals, w = np.linalg.eigh(hermitize(dagger(v_plus) @ diff @ v_plus))
-    clustered = np.any(np.diff(vals, axis=-1) <= gap, axis=-1)
+def _joint_eigenbasis(a, lam_plus, v_plus, gap: float):
+    """(f_plus, x0) for each pair, from the ascending positive eigenvalues
+    lam_plus of 1-a-b and their eigenvectors v_plus: f_plus is v_plus
+    rotated, inside each cluster of lam_plus closer than gap, to
+    diagonalize the compression of a, and x0 is the Rayleigh quotient of
+    diag(1 - lam_plus) under that rotation, 1 - lam_plus outside the
+    clusters.  Only a pair with a cluster compresses a, on its own."""
+    f_plus, x0 = v_plus.copy(), 1.0 - lam_plus
+    clustered = np.any(np.diff(lam_plus, axis=-1) <= gap, axis=-1)
     for i in map(tuple, np.argwhere(clustered)):
         a_pp = hermitize(dagger(v_plus[i]) @ a[i] @ v_plus[i])
-        for idx in cluster_indices(vals[i], gap):
+        w = identity_like(a_pp)
+        for idx in cluster_indices(lam_plus[i], gap):
             if len(idx) > 1:
-                w[i][:, idx] = _eigh_on(a_pp, w[i][:, idx])[0]
-    return w
+                w[:, idx] = _eigh_on(a_pp, w[:, idx])[0]
+        f_plus[i] = v_plus[i] @ w
+        x0[i] = np.sum(np.abs(w) ** 2 * x0[i][:, None], axis=0)
+    return f_plus, x0
 
 
 def _canonical(a, b, tol: Tolerances, stack: bool = False) -> _Canonical:
@@ -447,73 +454,133 @@ def _canonical(a, b, tol: Tolerances, stack: bool = False) -> _Canonical:
     (..., n, n) stacks: each step runs once on the whole stack, and a
     stack raises at the first step some pair of it fails.
 
-    A pair whose residual certifies both operands as effects
-    (compat._certified_pair) has no spectra of them at hand, so its
-    strictness is settled last, by the recovered form.  A site of a is
-    (1-x0) P0 + x0 P, of trace 1 and determinant x0 a0^2 (1-x0), so its
-    eigenvalues are lam and 1 - lam with lam (1 - lam) = x0 a0^2 (1-x0);
-    those of b have x0 (1 - a0^2)(1-x0).  The reconstruction ra = U0 S U0*
-    has these eigenvalues up to the departure of the computed U0 from
-    unitarity and the rounding of the products, about n u, and by Weyl's
-    inequality each eigenvalue of a is within ||ra - a|| = err of one of
-    ra's, and each eigenvalue that eigvalsh computes within p(n) u of
-    that.  So when every lam clears the _levels cut by err + _ROUNDING n,
-    both effects are strict and their eigvalsh is skipped; otherwise one
-    eigvalsh of [a, b] decides, as it does for a pair validated by its
-    spectra.  An AbscompatError raised before that point first runs the
-    same eigvalsh, so a pair that is not strict raises NotStrict, ahead
-    of every later error, as it does when its spectra are checked first.
+    The form is recovered first (_recovered), and its reconstruction
+    settles the pair when both of its certificates hold for every pair
+    (_certified_form).  Otherwise, and whenever the recovery raises,
+    _validated runs first and raises what the pair fails, so a pair that
+    is not an effect, of odd size, not strict or not compatible raises
+    that error ahead of any error of the recovery; a pair it passes
+    keeps the recovered form, or raises the recovery's error.
     """
-    a, b, spectra, vals = _certified_pair(a, b, tol, stack, compared=True)
+    a, b = _hermitian_pair(a, b, tol, stack)
     n = a.shape[-1]
-    if n % 2:
-        raise OddDimension("canonical form needs even dimension, got %d" % n)
-    if vals is not None or not a.size:
-        _require_strict(*(vals or _factor_each(np.linalg.eigvalsh, a, b)), tol)
-        return _recovered(a, b, spectra, tol)
+    # the recovery takes nonempty same-shape pairs of even size with no
+    # entry beyond an effect's, where 1-a-b cannot overflow; _validated
+    # rejects the others
+    if a.shape != b.shape or not a.size or n % 2 or not _bounded(a, b, tol):
+        _validated(a, b, tol, stack)
     try:
-        cf = _recovered(a, b, spectra, tol)
+        cf = _recovered(a, b, tol)
     except AbscompatError:
-        _require_strict(*_factor_each(np.linalg.eigvalsh, a, b), tol)
+        _validated(a, b, tol, stack)
         raise
+    if not np.all(_certified_form(a, b, cf, tol)):
+        _validated(a, b, tol, stack)
+    return cf
+
+
+def _validated(a, b, tol: Tolerances, stack: bool) -> None:
+    """Raises what the pair, or the first failing check over a stack,
+    fails, in this order: the effect checks of _certified_pair, an odd
+    size, strictness (one eigvalsh of [a, b] when the residual certified
+    the effects), then compatibility."""
+    a, b, spectra, vals = _certified_pair(a, b, tol, stack, compared=True)
+    if a.shape[-1] % 2:
+        raise OddDimension("canonical form needs even dimension, got %d" % a.shape[-1])
+    _require_strict(*(vals or _factor_each(np.linalg.eigvalsh, a, b)), tol)
+    _require_compatible(spectra, tol)
+
+
+def _certified_form(a, b, cf: _Canonical, tol: Tolerances):
+    """Whether the recovered form cf certifies each pair of n x n
+    Hermitian (a, b), over leading axes, as absolutely compatible (its
+    bound is within tol.compat) and as two strict effects (every site
+    eigenvalue clears the _levels cut by its margin), by _form_bounds."""
+    bound, margin = _form_bounds(a, b, cf, tol)
     spread, sq = cf.x0 * (1.0 - cf.x0), cf.a0 * cf.a0
     p = np.concatenate([spread * sq, spread * (1.0 - sq)], axis=-1)
     # the smaller root of lam (1 - lam) = p, where p < (1 - tol.spec)/4 by
     # the gates on d; the larger root, 1 - lam, clears the same cut
     lam = 2.0 * p / (1.0 + np.sqrt(1.0 - 4.0 * p))
-    if not np.all(_strict_rows(lam, tol, cf.residual[..., None] + _ROUNDING * n)):
-        _require_strict(*_factor_each(np.linalg.eigvalsh, a, b), tol)
-    return cf
+    return (bound <= tol.compat) & _strict_rows(lam, tol, margin[..., None])
 
 
-def _recovered(a, b, spectra, tol: Tolerances) -> _Canonical:
-    """The canonical form of each pair of two stacks of effects (a, b) of
-    even size, from their _pair_spectra, once it is checked."""
-    spectra = _require_compatible(spectra, tol)
+def _form_bounds(a, b, cf: _Canonical, tol: Tolerances):
+    """(bound, margin) for each pair of n x n Hermitian (a, b) and its
+    recovered form cf, over leading axes: bound is at least the
+    compatibility residual of (a, b), and every eigenvalue of a and of b
+    is within margin of a site eigenvalue of cf.
+
+    Let S = (Sa, Sb) be the site pair of cf, (ra, rb) = U0 S U0* its
+    computed reconstruction, eps = ||U0*U0 - I||_F and U the unitary
+    polar factor of U0 = U P.  The eigenvalues of P are the square
+    roots of those of U0*U0, and |p - 1| <= |p^2 - 1| for p >= 0, so
+    ||P - I||_F <= eps, ||P|| <= 1 + eps and
+    ||U0 S U0* - U S U*||_F = ||PSP - S||_F <= eps (2 + eps) ||S||, with
+    ||S|| <= 1 + tol.spec for the sites of an effect.  So Ta = U Sa U*
+    and Tb = U Sb U* are within err_x + eps (2 + eps)(1 + tol.spec) of a
+    and b, where err_x is ||ra - a|| (operator norm) or ||ra - a||_F.
+
+    Compatibility.  Each site of S is exactly compatible, |Sa - Sb| = x0
+    and |1 - Sa - Sb| = 1 - x0 per site, so f(Ta, Tb) = U f(Sa, Sb) U* =
+    0, with f(x, y) = |x-y| + |1-x-y| - 1.  By || |S| - |T| ||_F <=
+    ||S - T||_F for Hermitian S and T (compat._strict_block_bound),
+    ||f(x, y) - f(x', y')||_F <= 2 (||x - x'||_F + ||y - y'||_F), so the
+    residual of (a, b) is at most
+        2 (||ra - a||_F + ||rb - b||_F) + 4 eps (2 + eps)(1 + tol.spec),
+    and _ROUNDING n covers the rounding of the sites, of the products
+    and of the residual that _validated computes, about n u each, as in
+    compat._certified_pair.
+
+    Effects and strictness.  A site of a is (1-x0) P0 + x0 P, of trace 1
+    and determinant x0 a0^2 (1-x0), so its eigenvalues are lam and
+    1 - lam with lam (1 - lam) = x0 a0^2 (1-x0); those of b have
+    x0 (1 - a0^2)(1-x0).  By Weyl's inequality each eigenvalue of a is
+    within ||Ta - a|| <= err + eps (2 + eps)(1 + tol.spec) of one of
+    Ta's, err being cf.residual, and each eigenvalue that eigvalsh
+    computes within p(n) u of that; margin adds _ROUNDING n to cover
+    it.  So when every lam clears the _levels cut by margin, both
+    spectra lie inside (tol.spec, 1 - tol.spec): both operands are
+    effects, and strict.
+    """
     n = a.shape[-1]
-    m = n // 2
-    diff = spectra.abs_diff
-    zvals, zvecs = spectra.rest
-    if float(np.min(np.abs(zvals))) <= tol.spec:
-        raise PairingFailure("1 - a - b has an eigenvalue at zero")
-    if np.any(np.count_nonzero(zvals < 0.0, axis=-1) != m):
-        raise PairingFailure("spectral halves of 1 - a - b have unequal rank")
-    # the eigenvalues ascend, so the negative half is the first m of them
-    v_minus, v_plus = zvecs[..., :m], zvecs[..., m:]
+    ra, rb = cf.rebuilt
+    eps = _fnorm(dagger(cf.u0) @ cf.u0 - identity_like(a))
+    drift = eps * (2.0 + eps) * (1.0 + tol.spec)
+    bound = 2.0 * (_fnorm(ra - a) + _fnorm(rb - b)) + 2.0 * drift + _ROUNDING * n
+    return bound, np.asarray(cf.residual + drift + _ROUNDING * n)
 
-    dvals = spectra.abs_diff_vals
+
+def _recovered(a, b, tol: Tolerances) -> _Canonical:
+    """The canonical form of each pair of two stacks of Hermitian (a, b)
+    of even size n = 2m, from one eigh of 1-a-b, once its reconstruction
+    is within tol.canon.
+
+    In the form, 1-a-b is (1-x0)(1-2 P0) and |a-b| is x0 on each site, so
+    for a compatible pair |a-b| = 1 - |1-a-b|: the positive half of 1-a-b
+    holds the sites' first coordinates and gives x0 = 1 - lam_plus, and
+    the sorted 1 - |lam| are the eigenvalues of |a-b|, which pair up."""
+    m = a.shape[-1] // 2
+    lam, vecs = np.linalg.eigh(identity_like(a) - a - b)
+    if float(np.min(np.abs(lam))) <= tol.spec:
+        raise PairingFailure("1 - a - b has an eigenvalue at zero")
+    if np.any(np.count_nonzero(lam < 0.0, axis=-1) != m):
+        raise PairingFailure("spectral halves of 1 - a - b have unequal rank")
+    dvals = np.sort(1.0 - np.abs(lam), axis=-1)
     unpaired = np.max(np.abs(dvals[..., 0::2] - dvals[..., 1::2]), axis=-1)
     if np.any(unpaired > tol.cluster * np.maximum(1.0, dvals[..., -1])):
         raise PairingFailure("eigenvalues of |a - b| do not pair up")
 
-    # both compressions are of operators between 0 and 1, so the cluster
-    # gap tol.cluster * max(1, ||mat||) is tol.cluster
-    f_plus = v_plus @ _joint_eigenbasis(a, diff, v_plus, tol.cluster)
-    x0 = np.real(np.sum(np.conj(f_plus) * (diff @ f_plus), axis=-2))
-    d = np.real(np.sum(np.conj(f_plus) * (a @ f_plus), axis=-2))
+    # the eigenvalues ascend, so the negative half is the first m of them;
+    # those of the positive half lie in (0, 1], so the cluster gap
+    # tol.cluster * max(1, ||mat||) is tol.cluster
+    v_minus, v_plus = vecs[..., :m], vecs[..., m:]
+    f_plus, x0 = _joint_eigenbasis(a, lam[..., m:], v_plus, tol.cluster)
+    af = a @ f_plus
+    d = np.real(np.sum(np.conj(f_plus) * af, axis=-2))
 
     # cross-half pairing: polar factor of the off-diagonal block of a
-    u_svd, s, vh_svd = np.linalg.svd(dagger(f_plus) @ a @ v_minus)
+    u_svd, s, vh_svd = np.linalg.svd(dagger(af) @ v_minus)
     if np.any(s[..., -1] <= tol.spec):
         raise PairingFailure("off-diagonal block of a is numerically singular")
     f_minus = v_minus @ dagger(u_svd @ vh_svd)

@@ -14,8 +14,10 @@ only compared with tol.compat is taken Frobenius-first.  Five-block
 certifies its strict block from what it already holds: the spectra the
 block interlaces clear the strictness cut (_strict_by_interlacing), and the
 whole pair's residual plus its off-block norms bound the block's residual
-(_strict_block_bound).  A five-block call makes 5 eigh and 1 eigvalsh,
-where computing both would make 7 and 4.
+(_strict_block_bound).  That bound needs the whole pair's residual only
+from above, so five_block_decompose takes it Frobenius-first too, and a
+five-block call makes 5 eigh and no eigvalsh, where factorizing the
+strict block again and taking the exact residual would make 7 and 4.
 """
 
 import math
@@ -75,7 +77,6 @@ class _PairSpectra(NamedTuple):
     it; for a stack of pairs, each field is stacked over the same axes."""
 
     residual: float  # an array for a stack of pairs
-    abs_diff: np.ndarray  # |a - b|
     abs_diff_vals: np.ndarray  # spectrum of |a - b|, ascending
     rest: tuple  # eigh of 1 - a - b
 
@@ -113,10 +114,9 @@ def _pair_spectra(a, b, bound=None) -> _PairSpectra:
     a, b = _canonical_order(a, b)
     one = identity_like(a)
     (dvals, dvecs), (zvals, zvecs) = _factor_each(np.linalg.eigh, a - b, one - a - b)
-    abs_diff = _compose(np.abs(dvals), dvecs)
-    excess = abs_diff + _compose(np.abs(zvals), zvecs) - one
+    excess = _compose(np.abs(dvals), dvecs) + _compose(np.abs(zvals), zvecs) - one
     residual = _hnorm(excess) if bound is None else _hnorm_upto(excess, bound)
-    return _PairSpectra(residual, abs_diff, np.sort(np.abs(dvals), axis=-1), (zvals, zvecs))
+    return _PairSpectra(residual, np.sort(np.abs(dvals), axis=-1), (zvals, zvecs))
 
 
 def _require_compatible(spectra: _PairSpectra, tol: Tolerances) -> _PairSpectra:
@@ -182,13 +182,18 @@ def _certified_pair(a, b, tol: Tolerances, stack: bool = False, compared: bool =
     a, b = _hermitian_pair(a, b, tol, stack)
     bound = tol.compat if compared else None
     spectra = None
-    bounded = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)) <= 1.0 + tol.spec
-    if a.shape == b.shape and bounded:
+    if a.shape == b.shape and _bounded(a, b, tol):
         spectra = _pair_spectra(a, b, bound)
         if np.all(spectra.residual + _ROUNDING * a.shape[-1] <= tol.spec):
             return a, b, spectra, None
     (_, va), (_, vb) = _effects(a, b, tol, stack)
     return a, b, spectra if spectra is not None else _pair_spectra(a, b, bound), (va, vb)
+
+
+def _bounded(a, b, tol: Tolerances) -> bool:
+    """Whether no entry of a or b exceeds 1 + tol.spec in modulus, as none
+    of an effect does; past it, a - b could overflow."""
+    return max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)) <= 1.0 + tol.spec
 
 
 def is_abs_compatible(a, b, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
@@ -273,9 +278,10 @@ def five_block_decompose(a, b, tol: Tolerances = DEFAULT_TOL) -> FiveBlockDecomp
     its b = 1 part (unit_b) and null_a; one eigh of b compressed to R
     splits it into its b = 1 part (unit_b), its b = 0 part (null_b) and
     the strict block.  _reduced_blocks checks the reduction claim.  The
-    pair runs through _five_blocks as a batch of one.
+    pair runs through _five_blocks as a batch of one, which takes the
+    residual it only bounds with Frobenius-first.
     """
-    _, ((_, bases, blocks_a, blocks_b),) = _five_blocks(a, b, tol)
+    _, ((_, bases, blocks_a, blocks_b),) = _five_blocks(a, b, tol, compared=True)
     projs = {name: _span(v) for name, v in bases.items()}
     return FiveBlockDecomposition(**projs, bases=bases, blocks_a=blocks_a, blocks_b=blocks_b)
 
@@ -290,10 +296,13 @@ class _Blocks(NamedTuple):
     blocks_b: dict
 
 
-def _five_blocks(a, b, tol: Tolerances, stack: bool = False):
+def _five_blocks(a, b, tol: Tolerances, stack: bool = False, compared: bool = False):
     """five_block_decompose of one pair, or with stack=True of each pair of
     two (..., n, n) stacks: (the compatibility residual its certificate
-    computed, one _Blocks per pattern of block ranks).
+    computed, one _Blocks per pattern of block ranks).  With
+    compared=True, for a caller that does not report the residual, it is
+    taken Frobenius-first (_certified_pair); the strict-block bound only
+    needs a value never below the exact residual.
 
     The certificate and the eigh of a run on the whole stack.  eigh sorts
     each spectrum in ascending order, so the kernel of a is a prefix of
@@ -311,7 +320,7 @@ def _five_blocks(a, b, tol: Tolerances, stack: bool = False):
     _strict_block_bound is within tol.compat; only the pairs that these
     certificates leave open take _built_pair on their strict blocks.
     """
-    a, b, spectra, _ = _certified_pair(a, b, tol, stack)
+    a, b, spectra, _ = _certified_pair(a, b, tol, stack, compared)
     _require_compatible(spectra, tol)
     n = a.shape[-1]
     vals, vecs = np.linalg.eigh(a)

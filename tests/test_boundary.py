@@ -6,7 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from abscompat import DEFAULT_TOL, AbscompatError, DomainError, PostconditionFailure, canonical, compat
+from abscompat import (
+    DEFAULT_TOL,
+    AbscompatError,
+    DomainError,
+    NegativeSpectrum,
+    NotAbsolutelyCompatible,
+    NotStrict,
+    OddDimension,
+    PairingFailure,
+    PostconditionFailure,
+    canonical,
+    compat,
+)
 from abscompat.canonical import _embed, _site_pairs, canonicalize
 from abscompat.compat import (
     BLOCK_NAMES,
@@ -89,11 +101,14 @@ def _direct_sum(sa, sb, slots, seed):
     return hermitize(u @ a @ dagger(u)), hermitize(u @ b @ dagger(u)), u
 
 
+# an a-unit, b-unit, a-null and b-null slot
+ASSEMBLED_SLOTS = [(1.0, 0.5), (0.3, 1.0), (0.0, 0.7), (0.6, 0.0)]
+
+
 def _assembled_pair(seed):
     """A strict 4x4 pair beside one a-unit, b-unit, a-null and b-null slot."""
     sa, sb = random_abscompat_pair(4, derive_seed(seed, 1))
-    slots = [(1.0, 0.5), (0.3, 1.0), (0.0, 0.7), (0.6, 0.0)]
-    return _direct_sum(sa, sb, slots, derive_seed(seed, 2))[:2]
+    return _direct_sum(sa, sb, ASSEMBLED_SLOTS, derive_seed(seed, 2))[:2]
 
 
 def _n96_pairs():
@@ -115,21 +130,22 @@ def _n96_pairs():
 #  - is_abs_compatible: one eigh each of a-b and 1-a-b and one eigvalsh
 #    for the norm of the residual, which also certifies both operands as
 #    effects, so neither takes a validating eigvalsh;
-#  - canonicalize: the two eigh of the residual, whose Frobenius norm
-#    certifies both operands and their compatibility, one eigh of |a-b|
-#    on the positive half of 1-a-b (a pair whose eigenvalues there
-#    cluster takes one more eigh per cluster, of a on the cluster; a
-#    random pair has none), one svd for the polar factor of the cross
-#    block, and one eigvalsh per reconstruction residual, which with the
-#    recovered sites also certifies strictness; the same count for a
-#    stack of pairs, each call on the whole stack;
-#  - five_block_decompose: the same three as is_abs_compatible, one eigh
-#    of a, and one eigh of b on each of the kernel of a and the rest; the
-#    strictness and compatibility of the strict block are read off those
-#    spectra and norms, and the orthonormality, off-block and
-#    block-content checks are settled by Frobenius norms; the same count
-#    per pair for a stack, each call on the whole stack or on the pairs
-#    of one pattern of block ranks;
+#  - canonicalize: one eigh of 1-a-b, whose positive half gives x0 and
+#    the site pairing (a pair whose eigenvalues there cluster takes one
+#    more eigh per cluster, of a on the cluster; a random pair has none),
+#    one svd for the polar factor of the cross block, and one eigvalsh
+#    per reconstruction residual; the reconstruction certifies both
+#    operands as strict effects and the pair as compatible, so neither
+#    is factorized again; the same count for a stack of pairs, each
+#    call on the whole stack;
+#  - five_block_decompose: the two eigh of the residual, whose Frobenius
+#    norm certifies both operands and is all the strict-block bound
+#    needs, one eigh of a, and one eigh of b on each of the kernel of a
+#    and the rest; the strictness and compatibility of the strict block
+#    are read off those spectra and norms, and the orthonormality,
+#    off-block and block-content checks are settled by Frobenius norms;
+#    the same count per pair for a stack, each call on the whole stack
+#    or on the pairs of one pattern of block ranks;
 #  - support_projection and null_projection: one eigh, whose eigenvalues
 #    also validate the effect;
 #  - decompose_pair_m2 (2x2): one eigvalsh per operand, the two eigh of
@@ -139,8 +155,8 @@ def _n96_pairs():
 #    are settled by Frobenius bounds.
 BUDGET = {
     "is_abs_compatible": {"eigh": 2, "eigvalsh": 1, "svd": 0},
-    "canonicalize": {"eigh": 3, "eigvalsh": 2, "svd": 1},
-    "five_block_decompose": {"eigh": 5, "eigvalsh": 1, "svd": 0},
+    "canonicalize": {"eigh": 1, "eigvalsh": 2, "svd": 1},
+    "five_block_decompose": {"eigh": 5, "eigvalsh": 0, "svd": 0},
     "support_projection": {"eigh": 1, "eigvalsh": 0, "svd": 0},
     "null_projection": {"eigh": 1, "eigvalsh": 0, "svd": 0},
     "decompose_pair_m2": {"eigh": 4, "eigvalsh": 4, "svd": 0},
@@ -324,6 +340,7 @@ def _uncertified(monkeypatch, fn, *args):
     an infinite rounding allowance."""
     with monkeypatch.context() as m:
         m.setattr(compat, "_ROUNDING", np.inf)
+        m.setattr(canonical, "_ROUNDING", np.inf)
         return _outcome(fn, *args)
 
 
@@ -332,35 +349,92 @@ def _canonical_bits(a, b, tol):
     return tuple(np.asarray(x).tobytes() for x in (cf.u0, cf.x0, cf.a0, cf.w, cf.residual))
 
 
+def _canonical_bound_case(side):
+    """A valid pair with a tol.compat at the compatibility bound of its
+    recovered form (_form_bounds), or just below it."""
+    a, b = random_abscompat_pair(8, derive_seed(11, 3))
+    cf = canonical._recovered(hermitize(a), hermitize(b), DEFAULT_TOL)
+    bound = float(canonical._form_bounds(hermitize(a), hermitize(b), cf, DEFAULT_TOL)[0])
+    return a, b, DEFAULT_TOL.override(compat=bound if side == "over" else np.nextafter(bound, 0.0))
+
+
+def _unequal_halves(low=0.2, n=6):
+    """(a, a) for an a whose 1 - 2a has one negative eigenvalue: not
+    compatible, and its recovery fails on the halves of 1-a-b.  a is
+    strict unless low is 0."""
+    a = _conjugated(np.diag([low, 0.3, 0.35, 0.4, 0.45, 0.7][:n]), derive_seed(11, 6))
+    return a, a
+
+
+def _conjugated(d, seed):
+    """The diagonal d under a Haar conjugation."""
+    u = haar_unitary(len(d), seed)
+    return hermitize(u @ d @ dagger(u))
+
+
 def _canonical_cases():
     valid = random_abscompat_pair(8, derive_seed(11, 3))
     sa, sb = random_abscompat_pair(4, derive_seed(11, 4))
     unpaired = _direct_sum(sa, sb, [(1.0, 0.0), (0.0, 0.0)], derive_seed(11, 5))[:2]
+    odd = (_conjugated(np.diag([-0.1, 0.2, 0.3, 0.4, 0.5]), derive_seed(11, 7)),
+           _conjugated(np.diag([0.5, 0.4, 0.3, 0.2, 0.1]), derive_seed(11, 8)))
     return {
-        # path: "validated" when the residual does not certify the operands,
-        # "deferred" when it does and the recovered form leaves strictness
-        # to one eigvalsh, "certified" when the form settles it
+        # path: "certified" when the recovered form settles the pair,
+        # "validated" when its fallback validates both spectra, "deferred"
+        # when the residual certifies the effects and one eigvalsh
+        # settles strictness
         "certified": (*valid, DEFAULT_TOL, "certified"),
-        "tight-spec": (*valid, DEFAULT_TOL.override(spec=1e-16), "validated"),
+        "tight-spec": (*valid, DEFAULT_TOL.override(spec=1e-16), "certified"),
         "compatible-not-strict": (*_assembled_pair(derive_seed(5, 1)), DEFAULT_TOL, "deferred"),
         "not-strict-and-unpaired": (*unpaired, DEFAULT_TOL, "deferred"),
         "within-allowance-of-cut": (*_near_cut(4, 0.5), DEFAULT_TOL, "deferred"),
         "below-cut-b": (*_near_cut(4, -0.5, "b"), DEFAULT_TOL, "deferred"),
+        "compat-at-the-bound": (*_canonical_bound_case("over"), "certified"),
+        "compat-below-the-bound": (*_canonical_bound_case("under"), "deferred"),
+        "incompatible-unequal-halves": (*_unequal_halves(), DEFAULT_TOL, "validated"),
+        "incompatible-not-strict": (*_unequal_halves(0.0), DEFAULT_TOL, "validated"),
+        "incompatible-odd": (*_unequal_halves(n=5), DEFAULT_TOL, "validated"),
+        "odd-non-effect": (*odd, DEFAULT_TOL, "validated"),
+        "clustered-x0": (*_site_pair([0.3, 0.6, 0.3], [0.4, 0.7, 0.5], derive_seed(11, 9)),
+                         DEFAULT_TOL, "certified"),
     }
+
+
+# the error each failing case raises: the checks come in the order
+# effects, even size, strictness, compatibility, and all of them ahead of
+# the recovery's own errors
+CANONICAL_RAISES = {
+    "compatible-not-strict": NotStrict,
+    "not-strict-and-unpaired": NotStrict,
+    "below-cut-b": NotStrict,
+    "incompatible-unequal-halves": NotAbsolutelyCompatible,
+    "incompatible-not-strict": NotStrict,
+    "incompatible-odd": OddDimension,
+    "odd-non-effect": NegativeSpectrum,
+}
 
 
 @pytest.mark.parametrize("case", sorted(_canonical_cases()))
 def test_canonical_certificate_parity(case, monkeypatch):
     """canonicalize raises what checking both spectra first raises, or
-    returns the same form bit for bit, whichever path settles strictness."""
+    returns the same form bit for bit, whichever path settles strictness
+    and compatibility."""
     a, b, tol, path = _canonical_cases()[case]
     ref = _uncertified(monkeypatch, _canonical_bits, a, b, tol)
     ran = []
     monkeypatch.setattr(compat, "_effects", _spy(ran, compat._effects))
     monkeypatch.setattr(canonical, "_require_strict", _spy(ran, canonical._require_strict))
-    assert _outcome(_canonical_bits, a, b, tol) == ref
+    got = _outcome(_canonical_bits, a, b, tol)
+    assert got == ref
     took = "validated" if "_effects" in ran else "deferred" if ran else "certified"
     assert took == path, ran
+    raised = got[0] if isinstance(got[0], type) else None
+    assert raised is CANONICAL_RAISES.get(case), got
+    if case == "incompatible-unequal-halves":
+        with pytest.raises(PairingFailure, match="unequal rank"):
+            canonical._recovered(a, b, tol)
+    if case == "clustered-x0":
+        np.testing.assert_allclose(canonicalize(a, b).x0, [0.3, 0.3, 0.6], rtol=0.0, atol=1e-12)
 
 
 def _five_block_bits(a, b, tol):
@@ -438,6 +512,25 @@ def test_strict_block_bound_bounds():
         whole, strict = _strict_residuals(a, b, fb)
         bound = _strict_block_bound(whole, frob, n, DEFAULT_TOL)
         assert bound >= strict and bound - _ROUNDING * n >= strict, (n, whole, strict, bound)
+
+
+@pytest.mark.parametrize("offset", [0.5, 2.0, 1e3, 1e4])
+def test_near_cut_beside_every_slot_is_verified_or_raises(offset):
+    """A strict eigenvalue of a just above tol.spec beside an a = 0 slot
+    splits from the kernel only to about u / tol.spec, so the blocks may
+    not reduce the pair; five_block_decompose then raises, and whatever
+    it returns rebuilds the pair within tol.block.  Near the cut every
+    seed raises; at 1e3 allowances from it some seeds return, and at 1e4
+    all do."""
+    for seed in range(4):
+        a, b, _ = _direct_sum(*_near_cut(4, offset, "a", seed), ASSEMBLED_SLOTS, derive_seed(29, seed))
+        try:
+            fb = five_block_decompose(a, b)
+        except AbscompatError:
+            continue
+        for x, blocks in ((a, fb.blocks_a), (b, fb.blocks_b)):
+            rebuilt = sum(v @ blocks[name] @ dagger(v) for name, v in fb.bases.items())
+            assert _hnorm(rebuilt - x) <= DEFAULT_TOL.block, (offset, seed)
 
 
 def _slot_pair(n, seed):

@@ -1,0 +1,129 @@
+"""High-precision oracle: canonicalize checked against 50-digit
+arithmetic (mpmath) at n <= 6.
+
+Every float input converts to mpmath exactly, so the oracle's values are
+those of the very matrices the library saw, to about 1e-50: the exact
+reconstruction residual of the returned form, the exact x0 of the pair,
+its exact compatibility residual and its exact spectra.
+"""
+
+import numpy as np
+import pytest
+
+from abscompat import DEFAULT_TOL, canonical
+from abscompat.canonical import canonicalize
+from abscompat.generate import derive_seed
+from abscompat.hermitian import _ROUNDING, hermitize
+from abscompat.properties import REGISTRY
+
+mpmath = pytest.importorskip("mpmath")
+mp = mpmath.MPContext()
+mp.dps = 50
+
+
+def _mat(x):
+    """The float matrix x as an mpmath matrix, entry for entry exact."""
+    return mp.matrix([[mp.mpc(complex(v)) for v in row] for row in np.asarray(x)])
+
+
+def _eigvals(h):
+    """The ascending eigenvalues of the Hermitian mpmath matrix h."""
+    return sorted(mp.eigh(h, eigvals_only=True))
+
+
+def _norm(h):
+    """The operator norm of the Hermitian h, its largest |eigenvalue|."""
+    return max(abs(v) for v in _eigvals(h))
+
+
+def _abs(h):
+    vals, vecs = mp.eigh(h)
+    return vecs * mp.diag([abs(v) for v in vals]) * vecs.H
+
+
+def _compat_residual(a, b):
+    one = mp.eye(a.rows)
+    return _norm(_abs(a - b) + _abs(one - a - b) - one)
+
+
+def _site_pair(cf):
+    """Both effects of the form's sites, embedded, from its float
+    parameters: site k at coordinates 2k and 2k+1."""
+    n = 2 * len(cf.x0)
+    sa, sb = mp.zeros(n, n), mp.zeros(n, n)
+    for k, (x0, a0, w) in enumerate(zip(cf.x0, cf.a0, cf.w)):
+        x0, a0, w = mp.mpf(float(x0)), mp.mpf(float(a0)), mp.mpc(complex(w))
+        s0 = mp.sqrt(1 - a0 * a0)
+        p = mp.matrix([[a0 * a0, w * a0 * s0], [mp.conj(w) * a0 * s0, 1 - a0 * a0]])
+        for i in range(2):
+            for j in range(2):
+                pivot = (1 - x0) if i == j == 1 else 0
+                sa[2 * k + i, 2 * k + j] = pivot + x0 * p[i, j]
+                sb[2 * k + i, 2 * k + j] = pivot + x0 * ((i == j) - p[i, j])
+    return sa, sb
+
+
+def _site_eigenvalues(cf):
+    """The eigenvalues lam and 1 - lam of every site of both effects:
+    lam (1 - lam) = x0 a0^2 (1 - x0) for a and x0 (1 - a0^2)(1 - x0)
+    for b."""
+    out = ([], [])
+    for x0, a0 in zip(cf.x0, cf.a0):
+        x0, sq = mp.mpf(float(x0)), mp.mpf(float(a0)) ** 2
+        for side, p in zip(out, (x0 * sq * (1 - x0), x0 * (1 - sq) * (1 - x0))):
+            lam = (1 - mp.sqrt(1 - 4 * p)) / 2
+            side.extend((lam, 1 - lam))
+    return [sorted(side) for side in out]
+
+
+def _perturbed(a, b, scale, seed):
+    """a and b each moved by a Hermitian matrix of Frobenius norm scale."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    out = []
+    for x in (a, b):
+        e = hermitize(gen.normal(size=x.shape) + 1j * gen.normal(size=x.shape))
+        out.append(x + scale / np.linalg.norm(e) * e)
+    return out
+
+
+def _drawn(n, seed):
+    """x0 and the pair of the canonical property's draw."""
+    x = REGISTRY["canonical"].draw([seed], n)
+    return np.sort(x["x0"][0]), x["a"][0], x["b"][0]
+
+
+CASES = [(n, scale) for n in (2, 4, 6) for scale in (0.0, 1e-11, 3e-9)]
+
+
+@pytest.mark.parametrize("n, scale", CASES, ids=["n%d-%g" % case for case in CASES])
+def test_canonicalize_against_the_oracle(n, scale):
+    """The reported reconstruction residual is the exact one up to the
+    rounding allowance; x0 is the drawn one and the exact one of the
+    pair; the certificate's compatibility bound is at least the exact
+    residual, and each exact eigenvalue is within its margin of a site
+    eigenvalue.  The perturbed pairs put the bound on both sides of
+    tol.compat."""
+    x0, a, b = _drawn(n, derive_seed(41, n))
+    if scale:
+        a, b = _perturbed(a, b, scale, derive_seed(42, n))
+    cf = canonicalize(a, b)
+    allowance = _ROUNDING * n
+    ma, mb = _mat(a), _mat(b)
+
+    ra, rb = (_mat(cf.u0) * s * _mat(cf.u0).H for s in _site_pair(cf))
+    exact = max(_norm(ra - ma), _norm(rb - mb))
+    assert abs(exact - cf.residual) <= allowance and exact <= DEFAULT_TOL.canon
+
+    if not scale:
+        assert np.max(np.abs(cf.x0 - x0)) <= DEFAULT_TOL.spec
+        lam = _eigvals(mp.eye(n) - ma - mb)
+        assert max(abs(mp.mpf(float(v)) - (1 - lam[-1 - k])) for k, v in enumerate(cf.x0)) <= allowance
+
+    hermitian = hermitize(a), hermitize(b)
+    bound, margin = (float(v) for v in canonical._form_bounds(*hermitian, canonical._recovered(
+        *hermitian, DEFAULT_TOL), DEFAULT_TOL))
+    residual = _compat_residual(ma, mb)
+    assert bound - allowance >= residual, (bound, residual)
+    for vals, sites in zip((_eigvals(ma), _eigvals(mb)), _site_eigenvalues(cf)):
+        assert max(abs(v - s) for v, s in zip(vals, sites)) <= margin - allowance
+    assert (bound <= DEFAULT_TOL.compat) == (scale < 1e-9)

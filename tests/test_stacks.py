@@ -87,7 +87,7 @@ def _two_call_spectra(a, b):
     abs_diff = hermitize((dvecs * np.abs(dvals)) @ dagger(dvecs))
     rest = hermitize((zvecs * np.abs(zvals)) @ dagger(zvecs))
     residual = float(np.max(np.abs(np.linalg.eigvalsh(abs_diff + rest - one))))
-    return residual, abs_diff, np.sort(np.abs(dvals)), zvals, zvecs
+    return residual, np.sort(np.abs(dvals)), zvals, zvecs
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -98,13 +98,12 @@ def test_pair_spectra_stack_equals_batches_of_one(n):
     for i in range(K):
         one = _pair_spectra(a[i], b[i])
         assert isinstance(one.residual, float)
-        residual, abs_diff, dvals, zvals, zvecs = _two_call_spectra(a[i], b[i])
+        residual, dvals, zvals, zvecs = _two_call_spectra(a[i], b[i])
         assert stacked.residual[i] == one.residual == residual
         assert _pair_spectra(b[i], a[i]).residual == residual
-        for got in ((one.abs_diff, one.abs_diff_vals, *one.rest),
-                    (stacked.abs_diff[i], stacked.abs_diff_vals[i],
-                     stacked.rest[0][i], stacked.rest[1][i])):
-            for x, y in zip(got, (abs_diff, dvals, zvals, zvecs)):
+        for got in ((one.abs_diff_vals, *one.rest),
+                    (stacked.abs_diff_vals[i], stacked.rest[0][i], stacked.rest[1][i])):
+            for x, y in zip(got, (dvals, zvals, zvecs)):
                 assert np.array_equal(x, y)
 
 
