@@ -71,7 +71,9 @@ from .hermitian import (
     require_projection,
     require_unitary,
 )
-from .compat import _bounded, _built_pair, _certified_pair, _eigh_on, _pair_spectra, _require_compatible
+from .compat import (
+    _bounded, _built_pair, _certified_pair, _eigh_on, _pair_spectra, _require_compatible, _strict_block_bound,
+)
 from .io import matrix_to_json
 
 PIVOT_0 = np.diag([0.0, 1.0]).astype(complex)
@@ -330,7 +332,7 @@ def dilate_commuting_pair(a, b, tol: Tolerances = DEFAULT_TOL):
     a1 = np.block([[a @ a, ab], [ab, one - a @ a]])
     b1 = np.block([[b @ b, -ab], [-ab, one - b @ b]])
     a1, b1 = hermitize(a1), hermitize(b1)
-    residual = _pair_spectra(a1, b1, tol.compat).residual
+    residual = _pair_spectra(a1, b1, tol.compat)
     if residual > tol.compat:
         raise PostconditionFailure("dilated pair residual %.3e" % residual)
     return a1, b1
@@ -484,11 +486,11 @@ def _validated(a, b, tol: Tolerances, stack: bool) -> None:
     fails, in this order: the effect checks of _certified_pair, an odd
     size, strictness (one eigvalsh of [a, b] when the residual certified
     the effects), then compatibility."""
-    a, b, spectra, vals = _certified_pair(a, b, tol, stack, compared=True)
+    a, b, residual, vals = _certified_pair(a, b, tol, stack, compared=True)
     if a.shape[-1] % 2:
         raise OddDimension("canonical form needs even dimension, got %d" % a.shape[-1])
     _require_strict(*(vals or _factor_each(np.linalg.eigvalsh, a, b)), tol)
-    _require_compatible(spectra, tol)
+    _require_compatible(residual, tol)
 
 
 def _certified_form(a, b, cf: _Canonical, tol: Tolerances):
@@ -523,14 +525,14 @@ def _form_bounds(a, b, cf: _Canonical, tol: Tolerances):
 
     Compatibility.  Each site of S is exactly compatible, |Sa - Sb| = x0
     and |1 - Sa - Sb| = 1 - x0 per site, so f(Ta, Tb) = U f(Sa, Sb) U* =
-    0, with f(x, y) = |x-y| + |1-x-y| - 1.  By || |S| - |T| ||_F <=
-    ||S - T||_F for Hermitian S and T (compat._strict_block_bound),
-    ||f(x, y) - f(x', y')||_F <= 2 (||x - x'||_F + ||y - y'||_F), so the
-    residual of (a, b) is at most
-        2 (||ra - a||_F + ||rb - b||_F) + 4 eps (2 + eps)(1 + tol.spec),
-    and _ROUNDING n covers the rounding of the sites, of the products
-    and of the residual that _validated computes, about n u each, as in
-    compat._certified_pair.
+    0, with f(x, y) = |x-y| + |1-x-y| - 1.  By the continuity of S -> |S|
+    in the Hilbert-Schmidt norm, ||f(a, b)||_F <= 2 (||a - Ta||_F +
+    ||b - Tb||_F), and each term is at most ||rx - x||_F plus one drift
+    eps (2 + eps)(1 + tol.spec).  That is compat._strict_block_bound at
+    residual 0 and frob = (eps, ||ra - a||_F, ||rb - b||_F), with U0 in
+    the place of its V.  Its _ROUNDING n covers the rounding of the
+    sites, of the products and of the residual that _validated computes,
+    about n u each.
 
     Effects and strictness.  A site of a is (1-x0) P0 + x0 P, of trace 1
     and determinant x0 a0^2 (1-x0), so its eigenvalues are lam and
@@ -547,7 +549,7 @@ def _form_bounds(a, b, cf: _Canonical, tol: Tolerances):
     ra, rb = cf.rebuilt
     eps = _fnorm(dagger(cf.u0) @ cf.u0 - identity_like(a))
     drift = eps * (2.0 + eps) * (1.0 + tol.spec)
-    bound = 2.0 * (_fnorm(ra - a) + _fnorm(rb - b)) + 2.0 * drift + _ROUNDING * n
+    bound = _strict_block_bound(0.0, (eps, _fnorm(ra - a), _fnorm(rb - b)), n, tol)
     return bound, np.asarray(cf.residual + drift + _ROUNDING * n)
 
 

@@ -72,15 +72,6 @@ class CompatReport:
         return bool(np.all(self.compatible))
 
 
-class _PairSpectra(NamedTuple):
-    """The compatibility residual of a pair and the factorizations behind
-    it; for a stack of pairs, each field is stacked over the same axes."""
-
-    residual: float  # an array for a stack of pairs
-    abs_diff_vals: np.ndarray  # spectrum of |a - b|, ascending
-    rest: tuple  # eigh of 1 - a - b
-
-
 def _canonical_order(a, b):
     """(a, b) of one shape swapped, pair by pair over leading axes, so that
     the first of each pair has the smaller bytes: each pair's C-order
@@ -100,7 +91,7 @@ def _canonical_order(a, b):
     return np.where(swap, b, a), np.where(swap, a, b)
 
 
-def _pair_spectra(a, b, bound=None) -> _PairSpectra:
+def _pair_spectra(a, b, bound=None):
     """|| |a-b| + |1-a-b| - 1 || from one eigh of the stack [a-b, 1-a-b]
     (_factor_each); a residual that is only compared with a bound is
     taken Frobenius-first (_hnorm_upto), and is exact where it exceeds it.
@@ -115,18 +106,16 @@ def _pair_spectra(a, b, bound=None) -> _PairSpectra:
     one = identity_like(a)
     (dvals, dvecs), (zvals, zvecs) = _factor_each(np.linalg.eigh, a - b, one - a - b)
     excess = _compose(np.abs(dvals), dvecs) + _compose(np.abs(zvals), zvecs) - one
-    residual = _hnorm(excess) if bound is None else _hnorm_upto(excess, bound)
-    return _PairSpectra(residual, np.sort(np.abs(dvals), axis=-1), (zvals, zvecs))
+    return _hnorm(excess) if bound is None else _hnorm_upto(excess, bound)
 
 
-def _require_compatible(spectra: _PairSpectra, tol: Tolerances) -> _PairSpectra:
-    """spectra, once every residual in it is within tol.compat; an error
-    reports the largest."""
-    bad = spectra.residual > tol.compat
+def _require_compatible(residual, tol: Tolerances) -> None:
+    """Raises unless every residual is within tol.compat; an error reports
+    the largest."""
+    bad = residual > tol.compat
     if np.any(bad):
-        worst = np.max(np.extract(bad, spectra.residual))
+        worst = np.max(np.extract(bad, residual))
         raise NotAbsolutelyCompatible("residual %.3e > %.3e" % (worst, tol.compat))
-    return spectra
 
 
 def _built_pair(a, b, tol: Tolerances, not_strict, incompatible="constructed pair residual %.3e"):
@@ -137,7 +126,7 @@ def _built_pair(a, b, tol: Tolerances, not_strict, incompatible="constructed pai
     va, vb = _factor_each(np.linalg.eigvalsh, a, b)
     if not (np.all(_strict_rows(va, tol)) and np.all(_strict_rows(vb, tol))):
         raise not_strict
-    residual = _pair_spectra(a, b, tol.compat).residual
+    residual = _pair_spectra(a, b, tol.compat)
     bad = np.logical_not(residual <= tol.compat)
     if np.any(bad):
         raise PostconditionFailure(incompatible % _first(residual, bad))
@@ -181,13 +170,13 @@ def _certified_pair(a, b, tol: Tolerances, stack: bool = False, compared: bool =
     """
     a, b = _hermitian_pair(a, b, tol, stack)
     bound = tol.compat if compared else None
-    spectra = None
+    residual = None
     if a.shape == b.shape and _bounded(a, b, tol):
-        spectra = _pair_spectra(a, b, bound)
-        if np.all(spectra.residual + _ROUNDING * a.shape[-1] <= tol.spec):
-            return a, b, spectra, None
+        residual = _pair_spectra(a, b, bound)
+        if np.all(residual + _ROUNDING * a.shape[-1] <= tol.spec):
+            return a, b, residual, None
     (_, va), (_, vb) = _effects(a, b, tol, stack)
-    return a, b, spectra if spectra is not None else _pair_spectra(a, b, bound), (va, vb)
+    return a, b, residual if residual is not None else _pair_spectra(a, b, bound), (va, vb)
 
 
 def _bounded(a, b, tol: Tolerances) -> bool:
@@ -207,7 +196,7 @@ def is_abs_compatible(a, b, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
     spectrum.  A stack with an invalid pair raises what the first such
     pair raises alone.
     """
-    res = _first_failing(lambda a, b: _certified_pair(a, b, tol, stack=True)[2].residual,
+    res = _first_failing(lambda a, b: _certified_pair(a, b, tol, stack=True)[2],
                          (2, 2), a, b)
     return CompatReport(res, res <= tol.compat, tol.compat)
 
@@ -229,7 +218,7 @@ def _projection_compat_equiv(p, a, tol: Tolerances):
     if p.shape != a.shape:
         raise DimensionMismatch("shapes %r and %r" % (p.shape, a.shape))
     # a projection is an effect; i[p, a] is Hermitian with the norm of [p, a]
-    lhs = _pair_spectra(p, a, tol.compat).residual <= tol.compat
+    lhs = _pair_spectra(p, a, tol.compat) <= tol.compat
     rhs = _hnorm_upto(1j * (p @ a - a @ p), tol.compat) <= tol.compat
     return lhs, rhs
 
@@ -320,11 +309,11 @@ def _five_blocks(a, b, tol: Tolerances, stack: bool = False, compared: bool = Fa
     _strict_block_bound is within tol.compat; only the pairs that these
     certificates leave open take _built_pair on their strict blocks.
     """
-    a, b, spectra, _ = _certified_pair(a, b, tol, stack, compared)
-    _require_compatible(spectra, tol)
+    a, b, residual, _ = _certified_pair(a, b, tol, stack, compared)
+    _require_compatible(residual, tol)
     n = a.shape[-1]
     vals, vecs = np.linalg.eigh(a)
-    residual = np.asarray(spectra.residual)
+    whole = np.asarray(residual)
     out = []
     for at, (units, zeros) in _patterns(_level_counts(vals, tol)):
         v, ga, gb = vecs[at], a[at], b[at]
@@ -345,10 +334,10 @@ def _five_blocks(a, b, tol: Tolerances, stack: bool = False, compared: bool = Fa
             blocks_a, blocks_b, frob = _reduced_blocks(ga[inner], gb[inner], bases, tol)
             strict = _strict_by_interlacing(vals[where][..., zeros:n - units], rvals[inner][..., zero_r:top],
                                             n, tol)
-            settled = strict & (_strict_block_bound(residual[where], frob, n, tol) <= tol.compat)
+            settled = strict & (_strict_block_bound(whole[where], frob, n, tol) <= tol.compat)
             _verify_block_contents(blocks_a, blocks_b, tol, settled)
             out.append(_Blocks(where, bases, blocks_a, blocks_b))
-    return spectra.residual, out
+    return residual, out
 
 
 def _level_counts(vals, tol: Tolerances) -> np.ndarray:
@@ -481,6 +470,8 @@ def _strict_block_bound(residual, frob, n: int, tol: Tolerances):
         r + 2 (delta_a + delta_b) + 4 eps (2 + eps) (1 + tol.spec),
     and _ROUNDING n covers the rounding of the two computed residuals and
     of the compressions, about n u each, as in _certified_pair.
+    canonical._form_bounds takes the same bound at r = 0 for a
+    reconstruction.
     """
     eps, delta_a, delta_b = frob
     return (residual + 2.0 * (delta_a + delta_b) + 4.0 * eps * (2.0 + eps) * (1.0 + tol.spec)

@@ -11,6 +11,12 @@ centred at (1/2, 0, 0), trace-one effects with 0 < det < 1/4 fill its
 open interior, and the pairs above live on the pivotal sphere of index
 lam with pivot at P.
 
+Such a pair is the canonical form of canonical.py at m = 1: one site,
+conjugated by U0, with pivot P = U0 P0 U0*, Q the conjugated strict
+projection and lam = x0.  So decompose_pair_m2 inverts it by
+canonicalize's own core, and the package has one inverse for strict
+pairs.
+
 Stacks.  pair_from_projections, decompose_pair_m2, geometry_report,
 bloch_point, sphere_to_ball, ball_to_sphere and spheroid_residual take
 (..., 2, 2) stacks (indices (...), chart points (..., 3)) and return
@@ -35,6 +41,7 @@ from .errors import (
     NotOnSphere,
     NotProjection,
     OutsideBall,
+    PairingFailure,
     PostconditionFailure,
     SpectralAmbiguity,
     TraceNotOne,
@@ -43,20 +50,20 @@ from .hermitian import (
     _effects,
     _first,
     _first_failing,
+    _hermitian_pair,
     _hnorm_upto,
     _hnorm_within,
     _mixed_pair,
     _per_matrix,
     _projection,
-    _require_strict,
     _require_unit_interval,
     _two_by_two,
     _vector,
     _vnorm,
     as_matrix,
-    hermitize,
     require_hermitian,
 )
+from .canonical import PIVOT_0, _canonical, _conjugate_pair, _projection_blocks
 from .compat import _built_pair, _pair_spectra, _require_compatible
 
 BALL_CENTER = np.array([0.5, 0.0, 0.0])
@@ -232,53 +239,31 @@ def _pair_from_projections(pivot, target, index, tol: Tolerances):
 
 
 def decompose_pair_m2(a, b, tol: Tolerances = DEFAULT_TOL) -> PairSpec:
-    """Closed-form inverse of pair_from_projections.
+    """Inverse of pair_from_projections: canonicalize at n = 2.
 
-    The index is the doubled eigenvalue of |a-b|; the pivot spans the top
-    eigenvector of a+b (eigenvalue 2 - index), which is the bottom
-    eigenvector of 1-a-b; the target is read off from a by affine
-    inversion.
-
-    The check that a+b has its top eigenvalue at 2 - index allows
-    10 tol.cluster.  For an exact M2 pair, |a-b| = index and a+b has the
-    eigenvalues 2 - index and index.  A pair that passed the gates before
-    the check has |a-b| = index + D, with ||D|| <= (high - low)/2 <=
-    tol.cluster (1 + tol.spec)/2 by the doubling test, and |1-a-b| =
-    1 - index - D + R, where ||R|| = r <= tol.compat is its residual.  By
-    Weyl's inequality both eigenvalues of |1-a-b| lie within
-    tol.cluster (1 + tol.spec)/2 + tol.compat of 1 - index, so where
-    1-a-b has a negative eigenvalue, 1 minus it, the top eigenvalue of
-    a+b, is that close to 2 - index, up to the rounding of the eigh.  At
-    the default tolerances (tol.compat = tol.cluster) that is about
-    1.5 tol.cluster, so the factor 10 leaves more than six times
-    headroom, and holds whenever tol.compat stays below about
-    9.5 tol.cluster.  The check does not have to be tight: a pivot read
-    off the wrong eigenvector fails the round-trip residual behind it.
+    A strict pair of size 2 is one site of the canonical form, so its
+    form (U0, x0, a0, w) from canonical._canonical gives the spec: the
+    pivot is U0 P0 U0*, the target U0 P U0* for the strict projection P
+    of (a0, w), and the index x0.  The pair is validated as canonicalize
+    validates it, after a check that it is 2x2, and the spec must rebuild
+    it within tol.geo.  A pair whose spectra do not pair up as the form's
+    raises SpectralAmbiguity.
     """
     return _first_failing(lambda a, b: _decompose_pair_m2(a, b, tol), (2, 2), a, b)
 
 
 def _decompose_pair_m2(a, b, tol: Tolerances) -> PairSpec:
-    (a, va), (b, vb) = _effects(a, b, tol, stack=True)
+    a, b = _hermitian_pair(a, b, tol, stack=True)
     if a.shape[-2:] != (2, 2):
+        _effects(a, b, tol, stack=True)
         raise DimensionMismatch("decomposition is for 2x2 effects")
-    _require_strict(va, vb, tol)
-    spectra = _require_compatible(_pair_spectra(a, b, tol.compat), tol)
-
-    low, high = spectra.abs_diff_vals[..., 0], spectra.abs_diff_vals[..., 1]
-    if np.any(high - low > tol.cluster * np.maximum(1.0, high)):
-        raise SpectralAmbiguity("|a - b| does not have a doubled eigenvalue")
-    index = 0.5 * (low + high)
-
-    zvals, zvecs = spectra.rest
-    if np.any(np.abs(1.0 - zvals[..., 0] - (2.0 - index)) > 10.0 * tol.cluster):
-        raise PostconditionFailure("a + b has no eigenvalue at 2 - index")
-    v = zvecs[..., 0]
-    pivot = hermitize(v[..., :, None] * np.conj(v)[..., None, :])
-    lam = _axes(index, 2)
-    target = hermitize((a - (1.0 - lam) * pivot) / lam)
-
-    ra, rb = _pair_from_projections(pivot, target, index, tol)
+    try:
+        cf = _canonical(a, b, tol, stack=True)
+    except PairingFailure as exc:
+        raise SpectralAmbiguity(str(exc)) from exc
+    pivot, target = _conjugate_pair(cf.u0, (PIVOT_0[None], _projection_blocks(cf.a0, cf.w)))
+    index = cf.x0[..., 0]
+    ra, rb = _mixed_pair(_axes(index, 2), pivot, target, np.eye(2, dtype=complex) - target)
     err = np.maximum(_hnorm_upto(ra - a, tol.geo), _hnorm_upto(rb - b, tol.geo))
     bad = err > tol.geo
     if np.any(bad):

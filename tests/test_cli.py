@@ -346,7 +346,9 @@ def test_an_override_does_not_outlive_its_call(tmp_path, monkeypatch):
      0.5 * np.eye(2), 0.5 * np.eye(2), "PairingFailure"),
     (["decompose", "A", "B", "--tol-canon", "1e-30"],
      *random_abscompat_pair(4, 3), "PostconditionFailure"),
-], ids=["spectral-ambiguity", "pairing-failure", "postcondition-failure"])
+    (["geometry", "--a", "A", "--b", "B", "--tol-geo", "1e-30"],
+     *random_abscompat_pair(2, 3), "PostconditionFailure"),
+], ids=["spectral-ambiguity", "pairing-failure", "postcondition-failure", "round-trip-failure"])
 def test_structural_failures_exit_4(tmp_path, capsys, argv, a, b, error):
     files = {"A": tmp_path / "a.json", "B": tmp_path / "b.json"}
     save_matrix(files["A"], a)

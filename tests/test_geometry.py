@@ -12,6 +12,7 @@ from abscompat.errors import (
     NotOnSphere,
     NotStrict,
     OutsideBall,
+    SpectralAmbiguity,
     TraceNotOne,
 )
 from abscompat.generate import (
@@ -117,6 +118,9 @@ def test_decompose_rejections():
         decompose_pair_m2(a, a)
     with pytest.raises(NotStrict):
         decompose_pair_m2(P0, QHALF)
+    # compatible at this tolerance, but |a - b| and 1 - |1 - a - b| do not pair up
+    with pytest.raises(SpectralAmbiguity):
+        decompose_pair_m2(np.diag([0.3, 0.6]), np.diag([0.5, 0.5]), DEFAULT_TOL.override(compat=10.0))
 
 
 def test_decompose_round_trip():

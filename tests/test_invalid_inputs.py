@@ -36,6 +36,7 @@ from abscompat.errors import (
     DimensionMismatch,
     DomainError,
     EmptyInput,
+    NegativeSpectrum,
     NotHermitian,
     NotStrict,
     NotStrictParams,
@@ -110,6 +111,12 @@ def test_shape_and_length_mismatches():
         projection_compat_equiv(np.eye(2), 0.5 * np.eye(4))
     with pytest.raises(DimensionMismatch, match="^decomposition is for 2x2 effects$"):
         decompose_pair_m2(*random_abscompat_pair(4, 3))
+    # odd effects fail the 2x2 gate, not the even-size gate of the canonical
+    # form, and operands that are not effects fail their effect check first
+    with pytest.raises(DimensionMismatch, match="^decomposition is for 2x2 effects$"):
+        decompose_pair_m2(np.eye(3) / 3, np.eye(3) / 3)
+    with pytest.raises(NegativeSpectrum):
+        decompose_pair_m2(-np.eye(3) / 3, np.eye(3) / 3)
     with pytest.raises(DimensionMismatch, match="^a0 and w must have the same number of sites$"):
         StrictProjectionParams([0.5, 0.5], [1.0])
     with pytest.raises(DimensionMismatch, match="^a0 and the phases must have the same number of sites$"):

@@ -1,10 +1,11 @@
-"""High-precision oracle: canonicalize checked against 50-digit
-arithmetic (mpmath) at n <= 6.
+"""High-precision oracle: canonicalize and the five-block strict-block
+bound checked against 50-digit arithmetic (mpmath) at n <= 6.
 
 Every float input converts to mpmath exactly, so the oracle's values are
 those of the very matrices the library saw, to about 1e-50: the exact
 reconstruction residual of the returned form, the exact x0 of the pair,
-its exact compatibility residual and its exact spectra.
+its exact compatibility residual and its exact spectra, and the exact
+compatibility residual of a returned strict block.
 """
 
 import numpy as np
@@ -12,8 +13,9 @@ import pytest
 
 from abscompat import DEFAULT_TOL, canonical
 from abscompat.canonical import canonicalize
-from abscompat.generate import derive_seed
-from abscompat.hermitian import _ROUNDING, hermitize
+from abscompat.compat import _pair_spectra, _reduced_blocks, _strict_block_bound, five_block_decompose
+from abscompat.generate import derive_seed, haar_unitary, random_abscompat_pair
+from abscompat.hermitian import _ROUNDING, dagger, hermitize
 from abscompat.properties import REGISTRY
 
 mpmath = pytest.importorskip("mpmath")
@@ -127,3 +129,51 @@ def test_canonicalize_against_the_oracle(n, scale):
     for vals, sites in zip((_eigvals(ma), _eigvals(mb)), _site_eigenvalues(cf)):
         assert max(abs(v - s) for v, s in zip(vals, sites)) <= margin - allowance
     assert (bound <= DEFAULT_TOL.compat) == (scale < 1e-9)
+
+
+# an a-unit, b-unit, a-null and b-null slot
+SLOTS = [(1.0, 0.5), (0.3, 1.0), (0.0, 0.7), (0.6, 0.0)]
+
+
+def _assembled(k, slots, move, scale, seed):
+    """A strict k x k pair beside diagonal slots, under a Haar conjugation,
+    with b moved by a Hermitian of Frobenius norm scale: inside the
+    strict block (move "strict"), which moves the residual, or coupling
+    the strict coordinates to the slots ("coupling"), which tilts the
+    blocks and moves no eigenvalue of b at 0 or 1 to first order."""
+    sa, sb = random_abscompat_pair(k, derive_seed(seed, 1))
+    n = k + len(slots)
+    a, b = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
+    a[:k, :k], b[:k, :k] = sa, sb
+    a[k:, k:], b[k:, k:] = np.diag([s[0] for s in slots]), np.diag([s[1] for s in slots])
+    gen = np.random.Generator(np.random.Philox(key=derive_seed(seed, 3)))
+    c = np.zeros_like(b)
+    cols = slice(0, k) if move == "strict" else slice(k, n)
+    c[:k, cols] = gen.normal(size=(k, k if move == "strict" else n - k)) * (1.0 + 1j)
+    c = hermitize(c) if move == "strict" else c + dagger(c)
+    b += scale / np.linalg.norm(c) * c
+    u = haar_unitary(n, derive_seed(seed, 2))
+    return hermitize(u @ a @ dagger(u)), hermitize(u @ b @ dagger(u))
+
+
+MOVES = [("strict", 0.0)] + [(move, scale) for move in ("strict", "coupling") for scale in (1e-11, 2.5e-9)]
+
+
+def test_strict_block_bound_against_the_oracle():
+    """The bound that lets five_block_decompose skip the strict block's
+    own residual, less its rounding allowance, is at least the exact
+    residual of the strict block it returns, on exact and moved assembled
+    pairs, and the pairs put the bound on both sides of tol.compat."""
+    sides = set()
+    for k, slots in ((2, SLOTS[:2]), (2, SLOTS), (4, SLOTS[2:])):
+        for move, scale in MOVES:
+            for seed in range(2):
+                a, b = _assembled(k, slots, move, scale, derive_seed(60 + k, seed + 10 * len(slots)))
+                n = a.shape[-1]
+                fb = five_block_decompose(a, b)
+                frob = _reduced_blocks(a, b, fb.bases, DEFAULT_TOL)[2]
+                bound = _strict_block_bound(_pair_spectra(a, b), frob, n, DEFAULT_TOL)
+                exact = _compat_residual(_mat(fb.blocks_a["strict"]), _mat(fb.blocks_b["strict"]))
+                assert bound - _ROUNDING * n >= exact, (k, len(slots), move, scale, seed, bound, exact)
+                sides.add(bool(bound <= DEFAULT_TOL.compat))
+    assert sides == {True, False}

@@ -77,7 +77,7 @@ def _pairs(n, seed):
     return np.array([a for a, _ in out]), np.array([b for _, b in out])
 
 
-def _two_call_spectra(a, b):
+def _two_call_residual(a, b):
     """_pair_spectra as one eigh per half: the computation before stacks."""
     if b.tobytes() < a.tobytes():
         a, b = b, a
@@ -86,25 +86,20 @@ def _two_call_spectra(a, b):
     zvals, zvecs = np.linalg.eigh(one - a - b)
     abs_diff = hermitize((dvecs * np.abs(dvals)) @ dagger(dvecs))
     rest = hermitize((zvecs * np.abs(zvals)) @ dagger(zvecs))
-    residual = float(np.max(np.abs(np.linalg.eigvalsh(abs_diff + rest - one))))
-    return residual, np.sort(np.abs(dvals)), zvals, zvecs
+    return float(np.max(np.abs(np.linalg.eigvalsh(abs_diff + rest - one))))
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_pair_spectra_stack_equals_batches_of_one(n):
     a, b = _pairs(n, derive_seed(21, n))
     stacked = _pair_spectra(a, b)
-    assert stacked.residual.shape == (K,)
+    assert stacked.shape == (K,)
     for i in range(K):
         one = _pair_spectra(a[i], b[i])
-        assert isinstance(one.residual, float)
-        residual, dvals, zvals, zvecs = _two_call_spectra(a[i], b[i])
-        assert stacked.residual[i] == one.residual == residual
-        assert _pair_spectra(b[i], a[i]).residual == residual
-        for got in ((one.abs_diff_vals, *one.rest),
-                    (stacked.abs_diff_vals[i], stacked.rest[0][i], stacked.rest[1][i])):
-            for x, y in zip(got, (dvals, zvals, zvecs)):
-                assert np.array_equal(x, y)
+        assert isinstance(one, float)
+        residual = _two_call_residual(a[i], b[i])
+        assert stacked[i] == one == residual
+        assert _pair_spectra(b[i], a[i]) == residual
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -441,7 +436,7 @@ def _entry_faults():
         "pair_from_projections": {"nan": nan, "non-projection": put(0, lambda x: 0.5 * x),
                                   "index": put(2, 1.5), "degenerate": _same_target},
         "decompose_pair_m2": {"nan": nan, "incompatible": put(1, lambda x: x.conj()),
-                              "not-strict": put(0, np.diag([1.0, 0.0]))},
+                              "not-strict": put(0, np.diag([1.0, 0.0])), "unpaired": _unpaired},
         "geometry_report": {"nan": nan, "non-projection": put(1, lambda x: 0.5 * x),
                             "index": put(2, -0.5)},
         "bloch_point": {"nan": nan, "trace": put(0, lambda x: 0.9 * x)},
@@ -453,6 +448,14 @@ def _entry_faults():
 
 def _same_target(stacks, i):
     stacks[1][i] = stacks[0][i]
+
+
+def _unpaired(stacks, i):
+    """a and b of element i both moved by 3.5e-9: the residual, 7e-9, is
+    within tol.compat, but the moduli of 1-a-b split by 1.4e-8, beyond
+    tol.cluster, so they do not pair up."""
+    for x in stacks:
+        x[i] += 3.5e-9 * np.eye(2)
 
 
 FAULTS = _entry_faults()
