@@ -79,7 +79,7 @@ from .io import matrix_to_json
 PIVOT_0 = np.diag([0.0, 1.0]).astype(complex)
 PIVOT_1 = np.diag([1.0, 0.0]).astype(complex)
 
-# strictness margin used when validating raw parameters
+# floor on raw per-site parameters (_strict_reals)
 _PARAM_MARGIN = 1e-12
 
 
@@ -112,6 +112,17 @@ class SiteBlockMatrix:
 
     @classmethod
     def extract(cls, x):
+        """The site blocks of the 2m x 2m matrix x, once no entry off its
+        sites exceeds 1e-12 in modulus.
+
+        No derivation ties 1e-12 to the tolerances.  It guards that the
+        blocks stand for x: the dropped entries, at most n^2 of them, move
+        x by at most their Frobenius norm, n 1e-12, in operator norm.
+        That is within the default tol.unit = tol.proj = 1e-10 that
+        is_strict_unitary and is_strict_projection then apply to the
+        blocks, up to n = 100, and not above it.  _embed leaves the
+        off-site entries exactly 0.
+        """
         x = as_matrix(x)
         n = x.shape[0]
         if n % 2:
@@ -147,6 +158,17 @@ def _sites(x) -> SiteBlockMatrix:
 
 
 def _unimodular(w, label: str) -> np.ndarray:
+    """w as a vector of phases, each normalized to modulus one, once every
+    | |w| - 1 | is at most 1e-9.
+
+    No derivation fixes 1e-9.  It guards that each parameter is a phase,
+    so the normalization moves it by at most 1e-9.  Phases computed as
+    x / |x|, as params_from_strict_unitary computes them, are unimodular
+    to a few u.  The w of params_from_strict_projection, p01 / (a0 s0),
+    has |w|^2 = |p01|^2 / (p00 (1 - p00)) per site, so an idempotence
+    defect far below tol.proj moves |w| past 1e-9 when p00 (1 - p00) is
+    small: such a projection passes is_strict_projection and fails here.
+    """
     w = _vector(w, complex, label)
     mod = np.abs(w)
     if not np.all(np.abs(mod - 1.0) <= 1e-9):
@@ -155,6 +177,18 @@ def _unimodular(w, label: str) -> np.ndarray:
 
 
 def _strict_reals(a0, label: str) -> np.ndarray:
+    """a0 as a nonempty real vector inside (_PARAM_MARGIN, 1 - _PARAM_MARGIN).
+
+    No derivation fixes _PARAM_MARGIN = 1e-12, and it is not the
+    strictness cut: _built_pair and is_strict_projection apply that,
+    _levels at tol.spec, to the matrices the parameters build.  It
+    guards the parametrization: at a0 = 0 or 1 the factor
+    a0 (1 - a0^2)^(1/2) that params_from_strict_projection and
+    conjugate_to_pivot divide by is 0, and inside the margin 1 - a0^2 is
+    at least about 2e-12, some 10^4 u, so its rounding leaves it four
+    digits.  A recovered a0 (_recovered) has a0^2 inside (tol.spec,
+    1 - tol.spec) already, so the margin never decides it.
+    """
     a0 = _vector(a0, float, label)
     if len(a0) == 0:
         raise NotStrictParams("%s needs at least one site" % label)
@@ -314,7 +348,8 @@ def dilate_commuting_pair(a, b, tol: Tolerances = DEFAULT_TOL):
 
         a1 = [[a^2, ab], [ab, 1-a^2]],  b1 = [[b^2, -ab], [-ab, 1-b^2]].
     """
-    (a, va), (b, vb) = _effects(a, b, tol)
+    a, b = _hermitian_pair(a, b, tol)
+    va, vb = _effects(a, b, tol)
     # i[a, b] is Hermitian with the norm of [a, b]
     if _hnorm_upto(1j * (a @ b - b @ a), tol.compat) > tol.compat:
         raise NotCommuting("||ab - ba|| exceeds %.3e" % tol.compat)
@@ -451,10 +486,10 @@ def _joint_eigenbasis(a, lam_plus, v_plus, gap: float):
     return f_plus, x0
 
 
-def _canonical(a, b, tol: Tolerances, stack: bool = False) -> _Canonical:
-    """canonicalize of one pair, or with stack=True of each pair of two
-    (..., n, n) stacks: each step runs once on the whole stack, and a
-    stack raises at the first step some pair of it fails.
+def _canonical(a, b, tol: Tolerances) -> _Canonical:
+    """canonicalize of the Hermitian a and b of _hermitian_pair, or of
+    each pair of two (..., n, n) stacks: each step runs once on the whole
+    stack, and a stack raises at the first step some pair of it fails.
 
     The form is recovered first (_recovered), and its reconstruction
     settles the pair when both of its certificates hold for every pair
@@ -464,29 +499,28 @@ def _canonical(a, b, tol: Tolerances, stack: bool = False) -> _Canonical:
     that error ahead of any error of the recovery; a pair it passes
     keeps the recovered form, or raises the recovery's error.
     """
-    a, b = _hermitian_pair(a, b, tol, stack)
     n = a.shape[-1]
     # the recovery takes nonempty same-shape pairs of even size with no
     # entry beyond an effect's, where 1-a-b cannot overflow; _validated
     # rejects the others
     if a.shape != b.shape or not a.size or n % 2 or not _bounded(a, b, tol):
-        _validated(a, b, tol, stack)
+        _validated(a, b, tol)
     try:
         cf = _recovered(a, b, tol)
     except AbscompatError:
-        _validated(a, b, tol, stack)
+        _validated(a, b, tol)
         raise
     if not np.all(_certified_form(a, b, cf, tol)):
-        _validated(a, b, tol, stack)
+        _validated(a, b, tol)
     return cf
 
 
-def _validated(a, b, tol: Tolerances, stack: bool) -> None:
+def _validated(a, b, tol: Tolerances) -> None:
     """Raises what the pair, or the first failing check over a stack,
     fails, in this order: the effect checks of _certified_pair, an odd
     size, strictness (one eigvalsh of [a, b] when the residual certified
     the effects), then compatibility."""
-    a, b, residual, vals = _certified_pair(a, b, tol, stack, compared=True)
+    residual, vals = _certified_pair(a, b, tol, compared=True)
     if a.shape[-1] % 2:
         raise OddDimension("canonical form needs even dimension, got %d" % a.shape[-1])
     _require_strict(*(vals or _factor_each(np.linalg.eigvalsh, a, b)), tol)
@@ -620,7 +654,7 @@ def canonicalize(a, b, tol: Tolerances = DEFAULT_TOL) -> CanonicalForm:
     the polar factor of the off-diagonal block of a aligns the negative
     half with the positive one and absorbs the phase gauge (so w = 1).
     """
-    cf = _canonical(a, b, tol)
+    cf = _canonical(*_hermitian_pair(a, b, tol), tol)
     return CanonicalForm(u0=cf.u0, x0=cf.x0, projection=StrictProjectionParams(cf.a0, cf.w),
                          residual=float(cf.residual))
 

@@ -133,13 +133,13 @@ def _built_pair(a, b, tol: Tolerances, not_strict, incompatible="constructed pai
     return a, b
 
 
-def _certified_pair(a, b, tol: Tolerances, stack: bool = False, compared: bool = False):
-    """(a, b, _pair_spectra(a, b), vals) for two effects a and b, or with
-    stack=True two stacks of them, where vals is None when the residual
-    certifies both and the spectra (va, vb) of _effects otherwise; raises
-    what _effects raises, in its order, when they are not effects.  With
-    compared=True, for a caller that only compares the residual with
-    tol.compat, the residual is taken Frobenius-first.
+def _certified_pair(a, b, tol: Tolerances, compared: bool = False):
+    """(_pair_spectra(a, b), vals) for Hermitian a and b, or stacks of
+    them, where vals is None when the residual certifies both as effects
+    and the spectra (va, vb) of _effects otherwise; raises what _effects
+    raises, in its order, when they are not effects.  With compared=True,
+    for a caller that only compares the residual with tol.compat, the
+    residual is taken Frobenius-first.
 
     A small residual proves both operands are effects.  With c = 1-a-b,
     d = a-b, their positive and negative parts c+, c-, d+, d- and
@@ -162,21 +162,20 @@ def _certified_pair(a, b, tol: Tolerances, stack: bool = False, compared: bool =
     and that eigvalsh is skipped.
 
     Otherwise (a larger residual; an entry above 1 + tol.spec, which no
-    effect has and which could overflow a - b; a shape mismatch; a
-    non-Hermitian b) _effects decides, exactly as before.  A stack is
-    certified when every pair of it is, and validated whole otherwise.
+    effect has and which could overflow a - b; a shape mismatch) _effects
+    decides.  A stack is certified when every pair of it is, and
+    validated whole otherwise.
     A Frobenius-first residual is never below the exact one, so what it
     certifies the exact residual certifies too.
     """
-    a, b = _hermitian_pair(a, b, tol, stack)
     bound = tol.compat if compared else None
     residual = None
     if a.shape == b.shape and _bounded(a, b, tol):
         residual = _pair_spectra(a, b, bound)
         if np.all(residual + _ROUNDING * a.shape[-1] <= tol.spec):
-            return a, b, residual, None
-    (_, va), (_, vb) = _effects(a, b, tol, stack)
-    return a, b, residual if residual is not None else _pair_spectra(a, b, bound), (va, vb)
+            return residual, None
+    vals = _effects(a, b, tol)
+    return residual if residual is not None else _pair_spectra(a, b, bound), vals
 
 
 def _bounded(a, b, tol: Tolerances) -> bool:
@@ -196,13 +195,14 @@ def is_abs_compatible(a, b, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
     spectrum.  A stack with an invalid pair raises what the first such
     pair raises alone.
     """
-    res = _first_failing(lambda a, b: _certified_pair(a, b, tol, stack=True)[2],
+    res = _first_failing(lambda a, b: _certified_pair(*_hermitian_pair(a, b, tol, stack=True), tol)[0],
                          (2, 2), a, b)
     return CompatReport(res, res <= tol.compat, tol.compat)
 
 
 def is_orthogonal(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
-    (a, _), (b, _) = _effects(a, b, tol)
+    a, b = _hermitian_pair(a, b, tol)
+    _effects(a, b, tol)
     return op_norm(a @ b) <= tol.compat
 
 
@@ -270,6 +270,7 @@ def five_block_decompose(a, b, tol: Tolerances = DEFAULT_TOL) -> FiveBlockDecomp
     pair runs through _five_blocks as a batch of one, which takes the
     residual it only bounds with Frobenius-first.
     """
+    a, b = _hermitian_pair(a, b, tol)
     _, ((_, bases, blocks_a, blocks_b),) = _five_blocks(a, b, tol, compared=True)
     projs = {name: _span(v) for name, v in bases.items()}
     return FiveBlockDecomposition(**projs, bases=bases, blocks_a=blocks_a, blocks_b=blocks_b)
@@ -285,9 +286,9 @@ class _Blocks(NamedTuple):
     blocks_b: dict
 
 
-def _five_blocks(a, b, tol: Tolerances, stack: bool = False, compared: bool = False):
-    """five_block_decompose of one pair, or with stack=True of each pair of
-    two (..., n, n) stacks: (the compatibility residual its certificate
+def _five_blocks(a, b, tol: Tolerances, compared: bool = False):
+    """five_block_decompose of Hermitian a and b, or of each pair of two
+    (..., n, n) stacks: (the compatibility residual its certificate
     computed, one _Blocks per pattern of block ranks).  With
     compared=True, for a caller that does not report the residual, it is
     taken Frobenius-first (_certified_pair); the strict-block bound only
@@ -309,7 +310,7 @@ def _five_blocks(a, b, tol: Tolerances, stack: bool = False, compared: bool = Fa
     _strict_block_bound is within tol.compat; only the pairs that these
     certificates leave open take _built_pair on their strict blocks.
     """
-    a, b, residual, _ = _certified_pair(a, b, tol, stack, compared)
+    residual, _ = _certified_pair(a, b, tol, compared)
     _require_compatible(residual, tol)
     n = a.shape[-1]
     vals, vecs = np.linalg.eigh(a)

@@ -255,10 +255,10 @@ def decompose_pair_m2(a, b, tol: Tolerances = DEFAULT_TOL) -> PairSpec:
 def _decompose_pair_m2(a, b, tol: Tolerances) -> PairSpec:
     a, b = _hermitian_pair(a, b, tol, stack=True)
     if a.shape[-2:] != (2, 2):
-        _effects(a, b, tol, stack=True)
+        _effects(a, b, tol)
         raise DimensionMismatch("decomposition is for 2x2 effects")
     try:
-        cf = _canonical(a, b, tol, stack=True)
+        cf = _canonical(a, b, tol)
     except PairingFailure as exc:
         raise SpectralAmbiguity(str(exc)) from exc
     pivot, target = _conjugate_pair(cf.u0, (PIVOT_0[None], _projection_blocks(cf.a0, cf.w)))
@@ -435,10 +435,10 @@ def _spheroid(a, partners, tol: Tolerances) -> SpheroidStats:
             raise DimensionMismatch("partners do not stack into (..., k, n, n)")
         if xs.shape[-3] == 0:
             raise EmptyInput("no partner effects supplied")
-        return _partner_points(a[..., None, :, :], xs, tol)
+        return _partner_points(a[..., None, :, :], require_hermitian(xs, tol, stack=True), tol)
 
     pts = _first_failing(stacked, (2, 2), partners, a,
-                         alone=lambda x, a: _partner_points(a, as_matrix(x), tol))
+                         alone=lambda x, a: _partner_points(a, require_hermitian(x, tol), tol))
     sums = _vnorm(pts - focus[..., None, :]) + _vnorm(pts - mirror[..., None, :])
     mean = np.mean(sums, axis=-1)
     spread = np.max(sums, axis=-1) - np.min(sums, axis=-1)
@@ -448,11 +448,10 @@ def _spheroid(a, partners, tol: Tolerances) -> SpheroidStats:
 
 
 def _partner_points(a, xs, tol: Tolerances) -> np.ndarray:
-    """Chart points of effects xs absolutely compatible with a, one or a
-    stack broadcast against a: each must be an effect, then in the
+    """Chart points of the Hermitian xs absolutely compatible with a, one
+    or a stack broadcast against a: each must be an effect, then in the
     chart's domain, then compatible with a, and one partner raises what
     it fails first."""
-    xs = require_hermitian(xs, tol, stack=True)
     _require_unit_interval(np.linalg.eigvalsh(xs), tol)
     pts = _bloch(xs, tol)
     _require_compatible(_pair_spectra(np.broadcast_to(a, xs.shape), xs, tol.compat), tol)

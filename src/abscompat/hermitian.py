@@ -5,20 +5,22 @@ All inputs are plain complex numpy arrays; all functions are pure.  An
 "effect" is a Hermitian matrix with spectrum in [0, 1]; an effect is
 "strict" when its spectrum also avoids 0 and 1.
 
-Stacks.  The spectral core works over leading axes: ``as_matrix`` and
-``require_hermitian`` (with ``stack=True``), ``op_norm``, ``_hnorm``,
-``_compose`` and ``_require_unit_interval`` treat each matrix of a
-``(..., n, n)`` stack on its own, and a 2-D input is a batch of one, not
-a second path: norms are a float for one matrix and an array for a
-stack.  A stacked factorization gives each matrix the bits it gets
-alone.  Stacks pay where a numpy.linalg call's ~10 us overhead is most
-of its cost, at small n; at n ~ 100 copying matrices into a stack costs
-more than the call it saves, and numpy's stacked matmul is about
-twice as slow as the same products made one by one.  So _factor_each
-stacks factorizations up to _STACK_N, and products are stacked only for
-small matrices.  The compatibility check and the dimension-2 entry
-points take stacks too; _first_failing makes a failing stack raise what
-its first failing element raises alone.
+Stacks.  The spectral core works over leading axes: ``op_norm``,
+``_hnorm``, ``_effects``, ``_compose`` and ``_require_unit_interval``
+treat each matrix of a ``(..., n, n)`` stack on its own, and a 2-D input
+is a batch of one, not a second path: norms are a float for one matrix
+and an array for a stack.  A stacked factorization gives each matrix the
+bits it gets alone.  Stacks pay where a numpy.linalg call's ~10 us
+overhead is most of its cost, at small n; at n ~ 100 copying matrices
+into a stack costs more than the call it saves, and numpy's stacked
+matmul is about twice as slow as the same products made one by one.  So
+_factor_each stacks factorizations up to _STACK_N, and products are
+stacked only for small matrices.  The compatibility check and the
+dimension-2 entry points take stacks too; _first_failing makes a failing
+stack raise what its first failing element raises alone.  Raw input is
+validated once, at an entry point, by as_matrix, require_hermitian,
+_hermitian_pair, _effect or _projection, whose stack=True admits a
+stack; the private cores take the Hermitian arrays they return.
 
 One strictness cut: _levels puts a value at 1 from 1 - tol.spec up and
 at 0 up to tol.spec in every such decision of the package, for kernels
@@ -262,11 +264,11 @@ def _projection(p, tol: Tolerances, stack: bool = False) -> np.ndarray:
     return p
 
 
-def _require_unit_interval(vals, tol: Tolerances) -> None:
-    """Ascending spectra, one per row over leading axes, inside [0, 1]
+def _require_unit_interval(vals, tol: Tolerances) -> np.ndarray:
+    """Ascending spectra, one per row over leading axes, once inside [0, 1]
     within tol.spec; an error reports the extreme eigenvalue of them all."""
     if vals.size == 0:
-        return
+        return vals
     low, high = vals[..., 0], vals[..., -1]
     if vals.ndim > 1:
         low, high = low.min(), high.max()
@@ -274,15 +276,14 @@ def _require_unit_interval(vals, tol: Tolerances) -> None:
         raise NegativeSpectrum("smallest eigenvalue %.3e < -%.3e" % (low, tol.spec))
     if high > 1.0 + tol.spec:
         raise DomainError("largest eigenvalue %.3e exceeds 1" % high)
+    return vals
 
 
 def _effect(a, tol: Tolerances, stack: bool = False):
     """The validated effect a and its ascending spectrum (eigvalsh); with
     stack=True, of each matrix of a stack."""
     a = require_hermitian(a, tol, stack)
-    vals = np.linalg.eigvalsh(a)
-    _require_unit_interval(vals, tol)
-    return a, vals
+    return a, _require_unit_interval(np.linalg.eigvalsh(a), tol)
 
 
 def require_effect(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -292,12 +293,12 @@ def require_effect(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def _hermitian_pair(a, b, tol: Tolerances, stack: bool = False):
     """Both operands through require_hermitian; when b fails, the spectrum
-    of a is checked first, as _effects checks a before b."""
+    of a is checked first, so a's effect errors come before b's."""
     a = require_hermitian(a, tol, stack)
     try:
         b = require_hermitian(b, tol, stack)
     except AbscompatError:
-        _effect(a, tol, stack)
+        _require_unit_interval(np.linalg.eigvalsh(a), tol)
         raise
     return a, b
 
@@ -312,19 +313,18 @@ def _factor_each(fn, *mats) -> list:
     return list(zip(*out)) if isinstance(out, tuple) else list(out)
 
 
-def _effects(a, b, tol: Tolerances, stack: bool = False):
-    """Both validated effects with their spectra, ((a, vals), (b, vals)),
-    from one eigvalsh of the stack [a, b] (_factor_each).  Errors come in
-    the order of validating a, then b, then comparing shapes."""
-    a, b = _hermitian_pair(a, b, tol, stack)
+def _effects(a, b, tol: Tolerances):
+    """The spectra (va, vb) of Hermitian a and b, or stacks of them, from
+    one eigvalsh of the stack [a, b] (_factor_each), once both lie in
+    [0, 1]; errors come in the order a's spectrum, b's, the shapes."""
     if a.shape != b.shape:
-        _effect(a, tol, stack)
-        _effect(b, tol, stack)
+        _require_unit_interval(np.linalg.eigvalsh(a), tol)
+        _require_unit_interval(np.linalg.eigvalsh(b), tol)
         raise DimensionMismatch("effects of shapes %r and %r" % (a.shape, b.shape))
     va, vb = _factor_each(np.linalg.eigvalsh, a, b)
     _require_unit_interval(va, tol)
     _require_unit_interval(vb, tol)
-    return (a, va), (b, vb)
+    return va, vb
 
 
 def _compose(vals, vecs) -> np.ndarray:
@@ -362,24 +362,21 @@ def _levels(vals, tol: Tolerances, margin=0.0):
     return vals >= 1.0 - tol.spec - margin, vals <= tol.spec + margin
 
 
-def _effect_eigh(a, tol: Tolerances):
-    """eigh of the effect a, validated from its own eigenvalues with the
-    errors of _effect."""
+def _level_span(a, tol: Tolerances, level: int) -> np.ndarray:
+    """The span of the eigenvectors of the effect a in _levels(...)[level],
+    from one eigh whose eigenvalues validate a with the errors of _effect."""
     vals, vecs = np.linalg.eigh(require_hermitian(a, tol))
-    _require_unit_interval(vals, tol)
-    return vals, vecs
+    return _span(vecs[:, _levels(_require_unit_interval(vals, tol), tol)[level]])
 
 
 def support_projection(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Largest projection below the effect a: its eigenvalue-1 eigenspace."""
-    vals, vecs = _effect_eigh(a, tol)
-    return _span(vecs[:, _levels(vals, tol)[0]])
+    return _level_span(a, tol, 0)
 
 
 def null_projection(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Largest projection annihilating the effect a: its kernel."""
-    vals, vecs = _effect_eigh(a, tol)
-    return _span(vecs[:, _levels(vals, tol)[1]])
+    return _level_span(a, tol, 1)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ from .geometry import (
     ball_to_sphere, bloch_point, decompose_pair_m2, geometry_report, pair_from_projections,
     sphere_to_ball, spheroid_residual,
 )
-from .hermitian import _vnorm, dagger, hermitize, is_strict, jordan_product, op_norm
+from .hermitian import _hermitian_pair, _vnorm, dagger, hermitize, is_strict, jordan_product, op_norm
 
 
 class Property(NamedTuple):
@@ -88,7 +88,7 @@ def _check_compat(x, tol):
     a, b, oa, ob = x["a"], x["b"], x["oa"], x["ob"]
     fwd = is_abs_compatible(a, b, tol)
     rev = is_abs_compatible(b, a, tol)
-    orthogonal, _ = _five_blocks(oa, ob, tol, stack=True)
+    orthogonal, _ = _five_blocks(*_hermitian_pair(oa, ob, tol, stack=True), tol)
     return {
         "pair_residual": (fwd.residual, tol.compat),
         "symmetry": (np.abs(fwd.residual - rev.residual), 0.0),
@@ -106,8 +106,8 @@ def _draw_canonical(seeds, n):
 def _check_canonical(x, tol):
     """Round trip of the canonical form ((p-x0)(x)I2)P0 + (x0(x)I2)P and of
     its pivot-exchanged form."""
-    a, b = x["a"], x["b"]
-    cf = _canonical(a, b, tol, stack=True)
+    a, b = _hermitian_pair(x["a"], x["b"], tol, stack=True)
+    cf = _canonical(a, b, tol)
     ra, rb = cf.rebuilt
     _, (ea, eb) = _exchanged(cf, cf.rebuilt, tol)
     norms = op_norm(np.stack((ra - a, rb - b, ea - ra, eb - rb), axis=-3))

@@ -2,6 +2,7 @@
 factorizations one call makes."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from abscompat import (
     PostconditionFailure,
     canonical,
     compat,
+    hermitian,
 )
 from abscompat.canonical import _embed, _site_pairs, canonicalize
 from abscompat.compat import (
@@ -36,11 +38,13 @@ from abscompat.generate import (
     random_abscompat_pair,
     random_pair_spec,
     random_spheroid_partners,
+    random_strict_effect,
 )
 from abscompat.geometry import decompose_pair_m2, pair_from_projections, spheroid_residual
 from abscompat.hermitian import (
     _ROUNDING,
     _effects,
+    _hermitian_pair,
     _hnorm,
     dagger,
     hermitize,
@@ -202,6 +206,55 @@ def test_factorization_budget(monkeypatch):
         assert not over, "%s made %r, over its budget %r" % (label, counts, BUDGET[label])
 
 
+def _validated_operands(monkeypatch) -> list:
+    """The operands of every require_hermitian call from here on, patched
+    in each module of the package that imports it."""
+    seen, original = [], hermitian.require_hermitian
+
+    def counted(x, *args, **kwargs):
+        seen.append(x)
+        return original(x, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("abscompat") and getattr(module, "require_hermitian", None) is original:
+            monkeypatch.setattr(module, "require_hermitian", counted)
+    return seen
+
+
+def _validation_cases():
+    """(entry point, a, b) on the accept path, the reject path and the
+    path where the certificate falls back to validating the spectra."""
+    accepted = random_abscompat_pair(8, derive_seed(5, 0))
+    incompatible = tuple(random_strict_effect(8, derive_seed(5, 5 + i)) for i in range(2))
+    not_strict = _assembled_pair(derive_seed(5, 1))
+    m2 = pair_from_projections(*random_pair_spec(derive_seed(5, 2)))
+    m2_incompatible = tuple(random_strict_effect(2, derive_seed(5, 7 + i)) for i in range(2))
+    m2_not_strict = _direct_sum(np.zeros((0, 0)), np.zeros((0, 0)), [(1.0, 0.5), (0.0, 0.7)],
+                                derive_seed(5, 9))[:2]
+    m2_wrong_size = random_abscompat_pair(4, derive_seed(5, 3))
+    cases = []
+    for fn in (is_abs_compatible, five_block_decompose, canonicalize):
+        cases += [(fn, *accepted), (fn, *incompatible), (fn, *not_strict)]
+    cases += [(decompose_pair_m2, *pair) for pair in (m2, m2_incompatible, m2_not_strict, m2_wrong_size)]
+    cases.append((is_abs_compatible, *(np.array([x, x]) for x in accepted)))
+    return cases
+
+
+def test_each_operand_is_validated_once(monkeypatch):
+    """A public call makes each operand exactly Hermitian once, whether it
+    accepts the pair, rejects it or falls back from the certificate; the
+    private cores take what the boundary validated.  A stack that passes
+    is validated whole, once."""
+    seen = _validated_operands(monkeypatch)
+    for fn, a, b in _validation_cases():
+        seen.clear()
+        try:
+            fn(a, b)
+        except AbscompatError:
+            pass
+        assert len(seen) == 2 and seen[0] is a and seen[1] is b, (fn.__name__, len(seen))
+
+
 def test_spheroid_calls_do_not_grow_with_the_partners(monkeypatch):
     """The partners are validated, charted and checked as one stack, so
     2 and 8 partners take the same number of numpy.linalg calls."""
@@ -229,7 +282,8 @@ def test_spheroid_calls_do_not_grow_with_the_partners(monkeypatch):
 def _reference(a, b, tol):
     """What is_abs_compatible and five_block_decompose validated before the
     certificate: both spectra, then the residual."""
-    (a, _), (b, _) = _effects(a, b, tol)
+    a, b = _hermitian_pair(a, b, tol)
+    _effects(a, b, tol)
     return a, b, _pair_spectra(a, b)
 
 

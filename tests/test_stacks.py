@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from abscompat import DEFAULT_TOL, AbscompatError, canonical, generate
-from abscompat.canonical import PIVOT_0, StrictProjectionParams, _canonical, canonicalize, pair_from_params
+from abscompat.canonical import (
+    PIVOT_0, StrictProjectionParams, _canonical, canonicalize, dilate_commuting_pair, pair_from_params,
+)
 from abscompat.compat import (
     BLOCK_NAMES,
     _canonical_order,
@@ -19,6 +21,7 @@ from abscompat.compat import (
     _require_compatible,
     five_block_decompose,
     is_abs_compatible,
+    is_orthogonal,
     projection_compat_equiv,
 )
 from abscompat.errors import (
@@ -59,7 +62,7 @@ from abscompat.geometry import (
     spheroid_residual,
 )
 from abscompat.hermitian import (
-    _ROUNDING, _STACK_N, _effect, _effects, _fnorm, _hnorm, _span, dagger, hermitize, op_norm,
+    _ROUNDING, _STACK_N, _effect, _effects, _fnorm, _hermitian_pair, _hnorm, _span, dagger, hermitize, op_norm,
 )
 from abscompat.properties import REGISTRY, Outcome, run
 
@@ -119,29 +122,60 @@ def test_norms_of_a_stack_equal_batches_of_one(n):
 @pytest.mark.parametrize("n", SIZES)
 def test_effects_take_each_spectrum_alone(n):
     a, b = random_abscompat_pair(n, derive_seed(23, n))
-    (ea, va), (eb, vb) = _effects(a, b, DEFAULT_TOL)
+    ea, eb = _hermitian_pair(a, b, DEFAULT_TOL)
+    va, vb = _effects(ea, eb, DEFAULT_TOL)
     for x, got, vals in ((a, ea, va), (b, eb, vb)):
         want, want_vals = _effect(x, DEFAULT_TOL)
         assert np.array_equal(got, want) and np.array_equal(vals, want_vals)
 
 
 def _one_at_a_time(a, b, tol):
-    """The validation _effects made before the stacked eigvalsh: a, then b,
-    then the shapes."""
+    """Each operand validated as an effect on its own, a, then b, then the
+    shapes compared."""
     a, b = _effect(a, tol), _effect(b, tol)
     if a[0].shape != b[0].shape:
         raise DimensionMismatch("effects of shapes %r and %r" % (a[0].shape, b[0].shape))
 
 
-def test_effects_raise_in_the_order_of_one_operand_at_a_time():
-    skew = np.triu(np.full((4, 4), 1e-6), 1)
-    good = random_abscompat_pair(4, derive_seed(29, 0))[0]
-    bad = {"good": good, "negative": good - 0.5 * np.eye(4), "above": good + 0.5 * np.eye(4),
-           "skew": good + skew, "shape": np.eye(2) / 2, "text": "abc"}
-    for x in bad.values():
-        for y in bad.values():
+def _boundary_effects(a, b, tol):
+    """_effects on the operands the boundary validated."""
+    return _effects(*_hermitian_pair(a, b, tol), tol)
+
+
+def _operands(n):
+    """A good effect of size n beside one operand of each fault; "stack" is
+    a 3-D stack of good effects, which only the stacked entry points take."""
+    good = random_abscompat_pair(n, derive_seed(29, n))[0]
+    return {"good": good, "negative": good - 0.5 * np.eye(n), "above": good + 0.5 * np.eye(n),
+            "skew": good + np.triu(np.full((n, n), 1e-6), 1), "shape": np.eye(n + 1) / 2, "text": "abc",
+            "stack": np.array([good, good])}
+
+
+# the validation of two effects and the public entry points that take two
+# effects, each with whether it takes stacks
+PAIR_ENTRY_POINTS = {_boundary_effects: False, is_abs_compatible: True, five_block_decompose: False,
+                     canonicalize: False, decompose_pair_m2: True, is_orthogonal: False,
+                     dilate_commuting_pair: False}
+
+
+@pytest.mark.parametrize("n", (2, 4))
+@pytest.mark.parametrize("fn", list(PAIR_ENTRY_POINTS), ids=lambda fn: fn.__name__)
+def test_effects_raise_in_the_order_of_one_operand_at_a_time(fn, n):
+    """Wherever an operand fails its own checks, each entry point raises
+    what validating a, then b, then the shapes raises; a pair of two
+    effects goes on to the checks of its entry point."""
+    operands = _operands(n)
+    if PAIR_ENTRY_POINTS[fn]:
+        del operands["stack"]
+    checked = 0
+    for x in operands.values():
+        for y in operands.values():
             want = _error(_one_at_a_time, x, y, DEFAULT_TOL)
-            assert _error(_effects, x, y, DEFAULT_TOL) == want
+            if want is not None:
+                assert _error(fn, x, y, DEFAULT_TOL) == want
+                checked += 1
+    # all but (good, good) and (shape, shape), two pairs of effects
+    assert checked == len(operands) ** 2 - 2
 
 
 class _Stream:
@@ -828,7 +862,7 @@ def test_a_clustered_pair_in_a_stack_gets_its_own_bits(monkeypatch):
 
     refined = []
     monkeypatch.setattr(canonical, "_eigh_on", lambda *args: refined.append(args) or _eigh_on(*args))
-    stacked = _canonical(a, b, DEFAULT_TOL, stack=True)
+    stacked = _canonical(a, b, DEFAULT_TOL)
     assert len(refined) == 1 and refined[0][1].shape == (3, 2)
     np.testing.assert_allclose(stacked.x0[2], x0, rtol=0.0, atol=1e-12)
     for j, pair in enumerate(pairs):
@@ -882,7 +916,7 @@ def test_five_block_stack_elements_equal_their_lone_calls(kind, n):
     the bases, blocks and projections of its own five_block_decompose, and
     the residual its certificate computed is is_abs_compatible's."""
     a, b = _stack(kind, n)
-    residual, groups = _five_blocks(a, b, DEFAULT_TOL, stack=True)
+    residual, groups = _five_blocks(a, b, DEFAULT_TOL)
     assert residual.tobytes() == is_abs_compatible(a, b).residual.tobytes()
     seen = []
     for group in groups:
