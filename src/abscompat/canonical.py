@@ -9,14 +9,17 @@ where x0 is a strict diagonal m-tuple, P0 = diag(0, 1) per site, and P is a
 strict projection parametrized per site by a0 in (0, 1) and a unimodular
 phase w.  This module holds the forward constructions (dilation of a
 commuting pair, pair from parameters), the parametrizations of strict
-unitaries and strict projections, and the inverse `canonicalize`.
+unitaries and strict projections, their inverses (a strict projection
+is read once, by _strict_projection_read), and the inverse `canonicalize`.
 
-`canonicalize` and `exchanged_pivot_form` run on private cores over
-(..., n, n) stacks of pairs (`_canonical`, `_exchanged`), of which a
-single pair is a batch of one with no leading axis: every step is one
-computation on the whole stack that gives each pair the bits it gets
-alone, and only a pair whose 1-a-b spectrum clusters takes a step of
-its own.  The form comes from one eigh of 1-a-b, whose positive half
+`canonicalize` runs on the private core `_canonical` over (..., n, n)
+stacks of pairs, of which a single pair is a batch of one with no
+leading axis: every step is one computation on the whole stack that
+gives each pair the bits it gets alone, and only a pair whose 1-a-b
+spectrum clusters takes a step of its own.  The core returns the
+CanonicalForm, of one pair or of a stack, with the reconstruction it
+checked, and exchanged_pivot_form keeps the pair it checks in the same
+way.  The form comes from one eigh of 1-a-b, whose positive half
 gives x0 and the site pairing, and its reconstruction certifies the
 pair: compatible by the continuity of S -> |S|, strict effects by
 Weyl's inequality (_form_bounds).  So a canonicalize call makes 1 eigh,
@@ -30,7 +33,6 @@ built by the same mixture, hermitian._mixed_pair.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -136,12 +138,6 @@ class SiteBlockMatrix:
             raise DomainError("off-site mass %.3e exceeds 1e-12" % stray)
         return cls(sites[np.arange(m), :, np.arange(m), :])
 
-    def dagger(self):
-        return SiteBlockMatrix(np.conj(np.swapaxes(self.blocks, 1, 2)))
-
-    def __matmul__(self, other):
-        return SiteBlockMatrix(self.blocks @ other.blocks)
-
 
 def _embed(blocks) -> np.ndarray:
     """The full 2m x 2m matrices of (..., m, 2, 2) site blocks."""
@@ -163,11 +159,12 @@ def _unimodular(w, label: str) -> np.ndarray:
 
     No derivation fixes 1e-9.  It guards that each parameter is a phase,
     so the normalization moves it by at most 1e-9.  Phases computed as
-    x / |x|, as params_from_strict_unitary computes them, are unimodular
-    to a few u.  The w of params_from_strict_projection, p01 / (a0 s0),
-    has |w|^2 = |p01|^2 / (p00 (1 - p00)) per site, so an idempotence
-    defect far below tol.proj moves |w| past 1e-9 when p00 (1 - p00) is
-    small: such a projection passes is_strict_projection and fails here.
+    x / |x|, as the inverse maps compute them, are unimodular to a few u.
+    Those maps normalize before they get here: the raw w = p01 / (a0 s0)
+    of a strict projection has |w|^2 = |p01|^2 / (p00 (1 - p00)) per
+    site, which an idempotence defect far below tol.proj moves past 1e-9
+    when p00 (1 - p00) is small, so _strict_projection_read normalizes it
+    and its callers check the projection it rebuilds at tol.proj instead.
     """
     w = _vector(w, complex, label)
     mod = np.abs(w)
@@ -183,11 +180,11 @@ def _strict_reals(a0, label: str) -> np.ndarray:
     strictness cut: _built_pair and is_strict_projection apply that,
     _levels at tol.spec, to the matrices the parameters build.  It
     guards the parametrization: at a0 = 0 or 1 the factor
-    a0 (1 - a0^2)^(1/2) that params_from_strict_projection and
-    conjugate_to_pivot divide by is 0, and inside the margin 1 - a0^2 is
-    at least about 2e-12, some 10^4 u, so its rounding leaves it four
-    digits.  A recovered a0 (_recovered) has a0^2 inside (tol.spec,
-    1 - tol.spec) already, so the margin never decides it.
+    a0 (1 - a0^2)^(1/2) that _strict_projection_read divides by is 0,
+    and inside the margin 1 - a0^2 is at least about 2e-12, some 10^4 u,
+    so its rounding leaves it four digits.  A recovered a0 (_recovered)
+    has a0^2 inside (tol.spec, 1 - tol.spec) already, so the margin never
+    decides it.
     """
     a0 = _vector(a0, float, label)
     if len(a0) == 0:
@@ -298,13 +295,27 @@ def params_from_strict_unitary(u, tol: Tolerances = DEFAULT_TOL) -> StrictUnitar
     )
 
 
-def params_from_strict_projection(p, tol: Tolerances = DEFAULT_TOL) -> StrictProjectionParams:
+def _strict_projection_read(p, tol: Tolerances, not_strict: str):
+    """(p as site blocks, a0, w) of a strict projection p, or
+    NotStrictProjection(not_strict): a0 = p00^(1/2) and w = p01 / (a0
+    (1 - a0^2)^(1/2)) normalized to modulus one, per site.  What they
+    build differs from p in p11 and in |p01| only; callers check it."""
     p = _sites(p)
     if not is_strict_projection(p, tol):
-        raise NotStrictProjection("not a strict projection")
+        raise NotStrictProjection(not_strict)
     a0 = np.sqrt(np.real(p.entry(0, 0)))
-    s0 = np.sqrt(1.0 - a0 * a0)
-    return StrictProjectionParams(a0=a0, w=p.entry(0, 1) / (a0 * s0))
+    w = p.entry(0, 1) / (a0 * np.sqrt(1.0 - a0 * a0))
+    return p, a0, w / np.abs(w)
+
+
+def params_from_strict_projection(p, tol: Tolerances = DEFAULT_TOL) -> StrictProjectionParams:
+    """(a0, w) of a strict projection p, once the projection they build
+    is within tol.proj of p."""
+    p, a0, w = _strict_projection_read(p, tol, "not a strict projection")
+    dev = _hnorm_upto(_embed(_projection_blocks(a0, w) - p.blocks), tol.proj)
+    if dev > tol.proj:
+        raise PostconditionFailure("projection parameter residual %.3e" % dev)
+    return StrictProjectionParams(a0=a0, w=w)
 
 
 def projection_pair_from_unitary(u, tol: Tolerances = DEFAULT_TOL):
@@ -320,17 +331,12 @@ def projection_pair_from_unitary(u, tol: Tolerances = DEFAULT_TOL):
 
 def conjugate_to_pivot(p, tol: Tolerances = DEFAULT_TOL) -> SiteBlockMatrix:
     """Strict unitary U with U* diag(0,1) U = p for a strict projection p."""
-    p = _sites(p)
-    if not is_strict_projection(p, tol):
-        raise NotStrictProjection("conjugation to the pivot needs a strict projection")
-    a0 = np.sqrt(np.real(p.entry(0, 0)))
-    w = p.entry(0, 1) / (a0 * np.sqrt(1.0 - a0 * a0))
-    u = SiteBlockMatrix(_pivot_unitary(a0, w / np.abs(w)))
-    pivot = SiteBlockMatrix(np.broadcast_to(PIVOT_0, (p.m, 2, 2)).copy())
-    dev = _hnorm_upto((u.dagger() @ pivot @ u).embed() - p.embed(), tol.proj)
+    p, a0, w = _strict_projection_read(p, tol, "conjugation to the pivot needs a strict projection")
+    u = _pivot_unitary(a0, w)
+    dev = _hnorm_upto(_embed(dagger(u) @ PIVOT_0 @ u - p.blocks), tol.proj)
     if dev > tol.proj:
         raise PostconditionFailure("pivot conjugation residual %.3e" % dev)
-    return u
+    return SiteBlockMatrix(u)
 
 
 def _pivot_unitary(a0, w, exchange: bool = False) -> np.ndarray:
@@ -415,34 +421,36 @@ def _conjugate_pair(u, site_pair):
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Conjugating unitary u0 plus the per-site parameters (x0, a0, w).
+    """Conjugating unitary u0 plus the per-site parameters (x0, a0, w) of
+    one pair, or of each pair of a stack over leading axes; w is all
+    ones, as the polar factor absorbs the phase gauge.
 
     ``residual`` is the reconstruction residual max(||a' - a||, ||b' - b||)
-    that ``canonicalize`` checked against ``tol.canon``.
+    that ``canonicalize`` checked against ``tol.canon``, a float for one
+    pair, and ``reconstruct()`` returns the reconstruction (a', b') it
+    was checked on.
     """
 
     u0: np.ndarray
     x0: np.ndarray
-    projection: StrictProjectionParams
+    a0: np.ndarray
+    w: np.ndarray
     residual: float
+    _rebuilt: tuple
 
     @property
     def m(self) -> int:
-        return self.projection.m
+        return self.x0.shape[-1]
 
     @property
-    def a0(self) -> np.ndarray:
-        return self.projection.a0
-
-    @property
-    def w(self) -> np.ndarray:
-        return self.projection.w
+    def projection(self) -> StrictProjectionParams:
+        return StrictProjectionParams(self.a0, self.w)
 
     def site_pair(self):
         return tuple(map(SiteBlockMatrix, _site_pairs(self.x0, self.a0, self.w)))
 
     def reconstruct(self):
-        return _conjugate_pair(self.u0, _site_pairs(self.x0, self.a0, self.w))
+        return self._rebuilt
 
     def to_json(self) -> dict:
         return {
@@ -452,18 +460,6 @@ class CanonicalForm:
             "w": [[float(v.real), float(v.imag)] for v in self.w],
             "U0": matrix_to_json(self.u0),
         }
-
-
-class _Canonical(NamedTuple):
-    """The canonical form of each pair of a stack, over its leading axes,
-    and the reconstruction (ra, rb) its residual was checked on."""
-
-    u0: np.ndarray
-    x0: np.ndarray
-    a0: np.ndarray
-    w: np.ndarray  # all ones: the polar factor absorbs the phase gauge
-    residual: np.ndarray  # 0-d for one pair
-    rebuilt: tuple
 
 
 def _joint_eigenbasis(a, lam_plus, v_plus, gap: float):
@@ -486,7 +482,7 @@ def _joint_eigenbasis(a, lam_plus, v_plus, gap: float):
     return f_plus, x0
 
 
-def _canonical(a, b, tol: Tolerances) -> _Canonical:
+def _canonical(a, b, tol: Tolerances) -> CanonicalForm:
     """canonicalize of the Hermitian a and b of _hermitian_pair, or of
     each pair of two (..., n, n) stacks: each step runs once on the whole
     stack, and a stack raises at the first step some pair of it fails.
@@ -527,7 +523,7 @@ def _validated(a, b, tol: Tolerances) -> None:
     _require_compatible(residual, tol)
 
 
-def _certified_form(a, b, cf: _Canonical, tol: Tolerances):
+def _certified_form(a, b, cf: CanonicalForm, tol: Tolerances):
     """Whether the recovered form cf certifies each pair of n x n
     Hermitian (a, b), over leading axes, as absolutely compatible (its
     bound is within tol.compat) and as two strict effects (every site
@@ -541,7 +537,7 @@ def _certified_form(a, b, cf: _Canonical, tol: Tolerances):
     return (bound <= tol.compat) & _strict_rows(lam, tol, margin[..., None])
 
 
-def _form_bounds(a, b, cf: _Canonical, tol: Tolerances):
+def _form_bounds(a, b, cf: CanonicalForm, tol: Tolerances):
     """(bound, margin) for each pair of n x n Hermitian (a, b) and its
     recovered form cf, over leading axes: bound is at least the
     compatibility residual of (a, b), and every eigenvalue of a and of b
@@ -580,14 +576,14 @@ def _form_bounds(a, b, cf: _Canonical, tol: Tolerances):
     effects, and strict.
     """
     n = a.shape[-1]
-    ra, rb = cf.rebuilt
+    ra, rb = cf.reconstruct()
     eps = _fnorm(dagger(cf.u0) @ cf.u0 - identity_like(a))
     drift = eps * (2.0 + eps) * (1.0 + tol.spec)
     bound = _strict_block_bound(0.0, (eps, _fnorm(ra - a), _fnorm(rb - b)), n, tol)
     return bound, np.asarray(cf.residual + drift + _ROUNDING * n)
 
 
-def _recovered(a, b, tol: Tolerances) -> _Canonical:
+def _recovered(a, b, tol: Tolerances) -> CanonicalForm:
     """The canonical form of each pair of two stacks of Hermitian (a, b)
     of even size n = 2m, from one eigh of 1-a-b, once its reconstruction
     is within tol.canon.
@@ -626,7 +622,7 @@ def _recovered(a, b, tol: Tolerances) -> _Canonical:
     if np.any(d <= tol.spec) or np.any(x0 - d <= tol.spec):
         raise PostconditionFailure("recovered projection parameter is not strict")
     a0 = np.sqrt(d / x0)
-    _strict_reals(a0, "a0")  # what StrictProjectionParams checks
+    _strict_reals(a0, "a0")  # what StrictProjectionParams, so cf.projection, checks
 
     order = np.lexsort((a0, x0), axis=-1)
     x0, a0 = (np.take_along_axis(v, order, axis=-1) for v in (x0, a0))
@@ -641,7 +637,7 @@ def _recovered(a, b, tol: Tolerances) -> _Canonical:
     bad = err > tol.canon
     if np.any(bad):
         raise PostconditionFailure("reconstruction residual %.3e > %.3e" % (_first(err, bad), tol.canon))
-    return _Canonical(u0, x0, a0, w, err, (ra, rb))
+    return CanonicalForm(u0, x0, a0, w, err if err.ndim else float(err), (ra, rb))
 
 
 def canonicalize(a, b, tol: Tolerances = DEFAULT_TOL) -> CanonicalForm:
@@ -654,9 +650,7 @@ def canonicalize(a, b, tol: Tolerances = DEFAULT_TOL) -> CanonicalForm:
     the polar factor of the off-diagonal block of a aligns the negative
     half with the positive one and absorbs the phase gauge (so w = 1).
     """
-    cf = _canonical(*_hermitian_pair(a, b, tol), tol)
-    return CanonicalForm(u0=cf.u0, x0=cf.x0, projection=StrictProjectionParams(cf.a0, cf.w),
-                         residual=float(cf.residual))
+    return _canonical(*_hermitian_pair(a, b, tol), tol)
 
 
 def _exchanged_sites(x0, a0):
@@ -670,44 +664,40 @@ def _exchanged_sites(x0, a0):
 class ExchangedPivotForm:
     """The same pair re-expressed with the pivots carrying x0: the first
     effect uses pivot diag(0,1), the second diag(1,0), and the shared
-    strict projection is in the phase-free gauge."""
+    strict projection is in the phase-free gauge.  Over leading axes for
+    the form of a stack; ``reconstruct()`` returns the reconstruction
+    that exchanged_pivot_form checked."""
 
     u: np.ndarray
     x0: np.ndarray
     a0: np.ndarray
+    _rebuilt: tuple
 
     @property
     def m(self) -> int:
-        return len(self.x0)
+        return self.x0.shape[-1]
 
     def site_pair(self):
-        a0 = StrictProjectionParams(self.a0, np.ones(self.m)).a0
-        return tuple(map(SiteBlockMatrix, _exchanged_sites(self.x0, a0)))
+        return tuple(map(SiteBlockMatrix, _exchanged_sites(self.x0, self.a0)))
 
     def reconstruct(self):
-        return _conjugate_pair(self.u, [s.blocks for s in self.site_pair()])
-
-
-def _exchanged(cf, rebuilt, tol: Tolerances):
-    """The exchanged unitary and its reconstruction (ea, eb) of the
-    canonical form cf, or of each form of a stack, checked against cf's
-    own reconstruction rebuilt = (ra, rb)."""
-    u = cf.u0 @ dagger(_embed(_pivot_unitary(cf.a0, cf.w, exchange=True)))
-    ea, eb = _conjugate_pair(u, _exchanged_sites(cf.x0, cf.a0))
-    err = np.maximum(*(_hnorm_upto(e - r, tol.canon) for e, r in zip((ea, eb), rebuilt)))
-    bad = err > tol.canon
-    if np.any(bad):
-        raise PostconditionFailure("pivot exchange residual %.3e" % _first(err, bad))
-    return u, (ea, eb)
+        return self._rebuilt
 
 
 def exchanged_pivot_form(cf: CanonicalForm, tol: Tolerances = DEFAULT_TOL) -> ExchangedPivotForm:
-    """Swap the roles of the strict projection and the pivots.
+    """Swap the roles of the strict projection and the pivots, for one
+    form or for each form of a stack, once the exchanged reconstruction
+    is within tol.canon of cf's.
 
     Per site, with U the unitary of conjugate_to_pivot for P and V =
     diag(1,-1) U: V ((1-x0) P0 + x0 P) V* = (1-x0) Phat + x0 P0, where Phat
     is the phase-free strict projection with the same a0, and the second
     effect picks up diag(1,0) instead.
     """
-    u, _ = _exchanged(cf, cf.reconstruct(), tol)
-    return ExchangedPivotForm(u=u, x0=cf.x0, a0=cf.a0)
+    u = cf.u0 @ dagger(_embed(_pivot_unitary(cf.a0, cf.w, exchange=True)))
+    rebuilt = _conjugate_pair(u, _exchanged_sites(cf.x0, cf.a0))
+    err = np.maximum(*(_hnorm_upto(e - r, tol.canon) for e, r in zip(rebuilt, cf.reconstruct())))
+    bad = err > tol.canon
+    if np.any(bad):
+        raise PostconditionFailure("pivot exchange residual %.3e" % _first(err, bad))
+    return ExchangedPivotForm(u, cf.x0, cf.a0, rebuilt)

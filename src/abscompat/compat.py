@@ -225,24 +225,21 @@ def _projection_compat_equiv(p, a, tol: Tolerances):
 
 @dataclass(frozen=True)
 class FiveBlockDecomposition:
-    """Projections onto the five blocks plus the compressed restrictions.
+    """The five blocks of a compatible pair, as bases and compressions.
 
     ``bases[name]`` holds orthonormal columns spanning each block;
     ``blocks_a[name]`` is the compression of a to that block (and the same
-    for b).  Ranks may be zero; those blocks are 0x0.
+    for b).  Ranks may be zero; those blocks are 0x0.  ``projections()``
+    builds the orthogonal projection onto each block from its basis on
+    each call, as ``to_json`` does; five_block_decompose builds none.
     """
 
-    unit_a: np.ndarray
-    unit_b: np.ndarray
-    strict: np.ndarray
-    null_a: np.ndarray
-    null_b: np.ndarray
     bases: dict
     blocks_a: dict
     blocks_b: dict
 
     def projections(self) -> dict:
-        return {name: getattr(self, name) for name in BLOCK_NAMES}
+        return {name: _span(self.bases[name]) for name in BLOCK_NAMES}
 
     def ranks(self) -> dict:
         return {name: self.bases[name].shape[1] for name in BLOCK_NAMES}
@@ -272,8 +269,7 @@ def five_block_decompose(a, b, tol: Tolerances = DEFAULT_TOL) -> FiveBlockDecomp
     """
     a, b = _hermitian_pair(a, b, tol)
     _, ((_, bases, blocks_a, blocks_b),) = _five_blocks(a, b, tol, compared=True)
-    projs = {name: _span(v) for name, v in bases.items()}
-    return FiveBlockDecomposition(**projs, bases=bases, blocks_a=blocks_a, blocks_b=blocks_b)
+    return FiveBlockDecomposition(bases, blocks_a, blocks_b)
 
 
 class _Blocks(NamedTuple):

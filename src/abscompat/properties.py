@@ -10,9 +10,9 @@ library returns.  The draws of compat, canonical, m2, geometry and
 equivalences call the generators' batch cores, which build the whole
 batch as one stack.  The suites whose library calls take stacks (compat,
 canonical, m2, geometry, equivalences) check the whole batch at once,
-canonical through the stacked cores of canonicalize and
-exchanged_pivot_form, and compat through the stacked core of
-five_block_decompose, which splits the batch by pattern of block ranks
+canonical through the stacked core of canonicalize, whose stacked form
+exchanged_pivot_form takes as it is, and compat through the stacked core
+of five_block_decompose, which splits the batch by pattern of block ranks
 and runs each pattern's pairs as one computation, and whose certificate
 gives the orthogonal residual, so each orthogonal pair is certified
 once; fiveblock, params and dilation keep a one-trial draw and check,
@@ -34,8 +34,9 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .canonical import (
-    _canonical, _exchanged, conjugate_to_pivot, dilate_commuting_pair, is_strict_projection,
-    is_strict_unitary, strict_projection_from_params, strict_unitary_from_params,
+    _canonical, conjugate_to_pivot, dilate_commuting_pair, exchanged_pivot_form, is_strict_projection,
+    is_strict_unitary, params_from_strict_projection, params_from_strict_unitary,
+    projection_pair_from_unitary, strict_projection_from_params, strict_unitary_from_params,
 )
 from .compat import _five_blocks, five_block_decompose, is_abs_compatible, projection_compat_equiv
 from .config import DEFAULT_TOL, Tolerances
@@ -108,8 +109,7 @@ def _check_canonical(x, tol):
     its pivot-exchanged form."""
     a, b = _hermitian_pair(x["a"], x["b"], tol, stack=True)
     cf = _canonical(a, b, tol)
-    ra, rb = cf.rebuilt
-    _, (ea, eb) = _exchanged(cf, cf.rebuilt, tol)
+    (ra, rb), (ea, eb) = cf.reconstruct(), exchanged_pivot_form(cf, tol).reconstruct()
     norms = op_norm(np.stack((ra - a, rb - b, ea - ra, eb - rb), axis=-3))
     return {
         "reconstruction": (norms[..., :2].max(axis=-1), tol.canon),
@@ -233,21 +233,31 @@ def _draw_params(seed, m):
 
 
 def _check_params(x, tol):
-    """Strict unitaries and strict projections built from parameters, and
-    the conjugation of the projection to the pivot diag(0, 1)."""
+    """Strict unitaries and strict projections built from parameters, the
+    conjugation of the projection to the pivot diag(0, 1), and the
+    inverse maps: the parameters read back from each rebuild it, and the
+    row projections of the unitary sum to one."""
     u = strict_unitary_from_params(x["unitary"])
     p = strict_projection_from_params(x["projection"])
     ue, pe = u.embed(), p.embed()
     conj = conjugate_to_pivot(p, tol).embed()
     pivot = np.diag([0.0, 1.0] * p.m).astype(complex)
-    unitarity, idempotence, conjugation = op_norm(
-        np.array((dagger(ue) @ ue - np.eye(len(ue)), pe @ pe - pe, dagger(conj) @ pivot @ conj - pe)))
+    one = np.eye(len(ue))
+    p_back = strict_projection_from_params(params_from_strict_projection(p, tol)).embed()
+    u_back = strict_unitary_from_params(params_from_strict_unitary(u, tol)).embed()
+    row, rest = (q.embed() for q in projection_pair_from_unitary(u, tol))
+    unitarity, idempotence, conjugation, p_trip, u_trip, row_sum = op_norm(
+        np.array((dagger(ue) @ ue - one, pe @ pe - pe, dagger(conj) @ pivot @ conj - pe,
+                  p_back - pe, u_back - ue, row + rest - one)))
     return {
         "strict_unitary": _holds(is_strict_unitary(u, tol)),
         "unitarity": (float(unitarity), tol.unit),
         "strict_projection": _holds(is_strict_projection(p, tol)),
         "idempotence": (float(idempotence), tol.proj),
         "pivot_conjugation": (float(conjugation), tol.proj),
+        "projection_params": (float(p_trip), tol.proj),
+        "unitary_params": (float(u_trip), tol.unit),
+        "row_projections": (float(row_sum), tol.proj),
     }
 
 

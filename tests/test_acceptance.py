@@ -99,8 +99,11 @@ def test_criterion_6_five_block_postconditions():
 def test_criterion_7_strict_parametrizations():
     out = run(REGISTRY[ENTRIES[7]], 500, BASE + 8, sizes=(1, 2, 3))
     worst = max(out.worst[k] for k in ("unitarity", "idempotence", "pivot_conjugation"))
-    _line(7, "strict-parametrizations", out, worst <= 1e-9,
-          "500 draws, worst residual %.3e" % worst)
+    # the inverse maps: parameters read back from a strict projection and
+    # a strict unitary, and the row projections of the unitary
+    inverse = max(out.worst[k] for k in ("projection_params", "unitary_params", "row_projections"))
+    _line(7, "strict-parametrizations", out, worst <= 1e-9 and inverse <= 1e-9,
+          "500 draws, worst residual %.3e, worst inverse-map residual %.3e" % (worst, inverse))
 
 
 def test_criterion_8_geometry_suite():

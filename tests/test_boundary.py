@@ -18,6 +18,7 @@ from abscompat import (
     PairingFailure,
     PostconditionFailure,
     canonical,
+    cli,
     compat,
     hermitian,
 )
@@ -51,6 +52,7 @@ from abscompat.hermitian import (
     null_projection,
     support_projection,
 )
+from abscompat.io import json_text, load_matrix, matrix_to_json, save_matrix
 
 
 def _strided(x):
@@ -204,6 +206,55 @@ def test_factorization_budget(monkeypatch):
         call()
         over = {k: v for k, v in counts.items() if v > BUDGET[label][k]}
         assert not over, "%s made %r, over its budget %r" % (label, counts, BUDGET[label])
+
+
+def _conjugated_sites(u, site_pair):
+    """u S u* for both site-block matrices S of site_pair."""
+    return tuple(hermitize(u @ s.embed() @ dagger(u)) for s in site_pair)
+
+
+def test_forms_keep_the_pairs_they_checked(monkeypatch):
+    """canonicalize and exchanged_pivot_form each rebuild the pair once,
+    to check it, and reconstruct() returns that pair: the bits of
+    rebuilding it from the form's own fields."""
+    rebuilt = []
+    monkeypatch.setattr(canonical, "_conjugate_pair", _spy(rebuilt, canonical._conjugate_pair))
+    for n in (2, 8):
+        rebuilt.clear()
+        cf = canonicalize(*random_abscompat_pair(n, derive_seed(13, n)))
+        ex = canonical.exchanged_pivot_form(cf)
+        pairs = cf.reconstruct(), ex.reconstruct()
+        assert len(rebuilt) == 2
+        for got, want in zip(pairs, (_conjugated_sites(cf.u0, cf.site_pair()),
+                                     _conjugated_sites(ex.u, ex.site_pair()))):
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+def test_five_block_projections_are_built_on_demand(monkeypatch, tmp_path):
+    """five_block_decompose builds no projection; projections() and
+    to_json build one per block from its basis, and the decompose
+    --blocks file of a strict pair, where four blocks are 0x0, holds
+    those bits."""
+    spans = []
+    monkeypatch.setattr(compat, "_span", _spy(spans, compat._span))
+    a, b = _assembled_pair(derive_seed(13, 1))
+    fb = five_block_decompose(a, b)
+    assert not spans
+    fb.to_json()
+    assert len(spans) == len(BLOCK_NAMES)
+    want = {name: hermitize(fb.bases[name] @ dagger(fb.bases[name])) for name in BLOCK_NAMES}
+    assert {k: v.tobytes() for k, v in fb.projections().items()} == {k: v.tobytes() for k, v in want.items()}
+
+    paths = [str(tmp_path / name) for name in ("a.json", "b.json", "blocks.json", "canon.json")]
+    for path, x in zip(paths, random_abscompat_pair(6, derive_seed(13, 2))):
+        save_matrix(path, x)
+    assert cli.run(["decompose", *paths[:2], "--blocks", paths[2], "--out", paths[3]]) == 0
+    fb = five_block_decompose(load_matrix(paths[0]), load_matrix(paths[1]))
+    blocks = {side: {k: matrix_to_json(v) for k, v in x.items()}
+              for side, x in (("a", fb.blocks_a), ("b", fb.blocks_b))}
+    projections = {name: matrix_to_json(hermitize(v @ dagger(v))) for name, v in fb.bases.items()}
+    with open(paths[2], encoding="utf-8") as fh:
+        assert fh.read() == json_text({"projections": projections, "blocks": blocks})
 
 
 def _validated_operands(monkeypatch) -> list:

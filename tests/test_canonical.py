@@ -35,6 +35,7 @@ from abscompat.errors import (
     NotStrictProjection,
     NotStrictUnitary,
     OddDimension,
+    PostconditionFailure,
     SumExceedsOne,
 )
 from abscompat.generate import (
@@ -181,6 +182,37 @@ def test_params_round_trips():
         back = params_from_strict_projection(strict_projection_from_params(pq))
         assert np.allclose(back.a0, pq.a0)
         assert np.allclose(back.w, pq.w)
+
+
+def _moved_off_diagonal(a0, by):
+    """The strict projection of StrictProjectionParams([a0], [1]) with both
+    off-diagonal entries moved by `by`."""
+    p = strict_projection_from_params(StrictProjectionParams([a0], [1.0])).embed()
+    return p + by * np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_both_inverse_maps_read_one_strict_projection():
+    """params_from_strict_projection and conjugate_to_pivot read the same
+    (a0, w), w normalized to modulus one, and check what it rebuilds at
+    tol.proj.  At a0 = 1e-3 an off-diagonal moved by 2e-11 moves the raw
+    |w| by 2e-8, but the rebuilt projection only by 2e-11, so both maps
+    succeed and agree; at a0 = 1e-4 one moved by 2e-7 is still a strict
+    projection at tol.proj, but its rebuild is 2e-7 off, so both raise."""
+    p = _moved_off_diagonal(1e-3, 2e-11)
+    params = params_from_strict_projection(p)
+    u = conjugate_to_pivot(p).embed()
+    assert params.a0.tobytes() == np.sqrt(p[:1, 0].real).tobytes()
+    assert np.abs(params.w - 1.0).max() <= 1e-15
+    rebuilt = strict_projection_from_params(params).embed()
+    assert op_norm(dagger(u) @ PIVOT_0 @ u - rebuilt) <= 1e-15
+    assert op_norm(rebuilt - p) <= 2.1e-11
+
+    p = _moved_off_diagonal(1e-4, 2e-7)
+    assert is_strict_projection(p)
+    with pytest.raises(PostconditionFailure, match=r"^projection parameter residual 2\.000e-07$"):
+        params_from_strict_projection(p)
+    with pytest.raises(PostconditionFailure, match=r"^pivot conjugation residual 2\.000e-07$"):
+        conjugate_to_pivot(p)
 
 
 def test_dilation_scalar_fixture():

@@ -23,6 +23,8 @@ from abscompat.io import load_matrix, save_matrix
 from abscompat.properties import REGISTRY
 
 ROOT = Path(__file__).resolve().parent.parent
+# pytest's filterwarnings does not reach a child process; this does
+STRICT_WARNINGS = {"PYTHONWARNINGS": "error::RuntimeWarning"}
 
 FIX_A = np.array([[0.25, 0.25], [0.25, 0.75]], dtype=complex)
 FIX_B = np.array([[0.25, -0.25], [-0.25, 0.75]], dtype=complex)
@@ -121,7 +123,7 @@ def test_gen_and_decompose_same_seed_same_bytes(tmp_path):
     """Two processes with the same seed write byte-identical pair, blocks
     and canonical-form files."""
     src = Path(abscompat.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, **STRICT_WARNINGS, "PYTHONPATH": str(src)}
     outputs = []
     for k in (1, 2):
         d = tmp_path / str(k)
@@ -282,7 +284,7 @@ def test_cli_import_does_not_load_the_registry():
     check, decompose and gen process does, leaves abscompat.properties
     unloaded."""
     src = Path(abscompat.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, **STRICT_WARNINGS, "PYTHONPATH": str(src)}
     code = "import sys, abscompat.cli; print('abscompat.properties' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
@@ -373,7 +375,7 @@ def test_console_script_help():
     check needs no install; an installed script on PATH is run as well.
     """
     src = Path(abscompat.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, **STRICT_WARNINGS, "PYTHONPATH": str(src)}
     _assert_help([sys.executable, "-m", "abscompat", "--help"], env)
 
     tomllib = pytest.importorskip("tomllib")
@@ -388,4 +390,4 @@ def test_console_script_help():
 
     script = shutil.which("abscompat")
     if script is not None:
-        _assert_help([script, "--help"])
+        _assert_help([script, "--help"], {**os.environ, **STRICT_WARNINGS})

@@ -149,7 +149,7 @@ def test_five_block_assembled():
         fb = five_block_decompose(a, b)
         assert fb.ranks() == {"unit_a": 1, "unit_b": 1, "strict": 4, "null_a": 1, "null_b": 1}
         # both cut a at 1 with the same eigh and the same _levels
-        assert support_projection(a).tobytes() == fb.unit_a.tobytes()
+        assert support_projection(a).tobytes() == fb.projections()["unit_a"].tobytes()
 
         proj = fb.projections()
         total = sum(proj.values())

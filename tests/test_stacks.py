@@ -10,7 +10,8 @@ import pytest
 
 from abscompat import DEFAULT_TOL, AbscompatError, canonical, generate
 from abscompat.canonical import (
-    PIVOT_0, StrictProjectionParams, _canonical, canonicalize, dilate_commuting_pair, pair_from_params,
+    PIVOT_0, StrictProjectionParams, _canonical, canonicalize, dilate_commuting_pair, exchanged_pivot_form,
+    pair_from_params,
 )
 from abscompat.compat import (
     BLOCK_NAMES,
@@ -851,7 +852,7 @@ def test_a_clustered_pair_in_a_stack_gets_its_own_bits(monkeypatch):
     """A pair whose x0 repeats a value has a cluster in the spectrum of
     |a-b| on the positive half of 1-a-b, which only that pair refines
     with a, in one more eigh; every pair of the stack still gets the bits
-    of its own canonicalize."""
+    of its own canonicalize and exchanged_pivot_form."""
     x0 = np.array([0.3, 0.3, 0.6])
     params = StrictProjectionParams([0.4, 0.5, 0.7], np.exp(1j * np.array([0.2, 1.1, 2.0])))
     ca, cb = pair_from_params(x0, params)
@@ -865,11 +866,18 @@ def test_a_clustered_pair_in_a_stack_gets_its_own_bits(monkeypatch):
     stacked = _canonical(a, b, DEFAULT_TOL)
     assert len(refined) == 1 and refined[0][1].shape == (3, 2)
     np.testing.assert_allclose(stacked.x0[2], x0, rtol=0.0, atol=1e-12)
+    exchanged = exchanged_pivot_form(stacked)
     for j, pair in enumerate(pairs):
         alone = canonicalize(*pair)
         assert stacked.u0[j].tobytes() == alone.u0.tobytes(), j
         assert stacked.x0[j].tobytes() == alone.x0.tobytes(), j
         assert stacked.residual[j].tobytes() == np.float64(alone.residual).tobytes(), j
+        # the stacked form's exchange is each pair's own, and so are the
+        # pairs both forms checked
+        ex = exchanged_pivot_form(alone)
+        assert exchanged.u[j].tobytes() == ex.u.tobytes(), j
+        for x, y in zip(stacked.reconstruct() + exchanged.reconstruct(), alone.reconstruct() + ex.reconstruct()):
+            assert x[j].tobytes() == y.tobytes(), j
 
 
 # --- stacked five-block decomposition: each pair gets the bits it gets alone ---
@@ -924,7 +932,7 @@ def test_five_block_stack_elements_equal_their_lone_calls(kind, n):
             alone = five_block_decompose(a[i], b[i])
             for name in BLOCK_NAMES:
                 basis = group.bases[name][j]
-                for x, y in ((basis, alone.bases[name]), (_span(basis), getattr(alone, name)),
+                for x, y in ((basis, alone.bases[name]), (_span(basis), alone.projections()[name]),
                              (group.blocks_a[name][j], alone.blocks_a[name]),
                              (group.blocks_b[name][j], alone.blocks_b[name])):
                     assert x.shape == y.shape and x.tobytes() == y.tobytes(), (i, name)
