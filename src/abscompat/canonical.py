@@ -55,12 +55,11 @@ from .hermitian import (
     _ROUNDING,
     _effects,
     _factor_each,
-    _first,
     _fnorm,
     _hermitian_pair,
     _hnorm_upto,
-    _levels,
     _mixed_pair,
+    _require,
     _require_strict,
     _strict_rows,
     _two_by_two,
@@ -133,9 +132,8 @@ class SiteBlockMatrix:
         sites = x.reshape(m, 2, m, 2)
         off = np.abs(sites)
         off[np.arange(m), :, np.arange(m), :] = 0.0
-        stray = float(off.max(initial=0.0))
-        if stray > 1e-12:
-            raise DomainError("off-site mass %.3e exceeds 1e-12" % stray)
+        stray = off.max(initial=0.0)
+        _require(stray <= 1e-12, DomainError, "off-site mass %.3e exceeds 1e-12", stray)
         return cls(sites[np.arange(m), :, np.arange(m), :])
 
 
@@ -168,8 +166,7 @@ def _unimodular(w, label: str) -> np.ndarray:
     """
     w = _vector(w, complex, label)
     mod = np.abs(w)
-    if not np.all(np.abs(mod - 1.0) <= 1e-9):
-        raise NotStrictParams("%s phases must be unimodular" % label)
+    _require(np.abs(mod - 1.0) <= 1e-9, NotStrictParams, "%s phases must be unimodular", label)
     return w / mod
 
 
@@ -189,8 +186,8 @@ def _strict_reals(a0, label: str) -> np.ndarray:
     a0 = _vector(a0, float, label)
     if len(a0) == 0:
         raise NotStrictParams("%s needs at least one site" % label)
-    if not np.all((a0 > _PARAM_MARGIN) & (a0 < 1.0 - _PARAM_MARGIN)):
-        raise NotStrictParams("%s values must lie strictly inside (0, 1)" % label)
+    _require((_PARAM_MARGIN < a0) & (a0 < 1.0 - _PARAM_MARGIN), NotStrictParams,
+             "%s values must lie strictly inside (0, 1)", label)
     return a0
 
 
@@ -278,17 +275,13 @@ def is_strict_projection(p, tol: Tolerances = DEFAULT_TOL) -> bool:
     whose per-site trace is one."""
     p = _sites(p)
     require_projection(p.embed(), tol)
-    p11 = np.real(p.entry(0, 0))
     trace = np.real(p.entry(0, 0) + p.entry(1, 1))
-    if np.any(np.abs(trace - 1.0) > tol.proj):
-        return False
-    return not np.any(np.logical_or(*_levels(p11, tol)))
+    return bool(np.all(np.abs(trace - 1.0) <= tol.proj) and _strict_rows(np.real(p.entry(0, 0)), tol))
 
 
 def params_from_strict_unitary(u, tol: Tolerances = DEFAULT_TOL) -> StrictUnitaryParams:
     u = _sites(u)
-    if not is_strict_unitary(u, tol):
-        raise NotStrictUnitary("entries are not all strict")
+    _require(is_strict_unitary(u, tol), NotStrictUnitary, "entries are not all strict")
     u1, u2, u3 = u.entry(0, 0), u.entry(0, 1), u.entry(1, 0)
     return StrictUnitaryParams(
         a0=np.abs(u1), w1=u1 / np.abs(u1), w2=u2 / np.abs(u2), w3=u3 / np.abs(u3)
@@ -301,8 +294,7 @@ def _strict_projection_read(p, tol: Tolerances, not_strict: str):
     (1 - a0^2)^(1/2)) normalized to modulus one, per site.  What they
     build differs from p in p11 and in |p01| only; callers check it."""
     p = _sites(p)
-    if not is_strict_projection(p, tol):
-        raise NotStrictProjection(not_strict)
+    _require(is_strict_projection(p, tol), NotStrictProjection, not_strict)
     a0 = np.sqrt(np.real(p.entry(0, 0)))
     w = p.entry(0, 1) / (a0 * np.sqrt(1.0 - a0 * a0))
     return p, a0, w / np.abs(w)
@@ -313,8 +305,7 @@ def params_from_strict_projection(p, tol: Tolerances = DEFAULT_TOL) -> StrictPro
     is within tol.proj of p."""
     p, a0, w = _strict_projection_read(p, tol, "not a strict projection")
     dev = _hnorm_upto(_embed(_projection_blocks(a0, w) - p.blocks), tol.proj)
-    if dev > tol.proj:
-        raise PostconditionFailure("projection parameter residual %.3e" % dev)
+    _require(dev <= tol.proj, PostconditionFailure, "projection parameter residual %.3e", dev)
     return StrictProjectionParams(a0=a0, w=w)
 
 
@@ -322,8 +313,7 @@ def projection_pair_from_unitary(u, tol: Tolerances = DEFAULT_TOL):
     """Complementary strict projections built from the two rows of a
     strict unitary: P from (u1, u2), P' from (u3, u4)."""
     u = _sites(u)
-    if not is_strict_unitary(u, tol):
-        raise NotStrictUnitary("projection pair needs a strict unitary")
+    _require(is_strict_unitary(u, tol), NotStrictUnitary, "projection pair needs a strict unitary")
     # outer[k, r, i, j] = conj(u[k, r, i]) u[k, r, j]: row r's projection
     outer = np.conj(u.blocks)[..., :, None] * u.blocks[..., None, :]
     return SiteBlockMatrix(outer[:, 0]), SiteBlockMatrix(outer[:, 1])
@@ -334,8 +324,7 @@ def conjugate_to_pivot(p, tol: Tolerances = DEFAULT_TOL) -> SiteBlockMatrix:
     p, a0, w = _strict_projection_read(p, tol, "conjugation to the pivot needs a strict projection")
     u = _pivot_unitary(a0, w)
     dev = _hnorm_upto(_embed(dagger(u) @ PIVOT_0 @ u - p.blocks), tol.proj)
-    if dev > tol.proj:
-        raise PostconditionFailure("pivot conjugation residual %.3e" % dev)
+    _require(dev <= tol.proj, PostconditionFailure, "pivot conjugation residual %.3e", dev)
     return SiteBlockMatrix(u)
 
 
@@ -357,16 +346,14 @@ def dilate_commuting_pair(a, b, tol: Tolerances = DEFAULT_TOL):
     a, b = _hermitian_pair(a, b, tol)
     va, vb = _effects(a, b, tol)
     # i[a, b] is Hermitian with the norm of [a, b]
-    if _hnorm_upto(1j * (a @ b - b @ a), tol.compat) > tol.compat:
-        raise NotCommuting("||ab - ba|| exceeds %.3e" % tol.compat)
+    _require(_hnorm_upto(1j * (a @ b - b @ a), tol.compat) <= tol.compat, NotCommuting,
+             "||ab - ba|| exceeds %.3e", tol.compat)
     _require_strict(va, vb, tol)
     square_sum = hermitize(a @ a + b @ b)
     vals = np.linalg.eigvalsh(square_sum)
-    at_one, at_zero = _levels(vals, tol)
-    if at_one[-1]:
-        raise SumExceedsOne("largest eigenvalue of a^2 + b^2 is %.3e" % vals[-1])
-    if at_zero[0]:
-        raise NotStrict("a^2 + b^2 is not strict")
+    # the _levels cut, as comparisons that a NaN fails
+    _require(vals[-1] < 1.0 - tol.spec, SumExceedsOne, "largest eigenvalue of a^2 + b^2 is %.3e", vals[-1])
+    _require(tol.spec < vals[0], NotStrict, "a^2 + b^2 is not strict")
 
     one = identity_like(a)
     ab = hermitize(a @ b)
@@ -374,8 +361,7 @@ def dilate_commuting_pair(a, b, tol: Tolerances = DEFAULT_TOL):
     b1 = np.block([[b @ b, -ab], [-ab, one - b @ b]])
     a1, b1 = hermitize(a1), hermitize(b1)
     residual = _pair_spectra(a1, b1, tol.compat)
-    if residual > tol.compat:
-        raise PostconditionFailure("dilated pair residual %.3e" % residual)
+    _require(residual <= tol.compat, PostconditionFailure, "dilated pair residual %.3e", residual)
     return a1, b1
 
 
@@ -395,7 +381,7 @@ def _built_params_pair(x0, a0, w, tol: Tolerances):
         raise DimensionMismatch("x0 has %d sites, projection has %d" % (x0.size, np.size(a0)))
     sa, sb = _site_pairs(x0.reshape(np.shape(a0)), a0, w)
     return _built_pair(_embed(sa), _embed(sb), tol,
-                       PostconditionFailure("constructed pair is not strict at this tolerance"))
+                       (PostconditionFailure, "constructed pair is not strict at this tolerance"))
 
 
 def pair_from_params(x0, params: StrictProjectionParams, tol: Tolerances = DEFAULT_TOL):
@@ -594,14 +580,13 @@ def _recovered(a, b, tol: Tolerances) -> CanonicalForm:
     the sorted 1 - |lam| are the eigenvalues of |a-b|, which pair up."""
     m = a.shape[-1] // 2
     lam, vecs = np.linalg.eigh(identity_like(a) - a - b)
-    if float(np.min(np.abs(lam))) <= tol.spec:
-        raise PairingFailure("1 - a - b has an eigenvalue at zero")
-    if np.any(np.count_nonzero(lam < 0.0, axis=-1) != m):
-        raise PairingFailure("spectral halves of 1 - a - b have unequal rank")
+    _require(tol.spec < np.abs(lam), PairingFailure, "1 - a - b has an eigenvalue at zero")
+    _require(np.count_nonzero(lam < 0.0, axis=-1) == m, PairingFailure,
+             "spectral halves of 1 - a - b have unequal rank")
     dvals = np.sort(1.0 - np.abs(lam), axis=-1)
     unpaired = np.max(np.abs(dvals[..., 0::2] - dvals[..., 1::2]), axis=-1)
-    if np.any(unpaired > tol.cluster * np.maximum(1.0, dvals[..., -1])):
-        raise PairingFailure("eigenvalues of |a - b| do not pair up")
+    _require(unpaired <= tol.cluster * np.maximum(1.0, dvals[..., -1]), PairingFailure,
+             "eigenvalues of |a - b| do not pair up")
 
     # the eigenvalues ascend, so the negative half is the first m of them;
     # those of the positive half lie in (0, 1], so the cluster gap
@@ -613,14 +598,12 @@ def _recovered(a, b, tol: Tolerances) -> CanonicalForm:
 
     # cross-half pairing: polar factor of the off-diagonal block of a
     u_svd, s, vh_svd = np.linalg.svd(dagger(af) @ v_minus)
-    if np.any(s[..., -1] <= tol.spec):
-        raise PairingFailure("off-diagonal block of a is numerically singular")
+    _require(tol.spec < s[..., -1], PairingFailure, "off-diagonal block of a is numerically singular")
     f_minus = v_minus @ dagger(u_svd @ vh_svd)
 
-    if np.any(np.logical_or(*_levels(x0, tol))):
-        raise PostconditionFailure("recovered x0 is not strict")
-    if np.any(d <= tol.spec) or np.any(x0 - d <= tol.spec):
-        raise PostconditionFailure("recovered projection parameter is not strict")
+    _require((tol.spec < x0) & (x0 < 1.0 - tol.spec), PostconditionFailure, "recovered x0 is not strict")
+    _require((tol.spec < d) & (tol.spec < x0 - d), PostconditionFailure,
+             "recovered projection parameter is not strict")
     a0 = np.sqrt(d / x0)
     _strict_reals(a0, "a0")  # what StrictProjectionParams, so cf.projection, checks
 
@@ -634,9 +617,7 @@ def _recovered(a, b, tol: Tolerances) -> CanonicalForm:
     ra, rb = _conjugate_pair(u0, _site_pairs(x0, a0, w))
     err = np.maximum(*(np.abs(vals).max(axis=-1)
                        for vals in _factor_each(np.linalg.eigvalsh, ra - a, rb - b)))
-    bad = err > tol.canon
-    if np.any(bad):
-        raise PostconditionFailure("reconstruction residual %.3e > %.3e" % (_first(err, bad), tol.canon))
+    _require(err <= tol.canon, PostconditionFailure, "reconstruction residual %.3e > %.3e", err, tol.canon)
     return CanonicalForm(u0, x0, a0, w, err if err.ndim else float(err), (ra, rb))
 
 
@@ -697,7 +678,5 @@ def exchanged_pivot_form(cf: CanonicalForm, tol: Tolerances = DEFAULT_TOL) -> Ex
     u = cf.u0 @ dagger(_embed(_pivot_unitary(cf.a0, cf.w, exchange=True)))
     rebuilt = _conjugate_pair(u, _exchanged_sites(cf.x0, cf.a0))
     err = np.maximum(*(_hnorm_upto(e - r, tol.canon) for e, r in zip(rebuilt, cf.reconstruct())))
-    bad = err > tol.canon
-    if np.any(bad):
-        raise PostconditionFailure("pivot exchange residual %.3e" % _first(err, bad))
+    _require(err <= tol.canon, PostconditionFailure, "pivot exchange residual %.3e", err)
     return ExchangedPivotForm(u, cf.x0, cf.a0, rebuilt)

@@ -42,10 +42,10 @@ from .hermitian import (
     _hermitian_pair,
     _hnorm,
     _hnorm_upto,
-    _first,
     _levels,
     _projection,
     _first_failing,
+    _require,
     _span,
     _strict_rows,
     dagger,
@@ -111,25 +111,19 @@ def _pair_spectra(a, b, bound=None):
 
 def _require_compatible(residual, tol: Tolerances) -> None:
     """Raises unless every residual is within tol.compat; an error reports
-    the largest."""
-    bad = residual > tol.compat
-    if np.any(bad):
-        worst = np.max(np.extract(bad, residual))
-        raise NotAbsolutelyCompatible("residual %.3e > %.3e" % (worst, tol.compat))
+    the first that is not."""
+    _require(residual <= tol.compat, NotAbsolutelyCompatible, "residual %.3e > %.3e", residual, tol.compat)
 
 
 def _built_pair(a, b, tol: Tolerances, not_strict, incompatible="constructed pair residual %.3e"):
     """(a, b), a pair a construction built, or stacks of such pairs, once
-    both are strict (one eigvalsh of the stack [a, b]) and their residual,
-    not NaN, is within tol.compat; otherwise raises not_strict or
-    PostconditionFailure(incompatible % residual)."""
+    both are strict (one eigvalsh of the stack [a, b]) and their residual
+    is within tol.compat; otherwise raises not_strict, an (error, message)
+    pair, or PostconditionFailure(incompatible % residual)."""
     va, vb = _factor_each(np.linalg.eigvalsh, a, b)
-    if not (np.all(_strict_rows(va, tol)) and np.all(_strict_rows(vb, tol))):
-        raise not_strict
+    _require(_strict_rows(va, tol) & _strict_rows(vb, tol), *not_strict)
     residual = _pair_spectra(a, b, tol.compat)
-    bad = np.logical_not(residual <= tol.compat)
-    if np.any(bad):
-        raise PostconditionFailure(incompatible % _first(residual, bad))
+    _require(residual <= tol.compat, PostconditionFailure, incompatible, residual)
     return a, b
 
 
@@ -401,13 +395,11 @@ def _reduced_blocks(a, b, bases, tol):
         exact = _factor_each(np.linalg.eigvalsh, *(x[at] for x in mats))
         norms[(slice(None),) + at] = [np.abs(x).max(axis=-1) for x in exact]
         eps, bounds = _reduction_bounds(norms, tol)
-    bad = (1.0 + eps) * eps > tol.proj
-    if np.any(bad):
-        raise PostconditionFailure("five-block bases are not orthonormal, ||V*V - I|| = %.3e" % _first(eps, bad))
+    _require((1.0 + eps) * eps <= tol.proj, PostconditionFailure,
+             "five-block bases are not orthonormal, ||V*V - I|| = %.3e", eps)
     for label, bound in zip("ab", bounds):
-        bad = bound > tol.block
-        if np.any(bad):
-            raise PostconditionFailure("blocks do not reduce %s: off-block bound %.3e" % (label, _first(bound, bad)))
+        _require(bound <= tol.block, PostconditionFailure,
+                 "blocks do not reduce %s: off-block bound %.3e", label, bound)
     # owner repeats each block's label over its width: block k owns edges[k]:edges[k + 1]
     edges = np.cumsum([0] + widths)
     blocks_a, blocks_b = ({name: m[..., s:e, s:e].copy() for name, s, e in zip(bases, edges[:-1], edges[1:])}
@@ -488,10 +480,10 @@ def _verify_block_contents(blocks_a, blocks_b, tol, settled=np.False_):
     )
     for name, side, target in checks:
         blk = side[name]
-        if np.any(_hnorm_upto(blk - target * identity_like(blk), tol.block) > tol.block):
-            raise PostconditionFailure("restriction to %s is not %r" % (name, target))
+        _require(_hnorm_upto(blk - target * identity_like(blk), tol.block) <= tol.block, PostconditionFailure,
+                 "restriction to %s is not %r", name, target)
     if blocks_a["strict"].shape[-1] and not np.all(settled):
         at = np.nonzero(~settled) if settled.ndim else ()
         _built_pair(blocks_a["strict"][at], blocks_b["strict"][at], tol,
-                    PostconditionFailure("strict block has spectrum touching 0 or 1"),
+                    (PostconditionFailure, "strict block has spectrum touching 0 or 1"),
                     "strict block not absolutely compatible, residual %.3e")

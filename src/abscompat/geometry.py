@@ -48,14 +48,14 @@ from .errors import (
 )
 from .hermitian import (
     _effects,
-    _first,
     _first_failing,
     _hermitian_pair,
+    _hnorm_beyond,
     _hnorm_upto,
-    _hnorm_within,
     _mixed_pair,
     _per_matrix,
     _projection,
+    _require,
     _require_unit_interval,
     _two_by_two,
     _vector,
@@ -91,9 +91,7 @@ def _index(index):
         except (TypeError, ValueError) as exc:
             raise DomainError("index must be numeric: %s" % exc) from exc
     index = _vector(index, float, "index").reshape(np.shape(index))
-    bad = np.logical_not((0.0 < index) & (index < 1.0))
-    if bad.any():
-        raise DegenerateSpec("index %r outside (0, 1)" % _first(index, bad))
+    _require((0.0 < index) & (index < 1.0), DegenerateSpec, "index %r outside (0, 1)", index)
     return _per_matrix(index)
 
 
@@ -108,13 +106,9 @@ def _bloch(x, tol: Tolerances) -> np.ndarray:
     if x.shape[-2:] != (2, 2):
         raise DimensionMismatch("the chart is for 2x2 matrices")
     tr = np.real(np.trace(x, axis1=-2, axis2=-1))
-    bad = np.abs(tr - 1.0) > tol.geo
-    if bad.any():
-        raise TraceNotOne("trace %.12f is not 1" % _first(tr, bad))
+    _require(np.abs(tr - 1.0) <= tol.geo, TraceNotOne, "trace %.12f is not 1", tr)
     det = np.real(np.linalg.det(x))
-    bad = (det < -tol.geo) | (det > 0.25 + tol.geo)
-    if bad.any():
-        raise DetOutOfRange("det %.3e outside [0, 1/4]" % _first(det, bad))
+    _require((-tol.geo <= det) & (det <= 0.25 + tol.geo), DetOutOfRange, "det %.3e outside [0, 1/4]", det)
     return _chart(x)
 
 
@@ -138,9 +132,8 @@ def bloch_matrix(pt, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def _bloch_matrices(pts, tol: Tolerances) -> np.ndarray:
     """bloch_matrix over leading axes of (..., 3) points; an error reports
     the first point outside the ball."""
-    outside = np.sum((pts - BALL_CENTER) ** 2, axis=-1) > BALL_RADIUS**2 + tol.geo
-    if outside.any():
-        raise OutsideBall("point %r lies outside the chart ball" % (pts[outside][0].tolist(),))
+    inside = np.sum((pts - BALL_CENTER) ** 2, axis=-1) <= BALL_RADIUS**2 + tol.geo
+    _require(inside, OutsideBall, "point %r lies outside the chart ball", pts)
     t, al = pts[..., 0], pts[..., 1] + 1j * pts[..., 2]
     return _two_by_two(t, al, np.conj(al), 1.0 - t)
 
@@ -167,9 +160,8 @@ def _reference_focus(a, tol: Tolerances):
         tr = np.real(np.trace(a, axis1=-2, axis2=-1))
         vals = np.linalg.eigvalsh(a)
         det = vals[..., 0] * vals[..., 1]
-        inside = np.all((np.abs(tr - 1.0) <= tol.geo) & (tol.geo < det) & (det < 0.25 - tol.geo))
-    if not inside:
-        raise DegenerateSpec("reference effect must lie in the open punctured ball")
+        inside = (np.abs(tr - 1.0) <= tol.geo) & (tol.geo < det) & (det < 0.25 - tol.geo)
+    _require(inside, DegenerateSpec, "reference effect must lie in the open punctured ball")
     return a, _chart(a)
 
 
@@ -177,8 +169,8 @@ def _rank_one(p, tol: Tolerances) -> np.ndarray:
     p = _projection(p, tol, stack=True)
     if p.shape[-2:] != (2, 2):
         raise DimensionMismatch("expected a 2x2 projection")
-    if np.any(np.abs(np.real(np.trace(p, axis1=-2, axis2=-1)) - 1.0) > tol.proj):
-        raise NotProjection("expected a rank-one projection")
+    _require(np.abs(np.real(np.trace(p, axis1=-2, axis2=-1)) - 1.0) <= tol.proj, NotProjection,
+             "expected a rank-one projection")
     return p
 
 
@@ -207,7 +199,7 @@ def _validate_spec(pivot, target, index, tol: Tolerances):
     The separations are only compared with tol.proj, and a Hermitian
     n x n h has ||h||_F / sqrt(n) <= ||h|| <= ||h||_F, so a Frobenius norm
     above sqrt(n) tol.proj, the common case, or within tol.proj settles a
-    test without a factorization (hermitian._hnorm_within), and every
+    test without a factorization (hermitian._hnorm_beyond), and every
     DegenerateSpec decision is the one the exact norm gives.
     """
     pivot = _rank_one(pivot, tol)
@@ -215,10 +207,9 @@ def _validate_spec(pivot, target, index, tol: Tolerances):
     index = _index(index)
     _require_lead(index, pivot, target)
     one = np.eye(2, dtype=complex)
-    if np.any(_hnorm_within(pivot - target, tol.proj)):
-        raise DegenerateSpec("pivot equals the target projection")
-    if np.any(_hnorm_within(pivot - (one - target), tol.proj)):
-        raise DegenerateSpec("pivot equals the complement of the target")
+    _require(_hnorm_beyond(pivot - target, tol.proj), DegenerateSpec, "pivot equals the target projection")
+    _require(_hnorm_beyond(pivot - (one - target), tol.proj), DegenerateSpec,
+             "pivot equals the complement of the target")
     return pivot, target, index
 
 
@@ -234,8 +225,7 @@ def pair_from_projections(pivot, target, index, tol: Tolerances = DEFAULT_TOL):
 def _pair_from_projections(pivot, target, index, tol: Tolerances):
     pivot, target, index = _validate_spec(pivot, target, index, tol)
     a, b = _mixed_pair(_axes(index, 2), pivot, target, np.eye(2, dtype=complex) - target)
-    not_strict = DegenerateSpec("projections too close to degeneracy at this tolerance")
-    return _built_pair(a, b, tol, not_strict)
+    return _built_pair(a, b, tol, (DegenerateSpec, "projections too close to degeneracy at this tolerance"))
 
 
 def decompose_pair_m2(a, b, tol: Tolerances = DEFAULT_TOL) -> PairSpec:
@@ -265,9 +255,7 @@ def _decompose_pair_m2(a, b, tol: Tolerances) -> PairSpec:
     index = cf.x0[..., 0]
     ra, rb = _mixed_pair(_axes(index, 2), pivot, target, np.eye(2, dtype=complex) - target)
     err = np.maximum(_hnorm_upto(ra - a, tol.geo), _hnorm_upto(rb - b, tol.geo))
-    bad = err > tol.geo
-    if np.any(bad):
-        raise PostconditionFailure("round-trip residual %.3e > %.3e" % (_first(err, bad), tol.geo))
+    _require(err <= tol.geo, PostconditionFailure, "round-trip residual %.3e > %.3e", err, tol.geo)
     return PairSpec(pivot=pivot, target=target, index=_per_matrix(index))
 
 
@@ -312,8 +300,8 @@ def sphere_to_ball(sphere: PivotalSphere, point, tol: Tolerances = DEFAULT_TOL):
     for a stacked sphere."""
     def to_ball(pivot, index, center, radius, point):
         point = _point(point, np.shape(index))
-        if np.any(np.abs(_vnorm(point - center) - radius) > tol.geo):
-            raise NotOnSphere("point is not on the pivotal sphere")
+        _require(np.abs(_vnorm(point - center) - radius) <= tol.geo, NotOnSphere,
+                 "point is not on the pivotal sphere")
         r = pivot + (point - pivot) / _axes(index, 1)
         return r, 2.0 * BALL_CENTER - r
 
@@ -326,8 +314,8 @@ def ball_to_sphere(sphere: PivotalSphere, point, tol: Tolerances = DEFAULT_TOL):
     stacked sphere."""
     def to_sphere(pivot, index, center, radius, point):
         point = _point(point, np.shape(index))
-        if np.any(np.abs(_vnorm(point - BALL_CENTER) - BALL_RADIUS) > tol.geo):
-            raise NotOnSphere("point is not on the chart ball")
+        _require(np.abs(_vnorm(point - BALL_CENTER) - BALL_RADIUS) <= tol.geo, NotOnSphere,
+                 "point is not on the chart ball")
         lam = _axes(index, 1)
         c = (1.0 - lam) * pivot + lam * point
         return c, 2.0 * center - c

@@ -22,10 +22,20 @@ validated once, at an entry point, by as_matrix, require_hermitian,
 _hermitian_pair, _effect or _projection, whose stack=True admits a
 stack; the private cores take the Hermitian arrays they return.
 
-One strictness cut: _levels puts a value at 1 from 1 - tol.spec up and
-at 0 up to tol.spec in every such decision of the package, for kernels
-and eigenspaces at 1, strict spectra, strict unitaries and projections,
-a canonical form's x0 and the gates of dilate_commuting_pair.
+One strictness cut: a value is at 1 from 1 - tol.spec up and at 0 up
+to tol.spec in every such decision of the package, for kernels and
+eigenspaces at 1, strict spectra, strict unitaries and projections, a
+canonical form's x0 and the gates of dilate_commuting_pair.  _levels
+masks the values at a level; the strictness gates (_strict_rows and
+those of the canonical module) test the open interval between them.
+
+One gate: every check of a computed value against a tolerance or a
+domain bound, here and in compat.py, canonical.py and geometry.py,
+raises through _require.  It fails a NaN and builds its message from
+the first failing element of a stack in C order, the order
+_first_failing walks, so each stacked check, require_hermitian's
+included, reports what its first failing element reports alone.  Type
+and shape checks raise where they stand.
 """
 
 from dataclasses import dataclass
@@ -160,28 +170,42 @@ def _hnorm_upto(h, bound: float):
     return _per_matrix(np.where(frob <= bound, frob, exact))
 
 
-def _hnorm_within(h, bound: float):
-    """Whether ||h|| <= bound for a Hermitian n x n h, or for each of a
-    stack of them.
+def _hnorm_beyond(h, bound: float):
+    """Whether ||h|| > bound for a Hermitian n x n h, or for each of a
+    stack of them; a NaN norm is not beyond it.
 
     ||h||_F / sqrt(n) <= ||h|| <= ||h||_F, as h has at most n eigenvalues,
-    so a Frobenius norm within the bound settles the test one way and one
-    above sqrt(n) times the bound, less a rounding allowance of
-    _ROUNDING * n, the other way; only a Frobenius norm between the two
-    takes the exact _hnorm(h).
+    so a Frobenius norm above sqrt(n) times the bound, less a rounding
+    allowance of _ROUNDING * n, settles the test one way and one within
+    the bound the other way; only a Frobenius norm between the two takes
+    the exact _hnorm(h).
     """
     n = h.shape[-1]
     frob = _fnorm(h)
-    within = frob <= bound
-    undecided = np.logical_not(within | (frob > bound * np.sqrt(n) * (1.0 + _ROUNDING * n)))
+    beyond = frob > bound * np.sqrt(n) * (1.0 + _ROUNDING * n)
+    undecided = (frob > bound) & ~beyond
     if np.any(undecided):
-        within = within | (undecided & (_hnorm(h) <= bound))
-    return within
+        beyond = beyond | (undecided & (_hnorm(h) > bound))
+    return beyond
 
 
-def _first(values, bad) -> float:
-    """The first of values where bad holds."""
-    return float(np.extract(bad, values)[0])
+def _require(ok, error, message: str, *values) -> None:
+    """Raises error(message % values) unless ok holds everywhere: the one
+    gate of every check of a computed value against a bound.
+
+    ok is a bool or a mask over leading axes, a comparison that a NaN
+    fails (`value <= bound`, `low < value`), never a negated one.  The message reads each value at the first element,
+    in C order (the order _first_failing walks), where ok fails: a value
+    whose shape starts with ok's is read there, any other belongs to
+    every element.  What it reads becomes a Python float, list or str, so
+    a stack's message is the one its first offender raises alone.
+    """
+    if np.all(ok):
+        return
+    lead = np.shape(ok)
+    at = np.unravel_index(np.argmin(ok), lead)
+    read = (np.asarray(v)[at] if np.shape(v)[:len(lead)] == lead else np.asarray(v) for v in values)
+    raise error(message % tuple(v.tolist() for v in read))
 
 
 def _first_failing(fn, cores, *args, alone=None):
@@ -235,17 +259,15 @@ def require_hermitian(x, tol: Tolerances = DEFAULT_TOL, stack: bool = False) -> 
     """x made exactly Hermitian, once its asymmetry is within tol.herm;
     with stack=True, each matrix of a (..., n, n) stack."""
     x = as_matrix(x, stack)
-    dev = float(np.abs(x - dagger(x)).max()) if x.size else 0.0
-    if dev > tol.herm:
-        raise NotHermitian("max deviation from self-adjointness %.3e > %.3e" % (dev, tol.herm))
+    dev = np.abs(x - dagger(x)).max(axis=(-2, -1), initial=0.0)
+    _require(dev <= tol.herm, NotHermitian, "max deviation from self-adjointness %.3e > %.3e", dev, tol.herm)
     return hermitize(x)
 
 
 def require_unitary(u, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     u = as_matrix(u)
     dev = _hnorm_upto(dagger(u) @ u - identity_like(u), tol.unit)
-    if dev > tol.unit:
-        raise NotUnitary("||U*U - I|| = %.3e > %.3e" % (dev, tol.unit))
+    _require(dev <= tol.unit, NotUnitary, "||U*U - I|| = %.3e > %.3e", dev, tol.unit)
     return u
 
 
@@ -258,24 +280,18 @@ def _projection(p, tol: Tolerances, stack: bool = False) -> np.ndarray:
     with stack=True, each matrix of a (..., n, n) stack."""
     p = require_hermitian(p, tol, stack)
     dev = _hnorm_upto(p @ p - p, tol.proj)
-    bad = dev > tol.proj
-    if np.any(bad):
-        raise NotProjection("||P^2 - P|| = %.3e > %.3e" % (_first(dev, bad), tol.proj))
+    _require(dev <= tol.proj, NotProjection, "||P^2 - P|| = %.3e > %.3e", dev, tol.proj)
     return p
 
 
 def _require_unit_interval(vals, tol: Tolerances) -> np.ndarray:
     """Ascending spectra, one per row over leading axes, once inside [0, 1]
-    within tol.spec; an error reports the extreme eigenvalue of them all."""
+    within tol.spec; an error reports the first offending row's extreme."""
     if vals.size == 0:
         return vals
     low, high = vals[..., 0], vals[..., -1]
-    if vals.ndim > 1:
-        low, high = low.min(), high.max()
-    if low < -tol.spec:
-        raise NegativeSpectrum("smallest eigenvalue %.3e < -%.3e" % (low, tol.spec))
-    if high > 1.0 + tol.spec:
-        raise DomainError("largest eigenvalue %.3e exceeds 1" % high)
+    _require(-tol.spec <= low, NegativeSpectrum, "smallest eigenvalue %.3e < -%.3e", low, tol.spec)
+    _require(high <= 1.0 + tol.spec, DomainError, "largest eigenvalue %.3e exceeds 1", high)
     return vals
 
 
@@ -395,8 +411,9 @@ def _strict_rows(vals, tol: Tolerances, margin=0.0):
     """Whether each row over leading axes, a spectrum or entry moduli, has
     no value whose absolute value is at 1 or at 0: is_strict's decision,
     per row; with a margin, whether every value clears the cut by it."""
-    one, zero = _levels(np.abs(vals), tol, margin)
-    return ~np.any(one | zero, axis=-1)
+    # the _levels cut, as comparisons that a NaN fails
+    vals = np.abs(vals)
+    return np.all((tol.spec + margin < vals) & (vals < 1.0 - tol.spec - margin), axis=-1)
 
 
 def _require_strict(va, vb, tol: Tolerances) -> None:
@@ -405,8 +422,7 @@ def _require_strict(va, vb, tol: Tolerances) -> None:
     if va.size == 0:
         raise EmptyInput("strictness needs nonempty effects")
     for vals, which in ((va, "first"), (vb, "second")):
-        if not np.all(_strict_rows(vals, tol)):
-            raise NotStrict("%s effect is not strict" % which)
+        _require(_strict_rows(vals, tol), NotStrict, "%s effect is not strict", which)
 
 
 def is_strict(x, tol: Tolerances = DEFAULT_TOL) -> StrictnessReport:

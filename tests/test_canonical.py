@@ -27,6 +27,7 @@ from abscompat.canonical import (
 )
 from abscompat.compat import is_abs_compatible
 from abscompat.errors import (
+    DimensionMismatch,
     DomainError,
     NotAbsolutelyCompatible,
     NotCommuting,
@@ -95,6 +96,9 @@ def test_extract_rejects_off_site_mass():
         SiteBlockMatrix.extract(x)
     with pytest.raises(OddDimension):
         SiteBlockMatrix.extract(np.zeros((3, 3), dtype=complex))
+    for blocks in (np.eye(2), np.zeros((0, 2, 2)), np.zeros((1, 2, 3))):
+        with pytest.raises(DimensionMismatch, match=r"^site blocks must have shape \(m, 2, 2\)$"):
+            SiteBlockMatrix(blocks)
 
 
 def test_strict_unitary_fixture():
@@ -117,6 +121,8 @@ def test_is_strict_unitary_fixtures():
     assert not is_strict_unitary(np.eye(2, dtype=complex))
     assert is_strict_unitary(RT2 * np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex))
     assert not is_strict_unitary(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+    with pytest.raises(NotStrictUnitary, match="^entries are not all strict$"):
+        params_from_strict_unitary(np.eye(2, dtype=complex))
 
 
 def test_strict_projection_fixture():
@@ -133,6 +139,8 @@ def test_is_strict_projection_fixtures():
     assert not is_strict_projection(PIVOT_0)
     assert is_strict_projection(0.5 * np.ones((2, 2), dtype=complex))
     assert is_strict_projection(np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex))
+    # a projection whose sites have trace 2
+    assert is_strict_projection(np.eye(2, dtype=complex)) is False
 
 
 def test_projection_pair_from_unitary():
@@ -318,6 +326,8 @@ def test_pair_from_params_fixture():
     assert np.allclose(b, FIX_B)
     with pytest.raises(NotStrictParams):
         pair_from_params([1.0], StrictProjectionParams(a0=[RT2], w=[1.0]))
+    with pytest.raises(DimensionMismatch, match="^x0 has 2 sites, projection has 1$"):
+        pair_from_params([0.5, 0.5], StrictProjectionParams(a0=[RT2], w=[1.0]))
 
 
 def test_canonicalize_fixture():
@@ -326,6 +336,9 @@ def test_canonicalize_fixture():
     assert np.allclose(cf.x0, [0.5], atol=1e-12)
     assert np.allclose(cf.a0, [RT2], atol=1e-12)
     assert np.allclose(cf.w, [1.0])
+    proj = cf.projection
+    assert isinstance(proj, StrictProjectionParams) and proj.m == 1
+    assert proj.a0.tobytes() == cf.a0.tobytes() and proj.w.tobytes() == cf.w.tobytes()
     ra, rb = cf.reconstruct()
     assert max(op_norm(ra - FIX_A), op_norm(rb - FIX_B)) <= DEFAULT_TOL.canon
 
@@ -386,6 +399,7 @@ def test_exchanged_pivot_form():
         b = hermitize(u @ base_b @ dagger(u))
         cf = canonicalize(a, b)
         ex = exchanged_pivot_form(cf)
+        assert ex.m == cf.m == n // 2
         ea, eb = ex.reconstruct()
         ra, rb = cf.reconstruct()
         assert max(op_norm(ea - ra), op_norm(eb - rb)) <= DEFAULT_TOL.canon

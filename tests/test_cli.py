@@ -263,6 +263,18 @@ def test_geometry_missing_spec():
     assert run(["geometry", "--pivot", "0,0,0"]) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["geometry", "--pivot", "1,2", "--target", "0.5,0.5,0", "--index", "0.3"],
+     "--pivot must have exactly three coordinates"),
+    (["fuzz", "compat", "--trials", "0"], "--trials must be at least 1"),
+], ids=["pivot-of-two-coordinates", "no-trials"])
+def test_argument_errors_exit_1(capsys, argv, message):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "ParseError", "message": message}
+
+
 def test_fuzz_suites_pass(tmp_path):
     for suite in REGISTRY:
         out = tmp_path / (suite + ".json")

@@ -3,7 +3,7 @@ import pytest
 
 from abscompat import DEFAULT_TOL
 from abscompat.compat import is_abs_compatible, is_orthogonal
-from abscompat.errors import BadMargin, OddDimension
+from abscompat.errors import BadMargin, DegenerateSpec, OddDimension
 from abscompat.generate import (
     derive_seed,
     haar_unitary,
@@ -103,6 +103,9 @@ def test_pair_spec():
         a, b = pair_from_projections(pivot, target, index)  # validates everything
         assert 0.0 < index < 1.0
         assert in_punctured_ball(a)
+    # no rank-one target is farther than 1/sqrt(2) from both the pivot and its complement
+    with pytest.raises(DegenerateSpec, match="^could not separate the projections$"):
+        random_pair_spec(53, separation=0.9)
 
 
 def test_orthogonal_pair():

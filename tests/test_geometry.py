@@ -7,9 +7,11 @@ from abscompat import DEFAULT_TOL
 from abscompat.errors import (
     DegenerateSpec,
     DetOutOfRange,
+    DimensionMismatch,
     EmptyInput,
     NotAbsolutelyCompatible,
     NotOnSphere,
+    NotProjection,
     NotStrict,
     OutsideBall,
     SpectralAmbiguity,
@@ -102,6 +104,10 @@ def test_pair_from_projections_degenerate():
         pair_from_projections(P0, P1, 0.5)  # complement of the target
     with pytest.raises(DegenerateSpec):
         pair_from_projections(P0, QHALF, 1.0)
+    # projections, but of rank 0 and 2
+    for pivot in (np.zeros((2, 2)), np.eye(2)):
+        with pytest.raises(NotProjection, match="^expected a rank-one projection$"):
+            pair_from_projections(pivot, QHALF, 0.5)
 
 
 def test_decompose_fixture():
@@ -223,6 +229,13 @@ def test_spheroid_focal_sum():
 
     with pytest.raises(EmptyInput):
         spheroid_residual(a, [])
+
+    # a stack of two references takes (2, k, 2, 2) partners
+    refs = np.array([a, a])
+    with pytest.raises(DimensionMismatch, match=r"^partners do not stack into \(\.\.\., k, n, n\)$"):
+        spheroid_residual(refs, partners[:3])
+    with pytest.raises(EmptyInput, match="^no partner effects supplied$"):
+        spheroid_residual(refs, np.zeros((2, 0, 2, 2)))
 
 
 def test_spheroid_rejects_incompatible_partner():

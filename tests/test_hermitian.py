@@ -14,8 +14,11 @@ from abscompat.errors import (
     NotUnitary,
 )
 from abscompat.hermitian import (
+    _hnorm_beyond,
     _levels,
+    _require,
     _span,
+    _strict_rows,
     absolute_value,
     cluster_indices,
     dagger,
@@ -198,6 +201,44 @@ def test_require_hermitian_rejects_asymmetry():
         require_hermitian(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]), stack=True)
 
 
+def test_a_stack_reports_its_first_non_hermitian_matrix():
+    """Not the largest deviation of the stack: what its first offender
+    reports alone."""
+    def skew(dev):
+        return np.array([[0.0, dev], [0.0, 0.0]])
+
+    message = r"^max deviation from self-adjointness 1\.000e-06 > 1\.000e-10$"
+    with pytest.raises(NotHermitian, match=message):
+        require_hermitian(skew(1e-6))
+    with pytest.raises(NotHermitian, match=message):
+        require_hermitian(np.array([np.eye(2), skew(1e-6), skew(1e-3)]), stack=True)
+
+
+def test_require_reads_the_first_failing_element_in_c_order():
+    """Over a (2, 3) leading shape the first failure in C order is (0, 1),
+    not the (1, 0) that column order meets first; a NaN fails; a value of
+    ok's leading shape is read there, as a Python float or list under %r,
+    and any other value belongs to every element."""
+    values = np.array([[0.0, 5.0, 0.0], [4.0, 0.0, 0.0]])
+    points = np.arange(18.0).reshape(2, 3, 3)
+    _require(values <= 5.0, DomainError, "never raised")
+    with pytest.raises(DomainError, match=r"^5\.0 at \[3\.0, 4\.0, 5\.0\] above 1\.0$"):
+        _require(values <= 1.0, DomainError, "%r at %r above %r", values, points, 1.0)
+    values[0, 1], values[1, 0] = 0.0, np.nan
+    with pytest.raises(DomainError, match=r"^nan at \[9\.0, 10\.0, 11\.0\]$"):
+        _require(values <= 1.0, DomainError, "%r at %r", values, points)
+
+
+def test_the_gate_masks_fail_a_nan():
+    """_strict_rows and _hnorm_beyond, the masks that the strictness and
+    separation gates hand _require, are comparisons that a NaN fails, and
+    _hnorm_beyond takes the exact norm between its two Frobenius cuts."""
+    rows = np.array([[0.5, 0.5], [0.5, np.nan], [0.5, 1.0]])
+    assert _strict_rows(rows, DEFAULT_TOL).tolist() == [True, False, False]
+    h = np.array([np.diag(d) for d in ([1.0, 0.0], [np.nan, 0.0], [0.8e-9, 0.8e-9], [1.2e-9, 0.0], [1e-9, 0.0])])
+    assert _hnorm_beyond(h, 1e-9).tolist() == [True, False, False, True, False]
+
+
 def test_span_is_the_column_projection():
     for i in range(8):
         n = 2 + i % 5
@@ -235,6 +276,10 @@ def test_is_strict():
     rep = is_strict(np.diag([1.0, 0.5, 0.0]))
     assert rep.support_rank == 1 and rep.null_rank == 1
     assert not rep
+
+    rep = is_strict(np.zeros((0, 0)))
+    assert rep.strict and (rep.support_rank, rep.null_rank) == (0, 0)
+    assert np.isnan(rep.spectrum_min) and np.isnan(rep.spectrum_max)
 
 
 def test_strict_complement_property():

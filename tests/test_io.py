@@ -35,6 +35,10 @@ def test_parse_errors():
         matrix_from_json({"n": 1, "entries": [[[1.0]]]})  # cell too short
     with pytest.raises(ParseError):
         matrix_from_json({"n": 1, "entries": [[["a", 0.0]]]})
+    with pytest.raises(ParseError, match="^expected a JSON object with keys 'n' and 'entries'$"):
+        matrix_from_json([[1.0, 0.0]])
+    with pytest.raises(ParseError, match=r"^matrix must be square, got shape \(2, 3\)$"):
+        matrix_to_json(np.zeros((2, 3)))
 
 
 def test_load_missing_file(tmp_path):
