@@ -51,8 +51,8 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object with keys 'n' and 'entries'")
     n = obj.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ParseError("'n' must be a positive integer")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ParseError("'n' must be a non-negative integer")
     entries = obj.get("entries")
     if not isinstance(entries, list) or len(entries) != n:
         raise ParseError("'entries' must be a list of %d rows" % n)

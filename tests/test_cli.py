@@ -19,7 +19,7 @@ from abscompat.generate import (
     haar_unitary, random_abscompat_pair, random_commuting_strict_pair, random_projection,
     random_strict_projection_params,
 )
-from abscompat.io import load_matrix, save_matrix
+from abscompat.io import json_text, load_matrix, matrix_from_json, matrix_to_json, save_matrix
 from abscompat.properties import REGISTRY
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,6 +92,28 @@ def test_decompose_fixture(fixture_files, tmp_path):
     assert cf["residual"] <= 1e-7
     fb = json.loads(blocks.read_text())
     assert set(fb["projections"]) == {"unit_a", "unit_b", "strict", "null_a", "null_b"}
+
+
+def _matrices(obj):
+    if isinstance(obj, dict) and set(obj) == {"n", "entries"}:
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _matrices(value)
+
+
+def test_blocks_file_matrices_load_and_reemit(tmp_path):
+    """Every matrix of a strict pair's --blocks file, the rank-0 blocks
+    included, loads and is written back byte for byte."""
+    prefix = str(tmp_path / "s")
+    blocks = tmp_path / "blocks.json"
+    assert run(["gen", "pair", "--n", "4", "--seed", "1", "--out", prefix]) == 0
+    assert run(["decompose", prefix + "_a.json", prefix + "_b.json",
+                "--blocks", str(blocks), "--out", str(tmp_path / "cf.json")]) == 0
+    found = list(_matrices(json.loads(blocks.read_text())))
+    assert len(found) == 15 and any(m["n"] == 0 for m in found)
+    for m in found:
+        assert json_text(matrix_to_json(matrix_from_json(m))) == json_text(m)
 
 
 def test_decompose_not_compatible(tmp_path):
@@ -294,14 +316,18 @@ def test_fuzz_unknown_suite(capsys):
 def test_cli_import_does_not_load_the_registry():
     """Only fuzz reads the property registry, so importing the CLI, as every
     check, decompose and gen process does, leaves abscompat.properties
-    unloaded."""
+    unloaded; it loads every layer a trace of a CLI process wraps."""
     src = Path(abscompat.__file__).resolve().parent.parent
     env = {**os.environ, **STRICT_WARNINGS, "PYTHONPATH": str(src)}
-    code = "import sys, abscompat.cli; print('abscompat.properties' in sys.modules)"
+    code = ("import json, sys, abscompat.cli\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith('abscompat.')]))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    loaded = set(json.loads(proc.stdout))
+    layers = ("hermitian", "compat", "canonical", "geometry", "generate", "io", "cli")
+    assert {"abscompat." + layer for layer in layers} <= loaded
+    assert "abscompat.properties" not in loaded
 
 
 def test_fuzz_deterministic_bytes(tmp_path):

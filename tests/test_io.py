@@ -41,6 +41,21 @@ def test_parse_errors():
         matrix_to_json(np.zeros((2, 3)))
 
 
+def test_empty_matrix_loads():
+    """A rank-0 block of a five-block file is written as the 0x0 matrix."""
+    blob = matrix_to_json(np.zeros((0, 0), dtype=complex))
+    assert blob == {"n": 0, "entries": []}
+    back = matrix_from_json(blob)
+    assert back.shape == (0, 0) and back.dtype == complex
+    assert matrix_to_json(back) == blob
+
+
+@pytest.mark.parametrize("n", [-1, True, 2.0, "2", None])
+def test_n_must_be_a_non_negative_integer(n):
+    with pytest.raises(ParseError, match="^'n' must be a non-negative integer$"):
+        matrix_from_json({"n": n, "entries": []})
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(ParseError):
         load_matrix(tmp_path / "absent.json")
