@@ -10,7 +10,8 @@ below loads its module on first use and is read from that module on every
 access, so a rebinding of the module's name shows through the package.
 """
 
-import importlib
+import sys as _sys
+from importlib import import_module as _import_module
 
 _EXPORTS = {
     "config": ("DEFAULT_TOL", "Tolerances"),
@@ -54,20 +55,25 @@ _EXPORTS = {
     ),
     "io": ("load_matrix", "matrix_from_json", "matrix_to_json", "save_matrix"),
 }
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_MODULE_OF = {name: __name__ + "." + module
+              for module, names in _EXPORTS.items() for name in names}
 
-__all__ = list(_MODULE_OF)
+__all__ = [*_EXPORTS, *_MODULE_OF]
 __version__ = "0.1.0"
 
 
 def __getattr__(name):
     """A public name, read from its submodule; a submodule of the table, imported."""
+    module = _MODULE_OF.get(name)
+    if module is not None:
+        try:  # a loaded submodule skips the import machinery
+            return getattr(_sys.modules[module], name)
+        except (KeyError, AttributeError):  # not loaded, or still loading in another thread
+            return getattr(_import_module(module), name)
     if name in _EXPORTS:
-        return importlib.import_module("." + name, __name__)
-    if name in _MODULE_OF:
-        return getattr(importlib.import_module("." + _MODULE_OF[name], __name__), name)
+        return _import_module("." + name, __name__)
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def __dir__():
-    return sorted({*globals(), *_EXPORTS, *__all__})
+    return sorted({*globals(), *__all__})

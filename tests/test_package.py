@@ -92,7 +92,7 @@ def test_a_name_loads_only_its_module_chain():
 
 def test_exports_are_the_eager_namespace():
     assert len(NAMES) == 100
-    assert sorted(abscompat.__all__) == sorted(name for _, name in NAMES)
+    assert sorted(abscompat.__all__) == sorted([*EXPORTS, *(name for _, name in NAMES)])
     listed = set(dir(abscompat))
     for module, name in NAMES:
         defining = importlib.import_module("abscompat." + module)
@@ -105,11 +105,19 @@ def test_submodules_resolve_as_attributes():
         assert getattr(abscompat, module) is importlib.import_module("abscompat." + module)
 
 
-def test_star_import_binds_every_export():
+def test_star_import_binds_every_export_and_submodule():
     ns = {}
     exec("from abscompat import *", ns)
+    assert sorted(ns.keys() - {"__builtins__"}) == sorted(abscompat.__all__)
     for module, name in NAMES:
         assert ns[name] is getattr(importlib.import_module("abscompat." + module), name)
+    for module in EXPORTS:
+        assert ns[module] is importlib.import_module("abscompat." + module)
+
+
+def test_private_helpers_are_not_public():
+    assert not hasattr(abscompat, "importlib")
+    assert not hasattr(abscompat, "sys")
 
 
 def test_unknown_names_fail_as_before():
@@ -130,3 +138,21 @@ def test_a_rebound_module_name_shows_through_the_package(monkeypatch):
     assert abscompat.is_abs_compatible is patched
     monkeypatch.undo()
     assert abscompat.is_abs_compatible is original
+
+
+def test_a_loaded_submodule_is_read_without_the_import_machinery(monkeypatch):
+    hermitian = importlib.import_module("abscompat.hermitian")
+    imported = []
+
+    def import_module(name, package=None):
+        imported.append(name)
+        return hermitian
+
+    monkeypatch.setattr(abscompat, "_import_module", import_module)
+    assert abscompat.op_norm is hermitian.op_norm
+    assert imported == []
+    # a submodule still loading (in sys.modules, name not yet bound) goes
+    # through the import machinery, which waits for it to finish
+    monkeypatch.setitem(sys.modules, "abscompat.hermitian", type(sys)("abscompat.hermitian"))
+    assert abscompat.op_norm is hermitian.op_norm
+    assert imported == ["abscompat.hermitian"]
