@@ -95,7 +95,10 @@ class SiteBlockMatrix:
     blocks: np.ndarray
 
     def __post_init__(self):
-        blocks = np.asarray(self.blocks, dtype=complex)
+        try:
+            blocks = np.asarray(self.blocks, dtype=complex)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError("site blocks must be numeric: %s" % exc) from exc
         if blocks.ndim != 3 or blocks.shape[1:] != (2, 2) or blocks.shape[0] < 1:
             raise DimensionMismatch("site blocks must have shape (m, 2, 2)")
         object.__setattr__(self, "blocks", blocks)

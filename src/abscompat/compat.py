@@ -18,6 +18,11 @@ whole pair's residual plus its off-block norms bound the block's residual
 from above, so five_block_decompose takes it Frobenius-first too, and a
 five-block call makes 5 eigh and no eigvalsh, where factorizing the
 strict block again and taking the exact residual would make 7 and 4.
+
+is_abs_compatible and projection_compat_equiv take stacks of pairs and
+run each in one pass: a stack raises at the first check that any pair
+fails, with the message of the first such pair in C order
+(hermitian._require), so one failing pair raises what it raises alone.
 """
 
 import math
@@ -44,7 +49,6 @@ from .hermitian import (
     _hnorm_upto,
     _levels,
     _projection,
-    _first_failing,
     _require,
     _span,
     _strict_rows,
@@ -186,11 +190,12 @@ def is_abs_compatible(a, b, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
     in a canonical order before any floating-point work.  A residual
     within tol.spec, less a rounding allowance, certifies both operands
     as effects (_certified_pair); otherwise each is validated by its
-    spectrum.  A stack with an invalid pair raises what the first such
-    pair raises alone.
+    spectrum.  A stack raises at the first check that any pair fails,
+    with the message of the first such pair in C order
+    (hermitian._require); so a stack with one invalid pair raises what
+    that pair raises alone.
     """
-    res = _first_failing(lambda a, b: _certified_pair(*_hermitian_pair(a, b, tol, stack=True), tol)[0],
-                         (2, 2), a, b)
+    res = _certified_pair(*_hermitian_pair(a, b, tol, stack=True), tol)[0]
     return CompatReport(res, res <= tol.compat, tol.compat)
 
 
@@ -203,10 +208,6 @@ def is_orthogonal(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
 def projection_compat_equiv(p, a, tol: Tolerances = DEFAULT_TOL):
     """(lhs, rhs) of the criterion: p absolutely compatible with a  <=>  pa = ap,
     for one pair or as arrays over two (..., n, n) stacks."""
-    return _first_failing(lambda p, a: _projection_compat_equiv(p, a, tol), (2, 2), p, a)
-
-
-def _projection_compat_equiv(p, a, tol: Tolerances):
     p = _projection(p, tol, stack=True)
     a = _effect(a, tol, stack=True)[0]
     if p.shape != a.shape:

@@ -22,8 +22,11 @@ bloch_point, sphere_to_ball, ball_to_sphere and spheroid_residual take
 (..., 2, 2) stacks (indices (...), chart points (..., 3)) and return
 results stacked over the same leading axes; one pair keeps its 2-D
 shapes and float fields.  Every gate applies to each element, and a
-failing stack raises what its first failing element raises alone
-(hermitian._first_failing).
+stack runs in one pass: it raises at the first gate that any element
+fails, with the message of the first such element in C order
+(hermitian._require), so one failing element raises what it raises
+alone, and partners that do not stack raise the DomainError of
+as_matrix.
 """
 
 import math
@@ -48,7 +51,6 @@ from .errors import (
 )
 from .hermitian import (
     _effects,
-    _first_failing,
     _hermitian_pair,
     _hnorm_beyond,
     _hnorm_upto,
@@ -122,7 +124,7 @@ def _chart(x) -> np.ndarray:
 def bloch_point(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Chart a trace-one 2x2 effect to (x[0,0], Re x[0,1], Im x[0,1]), or
     each of a (..., 2, 2) stack to (..., 3)."""
-    return _first_failing(lambda x: _bloch(require_hermitian(x, tol, stack=True), tol), (2,), x)
+    return _bloch(require_hermitian(x, tol, stack=True), tol)
 
 
 def bloch_matrix(pt, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -218,11 +220,6 @@ def pair_from_projections(pivot, target, index, tol: Tolerances = DEFAULT_TOL):
 
     Mixtures of exactly Hermitian matrices with real weights are exactly
     Hermitian, so A and B need no hermitize."""
-    return _first_failing(lambda *spec: _pair_from_projections(*spec, tol), (2, 2, 0),
-                          pivot, target, index)
-
-
-def _pair_from_projections(pivot, target, index, tol: Tolerances):
     pivot, target, index = _validate_spec(pivot, target, index, tol)
     a, b = _mixed_pair(_axes(index, 2), pivot, target, np.eye(2, dtype=complex) - target)
     return _built_pair(a, b, tol, (DegenerateSpec, "projections too close to degeneracy at this tolerance"))
@@ -239,10 +236,6 @@ def decompose_pair_m2(a, b, tol: Tolerances = DEFAULT_TOL) -> PairSpec:
     it within tol.geo.  A pair whose spectra do not pair up as the form's
     raises SpectralAmbiguity.
     """
-    return _first_failing(lambda a, b: _decompose_pair_m2(a, b, tol), (2, 2), a, b)
-
-
-def _decompose_pair_m2(a, b, tol: Tolerances) -> PairSpec:
     a, b = _hermitian_pair(a, b, tol, stack=True)
     if a.shape[-2:] != (2, 2):
         _effects(a, b, tol)
@@ -285,42 +278,27 @@ def _pivotal_sphere(p, index) -> PivotalSphere:
     return PivotalSphere(pivot=p, index=index, center=0.5 * (p + far), radius=0.5 * index)
 
 
-# element axes of a PivotalSphere's fields (pivot, index, center, radius)
-# and of a chart point, for _first_failing
-_SPHERE_AXES = (1, 0, 1, 0, 1)
-
-
-def _sphere_fields(sphere: PivotalSphere) -> tuple:
-    return sphere.pivot, sphere.index, sphere.center, sphere.radius
-
-
 def sphere_to_ball(sphere: PivotalSphere, point, tol: Tolerances = DEFAULT_TOL):
     """Point C on the pivotal sphere -> the unique R on the chart ball with
     C = (1-index) pivot + index R, plus the antipode of R; (..., 3) points
     for a stacked sphere."""
-    def to_ball(pivot, index, center, radius, point):
-        point = _point(point, np.shape(index))
-        _require(np.abs(_vnorm(point - center) - radius) <= tol.geo, NotOnSphere,
-                 "point is not on the pivotal sphere")
-        r = pivot + (point - pivot) / _axes(index, 1)
-        return r, 2.0 * BALL_CENTER - r
-
-    return _first_failing(to_ball, _SPHERE_AXES, *_sphere_fields(sphere), point)
+    point = _point(point, np.shape(sphere.index))
+    _require(np.abs(_vnorm(point - sphere.center) - sphere.radius) <= tol.geo, NotOnSphere,
+             "point is not on the pivotal sphere")
+    r = sphere.pivot + (point - sphere.pivot) / _axes(sphere.index, 1)
+    return r, 2.0 * BALL_CENTER - r
 
 
 def ball_to_sphere(sphere: PivotalSphere, point, tol: Tolerances = DEFAULT_TOL):
     """Point R on the chart ball boundary -> (C, D) antipodal on the
     pivotal sphere, C = (1-index) pivot + index R; (..., 3) points for a
     stacked sphere."""
-    def to_sphere(pivot, index, center, radius, point):
-        point = _point(point, np.shape(index))
-        _require(np.abs(_vnorm(point - BALL_CENTER) - BALL_RADIUS) <= tol.geo, NotOnSphere,
-                 "point is not on the chart ball")
-        lam = _axes(index, 1)
-        c = (1.0 - lam) * pivot + lam * point
-        return c, 2.0 * center - c
-
-    return _first_failing(to_sphere, _SPHERE_AXES, *_sphere_fields(sphere), point)
+    point = _point(point, np.shape(sphere.index))
+    _require(np.abs(_vnorm(point - BALL_CENTER) - BALL_RADIUS) <= tol.geo, NotOnSphere,
+             "point is not on the chart ball")
+    lam = _axes(sphere.index, 1)
+    c = (1.0 - lam) * sphere.pivot + lam * point
+    return c, 2.0 * sphere.center - c
 
 
 @dataclass(frozen=True)
@@ -349,11 +327,6 @@ def geometry_report(pivot, target, index, tol: Tolerances = DEFAULT_TOL) -> Geom
     parallelism of AB and QQ', the right angle at the pivot, and
     antipodality of A and B on the pivotal sphere.  For a stack of specs
     the sphere, the points and the residuals are stacked."""
-    return _first_failing(lambda *spec: _geometry_report(*spec, tol), (2, 2, 0),
-                          pivot, target, index)
-
-
-def _geometry_report(pivot, target, index, tol: Tolerances) -> GeometryReport:
     pivot, target, index = _validate_spec(pivot, target, index, tol)
     sphere = _pivotal_sphere(_bloch(pivot, tol), index)
 
@@ -403,44 +376,30 @@ def spheroid_residual(a, partners, tol: Tolerances = DEFAULT_TOL) -> SpheroidSta
     the ball centre (the image of 1 - A).  A (..., 2, 2) stack of
     references takes (..., k, 2, 2) partners.
 
-    The partners are validated, charted and checked as one stack.  When
-    any fails, each is checked alone, in order, so the error is the one
-    the first failing partner raises by itself (_first_failing).
+    The partners are validated, charted and checked as one stack, which
+    raises at the first check that any partner fails, with the message of
+    the first such partner in C order (hermitian._require): one failing
+    partner raises what it raises alone.  Partners that do not stack into
+    one array raise the DomainError of as_matrix.
     """
-    return _first_failing(lambda a, partners: _spheroid(a, partners, tol), (2, 3),
-                          a, list(partners))
-
-
-def _spheroid(a, partners, tol: Tolerances) -> SpheroidStats:
-    if not len(partners):
+    partners = list(partners)
+    if not partners:
         raise EmptyInput("no partner effects supplied")
     a, focus = _reference_focus(a, tol)
     mirror = 2.0 * BALL_CENTER - focus
-
-    def stacked(partners, a):
-        xs = as_matrix(partners, stack=True)
-        if xs.shape[:-3] != a.shape[:-2] or xs.ndim != a.ndim + 1:
-            raise DimensionMismatch("partners do not stack into (..., k, n, n)")
-        if xs.shape[-3] == 0:
-            raise EmptyInput("no partner effects supplied")
-        return _partner_points(a[..., None, :, :], require_hermitian(xs, tol, stack=True), tol)
-
-    pts = _first_failing(stacked, (2, 2), partners, a,
-                         alone=lambda x, a: _partner_points(a, require_hermitian(x, tol), tol))
+    xs = as_matrix(partners, stack=True)
+    if xs.shape[:-3] != a.shape[:-2] or xs.ndim != a.ndim + 1:
+        raise DimensionMismatch("partners do not stack into (..., k, n, n)")
+    if xs.shape[-3] == 0:
+        raise EmptyInput("no partner effects supplied")
+    # each partner must be an effect, then in the chart's domain, then compatible with a
+    xs = require_hermitian(xs, tol, stack=True)
+    _require_unit_interval(np.linalg.eigvalsh(xs), tol)
+    pts = _bloch(xs, tol)
+    _require_compatible(_pair_spectra(np.broadcast_to(a[..., None, :, :], xs.shape), xs, tol.compat), tol)
     sums = _vnorm(pts - focus[..., None, :]) + _vnorm(pts - mirror[..., None, :])
     mean = np.mean(sums, axis=-1)
     spread = np.max(sums, axis=-1) - np.min(sums, axis=-1)
     relative = np.divide(spread, mean, out=np.zeros_like(spread), where=mean > 0)
     return SpheroidStats(count=sums.shape[-1], mean=_per_matrix(mean), spread=_per_matrix(spread),
                          relative_spread=_per_matrix(relative))
-
-
-def _partner_points(a, xs, tol: Tolerances) -> np.ndarray:
-    """Chart points of the Hermitian xs absolutely compatible with a, one
-    or a stack broadcast against a: each must be an effect, then in the
-    chart's domain, then compatible with a, and one partner raises what
-    it fails first."""
-    _require_unit_interval(np.linalg.eigvalsh(xs), tol)
-    pts = _bloch(xs, tol)
-    _require_compatible(_pair_spectra(np.broadcast_to(a, xs.shape), xs, tol.compat), tol)
-    return pts

@@ -16,11 +16,11 @@ into a stack costs more than the call it saves, and numpy's stacked
 matmul is about twice as slow as the same products made one by one.  So
 _factor_each stacks factorizations up to _STACK_N, and products are
 stacked only for small matrices.  The compatibility check and the
-dimension-2 entry points take stacks too; _first_failing makes a failing
-stack raise what its first failing element raises alone.  Raw input is
-validated once, at an entry point, by as_matrix, require_hermitian,
-_hermitian_pair, _effect or _projection, whose stack=True admits a
-stack; the private cores take the Hermitian arrays they return.
+dimension-2 entry points take stacks too, and run each stack in one
+pass, never element by element.  Raw input is validated once, at an
+entry point, by as_matrix, require_hermitian, _hermitian_pair, _effect
+or _projection, whose stack=True admits a stack; the private cores take
+the Hermitian arrays they return.
 
 One strictness cut: a value is at 1 from 1 - tol.spec up and at 0 up
 to tol.spec in every such decision of the package, for kernels and
@@ -32,10 +32,13 @@ those of the canonical module) test the open interval between them.
 One gate: every check of a computed value against a tolerance or a
 domain bound, here and in compat.py, canonical.py and geometry.py,
 raises through _require.  It fails a NaN and builds its message from
-the first failing element of a stack in C order, the order
-_first_failing walks, so each stacked check, require_hermitian's
-included, reports what its first failing element reports alone.  Type
-and shape checks raise where they stand.
+the first failing element of a stack in C order, so each stacked check,
+require_hermitian's included, reports what its first failing element
+reports alone.  A stack thus raises at the first check that any element
+fails, with that check's error for the first such element: one failing
+element raises what it raises alone, and an argument that does not
+stack into one array raises the DomainError of as_matrix.  Type and
+shape checks raise where they stand.
 """
 
 from dataclasses import dataclass
@@ -148,7 +151,7 @@ def _fnorm(h):
     values, so never below the operator norm, their largest.  A float for
     one matrix, else an array; vecdot reduces with the BLAS dot that
     np.vdot uses, so each norm has the bits np.vdot gives it."""
-    flat = h.reshape(h.shape[:-2] + (-1,))
+    flat = h.reshape(h.shape[:-2] + (h.shape[-2] * h.shape[-1],))
     return _per_matrix(np.sqrt(np.vecdot(flat, flat).real))
 
 
@@ -194,11 +197,13 @@ def _require(ok, error, message: str, *values) -> None:
     gate of every check of a computed value against a bound.
 
     ok is a bool or a mask over leading axes, a comparison that a NaN
-    fails (`value <= bound`, `low < value`), never a negated one.  The message reads each value at the first element,
-    in C order (the order _first_failing walks), where ok fails: a value
-    whose shape starts with ok's is read there, any other belongs to
-    every element.  What it reads becomes a Python float, list or str, so
-    a stack's message is the one its first offender raises alone.
+    fails (`value <= bound`, `low < value`), never a negated one.  The
+    message reads each value at the first element, in C order, where ok
+    fails: a value whose shape starts with ok's is read there, any other
+    belongs to every element.  What it reads becomes a Python float, list
+    or str, so a stack's message is the one its first offender raises
+    alone, and a stacked entry point, which runs every check over the
+    whole stack, raises at the first check that any element fails.
     """
     if np.all(ok):
         return
@@ -206,49 +211,6 @@ def _require(ok, error, message: str, *values) -> None:
     at = np.unravel_index(np.argmin(ok), lead)
     read = (np.asarray(v)[at] if np.shape(v)[:len(lead)] == lead else np.asarray(v) for v in values)
     raise error(message % tuple(v.tolist() for v in read))
-
-
-def _first_failing(fn, cores, *args, alone=None):
-    """fn(*args), where args[k] stacks elements of cores[k] axes over the
-    leading axes of args[0], and an arg of only cores[k] axes belongs to
-    every element.  When fn raises, each element goes alone, in order,
-    to alone (fn by default), so the error raised is the one the first
-    failing element raises by itself."""
-    try:
-        return fn(*args)
-    except AbscompatError:
-        for element in _elements(cores, args):
-            (alone or fn)(*element)
-        raise
-
-
-def _elements(cores, args) -> list:
-    """The elements of args in order, none when the args do not split over
-    one leading shape; a list that does not stack splits into its items."""
-    try:
-        first = np.asarray(args[0])
-    except ValueError:
-        if not isinstance(args[0], list):
-            return []
-        first, lead = args[0], (len(args[0]),)
-    else:
-        lead = first.shape[:max(first.ndim - cores[0], 0)]
-    if not lead:
-        return []
-    columns = [first]
-    for x, core in zip(args[1:], cores[1:]):
-        try:
-            x = np.asarray(x)
-        except ValueError:
-            return []
-        if x.ndim == core:
-            x = None
-        elif x.shape[:x.ndim - core] != lead:
-            return []
-        columns.append(x)
-    return [tuple(whole if x is None else x[i[0]] if isinstance(x, list) else x[i]
-                  for x, whole in zip(columns, args))
-            for i in np.ndindex(*lead)]
 
 
 def identity_like(x) -> np.ndarray:

@@ -17,7 +17,10 @@ def json_text(obj) -> str:
 
 
 def matrix_to_json(x) -> dict:
-    x = np.asarray(x, dtype=complex)
+    try:
+        x = np.asarray(x, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError("matrix must be numeric: %s" % exc) from exc
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ParseError("matrix must be square, got shape %r" % (x.shape,))
     return {"n": int(x.shape[0]), "entries": np.stack([x.real, x.imag], -1).tolist()}

@@ -14,6 +14,7 @@ import pytest
 
 from abscompat import DEFAULT_TOL, AbscompatError
 from abscompat.canonical import (
+    SiteBlockMatrix,
     StrictProjectionParams,
     StrictUnitaryParams,
     canonicalize,
@@ -40,6 +41,7 @@ from abscompat.errors import (
     NotHermitian,
     NotStrict,
     NotStrictParams,
+    ParseError,
     PostconditionFailure,
 )
 from abscompat.generate import random_abscompat_pair, random_pair_spec, random_spheroid_partners
@@ -55,7 +57,7 @@ from abscompat.geometry import (
     sphere_to_ball,
     spheroid_residual,
 )
-from abscompat.io import save_matrix
+from abscompat.io import matrix_to_json, save_matrix
 
 NAN, INF = float("nan"), float("inf")
 EMPTY = np.zeros((0, 0))
@@ -215,6 +217,18 @@ def test_reference_effect_errors_keep_their_class(reference, error):
         random_spheroid_partners(reference, 2, 1)
     if error is DegenerateSpec:
         assert not in_punctured_ball(reference)
+
+
+@pytest.mark.parametrize("convert, error, message", [
+    (SiteBlockMatrix, DomainError, "site blocks must be numeric"),
+    (matrix_to_json, ParseError, "matrix must be numeric"),
+], ids=["SiteBlockMatrix", "matrix_to_json"])
+def test_converters_reject_non_numeric_input(convert, error, message):
+    """The site-block record and the JSON writer raise a package error on
+    input numpy cannot make complex, as the other converters do."""
+    for x in ("a", [[1, "x"], [2, 3]], [[[1, 2], [3]]]):
+        with pytest.raises(error, match="^" + message):
+            convert(x)
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Tolerances)])

@@ -1,7 +1,10 @@
 """The spectral core, the stack-native entry points, the batched
 properties and the stacked draws: each element of a stack gets the bits
-it gets alone, and a failing stack raises what its first failing element
-raises on its own."""
+it gets alone.  A failing stack raises at the first check that any of
+its elements fails, with the message of the first such element in C
+order, so a stack with one failing element raises what that element
+raises on its own, and a list that does not stack raises the DomainError
+of as_matrix."""
 
 import dataclasses
 
@@ -28,6 +31,7 @@ from abscompat.compat import (
 from abscompat.errors import (
     DegenerateSpec,
     DimensionMismatch,
+    DomainError,
     NotAbsolutelyCompatible,
     NotHermitian,
     PostconditionFailure,
@@ -304,10 +308,11 @@ def test_spheroid_raises_what_the_first_failing_partner_raises(fault, position):
     assert want is not None and want[0] is {"non-hermitian": NotHermitian, "trace": TraceNotOne,
                                              "incompatible": NotAbsolutelyCompatible}[fault]
     assert _error(spheroid_residual, a, partners) == want
-    # a fault of an earlier stage further on does not take over
+    # a non-Hermitian partner further on takes over: hermiticity is checked
+    # for every partner before trace and compatibility
     if position < 7:
         partners[7] = _faults()["non-hermitian"](partners[7])
-        assert _error(spheroid_residual, a, partners) == want
+        assert _error(spheroid_residual, a, partners) == _error(spheroid_residual, a, partners[7:8])
 
 
 @pytest.mark.parametrize("scale", [0.5, 0.9, 1.1, 1.3, 2.0])
@@ -330,13 +335,16 @@ def test_separation_decisions_equal_the_exact_norm(scale):
 
 
 def test_spheroid_partners_of_other_shapes_fail_like_the_loop():
+    """The loop rejects each mixed list; the list does not stack, so the
+    stacked check raises the DomainError of as_matrix, whose message ends
+    in numpy's own text."""
     a, _ = pair_from_projections(*random_pair_spec(derive_seed(28, 0)))
     partners = random_spheroid_partners(a, 4, derive_seed(28, 1))
     for bad in (np.eye(3) / 3, np.ones(2) / 2, "abc", np.stack(partners[:2])):
         mixed = partners[:2] + [bad] + partners[2:]
-        want = _error(_reference_spheroid_error, a, mixed, DEFAULT_TOL)
-        assert want is not None
-        assert _error(spheroid_residual, a, mixed) == want
+        assert _error(_reference_spheroid_error, a, mixed, DEFAULT_TOL) is not None
+        cls, message = _error(spheroid_residual, a, mixed)
+        assert cls is DomainError and message.startswith("expected a numeric matrix"), message
 
 
 # --- the stack-native entry points: a stack equals its scalar calls ---
@@ -504,11 +512,50 @@ def test_failing_stack_raises_what_its_first_failing_element_raises(name, fault)
     want = _error(fn, *(x[37] for x in stacks))
     assert want is not None
     assert _error(fn, *stacks) == want
-    # a fault of another kind further on does not take over
+    # with a second fault at 50, the stack raises at the first check either
+    # element fails, so it raises what 37 or 50 raises alone, and 37's error
+    # when both fail the same check
     for other in FAULTS[name]:
         spoiled = [x.copy() for x in stacks]
         FAULTS[name][other](spoiled, 50)
-        assert _error(fn, *spoiled) == want, other
+        got = _error(fn, *spoiled)
+        assert got in (want, _error(fn, *(x[50] for x in spoiled))), other
+        if other == fault:
+            assert got == want, other
+
+
+@pytest.mark.parametrize("name, fault", [(name, f) for name in ("is_abs_compatible", "decompose_pair_m2")
+                                         for f in FAULTS[name]])
+def test_failing_stack_costs_the_same_wherever_its_bad_element_sits(monkeypatch, name, fault):
+    """A stack is checked in one pass, so the same bad pair first or last
+    in it takes the same numpy.linalg calls."""
+    fn, *stacks = STACKED[name](4)
+    stacks = [x.copy() for x in stacks]
+    FAULTS[name][fault](stacks, 0)
+    last = [np.roll(x, -1, axis=0) for x in stacks]
+    assert _error(fn, *stacks) == _error(fn, *last) is not None
+    names = ("eigh", "eigvalsh", "svd", "det", "qr", "norm")
+    calls = _count_calls(monkeypatch, names)
+    made = []
+    for args in (stacks, last):
+        calls.update(dict.fromkeys(names, 0))
+        _error(fn, *args)
+        made.append(dict(calls))
+    assert made[0] == made[1], made
+
+
+@pytest.mark.parametrize("name", sorted(STACKED))
+def test_empty_stack_returns_empty_results_or_raises_a_package_error(name):
+    """No bare numpy exception: a (0, ...) stack returns results stacked
+    over no element, which its own empty slice leaves as they are, or
+    raises an AbscompatError."""
+    fn, *stacks = STACKED[name](4)
+    none = slice(0, 0)
+    try:
+        got = fn(*(_element(x, none) for x in stacks))
+    except AbscompatError:
+        return
+    assert _bits(_element(got, none)) == _bits(got)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 4])
