@@ -8,16 +8,19 @@ where b vanishes, and a strict remainder.
 A check is settled by the cheapest certificate that settles it, and a
 factorization runs only when the certificate is inconclusive: a small
 compatibility residual proves both operands are effects
-(_certified_pair), and a Frobenius norm within a bound proves the
-operator norm is too (hermitian._hnorm_upto), so a residual that is
-only compared with tol.compat is taken Frobenius-first.  Five-block
-certifies its strict block from what it already holds: the spectra the
-block interlaces clear the strictness cut (_strict_by_interlacing), and the
-whole pair's residual plus its off-block norms bound the block's residual
-(_strict_block_bound).  That bound needs the whole pair's residual only
-from above, so five_block_decompose takes it Frobenius-first too, and a
-five-block call makes 5 eigh and no eigvalsh, where factorizing the
-strict block again and taking the exact residual would make 7 and 4.
+(_certified_pair), a Sylvester bound from the one eigh of 1-a-b proves
+the residual is small (_sylvester_bounds), and a Frobenius norm within
+a bound proves the operator norm is too (hermitian._hnorm_upto).  So a
+residual that is only compared with tol.compat factorizes 1-a-b alone,
+and a-b only for a pair the bound leaves open.  Five-block certifies
+its strict block from what it already holds: the spectra the block
+interlaces clear the strictness cut (_strict_by_interlacing), and the
+whole pair's residual plus its off-block norms bound the block's
+residual (_strict_block_bound).  That bound needs the whole pair's
+residual only from above, so five_block_decompose takes the Sylvester
+bound too, and a five-block call makes 4 eigh and no eigvalsh, where
+taking the pair's exact residual and factorizing the strict block again
+for its own would make 7 and 4.
 
 is_abs_compatible and projection_compat_equiv take stacks of pairs and
 run each in one pass: a stack raises at the first check that any pair
@@ -48,6 +51,7 @@ from .hermitian import (
     _hnorm,
     _hnorm_upto,
     _levels,
+    _per_matrix,
     _projection,
     _require,
     _span,
@@ -96,21 +100,87 @@ def _canonical_order(a, b):
 
 
 def _pair_spectra(a, b, bound=None):
-    """|| |a-b| + |1-a-b| - 1 || from one eigh of the stack [a-b, 1-a-b]
-    (_factor_each); a residual that is only compared with a bound is
-    taken Frobenius-first (_hnorm_upto), and is exact where it exceeds it.
+    """|| |a-b| + |1-a-b| - 1 ||, exactly from one eigh of the stack
+    [a-b, 1-a-b] (_factor_each); a residual that is only compared with a
+    bound is first bounded from one eigh of 1-a-b (_sylvester_bounds), and
+    only a pair that bound leaves open takes the eigh of a-b and its
+    residual Frobenius-first (_hnorm_upto), exact where it exceeds the
+    bound.  No matrix is factorized twice.
 
     a and b may be stacks of pairs of one shape; the residual is then an
     array.  Each pair is put in a canonical order before any
     floating-point work, so the residual is symmetric in (a, b) to the
     last bit.  The two halves are composed apart, each on its own, so one
-    pair's products are plain 2-D products.
+    pair's products are plain 2-D products.  With a bound, a Sylvester
+    bound is never below the exact residual and a Frobenius-first value
+    never below the computed one, and a value within the bound is one the
+    two-eigh computation puts within it too (_sylvester_bounds).
     """
     a, b = _canonical_order(a, b)
     one = identity_like(a)
-    (dvals, dvecs), (zvals, zvecs) = _factor_each(np.linalg.eigh, a - b, one - a - b)
-    excess = _compose(np.abs(dvals), dvecs) + _compose(np.abs(zvals), zvecs) - one
-    return _hnorm(excess) if bound is None else _hnorm_upto(excess, bound)
+    if bound is None:
+        (dvals, dvecs), (zvals, zvecs) = _factor_each(np.linalg.eigh, a - b, one - a - b)
+        return _hnorm(_compose(np.abs(dvals), dvecs) + _compose(np.abs(zvals), zvecs) - one)
+    zvals, zvecs = np.linalg.eigh(one - a - b)
+    residual, certified = _sylvester_bounds(a, b, zvals, zvecs, bound)
+    if not np.all(certified):
+        at = np.nonzero(~certified) if certified.ndim else ()
+        dvals, dvecs = np.linalg.eigh(a[at] - b[at])
+        excess = _compose(np.abs(dvals), dvecs) + _compose(np.abs(zvals[at]), zvecs[at]) - one
+        residual[at] = _hnorm_upto(excess, bound)
+    return _per_matrix(residual)
+
+
+def _sylvester_bounds(a, b, zvals, zvecs, bound):
+    """(s, certified) for each pair of n x n Hermitian (a, b), arrays over
+    leading axes, from the eigh (zvals, zvecs) of 1-a-b alone: certified
+    masks the pairs whose Sylvester bound s on the compatibility residual
+    is within bound; s is no bound where certified is False.
+
+    With c = 1-a-b, d = a-b, X = 1 - |c| and mu = 1 - ||c||, the residual
+    is r = || |d| - X ||.  Exactly,
+
+        X^2 - d^2 = 1 - 2|c| + c^2 - d^2 = 2c - 2|c| + 2(ab + ba)
+                  = 2(ab + ba) - 4c-,
+
+    with c- the negative part of c, so Z = X^2 - d^2 needs only
+    products.  Sylvester step: Y = X - |d| solves XY + Y|d| = Z, and in
+    eigenbases of X >= mu and |d| >= 0 its entries are those of Z over
+    x_i + t_j >= mu, so r <= ||Y||_F <= ||Z||_F / mu when mu > 0
+    (Bhatia, Matrix Analysis, 1997, VII.2).  On a compatible pair
+    |d| = X, so Z = 0: the canonical form has |a-b| = x0 and
+    |1-a-b| = 1 - x0 on every site, and mu is the least x0.
+
+    From computed to exact.  The computed eigh is exact for c + E, with
+    E its backward error (p(n) u ||c||, LAPACK Users' Guide, section 4.7)
+    plus the rounding of 1-a-b, and the computed V diag(zvals-) V* is
+    (c + E)- up to the departure of V from a unitary, about n u.  The
+    Hilbert-Schmidt continuity of x -> |x| (|| |S| - |T| ||_F <=
+    ||S - T||_F for Hermitian S and T, as in _strict_block_bound) carries
+    over to x- = (|x| - x)/2, so ||(c + E)- - c-||_F <= ||E||_F, and by
+    Weyl's inequality mu >= 1 - max|zvals| - ||E||.  The product ab + ba
+    rounds by about n u ||a|| ||b||, where ||a + b|| = ||1 - c|| <= 2
+    and ||d||^2 <= ||X^2|| + ||Z|| <= 1 + ||Z||, so each of ||a||, ||b||
+    is below about 2 wherever ||Z|| is small.  delta(n) = _ROUNDING n =
+    2e3 n u covers each of these errors, as in _certified_pair; so with
+    Z and mu as computed,
+
+        r <= (||Z||_F + delta(n)) / (mu - delta(n)) = s,
+
+    the bound returned, whose own few relative roundings are far inside
+    delta(n); measured, the computed ||Z||_F stays below 6 n eps on
+    exactly compatible pairs for n from 2 to 256.  s exceeds r by at
+    least about delta(n) / mu >= delta(n), more than the rounding of the
+    residual from two eigh (below 2.3 n eps, measured for n from 2 to
+    256), so a pair it certifies is one that residual passes too.  A
+    pair with mu near 0, such as one with a = b = 1 on a vector, gets no
+    bound within reach and stays open.
+    """
+    allowance = _ROUNDING * a.shape[-1]
+    products = 4.0 * _fnorm(hermitize(a @ b) - _compose(np.maximum(-zvals, 0.0), zvecs)) + allowance
+    gap = 1.0 - np.abs(zvals).max(axis=-1, initial=0.0) - allowance
+    certified = products <= bound * gap
+    return np.asarray(products / np.where(certified, gap, 1.0)), certified
 
 
 def _require_compatible(residual, tol: Tolerances) -> None:
@@ -137,7 +207,9 @@ def _certified_pair(a, b, tol: Tolerances, compared: bool = False):
     and the spectra (va, vb) of _effects otherwise; raises what _effects
     raises, in its order, when they are not effects.  With compared=True,
     for a caller that only compares the residual with tol.compat, the
-    residual is taken Frobenius-first.
+    residual is the Sylvester bound from the eigh of 1-a-b alone where
+    that is within tol.compat, and Frobenius-first elsewhere
+    (_pair_spectra).
 
     A small residual proves both operands are effects.  With c = 1-a-b,
     d = a-b, their positive and negative parts c+, c-, d+, d- and
@@ -163,8 +235,12 @@ def _certified_pair(a, b, tol: Tolerances, compared: bool = False):
     effect has and which could overflow a - b; a shape mismatch) _effects
     decides.  A stack is certified when every pair of it is, and
     validated whole otherwise.
-    A Frobenius-first residual is never below the exact one, so what it
-    certifies the exact residual certifies too.
+    A Frobenius-first residual is never below the computed one, so what
+    it certifies the computed residual certifies too.  A Sylvester bound
+    r is never below the exact residual of the pair, the rounding of
+    both eigh included (_sylvester_bounds), so the exact spectra lie in
+    [-r/2, 1 + r/2] and only the final eigvalsh's rounding is left for
+    delta(n): r + delta(n) <= tol.spec still certifies both operands.
     """
     bound = tol.compat if compared else None
     residual = None
@@ -260,7 +336,8 @@ def five_block_decompose(a, b, tol: Tolerances = DEFAULT_TOL) -> FiveBlockDecomp
     splits it into its b = 1 part (unit_b), its b = 0 part (null_b) and
     the strict block.  _reduced_blocks checks the reduction claim.  The
     pair runs through _five_blocks as a batch of one, which takes the
-    residual it only bounds with Frobenius-first.
+    residual it only bounds from the eigh of 1-a-b alone
+    (_sylvester_bounds).
     """
     a, b = _hermitian_pair(a, b, tol)
     _, ((_, bases, blocks_a, blocks_b),) = _five_blocks(a, b, tol, compared=True)
@@ -282,8 +359,9 @@ def _five_blocks(a, b, tol: Tolerances, compared: bool = False):
     (..., n, n) stacks: (the compatibility residual its certificate
     computed, one _Blocks per pattern of block ranks).  With
     compared=True, for a caller that does not report the residual, it is
-    taken Frobenius-first (_certified_pair); the strict-block bound only
-    needs a value never below the exact residual.
+    the Sylvester bound where that settles the pair (_certified_pair);
+    the strict-block bound only needs a value never below the exact
+    residual.
 
     The certificate and the eigh of a run on the whole stack.  eigh sorts
     each spectrum in ascending order, so the kernel of a is a prefix of

@@ -57,7 +57,7 @@ def _streams(seeds):
         yield gen
 
 
-def _generator(seed) -> np.random.Generator:
+def _generator(seed) -> "np.random.Generator":
     return next(_streams([seed]))
 
 

@@ -380,9 +380,13 @@ def spheroid_residual(a, partners, tol: Tolerances = DEFAULT_TOL) -> SpheroidSta
     raises at the first check that any partner fails, with the message of
     the first such partner in C order (hermitian._require): one failing
     partner raises what it raises alone.  Partners that do not stack into
-    one array raise the DomainError of as_matrix.
+    one array raise the DomainError of as_matrix, and partners that are
+    no iterable a DomainError of their own.
     """
-    partners = list(partners)
+    try:
+        partners = list(partners)
+    except TypeError as exc:
+        raise DomainError("partners must be an iterable of effects, got %s" % type(partners).__name__) from exc
     if not partners:
         raise EmptyInput("no partner effects supplied")
     a, focus = _reference_focus(a, tol)

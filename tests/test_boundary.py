@@ -32,11 +32,13 @@ from abscompat.compat import (
     five_block_decompose,
     is_abs_compatible,
     is_orthogonal,
+    projection_compat_equiv,
 )
 from abscompat.generate import (
     derive_seed,
     haar_unitary,
     random_abscompat_pair,
+    random_commuting_projection_effect,
     random_pair_spec,
     random_spheroid_partners,
     random_strict_effect,
@@ -144,11 +146,11 @@ def _n96_pairs():
 #    operands as strict effects and the pair as compatible, so neither
 #    is factorized again; the same count for a stack of pairs, each
 #    call on the whole stack;
-#  - five_block_decompose: the two eigh of the residual, whose Frobenius
-#    norm certifies both operands and is all the strict-block bound
-#    needs, one eigh of a, and one eigh of b on each of the kernel of a
-#    and the rest; the strictness and compatibility of the strict block
-#    are read off those spectra and norms, and the orthonormality,
+#  - five_block_decompose: one eigh of 1-a-b, whose Sylvester bound on
+#    the residual certifies both operands and is all the strict-block
+#    bound needs, one eigh of a, and one eigh of b on each of the kernel
+#    of a and the rest; the strictness and compatibility of the strict
+#    block are read off those spectra and norms, and the orthonormality,
 #    off-block and block-content checks are settled by Frobenius norms;
 #    the same count per pair for a stack, each call on the whole stack
 #    or on the pairs of one pattern of block ranks;
@@ -156,21 +158,32 @@ def _n96_pairs():
 #    also validate the effect;
 #  - decompose_pair_m2 (2x2): canonicalize at n = 2, so its count; the
 #    spec is read off the form, and the round-trip norm is settled by a
-#    Frobenius bound.
+#    Frobenius bound;
+#  - pair_from_projections (2x2): the postcondition of compat._built_pair,
+#    one eigvalsh each of a and b for strictness and one eigh of 1-a-b
+#    for the Sylvester bound on the residual;
+#  - projection_compat_equiv on a stack of three commuting pairs: one
+#    eigvalsh per effect to validate it and one eigh of 1-p-a per pair
+#    for the Sylvester bound; the commutator is settled by its Frobenius
+#    norm.
 BUDGET = {
     "is_abs_compatible": {"eigh": 2, "eigvalsh": 1, "svd": 0},
     "canonicalize": {"eigh": 1, "eigvalsh": 2, "svd": 1},
-    "five_block_decompose": {"eigh": 5, "eigvalsh": 0, "svd": 0},
+    "five_block_decompose": {"eigh": 4, "eigvalsh": 0, "svd": 0},
     "support_projection": {"eigh": 1, "eigvalsh": 0, "svd": 0},
     "null_projection": {"eigh": 1, "eigvalsh": 0, "svd": 0},
     "decompose_pair_m2": {"eigh": 1, "eigvalsh": 2, "svd": 1},
+    "pair_from_projections": {"eigh": 1, "eigvalsh": 2, "svd": 0},
+    "projection_compat_equiv": {"eigh": 3, "eigvalsh": 3, "svd": 0},
 }
 
 
 def test_factorization_budget(monkeypatch):
     a, b = random_abscompat_pair(8, derive_seed(5, 0))
     c, d = _assembled_pair(derive_seed(5, 1))
-    p, q = pair_from_projections(*random_pair_spec(derive_seed(5, 2)))
+    spec = random_pair_spec(derive_seed(5, 2))
+    p, q = pair_from_projections(*spec)
+    projections, effects = zip(*(random_commuting_projection_effect(4, derive_seed(5, 3 + k)) for k in range(3)))
     calls = {
         "is_abs_compatible": lambda: is_abs_compatible(a, b),
         "canonicalize": lambda: canonicalize(a, b),
@@ -178,6 +191,8 @@ def test_factorization_budget(monkeypatch):
         "support_projection": lambda: support_projection(c),
         "null_projection": lambda: null_projection(c),
         "decompose_pair_m2": lambda: decompose_pair_m2(p, q),
+        "pair_from_projections": lambda: pair_from_projections(*spec),
+        "projection_compat_equiv": lambda: projection_compat_equiv(np.array(projections), np.array(effects)),
     }
     counts = dict.fromkeys(("eigh", "eigvalsh", "svd"), 0)
 
@@ -206,6 +221,32 @@ def test_factorization_budget(monkeypatch):
         call()
         over = {k: v for k, v in counts.items() if v > BUDGET[label][k]}
         assert not over, "%s made %r, over its budget %r" % (label, counts, BUDGET[label])
+
+
+def test_a_stack_with_one_open_pair_factorizes_each_matrix_once(monkeypatch):
+    """A residual only compared with a bound takes one eigh of 1-a-b per
+    pair, and the eigh of a-b only for the pair whose Sylvester bound is
+    out of reach (a = b = 1 on a vector, so mu = 0), which reuses its
+    eigh of 1-a-b; that pair's residual has the bits the two-eigh
+    computation gives it alone."""
+    slots = ([(1.0, 0.5), (0.0, 0.7)], [(1.0, 1.0), (0.0, 0.7)], [(0.3, 1.0), (0.6, 0.0)])
+    a, b = (np.array(x) for x in zip(*(_direct_sum(*random_abscompat_pair(4, derive_seed(29, k)), s,
+                                                   derive_seed(30, k))[:2] for k, s in enumerate(slots))))
+    with monkeypatch.context() as m:
+        m.setattr(compat, "_ROUNDING", np.inf)
+        alone = _pair_spectra(a[1], b[1], DEFAULT_TOL.compat)
+    factorized = []
+    eigh = np.linalg.eigh
+
+    def spy(x, *args, **kwargs):
+        factorized.extend(x.reshape((-1,) + x.shape[-2:]))
+        return eigh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    residual = _pair_spectra(a, b, DEFAULT_TOL.compat)
+    assert len({x.tobytes() for x in factorized}) == len(factorized) == 4
+    assert residual[1] == alone
+    assert np.all(residual <= DEFAULT_TOL.compat)
 
 
 def _conjugated_sites(u, site_pair):

@@ -219,6 +219,12 @@ def test_reference_effect_errors_keep_their_class(reference, error):
         assert not in_punctured_ball(reference)
 
 
+@pytest.mark.parametrize("partners, kind", [(0.5, "float"), (None, "NoneType")], ids=["number", "none"])
+def test_spheroid_partners_that_are_no_iterable(partners, kind):
+    with pytest.raises(DomainError, match="^partners must be an iterable of effects, got %s$" % kind):
+        spheroid_residual(A2, partners)
+
+
 @pytest.mark.parametrize("convert, error, message", [
     (SiteBlockMatrix, DomainError, "site blocks must be numeric"),
     (matrix_to_json, ParseError, "matrix must be numeric"),

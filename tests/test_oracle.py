@@ -1,5 +1,6 @@
-"""High-precision oracle: canonicalize and the five-block strict-block
-bound checked against 50-digit arithmetic (mpmath) at n <= 6.
+"""High-precision oracle: canonicalize, the five-block strict-block bound
+and the Sylvester bound on the compatibility residual checked against
+50-digit arithmetic (mpmath) at n <= 6.
 
 Every float input converts to mpmath exactly, so the oracle's values are
 those of the very matrices the library saw, to about 1e-50: the exact
@@ -11,7 +12,7 @@ compatibility residual of a returned strict block.
 import numpy as np
 import pytest
 
-from abscompat import DEFAULT_TOL, canonical
+from abscompat import DEFAULT_TOL, canonical, compat
 from abscompat.canonical import canonicalize
 from abscompat.compat import _pair_spectra, _reduced_blocks, _strict_block_bound, five_block_decompose
 from abscompat.generate import derive_seed, haar_unitary, random_abscompat_pair
@@ -177,3 +178,50 @@ def test_strict_block_bound_against_the_oracle():
                 assert bound - _ROUNDING * n >= exact, (k, len(slots), move, scale, seed, bound, exact)
                 sides.add(bool(bound <= DEFAULT_TOL.compat))
     assert sides == {True, False}
+
+
+def _sylvester(a, b):
+    """The bound compat._pair_spectra takes from one eigh of 1-a-b, and
+    whether it certifies the pair."""
+    zvals, zvecs = np.linalg.eigh(np.eye(len(a)) - a - b)
+    bound, certified = compat._sylvester_bounds(a, b, zvals, zvecs, DEFAULT_TOL.compat)
+    return float(bound), bool(certified)
+
+
+def test_sylvester_bound_against_the_oracle():
+    """The Sylvester bound, less its rounding allowance, is at least the
+    exact residual wherever it certifies a pair: drawn compatible pairs,
+    pairs moved so that the exact residual lies on both sides of
+    tol.compat, and 2x2 pairs with mu near 0 moved off the diagonal.
+    Pairs with mu = 0, a shared kernel or a = b = 1 on a vector, are
+    left to the two-eigh residual, which passes them."""
+    sides = set()
+    for n in (2, 4, 6):
+        for scale in (0.0, 1e-11, 1e-9, 3e-8):
+            _, a, b = _drawn(n, derive_seed(43, n))
+            if scale:
+                a, b = _perturbed(a, b, scale, derive_seed(44, n))
+            a, b = hermitize(a), hermitize(b)
+            bound, certified = _sylvester(a, b)
+            exact = _compat_residual(_mat(a), _mat(b))
+            if certified:
+                assert bound - _ROUNDING * n >= exact, (n, scale, bound, exact)
+            assert certified == (scale < 1e-8), (n, scale, bound, exact)
+            sides.add(bool(exact <= DEFAULT_TOL.compat))
+    assert sides == {True, False}
+    # mu = 1 - top is small, and the exact residual is about 1.4 ||Z||_F:
+    # only the division by mu keeps the bound above it
+    settled = set()
+    for top in (0.98, 0.995):
+        for move in (1e-11, 1e-10):
+            a, b = np.diag([1.0, 0.0]).astype(complex), np.array([[top, move], [move, 0.5]], dtype=complex)
+            bound, certified = _sylvester(a, b)
+            exact = _compat_residual(_mat(a), _mat(b))
+            assert not certified or bound - _ROUNDING * 2 >= exact, (top, move, bound, exact)
+            settled.add(certified)
+    assert settled == {True, False}
+    for k, slots in ((2, [(0.0, 0.0)]), (2, [(1.0, 1.0), (0.3, 1.0)]), (4, [(1.0, 1.0), (0.0, 0.0)])):
+        a, b = _assembled(k, slots, "strict", 0.0, derive_seed(45, k + len(slots)))
+        assert not _sylvester(a, b)[1]
+        assert compat._pair_spectra(a, b, DEFAULT_TOL.compat) <= DEFAULT_TOL.compat
+        assert _compat_residual(_mat(a), _mat(b)) <= DEFAULT_TOL.compat

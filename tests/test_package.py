@@ -90,6 +90,23 @@ def test_a_name_loads_only_its_module_chain():
     assert numpy
 
 
+def test_the_cli_loads_numpy_random_only_to_draw(tmp_path):
+    """import abscompat.cli leaves numpy.random unloaded, as the check and
+    decompose commands never draw; gen pair loads it and still writes
+    its pair."""
+    probe = ("import json, sys, abscompat.cli\n"
+             "before = 'numpy.random' in sys.modules\n"
+             "code = abscompat.cli.run(['gen', 'pair', '--n', '4', '--out', sys.argv[1]])\n"
+             "print(json.dumps([before, code, 'numpy.random' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "p")], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    *meta, verdict = proc.stdout.splitlines()
+    assert json.loads(verdict) == [False, 0, True]
+    assert json.loads("\n".join(meta))["files"] == [str(tmp_path / "p_a.json"), str(tmp_path / "p_b.json")]
+    assert all((tmp_path / name).is_file() for name in ("p_a.json", "p_b.json"))
+
+
 def test_exports_are_the_eager_namespace():
     assert len(NAMES) == 100
     assert sorted(abscompat.__all__) == sorted([*EXPORTS, *(name for _, name in NAMES)])
