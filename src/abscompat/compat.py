@@ -177,10 +177,10 @@ def _sylvester_bounds(a, b, zvals, zvecs, bound):
     bound within reach and stays open.
     """
     allowance = _ROUNDING * a.shape[-1]
-    products = 4.0 * _fnorm(hermitize(a @ b) - _compose(np.maximum(-zvals, 0.0), zvecs)) + allowance
+    z_norm = 4.0 * _fnorm(hermitize(a @ b) - _compose(np.maximum(-zvals, 0.0), zvecs)) + allowance
     gap = 1.0 - np.abs(zvals).max(axis=-1, initial=0.0) - allowance
-    certified = products <= bound * gap
-    return np.asarray(products / np.where(certified, gap, 1.0)), certified
+    certified = z_norm <= bound * gap
+    return np.asarray(z_norm / np.where(certified, gap, 1.0)), certified
 
 
 def _require_compatible(residual, tol: Tolerances) -> None:

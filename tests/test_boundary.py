@@ -183,7 +183,7 @@ def test_factorization_budget(monkeypatch):
     c, d = _assembled_pair(derive_seed(5, 1))
     spec = random_pair_spec(derive_seed(5, 2))
     p, q = pair_from_projections(*spec)
-    projections, effects = zip(*(random_commuting_projection_effect(4, derive_seed(5, 3 + k)) for k in range(3)))
+    projections, effects = zip(*(random_commuting_projection_effect(4, derive_seed(5, k)) for k in (3, 4, 5)))
     calls = {
         "is_abs_compatible": lambda: is_abs_compatible(a, b),
         "canonicalize": lambda: canonicalize(a, b),
@@ -230,8 +230,9 @@ def test_a_stack_with_one_open_pair_factorizes_each_matrix_once(monkeypatch):
     eigh of 1-a-b; that pair's residual has the bits the two-eigh
     computation gives it alone."""
     slots = ([(1.0, 0.5), (0.0, 0.7)], [(1.0, 1.0), (0.0, 0.7)], [(0.3, 1.0), (0.6, 0.0)])
-    a, b = (np.array(x) for x in zip(*(_direct_sum(*random_abscompat_pair(4, derive_seed(29, k)), s,
-                                                   derive_seed(30, k))[:2] for k, s in enumerate(slots))))
+    pairs = [_direct_sum(*random_abscompat_pair(4, derive_seed(29, k)), s, derive_seed(30, k))[:2]
+             for k, s in enumerate(slots)]
+    a, b = (np.array(x) for x in zip(*pairs))
     with monkeypatch.context() as m:
         m.setattr(compat, "_ROUNDING", np.inf)
         alone = _pair_spectra(a[1], b[1], DEFAULT_TOL.compat)
