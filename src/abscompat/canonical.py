@@ -11,6 +11,8 @@ phase w.  This module holds the forward constructions (dilation of a
 commuting pair, pair from parameters), the parametrizations of strict
 unitaries and strict projections, their inverses (a strict projection
 is read once, by _strict_projection_read), and the inverse `canonicalize`.
+The site-block layer takes stacks: blocks of shape (..., m, 2, 2) and
+parameters of shape (..., m), mapped and checked per element.
 
 `canonicalize` runs on the private core `_canonical` over (..., n, n)
 stacks of pairs, of which a single pair is a batch of one with no
@@ -59,18 +61,19 @@ from .hermitian import (
     _hermitian_pair,
     _hnorm_upto,
     _mixed_pair,
+    _per_matrix,
+    _projection,
     _require,
     _require_strict,
     _strict_rows,
     _two_by_two,
+    _unitary,
     _vector,
     as_matrix,
     cluster_indices,
     dagger,
     hermitize,
     identity_like,
-    require_projection,
-    require_unitary,
 )
 from .compat import (
     _bounded, _built_pair, _certified_pair, _eigh_on, _pair_spectra, _require_compatible, _strict_block_bound,
@@ -88,8 +91,8 @@ _PARAM_MARGIN = 1e-12
 class SiteBlockMatrix:
     """A 2x2 matrix of diagonal m x m operators, stored per site.
 
-    ``blocks[k]`` is the 2x2 matrix of site k; ``embed()`` interleaves the
-    sites into the full 2m x 2m matrix.
+    ``blocks[..., k, :, :]`` is the 2x2 matrix of site k; ``embed()``
+    interleaves the sites into the full 2m x 2m matrix.
     """
 
     blocks: np.ndarray
@@ -99,17 +102,17 @@ class SiteBlockMatrix:
             blocks = np.asarray(self.blocks, dtype=complex)
         except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError("site blocks must be numeric: %s" % exc) from exc
-        if blocks.ndim != 3 or blocks.shape[1:] != (2, 2) or blocks.shape[0] < 1:
+        if blocks.ndim < 3 or blocks.shape[-2:] != (2, 2) or blocks.shape[-3] < 1:
             raise DimensionMismatch("site blocks must have shape (m, 2, 2)")
         object.__setattr__(self, "blocks", blocks)
 
     @property
     def m(self) -> int:
-        return self.blocks.shape[0]
+        return self.blocks.shape[-3]
 
     def entry(self, i: int, j: int) -> np.ndarray:
-        """Diagonal of the (i, j) entry operator, an m-vector."""
-        return self.blocks[:, i, j]
+        """Diagonal of the (i, j) entry operator, an m-vector per matrix."""
+        return self.blocks[..., i, j]
 
     def embed(self) -> np.ndarray:
         return _embed(self.blocks)
@@ -174,7 +177,8 @@ def _unimodular(w, label: str) -> np.ndarray:
 
 
 def _strict_reals(a0, label: str) -> np.ndarray:
-    """a0 as a nonempty real vector inside (_PARAM_MARGIN, 1 - _PARAM_MARGIN).
+    """a0 as real values inside (_PARAM_MARGIN, 1 - _PARAM_MARGIN), one per
+    site along its last axis, of which there is at least one.
 
     No derivation fixes _PARAM_MARGIN = 1e-12, and it is not the
     strictness cut: _built_pair and is_strict_projection apply that,
@@ -187,21 +191,11 @@ def _strict_reals(a0, label: str) -> np.ndarray:
     decides it.
     """
     a0 = _vector(a0, float, label)
-    if len(a0) == 0:
+    if not a0.shape[-1]:
         raise NotStrictParams("%s needs at least one site" % label)
     _require((_PARAM_MARGIN < a0) & (a0 < 1.0 - _PARAM_MARGIN), NotStrictParams,
              "%s values must lie strictly inside (0, 1)", label)
     return a0
-
-
-def _projection_params(a0, w):
-    """(a0, w) of a strict projection once a0 is strict and w unimodular
-    (normalized to modulus one) over the same number of sites."""
-    a0 = _strict_reals(a0, "a0")
-    w = _unimodular(w, "w")
-    if len(w) != len(a0):
-        raise DimensionMismatch("a0 and w must have the same number of sites")
-    return a0, w
 
 
 @dataclass(frozen=True)
@@ -216,13 +210,15 @@ class StrictProjectionParams:
     w: np.ndarray
 
     def __post_init__(self):
-        a0, w = _projection_params(self.a0, self.w)
+        a0, w = _strict_reals(self.a0, "a0"), _unimodular(self.w, "w")
+        if w.shape != a0.shape:
+            raise DimensionMismatch("a0 and w must have the same number of sites")
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "w", w)
 
     @property
     def m(self) -> int:
-        return len(self.a0)
+        return self.a0.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -238,7 +234,7 @@ class StrictUnitaryParams:
     def __post_init__(self):
         a0 = _strict_reals(self.a0, "a0")
         ws = [_unimodular(w, "w%d" % (i + 1)) for i, w in enumerate((self.w1, self.w2, self.w3))]
-        if any(len(w) != len(a0) for w in ws):
+        if any(w.shape != a0.shape for w in ws):
             raise DimensionMismatch("a0 and the phases must have the same number of sites")
         object.__setattr__(self, "a0", a0)
         for name, w in zip(("w1", "w2", "w3"), ws):
@@ -246,7 +242,7 @@ class StrictUnitaryParams:
 
     @property
     def m(self) -> int:
-        return len(self.a0)
+        return self.a0.shape[-1]
 
 
 def strict_projection_from_params(params: StrictProjectionParams) -> SiteBlockMatrix:
@@ -269,17 +265,18 @@ def strict_unitary_from_params(params: StrictUnitaryParams) -> SiteBlockMatrix:
 def is_strict_unitary(u, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when u is unitary and all four entry operators are strict."""
     u = _sites(u)
-    require_unitary(u.embed(), tol)
-    return bool(np.all(_strict_rows(u.blocks, tol)))
+    _unitary(u.embed(), tol, stack=True)
+    return _per_matrix(np.all(_strict_rows(u.blocks, tol), axis=(-2, -1)))
 
 
 def is_strict_projection(p, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when p is a projection whose (1,1) entry operator is strict and
     whose per-site trace is one."""
     p = _sites(p)
-    require_projection(p.embed(), tol)
+    _projection(p.embed(), tol, stack=True)
     trace = np.real(p.entry(0, 0) + p.entry(1, 1))
-    return bool(np.all(np.abs(trace - 1.0) <= tol.proj) and _strict_rows(np.real(p.entry(0, 0)), tol))
+    unit = np.all(np.abs(trace - 1.0) <= tol.proj, axis=-1)
+    return _per_matrix(unit & _strict_rows(np.real(p.entry(0, 0)), tol))
 
 
 def params_from_strict_unitary(u, tol: Tolerances = DEFAULT_TOL) -> StrictUnitaryParams:
@@ -317,9 +314,9 @@ def projection_pair_from_unitary(u, tol: Tolerances = DEFAULT_TOL):
     strict unitary: P from (u1, u2), P' from (u3, u4)."""
     u = _sites(u)
     _require(is_strict_unitary(u, tol), NotStrictUnitary, "projection pair needs a strict unitary")
-    # outer[k, r, i, j] = conj(u[k, r, i]) u[k, r, j]: row r's projection
+    # outer[..., k, r, i, j] = conj(u[..., k, r, i]) u[..., k, r, j]: row r's projection
     outer = np.conj(u.blocks)[..., :, None] * u.blocks[..., None, :]
-    return SiteBlockMatrix(outer[:, 0]), SiteBlockMatrix(outer[:, 1])
+    return SiteBlockMatrix(outer[..., 0, :, :]), SiteBlockMatrix(outer[..., 1, :, :])
 
 
 def conjugate_to_pivot(p, tol: Tolerances = DEFAULT_TOL) -> SiteBlockMatrix:
@@ -342,11 +339,12 @@ def _pivot_unitary(a0, w, exchange: bool = False) -> np.ndarray:
 
 def dilate_commuting_pair(a, b, tol: Tolerances = DEFAULT_TOL):
     """Double the dimension of a strict commuting pair (a, b) with
-    a^2 + b^2 strictly below 1 into an absolutely compatible pair
+    a^2 + b^2 strictly below 1, or of each pair of two stacks, into an
+    absolutely compatible pair
 
         a1 = [[a^2, ab], [ab, 1-a^2]],  b1 = [[b^2, -ab], [-ab, 1-b^2]].
     """
-    a, b = _hermitian_pair(a, b, tol)
+    a, b = _hermitian_pair(a, b, tol, stack=True)
     va, vb = _effects(a, b, tol)
     # i[a, b] is Hermitian with the norm of [a, b]
     _require(_hnorm_upto(1j * (a @ b - b @ a), tol.compat) <= tol.compat, NotCommuting,
@@ -355,8 +353,9 @@ def dilate_commuting_pair(a, b, tol: Tolerances = DEFAULT_TOL):
     square_sum = hermitize(a @ a + b @ b)
     vals = np.linalg.eigvalsh(square_sum)
     # the _levels cut, as comparisons that a NaN fails
-    _require(vals[-1] < 1.0 - tol.spec, SumExceedsOne, "largest eigenvalue of a^2 + b^2 is %.3e", vals[-1])
-    _require(tol.spec < vals[0], NotStrict, "a^2 + b^2 is not strict")
+    _require(vals[..., -1] < 1.0 - tol.spec, SumExceedsOne, "largest eigenvalue of a^2 + b^2 is %.3e",
+             vals[..., -1])
+    _require(tol.spec < vals[..., 0], NotStrict, "a^2 + b^2 is not strict")
 
     one = identity_like(a)
     ab = hermitize(a @ b)
@@ -375,32 +374,16 @@ def _site_pairs(x0, a0, w):
     return _mixed_pair(x0[..., None, None], PIVOT_0, proj, np.eye(2, dtype=complex) - proj)
 
 
-def _built_params_pair(x0, a0, w, tol: Tolerances):
-    """The pair of per-site (x0, a0, w) of shape (..., m), (a0, w) checked
-    and w normalized, once x0 is strict over as many sites as a0 and
-    _built_pair passes the pair, or each pair of the stack."""
-    x0 = _strict_reals(x0, "x0")
-    if x0.size != np.size(a0):
-        raise DimensionMismatch("x0 has %d sites, projection has %d" % (x0.size, np.size(a0)))
-    sa, sb = _site_pairs(x0.reshape(np.shape(a0)), a0, w)
+def pair_from_params(x0, params: StrictProjectionParams, tol: Tolerances = DEFAULT_TOL):
+    """Strict absolutely compatible pair from per-site (x0, a0, w), or each
+    pair of a stack for parameters of shape (..., m), built and checked
+    as one stack, once x0 is strict and _built_pair passes the pairs."""
+    x0, a0 = _strict_reals(x0, "x0"), params.a0
+    if x0.size != a0.size:
+        raise DimensionMismatch("x0 has %d sites, projection has %d" % (x0.size, a0.size))
+    sa, sb = _site_pairs(x0.reshape(a0.shape), a0, params.w)
     return _built_pair(_embed(sa), _embed(sb), tol,
                        (PostconditionFailure, "constructed pair is not strict at this tolerance"))
-
-
-def pair_from_params(x0, params: StrictProjectionParams, tol: Tolerances = DEFAULT_TOL):
-    """Strict absolutely compatible pair from per-site (x0, a0, w)."""
-    return _built_params_pair(x0, params.a0, params.w, tol)
-
-
-def _pairs_from_params(x0, a0, w, tol: Tolerances = DEFAULT_TOL):
-    """pair_from_params over rows: per-site x0, a0 and raw phases w of one
-    shape (..., m), every row checked as StrictProjectionParams and
-    pair_from_params check it, the pairs built and postchecked as one
-    stack.  Each check runs over all rows at once, so a failing stack
-    raises the error of the first check that some row fails."""
-    shape = np.shape(a0)
-    a0, w = (v.reshape(shape) for v in _projection_params(a0, w))
-    return _built_params_pair(x0, a0, w, tol)
 
 
 def _conjugate_pair(u, site_pair):

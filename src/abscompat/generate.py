@@ -5,26 +5,25 @@ seed; normals are produced by Box-Muller from its uniform stream, so
 every generator is a pure function of (parameters, seed).  Per-trial
 seeds are derived by XOR with multiples of the 64-bit golden ratio.
 
-The generators the property registry draws from run through private
-batch cores that take a size and the seeds of a batch of trials
-(random_strict_projection_params, random_strict_unitary_params,
-random_commuting_strict_pair and random_rank_one_projection draw one
-trial from one stream).  Each trial draws only its uniforms (and
+Every generator runs through a private batch core that takes the seeds
+of a batch of trials.  Each trial draws only its uniforms (and
 integers) from its own stream, in a fixed order; everything after them
 (Box-Muller, the Haar QR and its phase fix, the products with the
 unitary, the canonical pair and its postcondition) runs once on the
 stack, with the trial as the leading axis, and gives each trial the bits
-it gets alone.  The streams of a batch come from one Philox, re-keyed to
-each trial's seed (counter 0, empty buffers): the stream a fresh
-Philox(key=seed) gives, without the entropy-seeded construction that the
-key then overrides.  The Philox is local to the call.  A public generator
-is a batch of one through the same core: given one seed rather than a
-list, a core returns that trial's arrays with no leading axis.
+it gets alone; a trial that a rejection rule refuses draws again alone,
+from the start of its stream.  The streams of a batch come from one
+Philox, re-keyed to each trial's seed (counter 0, empty buffers): the
+stream a fresh Philox(key=seed) gives, without the entropy-seeded
+construction that the key then overrides.  The Philox is local to the
+call.  A public generator is a batch of one through the same core: given
+one seed rather than a list, a core returns that trial's arrays with no
+leading axis.
 """
 
 import numpy as np
 
-from .canonical import StrictProjectionParams, StrictUnitaryParams, _pairs_from_params
+from .canonical import StrictProjectionParams, StrictUnitaryParams, pair_from_params
 from .config import DEFAULT_TOL, Tolerances
 from .errors import BadMargin, DegenerateSpec, DimensionMismatch, OddDimension
 from .geometry import BALL_CENTER, _bloch_matrices, _chart, _reference_focus
@@ -57,16 +56,12 @@ def _streams(seeds):
         yield gen
 
 
-def _generator(seed) -> "np.random.Generator":
-    return next(_streams([seed]))
-
-
 def _uniforms(seeds, draw) -> tuple:
     """draw(gen), a tuple of arrays, from each trial's own stream: for a
     list of seeds each place stacked over the trials, for one seed that
     trial's tuple."""
     if np.ndim(seeds) == 0:
-        return draw(_generator(seeds))
+        return draw(next(_streams([seeds])))
     return tuple(np.array(column) for column in zip(*(draw(gen) for gen in _streams(seeds))))
 
 
@@ -74,7 +69,7 @@ def _redraw(seeds, redo, alone, outs) -> tuple:
     """outs, with the places of each trial where redo holds replaced by
     alone(gen), drawn again from the start of that trial's stream."""
     if np.ndim(seeds) == 0:
-        return alone(_generator(seeds)) if redo else outs
+        return alone(next(_streams([seeds]))) if redo else outs
     rows = np.flatnonzero(redo)
     for i, gen in zip(rows, _streams([seeds[i] for i in rows])):
         for out, value in zip(outs, alone(gen)):
@@ -143,6 +138,33 @@ def random_strict_effect(n: int, seed, margin=0.1) -> np.ndarray:
     return _strict_effects(n, seed, margin)
 
 
+def _commuting_alone(gen, n: int, margin: float):
+    """The n points of random_commuting_strict_pair from one stream, one by one."""
+    hi, points = np.sqrt(1.0 - margin), []
+    for _ in range(n):
+        for _ in range(_MAX_REJECT):
+            xy = margin + (hi - margin) * gen.random(2)
+            if xy[0] * xy[0] + xy[1] * xy[1] <= 1.0 - margin:
+                points.append(xy)
+                break
+        else:
+            raise BadMargin("margin %r leaves almost no admissible pairs" % margin)
+    return (np.array(points),)
+
+
+def _commuting_strict_pairs(n: int, seeds, margin: float):
+    """random_commuting_strict_pair over seeds: each trial draws
+    min(4 n, _MAX_REJECT) points and keeps its first n admissible ones, or,
+    with fewer, draws again alone (_commuting_alone)."""
+    hi, tries = np.sqrt(1.0 - margin), min(4 * n, _MAX_REJECT)
+    (xy,) = _uniforms(seeds, lambda gen: (margin + (hi - margin) * gen.random((tries, 2)),))
+    ok = xy[..., 0] * xy[..., 0] + xy[..., 1] * xy[..., 1] <= 1.0 - margin
+    first = np.argsort(~ok, axis=-1, kind="stable")[..., :n, None]
+    (xy,) = _redraw(seeds, np.count_nonzero(ok, axis=-1) < n, lambda gen: _commuting_alone(gen, n, margin),
+                    (np.take_along_axis(xy, first, axis=-2),))
+    return tuple((xy[..., None, :, k] * np.eye(n)).astype(complex) for k in (0, 1))
+
+
 def random_commuting_strict_pair(n: int, seed, margin=0.05):
     """Diagonal strict pair with per-eigenvalue squares summing below
     1 - margin; the shared (standard) eigenbasis makes ||ab - ba|| = 0
@@ -150,19 +172,7 @@ def random_commuting_strict_pair(n: int, seed, margin=0.05):
     margin = _check_margin(margin)
     if n < 1:
         raise DimensionMismatch("dimension must be positive")
-    gen = _generator(seed)
-    hi = np.sqrt(1.0 - margin)
-    alpha = np.empty(n)
-    beta = np.empty(n)
-    for i in range(n):
-        for _ in range(_MAX_REJECT):
-            x, y = margin + (hi - margin) * gen.random(2)
-            if x * x + y * y <= 1.0 - margin:
-                alpha[i], beta[i] = x, y
-                break
-        else:
-            raise BadMargin("margin %r leaves almost no admissible pairs" % margin)
-    return np.diag(alpha).astype(complex), np.diag(beta).astype(complex)
+    return _commuting_strict_pairs(n, seed, margin)
 
 
 def _check_even(n: int) -> None:
@@ -192,7 +202,7 @@ def _abscompat_pairs(n: int, seeds, margin: float):
     """x0 and the pair (a, b) of random_abscompat_pair, over seeds: the
     canonical pairs are built and postchecked as one stack."""
     x0, a0, w, u = _pair_params(n, seeds, margin)
-    a, b = _pairs_from_params(x0, a0, w)
+    a, b = pair_from_params(x0, StrictProjectionParams(a0, w))
     return x0, hermitize(u @ a @ dagger(u)), hermitize(u @ b @ dagger(u))
 
 
@@ -203,26 +213,25 @@ def random_abscompat_pair(n: int, seed, margin=0.1):
     return _abscompat_pairs(n, seed, _check_margin(margin))[1:]
 
 
+def _site_params(m: int, seeds, margin, phases: int) -> tuple:
+    """Per-site a0 uniform in [margin, 1 - margin], then that many raw
+    uniform phases, each (..., m) over seeds, once margin and m are valid."""
+    margin = _check_margin(margin)
+    if m < 1:
+        raise DimensionMismatch("need at least one site")
+    (u,) = _uniforms(seeds, lambda gen: (gen.random((1 + phases) * m),))
+    w = np.exp(2j * np.pi * u[..., m:])
+    return (margin + (1.0 - 2.0 * margin) * u[..., :m], *(w[..., k * m:(k + 1) * m] for k in range(phases)))
+
+
 def random_strict_projection_params(m: int, seed, margin=0.1) -> StrictProjectionParams:
     """Per-site (a0, w) with a0 uniform in [margin, 1 - margin] and a
     uniform phase."""
-    margin = _check_margin(margin)
-    if m < 1:
-        raise DimensionMismatch("need at least one site")
-    gen = _generator(seed)
-    a0 = margin + (1.0 - 2.0 * margin) * gen.random(m)
-    w = np.exp(2j * np.pi * gen.random(m))
-    return StrictProjectionParams(a0, w)
+    return StrictProjectionParams(*_site_params(m, seed, margin, 1))
 
 
 def random_strict_unitary_params(m: int, seed, margin=0.1) -> StrictUnitaryParams:
-    margin = _check_margin(margin)
-    if m < 1:
-        raise DimensionMismatch("need at least one site")
-    gen = _generator(seed)
-    a0 = margin + (1.0 - 2.0 * margin) * gen.random(m)
-    w1, w2, w3 = np.exp(2j * np.pi * gen.random((3, m)))
-    return StrictUnitaryParams(a0, w1, w2, w3)
+    return StrictUnitaryParams(*_site_params(m, seed, margin, 3))
 
 
 def _split_spectra(n: int, seeds):
@@ -286,8 +295,17 @@ def _rank_one_2x2s(gen, count: int) -> np.ndarray:
     return np.concatenate(found)
 
 
+def _rank_one_projections(seeds, count: int) -> np.ndarray:
+    """count random rank-one 2x2 projections per trial, (..., count, 2, 2), over
+    seeds; a trial with a vector of norm at most 1e-6 draws again alone."""
+    (u,) = _uniforms(seeds, lambda gen: (gen.random((count, 4)),))
+    proj, nrm = _rank_ones(u)
+    (proj,) = _redraw(seeds, ~np.all(nrm > 1e-6, axis=-1), lambda gen: (_rank_one_2x2s(gen, count),), (proj,))
+    return proj
+
+
 def random_rank_one_projection(seed) -> np.ndarray:
-    return _rank_one_2x2s(_generator(seed), 1)[0]
+    return _rank_one_projections(seed, 1)[0]
 
 
 def _separates(pivot, target, separation: float):
@@ -364,11 +382,7 @@ def _spheroid_partners(a, count: int, seeds, tol: Tolerances) -> np.ndarray:
     seed each, as a (..., count, 2, 2) stack: the rank-one projections are
     drawn per trial and everything else runs once."""
     _, focus = _reference_focus(a, tol)
-    (u,) = _uniforms(seeds, lambda gen: (gen.random((count, 4)),))
-    proj, nrm = _rank_ones(u)
-    (proj,) = _redraw(seeds, ~np.all(nrm > 1e-6, axis=-1), lambda gen: (_rank_one_2x2s(gen, count),),
-                      (proj,))
-    q = _chart(proj)
+    q = _chart(_rank_one_projections(seeds, count))
     d = focus[..., None, :] - q
     t1 = (-2.0 * np.vecdot(q - BALL_CENTER, d) / np.vecdot(d, d))[..., None]
     p = q + t1 * d

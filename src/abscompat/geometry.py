@@ -75,14 +75,14 @@ BALL_RADIUS = 0.5
 def _point(pt, lead=()) -> np.ndarray:
     """pt as three coordinates (of any shape), or as the (lead..., 3)
     points of a sphere stacked over lead."""
-    flat = _vector(pt, float, "a point")
+    coords = _vector(pt, float, "a point")
     if lead and np.shape(pt) != lead + (3,):
         raise DimensionMismatch("points of shape %r for a sphere stacked over %r" % (np.shape(pt), lead))
-    if flat.size != 3 * math.prod(lead):
+    if coords.size != 3 * math.prod(lead):
         raise DimensionMismatch("a point needs exactly three coordinates")
-    if not np.isfinite(flat).all():
+    if not np.isfinite(coords).all():
         raise DomainError("point has non-finite coordinates")
-    return flat.reshape(lead + (3,))
+    return coords.reshape(lead + (3,))
 
 
 def _index(index):

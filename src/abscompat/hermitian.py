@@ -15,12 +15,12 @@ overhead is most of its cost, at small n; at n ~ 100 copying matrices
 into a stack costs more than the call it saves, and numpy's stacked
 matmul is about twice as slow as the same products made one by one.  So
 _factor_each stacks factorizations up to _STACK_N, and products are
-stacked only for small matrices.  The compatibility check and the
-dimension-2 entry points take stacks too, and run each stack in one
-pass, never element by element.  Raw input is validated once, at an
-entry point, by as_matrix, require_hermitian, _hermitian_pair, _effect
-or _projection, whose stack=True admits a stack; the private cores take
-the Hermitian arrays they return.
+stacked only for small matrices.  The compatibility check, the dilation,
+the site-block maps and the dimension-2 entry points take stacks too, and
+run each stack in one pass, never element by element.  Raw input is validated once, at an
+entry point, by as_matrix, require_hermitian, _hermitian_pair, _effect,
+_projection or _unitary, whose stack=True admits a stack; the private
+cores take the Hermitian arrays they return.
 
 One strictness cut: a value is at 1 from 1 - tol.spec up and at 0 up
 to tol.spec in every such decision of the package, for kernels and
@@ -91,9 +91,9 @@ def hermitize(x) -> np.ndarray:
 
 
 def _vector(x, dtype, label: str) -> np.ndarray:
-    """x flattened to a numeric vector of dtype."""
+    """x as a numeric array of dtype, a number as a vector of one."""
     try:
-        return np.asarray(x, dtype=dtype).reshape(-1)
+        return np.atleast_1d(np.asarray(x, dtype=dtype))
     except (TypeError, ValueError) as exc:
         raise DomainError("%s must be numeric: %s" % (label, exc)) from exc
 
@@ -115,8 +115,8 @@ def _mixed_pair(lam, base, first, second):
 
 
 def _per_matrix(values):
-    """One value per matrix: a float for one matrix, else the array."""
-    return float(values) if values.ndim == 0 else values
+    """One value per matrix: a Python scalar for one matrix, else the array."""
+    return values.item() if values.ndim == 0 else values
 
 
 def op_norm(x):
@@ -227,7 +227,12 @@ def require_hermitian(x, tol: Tolerances = DEFAULT_TOL, stack: bool = False) -> 
 
 
 def require_unitary(u, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    u = as_matrix(u)
+    return _unitary(u, tol)
+
+
+def _unitary(u, tol: Tolerances, stack: bool = False) -> np.ndarray:
+    """u once U*U is within tol.unit of I; with stack=True, each of a stack."""
+    u = as_matrix(u, stack)
     dev = _hnorm_upto(dagger(u) @ u - identity_like(u), tol.unit)
     _require(dev <= tol.unit, NotUnitary, "||U*U - I|| = %.3e > %.3e", dev, tol.unit)
     return u

@@ -2,29 +2,23 @@
 both over batches of trials.
 
 ``REGISTRY`` maps a name to a ``Property``.  ``draw(seeds, size)`` returns
-the raw inputs of one trial per seed by name, each stacked with the trial
-as its leading axis; a trial's generators take its own seed, so it draws
-the same bits in any batch.  ``check(stacks, tol)`` returns ``{residual
-name: (per-trial values, bound)}``, each value recomputed from what the
-library returns.  The draws of compat, canonical, m2, geometry and
-equivalences call the generators' batch cores, which build the whole
-batch as one stack.  The suites whose library calls take stacks (compat,
-canonical, m2, geometry, equivalences) check the whole batch at once,
-canonical through the stacked core of canonicalize, whose stacked form
-exchanged_pivot_form takes as it is, and compat through the stacked core
-of five_block_decompose, which splits the batch by pattern of block ranks
-and runs each pattern's pairs as one computation, and whose certificate
-gives the orthogonal residual, so each orthogonal pair is certified
-once; fiveblock, params and dilation keep a one-trial draw and check,
-which ``_per_trial`` maps over the batch with lists in place of stacks.
-Every bound is a field of the check's tolerances, so each ``--tol-*``
-flag reaches it, or 0.0 for an exact property; a boolean residual is
-0.0 when it holds.  ``run`` is the one trial loop, which ``abscompat
-fuzz`` and the acceptance gate both use.  It checks the trials of each
-size as one batch and runs a batch that raises again one trial at a
-time, so its ``Outcome`` is the one a loop over single trials gives.
-Draws build their instances at the default tolerances.  ``import
-abscompat`` does not load this module.
+the raw inputs of one trial per seed by name, each with the trial as its
+first axis: a stack from the generators' batch cores, or a list for
+fiveblock, whose slot count sets each trial's size.  A trial's
+generators take its own seed, so it draws the same bits in any batch.
+``check(stacks, tol)`` returns ``{residual name: (per-trial values,
+bound)}``, each value recomputed from what the stacked library calls
+return for the whole batch: canonical through the stacked core of
+canonicalize, compat and fiveblock through that of five_block_decompose,
+which runs each pattern of block ranks as one computation, and fiveblock
+as one stack per size.  Every bound is a field of the check's
+tolerances, so each ``--tol-*`` flag reaches it, or 0.0 for an exact
+property; a boolean residual is 0.0 when it holds.  ``run`` is the one
+trial loop, which ``abscompat fuzz`` and the acceptance gate both use.
+It checks the trials of each size as one batch and runs a batch that
+raises again one trial at a time, so its ``Outcome`` is the one a loop
+over single trials gives.  Draws build their instances at the default
+tolerances.  ``import abscompat`` does not load this module.
 """
 
 from dataclasses import dataclass, field
@@ -34,27 +28,28 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .canonical import (
-    _canonical, conjugate_to_pivot, dilate_commuting_pair, exchanged_pivot_form, is_strict_projection,
-    is_strict_unitary, params_from_strict_projection, params_from_strict_unitary,
-    projection_pair_from_unitary, strict_projection_from_params, strict_unitary_from_params,
+    StrictProjectionParams, StrictUnitaryParams, _canonical, conjugate_to_pivot, dilate_commuting_pair,
+    exchanged_pivot_form, is_strict_projection, is_strict_unitary, params_from_strict_projection,
+    params_from_strict_unitary, projection_pair_from_unitary, strict_projection_from_params,
+    strict_unitary_from_params,
 )
-from .compat import _five_blocks, five_block_decompose, is_abs_compatible, projection_compat_equiv
+from .compat import _five_blocks, is_abs_compatible, projection_compat_equiv
 from .config import DEFAULT_TOL, Tolerances
 from .errors import AbscompatError
 from .generate import (
-    _abscompat_pairs, _commuting_projection_effects, _generator, _orthogonal_pairs, _pair_specs,
-    _projections, _spheroid_partners, _strict_effects, derive_seed, haar_unitary, random_abscompat_pair,
-    random_commuting_strict_pair, random_strict_projection_params, random_strict_unitary_params,
+    _abscompat_pairs, _commuting_projection_effects, _commuting_strict_pairs, _haar, _orthogonal_pairs,
+    _pair_specs, _projections, _site_params, _spheroid_partners, _streams, _strict_effects, _uniforms,
+    derive_seed,
 )
 from .geometry import (
     ball_to_sphere, bloch_point, decompose_pair_m2, geometry_report, pair_from_projections,
     sphere_to_ball, spheroid_residual,
 )
-from .hermitian import _hermitian_pair, _vnorm, dagger, hermitize, is_strict, jordan_product, op_norm
+from .hermitian import _hermitian_pair, _strict_rows, _vnorm, dagger, hermitize, op_norm
 
 
 class Property(NamedTuple):
-    draw: Callable  # (seeds, size) -> {input name: stack over the trials}
+    draw: Callable  # (seeds, size) -> {input name: the trials' values, a stack or a list}
     check: Callable  # (stacks, tol) -> {residual name: (per-trial values, bound)}
     sizes: tuple  # size set: matrix dimensions, or site counts for "params"
 
@@ -66,6 +61,14 @@ def _holds(flags) -> tuple:
 def _larger(x, y):
     """max(x, y) per trial as Python's max takes it: y only where y > x."""
     return np.where(y > x, y, x)
+
+
+def _grouped(keys) -> dict:
+    """The positions of each key among keys, by key in order of first appearance."""
+    out = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return out
 
 
 def _derived(seeds, index) -> list:
@@ -184,52 +187,65 @@ def _check_equivalences(x, tol):
     }
 
 
-def _draw_fiveblock(seed, n):
-    """Direct sum of a strict pair of size n and zero to four identity or
-    zero slots, under a Haar conjugation."""
-    gen = _generator(seed)
-    sa, sb = random_abscompat_pair(n, derive_seed(seed, 1))
+def _draw_fiveblock(seeds, n):
+    """Direct sums of a strict pair of size n and zero to four identity or
+    zero slots, under a Haar conjugation: a and b are lists, as each trial
+    draws its slot count, and the trials of one size are conjugated as one."""
+    _, sa, sb = _abscompat_pairs(n, _derived(seeds, 1), 0.1)
     slots = []
-    for kind in range(4):  # unit_a, unit_b, null_a, null_b
-        for _ in range(int(gen.integers(0, 2))):
-            v, w = 0.1 + 0.8 * gen.random(), gen.random()
-            slots.append(((1.0, w), (w, 1.0), (0.0, v), (v, 0.0))[kind])
-    dim = n + len(slots)
-    a = np.zeros((dim, dim), dtype=complex)
-    b = np.zeros_like(a)
-    a[:n, :n], b[:n, :n] = sa, sb
-    diag = np.arange(n, dim)
-    a[diag, diag], b[diag, diag] = np.reshape(slots, (-1, 2)).T
-    u = haar_unitary(dim, derive_seed(seed, 2))
-    return {"a": hermitize(u @ a @ dagger(u)), "b": hermitize(u @ b @ dagger(u)), "strict_rank": n}
+    for gen in _streams(seeds):
+        slots.append([])
+        for kind in range(4):  # unit_a, unit_b, null_a, null_b
+            for _ in range(int(gen.integers(0, 2))):
+                v, w = 0.1 + 0.8 * gen.random(), gen.random()
+                slots[-1].append(((1.0, w), (w, 1.0), (0.0, v), (v, 0.0))[kind])
+    a, b = [None] * len(seeds), [None] * len(seeds)
+    for count, members in _grouped(map(len, slots)).items():
+        dim, diag = n + count, np.arange(n, n + count)
+        pair = np.zeros((2, len(members), dim, dim), dtype=complex)
+        pair[:, :, :n, :n] = sa[members], sb[members]
+        values = np.reshape([slots[i] for i in members], (len(members), count, 2))
+        pair[:, :, diag, diag] = np.moveaxis(values, -1, 0)
+        u = _haar(*_uniforms([derive_seed(seeds[i], 2) for i in members],
+                             lambda gen: (gen.random(2 * dim * dim),)), dim)
+        for i, x, y in zip(members, *hermitize(u @ pair @ dagger(u))):
+            a[i], b[i] = x, y
+    return {"a": a, "b": b, "strict_rank": [n] * len(seeds)}
 
 
-def _off_block_mass(x, bases) -> float:
-    """Norm of x off the block diagonal of the five bases."""
-    v = np.hstack(list(bases.values()))
-    block = np.repeat(np.arange(len(bases)), [basis.shape[1] for basis in bases.values()])
+def _off_block_mass(x, bases):
+    """Norm of x off the block diagonal of the five bases, over leading axes."""
+    v = np.concatenate(list(bases.values()), axis=-1)
+    block = np.repeat(np.arange(len(bases)), [basis.shape[-1] for basis in bases.values()])
     y = dagger(v) @ x @ v
-    y[block[:, None] == block] = 0.0
+    y[..., block[:, None] == block] = 0.0
     return op_norm(y)
 
 
 def _check_fiveblock(x, tol):
     """The five blocks reduce both effects; the strict block has the assembled
-    rank, and its compressions are strict and absolutely compatible."""
-    fb = five_block_decompose(x["a"], x["b"], tol)
-    sa, sb = fb.blocks_a["strict"], fb.blocks_b["strict"]
-    mass = max(_off_block_mass(x["a"], fb.bases), _off_block_mass(x["b"], fb.bases))
-    return {
-        "off_block_mass": (mass, tol.block),
-        "strict_rank": (float(abs(fb.ranks()["strict"] - x["strict_rank"])), 0.0),
-        "strict_blocks": _holds(is_strict(sa, tol) and is_strict(sb, tol)),
-        "strict_compatible": (is_abs_compatible(sa, sb, tol).residual, tol.compat),
-    }
+    rank, and its compressions are strict and absolutely compatible.  The
+    trials of each size run through five_block_decompose's core as one stack."""
+    out = np.empty((4, len(x["a"])))
+    for members in _grouped(len(a) for a in x["a"]).values():
+        a, b = (np.array([x[name][i] for i in members]) for name in "ab")
+        _, groups = _five_blocks(*_hermitian_pair(a, b, tol, stack=True), tol, compared=True)
+        for (at,), bases, blocks_a, blocks_b in groups:
+            rows = np.array(members)[at]
+            sa, sb = blocks_a["strict"], blocks_b["strict"]
+            # is_strict of each compression: no singular value at 0 or at 1
+            strict = np.all(_strict_rows(np.linalg.svd(np.stack((sa, sb)), compute_uv=False), tol), axis=0)
+            out[:, rows] = (_larger(_off_block_mass(a[at], bases), _off_block_mass(b[at], bases)),
+                            np.abs(sa.shape[-1] - np.array(x["strict_rank"])[rows]),
+                            np.where(strict, 0.0, 1.0), is_abs_compatible(sa, sb, tol).residual)
+    names = ("off_block_mass", "strict_rank", "strict_blocks", "strict_compatible")
+    return dict(zip(names, zip(out, (tol.block, 0.0, 0.0, tol.compat))))
 
 
-def _draw_params(seed, m):
-    return {"unitary": random_strict_unitary_params(m, derive_seed(seed, 1)),
-            "projection": random_strict_projection_params(m, derive_seed(seed, 2))}
+def _draw_params(seeds, m):
+    """The raw per-site parameters of a strict unitary, then of a strict projection."""
+    params = _site_params(m, _derived(seeds, 1), 0.1, 3) + _site_params(m, _derived(seeds, 2), 0.1, 1)
+    return dict(zip(("a0", "w1", "w2", "w3", "p_a0", "p_w"), params))
 
 
 def _check_params(x, tol):
@@ -237,12 +253,12 @@ def _check_params(x, tol):
     conjugation of the projection to the pivot diag(0, 1), and the
     inverse maps: the parameters read back from each rebuild it, and the
     row projections of the unitary sum to one."""
-    u = strict_unitary_from_params(x["unitary"])
-    p = strict_projection_from_params(x["projection"])
+    u = strict_unitary_from_params(StrictUnitaryParams(x["a0"], x["w1"], x["w2"], x["w3"]))
+    p = strict_projection_from_params(StrictProjectionParams(x["p_a0"], x["p_w"]))
     ue, pe = u.embed(), p.embed()
     conj = conjugate_to_pivot(p, tol).embed()
     pivot = np.diag([0.0, 1.0] * p.m).astype(complex)
-    one = np.eye(len(ue))
+    one = np.eye(ue.shape[-1])
     p_back = strict_projection_from_params(params_from_strict_projection(p, tol)).embed()
     u_back = strict_unitary_from_params(params_from_strict_unitary(u, tol)).embed()
     row, rest = (q.embed() for q in projection_pair_from_unitary(u, tol))
@@ -251,18 +267,18 @@ def _check_params(x, tol):
                   p_back - pe, u_back - ue, row + rest - one)))
     return {
         "strict_unitary": _holds(is_strict_unitary(u, tol)),
-        "unitarity": (float(unitarity), tol.unit),
+        "unitarity": (unitarity, tol.unit),
         "strict_projection": _holds(is_strict_projection(p, tol)),
-        "idempotence": (float(idempotence), tol.proj),
-        "pivot_conjugation": (float(conjugation), tol.proj),
-        "projection_params": (float(p_trip), tol.proj),
-        "unitary_params": (float(u_trip), tol.unit),
-        "row_projections": (float(row_sum), tol.proj),
+        "idempotence": (idempotence, tol.proj),
+        "pivot_conjugation": (conjugation, tol.proj),
+        "projection_params": (p_trip, tol.proj),
+        "unitary_params": (u_trip, tol.unit),
+        "row_projections": (row_sum, tol.proj),
     }
 
 
-def _draw_dilation(seed, n):
-    a, b = random_commuting_strict_pair(n, derive_seed(seed, 1))
+def _draw_dilation(seeds, n):
+    a, b = _commuting_strict_pairs(n, _derived(seeds, 1), 0.05)
     return {"a": a, "b": b}
 
 
@@ -271,23 +287,8 @@ def _check_dilation(x, tol):
     a, b = x["a"], x["b"]
     a1, b1 = dilate_commuting_pair(a, b, tol)
     zero = np.zeros_like(a)
-    want = np.block([[zero, zero], [zero, np.eye(len(a)) - a @ a - b @ b]])
-    return {"jordan_block": (op_norm(jordan_product(a1, b1) - want), tol.proj)}
-
-
-def _per_trial(draw, check, sizes) -> Property:
-    """A Property from a one-trial draw(seed, size) and check(inputs, tol):
-    each input of the batch is the list of its trials' values, and so is
-    each residual."""
-    def draw_batch(seeds, size):
-        trials = [draw(s, size) for s in seeds]
-        return {name: [x[name] for x in trials] for name in trials[0]}
-
-    def check_batch(stacks, tol):
-        results = [check(dict(zip(stacks, inputs)), tol) for inputs in zip(*stacks.values())]
-        return {name: ([r[name][0] for r in results], bound) for name, (_, bound) in results[0].items()}
-
-    return Property(draw_batch, check_batch, sizes)
+    want = np.block([[zero, zero], [zero, np.eye(a.shape[-1]) - a @ a - b @ b]])
+    return {"jordan_block": (op_norm(0.5 * (a1 @ b1 + b1 @ a1) - want), tol.proj)}
 
 
 REGISTRY = {
@@ -296,9 +297,9 @@ REGISTRY = {
     "m2": Property(_draw_m2, _check_m2, (2,)),
     "geometry": Property(_draw_geometry, _check_geometry, (2,)),
     "equivalences": Property(_draw_equivalences, _check_equivalences, (2, 4, 8)),
-    "fiveblock": _per_trial(_draw_fiveblock, _check_fiveblock, (2, 4)),
-    "params": _per_trial(_draw_params, _check_params, (1, 2, 3)),
-    "dilation": _per_trial(_draw_dilation, _check_dilation, (1, 2, 3, 4)),
+    "fiveblock": Property(_draw_fiveblock, _check_fiveblock, (2, 4)),
+    "params": Property(_draw_params, _check_params, (1, 2, 3)),
+    "dilation": Property(_draw_dilation, _check_dilation, (1, 2, 3, 4)),
 }
 
 
@@ -319,11 +320,8 @@ def run(prop: Property, trials: int, seed, tol: Tolerances = DEFAULT_TOL, sizes=
     outcome is then read in trial order."""
     sizes = sizes or prop.sizes
     seeds = [derive_seed(seed, i) for i in range(trials)]
-    by_size = {}
-    for i, s in enumerate(seeds):
-        by_size.setdefault(sizes[s % len(sizes)], []).append(i)
     done = [None] * trials
-    for size, members in by_size.items():
+    for size, members in _grouped(sizes[s % len(sizes)] for s in seeds).items():
         for i, trial in zip(members, _batch(prop, [seeds[i] for i in members], size, tol)):
             done[i] = trial
     out = Outcome()

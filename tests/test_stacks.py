@@ -13,8 +13,10 @@ import pytest
 
 from abscompat import DEFAULT_TOL, AbscompatError, canonical, generate
 from abscompat.canonical import (
-    PIVOT_0, StrictProjectionParams, _canonical, canonicalize, dilate_commuting_pair, exchanged_pivot_form,
-    pair_from_params,
+    PIVOT_0, SiteBlockMatrix, StrictProjectionParams, StrictUnitaryParams, _canonical, canonicalize,
+    conjugate_to_pivot, dilate_commuting_pair, exchanged_pivot_form, is_strict_projection, is_strict_unitary,
+    pair_from_params, params_from_strict_projection, params_from_strict_unitary, projection_pair_from_unitary,
+    strict_projection_from_params, strict_unitary_from_params,
 )
 from abscompat.compat import (
     BLOCK_NAMES,
@@ -29,6 +31,7 @@ from abscompat.compat import (
     projection_compat_equiv,
 )
 from abscompat.errors import (
+    BadMargin,
     DegenerateSpec,
     DimensionMismatch,
     DomainError,
@@ -39,19 +42,24 @@ from abscompat.errors import (
 )
 from abscompat.generate import (
     _abscompat_pairs,
+    _commuting_strict_pairs,
     _orthogonal_pairs,
     _rank_one_2x2s,
     _separates,
     _streams,
     derive_seed,
+    haar_unitary,
     random_abscompat_pair,
     random_commuting_projection_effect,
+    random_commuting_strict_pair,
     random_orthogonal_pair,
     random_pair_params,
     random_pair_spec,
     random_projection,
     random_spheroid_partners,
     random_strict_effect,
+    random_strict_projection_params,
+    random_strict_unitary_params,
 )
 from abscompat.geometry import (
     BALL_CENTER,
@@ -160,7 +168,7 @@ def _operands(n):
 # effects, each with whether it takes stacks
 PAIR_ENTRY_POINTS = {_boundary_effects: False, is_abs_compatible: True, five_block_decompose: False,
                      canonicalize: False, decompose_pair_m2: True, is_orthogonal: False,
-                     dilate_commuting_pair: False}
+                     dilate_commuting_pair: True}
 
 
 @pytest.mark.parametrize("n", (2, 4))
@@ -424,6 +432,41 @@ def _partners(seed):
     return a, np.array([random_spheroid_partners(x, 8, derive_seed(seed, B + i)) for i, x in enumerate(a)])
 
 
+def _site_map(fn):
+    """fn of the site-block matrices of its blocks argument, a parameter
+    record it returns as the tuple of its fields: building a record of
+    one element normalizes its phases again."""
+    def call(blocks):
+        out = fn(SiteBlockMatrix(blocks))
+        records = (StrictUnitaryParams, StrictProjectionParams)
+        return dataclasses.astuple(out) if isinstance(out, records) else out
+    return call
+
+
+def _site_blocks(kind, seed):
+    """The site blocks of B strict unitaries or strict projections of two
+    sites each."""
+    draw, build = {"unitary": (random_strict_unitary_params, strict_unitary_from_params),
+                   "projection": (random_strict_projection_params, strict_projection_from_params)}[kind]
+    return np.array([build(draw(2, derive_seed(seed, i))).blocks for i in range(B)])
+
+
+def _commuting_pairs(n, seed):
+    return tuple(np.array(x) for x in zip(*(random_commuting_strict_pair(n, derive_seed(seed, i))
+                                            for i in range(B))))
+
+
+def _raw_params(seed):
+    """Per-site x0, a0 and unnormalized phases w of B pairs of two sites."""
+    gen = np.random.default_rng(seed)
+    x0, a0 = 0.1 + 0.8 * gen.random((2, B, 2))
+    return x0, a0, np.exp(2j * np.pi * gen.random((B, 2)))
+
+
+def _params_pair(x0, a0, w):
+    return pair_from_params(x0, StrictProjectionParams(a0, w))
+
+
 STACKED = {
     "is_abs_compatible": lambda n: (is_abs_compatible, *_compat_pairs(n, derive_seed(41, n))),
     "projection_compat_equiv": lambda n: (projection_compat_equiv, *_projection_pairs(n, derive_seed(42, n))),
@@ -434,8 +477,19 @@ STACKED = {
     "sphere_to_ball": lambda n: (sphere_to_ball, *_geometry_points(47)[:2]),
     "ball_to_sphere": lambda n: (ball_to_sphere, _geometry_points(48)[0], _geometry_points(48)[2]),
     "spheroid_residual": lambda n: (spheroid_residual, *_partners(49)),
+    "is_strict_unitary": lambda n: (_site_map(is_strict_unitary), _site_blocks("unitary", 50)),
+    "params_from_strict_unitary": lambda n: (_site_map(params_from_strict_unitary),
+                                             _site_blocks("unitary", 51)),
+    "projection_pair_from_unitary": lambda n: (_site_map(projection_pair_from_unitary),
+                                               _site_blocks("unitary", 52)),
+    "is_strict_projection": lambda n: (_site_map(is_strict_projection), _site_blocks("projection", 53)),
+    "params_from_strict_projection": lambda n: (_site_map(params_from_strict_projection),
+                                                _site_blocks("projection", 54)),
+    "conjugate_to_pivot": lambda n: (_site_map(conjugate_to_pivot), _site_blocks("projection", 55)),
+    "pair_from_params": lambda n: (_params_pair, *_raw_params(56)),
+    "dilate_commuting_pair": lambda n: (dilate_commuting_pair, *_commuting_pairs(n, derive_seed(57, n))),
 }
-SIZED = ("is_abs_compatible", "projection_compat_equiv")
+SIZED = ("is_abs_compatible", "projection_compat_equiv", "dilate_commuting_pair")
 CASES = [(name, n) for name in STACKED for n in ((2, 4, 8) if name in SIZED else (2,))]
 
 
@@ -471,6 +525,9 @@ def _entry_faults():
         return spoil
 
     nan = put(0, lambda x: np.full_like(x, np.nan))
+    unitary = {"nan": nan, "non-unitary": put(0, lambda x: 2.0 * x)}
+    projection = {"nan": nan, "non-projection": put(0, lambda x: 0.5 * x),
+                  "skew": put(0, lambda x: x + np.array([[0.0, 1e-6], [0.0, 0.0]]))}
     return {
         "is_abs_compatible": {"nan": nan, "not-effect": put(1, lambda x: 2.0 * x),
                               "skew": put(0, lambda x: x + np.triu(np.full_like(x, 1e-6), 1))},
@@ -486,7 +543,31 @@ def _entry_faults():
         "spheroid_residual": {"nan": put(1, lambda x: np.where(np.arange(8)[:, None, None] == 3, np.nan, x)),
                               "incompatible": put(1, lambda x: np.array([bloch_matrix([0.5, 0.2, -0.1])] * 8)),
                               "reference": put(0, 0.5 * np.eye(2))},
+        "is_strict_unitary": unitary,
+        "params_from_strict_unitary": dict(unitary, **{"not-strict": put(0, np.array([np.eye(2)] * 2))}),
+        "projection_pair_from_unitary": dict(unitary, **{"not-strict": put(0, np.array([np.eye(2)] * 2))}),
+        "is_strict_projection": projection,
+        "params_from_strict_projection": dict(projection, **{"not-strict": put(0, np.array([PIVOT_0] * 2))}),
+        "conjugate_to_pivot": dict(projection, **{"not-strict": put(0, np.array([PIVOT_0] * 2))}),
+        "pair_from_params": {"x0": put(0, lambda x: 0.0 * x), "a0": put(1, lambda x: 1.0 + x),
+                             "w": put(2, lambda x: 2.0 * x)},
+        "dilate_commuting_pair": {"nan": nan, "not-effect": put(1, lambda x: 2.0 * x),
+                                  "not-commuting": put(1, _coupled),
+                                  "not-strict": put(0, lambda x: np.where(x == x[0, 0], 0.0, x)),
+                                  "sum": _over_one},
     }
+
+
+def _coupled(b):
+    """b with 0.01 added off its diagonal: an effect that no longer
+    commutes with the diagonal a."""
+    return hermitize(b + np.triu(np.full_like(b, 0.01), 1))
+
+
+def _over_one(stacks, i):
+    """a = b = 0.8 on element i, a strict commuting pair with a^2 + b^2 = 1.28."""
+    for x in stacks:
+        x[i] = 0.8 * np.eye(len(x[i]))
 
 
 def _same_target(stacks, i):
@@ -609,33 +690,41 @@ def _loop(prop, trials, seed, tol):
     return out
 
 
-RUNS = [(name, seed, DEFAULT_TOL) for name in REGISTRY for seed in (7, 8)]
-RUNS.append(("compat", 9, DEFAULT_TOL.override(compat=1e-17)))  # every trial raises
-RUNS.append(("compat", 10, DEFAULT_TOL.override(compat=2e-15)))  # a few raise, a few miss a bound
-RUNS.append(("canonical", 10, DEFAULT_TOL.override(canon=2e-15)))  # a few raise, none only misses a bound
-RUNS.append(("compat", 10, DEFAULT_TOL.override(block=1e-15)))  # a few raise in five-block, none only misses a bound
+# (property, seed, tolerances, which of the 40 trials raise): "all", "some", or
+# "mixed" when some raise and some others only miss a bound; a batch that
+# raises runs again one trial at a time, and its other trials pass or fail alone
+RUNS = [(name, seed, DEFAULT_TOL, None) for name in REGISTRY for seed in (7, 8)]
+RUNS += [
+    ("compat", 9, DEFAULT_TOL.override(compat=1e-17), "all"),
+    ("compat", 10, DEFAULT_TOL.override(compat=2e-15), "mixed"),
+    ("canonical", 10, DEFAULT_TOL.override(canon=2e-15), "some"),  # none only misses a bound
+    ("compat", 10, DEFAULT_TOL.override(block=1e-15), "some"),  # in five-block; none only misses a bound
+    ("fiveblock", 10, DEFAULT_TOL.override(block=1e-14), "some"),  # the off-block bound
+    ("fiveblock", 10, DEFAULT_TOL.override(compat=3e-15), "some"),  # the strict blocks' _built_pair
+    ("params", 10, DEFAULT_TOL.override(proj=3e-16), "mixed"),  # the pivot conjugation
+    ("dilation", 10, DEFAULT_TOL.override(spec=0.05), "some"),  # the strictness gates
+]
 
 
-def _run_id(name, seed, tol):
-    block = "" if tol.block == DEFAULT_TOL.block else "-block%g" % tol.block
-    return "%s-%d-%g%s" % (name, seed, tol.compat, block)
+def _run_id(name, seed, tol, _):
+    others = "".join("-%s%g" % (f, getattr(tol, f)) for f in ("block", "proj", "spec")
+                     if getattr(tol, f) != getattr(DEFAULT_TOL, f))
+    return "%s-%d-%g%s" % (name, seed, tol.compat, others)
 
 
-@pytest.mark.parametrize("name, seed, tol", RUNS, ids=[_run_id(*run) for run in RUNS])
-def test_run_equals_the_loop_over_single_trials(name, seed, tol):
+@pytest.mark.parametrize("name, seed, tol, raising", RUNS, ids=[_run_id(*run) for run in RUNS])
+def test_run_equals_the_loop_over_single_trials(name, seed, tol, raising):
     prop = REGISTRY[name]
     got, want = run(prop, 40, seed, tol), _loop(prop, 40, seed, tol)
     assert _bits(got.worst) == _bits(want.worst)
     assert got.failures == want.failures
     assert _bits(got.first_inputs) == _bits(want.first_inputs)
     errors = sum("error" in entry for entry in got.failures)
-    if tol.compat < 1e-16:
+    if raising == "all":
         assert errors == 40 and got.first_inputs["a"].ndim == 2
-    elif tol.canon < DEFAULT_TOL.canon:
+    elif raising == "some":
         assert 0 < errors < 40
-    elif tol.block < DEFAULT_TOL.block:
-        assert 0 < errors < 40
-    elif tol is not DEFAULT_TOL:  # the batch raises, and its other trials pass or fail alone
+    elif raising == "mixed":
         assert 0 < errors < len(got.failures) < 40
 
 
@@ -746,16 +835,51 @@ def _ref_pair_spec(seed, margin=0.05, separation=0.05, gen=None):
             return pivot, target, index
 
 
+def _ref_commuting_strict_pair(n, seed, margin=0.05):
+    """random_commuting_strict_pair as one loop: each eigenvalue pair drawn
+    until its squares sum to at most 1 - margin."""
+    gen = _fresh(seed)
+    hi = np.sqrt(1.0 - margin)
+    alpha, beta = np.empty(n), np.empty(n)
+    for i in range(n):
+        while True:
+            x, y = margin + (hi - margin) * gen.random(2)
+            if x * x + y * y <= 1.0 - margin:
+                alpha[i], beta[i] = x, y
+                break
+    return np.diag(alpha).astype(complex), np.diag(beta).astype(complex)
+
+
+def _ref_projection_params(m, seed, margin=0.1):
+    gen = _fresh(seed)
+    a0 = margin + (1.0 - 2.0 * margin) * gen.random(m)
+    w = np.exp(2j * np.pi * gen.random(m))
+    return StrictProjectionParams(a0, w)
+
+
+def _ref_unitary_params(m, seed, margin=0.1):
+    gen = _fresh(seed)
+    a0 = margin + (1.0 - 2.0 * margin) * gen.random(m)
+    w1, w2, w3 = np.exp(2j * np.pi * gen.random((3, m)))
+    return StrictUnitaryParams(a0, w1, w2, w3)
+
+
 def _public_canonical_pair(n, seed):
     return (random_pair_params(n, seed, 0.1)[0], *random_abscompat_pair(n, seed, 0.1))
 
 
 REFERENCE = {"pair": _ref_canonical_pair, "orthogonal": _ref_orthogonal_pair,
              "commuting": _ref_commuting_projection_effect, "projection": _ref_projection,
-             "effect": _ref_strict_effect, "spec": _ref_pair_spec, "partners": _reference_partners}
+             "effect": _ref_strict_effect, "spec": _ref_pair_spec, "partners": _reference_partners,
+             "haar": lambda n, seed: _ref_haar(_fresh(seed), n),
+             "strict_commuting": _ref_commuting_strict_pair, "unitary_params": _ref_unitary_params,
+             "projection_params": _ref_projection_params}
 PUBLIC = {"pair": _public_canonical_pair, "orthogonal": random_orthogonal_pair,
           "commuting": random_commuting_projection_effect, "projection": random_projection,
-          "effect": random_strict_effect, "spec": random_pair_spec, "partners": random_spheroid_partners}
+          "effect": random_strict_effect, "spec": random_pair_spec, "partners": random_spheroid_partners,
+          "haar": haar_unitary, "strict_commuting": random_commuting_strict_pair,
+          "unitary_params": random_strict_unitary_params,
+          "projection_params": random_strict_projection_params}
 
 
 def _trial_draw(gens, name, seed, n):
@@ -770,6 +894,26 @@ def _trial_draw(gens, name, seed, n):
             return {"x0": x0, "a": a, "b": b}
         oa, ob = gens["orthogonal"](n, s(2))
         return {"a": a, "b": b, "oa": oa, "ob": ob}
+    if name == "fiveblock":
+        gen = _fresh(seed)
+        sa, sb = gens["pair"](n, s(1))[1:]
+        slots = []
+        for kind in range(4):  # unit_a, unit_b, null_a, null_b
+            for _ in range(int(gen.integers(0, 2))):
+                v, w = 0.1 + 0.8 * gen.random(), gen.random()
+                slots.append(((1.0, w), (w, 1.0), (0.0, v), (v, 0.0))[kind])
+        dim = n + len(slots)
+        a = np.zeros((dim, dim), dtype=complex)
+        b = np.zeros_like(a)
+        a[:n, :n], b[:n, :n] = sa, sb
+        diag = np.arange(n, dim)
+        a[diag, diag], b[diag, diag] = np.reshape(slots, (-1, 2)).T
+        u = gens["haar"](dim, s(2))
+        return {"a": hermitize(u @ a @ dagger(u)), "b": hermitize(u @ b @ dagger(u)), "strict_rank": n}
+    if name == "params":
+        return {"unitary": gens["unitary_params"](n, s(1)), "projection": gens["projection_params"](n, s(2))}
+    if name == "dilation":
+        return dict(zip("ab", gens["strict_commuting"](n, s(1))))
     if name in ("m2", "geometry"):
         pivot, target, index = gens["spec"](s(1))
         a, b = pair_from_projections(pivot, target, index)
@@ -783,7 +927,14 @@ def _trial_draw(gens, name, seed, n):
             "p2": gens["projection"](n, 1 + seed % (n - 1), s(3)), "e2": gens["effect"](n, s(4))}
 
 
-DRAWN = ("compat", "canonical", "m2", "geometry", "equivalences")
+def _built_params(x):
+    """The parameter records a params trial's raw draw builds, as the
+    params check builds them."""
+    return {"unitary": StrictUnitaryParams(x["a0"], x["w1"], x["w2"], x["w3"]),
+            "projection": StrictProjectionParams(x["p_a0"], x["p_w"])}
+
+
+DRAWN = ("compat", "canonical", "m2", "geometry", "equivalences", "fiveblock", "params", "dilation")
 DRAW_CASES = [(name, n) for name in DRAWN for n in REGISTRY[name].sizes + ((16,) if name == "compat" else ())]
 
 
@@ -791,12 +942,14 @@ DRAW_CASES = [(name, n) for name in DRAWN for n in REGISTRY[name].sizes + ((16,)
 def test_stacked_draws_equal_the_per_trial_generators(name, n):
     """Every trial of a stacked campaign draw has the bits of the one-trial
     draw code, with a fresh Philox per trial, and of the public generators,
-    each a batch of one.  In the m2 and geometry batches three trials
+    each a batch of one; a params trial, whose draw is raw, builds the
+    records those draw.  In the m2 and geometry batches three trials
     reject their first target and draw again alone."""
     seeds = [derive_seed(38, i) for i in range(200 if n == 2 else 40)]
     batch = REGISTRY[name].draw(seeds, n)
     for j, s in enumerate(seeds):
-        got = {k: _bits(x[j]) for k, x in batch.items()}
+        trial = {k: x[j] for k, x in batch.items()}
+        got = {k: _bits(x) for k, x in (_built_params(trial) if name == "params" else trial).items()}
         assert got == {k: _bits(x) for k, x in _trial_draw(REFERENCE, name, s, n).items()}, j
         assert got == {k: _bits(x) for k, x in _trial_draw(PUBLIC, name, s, n).items()}, j
 
@@ -812,6 +965,27 @@ def test_a_rekeyed_philox_gives_the_stream_of_a_fresh_one():
         fresh = _fresh(s)
         for draw in draws:
             assert np.array_equal(draw(gen), draw(fresh)), s
+
+
+@pytest.mark.parametrize("margin", (0.05, 0.3, 0.45))
+def test_commuting_draws_keep_the_points_of_the_one_by_one_loop(monkeypatch, margin):
+    """Each trial of a stacked commuting draw keeps the first n admissible
+    points of its stream, as the one-by-one loop does, whether it found
+    them among the points it drew at once or drew again alone; at margin
+    0.3 about half the points are admissible, so the batches take both
+    paths.  A margin that leaves almost no point admissible raises."""
+    seeds = [derive_seed(58, i) for i in range(30)]
+    alone, real = [], generate._commuting_alone
+    monkeypatch.setattr(generate, "_commuting_alone",
+                        lambda gen, *args: alone.append(args) or real(gen, *args))
+    for n in (1, 3, 8):
+        a, b = _commuting_strict_pairs(n, seeds, margin)
+        for j, s in enumerate(seeds):
+            assert _bits((a[j], b[j])) == _bits(_ref_commuting_strict_pair(n, s, margin)), (n, j)
+    if margin == 0.3:
+        assert 0 < len(alone) < 3 * len(seeds), len(alone)
+    with pytest.raises(BadMargin, match="leaves almost no admissible pairs"):
+        _commuting_strict_pairs(2, seeds[:2], 0.4999)
 
 
 _DELTA = 2.0 * _ROUNDING
