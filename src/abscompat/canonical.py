@@ -376,12 +376,15 @@ def _site_pairs(x0, a0, w):
 
 def pair_from_params(x0, params: StrictProjectionParams, tol: Tolerances = DEFAULT_TOL):
     """Strict absolutely compatible pair from per-site (x0, a0, w), or each
-    pair of a stack for parameters of shape (..., m), built and checked
-    as one stack, once x0 is strict and _built_pair passes the pairs."""
+    pair of a stack for parameters of shape (..., m) and x0 of that shape
+    or (m,), built and checked as one stack, once x0 is strict and
+    _built_pair passes the pairs."""
     x0, a0 = _strict_reals(x0, "x0"), params.a0
-    if x0.size != a0.size:
-        raise DimensionMismatch("x0 has %d sites, projection has %d" % (x0.size, a0.size))
-    sa, sb = _site_pairs(x0.reshape(a0.shape), a0, params.w)
+    if x0.shape[-1] != a0.shape[-1]:
+        raise DimensionMismatch("x0 has %d sites, projection has %d" % (x0.shape[-1], a0.shape[-1]))
+    if x0.shape not in (a0.shape, a0.shape[-1:]):
+        raise DimensionMismatch("x0 of shape %r does not fit parameters of shape %r" % (x0.shape, a0.shape))
+    sa, sb = _site_pairs(np.broadcast_to(x0, a0.shape), a0, params.w)
     return _built_pair(_embed(sa), _embed(sb), tol,
                        (PostconditionFailure, "constructed pair is not strict at this tolerance"))
 

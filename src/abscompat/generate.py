@@ -7,18 +7,18 @@ seeds are derived by XOR with multiples of the 64-bit golden ratio.
 
 Every generator runs through a private batch core that takes the seeds
 of a batch of trials.  Each trial draws only its uniforms (and
-integers) from its own stream, in a fixed order; everything after them
-(Box-Muller, the Haar QR and its phase fix, the products with the
-unitary, the canonical pair and its postcondition) runs once on the
-stack, with the trial as the leading axis, and gives each trial the bits
-it gets alone; a trial that a rejection rule refuses draws again alone,
-from the start of its stream.  The streams of a batch come from one
-Philox, re-keyed to each trial's seed (counter 0, empty buffers): the
-stream a fresh Philox(key=seed) gives, without the entropy-seeded
-construction that the key then overrides.  The Philox is local to the
-call.  A public generator is a batch of one through the same core: given
-one seed rather than a list, a core returns that trial's arrays with no
-leading axis.
+integers, and the commuting pair's admissible points) from its own
+stream, in a fixed order; everything after them (Box-Muller, the Haar
+QR and its phase fix, the products with the unitary, the canonical pair
+and its postcondition) runs once on the stack, with the trial as the
+leading axis, and gives each trial the bits it gets alone; a trial that
+a rejection rule refuses draws again alone, from the start of its
+stream.  The streams of a batch come from one Philox, re-keyed to each
+trial's seed (counter 0, empty buffers): the stream a fresh
+Philox(key=seed) gives, without the entropy-seeded construction that
+the key then overrides.  A public generator is a batch of one through
+the same core: given one seed rather than a list, a core returns that
+trial's arrays with no leading axis.
 """
 
 import numpy as np
@@ -110,12 +110,17 @@ def _haar(u, n: int) -> np.ndarray:
     return q * (d / mod)[..., None, :]
 
 
+def _haar_unitaries(n: int, seeds) -> np.ndarray:
+    """haar_unitary over seeds: 2 n^2 uniforms from each trial's stream."""
+    return _haar(*_uniforms(seeds, lambda gen: (gen.random(2 * n * n),)), n)
+
+
 def haar_unitary(n: int, seed) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Gaussian matrix with the
     diagonal of R phase-fixed."""
     if n < 1:
         raise DimensionMismatch("dimension must be positive")
-    return _haar(*_uniforms(seed, lambda gen: (gen.random(2 * n * n),)), n)
+    return _haar_unitaries(n, seed)
 
 
 def _check_margin(margin) -> float:
@@ -153,15 +158,8 @@ def _commuting_alone(gen, n: int, margin: float):
 
 
 def _commuting_strict_pairs(n: int, seeds, margin: float):
-    """random_commuting_strict_pair over seeds: each trial draws
-    min(4 n, _MAX_REJECT) points and keeps its first n admissible ones, or,
-    with fewer, draws again alone (_commuting_alone)."""
-    hi, tries = np.sqrt(1.0 - margin), min(4 * n, _MAX_REJECT)
-    (xy,) = _uniforms(seeds, lambda gen: (margin + (hi - margin) * gen.random((tries, 2)),))
-    ok = xy[..., 0] * xy[..., 0] + xy[..., 1] * xy[..., 1] <= 1.0 - margin
-    first = np.argsort(~ok, axis=-1, kind="stable")[..., :n, None]
-    (xy,) = _redraw(seeds, np.count_nonzero(ok, axis=-1) < n, lambda gen: _commuting_alone(gen, n, margin),
-                    (np.take_along_axis(xy, first, axis=-2),))
+    """random_commuting_strict_pair over seeds, the points from each trial's stream."""
+    (xy,) = _uniforms(seeds, lambda gen: _commuting_alone(gen, n, margin))
     return tuple((xy[..., None, :, k] * np.eye(n)).astype(complex) for k in (0, 1))
 
 
@@ -258,7 +256,7 @@ def random_commuting_projection_effect(n: int, seed, margin=0.1):
 def _projections(n: int, ranks, seeds) -> np.ndarray:
     """random_projection over seeds, one rank each; the Haar unitaries
     are one stack, and each range's product is made alone."""
-    q = _haar(*_uniforms(seeds, lambda gen: (gen.random(2 * n * n),)), n)
+    q = _haar_unitaries(n, seeds)
     if np.ndim(seeds) == 0:
         return _span(q[:, :ranks])
     return np.array([_span(x[:, :rank]) for x, rank in zip(q, ranks)])

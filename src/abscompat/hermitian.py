@@ -408,8 +408,8 @@ def is_strict(x, tol: Tolerances = DEFAULT_TOL) -> StrictnessReport:
 
 
 def jordan_product(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
+    """(ab + ba) / 2, of one pair or of each pair of a stack."""
+    a, b = as_matrix(a, stack=True), as_matrix(b, stack=True)
     if a.shape != b.shape:
         raise DimensionMismatch("jordan product needs equal shapes, got %r and %r" % (a.shape, b.shape))
     return 0.5 * (a @ b + b @ a)

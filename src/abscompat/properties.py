@@ -37,15 +37,15 @@ from .compat import _five_blocks, is_abs_compatible, projection_compat_equiv
 from .config import DEFAULT_TOL, Tolerances
 from .errors import AbscompatError
 from .generate import (
-    _abscompat_pairs, _commuting_projection_effects, _commuting_strict_pairs, _haar, _orthogonal_pairs,
-    _pair_specs, _projections, _site_params, _spheroid_partners, _streams, _strict_effects, _uniforms,
+    _abscompat_pairs, _commuting_projection_effects, _commuting_strict_pairs, _haar_unitaries,
+    _orthogonal_pairs, _pair_specs, _projections, _site_params, _spheroid_partners, _streams, _strict_effects,
     derive_seed,
 )
 from .geometry import (
     ball_to_sphere, bloch_point, decompose_pair_m2, geometry_report, pair_from_projections,
     sphere_to_ball, spheroid_residual,
 )
-from .hermitian import _hermitian_pair, _strict_rows, _vnorm, dagger, hermitize, op_norm
+from .hermitian import _hermitian_pair, _strict_rows, _vnorm, dagger, hermitize, jordan_product, op_norm
 
 
 class Property(NamedTuple):
@@ -206,8 +206,7 @@ def _draw_fiveblock(seeds, n):
         pair[:, :, :n, :n] = sa[members], sb[members]
         values = np.reshape([slots[i] for i in members], (len(members), count, 2))
         pair[:, :, diag, diag] = np.moveaxis(values, -1, 0)
-        u = _haar(*_uniforms([derive_seed(seeds[i], 2) for i in members],
-                             lambda gen: (gen.random(2 * dim * dim),)), dim)
+        u = _haar_unitaries(dim, [derive_seed(seeds[i], 2) for i in members])
         for i, x, y in zip(members, *hermitize(u @ pair @ dagger(u))):
             a[i], b[i] = x, y
     return {"a": a, "b": b, "strict_rank": [n] * len(seeds)}
@@ -288,7 +287,7 @@ def _check_dilation(x, tol):
     a1, b1 = dilate_commuting_pair(a, b, tol)
     zero = np.zeros_like(a)
     want = np.block([[zero, zero], [zero, np.eye(a.shape[-1]) - a @ a - b @ b]])
-    return {"jordan_block": (op_norm(0.5 * (a1 @ b1 + b1 @ a1) - want), tol.proj)}
+    return {"jordan_block": (op_norm(jordan_product(a1, b1) - want), tol.proj)}
 
 
 REGISTRY = {

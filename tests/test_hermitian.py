@@ -295,8 +295,13 @@ def test_jordan_product():
     assert np.allclose(jordan_product(a, b), a @ b)
     h = _rand_hermitian(3, 3)
     assert np.allclose(jordan_product(h, h), h @ h)
+    stack = np.array([a, b, np.diag([0.3, 0.9])])
+    for x, y, z in zip(stack, stack[::-1], jordan_product(stack, stack[::-1])):
+        assert np.array_equal(z, jordan_product(x, y))
     with pytest.raises(DimensionMismatch):
         jordan_product(np.eye(2), np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        jordan_product(stack, stack[:2])
 
 
 def test_require_effect_bounds():

@@ -79,6 +79,21 @@ def test_pair_from_params_postconditions():
         pair_from_params([0.3], SITE, DEFAULT_TOL.override(compat=1e-30))
 
 
+def test_pair_from_params_takes_x0_of_the_shape_of_a0_or_one_row():
+    """Over a (T, m) stack, x0 is (T, m), or (m,) for every pair; an x0
+    with other leading axes, or with another site count, raises."""
+    stack = StrictProjectionParams(np.full((3, 2), 0.5), np.ones((3, 2)))
+    row = np.array([0.3, 0.4])
+    a, b = pair_from_params(row, stack)
+    assert all(np.array_equal(x, y) for x, y in zip((a, b), pair_from_params(np.tile(row, (3, 1)), stack)))
+    with pytest.raises(DimensionMismatch, match=r"^x0 of shape \(2, 2\) does not fit .* \(3, 2\)$"):
+        pair_from_params(np.full((2, 2), 0.3), stack)
+    with pytest.raises(DimensionMismatch, match="^x0 has 3 sites, projection has 2$"):
+        pair_from_params(np.full((2, 3), 0.3), stack)
+    with pytest.raises(DimensionMismatch, match="^x0 has 6 sites, projection has 2$"):
+        pair_from_params(np.full(6, 0.3), stack)
+
+
 def test_pair_from_projections_postconditions():
     with pytest.raises(PostconditionFailure, match=r"^constructed pair residual \d\.\d{3}e-1\d$"):
         pair_from_projections(PIVOT, TARGET, INDEX, DEFAULT_TOL.override(compat=1e-30))

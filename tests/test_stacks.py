@@ -968,22 +968,15 @@ def test_a_rekeyed_philox_gives_the_stream_of_a_fresh_one():
 
 
 @pytest.mark.parametrize("margin", (0.05, 0.3, 0.45))
-def test_commuting_draws_keep_the_points_of_the_one_by_one_loop(monkeypatch, margin):
+def test_commuting_draws_keep_the_points_of_the_one_by_one_loop(margin):
     """Each trial of a stacked commuting draw keeps the first n admissible
-    points of its stream, as the one-by-one loop does, whether it found
-    them among the points it drew at once or drew again alone; at margin
-    0.3 about half the points are admissible, so the batches take both
-    paths.  A margin that leaves almost no point admissible raises."""
+    points of its stream, as the one-by-one loop does.  A margin that
+    leaves almost no point admissible raises."""
     seeds = [derive_seed(58, i) for i in range(30)]
-    alone, real = [], generate._commuting_alone
-    monkeypatch.setattr(generate, "_commuting_alone",
-                        lambda gen, *args: alone.append(args) or real(gen, *args))
     for n in (1, 3, 8):
         a, b = _commuting_strict_pairs(n, seeds, margin)
         for j, s in enumerate(seeds):
             assert _bits((a[j], b[j])) == _bits(_ref_commuting_strict_pair(n, s, margin)), (n, j)
-    if margin == 0.3:
-        assert 0 < len(alone) < 3 * len(seeds), len(alone)
     with pytest.raises(BadMargin, match="leaves almost no admissible pairs"):
         _commuting_strict_pairs(2, seeds[:2], 0.4999)
 
