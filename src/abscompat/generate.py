@@ -26,13 +26,13 @@ import numpy as np
 from .canonical import StrictProjectionParams, StrictUnitaryParams, pair_from_params
 from .config import DEFAULT_TOL, Tolerances
 from .errors import BadMargin, DegenerateSpec, DimensionMismatch, OddDimension
-from .geometry import BALL_CENTER, _bloch_matrices, _chart, _reference_focus
-from .hermitian import _ROUNDING, _compose, _fnorm, _span, _vnorm, dagger, hermitize, op_norm
+from .geometry import BALL_CENTER, _bloch_matrices, _chart, _reference_focus, _separated
+from .hermitian import _compose, _span, _vnorm, dagger, hermitize
 
 SEED_STRIDE = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 _MAX_REJECT = 10000
-_ONE = np.eye(2, dtype=complex)
+_TINY = 1e-6  # a drawn Gaussian vector of norm at most this is skipped
 
 
 def derive_seed(base, index) -> int:
@@ -282,12 +282,12 @@ def _rank_ones(u):
 def _rank_one_2x2s(gen, count: int) -> np.ndarray:
     """count random rank-one 2x2 projections, (count, 2, 2), each the
     projection onto a complex Gaussian vector; a vector of norm at most
-    1e-6 is skipped for the next draw.  Draws come count at a time, so the
+    _TINY is skipped for the next draw.  Draws come count at a time, so the
     result is what count draws one by one give, bit for bit."""
     found = []
     while count:
         proj, nrm = _rank_ones(gen.random((count, 4)))
-        keep = nrm > 1e-6
+        keep = nrm > _TINY
         found.append(proj[keep])
         count -= int(np.count_nonzero(keep))
     return np.concatenate(found)
@@ -295,10 +295,10 @@ def _rank_one_2x2s(gen, count: int) -> np.ndarray:
 
 def _rank_one_projections(seeds, count: int) -> np.ndarray:
     """count random rank-one 2x2 projections per trial, (..., count, 2, 2), over
-    seeds; a trial with a vector of norm at most 1e-6 draws again alone."""
+    seeds; a trial with a vector of norm at most _TINY draws again alone."""
     (u,) = _uniforms(seeds, lambda gen: (gen.random((count, 4)),))
     proj, nrm = _rank_ones(u)
-    (proj,) = _redraw(seeds, ~np.all(nrm > 1e-6, axis=-1), lambda gen: (_rank_one_2x2s(gen, count),), (proj,))
+    (proj,) = _redraw(seeds, ~np.all(nrm > _TINY, axis=-1), lambda gen: (_rank_one_2x2s(gen, count),), (proj,))
     return proj
 
 
@@ -306,35 +306,14 @@ def random_rank_one_projection(seed) -> np.ndarray:
     return _rank_one_projections(seed, 1)[0]
 
 
-def _separates(pivot, target, separation: float):
-    """Whether gap >= separation, gap the smaller of ||pivot - target||
-    and ||pivot - (1 - target)||, for one pair or each of a stack, as the
-    exact operator norms decide it.
-
-    A 2x2 matrix has ||x|| <= ||x||_F <= sqrt(2) ||x||, so a Frobenius
-    norm below separation (1 - delta) rejects and one from sqrt(2)
-    separation (1 + delta) up accepts, delta = 2 _ROUNDING covering the
-    rounding of both norms; only a pair the bounds leave open takes the
-    op_norm (svd) of its two differences, so equality still accepts.
-    """
-    diffs = np.stack((pivot - target, pivot - (_ONE - target)), axis=-3)
-    frob = _fnorm(diffs)
-    delta = 2.0 * _ROUNDING
-    accept = np.array(np.all(frob >= np.sqrt(2.0) * separation * (1.0 + delta), axis=-1))
-    undecided = ~(accept | np.any(frob < separation * (1.0 - delta), axis=-1))
-    if np.any(undecided):
-        accept[undecided] = np.min(op_norm(diffs[undecided]), axis=-1) >= separation
-    return accept
-
-
 def _pair_spec_alone(gen, margin: float, separation: float):
     """random_pair_spec from one stream: index, pivot, then targets until
-    one is separated from the pivot and its complement."""
+    one is separated from the pivot and its complement (_separated)."""
     index = margin + (1.0 - 2.0 * margin) * float(gen.random())
     pivot = _rank_one_2x2s(gen, 1)[0]
     for _ in range(_MAX_REJECT):
         target = _rank_one_2x2s(gen, 1)[0]
-        if _separates(pivot, target, separation):
+        if np.all(_separated(pivot, target, separation)):
             return pivot, target, index
     raise DegenerateSpec("could not separate the projections")
 
@@ -342,19 +321,20 @@ def _pair_spec_alone(gen, margin: float, separation: float):
 def _pair_specs(seeds, margin: float, separation: float):
     """random_pair_spec over seeds.  Each trial draws the uniforms of its
     index, pivot and first target; the stack builds them, and a trial
-    whose two vectors are drawn (norm above 1e-6) and separated keeps
+    whose two vectors are drawn (norm above _TINY) and separated keeps
     them.  Any other trial draws again alone (_pair_spec_alone)."""
     (u,) = _uniforms(seeds, lambda gen: (gen.random(9),))
     index = margin + (1.0 - 2.0 * margin) * u[..., 0]
     proj, nrm = _rank_ones(u[..., 1:].reshape(u.shape[:-1] + (2, 4)))
     pivot, target = proj[..., 0, :, :].copy(), proj[..., 1, :, :].copy()
-    redo = ~(np.all(nrm > 1e-6, axis=-1) & _separates(pivot, target, separation))
+    redo = ~(np.all(nrm > _TINY, axis=-1) & np.all(_separated(pivot, target, separation), axis=-1))
     return _redraw(seeds, redo, lambda gen: _pair_spec_alone(gen, margin, separation),
                    (pivot, target, index))
 
 
 def random_pair_spec(seed, margin=0.05, separation=0.05):
-    """Rank-one (pivot, target) with honest separation plus an index in
+    """Rank-one (pivot, target), the pivot strictly farther than
+    separation from the target and from its complement, plus an index in
     [margin, 1 - margin]."""
     pivot, target, index = _pair_specs(seed, _check_margin(margin), separation)
     return pivot, target, float(index)

@@ -194,24 +194,26 @@ class PairSpec:
     index: float
 
 
-def _validate_spec(pivot, target, index, tol: Tolerances):
-    """Rank-one pivot and target, neither the target nor its complement
-    within tol.proj of the pivot, and an index in (0, 1).
+def _separated(pivot, target, bound: float) -> np.ndarray:
+    """The (..., 2) mask of ||pivot - target|| > bound and ||pivot - (1 -
+    target)|| > bound for (..., 2, 2) pivots and targets, as the exact
+    operator norms decide it: both differences of every pair go as one
+    stack to hermitian._hnorm_beyond, whose Frobenius cuts settle most
+    tests without a factorization."""
+    return _hnorm_beyond(np.stack((pivot - target, pivot - (np.eye(2) - target)), axis=-3), bound)
 
-    The separations are only compared with tol.proj, and a Hermitian
-    n x n h has ||h||_F / sqrt(n) <= ||h|| <= ||h||_F, so a Frobenius norm
-    above sqrt(n) tol.proj, the common case, or within tol.proj settles a
-    test without a factorization (hermitian._hnorm_beyond), and every
-    DegenerateSpec decision is the one the exact norm gives.
-    """
+
+def _validate_spec(pivot, target, index, tol: Tolerances):
+    """Rank-one pivot and target, the pivot strictly farther than tol.proj
+    from the target and from its complement (_separated), and an index in
+    (0, 1)."""
     pivot = _rank_one(pivot, tol)
     target = _rank_one(target, tol)
     index = _index(index)
     _require_lead(index, pivot, target)
-    one = np.eye(2, dtype=complex)
-    _require(_hnorm_beyond(pivot - target, tol.proj), DegenerateSpec, "pivot equals the target projection")
-    _require(_hnorm_beyond(pivot - (one - target), tol.proj), DegenerateSpec,
-             "pivot equals the complement of the target")
+    separated = _separated(pivot, target, tol.proj)
+    _require(separated[..., 0], DegenerateSpec, "pivot equals the target projection")
+    _require(separated[..., 1], DegenerateSpec, "pivot equals the complement of the target")
     return pivot, target, index
 
 

@@ -12,12 +12,13 @@ is a batch of one, not a second path: norms are a float for one matrix
 and an array for a stack.  A stacked factorization gives each matrix the
 bits it gets alone.  Stacks pay where a numpy.linalg call's ~10 us
 overhead is most of its cost, at small n; at n ~ 100 copying matrices
-into a stack costs more than the call it saves, and numpy's stacked
-matmul is about twice as slow as the same products made one by one.  So
-_factor_each stacks factorizations up to _STACK_N, and products are
-stacked only for small matrices.  The compatibility check, the dilation,
-the site-block maps and the dimension-2 entry points take stacks too, and
-run each stack in one pass, never element by element.  Raw input is validated once, at an
+into a stack costs more than the call it saves.  So the one choice made
+by size is _factor_each's: it factorizes separate operands (a and b) as
+one stack up to _STACK_N and one call each above it.  A stack that a
+caller passes goes to each numpy call whole, at every n.  The
+compatibility check, the dilation, the site-block maps and the
+dimension-2 entry points take stacks too, and run each stack in one
+pass, never element by element.  Raw input is validated once, at an
 entry point, by as_matrix, require_hermitian, _hermitian_pair, _effect,
 _projection or _unitary, whose stack=True admits a stack; the private
 cores take the Hermitian arrays they return.
@@ -181,14 +182,14 @@ def _hnorm_beyond(h, bound: float):
     so a Frobenius norm above sqrt(n) times the bound, less a rounding
     allowance of _ROUNDING * n, settles the test one way and one within
     the bound the other way; only a Frobenius norm between the two takes
-    the exact _hnorm(h).
+    the exact _hnorm of that h alone, not of the whole stack.
     """
     n = h.shape[-1]
     frob = _fnorm(h)
-    beyond = frob > bound * np.sqrt(n) * (1.0 + _ROUNDING * n)
+    beyond = np.array(frob > bound * np.sqrt(n) * (1.0 + _ROUNDING * n))
     undecided = (frob > bound) & ~beyond
     if np.any(undecided):
-        beyond = beyond | (undecided & (_hnorm(h) > bound))
+        beyond[undecided] = _hnorm(h[undecided]) > bound
     return beyond
 
 
@@ -337,12 +338,10 @@ def _span(v) -> np.ndarray:
     return hermitize(v @ dagger(v))
 
 
-def _levels(vals, tol: Tolerances, margin=0.0):
+def _levels(vals, tol: Tolerances):
     """Masks of the values (eigenvalues, singular values, entry moduli) at
-    1 and at 0, within tol.spec; as tol.spec < 0.5, no value is at both.
-    A margin widens both levels, for a certificate that a value clears the
-    cut by it."""
-    return vals >= 1.0 - tol.spec - margin, vals <= tol.spec + margin
+    1 and at 0, within tol.spec; as tol.spec < 0.5, no value is at both."""
+    return vals >= 1.0 - tol.spec, vals <= tol.spec
 
 
 def _level_span(a, tol: Tolerances, level: int) -> np.ndarray:

@@ -44,8 +44,8 @@ from abscompat.generate import (
     _abscompat_pairs,
     _commuting_strict_pairs,
     _orthogonal_pairs,
+    _pair_specs,
     _rank_one_2x2s,
-    _separates,
     _streams,
     derive_seed,
     haar_unitary,
@@ -65,6 +65,7 @@ from abscompat.geometry import (
     BALL_CENTER,
     _bloch,
     _reference_focus,
+    _separated,
     ball_to_sphere,
     bloch_matrix,
     bloch_point,
@@ -824,14 +825,14 @@ def _ref_strict_effect(n, seed, margin=0.1):
 
 def _ref_pair_spec(seed, margin=0.05, separation=0.05, gen=None):
     """random_pair_spec as one loop: index, pivot, then targets until the
-    svd op_norm gap to the pivot and its complement reaches separation."""
+    exact norm gap to the pivot and its complement exceeds separation."""
     gen = gen or _fresh(seed)
     index = margin + (1.0 - 2.0 * margin) * float(gen.random())
     pivot = _reference_rank_one(gen)
     while True:
         target = _reference_rank_one(gen)
-        gap = float(np.min(op_norm(np.array((pivot - target, pivot - (np.eye(2) - target))))))
-        if gap >= separation:
+        gap = float(np.min(_hnorm(np.array((pivot - target, pivot - (np.eye(2) - target))))))
+        if gap > separation:
             return pivot, target, index
 
 
@@ -981,14 +982,12 @@ def test_commuting_draws_keep_the_points_of_the_one_by_one_loop(margin):
         _commuting_strict_pairs(2, seeds[:2], 0.4999)
 
 
-_DELTA = 2.0 * _ROUNDING
-
-
 def _open_candidates(seeds, separation=0.05):
     """How many candidate targets of random_pair_spec over seeds have a
-    Frobenius norm in the band [separation (1 - delta), sqrt(2) separation
-    (1 + delta)) where the bounds leave the decision to the svd."""
-    count = 0
+    difference whose Frobenius norm lies in the band (separation, sqrt(2)
+    separation (1 + 2 _ROUNDING)], where the bounds leave the decision to
+    the exact norm."""
+    count, top = 0, np.sqrt(2.0) * separation * (1.0 + 2.0 * _ROUNDING)
     for seed in seeds:
         gen = _fresh(seed)
         gen.random()
@@ -997,12 +996,8 @@ def _open_candidates(seeds, separation=0.05):
             target = _reference_rank_one(gen)
             diffs = np.array((pivot - target, pivot - (np.eye(2) - target)))
             frob = _fnorm(diffs)
-            if np.all(frob >= np.sqrt(2.0) * separation * (1.0 + _DELTA)):
-                break
-            if np.any(frob < separation * (1.0 - _DELTA)):
-                continue
-            count += 1
-            if np.min(op_norm(diffs)) >= separation:
+            count += bool(np.any((frob > separation) & (frob <= top)))
+            if np.all(_hnorm(diffs) > separation):
                 break
     return count
 
@@ -1019,20 +1014,20 @@ def _count_calls(monkeypatch, names):
 
 def test_draws_stay_stacked(monkeypatch):
     """A 30-trial campaign draw makes at most one QR per generator, and the
-    m2 and geometry draws make an svd only for a candidate target whose
-    Frobenius norms fall in the band.  Counts, unlike timings, hold on any
-    host."""
+    spec draw of the m2 and geometry suites makes an eigvalsh only for a
+    candidate target with a Frobenius norm in the band, and no svd.
+    Counts, unlike timings, hold on any host."""
     seeds = [derive_seed(32, i) for i in range(30)]
-    open_specs = _open_candidates([derive_seed(s, 1) for s in seeds])
-    calls = _count_calls(monkeypatch, ("qr", "svd"))
+    calls = _count_calls(monkeypatch, ("qr", "svd", "eigvalsh"))
     generators = {"compat": 2, "canonical": 1, "m2": 0, "geometry": 0, "equivalences": 4}
     for name, count in generators.items():
         for n in REGISTRY[name].sizes:
-            calls.update(qr=0, svd=0)
+            calls.update(qr=0)
             REGISTRY[name].draw(seeds, n)
             assert calls["qr"] <= count, (name, n)
-            if name in ("m2", "geometry"):
-                assert calls["svd"] <= open_specs, (name, n)
+    calls.update(svd=0, eigvalsh=0)
+    _pair_specs(seeds, 0.05, 0.05)
+    assert calls["svd"] == 0 and calls["eigvalsh"] <= _open_candidates(seeds)
 
 
 def test_canonical_check_stays_stacked(monkeypatch):
@@ -1222,15 +1217,18 @@ SCALES = (0.5, 0.7, 2**-0.5, 0.75, 0.99, 1.0, 1.01, 1.4, 2**0.5, 1.5, 3.0)
 
 
 def test_spec_separation_decisions_equal_the_exact_norm(monkeypatch):
-    """random_pair_spec keeps a target exactly when the svd op_norm of
-    pivot - target and of pivot - (1 - target) both reach the separation,
-    equality included, though the Frobenius bounds settle most candidates.
+    """_separated, the one separation test of the spec validator and of
+    random_pair_spec, keeps a pivot apart from a target, and from its
+    complement, exactly when the exact norm of the difference is strictly
+    beyond the bound, though the Frobenius cuts settle most candidates.
     For rank-one P and Q at angle theta, ||P - Q|| = sin(theta) and
-    ||P - Q||_F = sqrt(2) sin(theta), so the scales from 1/sqrt(2) to 1
-    take the svd and the others do not."""
+    ||P - Q||_F = sqrt(2) sin(theta), so the scales above 1/sqrt(2) and up
+    to 1 take an eigvalsh and the others none; a stack factorizes only the
+    differences the cuts leave open."""
     separation = 0.05
+    top = np.sqrt(2.0) * separation * (1.0 + 2.0 * _ROUNDING)
     pivot = np.diag([1.0, 0.0]).astype(complex)
-    calls = _count_calls(monkeypatch, ("svd",))
+    calls = _count_calls(monkeypatch, ("eigvalsh", "svd"))
     targets = []
     for scale in SCALES:
         theta = np.arcsin(scale * separation)
@@ -1238,14 +1236,26 @@ def test_spec_separation_decisions_equal_the_exact_norm(monkeypatch):
         near = hermitize(np.outer(v, np.conj(v)))
         for target in (near, np.eye(2) - near):  # near the pivot, near its complement
             targets.append(target)
-            calls["svd"] = 0
-            assert bool(_separates(pivot, target, separation)) == (scale >= 1.0)
-            assert (calls["svd"] > 0) == (2**-0.5 <= scale <= 1.0), scale
-            gap = float(np.min(op_norm(np.array((pivot - target, pivot - (np.eye(2) - target))))))
+            diffs = np.array((pivot - target, pivot - (np.eye(2) - target)))
+            norms, frob = _hnorm(diffs), _fnorm(diffs)
+            calls.update(eigvalsh=0, svd=0)
+            assert _separated(pivot, target, separation).tolist() == (norms > separation).tolist(), scale
+            between = bool(np.any((frob > separation) & (frob <= top)))
+            assert calls == {"eigvalsh": int(between), "svd": 0}, scale
+            if scale != 2**-0.5:  # on the lower cut itself rounding picks the side
+                assert between == (2**-0.5 < scale <= 1.0), scale
+            gap = float(np.min(norms))
             for s in (gap, np.nextafter(gap, 0.0), np.nextafter(gap, 1.0)):
-                assert bool(_separates(pivot, target, s)) == (gap >= s), (scale, s)
-    stacked = _separates(np.array([pivot] * len(targets)), np.array(targets), separation)
-    assert stacked.tolist() == [bool(_separates(pivot, t, separation)) for t in targets]
+                assert _separated(pivot, target, s).tolist() == (norms > s).tolist(), (scale, s)
+    stacked = _separated(np.array([pivot] * len(targets)), np.array(targets), separation)
+    assert stacked.tolist() == [_separated(pivot, t, separation).tolist() for t in targets]
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: shapes.append(h.shape) or eigvalsh(h))
+    one_open = np.array([targets[i] for i in (0, SCALES.index(0.99) * 2, -1)])  # scales 0.5, 0.99, 3
+    got = _separated(np.array([pivot] * 3), one_open, separation)
+    assert got.tolist() == [[False, True], [False, True], [True, True]]
+    assert shapes == [(1, 2, 2)]
 
 
 def _spoiled_stream(seed, spoils):
