@@ -22,10 +22,11 @@ spectrum clusters takes a step of its own.  The core returns the
 CanonicalForm, of one pair or of a stack, with the reconstruction it
 checked, and exchanged_pivot_form keeps the pair it checks in the same
 way.  The form comes from one eigh of 1-a-b, whose positive half
-gives x0 and the site pairing, and its reconstruction certifies the
-pair: compatible by the continuity of S -> |S|, strict effects by
-Weyl's inequality (_form_bounds).  So a canonicalize call makes 1 eigh,
-2 eigvalsh (the reconstruction residual) and 1 svd; a pair the
+gives x0 and the site pairing.  The same eigh certifies the pair
+compatible, by the Sylvester bound of compat._sylvester_bounds, and
+the form's reconstruction certifies both operands as strict effects,
+by Weyl's inequality (_weyl_margin).  So a canonicalize call makes 1
+eigh, 2 eigvalsh (the reconstruction residual) and 1 svd; a pair the
 certificates leave open is validated as before they existed, which
 adds 2 eigh and 2 eigvalsh.
 
@@ -76,7 +77,7 @@ from .hermitian import (
     identity_like,
 )
 from .compat import (
-    _bounded, _built_pair, _certified_pair, _eigh_on, _pair_spectra, _require_compatible, _strict_block_bound,
+    _bounded, _built_pair, _certified_pair, _eigh_on, _pair_spectra, _require_compatible, _sylvester_bounds,
 )
 from .io import matrix_to_json
 
@@ -462,13 +463,14 @@ def _canonical(a, b, tol: Tolerances) -> CanonicalForm:
     each pair of two (..., n, n) stacks: each step runs once on the whole
     stack, and a stack raises at the first step some pair of it fails.
 
-    The form is recovered first (_recovered), and its reconstruction
-    settles the pair when both of its certificates hold for every pair
-    (_certified_form).  Otherwise, and whenever the recovery raises,
-    _validated runs first and raises what the pair fails, so a pair that
-    is not an effect, of odd size, not strict or not compatible raises
-    that error ahead of any error of the recovery; a pair it passes
-    keeps the recovered form, or raises the recovery's error.
+    The form is recovered first (_recovered), from one eigh of 1-a-b,
+    and that eigh and the form settle the pair when both certificates
+    hold for every pair (_certified_form).  Otherwise, and whenever the
+    recovery raises, _validated runs first and raises what the pair
+    fails, so a pair that is not an effect, of odd size, not strict or
+    not compatible raises that error ahead of any error of the recovery;
+    a pair it passes keeps the recovered form, or raises the recovery's
+    error.
     """
     n = a.shape[-1]
     # the recovery takes nonempty same-shape pairs of even size with no
@@ -476,12 +478,13 @@ def _canonical(a, b, tol: Tolerances) -> CanonicalForm:
     # rejects the others
     if a.shape != b.shape or not a.size or n % 2 or not _bounded(a, b, tol):
         _validated(a, b, tol)
+    lam, vecs = np.linalg.eigh(identity_like(a) - a - b)
     try:
-        cf = _recovered(a, b, tol)
+        cf = _recovered(a, b, lam, vecs, tol)
     except AbscompatError:
         _validated(a, b, tol)
         raise
-    if not np.all(_certified_form(a, b, cf, tol)):
+    if not np.all(_certified_form(a, b, cf, lam, vecs, tol)):
         _validated(a, b, tol)
     return cf
 
@@ -490,85 +493,69 @@ def _validated(a, b, tol: Tolerances) -> None:
     """Raises what the pair, or the first failing check over a stack,
     fails, in this order: the effect checks of _certified_pair, an odd
     size, strictness (one eigvalsh of [a, b] when the residual certified
-    the effects), then compatibility."""
-    residual, vals = _certified_pair(a, b, tol, compared=True)
+    the effects), then compatibility, on the exact residual: it runs
+    where the certificates failed."""
+    residual, vals = _certified_pair(a, b, tol)
     if a.shape[-1] % 2:
         raise OddDimension("canonical form needs even dimension, got %d" % a.shape[-1])
     _require_strict(*(vals or _factor_each(np.linalg.eigvalsh, a, b)), tol)
     _require_compatible(residual, tol)
 
 
-def _certified_form(a, b, cf: CanonicalForm, tol: Tolerances):
-    """Whether the recovered form cf certifies each pair of n x n
-    Hermitian (a, b), over leading axes, as absolutely compatible (its
-    bound is within tol.compat) and as two strict effects (every site
-    eigenvalue clears the _levels cut by its margin), by _form_bounds."""
-    bound, margin = _form_bounds(a, b, cf, tol)
+def _certified_form(a, b, cf: CanonicalForm, lam, vecs, tol: Tolerances):
+    """Whether each pair of n x n Hermitian (a, b), over leading axes, is
+    certified absolutely compatible by the Sylvester bound from the eigh
+    (lam, vecs) of 1-a-b (compat._sylvester_bounds, whose rounding
+    allowance covers 1-a-b in either operand order), and as two strict
+    effects by its recovered form cf: every site eigenvalue clears the
+    _levels cut by the Weyl margin (_weyl_margin)."""
+    certified = _sylvester_bounds(a, b, lam, vecs, tol.compat)[1]
     spread, sq = cf.x0 * (1.0 - cf.x0), cf.a0 * cf.a0
     p = np.concatenate([spread * sq, spread * (1.0 - sq)], axis=-1)
     # the smaller root of lam (1 - lam) = p, where p < (1 - tol.spec)/4 by
     # the gates on d; the larger root, 1 - lam, clears the same cut
-    lam = 2.0 * p / (1.0 + np.sqrt(1.0 - 4.0 * p))
-    return (bound <= tol.compat) & _strict_rows(lam, tol, margin[..., None])
+    low = 2.0 * p / (1.0 + np.sqrt(1.0 - 4.0 * p))
+    return certified & _strict_rows(low, tol, _weyl_margin(cf, tol)[..., None])
 
 
-def _form_bounds(a, b, cf: CanonicalForm, tol: Tolerances):
-    """(bound, margin) for each pair of n x n Hermitian (a, b) and its
-    recovered form cf, over leading axes: bound is at least the
-    compatibility residual of (a, b), and every eigenvalue of a and of b
-    is within margin of a site eigenvalue of cf.
+def _weyl_margin(cf: CanonicalForm, tol: Tolerances):
+    """A margin for the recovered form cf of each pair of n x n Hermitian
+    (a, b), over leading axes: every eigenvalue of a and of b is within
+    it of a site eigenvalue of cf.
 
     Let S = (Sa, Sb) be the site pair of cf, (ra, rb) = U0 S U0* its
     computed reconstruction, eps = ||U0*U0 - I||_F and U the unitary
     polar factor of U0 = U P.  The eigenvalues of P are the square
     roots of those of U0*U0, and |p - 1| <= |p^2 - 1| for p >= 0, so
     ||P - I||_F <= eps, ||P|| <= 1 + eps and
-    ||U0 S U0* - U S U*||_F = ||PSP - S||_F <= eps (2 + eps) ||S||, with
-    ||S|| <= 1 + tol.spec for the sites of an effect.  So Ta = U Sa U*
-    and Tb = U Sb U* are within err_x + eps (2 + eps)(1 + tol.spec) of a
-    and b, where err_x is ||ra - a|| (operator norm) or ||ra - a||_F.
+    ||U0 S U0* - U S U*|| = ||PSP - S|| <= eps (2 + eps) ||S||, with
+    ||S|| <= 1 + tol.spec for the sites of an effect.
 
-    Compatibility.  Each site of S is exactly compatible, |Sa - Sb| = x0
-    and |1 - Sa - Sb| = 1 - x0 per site, so f(Ta, Tb) = U f(Sa, Sb) U* =
-    0, with f(x, y) = |x-y| + |1-x-y| - 1.  By the continuity of S -> |S|
-    in the Hilbert-Schmidt norm, ||f(a, b)||_F <= 2 (||a - Ta||_F +
-    ||b - Tb||_F), and each term is at most ||rx - x||_F plus one drift
-    eps (2 + eps)(1 + tol.spec).  That is compat._strict_block_bound at
-    residual 0 and frob = (eps, ||ra - a||_F, ||rb - b||_F), with U0 in
-    the place of its V.  Its _ROUNDING n covers the rounding of the
-    sites, of the products and of the residual that _validated computes,
-    about n u each.
-
-    Effects and strictness.  A site of a is (1-x0) P0 + x0 P, of trace 1
-    and determinant x0 a0^2 (1-x0), so its eigenvalues are lam and
-    1 - lam with lam (1 - lam) = x0 a0^2 (1-x0); those of b have
-    x0 (1 - a0^2)(1-x0).  By Weyl's inequality each eigenvalue of a is
-    within ||Ta - a|| <= err + eps (2 + eps)(1 + tol.spec) of one of
-    Ta's, err being cf.residual, and each eigenvalue that eigvalsh
-    computes within p(n) u of that; margin adds _ROUNDING n to cover
-    it.  So when every lam clears the _levels cut by margin, both
+    A site of a is (1-x0) P0 + x0 P, of trace 1 and determinant
+    x0 a0^2 (1-x0), so its eigenvalues are lam and 1 - lam with
+    lam (1 - lam) = x0 a0^2 (1-x0); those of b have x0 (1 - a0^2)(1-x0).
+    By Weyl's inequality each eigenvalue of a is within
+    ||U Sa U* - a|| <= err + eps (2 + eps)(1 + tol.spec) of one of
+    U Sa U*'s, err being cf.residual, and each eigenvalue that eigvalsh
+    computes within p(n) u of that; the margin adds _ROUNDING n to cover
+    it.  So when every lam clears the _levels cut by the margin, both
     spectra lie inside (tol.spec, 1 - tol.spec): both operands are
     effects, and strict.
     """
-    n = a.shape[-1]
-    ra, rb = cf.reconstruct()
-    eps = _fnorm(dagger(cf.u0) @ cf.u0 - identity_like(a))
-    drift = eps * (2.0 + eps) * (1.0 + tol.spec)
-    bound = _strict_block_bound(0.0, (eps, _fnorm(ra - a), _fnorm(rb - b)), n, tol)
-    return bound, np.asarray(cf.residual + drift + _ROUNDING * n)
+    eps = _fnorm(dagger(cf.u0) @ cf.u0 - identity_like(cf.u0))
+    return np.asarray(cf.residual + eps * (2.0 + eps) * (1.0 + tol.spec) + _ROUNDING * cf.u0.shape[-1])
 
 
-def _recovered(a, b, tol: Tolerances) -> CanonicalForm:
+def _recovered(a, b, lam, vecs, tol: Tolerances) -> CanonicalForm:
     """The canonical form of each pair of two stacks of Hermitian (a, b)
-    of even size n = 2m, from one eigh of 1-a-b, once its reconstruction
-    is within tol.canon.
+    of even size n = 2m, from the eigh (lam, vecs) of 1-a-b, once its
+    reconstruction is within tol.canon.
 
     In the form, 1-a-b is (1-x0)(1-2 P0) and |a-b| is x0 on each site, so
     for a compatible pair |a-b| = 1 - |1-a-b|: the positive half of 1-a-b
     holds the sites' first coordinates and gives x0 = 1 - lam_plus, and
     the sorted 1 - |lam| are the eigenvalues of |a-b|, which pair up."""
     m = a.shape[-1] // 2
-    lam, vecs = np.linalg.eigh(identity_like(a) - a - b)
     _require(tol.spec < np.abs(lam), PairingFailure, "1 - a - b has an eigenvalue at zero")
     _require(np.count_nonzero(lam < 0.0, axis=-1) == m, PairingFailure,
              "spectral halves of 1 - a - b have unequal rank")

@@ -12,15 +12,16 @@ compatibility residual proves both operands are effects
 the residual is small (_sylvester_bounds), and a Frobenius norm within
 a bound proves the operator norm is too (hermitian._hnorm_upto).  So a
 residual that is only compared with tol.compat factorizes 1-a-b alone,
-and a-b only for a pair the bound leaves open.  Five-block certifies
-its strict block from what it already holds: the spectra the block
-interlaces clear the strictness cut (_strict_by_interlacing), and the
-whole pair's residual plus its off-block norms bound the block's
-residual (_strict_block_bound).  That bound needs the whole pair's
-residual only from above, so five_block_decompose takes the Sylvester
-bound too, and a five-block call makes 4 eigh and no eigvalsh, where
-taking the pair's exact residual and factorizing the strict block again
-for its own would make 7 and 4.
+and a-b only for a pair the bound leaves open; canonical.canonicalize
+takes the same bound from the eigh of 1-a-b its form comes from.
+Five-block certifies its strict block from what it already holds: the
+spectra the block interlaces clear the strictness cut
+(_strict_by_interlacing), and the whole pair's residual plus its
+off-block norms bound the block's residual (_strict_block_bound).  That
+bound needs the whole pair's residual only from above, so _five_blocks
+always takes the Sylvester bound, and a five-block call makes 4 eigh
+and no eigvalsh, where taking the pair's exact residual and factorizing
+the strict block again for its own would make 7 and 4.
 
 is_abs_compatible and projection_compat_equiv take stacks of pairs and
 run each in one pass: a stack raises at the first check that any pair
@@ -340,7 +341,7 @@ def five_block_decompose(a, b, tol: Tolerances = DEFAULT_TOL) -> FiveBlockDecomp
     (_sylvester_bounds).
     """
     a, b = _hermitian_pair(a, b, tol)
-    _, ((_, bases, blocks_a, blocks_b),) = _five_blocks(a, b, tol, compared=True)
+    _, ((_, bases, blocks_a, blocks_b),) = _five_blocks(a, b, tol)
     return FiveBlockDecomposition(bases, blocks_a, blocks_b)
 
 
@@ -354,14 +355,13 @@ class _Blocks(NamedTuple):
     blocks_b: dict
 
 
-def _five_blocks(a, b, tol: Tolerances, compared: bool = False):
+def _five_blocks(a, b, tol: Tolerances):
     """five_block_decompose of Hermitian a and b, or of each pair of two
-    (..., n, n) stacks: (the compatibility residual its certificate
-    computed, one _Blocks per pattern of block ranks).  With
-    compared=True, for a caller that does not report the residual, it is
-    the Sylvester bound where that settles the pair (_certified_pair);
-    the strict-block bound only needs a value never below the exact
-    residual.
+    (..., n, n) stacks: (the compatibility residual its certificate took,
+    one _Blocks per pattern of block ranks).  That residual is the
+    Sylvester bound where that settles the pair (_certified_pair with
+    compared=True), never below the exact residual, which is all the
+    strict-block bound needs.
 
     The certificate and the eigh of a run on the whole stack.  eigh sorts
     each spectrum in ascending order, so the kernel of a is a prefix of
@@ -379,7 +379,7 @@ def _five_blocks(a, b, tol: Tolerances, compared: bool = False):
     _strict_block_bound is within tol.compat; only the pairs that these
     certificates leave open take _built_pair on their strict blocks.
     """
-    residual, _ = _certified_pair(a, b, tol, compared)
+    residual, _ = _certified_pair(a, b, tol, compared=True)
     _require_compatible(residual, tol)
     n = a.shape[-1]
     vals, vecs = np.linalg.eigh(a)
@@ -538,8 +538,8 @@ def _strict_block_bound(residual, frob, n: int, tol: Tolerances):
         r + 2 (delta_a + delta_b) + 4 eps (2 + eps) (1 + tol.spec),
     and _ROUNDING n covers the rounding of the two computed residuals and
     of the compressions, about n u each, as in _certified_pair.
-    canonical._form_bounds takes the same bound at r = 0 for a
-    reconstruction.
+    _five_blocks, its one caller, takes r from above, as the Sylvester
+    bound.
     """
     eps, delta_a, delta_b = frob
     return (residual + 2.0 * (delta_a + delta_b) + 4.0 * eps * (2.0 + eps) * (1.0 + tol.spec)

@@ -179,15 +179,16 @@ def _hnorm_beyond(h, bound: float):
     stack of them; a NaN norm is not beyond it.
 
     ||h||_F / sqrt(n) <= ||h|| <= ||h||_F, as h has at most n eigenvalues,
-    so a Frobenius norm above sqrt(n) times the bound, less a rounding
-    allowance of _ROUNDING * n, settles the test one way and one within
-    the bound the other way; only a Frobenius norm between the two takes
-    the exact _hnorm of that h alone, not of the whole stack.
+    so a Frobenius norm above sqrt(n) times the bound settles the test
+    one way and one within the bound the other way, each less a rounding
+    allowance of _ROUNDING * n: a rank-one h has ||h||_F = ||h|| up to
+    rounding.  Only a Frobenius norm between the two cuts takes the exact
+    _hnorm of that h alone, not of the whole stack.
     """
     n = h.shape[-1]
     frob = _fnorm(h)
     beyond = np.array(frob > bound * np.sqrt(n) * (1.0 + _ROUNDING * n))
-    undecided = (frob > bound) & ~beyond
+    undecided = (frob > bound * (1.0 - _ROUNDING * n)) & ~beyond
     if np.any(undecided):
         beyond[undecided] = _hnorm(h[undecided]) > bound
     return beyond

@@ -87,8 +87,9 @@ def _check_compat(x, tol):
     ab = 0, a + b <= 1 and absolute compatibility hold together, and the
     five-block decomposition of the whole batch passes its checks, one
     computation per pattern of block ranks (compat._five_blocks).  The
-    orthogonal residual is the one the decomposition's certificate
-    computed, the residual is_abs_compatible reports for the pair."""
+    orthogonal residual is the bound the decomposition's certificate
+    took, never below the exact residual that is_abs_compatible reports
+    (the equivalences check reports that one)."""
     a, b, oa, ob = x["a"], x["b"], x["oa"], x["ob"]
     fwd = is_abs_compatible(a, b, tol)
     rev = is_abs_compatible(b, a, tol)
@@ -228,7 +229,7 @@ def _check_fiveblock(x, tol):
     out = np.empty((4, len(x["a"])))
     for members in _grouped(len(a) for a in x["a"]).values():
         a, b = (np.array([x[name][i] for i in members]) for name in "ab")
-        _, groups = _five_blocks(*_hermitian_pair(a, b, tol, stack=True), tol, compared=True)
+        _, groups = _five_blocks(*_hermitian_pair(a, b, tol, stack=True), tol)
         for (at,), bases, blocks_a, blocks_b in groups:
             rows = np.array(members)[at]
             sa, sb = blocks_a["strict"], blocks_b["strict"]

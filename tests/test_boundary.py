@@ -495,11 +495,20 @@ def _canonical_bits(a, b, tol):
 
 
 def _canonical_bound_case(side):
-    """A valid pair with a tol.compat at the compatibility bound of its
-    recovered form (_form_bounds), or just below it."""
-    a, b = random_abscompat_pair(8, derive_seed(11, 3))
-    cf = canonical._recovered(hermitize(a), hermitize(b), DEFAULT_TOL)
-    bound = float(canonical._form_bounds(hermitize(a), hermitize(b), cf, DEFAULT_TOL)[0])
+    """A valid pair with a tol.compat at the least value at which the
+    Sylvester bound from the eigh of 1-a-b that canonicalize takes
+    certifies it (compat._sylvester_bounds), or one ulp below."""
+    a, b = (hermitize(x) for x in random_abscompat_pair(8, derive_seed(11, 3)))
+    zvals, zvecs = np.linalg.eigh(hermitian.identity_like(a) - a - b)
+
+    def certifies(bound):
+        return bool(compat._sylvester_bounds(a, b, zvals, zvecs, bound)[1])
+
+    bound = float(compat._sylvester_bounds(a, b, zvals, zvecs, np.inf)[0])
+    while not certifies(bound):
+        bound = np.nextafter(bound, np.inf)
+    while certifies(np.nextafter(bound, 0.0)):
+        bound = np.nextafter(bound, 0.0)
     return a, b, DEFAULT_TOL.override(compat=bound if side == "over" else np.nextafter(bound, 0.0))
 
 
@@ -577,7 +586,7 @@ def test_canonical_certificate_parity(case, monkeypatch):
     assert raised is CANONICAL_RAISES.get(case), got
     if case == "incompatible-unequal-halves":
         with pytest.raises(PairingFailure, match="unequal rank"):
-            canonical._recovered(a, b, tol)
+            canonical._recovered(a, b, *np.linalg.eigh(hermitian.identity_like(a) - a - b), tol)
     if case == "clustered-x0":
         np.testing.assert_allclose(canonicalize(a, b).x0, [0.3, 0.3, 0.6], rtol=0.0, atol=1e-12)
 

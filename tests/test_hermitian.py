@@ -14,6 +14,7 @@ from abscompat.errors import (
     NotUnitary,
 )
 from abscompat.hermitian import (
+    _hnorm,
     _hnorm_beyond,
     _levels,
     _require,
@@ -237,6 +238,23 @@ def test_the_gate_masks_fail_a_nan():
     assert _strict_rows(rows, DEFAULT_TOL).tolist() == [True, False, False]
     h = np.array([np.diag(d) for d in ([1.0, 0.0], [np.nan, 0.0], [0.8e-9, 0.8e-9], [1.2e-9, 0.0], [1e-9, 0.0])])
     assert _hnorm_beyond(h, 1e-9).tolist() == [True, False, False, True, False]
+
+
+def test_hnorm_beyond_is_the_exact_decision_on_rank_one_h():
+    """A rank-one h has ||h||_F = ||h|| up to rounding, so a bound within a
+    few ulps of its norm lies between the two Frobenius cuts, and
+    _hnorm_beyond then decides it as the exact norm does."""
+    gen = np.random.Generator(np.random.Philox(key=derive_seed(50, 0)))
+    for i in range(1500):
+        n = 2 + i % 3
+        v = gen.normal(size=n) + 1j * gen.normal(size=n)
+        h = hermitize(gen.normal() * np.outer(v, np.conj(v)))
+        norm = _hnorm(h)
+        bounds = [norm]
+        for _ in range(3):
+            bounds = [np.nextafter(bounds[0], 0.0)] + bounds + [np.nextafter(bounds[-1], np.inf)]
+        for bound in bounds:
+            assert bool(_hnorm_beyond(h, bound)) == (norm > bound), (i, norm, bound)
 
 
 def test_span_is_the_column_projection():

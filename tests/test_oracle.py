@@ -1,6 +1,7 @@
-"""High-precision oracle: canonicalize, the five-block strict-block bound
-and the Sylvester bound on the compatibility residual checked against
-50-digit arithmetic (mpmath) at n <= 6.
+"""High-precision oracle: canonicalize and its certificates, the
+five-block strict-block bound and the Sylvester bound on the
+compatibility residual checked against 50-digit arithmetic (mpmath) at
+n <= 6.
 
 Every float input converts to mpmath exactly, so the oracle's values are
 those of the very matrices the library saw, to about 1e-50: the exact
@@ -16,7 +17,7 @@ from abscompat import DEFAULT_TOL, canonical, compat
 from abscompat.canonical import canonicalize
 from abscompat.compat import _pair_spectra, _reduced_blocks, _strict_block_bound, five_block_decompose
 from abscompat.generate import derive_seed, haar_unitary, random_abscompat_pair
-from abscompat.hermitian import _ROUNDING, dagger, hermitize
+from abscompat.hermitian import _ROUNDING, dagger, hermitize, identity_like
 from abscompat.properties import REGISTRY
 
 mpmath = pytest.importorskip("mpmath")
@@ -95,16 +96,22 @@ def _drawn(n, seed):
     return np.sort(x["x0"][0]), x["a"][0], x["b"][0]
 
 
-CASES = [(n, scale) for n in (2, 4, 6) for scale in (0.0, 1e-11, 3e-9)]
+# (n, scale, whether the Sylvester bound from canonicalize's eigh of 1-a-b
+# certifies the pair): every moved pair is still compatible within
+# tol.compat, so canonicalize returns its form on either side
+CASES = [(n, scale, True) for n in (2, 4, 6) for scale in (0.0, 1e-11)]
+CASES += [(2, 2e-9, True), (4, 2e-9, False), (6, 2e-9, True)]
+CASES += [(n, 3e-9, False) for n in (2, 4, 6)]
 
 
-@pytest.mark.parametrize("n, scale", CASES, ids=["n%d-%g" % case for case in CASES])
-def test_canonicalize_against_the_oracle(n, scale):
+@pytest.mark.parametrize("n, scale, certified", CASES, ids=["n%d-%g" % case[:2] for case in CASES])
+def test_canonicalize_against_the_oracle(n, scale, certified):
     """The reported reconstruction residual is the exact one up to the
     rounding allowance; x0 is the drawn one and the exact one of the
-    pair; the certificate's compatibility bound is at least the exact
-    residual, and each exact eigenvalue is within its margin of a site
-    eigenvalue.  The perturbed pairs put the bound on both sides of
+    pair; the Sylvester bound from the eigh of 1-a-b that canonicalize
+    takes, less its rounding allowance, is at least the exact residual,
+    and each exact eigenvalue is within the Weyl margin of a site
+    eigenvalue.  The moved pairs put the bound on both sides of
     tol.compat."""
     x0, a, b = _drawn(n, derive_seed(41, n))
     if scale:
@@ -122,14 +129,16 @@ def test_canonicalize_against_the_oracle(n, scale):
         lam = _eigvals(mp.eye(n) - ma - mb)
         assert max(abs(mp.mpf(float(v)) - (1 - lam[-1 - k])) for k, v in enumerate(cf.x0)) <= allowance
 
-    hermitian = hermitize(a), hermitize(b)
-    bound, margin = (float(v) for v in canonical._form_bounds(*hermitian, canonical._recovered(
-        *hermitian, DEFAULT_TOL), DEFAULT_TOL))
+    a, b = hermitize(a), hermitize(b)
+    zvals, zvecs = np.linalg.eigh(identity_like(a) - a - b)
+    bound = float(compat._sylvester_bounds(a, b, zvals, zvecs, np.inf)[0])
     residual = _compat_residual(ma, mb)
     assert bound - allowance >= residual, (bound, residual)
+    assert residual <= DEFAULT_TOL.compat
+    assert bool(compat._sylvester_bounds(a, b, zvals, zvecs, DEFAULT_TOL.compat)[1]) == certified, bound
+    margin = float(canonical._weyl_margin(cf, DEFAULT_TOL))
     for vals, sites in zip((_eigvals(ma), _eigvals(mb)), _site_eigenvalues(cf)):
         assert max(abs(v - s) for v, s in zip(vals, sites)) <= margin - allowance
-    assert (bound <= DEFAULT_TOL.compat) == (scale < 1e-9)
 
 
 # an a-unit, b-unit, a-null and b-null slot

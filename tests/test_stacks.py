@@ -984,10 +984,11 @@ def test_commuting_draws_keep_the_points_of_the_one_by_one_loop(margin):
 
 def _open_candidates(seeds, separation=0.05):
     """How many candidate targets of random_pair_spec over seeds have a
-    difference whose Frobenius norm lies in the band (separation, sqrt(2)
-    separation (1 + 2 _ROUNDING)], where the bounds leave the decision to
-    the exact norm."""
+    difference whose Frobenius norm lies in the band (separation (1 - 2
+    _ROUNDING), sqrt(2) separation (1 + 2 _ROUNDING)], where the bounds
+    leave the decision to the exact norm."""
     count, top = 0, np.sqrt(2.0) * separation * (1.0 + 2.0 * _ROUNDING)
+    low = separation * (1.0 - 2.0 * _ROUNDING)
     for seed in seeds:
         gen = _fresh(seed)
         gen.random()
@@ -996,7 +997,7 @@ def _open_candidates(seeds, separation=0.05):
             target = _reference_rank_one(gen)
             diffs = np.array((pivot - target, pivot - (np.eye(2) - target)))
             frob = _fnorm(diffs)
-            count += bool(np.any((frob > separation) & (frob <= top)))
+            count += bool(np.any((frob > low) & (frob <= top)))
             if np.all(_hnorm(diffs) > separation):
                 break
     return count
@@ -1131,10 +1132,12 @@ FIVE_BLOCK_STACKS.append(("mixed", 8))
 def test_five_block_stack_elements_equal_their_lone_calls(kind, n):
     """Every pair of a stack, whichever pattern of block ranks it has, gets
     the bases, blocks and projections of its own five_block_decompose, and
-    the residual its certificate computed is is_abs_compatible's."""
+    the residual its certificate took has the bits of the pair's own
+    bound, _pair_spectra at tol.compat."""
     a, b = _stack(kind, n)
     residual, groups = _five_blocks(a, b, DEFAULT_TOL)
-    assert residual.tobytes() == is_abs_compatible(a, b).residual.tobytes()
+    alone = [_pair_spectra(x, y, DEFAULT_TOL.compat) for x, y in zip(a, b)]
+    assert residual.tobytes() == np.array(alone).tobytes()
     seen = []
     for group in groups:
         for j, (i,) in enumerate(zip(*group.at)):
@@ -1222,11 +1225,12 @@ def test_spec_separation_decisions_equal_the_exact_norm(monkeypatch):
     complement, exactly when the exact norm of the difference is strictly
     beyond the bound, though the Frobenius cuts settle most candidates.
     For rank-one P and Q at angle theta, ||P - Q|| = sin(theta) and
-    ||P - Q||_F = sqrt(2) sin(theta), so the scales above 1/sqrt(2) and up
-    to 1 take an eigvalsh and the others none; a stack factorizes only the
-    differences the cuts leave open."""
+    ||P - Q||_F = sqrt(2) sin(theta), so the scales from 1/sqrt(2) up to
+    1 take an eigvalsh and the others none: the lower cut sits a rounding
+    allowance below the bound, so 1/sqrt(2) is inside the band on every
+    host.  A stack factorizes only the differences the cuts leave open."""
     separation = 0.05
-    top = np.sqrt(2.0) * separation * (1.0 + 2.0 * _ROUNDING)
+    low, top = separation * (1.0 - 2.0 * _ROUNDING), np.sqrt(2.0) * separation * (1.0 + 2.0 * _ROUNDING)
     pivot = np.diag([1.0, 0.0]).astype(complex)
     calls = _count_calls(monkeypatch, ("eigvalsh", "svd"))
     targets = []
@@ -1240,10 +1244,9 @@ def test_spec_separation_decisions_equal_the_exact_norm(monkeypatch):
             norms, frob = _hnorm(diffs), _fnorm(diffs)
             calls.update(eigvalsh=0, svd=0)
             assert _separated(pivot, target, separation).tolist() == (norms > separation).tolist(), scale
-            between = bool(np.any((frob > separation) & (frob <= top)))
+            between = bool(np.any((frob > low) & (frob <= top)))
             assert calls == {"eigvalsh": int(between), "svd": 0}, scale
-            if scale != 2**-0.5:  # on the lower cut itself rounding picks the side
-                assert between == (2**-0.5 < scale <= 1.0), scale
+            assert between == (2**-0.5 <= scale <= 1.0), scale
             gap = float(np.min(norms))
             for s in (gap, np.nextafter(gap, 0.0), np.nextafter(gap, 1.0)):
                 assert _separated(pivot, target, s).tolist() == (norms > s).tolist(), (scale, s)
