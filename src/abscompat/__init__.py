@@ -24,9 +24,7 @@ _EXPORTS = {
         "SpectralAmbiguity", "SumExceedsOne", "TraceNotOne", "UnknownSuite",
     ),
     "hermitian": (
-        "absolute_value", "dagger", "hermitize", "is_strict", "jordan_product",
-        "null_projection", "op_norm", "require_effect", "require_hermitian",
-        "require_projection", "require_unitary", "support_projection",
+        "dagger", "hermitize", "is_strict", "jordan_product", "op_norm", "require_hermitian",
     ),
     "compat": (
         "CompatReport", "FiveBlockDecomposition", "five_block_decompose", "is_abs_compatible",
@@ -43,15 +41,14 @@ _EXPORTS = {
     "geometry": (
         "BALL_CENTER", "BALL_RADIUS", "GeometryReport", "PairSpec", "PivotalSphere",
         "SpheroidStats", "ball_to_sphere", "bloch_matrix", "bloch_point", "decompose_pair_m2",
-        "geometry_report", "in_punctured_ball", "pair_from_projections", "pivotal_sphere",
+        "geometry_report", "pair_from_projections", "pivotal_sphere",
         "sphere_to_ball", "spheroid_residual",
     ),
     "generate": (
-        "derive_seed", "haar_unitary", "random_abscompat_pair",
-        "random_commuting_projection_effect", "random_commuting_strict_pair",
+        "derive_seed", "haar_unitary", "random_abscompat_pair", "random_commuting_strict_pair",
         "random_orthogonal_pair", "random_pair_params", "random_pair_spec", "random_projection",
-        "random_rank_one_projection", "random_spheroid_partners", "random_strict_effect",
-        "random_strict_projection_params", "random_strict_unitary_params",
+        "random_rank_one_projection", "random_spheroid_partners", "random_strict_projection_params",
+        "random_strict_unitary_params",
     ),
     "io": ("load_matrix", "matrix_from_json", "matrix_to_json", "save_matrix"),
 }

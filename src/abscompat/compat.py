@@ -101,12 +101,12 @@ def _canonical_order(a, b):
 
 
 def _pair_spectra(a, b, bound=None):
-    """|| |a-b| + |1-a-b| - 1 ||, exactly from one eigh of the stack
-    [a-b, 1-a-b] (_factor_each); a residual that is only compared with a
-    bound is first bounded from one eigh of 1-a-b (_sylvester_bounds), and
-    only a pair that bound leaves open takes the eigh of a-b and its
-    residual Frobenius-first (_hnorm_upto), exact where it exceeds the
-    bound.  No matrix is factorized twice.
+    """|| |a-b| + |1-a-b| - 1 ||, from one eigh of 1-a-b and one of a-b,
+    exact where there is no bound.  A residual that is only compared with
+    a bound is first bounded from the eigh of 1-a-b alone
+    (_sylvester_bounds), and only a pair that bound leaves open takes the
+    eigh of a-b and its residual Frobenius-first (_hnorm_upto), exact
+    where it exceeds the bound.  No matrix is factorized twice.
 
     a and b may be stacks of pairs of one shape; the residual is then an
     array.  Each pair is put in a canonical order before any
@@ -119,16 +119,17 @@ def _pair_spectra(a, b, bound=None):
     """
     a, b = _canonical_order(a, b)
     one = identity_like(a)
-    if bound is None:
-        (dvals, dvecs), (zvals, zvecs) = _factor_each(np.linalg.eigh, a - b, one - a - b)
-        return _hnorm(_compose(np.abs(dvals), dvecs) + _compose(np.abs(zvals), zvecs) - one)
     zvals, zvecs = np.linalg.eigh(one - a - b)
-    residual, certified = _sylvester_bounds(a, b, zvals, zvecs, bound)
-    if not np.all(certified):
+    if bound is None:
+        residual, at = np.empty(a.shape[:-2]), ...  # every pair is open
+    else:
+        residual, certified = _sylvester_bounds(a, b, zvals, zvecs, bound)
+        if np.all(certified):
+            return _per_matrix(residual)
         at = np.nonzero(~certified) if certified.ndim else ()
-        dvals, dvecs = np.linalg.eigh(a[at] - b[at])
-        excess = _compose(np.abs(dvals), dvecs) + _compose(np.abs(zvals[at]), zvecs[at]) - one
-        residual[at] = _hnorm_upto(excess, bound)
+    dvals, dvecs = np.linalg.eigh(a[at] - b[at])
+    excess = _compose(np.abs(dvals), dvecs) + _compose(np.abs(zvals[at]), zvecs[at]) - one
+    residual[at] = _hnorm(excess) if bound is None else _hnorm_upto(excess, bound)
     return _per_matrix(residual)
 
 

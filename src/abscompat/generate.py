@@ -21,11 +21,14 @@ the same core: given one seed rather than a list, a core returns that
 trial's arrays with no leading axis.
 """
 
+import math
+import operator
+
 import numpy as np
 
 from .canonical import StrictProjectionParams, StrictUnitaryParams, pair_from_params
 from .config import DEFAULT_TOL, Tolerances
-from .errors import BadMargin, DegenerateSpec, DimensionMismatch, OddDimension
+from .errors import BadMargin, DegenerateSpec, DimensionMismatch, DomainError, OddDimension
 from .geometry import BALL_CENTER, _bloch_matrices, _chart, _reference_focus, _separated
 from .hermitian import _compose, _span, _vnorm, dagger, hermitize
 
@@ -35,9 +38,31 @@ _MAX_REJECT = 10000
 _TINY = 1e-6  # a drawn Gaussian vector of norm at most this is skipped
 
 
+def _key(seed) -> int:
+    """seed, an integer through operator.index, mod 2^64."""
+    try:
+        return operator.index(seed) & _MASK64
+    except TypeError:
+        raise DomainError("seed must be an integer, got %r" % (seed,)) from None
+
+
 def derive_seed(base, index) -> int:
     """Per-trial seed: base XOR (index * golden-ratio stride) mod 2^64."""
-    return (int(base) ^ ((int(index) * SEED_STRIDE) & _MASK64)) & _MASK64
+    return _key(base) ^ ((_key(index) * SEED_STRIDE) & _MASK64)
+
+
+def _size(value, message: str, low: int = 1, high=math.inf, step: int = 1, error=DimensionMismatch) -> int:
+    """value, a size, rank or count, as an int through operator.index, once
+    it is a multiple of step in [low, high]; otherwise raises
+    error(message.format(value, high)), or DimensionMismatch for a value
+    that is not an integer."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DimensionMismatch("expected an integer, got %r" % (value,)) from None
+    if not low <= value <= high or value % step:
+        raise error(message.format(value, high))
+    return value
 
 
 def _streams(seeds):
@@ -50,7 +75,7 @@ def _streams(seeds):
         bitgen.state = {
             "bit_generator": "Philox",
             "state": {"counter": np.zeros(4, np.uint64),
-                      "key": np.array([int(seed) & _MASK64, 0], np.uint64)},
+                      "key": np.array([_key(seed), 0], np.uint64)},
             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
         yield gen
@@ -118,13 +143,14 @@ def _haar_unitaries(n: int, seeds) -> np.ndarray:
 def haar_unitary(n: int, seed) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Gaussian matrix with the
     diagonal of R phase-fixed."""
-    if n < 1:
-        raise DimensionMismatch("dimension must be positive")
-    return _haar_unitaries(n, seed)
+    return _haar_unitaries(_size(n, "dimension must be positive"), seed)
 
 
 def _check_margin(margin) -> float:
-    margin = float(margin)
+    try:
+        margin = float(margin)
+    except (TypeError, ValueError):
+        raise BadMargin("margin %r is not a number" % (margin,)) from None
     if not 0.0 < margin < 0.5:
         raise BadMargin("margin %r outside (0, 1/2)" % margin)
     return margin
@@ -133,14 +159,6 @@ def _check_margin(margin) -> float:
 def _strict_effects(n: int, seeds, margin: float) -> np.ndarray:
     (u,) = _uniforms(seeds, lambda gen: (gen.random(n + 2 * n * n),))
     return _compose(margin + (1.0 - 2.0 * margin) * u[..., :n], _haar(u[..., n:], n))
-
-
-def random_strict_effect(n: int, seed, margin=0.1) -> np.ndarray:
-    """Effect with spectrum drawn uniformly from [margin, 1 - margin]."""
-    margin = _check_margin(margin)
-    if n < 1:
-        raise DimensionMismatch("dimension must be positive")
-    return _strict_effects(n, seed, margin)
 
 
 def _commuting_alone(gen, n: int, margin: float):
@@ -168,14 +186,7 @@ def random_commuting_strict_pair(n: int, seed, margin=0.05):
     1 - margin; the shared (standard) eigenbasis makes ||ab - ba|| = 0
     exactly."""
     margin = _check_margin(margin)
-    if n < 1:
-        raise DimensionMismatch("dimension must be positive")
-    return _commuting_strict_pairs(n, seed, margin)
-
-
-def _check_even(n: int) -> None:
-    if n < 2 or n % 2:
-        raise OddDimension("need a positive even dimension, got %r" % n)
+    return _commuting_strict_pairs(_size(n, "dimension must be positive"), seed, margin)
 
 
 def _pair_params(n: int, seeds, margin: float):
@@ -190,9 +201,8 @@ def _pair_params(n: int, seeds, margin: float):
 def random_pair_params(n: int, seed, margin=0.1):
     """Ground-truth data behind random_abscompat_pair: per-site x0, the
     strict projection parameters, and the conjugating unitary."""
-    _check_even(n)
-    margin = _check_margin(margin)
-    x0, a0, w, u = _pair_params(n, seed, margin)
+    n = _size(n, "need a positive even dimension, got {!r}", 2, step=2, error=OddDimension)
+    x0, a0, w, u = _pair_params(n, seed, _check_margin(margin))
     return x0, StrictProjectionParams(a0, w), u
 
 
@@ -207,7 +217,7 @@ def _abscompat_pairs(n: int, seeds, margin: float):
 def random_abscompat_pair(n: int, seed, margin=0.1):
     """Strict absolutely compatible pair in dimension n (even), built from
     random canonical parameters and a Haar conjugation."""
-    _check_even(n)
+    n = _size(n, "need a positive even dimension, got {!r}", 2, step=2, error=OddDimension)
     return _abscompat_pairs(n, seed, _check_margin(margin))[1:]
 
 
@@ -215,8 +225,7 @@ def _site_params(m: int, seeds, margin, phases: int) -> tuple:
     """Per-site a0 uniform in [margin, 1 - margin], then that many raw
     uniform phases, each (..., m) over seeds, once margin and m are valid."""
     margin = _check_margin(margin)
-    if m < 1:
-        raise DimensionMismatch("need at least one site")
+    m = _size(m, "need at least one site")
     (u,) = _uniforms(seeds, lambda gen: (gen.random((1 + phases) * m),))
     w = np.exp(2j * np.pi * u[..., m:])
     return (margin + (1.0 - 2.0 * margin) * u[..., :m], *(w[..., k * m:(k + 1) * m] for k in range(phases)))
@@ -244,15 +253,6 @@ def _commuting_projection_effects(n: int, seeds, margin: float):
     return _compose(np.where(first, 1.0, 0.0), u), _compose(margin + (1.0 - 2.0 * margin) * vals, u)
 
 
-def random_commuting_projection_effect(n: int, seed, margin=0.1):
-    """Projection and strict effect diagonal in one Haar basis, so the
-    two commute up to rounding."""
-    margin = _check_margin(margin)
-    if n < 2:
-        raise DimensionMismatch("need dimension at least 2")
-    return _commuting_projection_effects(n, seed, margin)
-
-
 def _projections(n: int, ranks, seeds) -> np.ndarray:
     """random_projection over seeds, one rank each; the Haar unitaries
     are one stack, and each range's product is made alone."""
@@ -263,11 +263,8 @@ def _projections(n: int, ranks, seeds) -> np.ndarray:
 
 
 def random_projection(n: int, rank: int, seed) -> np.ndarray:
-    if not 0 <= rank <= n:
-        raise DimensionMismatch("rank %r outside [0, %d]" % (rank, n))
-    if n < 1:
-        raise DimensionMismatch("dimension must be positive")
-    return _projections(n, rank, seed)
+    n = _size(n, "dimension must be positive")
+    return _projections(n, _size(rank, "rank {!r} outside [0, {}]", 0, n), seed)
 
 
 def _rank_ones(u):
@@ -350,9 +347,7 @@ def random_orthogonal_pair(n: int, seed, margin=0.1):
     """Effects with ab = 0 built from complementary ranges; eigenvalues
     lie in [margin, 1] so a + b <= 1 holds as well."""
     margin = _check_margin(margin)
-    if n < 2:
-        raise DimensionMismatch("need dimension at least 2")
-    return _orthogonal_pairs(n, seed, margin)
+    return _orthogonal_pairs(_size(n, "need dimension at least 2", 2), seed, margin)
 
 
 def _spheroid_partners(a, count: int, seeds, tol: Tolerances) -> np.ndarray:
@@ -373,6 +368,4 @@ def random_spheroid_partners(a, count: int, seed, tol: Tolerances = DEFAULT_TOL)
     projection: the chord through the chart point of a from the random
     boundary point fixes a decomposition of a, and the partner is its
     complementary mix.  All count partners are built as one stack."""
-    if count < 1:
-        raise DimensionMismatch("count must be positive")
-    return list(_spheroid_partners(a, count, seed, tol))
+    return list(_spheroid_partners(a, _size(count, "count must be positive"), seed, tol))

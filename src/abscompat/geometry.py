@@ -140,17 +140,6 @@ def _bloch_matrices(pts, tol: Tolerances) -> np.ndarray:
     return _two_by_two(t, al, np.conj(al), 1.0 - t)
 
 
-def in_punctured_ball(x, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Trace-one positive 2x2 with 0 < det < 1/4, both bounds strict with
-    margin; the centre (1/2)I has det exactly 1/4 and is excluded.  An x
-    that is not a finite Hermitian matrix raises its own error."""
-    try:
-        _reference_focus(x, tol)
-    except DegenerateSpec:
-        return False
-    return True
-
-
 def _reference_focus(a, tol: Tolerances):
     """a validated once as a point of the open punctured ball, or each of a
     stack, and its chart point.  With trace one a negative eigenvalue makes

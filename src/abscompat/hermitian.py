@@ -1,5 +1,5 @@
-"""Hermitian building blocks: validation, norms, |x|, the support and
-null projections of an effect, strictness tests.
+"""Hermitian building blocks: validation, norms, spectral composition
+and projections, strictness tests.
 
 All inputs are plain complex numpy arrays; all functions are pure.  An
 "effect" is a Hermitian matrix with spectrum in [0, 1]; an effect is
@@ -228,20 +228,12 @@ def require_hermitian(x, tol: Tolerances = DEFAULT_TOL, stack: bool = False) -> 
     return hermitize(x)
 
 
-def require_unitary(u, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    return _unitary(u, tol)
-
-
 def _unitary(u, tol: Tolerances, stack: bool = False) -> np.ndarray:
     """u once U*U is within tol.unit of I; with stack=True, each of a stack."""
     u = as_matrix(u, stack)
     dev = _hnorm_upto(dagger(u) @ u - identity_like(u), tol.unit)
     _require(dev <= tol.unit, NotUnitary, "||U*U - I|| = %.3e > %.3e", dev, tol.unit)
     return u
-
-
-def require_projection(p, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    return _projection(p, tol)
 
 
 def _projection(p, tol: Tolerances, stack: bool = False) -> np.ndarray:
@@ -269,11 +261,6 @@ def _effect(a, tol: Tolerances, stack: bool = False):
     stack=True, of each matrix of a stack."""
     a = require_hermitian(a, tol, stack)
     return a, _require_unit_interval(np.linalg.eigvalsh(a), tol)
-
-
-def require_effect(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Check 0 <= a <= 1 on the spectrum (within tol.spec)."""
-    return _effect(a, tol)[0]
 
 
 def _hermitian_pair(a, b, tol: Tolerances, stack: bool = False):
@@ -317,22 +304,6 @@ def _compose(vals, vecs) -> np.ndarray:
     return hermitize((vecs * vals[..., None, :]) @ dagger(vecs))
 
 
-def absolute_value(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """|x| = (x* x)^(1/2).
-
-    Hermitian inputs go through their own eigendecomposition (one spectral
-    factorization, no squaring), everything else through the SVD.
-    """
-    x = as_matrix(x)
-    if x.size == 0:
-        return x.copy()
-    if float(np.max(np.abs(x - dagger(x)))) <= tol.herm:
-        vals, vecs = np.linalg.eigh(hermitize(x))
-        return _compose(np.abs(vals), vecs)
-    _, s, vh = np.linalg.svd(x)
-    return _compose(s, dagger(vh))
-
-
 def _span(v) -> np.ndarray:
     """The orthogonal projection onto the span of the orthonormal columns
     of v."""
@@ -343,23 +314,6 @@ def _levels(vals, tol: Tolerances):
     """Masks of the values (eigenvalues, singular values, entry moduli) at
     1 and at 0, within tol.spec; as tol.spec < 0.5, no value is at both."""
     return vals >= 1.0 - tol.spec, vals <= tol.spec
-
-
-def _level_span(a, tol: Tolerances, level: int) -> np.ndarray:
-    """The span of the eigenvectors of the effect a in _levels(...)[level],
-    from one eigh whose eigenvalues validate a with the errors of _effect."""
-    vals, vecs = np.linalg.eigh(require_hermitian(a, tol))
-    return _span(vecs[:, _levels(_require_unit_interval(vals, tol), tol)[level]])
-
-
-def support_projection(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Largest projection below the effect a: its eigenvalue-1 eigenspace."""
-    return _level_span(a, tol, 0)
-
-
-def null_projection(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Largest projection annihilating the effect a: its kernel."""
-    return _level_span(a, tol, 1)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import pytest
 
 from abscompat import DEFAULT_TOL
 from abscompat.errors import NotAbsolutelyCompatible, NotStrict
-from abscompat.generate import derive_seed, random_strict_effect
+from abscompat.generate import _strict_effects, derive_seed
 from abscompat.geometry import decompose_pair_m2
 from abscompat.properties import REGISTRY, Property, run
 
@@ -50,7 +50,7 @@ def test_criterion_2_canonical_round_trip():
 def test_criterion_3_m2_characterization():
     out = run(REGISTRY[ENTRIES[3]], 500, BASE + 2, sizes=(2,))
     worst = max(out.worst[k] for k in ("index_error", "pivot_error", "target_error"))
-    strict_eff = random_strict_effect(2, derive_seed(BASE + 2, 9001))
+    strict_eff = _strict_effects(2, derive_seed(BASE + 2, 9001), 0.1)
     with pytest.raises(NotAbsolutelyCompatible):
         decompose_pair_m2(strict_eff, strict_eff)
     p = np.diag([1.0, 0.0]).astype(complex)

@@ -12,15 +12,15 @@ from abscompat.compat import (
 )
 from abscompat.errors import NotAbsolutelyCompatible
 from abscompat.generate import (
+    _commuting_projection_effects,
+    _strict_effects,
     derive_seed,
     haar_unitary,
     random_abscompat_pair,
-    random_commuting_projection_effect,
     random_orthogonal_pair,
     random_projection,
-    random_strict_effect,
 )
-from abscompat.hermitian import dagger, hermitize, op_norm, support_projection
+from abscompat.hermitian import _levels, _span, dagger, hermitize, op_norm
 
 FIX_A = np.array([[0.25, 0.25], [0.25, 0.75]], dtype=complex)
 FIX_B = np.array([[0.25, -0.25], [-0.25, 0.75]], dtype=complex)
@@ -96,12 +96,12 @@ def test_projection_criterion_fixtures():
 def test_projection_criterion_random():
     for i in range(30):
         n = (2, 4, 8)[i % 3]
-        p, a = random_commuting_projection_effect(n, derive_seed(51, i))
+        p, a = _commuting_projection_effects(n, derive_seed(51, i), 0.1)
         lhs, rhs = projection_compat_equiv(p, a)
         assert lhs == rhs
 
         p2 = random_projection(n, 1 + i % (n - 1) if n > 2 else 1, derive_seed(52, i))
-        a2 = random_strict_effect(n, derive_seed(53, i))
+        a2 = _strict_effects(n, derive_seed(53, i), 0.1)
         lhs, rhs = projection_compat_equiv(p2, a2)
         assert lhs == rhs
 
@@ -149,7 +149,9 @@ def test_five_block_assembled():
         fb = five_block_decompose(a, b)
         assert fb.ranks() == {"unit_a": 1, "unit_b": 1, "strict": 4, "null_a": 1, "null_b": 1}
         # both cut a at 1 with the same eigh and the same _levels
-        assert support_projection(a).tobytes() == fb.projections()["unit_a"].tobytes()
+        vals, vecs = np.linalg.eigh(a)
+        unit_a = _span(vecs[:, _levels(vals, DEFAULT_TOL)[0]])
+        assert unit_a.tobytes() == fb.projections()["unit_a"].tobytes()
 
         proj = fb.projections()
         total = sum(proj.values())

@@ -5,22 +5,22 @@ from abscompat import DEFAULT_TOL
 from abscompat.compat import is_abs_compatible, is_orthogonal
 from abscompat.errors import BadMargin, DegenerateSpec, OddDimension
 from abscompat.generate import (
+    _commuting_projection_effects,
+    _strict_effects,
     derive_seed,
     haar_unitary,
     random_abscompat_pair,
-    random_commuting_projection_effect,
     random_commuting_strict_pair,
     random_orthogonal_pair,
     random_pair_spec,
     random_projection,
     random_rank_one_projection,
     random_spheroid_partners,
-    random_strict_effect,
     random_strict_projection_params,
     random_strict_unitary_params,
 )
 from abscompat.canonical import is_strict_projection, strict_projection_from_params
-from abscompat.geometry import in_punctured_ball, pair_from_projections
+from abscompat.geometry import _reference_focus, pair_from_projections
 from abscompat.hermitian import dagger, is_strict, op_norm
 
 
@@ -43,12 +43,10 @@ def test_haar_unitary():
 
 def test_strict_effect():
     for i in range(10):
-        a = random_strict_effect(5, derive_seed(13, i), margin=0.1)
+        a = _strict_effects(5, derive_seed(13, i), 0.1)
         vals = np.linalg.eigvalsh(a)
         assert vals[0] >= 0.1 - 1e-12 and vals[-1] <= 0.9 + 1e-12
         assert is_strict(a)
-    with pytest.raises(BadMargin):
-        random_strict_effect(4, 0, margin=0.6)
 
 
 def test_commuting_strict_pair():
@@ -61,6 +59,8 @@ def test_commuting_strict_pair():
         assert vals[-1] <= 1.0 and vals[0] > 0.0
     a, b = random_commuting_strict_pair(1, 5)
     assert a.shape == (1, 1)
+    with pytest.raises(BadMargin):
+        random_commuting_strict_pair(4, 0, margin=0.6)
 
 
 def test_abscompat_pair():
@@ -83,7 +83,7 @@ def test_strict_param_generators():
 
 def test_commuting_projection_effect():
     for i in range(8):
-        p, a = random_commuting_projection_effect(4, derive_seed(43, i))
+        p, a = _commuting_projection_effects(4, derive_seed(43, i), 0.1)
         assert op_norm(p @ p - p) <= 1e-12
         assert op_norm(p @ a - a @ p) <= 1e-13
         assert is_strict(a)
@@ -102,7 +102,7 @@ def test_pair_spec():
         pivot, target, index = random_pair_spec(derive_seed(53, i))
         a, b = pair_from_projections(pivot, target, index)  # validates everything
         assert 0.0 < index < 1.0
-        assert in_punctured_ball(a)
+        _reference_focus(a, DEFAULT_TOL)  # raises outside the punctured ball
     # no rank-one target is farther than 1/sqrt(2) from both the pivot and its complement
     with pytest.raises(DegenerateSpec, match="^could not separate the projections$"):
         random_pair_spec(53, separation=0.9)

@@ -26,12 +26,12 @@ from abscompat.generate import (
 from abscompat.geometry import (
     BALL_CENTER,
     BALL_RADIUS,
+    _reference_focus,
     ball_to_sphere,
     bloch_matrix,
     bloch_point,
     decompose_pair_m2,
     geometry_report,
-    in_punctured_ball,
     pair_from_projections,
     pivotal_sphere,
     sphere_to_ball,
@@ -85,10 +85,11 @@ def test_bloch_round_trip_and_affinity():
 
 
 def test_in_punctured_ball():
-    assert not in_punctured_ball(0.5 * np.eye(2))  # det = 1/4 exactly
-    assert in_punctured_ball(np.array([[0.25, 0.25], [0.25, 0.75]]))
-    assert not in_punctured_ball(P0)  # det = 0
-    assert not in_punctured_ball(np.diag([0.3, 0.3]))  # trace != 1
+    _reference_focus(np.array([[0.25, 0.25], [0.25, 0.75]]), DEFAULT_TOL)
+    # det = 1/4 exactly, det = 0, trace != 1
+    for x in (0.5 * np.eye(2), P0, np.diag([0.3, 0.3])):
+        with pytest.raises(DegenerateSpec, match="^reference effect must lie in the open punctured ball$"):
+            _reference_focus(x, DEFAULT_TOL)
 
 
 def test_pair_from_projections_fixture():

@@ -1,5 +1,5 @@
-"""Spectral toolbox tests: validation, norms, |x|, support and null
-projections, strictness."""
+"""Spectral toolbox tests: validation, norms, spectral composition,
+level projections, strictness."""
 
 import numpy as np
 import pytest
@@ -14,27 +14,25 @@ from abscompat.errors import (
     NotUnitary,
 )
 from abscompat.hermitian import (
+    _compose,
+    _effect,
     _hnorm,
     _hnorm_beyond,
     _levels,
+    _projection,
     _require,
     _span,
     _strict_rows,
-    absolute_value,
+    _unitary,
     cluster_indices,
     dagger,
     hermitize,
     is_strict,
     jordan_product,
-    null_projection,
     op_norm,
-    require_effect,
     require_hermitian,
-    require_projection,
-    require_unitary,
-    support_projection,
 )
-from abscompat.generate import derive_seed, haar_unitary, random_projection, random_strict_effect
+from abscompat.generate import _strict_effects, derive_seed, haar_unitary, random_projection
 
 
 def _rand_hermitian(n, seed):
@@ -43,101 +41,55 @@ def _rand_hermitian(n, seed):
     return hermitize(x)
 
 
+def _modulus(h):
+    """|h| of a Hermitian h as compat._pair_spectra composes it."""
+    vals, vecs = np.linalg.eigh(h)
+    return _compose(np.abs(vals), vecs)
+
+
+def _level_spans(a):
+    """The eigenspaces of the effect a at 1 and at 0, cut by
+    hermitian._levels from one eigh."""
+    vals, vecs = np.linalg.eigh(a)
+    return tuple(_span(vecs[:, mask]) for mask in _levels(vals, DEFAULT_TOL))
+
+
 def test_absolute_value_fixtures():
-    assert np.allclose(absolute_value(np.diag([1.0, -1.0])), np.eye(2))
-    assert np.allclose(absolute_value(np.zeros((3, 3))), np.zeros((3, 3)))
+    assert np.allclose(_modulus(np.diag([1.0, -1.0])), np.eye(2))
+    assert np.allclose(_modulus(np.zeros((3, 3))), np.zeros((3, 3)))
 
     a = np.array([[0.25, 0.25], [0.25, 0.75]], dtype=complex)
     b = np.array([[0.25, -0.25], [-0.25, 0.75]], dtype=complex)
-    assert op_norm(absolute_value(a - b) - 0.5 * np.eye(2)) <= 1e-12
-
-
-def test_absolute_value_non_hermitian_input():
-    # |x| = (x* x)^(1/2) must also hold away from the Hermitian fast path
-    gen = np.random.Generator(np.random.Philox(key=5))
-    x = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
-    m = absolute_value(x)
-    assert op_norm(hermitize(m) - m) <= 1e-12
-    assert op_norm(m @ m - dagger(x) @ x) <= 1e-10
+    assert op_norm(_modulus(a - b) - 0.5 * np.eye(2)) <= 1e-12
 
 
 def test_abs_idempotent_on_positives():
     for i in range(10):
-        a = random_strict_effect(4, derive_seed(33, i))
-        assert op_norm(absolute_value(a) - a) <= 1e-12
+        a = _strict_effects(4, derive_seed(33, i), 0.1)
+        assert op_norm(_modulus(a) - a) <= 1e-12
 
 
 def test_absolute_value_of_hermitian_is_root_of_square():
     # for Hermitian h, |h| = (h^2)^(1/2): eigenvalues |t|, eigenvectors kept
-    assert np.allclose(absolute_value(np.diag([-2.0, 3.0])), np.diag([2.0, 3.0]))
-    assert np.allclose(absolute_value(np.ones((2, 2))), np.ones((2, 2)), atol=1e-12)
+    assert np.allclose(_modulus(np.diag([-2.0, 3.0])), np.diag([2.0, 3.0]))
+    assert np.allclose(_modulus(np.ones((2, 2))), np.ones((2, 2)), atol=1e-12)
     for i in range(10):
         h = _rand_hermitian(2 + i % 5, derive_seed(101, i))
-        m = absolute_value(h)
+        m = _modulus(h)
         scale = max(1.0, op_norm(h)) ** 2
         assert op_norm(m @ m - h @ h) <= 1e-10 * scale
         assert op_norm(m @ h - h @ m) <= 1e-10 * scale
         assert np.linalg.eigvalsh(m).min() >= -1e-12
 
 
-def test_absolute_value_polar_invariance():
-    # |u| = I for unitary u, |u x| = |x|, and x |x|^(-1) is unitary
-    w = haar_unitary(4, 9)
-    assert op_norm(absolute_value(w) - np.eye(4)) <= 1e-12
-    for i in range(10):
-        gen = np.random.Generator(np.random.Philox(key=derive_seed(88, i)))
-        x = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
-        m = absolute_value(x)
-        assert op_norm(absolute_value(haar_unitary(4, derive_seed(89, i)) @ x) - m) <= 1e-10
-        u = x @ np.linalg.inv(m)
-        assert op_norm(dagger(u) @ u - np.eye(4)) <= 1e-9
-
-
-def test_absolute_value_rejects_what_is_not_a_finite_matrix():
-    with pytest.raises(DomainError):
-        absolute_value(np.diag([np.nan, 1.0]))
-    with pytest.raises(DimensionMismatch):
-        absolute_value(np.ones((2, 3)))
-    assert absolute_value(np.zeros((0, 0))).shape == (0, 0)
-
-
-def test_absolute_value_deterministic():
-    for i in range(10):
-        h = _rand_hermitian(2 + i % 7, derive_seed(102, i))
-        assert absolute_value(h.copy()).tobytes() == absolute_value(h).tobytes()
-
-
 def test_support_null_range_fixtures():
-    assert np.allclose(support_projection(np.eye(3)), np.eye(3))
-    assert np.allclose(support_projection(np.diag([1.0, 0.5])), np.diag([1.0, 0.0]))
-    assert op_norm(support_projection(random_strict_effect(4, 1))) == 0.0
+    assert np.allclose(_level_spans(np.eye(3))[0], np.eye(3))
+    assert np.allclose(_level_spans(np.diag([1.0, 0.5]))[0], np.diag([1.0, 0.0]))
+    assert op_norm(_level_spans(_strict_effects(4, 1, 0.1))[0]) == 0.0
 
-    assert np.allclose(null_projection(np.zeros((2, 2))), np.eye(2))
-    assert np.allclose(null_projection(np.diag([0.0, 0.5])), np.diag([1.0, 0.0]))
-    assert op_norm(null_projection(random_strict_effect(4, 2))) == 0.0
-
-
-def _conjugated(vals, seed):
-    u = haar_unitary(len(vals), seed)
-    return hermitize(u @ np.diag(vals) @ dagger(u))
-
-
-@pytest.mark.parametrize("bad", [
-    _conjugated([-0.25, 0.5, 0.75], 3),
-    _conjugated([-2e-9, 0.5, 0.75], 4),
-    _conjugated([0.5, 1.5], 5),
-    _conjugated([0.5, 1.0 + 2e-9], 6),
-    np.array([[0.5, 1e-3], [0.0, 0.5]]),
-    np.ones((2, 3)),
-], ids=["negative", "slightly-negative", "above-one", "slightly-above-one",
-        "non-hermitian", "non-square"])
-def test_support_null_reject_like_require_effect(bad):
-    with pytest.raises(Exception) as ref:
-        require_effect(bad)
-    for fn in (support_projection, null_projection):
-        with pytest.raises(type(ref.value)) as got:
-            fn(bad)
-        assert str(got.value) == str(ref.value)
+    assert np.allclose(_level_spans(np.zeros((2, 2)))[1], np.eye(2))
+    assert np.allclose(_level_spans(np.diag([0.0, 0.5]))[1], np.diag([1.0, 0.0]))
+    assert op_norm(_level_spans(_strict_effects(4, 2, 0.1))[1]) == 0.0
 
 
 def test_projection_identities():
@@ -148,19 +100,18 @@ def test_projection_identities():
         vals = np.concatenate([[0.0, 1.0], gen.random(n - 2)])
         u = haar_unitary(n, derive_seed(45, i))
         a = hermitize((u * vals) @ dagger(u))
-        nn = null_projection(a)
-        s = support_projection(a)
+        s, nn = _level_spans(a)
         assert op_norm(s @ nn) <= 1e-9
 
 
 def test_support_null_degenerate_fixtures():
-    s = support_projection(np.eye(2))
+    s, nn = _level_spans(np.eye(2))
     assert op_norm(s - np.eye(2)) <= 1e-15
-    assert op_norm(null_projection(np.eye(2))) == 0.0
+    assert op_norm(nn) == 0.0
 
     # ones/2 has spectrum {0, 1}: s and n split C^2 along (1, 1) and (1, -1)
     half = 0.5 * np.ones((2, 2))
-    s, nn = support_projection(half), null_projection(half)
+    s, nn = _level_spans(half)
     assert op_norm(s - half) <= 1e-12
     assert op_norm(nn - (np.eye(2) - half)) <= 1e-12
 
@@ -170,8 +121,9 @@ def test_support_null_of_a_projection():
     for i in range(10):
         n = 2 + i % 5
         p = random_projection(n, 1 + i % (n - 1), derive_seed(46, i))
-        assert op_norm(support_projection(p) - p) <= 1e-9
-        assert op_norm(null_projection(p) - (np.eye(n) - p)) <= 1e-9
+        s, nn = _level_spans(p)
+        assert op_norm(s - p) <= 1e-9
+        assert op_norm(nn - (np.eye(n) - p)) <= 1e-9
 
 
 def test_support_null_are_exact_projections_and_deterministic():
@@ -181,22 +133,19 @@ def test_support_null_are_exact_projections_and_deterministic():
         vals = np.concatenate([[0.0, 0.0, 1.0], gen.random(n - 3)])
         u = haar_unitary(n, derive_seed(48, i))
         a = hermitize((u * vals) @ dagger(u))
-        for fn, rank in ((support_projection, 1), (null_projection, 2)):
-            q = fn(a)
+        spans = _level_spans(a)
+        for q, again, rank in zip(spans, _level_spans(a.copy()), (1, 2)):
             assert op_norm(q - dagger(q)) == 0.0
             assert op_norm(q @ q - q) <= 1e-12
             assert round(float(np.trace(q).real)) == rank
-            assert fn(a.copy()).tobytes() == q.tobytes()
-        assert op_norm(a @ support_projection(a) - support_projection(a)) <= 1e-9
-        assert op_norm(a @ null_projection(a)) <= 1e-9
+            assert again.tobytes() == q.tobytes()
+        assert op_norm(a @ spans[0] - spans[0]) <= 1e-9
+        assert op_norm(a @ spans[1]) <= 1e-9
 
 
 def test_require_hermitian_rejects_asymmetry():
     with pytest.raises(NotHermitian):
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    for fn in (support_projection, null_projection):
-        with pytest.raises(NotHermitian):
-            fn(np.array([[0.5, 2 * DEFAULT_TOL.herm], [0.0, 0.5]]))
     # a stack is rejected when any of its matrices is
     with pytest.raises(NotHermitian):
         require_hermitian(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]), stack=True)
@@ -302,7 +251,7 @@ def test_is_strict():
 
 def test_strict_complement_property():
     for i in range(20):
-        a = random_strict_effect(6, derive_seed(77, i), margin=0.05)
+        a = _strict_effects(6, derive_seed(77, i), 0.05)
         assert is_strict(a)
         assert is_strict(np.eye(6) - a)
 
@@ -323,11 +272,11 @@ def test_jordan_product():
 
 
 def test_require_effect_bounds():
-    require_effect(np.diag([0.0, 1.0]))
+    _effect(np.diag([0.0, 1.0]), DEFAULT_TOL)
     with pytest.raises(NegativeSpectrum):
-        require_effect(np.diag([-0.1, 0.5]))
+        _effect(np.diag([-0.1, 0.5]), DEFAULT_TOL)
     with pytest.raises(DomainError):
-        require_effect(np.diag([0.5, 1.1]))
+        _effect(np.diag([0.5, 1.1]), DEFAULT_TOL)
 
 
 def test_gates_decide_on_the_operator_norm():
@@ -336,21 +285,20 @@ def test_gates_decide_on_the_operator_norm():
     for t, ok in ((0.8e-10, True), (1.2e-10, False)):
         u = np.sqrt(1.0 + t) * np.eye(4)
         if ok:
-            require_unitary(u)
+            _unitary(u, DEFAULT_TOL)
             continue
         with pytest.raises(NotUnitary) as exc:
-            require_unitary(u)
+            _unitary(u, DEFAULT_TOL)
         assert str(exc.value) == "||U*U - I|| = %.3e > %.3e" % (t, DEFAULT_TOL.unit)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warning
-@pytest.mark.parametrize("gate, error", [(require_unitary, NotUnitary),
-                                         (require_projection, NotProjection)])
+@pytest.mark.parametrize("gate, error", [(_unitary, NotUnitary), (_projection, NotProjection)])
 def test_overflowing_gates_raise_their_own_error(gate, error):
     # U*U - I and P^2 - P overflow to inf for finite entries near 1e300:
     # the gate rejects with its own error and an infinite deviation
     with pytest.raises(error) as exc:
-        gate(1e300 * np.eye(4))
+        gate(1e300 * np.eye(4), DEFAULT_TOL)
     assert " = inf > " in str(exc.value)
 
 
@@ -366,7 +314,7 @@ def test_op_norm_rejects_what_is_not_a_finite_matrix():
 
 def test_huge_eigenvalues_give_short_messages():
     with pytest.raises(DomainError) as exc:
-        require_effect(1e300 * np.eye(4))
+        _effect(1e300 * np.eye(4), DEFAULT_TOL)
     assert str(exc.value) == "largest eigenvalue 1.000e+300 exceeds 1"
 
 

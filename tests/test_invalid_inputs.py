@@ -8,6 +8,7 @@ its class and message.
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from abscompat.compat import (
 )
 from abscompat.config import Tolerances
 from abscompat.errors import (
+    BadMargin,
     DegenerateSpec,
     DimensionMismatch,
     DomainError,
@@ -44,14 +46,23 @@ from abscompat.errors import (
     ParseError,
     PostconditionFailure,
 )
-from abscompat.generate import random_abscompat_pair, random_pair_spec, random_spheroid_partners
+from abscompat.generate import (
+    derive_seed,
+    haar_unitary,
+    random_abscompat_pair,
+    random_orthogonal_pair,
+    random_pair_spec,
+    random_projection,
+    random_spheroid_partners,
+    random_strict_projection_params,
+)
 from abscompat.geometry import (
+    _reference_focus,
     ball_to_sphere,
     bloch_matrix,
     bloch_point,
     decompose_pair_m2,
     geometry_report,
-    in_punctured_ball,
     pair_from_projections,
     pivotal_sphere,
     sphere_to_ball,
@@ -218,6 +229,29 @@ def test_tolerances_constructor_rejects_non_positive_and_non_finite(field, value
     assert isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize("draw, error, message", [
+    (lambda: haar_unitary(2.5, 0), DimensionMismatch, "expected an integer, got 2.5"),
+    (lambda: haar_unitary("4", 0), DimensionMismatch, "expected an integer, got '4'"),
+    (lambda: random_abscompat_pair(4.0, 0), DimensionMismatch, "expected an integer, got 4.0"),
+    (lambda: random_orthogonal_pair(2.5, 0), DimensionMismatch, "expected an integer, got 2.5"),
+    (lambda: random_projection(4, 1.5, 0), DimensionMismatch, "expected an integer, got 1.5"),
+    (lambda: random_strict_projection_params(1.5, 0), DimensionMismatch, "expected an integer, got 1.5"),
+    (lambda: random_spheroid_partners(A2, 1.5, 0), DimensionMismatch, "expected an integer, got 1.5"),
+    (lambda: random_abscompat_pair(4, 0, "x"), BadMargin, "margin 'x' is not a number"),
+    (lambda: derive_seed("x", 1), DomainError, "seed must be an integer, got 'x'"),
+    (lambda: haar_unitary(2, None), DomainError, "seed must be an integer, got None"),
+    (lambda: random_abscompat_pair(4, 1.5), DomainError, "seed must be an integer, got 1.5"),
+], ids=["haar-float-n", "haar-str-n", "pair-float-n", "orthogonal-float-n", "projection-float-rank",
+        "params-float-sites", "partners-float-count", "pair-str-margin", "derive-str-seed",
+        "haar-none-seed", "pair-float-seed"])
+def test_generator_arguments_raise_package_errors(draw, error, message):
+    """Sizes, ranks, site counts and counts that are not integers raise
+    DimensionMismatch, seeds that are not integers DomainError (a float
+    seed is not truncated), and a margin that is not a number BadMargin."""
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        draw()
+
+
 @pytest.mark.parametrize("reference, error", [
     ("abc", DomainError), (np.full((2, 2), NAN), DomainError),
     (HALF + np.triu(np.full((2, 2), 1e-6), 1), NotHermitian), (np.eye(3) / 3, DegenerateSpec),
@@ -230,8 +264,8 @@ def test_reference_effect_errors_keep_their_class(reference, error):
         spheroid_residual(reference, [B2])
     with pytest.raises(error):
         random_spheroid_partners(reference, 2, 1)
-    if error is DegenerateSpec:
-        assert not in_punctured_ball(reference)
+    with pytest.raises(error):
+        _reference_focus(reference, DEFAULT_TOL)
 
 
 @pytest.mark.parametrize("partners, kind", [(0.5, "float"), (None, "NoneType")], ids=["number", "none"])
@@ -304,7 +338,6 @@ def _battery():
         for fn in PAIR_ENTRIES:
             yield "%s-%s" % (fn.__name__, kind), lambda fn=fn, a=a, b=b: fn(a, b)
         yield "bloch_point-" + kind, lambda a=a: bloch_point(a)
-        yield "in_punctured_ball-" + kind, lambda a=a: in_punctured_ball(a)
         yield "pair_from_projections-pivot-" + kind, lambda a=a: pair_from_projections(a, TARGET, INDEX)
         yield "spheroid_residual-focus-" + kind, lambda a=a: spheroid_residual(a, [B2])
         yield "spheroid_residual-partner-" + kind, lambda a=a: spheroid_residual(A2, [B2, a])
