@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from abscompat import DEFAULT_TOL
+from abscompat.compat import five_block_decompose
 from abscompat.errors import (
     DimensionMismatch,
     DomainError,
@@ -90,6 +91,31 @@ def test_support_null_range_fixtures():
     assert np.allclose(_level_spans(np.zeros((2, 2)))[1], np.eye(2))
     assert np.allclose(_level_spans(np.diag([0.0, 0.5]))[1], np.diag([1.0, 0.0]))
     assert op_norm(_level_spans(_strict_effects(4, 2, 0.1))[1]) == 0.0
+
+
+def _conjugated(vals, seed):
+    u = haar_unitary(len(vals), seed)
+    return hermitize(u @ np.diag(vals) @ dagger(u))
+
+
+@pytest.mark.parametrize("bad", [
+    _conjugated([-0.25, 0.5, 0.75], 3),
+    _conjugated([-2e-9, 0.5, 0.75], 4),
+    _conjugated([0.5, 1.5], 5),
+    _conjugated([0.5, 1.0 + 2e-9], 6),
+    np.array([[0.5, 1e-3], [0.0, 0.5]]),
+    np.ones((2, 3)),
+], ids=["negative", "slightly-negative", "above-one", "slightly-above-one",
+        "non-hermitian", "non-square"])
+def test_support_null_reject_like_require_effect(bad):
+    """The support and null projections of a are the five-block's unit_a
+    and null_a; what is not an effect is rejected before they are cut, with
+    the class and message of the effect gate _effect."""
+    with pytest.raises(Exception) as ref:
+        _effect(bad, DEFAULT_TOL)
+    with pytest.raises(type(ref.value)) as got:
+        five_block_decompose(bad, bad)
+    assert str(got.value) == str(ref.value)
 
 
 def test_projection_identities():
