@@ -21,7 +21,6 @@ the same core: given one seed rather than a list, a core returns that
 trial's arrays with no leading axis.
 """
 
-import math
 import operator
 
 import numpy as np
@@ -51,18 +50,29 @@ def derive_seed(base, index) -> int:
     return _key(base) ^ ((_key(index) * SEED_STRIDE) & _MASK64)
 
 
-def _size(value, message: str, low: int = 1, high=math.inf, step: int = 1, error=DimensionMismatch) -> int:
-    """value, a size, rank or count, as an int through operator.index, once
-    it is a multiple of step in [low, high]; otherwise raises
-    error(message.format(value, high)), or DimensionMismatch for a value
-    that is not an integer."""
+def _integer(value) -> int:
+    """value through operator.index; DimensionMismatch if it is not an integer."""
     try:
-        value = operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise DimensionMismatch("expected an integer, got %r" % (value,)) from None
-    if not low <= value <= high or value % step:
-        raise error(message.format(value, high))
+
+
+def _size(value, message: str, low: int = 1, high=None) -> int:
+    """value, a size, rank or count, as an int in [low, high]; otherwise
+    DimensionMismatch(message.format(value, high))."""
+    value = _integer(value)
+    if value < low or high is not None and value > high:
+        raise DimensionMismatch(message.format(value, high))
     return value
+
+
+def _even(n) -> int:
+    """n, as an int, once it is a positive even dimension; else OddDimension."""
+    n = _integer(n)
+    if n < 2 or n % 2:
+        raise OddDimension("need a positive even dimension, got %r" % n)
+    return n
 
 
 def _streams(seeds):
@@ -201,7 +211,7 @@ def _pair_params(n: int, seeds, margin: float):
 def random_pair_params(n: int, seed, margin=0.1):
     """Ground-truth data behind random_abscompat_pair: per-site x0, the
     strict projection parameters, and the conjugating unitary."""
-    n = _size(n, "need a positive even dimension, got {!r}", 2, step=2, error=OddDimension)
+    n = _even(n)
     x0, a0, w, u = _pair_params(n, seed, _check_margin(margin))
     return x0, StrictProjectionParams(a0, w), u
 
@@ -217,7 +227,7 @@ def _abscompat_pairs(n: int, seeds, margin: float):
 def random_abscompat_pair(n: int, seed, margin=0.1):
     """Strict absolutely compatible pair in dimension n (even), built from
     random canonical parameters and a Haar conjugation."""
-    n = _size(n, "need a positive even dimension, got {!r}", 2, step=2, error=OddDimension)
+    n = _even(n)
     return _abscompat_pairs(n, seed, _check_margin(margin))[1:]
 
 

@@ -46,12 +46,17 @@ from abscompat.generate import (
     random_strict_projection_params,
     random_strict_unitary_params,
 )
-from abscompat.hermitian import _levels, dagger, hermitize, is_strict, jordan_product, op_norm
-from test_hermitian import _modulus
+from abscompat.hermitian import _compose, _levels, dagger, hermitize, is_strict, jordan_product, op_norm
 
 RT2 = 1.0 / np.sqrt(2.0)
 FIX_A = np.array([[0.25, 0.25], [0.25, 0.75]], dtype=complex)
 FIX_B = np.array([[0.25, -0.25], [-0.25, 0.75]], dtype=complex)
+
+
+def _modulus(h):
+    """|h| of a Hermitian h as compat._pair_spectra composes it."""
+    vals, vecs = np.linalg.eigh(h)
+    return _compose(np.abs(vals), vecs)
 
 
 def test_embed_extract_round_trip():

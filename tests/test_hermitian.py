@@ -172,6 +172,10 @@ def test_support_null_are_exact_projections_and_deterministic():
 def test_require_hermitian_rejects_asymmetry():
     with pytest.raises(NotHermitian):
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # the effect gate of five_block_decompose, just past tol.herm
+    x = np.array([[0.5, 2 * DEFAULT_TOL.herm], [0.0, 0.5]])
+    with pytest.raises(NotHermitian):
+        five_block_decompose(x, x)
     # a stack is rejected when any of its matrices is
     with pytest.raises(NotHermitian):
         require_hermitian(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]), stack=True)

@@ -108,33 +108,24 @@ def _two_call_residual(a, b):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_pair_spectra_stack_equals_batches_of_one(n):
+    """On compatible pairs and on the same pairs moved off compatibility
+    by 1e-3, the residual of _pair_spectra and of is_abs_compatible,
+    stacked or alone, is byte for byte the residual of one eigh of a-b
+    and one of 1-a-b, each taken alone."""
     a, b = _pairs(n, derive_seed(21, n))
-    stacked = _pair_spectra(a, b)
-    assert stacked.shape == (K,)
-    for i in range(K):
-        one = _pair_spectra(a[i], b[i])
-        assert isinstance(one, float)
-        residual = _two_call_residual(a[i], b[i])
-        assert stacked[i] == one == residual
-        assert _pair_spectra(b[i], a[i]) == residual
-
-
-@pytest.mark.parametrize("n", [4, 8, _STACK_N + 8])
-def test_check_residual_is_the_two_eigh_residual(n):
-    """is_abs_compatible reports, byte for byte, the residual of one eigh
-    of a-b and one of 1-a-b, each taken alone: on a stack at n = 4, and on
-    single pairs below and above _STACK_N, compatible and moved off
-    compatibility by 1e-3."""
-    a, b = _pairs(n, derive_seed(25, n))
     gen = np.random.default_rng(n)
     h = hermitize(gen.normal(size=a.shape) + 1j * gen.normal(size=a.shape))
     a = np.concatenate([a, a + 1e-3 * h / np.linalg.norm(h, axis=(-2, -1), keepdims=True)])
     b = np.concatenate([b, b])
-    want = [np.float64(_two_call_residual(x, y)).tobytes() for x, y in zip(a, b)]
-    if n == 4:
-        assert [r.tobytes() for r in is_abs_compatible(a, b).residual] == want
-    else:
-        assert [np.float64(is_abs_compatible(x, y).residual).tobytes() for x, y in zip(a, b)] == want
+    stacked = _pair_spectra(a, b)
+    assert stacked.shape == (2 * K,)
+    assert is_abs_compatible(a, b).residual.tobytes() == stacked.tobytes()
+    for i in range(2 * K):
+        one = _pair_spectra(a[i], b[i])
+        assert isinstance(one, float)
+        residual = _two_call_residual(a[i], b[i])
+        assert stacked[i] == one == residual == is_abs_compatible(a[i], b[i]).residual
+        assert _pair_spectra(b[i], a[i]) == residual
 
 
 @pytest.mark.parametrize("n", SIZES)
