@@ -12,7 +12,10 @@ commuting pair, pair from parameters), the parametrizations of strict
 unitaries and strict projections, their inverses (a strict projection
 is read once, by _strict_projection_read), and the inverse `canonicalize`.
 The site-block layer takes stacks: blocks of shape (..., m, 2, 2) and
-parameters of shape (..., m), mapped and checked per element.
+parameters of shape (..., m), mapped and checked per element.  A
+site-block matrix has exact zeros off its sites, so its gates and
+pair_from_params check it on its 2x2 sites (hermitian._over_sites), and
+only outputs are embedded into full matrices.
 
 `canonicalize` runs on the private core `_canonical` over (..., n, n)
 stacks of pairs, of which a single pair is a batch of one with no
@@ -62,6 +65,7 @@ from .hermitian import (
     _hermitian_pair,
     _hnorm_upto,
     _mixed_pair,
+    _over_sites,
     _per_matrix,
     _projection,
     _require,
@@ -93,7 +97,10 @@ class SiteBlockMatrix:
     """A 2x2 matrix of diagonal m x m operators, stored per site.
 
     ``blocks[..., k, :, :]`` is the 2x2 matrix of site k; ``embed()``
-    interleaves the sites into the full 2m x 2m matrix.
+    interleaves the sites into the full 2m x 2m matrix, whose entries
+    off the sites are exact zeros.  The gates and maps of this module
+    take their norms on the blocks, as the full matrix's are the largest
+    of its sites', and never embed their input.
     """
 
     blocks: np.ndarray
@@ -266,7 +273,7 @@ def strict_unitary_from_params(params: StrictUnitaryParams) -> SiteBlockMatrix:
 def is_strict_unitary(u, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when u is unitary and all four entry operators are strict."""
     u = _sites(u)
-    _unitary(u.embed(), tol, stack=True)
+    _unitary(u.blocks, tol)
     return _per_matrix(np.all(_strict_rows(u.blocks, tol), axis=(-2, -1)))
 
 
@@ -274,7 +281,7 @@ def is_strict_projection(p, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when p is a projection whose (1,1) entry operator is strict and
     whose per-site trace is one."""
     p = _sites(p)
-    _projection(p.embed(), tol, stack=True)
+    _projection(p.blocks, tol, sites=True)
     trace = np.real(p.entry(0, 0) + p.entry(1, 1))
     unit = np.all(np.abs(trace - 1.0) <= tol.proj, axis=-1)
     return _per_matrix(unit & _strict_rows(np.real(p.entry(0, 0)), tol))
@@ -305,9 +312,17 @@ def params_from_strict_projection(p, tol: Tolerances = DEFAULT_TOL) -> StrictPro
     """(a0, w) of a strict projection p, once the projection they build
     is within tol.proj of p."""
     p, a0, w = _strict_projection_read(p, tol, "not a strict projection")
-    dev = _hnorm_upto(_embed(_projection_blocks(a0, w) - p.blocks), tol.proj)
-    _require(dev <= tol.proj, PostconditionFailure, "projection parameter residual %.3e", dev)
+    _require_rebuilt(_projection_blocks(a0, w), p, tol, "projection parameter")
     return StrictProjectionParams(a0=a0, w=w)
+
+
+def _require_rebuilt(blocks, p, tol: Tolerances, label: str) -> None:
+    """Raises PostconditionFailure(label residual) unless the site blocks
+    blocks, the projection a map rebuilt, are within tol.proj of p's in
+    the operator norm of the whole matrix, taken on its sites
+    (hermitian._over_sites)."""
+    dev = _over_sites(_hnorm_upto(blocks - p.blocks, tol.proj), True)
+    _require(dev <= tol.proj, PostconditionFailure, label + " residual %.3e", dev)
 
 
 def projection_pair_from_unitary(u, tol: Tolerances = DEFAULT_TOL):
@@ -324,8 +339,7 @@ def conjugate_to_pivot(p, tol: Tolerances = DEFAULT_TOL) -> SiteBlockMatrix:
     """Strict unitary U with U* diag(0,1) U = p for a strict projection p."""
     p, a0, w = _strict_projection_read(p, tol, "conjugation to the pivot needs a strict projection")
     u = _pivot_unitary(a0, w)
-    dev = _hnorm_upto(_embed(dagger(u) @ PIVOT_0 @ u - p.blocks), tol.proj)
-    _require(dev <= tol.proj, PostconditionFailure, "pivot conjugation residual %.3e", dev)
+    _require_rebuilt(dagger(u) @ PIVOT_0 @ u, p, tol, "pivot conjugation")
     return SiteBlockMatrix(u)
 
 
@@ -379,15 +393,19 @@ def pair_from_params(x0, params: StrictProjectionParams, tol: Tolerances = DEFAU
     """Strict absolutely compatible pair from per-site (x0, a0, w), or each
     pair of a stack for parameters of shape (..., m) and x0 of that shape
     or (m,), built and checked as one stack, once x0 is strict and
-    _built_pair passes the pairs."""
+    _built_pair passes the pairs.  _built_pair checks them on their
+    (..., m, 2, 2) sites, with 2x2 factorizations only, and only the
+    pairs it passes are embedded."""
+    if not isinstance(params, StrictProjectionParams):
+        raise DomainError("params must be StrictProjectionParams, got %s" % type(params).__name__)
     x0, a0 = _strict_reals(x0, "x0"), params.a0
     if x0.shape[-1] != a0.shape[-1]:
         raise DimensionMismatch("x0 has %d sites, projection has %d" % (x0.shape[-1], a0.shape[-1]))
     if x0.shape not in (a0.shape, a0.shape[-1:]):
         raise DimensionMismatch("x0 of shape %r does not fit parameters of shape %r" % (x0.shape, a0.shape))
-    sa, sb = _site_pairs(np.broadcast_to(x0, a0.shape), a0, params.w)
-    return _built_pair(_embed(sa), _embed(sb), tol,
-                       (PostconditionFailure, "constructed pair is not strict at this tolerance"))
+    sites = _site_pairs(np.broadcast_to(x0, a0.shape), a0, params.w)
+    _built_pair(*sites, tol, (PostconditionFailure, "constructed pair is not strict at this tolerance"), sites=True)
+    return tuple(map(_embed, sites))
 
 
 def _conjugate_pair(u, site_pair):
@@ -651,7 +669,7 @@ def exchanged_pivot_form(cf: CanonicalForm, tol: Tolerances = DEFAULT_TOL) -> Ex
     is the phase-free strict projection with the same a0, and the second
     effect picks up diag(1,0) instead.
     """
-    u = cf.u0 @ dagger(_embed(_pivot_unitary(cf.a0, cf.w, exchange=True)))
+    u = cf.u0 @ dagger(SiteBlockMatrix(_pivot_unitary(cf.a0, cf.w, exchange=True)).embed())
     rebuilt = _conjugate_pair(u, _exchanged_sites(cf.x0, cf.a0))
     err = np.maximum(*(_hnorm_upto(e - r, tol.canon) for e, r in zip(rebuilt, cf.reconstruct())))
     _require(err <= tol.canon, PostconditionFailure, "pivot exchange residual %.3e", err)

@@ -52,6 +52,7 @@ from .hermitian import (
     _hnorm,
     _hnorm_upto,
     _levels,
+    _over_sites,
     _per_matrix,
     _projection,
     _require,
@@ -191,14 +192,25 @@ def _require_compatible(residual, tol: Tolerances) -> None:
     _require(residual <= tol.compat, NotAbsolutelyCompatible, "residual %.3e > %.3e", residual, tol.compat)
 
 
-def _built_pair(a, b, tol: Tolerances, not_strict, incompatible="constructed pair residual %.3e"):
+def _built_pair(a, b, tol: Tolerances, not_strict, incompatible="constructed pair residual %.3e",
+                sites: bool = False):
     """(a, b), a pair a construction built, or stacks of such pairs, once
     both are strict (one eigvalsh of the stack [a, b]) and their residual
     is within tol.compat; otherwise raises not_strict, an (error, message)
-    pair, or PostconditionFailure(incompatible % residual)."""
+    pair, or PostconditionFailure(incompatible % residual).
+
+    With sites=True, a and b are the (..., m, 2, 2) site blocks of pairs
+    with exact zeros off their sites, and each pair is checked on its
+    sites: its spectra are the union of its sites', and |a-b| and
+    |1-a-b| are taken site by site, so its residual is the largest of its
+    sites' (hermitian._over_sites).  Each site's Sylvester bound covers
+    that site's rounding with delta(2) (_sylvester_bounds), and a site it
+    leaves open takes its own exact residual, so the whole check makes
+    2x2 factorizations only.
+    """
     va, vb = _factor_each(np.linalg.eigvalsh, a, b)
     _require(_strict_rows(va, tol) & _strict_rows(vb, tol), *not_strict)
-    residual = _pair_spectra(a, b, tol.compat)
+    residual = _over_sites(_pair_spectra(a, b, tol.compat), sites)
     _require(residual <= tol.compat, PostconditionFailure, incompatible, residual)
     return a, b
 

@@ -339,11 +339,27 @@ def _pair_specs(seeds, margin: float, separation: float):
                    (pivot, target, index))
 
 
+def _check_separation(separation) -> float:
+    """separation as a float in [0, 1/sqrt(2)).  For rank-one P and Q in
+    M2, ||P - Q|| = sin(theta) and ||P - (1 - Q)|| = cos(theta) at some
+    angle theta, so no target is farther than 1/sqrt(2) from both Q and
+    1 - Q, and such a separation raises before any draw."""
+    try:
+        separation = float(separation)
+    except (TypeError, ValueError):
+        raise DomainError("separation %r is not a number" % (separation,)) from None
+    if not separation >= 0.0:
+        raise DomainError("separation %r is negative or NaN" % separation)
+    if separation >= np.sqrt(0.5):
+        raise DegenerateSpec("separation %r leaves no target: it must be below 1/sqrt(2)" % separation)
+    return separation
+
+
 def random_pair_spec(seed, margin=0.05, separation=0.05):
     """Rank-one (pivot, target), the pivot strictly farther than
     separation from the target and from its complement, plus an index in
     [margin, 1 - margin]."""
-    pivot, target, index = _pair_specs(seed, _check_margin(margin), separation)
+    pivot, target, index = _pair_specs(seed, _check_margin(margin), _check_separation(separation))
     return pivot, target, float(index)
 
 

@@ -20,8 +20,9 @@ compatibility check, the dilation, the site-block maps and the
 dimension-2 entry points take stacks too, and run each stack in one
 pass, never element by element.  Raw input is validated once, at an
 entry point, by as_matrix, require_hermitian, _hermitian_pair, _effect,
-_projection or _unitary, whose stack=True admits a stack; the private
-cores take the Hermitian arrays they return.
+_projection or _unitary: stack=True admits a stack, and _unitary, or
+_projection with sites=True, takes site blocks (_over_sites).  The
+private cores take the arrays they return.
 
 One strictness cut: a value is at 1 from 1 - tol.spec up and at 0 up
 to tol.spec in every such decision of the package, for kernels and
@@ -219,28 +220,47 @@ def identity_like(x) -> np.ndarray:
     return np.eye(x.shape[-1], dtype=complex)
 
 
+def _over_sites(values, sites: bool):
+    """values, one per matrix; with sites=True, one per site of the
+    (..., m, 2, 2) site blocks of matrices with exact zeros off their
+    sites, and then the largest per matrix.  Such a matrix, and every sum
+    and product of such matrices, is a direct sum of its sites, so its
+    largest entry modulus and its operator norm are the largest of its
+    sites'.  A norm that _hnorm_upto took Frobenius-first per site keeps
+    its meaning: the largest is within the bound when every site's is,
+    and exact where it is not, as no site within the bound exceeds it."""
+    return np.max(values, axis=-1) if sites else values
+
+
 def require_hermitian(x, tol: Tolerances = DEFAULT_TOL, stack: bool = False) -> np.ndarray:
     """x made exactly Hermitian, once its asymmetry is within tol.herm;
     with stack=True, each matrix of a (..., n, n) stack."""
-    x = as_matrix(x, stack)
-    dev = np.abs(x - dagger(x)).max(axis=(-2, -1), initial=0.0)
+    return _hermitian(as_matrix(x, stack), tol)
+
+
+def _hermitian(x, tol: Tolerances, sites: bool = False) -> np.ndarray:
+    """require_hermitian of a finite x; with sites=True, of the matrices
+    of the site blocks x, checked on their sites (_over_sites)."""
+    dev = _over_sites(np.abs(x - dagger(x)).max(axis=(-2, -1), initial=0.0), sites)
     _require(dev <= tol.herm, NotHermitian, "max deviation from self-adjointness %.3e > %.3e", dev, tol.herm)
     return hermitize(x)
 
 
-def _unitary(u, tol: Tolerances, stack: bool = False) -> np.ndarray:
-    """u once U*U is within tol.unit of I; with stack=True, each of a stack."""
-    u = as_matrix(u, stack)
-    dev = _hnorm_upto(dagger(u) @ u - identity_like(u), tol.unit)
+def _unitary(u, tol: Tolerances) -> np.ndarray:
+    """The (..., m, 2, 2) site blocks u once U*U is within tol.unit of I
+    for each matrix U they hold, checked on its sites (_over_sites)."""
+    u = as_matrix(u, stack=True)
+    dev = _over_sites(_hnorm_upto(dagger(u) @ u - identity_like(u), tol.unit), True)
     _require(dev <= tol.unit, NotUnitary, "||U*U - I|| = %.3e > %.3e", dev, tol.unit)
     return u
 
 
-def _projection(p, tol: Tolerances, stack: bool = False) -> np.ndarray:
+def _projection(p, tol: Tolerances, stack: bool = False, sites: bool = False) -> np.ndarray:
     """p made exactly Hermitian, once it is idempotent within tol.proj;
-    with stack=True, each matrix of a (..., n, n) stack."""
-    p = require_hermitian(p, tol, stack)
-    dev = _hnorm_upto(p @ p - p, tol.proj)
+    with stack=True, each matrix of a (..., n, n) stack; with sites=True,
+    each matrix of the site blocks p, checked on its sites (_over_sites)."""
+    p = _hermitian(as_matrix(p, stack or sites), tol, sites)
+    dev = _over_sites(_hnorm_upto(p @ p - p, tol.proj), sites)
     _require(dev <= tol.proj, NotProjection, "||P^2 - P|| = %.3e > %.3e", dev, tol.proj)
     return p
 

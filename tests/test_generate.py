@@ -103,9 +103,10 @@ def test_pair_spec():
         a, b = pair_from_projections(pivot, target, index)  # validates everything
         assert 0.0 < index < 1.0
         _reference_focus(a, DEFAULT_TOL)  # raises outside the punctured ball
-    # no rank-one target is farther than 1/sqrt(2) from both the pivot and its complement
+    # no rank-one target is farther than 1/sqrt(2) from both the pivot and its
+    # complement, and just below that almost none is: the draws run out
     with pytest.raises(DegenerateSpec, match="^could not separate the projections$"):
-        random_pair_spec(53, separation=0.9)
+        random_pair_spec(53, separation=np.sqrt(0.5) - 1e-12)
 
 
 def test_orthogonal_pair():

@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from abscompat import DEFAULT_TOL, AbscompatError
+from abscompat import DEFAULT_TOL, AbscompatError, generate
 from abscompat.canonical import (
     SiteBlockMatrix,
     StrictProjectionParams,
@@ -88,6 +88,13 @@ def test_pair_from_params_postconditions():
         pair_from_params([0.3], SITE, DEFAULT_TOL.override(spec=0.2))
     with pytest.raises(PostconditionFailure, match=r"^constructed pair residual \d\.\d{3}e-1\d$"):
         pair_from_params([0.3], SITE, DEFAULT_TOL.override(compat=1e-30))
+
+
+@pytest.mark.parametrize("params", [[0.5], None, ([0.5], [1.0]), StrictUnitaryParams([0.5], [1.0], [1.0], [1.0])],
+                         ids=["list", "none", "tuple", "unitary-params"])
+def test_pair_from_params_takes_projection_params_only(params):
+    with pytest.raises(DomainError, match="^params must be StrictProjectionParams, got %s$" % type(params).__name__):
+        pair_from_params([0.5], params)
 
 
 def test_pair_from_params_takes_x0_of_the_shape_of_a0_or_one_row():
@@ -252,6 +259,27 @@ def test_generator_arguments_raise_package_errors(draw, error, message):
         draw()
 
 
+@pytest.mark.parametrize("separation, error, message", [
+    ("x", DomainError, "separation 'x' is not a number"),
+    (None, DomainError, "separation None is not a number"),
+    (-1.0, DomainError, "separation -1.0 is negative or NaN"),
+    (NAN, DomainError, "separation nan is negative or NaN"),
+    (np.sqrt(0.5), DegenerateSpec, "separation 0.7071067811865476 leaves no target: it must be below 1/sqrt(2)"),
+    (0.9, DegenerateSpec, "separation 0.9 leaves no target: it must be below 1/sqrt(2)"),
+    (INF, DegenerateSpec, "separation inf leaves no target: it must be below 1/sqrt(2)"),
+], ids=["string", "none", "negative", "nan", "sqrt-half", "above", "inf"])
+def test_pair_spec_separation_raises_before_any_draw(monkeypatch, separation, error, message):
+    """A separation that is not a number, is negative or NaN raises
+    DomainError, and one that no rank-one target can clear, at or above
+    1/sqrt(2), DegenerateSpec; neither draws."""
+    def no_draw(seeds):
+        raise AssertionError("random_pair_spec drew for separation %r" % (separation,))
+
+    monkeypatch.setattr(generate, "_streams", no_draw)
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        random_pair_spec(1, separation=separation)
+
+
 @pytest.mark.parametrize("reference, error", [
     ("abc", DomainError), (np.full((2, 2), NAN), DomainError),
     (HALF + np.triu(np.full((2, 2), 1e-6), 1), NotHermitian), (np.eye(3) / 3, DegenerateSpec),
@@ -331,6 +359,8 @@ VECTORS = {"nan": [NAN], "inf": [INF], "string": "abc", "empty": [], "nested-nan
 POINTS = {"nan": [NAN, 0.0, 0.0], "inf": [INF, 0.0, 0.0], "string": "abc",
           "two": [0.5, 0.0], "nested-nan": [[0.5, NAN, 0.0]]}
 SCALARS = {"nan": NAN, "inf": INF, "string": "abc", "zero": 0.0, "list": [0.5, 0.5]}
+PARAMS = {"list": [0.5], "none": None, "string": "abc", "tuple": ([0.5], [1.0]), "dict": {"a0": [0.5], "w": [1.0]},
+          "unitary-params": StrictUnitaryParams([0.5], [1.0], [1.0], [1.0])}
 
 
 def _battery():
@@ -347,6 +377,8 @@ def _battery():
         yield "StrictUnitaryParams-a0-" + kind, lambda v=v: StrictUnitaryParams(v, [1.0], [1.0], [1.0])
         yield "StrictUnitaryParams-w2-" + kind, lambda v=v: StrictUnitaryParams([0.5], [1.0], v, [1.0])
         yield "pair_from_params-" + kind, lambda v=v: pair_from_params(v, SITE)
+    for kind, params in PARAMS.items():
+        yield "pair_from_params-params-" + kind, lambda params=params: pair_from_params([0.5], params)
     for kind, pt in POINTS.items():
         yield "bloch_matrix-" + kind, lambda pt=pt: bloch_matrix(pt)
         yield "sphere_to_ball-" + kind, lambda pt=pt: sphere_to_ball(SPHERE, pt)

@@ -1,7 +1,7 @@
 """High-precision oracle: canonicalize and its certificates, the
-five-block strict-block bound and the Sylvester bound on the
-compatibility residual checked against 50-digit arithmetic (mpmath) at
-n <= 6.
+five-block strict-block bound, the Sylvester bound on the compatibility
+residual and the site-wise postcondition of pair_from_params checked
+against 50-digit arithmetic (mpmath) at n <= 6.
 
 Every float input converts to mpmath exactly, so the oracle's values are
 those of the very matrices the library saw, to about 1e-50: the exact
@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from abscompat import DEFAULT_TOL, canonical, compat
-from abscompat.canonical import canonicalize
+from abscompat.canonical import StrictProjectionParams, _site_pairs, canonicalize, pair_from_params
 from abscompat.compat import _pair_spectra, _reduced_blocks, _strict_block_bound, five_block_decompose
 from abscompat.generate import derive_seed, haar_unitary, random_abscompat_pair
+from abscompat.errors import PostconditionFailure
 from abscompat.hermitian import _ROUNDING, dagger, hermitize, identity_like
 from abscompat.properties import REGISTRY
 
@@ -234,3 +235,41 @@ def test_sylvester_bound_against_the_oracle():
         assert not _sylvester(a, b)[1]
         assert compat._pair_spectra(a, b, DEFAULT_TOL.compat) <= DEFAULT_TOL.compat
         assert _compat_residual(_mat(a), _mat(b)) <= DEFAULT_TOL.compat
+
+
+# per-site (x0, a0) at m <= 3: sites whose Sylvester bound is within
+# tol.compat, and sites with a small x0, whose gap mu = x0 lifts the bound
+# above it, so that pair_from_params takes those sites' own residuals
+PARAMS = [([0.3], [0.6]), ([0.2, 0.7], [0.5, 0.3]), ([0.45, 0.6, 0.8], [0.2, 0.9, 0.55]),
+          ([1e-5], [0.5]), ([0.4, 3e-6, 0.7], [0.3, 0.6, 0.8]), ([2e-7, 0.5], [0.7, 0.4])]
+
+
+def test_site_wise_postcondition_against_the_oracle():
+    """pair_from_params checks its pair on its 2x2 sites.  The largest of
+    the sites' Sylvester bounds, less the rounding allowance delta(2), is
+    at least the exact residual of the embedded pair it returns, and its
+    pass/raise decision is the one that exact residual gives, under
+    tolerances that put the bound on both sides of tol.compat.  The raise
+    side takes tol.compat = 1e-30, below the exact residual and every
+    nonzero computed one: a tolerance within the rounding of the residual
+    is decided by that rounding."""
+    sides = set()
+    for x0, a0 in PARAMS:
+        x0, a0 = np.array(x0), np.array(a0)
+        params = StrictProjectionParams(a0, np.exp(1j * np.arange(1, len(a0) + 1)))
+        a, b = pair_from_params(x0, params)
+        sa, sb = _site_pairs(x0, params.a0, params.w)
+        zvals, zvecs = np.linalg.eigh(np.eye(2) - sa - sb)
+        certified = float(np.max(compat._sylvester_bounds(sa, sb, zvals, zvecs, np.inf)[0]))
+        exact = _compat_residual(_mat(a), _mat(b))
+        assert certified - _ROUNDING * 2 >= exact, (x0, a0, certified, exact)
+        for bound in (DEFAULT_TOL.compat, 2.0 * certified, 0.5 * certified, 1e-30):
+            tol = DEFAULT_TOL.override(compat=bound)
+            try:
+                pair_from_params(x0, params, tol)
+                passed = True
+            except PostconditionFailure:
+                passed = False
+            assert passed == (exact <= bound), (x0, a0, bound, certified, exact)
+            sides.add(bool(certified <= bound))
+    assert sides == {True, False}
