@@ -60,7 +60,6 @@ from .errors import (
 from .hermitian import (
     _ROUNDING,
     _effects,
-    _factor_each,
     _fnorm,
     _hermitian_pair,
     _hnorm_upto,
@@ -68,6 +67,7 @@ from .hermitian import (
     _over_sites,
     _per_matrix,
     _projection,
+    _record,
     _require,
     _require_strict,
     _strict_rows,
@@ -254,6 +254,7 @@ class StrictUnitaryParams:
 
 
 def strict_projection_from_params(params: StrictProjectionParams) -> SiteBlockMatrix:
+    _record(params, StrictProjectionParams, "params")
     return SiteBlockMatrix(_projection_blocks(params.a0, params.w))
 
 
@@ -265,6 +266,7 @@ def _projection_blocks(a0, w) -> np.ndarray:
 
 
 def strict_unitary_from_params(params: StrictUnitaryParams) -> SiteBlockMatrix:
+    _record(params, StrictUnitaryParams, "params")
     a0, w1, w2, w3 = params.a0, params.w1, params.w2, params.w3
     s0 = np.sqrt(1.0 - a0 * a0)
     return SiteBlockMatrix(_two_by_two(w1 * a0, w2 * s0, w3 * s0, -np.conj(w1) * w2 * w3 * a0))
@@ -396,8 +398,7 @@ def pair_from_params(x0, params: StrictProjectionParams, tol: Tolerances = DEFAU
     _built_pair passes the pairs.  _built_pair checks them on their
     (..., m, 2, 2) sites, with 2x2 factorizations only, and only the
     pairs it passes are embedded."""
-    if not isinstance(params, StrictProjectionParams):
-        raise DomainError("params must be StrictProjectionParams, got %s" % type(params).__name__)
+    _record(params, StrictProjectionParams, "params")
     x0, a0 = _strict_reals(x0, "x0"), params.a0
     if x0.shape[-1] != a0.shape[-1]:
         raise DimensionMismatch("x0 has %d sites, projection has %d" % (x0.shape[-1], a0.shape[-1]))
@@ -516,7 +517,7 @@ def _validated(a, b, tol: Tolerances) -> None:
     residual, vals = _certified_pair(a, b, tol)
     if a.shape[-1] % 2:
         raise OddDimension("canonical form needs even dimension, got %d" % a.shape[-1])
-    _require_strict(*(vals or _factor_each(np.linalg.eigvalsh, a, b)), tol)
+    _require_strict(*(vals or np.linalg.eigvalsh(np.stack([a, b]))), tol)
     _require_compatible(residual, tol)
 
 
@@ -609,8 +610,7 @@ def _recovered(a, b, lam, vecs, tol: Tolerances) -> CanonicalForm:
 
     w = np.ones(x0.shape, dtype=complex)
     ra, rb = _conjugate_pair(u0, _site_pairs(x0, a0, w))
-    err = np.maximum(*(np.abs(vals).max(axis=-1)
-                       for vals in _factor_each(np.linalg.eigvalsh, ra - a, rb - b)))
+    err = np.abs(np.linalg.eigvalsh(np.stack([ra - a, rb - b]))).max(axis=(0, -1))
     _require(err <= tol.canon, PostconditionFailure, "reconstruction residual %.3e > %.3e", err, tol.canon)
     return CanonicalForm(u0, x0, a0, w, err if err.ndim else float(err), (ra, rb))
 
@@ -669,6 +669,7 @@ def exchanged_pivot_form(cf: CanonicalForm, tol: Tolerances = DEFAULT_TOL) -> Ex
     is the phase-free strict projection with the same a0, and the second
     effect picks up diag(1,0) instead.
     """
+    _record(cf, CanonicalForm, "cf")
     u = cf.u0 @ dagger(SiteBlockMatrix(_pivot_unitary(cf.a0, cf.w, exchange=True)).embed())
     rebuilt = _conjugate_pair(u, _exchanged_sites(cf.x0, cf.a0))
     err = np.maximum(*(_hnorm_upto(e - r, tol.canon) for e, r in zip(rebuilt, cf.reconstruct())))

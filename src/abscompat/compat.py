@@ -46,7 +46,6 @@ from .hermitian import (
     _compose,
     _effect,
     _effects,
-    _factor_each,
     _fnorm,
     _hermitian_pair,
     _hnorm,
@@ -127,7 +126,7 @@ def _pair_spectra(a, b, bound=None):
         residual, certified = _sylvester_bounds(a, b, zvals, zvecs, bound)
         if np.all(certified):
             return _per_matrix(residual)
-        at = np.nonzero(~certified) if certified.ndim else ()
+        at = ~certified
     dvals, dvecs = np.linalg.eigh(a[at] - b[at])
     excess = _compose(np.abs(dvals), dvecs) + _compose(np.abs(zvals[at]), zvecs[at]) - one
     residual[at] = _hnorm(excess) if bound is None else _hnorm_upto(excess, bound)
@@ -208,7 +207,7 @@ def _built_pair(a, b, tol: Tolerances, not_strict, incompatible="constructed pai
     leaves open takes its own exact residual, so the whole check makes
     2x2 factorizations only.
     """
-    va, vb = _factor_each(np.linalg.eigvalsh, a, b)
+    va, vb = np.linalg.eigvalsh(np.stack([a, b]))
     _require(_strict_rows(va, tol) & _strict_rows(vb, tol), *not_strict)
     residual = _over_sites(_pair_spectra(a, b, tol.compat), sites)
     _require(residual <= tol.compat, PostconditionFailure, incompatible, residual)
@@ -483,9 +482,8 @@ def _reduced_blocks(a, b, bases, tol):
     open_ = np.logical_not(((1.0 + eps) * eps <= tol.proj) & np.all(bounds <= tol.block, axis=0))
     if np.any(open_):
         norms = frob.copy()
-        at = np.nonzero(open_) if open_.ndim else ()
-        exact = _factor_each(np.linalg.eigvalsh, *(x[at] for x in mats))
-        norms[(slice(None),) + at] = [np.abs(x).max(axis=-1) for x in exact]
+        exact = np.linalg.eigvalsh(np.stack([x[open_] for x in mats]))
+        norms[:, open_] = np.abs(exact).max(axis=-1)
         eps, bounds = _reduction_bounds(norms, tol)
     _require((1.0 + eps) * eps <= tol.proj, PostconditionFailure,
              "five-block bases are not orthonormal, ||V*V - I|| = %.3e", eps)
@@ -575,7 +573,6 @@ def _verify_block_contents(blocks_a, blocks_b, tol, settled=np.False_):
         _require(_hnorm_upto(blk - target * identity_like(blk), tol.block) <= tol.block, PostconditionFailure,
                  "restriction to %s is not %r", name, target)
     if blocks_a["strict"].shape[-1] and not np.all(settled):
-        at = np.nonzero(~settled) if settled.ndim else ()
-        _built_pair(blocks_a["strict"][at], blocks_b["strict"][at], tol,
+        _built_pair(blocks_a["strict"][~settled], blocks_b["strict"][~settled], tol,
                     (PostconditionFailure, "strict block has spectrum touching 0 or 1"),
                     "strict block not absolutely compatible, residual %.3e")

@@ -14,7 +14,7 @@ class Tolerances:
     All values are absolute unless a caller states otherwise; operators at the
     sizes the tests cover (n <= 16 throughout, single pairs up to n = 128,
     double precision) leave several digits of headroom over every default.
-    Every value must be positive and finite: a NaN would pass every
+    Every value must be a positive finite number: a NaN would pass every
     `x > tol.*` gate.  spec must also be below 1/2, so that no eigenvalue
     is within spec of both 0 and 1.
     """
@@ -32,12 +32,19 @@ class Tolerances:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            if not 0.0 < value < float("inf"):
+            try:
+                inside = 0.0 < value < float("inf")
+            except (TypeError, ValueError):  # not a number
+                inside = False
+            if not inside:
                 raise DomainError(f"tolerance {field.name!r} must be positive and finite, got {value}")
         if not self.spec < 0.5:
             raise DomainError(f"tolerance 'spec' must be below 0.5, got {self.spec}")
 
     def override(self, **kwargs: float) -> "Tolerances":
+        unknown = sorted(set(kwargs) - {field.name for field in fields(self)})
+        if unknown:
+            raise DomainError("unknown tolerance %s" % ", ".join(map(repr, unknown)))
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
 
 

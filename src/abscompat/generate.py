@@ -17,8 +17,9 @@ stream.  The streams of a batch come from one Philox, re-keyed to each
 trial's seed (counter 0, empty buffers): the stream a fresh
 Philox(key=seed) gives, without the entropy-seeded construction that
 the key then overrides.  A public generator is a batch of one through
-the same core: given one seed rather than a list, a core returns that
-trial's arrays with no leading axis.
+the same core: it takes exactly one integer seed (_key), and given one
+seed rather than a list, a core returns that trial's arrays with no
+leading axis.
 """
 
 import operator
@@ -153,7 +154,7 @@ def _haar_unitaries(n: int, seeds) -> np.ndarray:
 def haar_unitary(n: int, seed) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Gaussian matrix with the
     diagonal of R phase-fixed."""
-    return _haar_unitaries(_size(n, "dimension must be positive"), seed)
+    return _haar_unitaries(_size(n, "dimension must be positive"), _key(seed))
 
 
 def _check_margin(margin) -> float:
@@ -196,7 +197,7 @@ def random_commuting_strict_pair(n: int, seed, margin=0.05):
     1 - margin; the shared (standard) eigenbasis makes ||ab - ba|| = 0
     exactly."""
     margin = _check_margin(margin)
-    return _commuting_strict_pairs(_size(n, "dimension must be positive"), seed, margin)
+    return _commuting_strict_pairs(_size(n, "dimension must be positive"), _key(seed), margin)
 
 
 def _pair_params(n: int, seeds, margin: float):
@@ -212,7 +213,7 @@ def random_pair_params(n: int, seed, margin=0.1):
     """Ground-truth data behind random_abscompat_pair: per-site x0, the
     strict projection parameters, and the conjugating unitary."""
     n = _even(n)
-    x0, a0, w, u = _pair_params(n, seed, _check_margin(margin))
+    x0, a0, w, u = _pair_params(n, _key(seed), _check_margin(margin))
     return x0, StrictProjectionParams(a0, w), u
 
 
@@ -228,7 +229,7 @@ def random_abscompat_pair(n: int, seed, margin=0.1):
     """Strict absolutely compatible pair in dimension n (even), built from
     random canonical parameters and a Haar conjugation."""
     n = _even(n)
-    return _abscompat_pairs(n, seed, _check_margin(margin))[1:]
+    return _abscompat_pairs(n, _key(seed), _check_margin(margin))[1:]
 
 
 def _site_params(m: int, seeds, margin, phases: int) -> tuple:
@@ -244,11 +245,11 @@ def _site_params(m: int, seeds, margin, phases: int) -> tuple:
 def random_strict_projection_params(m: int, seed, margin=0.1) -> StrictProjectionParams:
     """Per-site (a0, w) with a0 uniform in [margin, 1 - margin] and a
     uniform phase."""
-    return StrictProjectionParams(*_site_params(m, seed, margin, 1))
+    return StrictProjectionParams(*_site_params(m, _key(seed), margin, 1))
 
 
 def random_strict_unitary_params(m: int, seed, margin=0.1) -> StrictUnitaryParams:
-    return StrictUnitaryParams(*_site_params(m, seed, margin, 3))
+    return StrictUnitaryParams(*_site_params(m, _key(seed), margin, 3))
 
 
 def _split_spectra(n: int, seeds):
@@ -274,7 +275,7 @@ def _projections(n: int, ranks, seeds) -> np.ndarray:
 
 def random_projection(n: int, rank: int, seed) -> np.ndarray:
     n = _size(n, "dimension must be positive")
-    return _projections(n, _size(rank, "rank {!r} outside [0, {}]", 0, n), seed)
+    return _projections(n, _size(rank, "rank {!r} outside [0, {}]", 0, n), _key(seed))
 
 
 def _rank_ones(u):
@@ -310,7 +311,7 @@ def _rank_one_projections(seeds, count: int) -> np.ndarray:
 
 
 def random_rank_one_projection(seed) -> np.ndarray:
-    return _rank_one_projections(seed, 1)[0]
+    return _rank_one_projections(_key(seed), 1)[0]
 
 
 def _pair_spec_alone(gen, margin: float, separation: float):
@@ -359,7 +360,7 @@ def random_pair_spec(seed, margin=0.05, separation=0.05):
     """Rank-one (pivot, target), the pivot strictly farther than
     separation from the target and from its complement, plus an index in
     [margin, 1 - margin]."""
-    pivot, target, index = _pair_specs(seed, _check_margin(margin), _check_separation(separation))
+    pivot, target, index = _pair_specs(_key(seed), _check_margin(margin), _check_separation(separation))
     return pivot, target, float(index)
 
 
@@ -373,7 +374,7 @@ def random_orthogonal_pair(n: int, seed, margin=0.1):
     """Effects with ab = 0 built from complementary ranges; eigenvalues
     lie in [margin, 1] so a + b <= 1 holds as well."""
     margin = _check_margin(margin)
-    return _orthogonal_pairs(_size(n, "need dimension at least 2", 2), seed, margin)
+    return _orthogonal_pairs(_size(n, "need dimension at least 2", 2), _key(seed), margin)
 
 
 def _spheroid_partners(a, count: int, seeds, tol: Tolerances) -> np.ndarray:
@@ -394,4 +395,4 @@ def random_spheroid_partners(a, count: int, seed, tol: Tolerances = DEFAULT_TOL)
     projection: the chord through the chart point of a from the random
     boundary point fixes a decomposition of a, and the partner is its
     complementary mix.  All count partners are built as one stack."""
-    return list(_spheroid_partners(a, _size(count, "count must be positive"), seed, tol))
+    return list(_spheroid_partners(a, _size(count, "count must be positive"), _key(seed), tol))

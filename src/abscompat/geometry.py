@@ -57,6 +57,7 @@ from .hermitian import (
     _mixed_pair,
     _per_matrix,
     _projection,
+    _record,
     _require,
     _require_unit_interval,
     _two_by_two,
@@ -273,6 +274,7 @@ def sphere_to_ball(sphere: PivotalSphere, point, tol: Tolerances = DEFAULT_TOL):
     """Point C on the pivotal sphere -> the unique R on the chart ball with
     C = (1-index) pivot + index R, plus the antipode of R; (..., 3) points
     for a stacked sphere."""
+    _record(sphere, PivotalSphere, "sphere")
     point = _point(point, np.shape(sphere.index))
     _require(np.abs(_vnorm(point - sphere.center) - sphere.radius) <= tol.geo, NotOnSphere,
              "point is not on the pivotal sphere")
@@ -284,6 +286,7 @@ def ball_to_sphere(sphere: PivotalSphere, point, tol: Tolerances = DEFAULT_TOL):
     """Point R on the chart ball boundary -> (C, D) antipodal on the
     pivotal sphere, C = (1-index) pivot + index R; (..., 3) points for a
     stacked sphere."""
+    _record(sphere, PivotalSphere, "sphere")
     point = _point(point, np.shape(sphere.index))
     _require(np.abs(_vnorm(point - BALL_CENTER) - BALL_RADIUS) <= tol.geo, NotOnSphere,
              "point is not on the chart ball")

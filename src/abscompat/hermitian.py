@@ -10,19 +10,20 @@ Stacks.  The spectral core works over leading axes: ``op_norm``,
 treat each matrix of a ``(..., n, n)`` stack on its own, and a 2-D input
 is a batch of one, not a second path: norms are a float for one matrix
 and an array for a stack.  A stacked factorization gives each matrix the
-bits it gets alone.  Stacks pay where a numpy.linalg call's ~10 us
-overhead is most of its cost, at small n; at n ~ 100 copying matrices
-into a stack costs more than the call it saves.  So the one choice made
-by size is _factor_each's: it factorizes separate operands (a and b) as
-one stack up to _STACK_N and one call each above it.  A stack that a
-caller passes goes to each numpy call whole, at every n.  The
-compatibility check, the dilation, the site-block maps and the
-dimension-2 entry points take stacks too, and run each stack in one
-pass, never element by element.  Raw input is validated once, at an
-entry point, by as_matrix, require_hermitian, _hermitian_pair, _effect,
-_projection or _unitary: stack=True admits a stack, and _unitary, or
-_projection with sites=True, takes site blocks (_over_sites).  The
-private cores take the arrays they return.
+bits it gets alone, and no choice is made by size: separate operands of
+one shape, such as a and b, share one eigvalsh as a stack, and a stack
+that a caller passes goes to each numpy call whole, at every n.  On a
+2-core host with one BLAS thread, a stacked eigvalsh of two operands
+took 0.64-0.95x the time of two calls at n = 2 and 0.97-1.06x from
+n = 32 to 256.  Products are not stacked: there, a stacked product of
+two n = 96 matrices took 1.5-1.6x two lone ones.  The compatibility
+check, the dilation, the site-block maps and the dimension-2 entry
+points take stacks too, and run each stack in one pass, never element
+by element.  Raw input is validated once, at an entry point, by
+as_matrix, require_hermitian, _hermitian_pair, _effect, _projection or
+_unitary: stack=True admits a stack, and _unitary, or _projection with
+sites=True, takes site blocks (_over_sites).  The private cores take
+the arrays they return.
 
 One strictness cut: a value is at 1 from 1 - tol.spec up and at 0 up
 to tol.spec in every such decision of the package, for kernels and
@@ -64,11 +65,6 @@ from .errors import (
 # rounding allowance per unit of dimension for bounds that certify a decision
 _ROUNDING = 1e3 * float(np.finfo(float).eps)
 
-# Largest n whose matrices share one numpy.linalg call.  Measured against
-# one call each, for two matrices: a stacked eigh or eigvalsh is 5-20%
-# faster up to n = 32, about even at n = 48-64 and 4-5% slower at n = 96.
-_STACK_N = 32
-
 
 def as_matrix(x, stack: bool = False) -> np.ndarray:
     """x as a finite complex square matrix, or with stack=True as a
@@ -98,6 +94,13 @@ def _vector(x, dtype, label: str) -> np.ndarray:
         return np.atleast_1d(np.asarray(x, dtype=dtype))
     except (TypeError, ValueError) as exc:
         raise DomainError("%s must be numeric: %s" % (label, exc)) from exc
+
+
+def _record(value, cls, label: str) -> None:
+    """Raises DomainError unless value, the argument label, is an
+    instance of the record class cls."""
+    if not isinstance(value, cls):
+        raise DomainError("%s must be %s, got %s" % (label, cls.__name__, type(value).__name__))
 
 
 def _two_by_two(x00, x01, x10, x11) -> np.ndarray:
@@ -295,25 +298,15 @@ def _hermitian_pair(a, b, tol: Tolerances, stack: bool = False):
     return a, b
 
 
-def _factor_each(fn, *mats) -> list:
-    """fn, a numpy.linalg function, of each of the same-shape mats: one
-    call on their stack up to _STACK_N, one call each above it.  Either
-    way each matrix gets the bits it gets alone."""
-    if mats[0].shape[-1] > _STACK_N:
-        return [fn(x) for x in mats]
-    out = fn(np.array(mats))
-    return list(zip(*out)) if isinstance(out, tuple) else list(out)
-
-
 def _effects(a, b, tol: Tolerances):
     """The spectra (va, vb) of Hermitian a and b, or stacks of them, from
-    one eigvalsh of the stack [a, b] (_factor_each), once both lie in
-    [0, 1]; errors come in the order a's spectrum, b's, the shapes."""
+    one eigvalsh of the stack [a, b], once both lie in [0, 1]; errors
+    come in the order a's spectrum, b's, the shapes."""
     if a.shape != b.shape:
         _require_unit_interval(np.linalg.eigvalsh(a), tol)
         _require_unit_interval(np.linalg.eigvalsh(b), tol)
         raise DimensionMismatch("effects of shapes %r and %r" % (a.shape, b.shape))
-    va, vb = _factor_each(np.linalg.eigvalsh, a, b)
+    va, vb = np.linalg.eigvalsh(np.stack([a, b]))
     _require_unit_interval(va, tol)
     _require_unit_interval(vb, tol)
     return va, vb

@@ -15,6 +15,7 @@ import pytest
 
 from abscompat import DEFAULT_TOL, AbscompatError, generate
 from abscompat.canonical import (
+    CanonicalForm,
     SiteBlockMatrix,
     StrictProjectionParams,
     StrictUnitaryParams,
@@ -23,6 +24,8 @@ from abscompat.canonical import (
     dilate_commuting_pair,
     exchanged_pivot_form,
     pair_from_params,
+    strict_projection_from_params,
+    strict_unitary_from_params,
 )
 from abscompat.cli import run
 from abscompat.compat import (
@@ -50,13 +53,18 @@ from abscompat.generate import (
     derive_seed,
     haar_unitary,
     random_abscompat_pair,
+    random_commuting_strict_pair,
     random_orthogonal_pair,
+    random_pair_params,
     random_pair_spec,
     random_projection,
+    random_rank_one_projection,
     random_spheroid_partners,
     random_strict_projection_params,
+    random_strict_unitary_params,
 )
 from abscompat.geometry import (
+    PivotalSphere,
     _reference_focus,
     ball_to_sphere,
     bloch_matrix,
@@ -78,6 +86,7 @@ PIVOT, TARGET, INDEX = random_pair_spec(1)
 SPHERE = pivotal_sphere(PIVOT, INDEX)
 A2, B2 = pair_from_projections(PIVOT, TARGET, INDEX)
 EXACT = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)  # P^2 = P in floats
+UNITARY_SITE = StrictUnitaryParams([0.5], [1.0], [1.0], [1.0])
 
 
 # --- the postconditions a built pair shares, and the raises around them ---
@@ -219,7 +228,7 @@ def test_empty_operands_raise_before_the_spectrum_is_read(fn):
         fn(EMPTY, EMPTY)
 
 
-@pytest.mark.parametrize("value", [-1.0, 0.0, NAN, INF])
+@pytest.mark.parametrize("value", [-1.0, 0.0, NAN, INF, "x", [1e-9]])
 def test_tolerance_override_rejects_non_positive_and_non_finite(value):
     with pytest.raises(DomainError, match="must be positive and finite") as info:
         DEFAULT_TOL.override(compat=value)
@@ -227,13 +236,30 @@ def test_tolerance_override_rejects_non_positive_and_non_finite(value):
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Tolerances)])
-@pytest.mark.parametrize("value", [-1.0, 0.0, NAN, INF])
+@pytest.mark.parametrize("value", [-1.0, 0.0, NAN, INF, "x", None, [1e-9]])
 def test_tolerances_constructor_rejects_non_positive_and_non_finite(field, value):
     """A NaN tolerance would pass every `x > tol.*` gate, so the bundle
-    checks itself, however it is built."""
+    checks itself, however it is built, and a value that is no number
+    fails the same check."""
     with pytest.raises(DomainError, match="^tolerance %r must be positive and finite" % field) as info:
         Tolerances(**{field: value})
     assert isinstance(info.value, ValueError)
+
+
+# each public generator at its smallest valid arguments, called on a seed
+GENERATORS = {
+    "haar_unitary": lambda seed: haar_unitary(2, seed),
+    "random_commuting_strict_pair": lambda seed: random_commuting_strict_pair(2, seed),
+    "random_pair_params": lambda seed: random_pair_params(2, seed),
+    "random_abscompat_pair": lambda seed: random_abscompat_pair(2, seed),
+    "random_strict_projection_params": lambda seed: random_strict_projection_params(1, seed),
+    "random_strict_unitary_params": lambda seed: random_strict_unitary_params(1, seed),
+    "random_projection": lambda seed: random_projection(3, 1, seed),
+    "random_rank_one_projection": random_rank_one_projection,
+    "random_pair_spec": random_pair_spec,
+    "random_orthogonal_pair": lambda seed: random_orthogonal_pair(2, seed),
+    "random_spheroid_partners": lambda seed: random_spheroid_partners(A2, 1, seed),
+}
 
 
 @pytest.mark.parametrize("draw, error, message", [
@@ -248,15 +274,42 @@ def test_tolerances_constructor_rejects_non_positive_and_non_finite(field, value
     (lambda: derive_seed("x", 1), DomainError, "seed must be an integer, got 'x'"),
     (lambda: haar_unitary(2, None), DomainError, "seed must be an integer, got None"),
     (lambda: random_abscompat_pair(4, 1.5), DomainError, "seed must be an integer, got 1.5"),
+    *((lambda draw=draw: draw([1, 2]), DomainError, "seed must be an integer, got [1, 2]")
+      for draw in GENERATORS.values()),
 ], ids=["haar-float-n", "haar-str-n", "pair-float-n", "orthogonal-float-n", "projection-float-rank",
         "params-float-sites", "partners-float-count", "pair-str-margin", "derive-str-seed",
-        "haar-none-seed", "pair-float-seed"])
+        "haar-none-seed", "pair-float-seed", *("%s-list-seed" % name for name in GENERATORS)])
 def test_generator_arguments_raise_package_errors(draw, error, message):
     """Sizes, ranks, site counts and counts that are not integers raise
     DimensionMismatch, seeds that are not integers DomainError (a float
-    seed is not truncated), and a margin that is not a number BadMargin."""
+    seed is not truncated, and a list of seeds, which a private core
+    would draw as a stack, is no seed), and a margin that is not a
+    number BadMargin."""
     with pytest.raises(error, match="^%s$" % re.escape(message)):
         draw()
+
+
+RECORDS = {"none": None, "string": "abc", "tuple": ([0.5], [1.0]), "projection-params": SITE,
+           "unitary-params": UNITARY_SITE, "sphere": SPHERE}
+# each entry point that takes a record: (its call on the record, the record's class and argument name)
+RECORD_GATES = {
+    "sphere_to_ball": (lambda x: sphere_to_ball(x, SPHERE.pivot), PivotalSphere, "sphere"),
+    "ball_to_sphere": (lambda x: ball_to_sphere(x, SPHERE.pivot), PivotalSphere, "sphere"),
+    "exchanged_pivot_form": (exchanged_pivot_form, CanonicalForm, "cf"),
+    "strict_projection_from_params": (strict_projection_from_params, StrictProjectionParams, "params"),
+    "strict_unitary_from_params": (strict_unitary_from_params, StrictUnitaryParams, "params"),
+}
+WRONG_RECORDS = [(gate, kind) for gate, (_, cls, _) in RECORD_GATES.items()
+                 for kind, record in RECORDS.items() if not isinstance(record, cls)]
+
+
+@pytest.mark.parametrize("gate, kind", WRONG_RECORDS, ids=["%s-%s" % case for case in WRONG_RECORDS])
+def test_record_arguments_raise_domain_error(gate, kind):
+    call, cls, label = RECORD_GATES[gate]
+    record = RECORDS[kind]
+    message = "^%s must be %s, got %s$" % (label, cls.__name__, type(record).__name__)
+    with pytest.raises(DomainError, match=message):
+        call(record)
 
 
 @pytest.mark.parametrize("separation, error, message", [
@@ -379,6 +432,13 @@ def _battery():
         yield "pair_from_params-" + kind, lambda v=v: pair_from_params(v, SITE)
     for kind, params in PARAMS.items():
         yield "pair_from_params-params-" + kind, lambda params=params: pair_from_params([0.5], params)
+    for gate, kind in WRONG_RECORDS:
+        yield "%s-record-%s" % (gate, kind), lambda call=RECORD_GATES[gate][0], x=RECORDS[kind]: call(x)
+    for name, draw in GENERATORS.items():
+        yield name + "-seed-list", lambda draw=draw: draw([1, 2])
+    for kind, value in {"string": "x", "none": None, "list": [1e-9]}.items():
+        yield "Tolerances-" + kind, lambda value=value: Tolerances(spec=value)
+    yield "Tolerances.override-unknown", lambda: DEFAULT_TOL.override(bogus=1.0)
     for kind, pt in POINTS.items():
         yield "bloch_matrix-" + kind, lambda pt=pt: bloch_matrix(pt)
         yield "sphere_to_ball-" + kind, lambda pt=pt: sphere_to_ball(SPHERE, pt)

@@ -5,7 +5,7 @@ import pytest
 
 from abscompat import io
 from abscompat.config import DEFAULT_TOL
-from abscompat.errors import ParseError
+from abscompat.errors import DomainError, ParseError
 from abscompat.io import load_json, load_matrix, matrix_from_json, matrix_to_json, save_matrix
 
 
@@ -67,7 +67,7 @@ def test_tolerance_override():
     assert tol.geo == DEFAULT_TOL.geo
     with pytest.raises(ValueError):
         DEFAULT_TOL.override(compat=-1.0)
-    with pytest.raises(TypeError):
+    with pytest.raises(DomainError, match="^unknown tolerance 'bogus'$"):
         DEFAULT_TOL.override(bogus=1.0)
 
 

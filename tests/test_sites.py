@@ -46,6 +46,7 @@ from abscompat.canonical import (
 from abscompat.compat import _built_pair, _sylvester_bounds
 from abscompat.errors import NotStrictProjection, NotUnitary, PostconditionFailure
 from abscompat.generate import (
+    _site_params,
     derive_seed,
     random_abscompat_pair,
     random_pair_params,
@@ -243,8 +244,10 @@ def _site_block_cases():
     yield "projection-at-cut", _projection_blocks(np.array([0.5, 3e-5]), np.ones(2))
     # idempotent in floats, so only a rebuild residual fails a tolerance below the rounding level
     yield "projection-exact", 0.5 * np.array([[[1, 1], [1, 1]], [[1, -1], [-1, 1]], [[1, 1j], [-1j, 1]]])
-    u = strict_unitary_from_params(random_strict_unitary_params(4, [derive_seed(87, k) for k in range(3)])).blocks
-    p = strict_projection_from_params(random_strict_projection_params(4, [derive_seed(88, k) for k in range(3)]))
+    # a stack of parameters comes from the private core: a public generator takes one seed
+    seeds = [derive_seed(87, k) for k in range(3)], [derive_seed(88, k) for k in range(3)]
+    u = strict_unitary_from_params(StrictUnitaryParams(*_site_params(4, seeds[0], 0.1, 3))).blocks
+    p = strict_projection_from_params(StrictProjectionParams(*_site_params(4, seeds[1], 0.1, 1)))
     yield "unitary-stack", u
     yield "projection-stack", p.blocks
     yield "projection-stack-moved", _moved(p.blocks, 1e-7, [1, 2], derive_seed(89, 4))

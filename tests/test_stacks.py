@@ -76,7 +76,7 @@ from abscompat.geometry import (
     spheroid_residual,
 )
 from abscompat.hermitian import (
-    _ROUNDING, _STACK_N, _effect, _effects, _fnorm, _hermitian_pair, _hnorm, _span, dagger, hermitize, op_norm,
+    _ROUNDING, _effect, _effects, _fnorm, _hermitian_pair, _hnorm, _span, dagger, hermitize, op_norm,
 )
 from abscompat.properties import REGISTRY, Outcome, run
 
@@ -1041,16 +1041,45 @@ def test_draws_stay_stacked(monkeypatch):
     assert calls["svd"] == 0 and calls["eigvalsh"] <= _open_candidates(seeds)
 
 
+def _spy_eigvalsh(monkeypatch):
+    """The argument and result of each numpy.linalg.eigvalsh call, in
+    order, and the eigvalsh the spy wraps."""
+    seen, real = [], np.linalg.eigvalsh
+
+    def spy(x, *args, **kwargs):
+        out = real(x, *args, **kwargs)
+        seen.append((np.array(x), out))
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return seen, real
+
+
+def _assert_shapes_and_lone_bits(seen, real, shapes):
+    """The eigvalsh calls took arguments of these shapes, and each matrix
+    of each argument got the spectrum of its own lone eigvalsh, bit for
+    bit."""
+    assert [x.shape for x, _ in seen] == shapes
+    for x, vals in seen:
+        n = x.shape[-1]
+        for one, spectrum in zip(x.reshape(-1, n, n), vals.reshape(-1, n)):
+            assert spectrum.tobytes() == real(one).tobytes(), x.shape
+
+
+LONE_SIZES = (8, 40, 96)
+
+
 def test_canonical_check_stays_stacked(monkeypatch):
     """The canonical check of a 30-trial batch makes a fixed number of
     numpy.linalg calls at each size, where one trial at a time made six or
-    seven per trial; a lone canonicalize above _STACK_N hands numpy.linalg
-    only 2-D arrays, as no single pair gains a leading axis.  Counts,
-    unlike timings, hold on any host."""
+    seven per trial.  A lone canonicalize takes the spectra of its two
+    reconstruction residuals from one eigvalsh of their stack at every
+    size, each with the bits it gets alone.  Counts, unlike timings, hold
+    on any host."""
     seeds = [derive_seed(33, i) for i in range(30)]
     prop = REGISTRY["canonical"]
     batches = {n: prop.draw(seeds, n) for n in prop.sizes}
-    pair = random_abscompat_pair(_STACK_N + 8, derive_seed(33, 30))
+    lone = {n: random_abscompat_pair(n, derive_seed(33, 30)) for n in LONE_SIZES}
     names = ("eigh", "eigvalsh", "svd", "qr", "det", "norm")
     calls = _count_calls(monkeypatch, names)
     for n, stacks in batches.items():
@@ -1058,14 +1087,11 @@ def test_canonical_check_stays_stacked(monkeypatch):
         prop.check(stacks, DEFAULT_TOL)
         assert sum(calls.values()) <= 10, (n, calls)
 
-    ndims = []
-    for name in names:
-        def spy(x, *args, _real=getattr(np.linalg, name), **kwargs):
-            ndims.append(np.ndim(x))
-            return _real(x, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, spy)
-    canonicalize(*pair)
-    assert ndims and set(ndims) == {2}, ndims
+    seen, real = _spy_eigvalsh(monkeypatch)
+    for n, pair in lone.items():
+        seen.clear()
+        canonicalize(*pair)
+        _assert_shapes_and_lone_bits(seen, real, [(2, n, n)])
 
 
 def test_a_clustered_pair_in_a_stack_gets_its_own_bits(monkeypatch):
@@ -1134,7 +1160,7 @@ def _stack(kind, n):
     return tuple(np.array(x) for x in zip(*pairs))
 
 
-FIVE_BLOCK_STACKS = [("orthogonal", n) for n in (2, 4, 8, _STACK_N + 8)] + [("strict", n) for n in (2, 4, 8)]
+FIVE_BLOCK_STACKS = [("orthogonal", n) for n in (2, 4, 8, 40)] + [("strict", n) for n in (2, 4, 8)]
 FIVE_BLOCK_STACKS.append(("mixed", 8))
 
 
@@ -1173,16 +1199,18 @@ def test_compat_check_stays_stacked(monkeypatch):
     call per trial made seven per trial: the orthogonal pairs are
     certified once, and their 0x0 strict blocks take no factorization.  The
     exact residual of the pairs takes one eigh of the stack 1-a-b and one
-    of the stack a-b, two calls where one eigh of [a-b, 1-a-b] was one.  A
-    lone five_block_decompose above _STACK_N hands numpy.linalg only 2-D
-    arrays, on its exact-norm path too.  Counts, unlike timings, hold on
-    any host."""
+    of the stack a-b, two calls where one eigh of [a-b, 1-a-b] was one.  At
+    every size, a lone call puts its operands in one eigvalsh: the two
+    effects of an uncertified pair, and the three matrices of the exact
+    five-block bounds, where the lone pair is a stack of one.  Each matrix
+    gets the bits it gets alone.  Counts, unlike timings, hold on any
+    host."""
     seeds = [derive_seed(39, i) for i in range(30)]
     prop = REGISTRY["compat"]
     batches = {n: prop.draw(seeds, n) for n in prop.sizes}
     patterns = {n: len({tuple(five_block_decompose(*pair).ranks().values()) for pair in zip(x["oa"], x["ob"])})
                 for n, x in batches.items()}
-    a, b = _slotted(derive_seed(39, 30), _STACK_N + 4, [UA, UB_KERNEL, NA, NB])
+    lone = {n: _slotted(derive_seed(39, 30), n - 4, [UA, UB_KERNEL, NA, NB]) for n in LONE_SIZES}
     names = ("eigh", "eigvalsh", "svd", "qr", "det", "norm")
     calls = _count_calls(monkeypatch, names)
     for n, stacks in batches.items():
@@ -1190,17 +1218,16 @@ def test_compat_check_stays_stacked(monkeypatch):
         prop.check(stacks, DEFAULT_TOL)
         assert sum(calls.values()) <= 10 + 2 * patterns[n], (n, patterns[n], calls)
 
-    ndims = []
-    for name in names:
-        def spy(x, *args, _real=getattr(np.linalg, name), **kwargs):
-            ndims.append(np.ndim(x))
-            return _real(x, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, spy)
-    five_block_decompose(a, b)
-    count = len(ndims)
-    with pytest.raises(PostconditionFailure, match="off-block bound"):
-        five_block_decompose(a, b, DEFAULT_TOL.override(block=1e-15))
-    assert count and len(ndims) > count and set(ndims) == {2}, ndims
+    seen, real = _spy_eigvalsh(monkeypatch)
+    for n, (a, b) in lone.items():
+        seen.clear()
+        assert not is_abs_compatible(a, a)
+        # the exact residual's own norm, then the two effects
+        _assert_shapes_and_lone_bits(seen, real, [(n, n), (2, n, n)])
+        seen.clear()
+        with pytest.raises(PostconditionFailure, match="off-block bound"):
+            five_block_decompose(a, b, DEFAULT_TOL.override(block=1e-15))
+        _assert_shapes_and_lone_bits(seen, real, [(3, 1, n, n)])
 
 
 # (property, size): {residual: (the Tolerances field its bound reads, the
