@@ -31,7 +31,6 @@ fails, with the message of the first such pair in C order
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -326,7 +325,7 @@ class FiveBlockDecomposition:
         return {name: _span(self.bases[name]) for name in BLOCK_NAMES}
 
     def ranks(self) -> dict:
-        return {name: self.bases[name].shape[1] for name in BLOCK_NAMES}
+        return {name: self.bases[name].shape[-1] for name in BLOCK_NAMES}
 
     def to_json(self) -> dict:
         return {
@@ -353,26 +352,18 @@ def five_block_decompose(a, b, tol: Tolerances = DEFAULT_TOL) -> FiveBlockDecomp
     (_sylvester_bounds).
     """
     a, b = _hermitian_pair(a, b, tol)
-    _, ((_, bases, blocks_a, blocks_b),) = _five_blocks(a, b, tol)
-    return FiveBlockDecomposition(bases, blocks_a, blocks_b)
-
-
-class _Blocks(NamedTuple):
-    """The bases and blocks of the pairs of a stack that share one pattern
-    of block ranks, stacked in the order of at."""
-
-    at: object  # index arrays into the leading axes; Ellipsis for one pair
-    bases: dict
-    blocks_a: dict
-    blocks_b: dict
+    _, ((_, blocks),) = _five_blocks(a, b, tol)
+    return blocks
 
 
 def _five_blocks(a, b, tol: Tolerances):
     """five_block_decompose of Hermitian a and b, or of each pair of two
     (..., n, n) stacks: (the compatibility residual its certificate took,
-    one _Blocks per pattern of block ranks).  That residual is the
-    Sylvester bound where that settles the pair (_certified_pair with
-    compared=True), never below the exact residual, which is all the
+    one (at, FiveBlockDecomposition) per pattern of block ranks, where at
+    holds index arrays into the leading axes, Ellipsis for one pair, and
+    the record's arrays are stacked in the order of at).  That residual
+    is the Sylvester bound where that settles the pair (_certified_pair
+    with compared=True), never below the exact residual, which is all the
     strict-block bound needs.
 
     The certificate and the eigh of a run on the whole stack.  eigh sorts
@@ -418,7 +409,7 @@ def _five_blocks(a, b, tol: Tolerances):
                                             n, tol)
             settled = strict & (_strict_block_bound(whole[where], frob, n, tol) <= tol.compat)
             _verify_block_contents(blocks_a, blocks_b, tol, settled)
-            out.append(_Blocks(where, bases, blocks_a, blocks_b))
+            out.append((where, FiveBlockDecomposition(bases, blocks_a, blocks_b)))
     return residual, out
 
 

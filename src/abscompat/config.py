@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields, replace
 
 from .errors import DomainError
@@ -14,9 +15,10 @@ class Tolerances:
     All values are absolute unless a caller states otherwise; operators at the
     sizes the tests cover (n <= 16 throughout, single pairs up to n = 128,
     double precision) leave several digits of headroom over every default.
-    Every value must be a positive finite number: a NaN would pass every
-    `x > tol.*` gate.  spec must also be below 1/2, so that no eigenvalue
-    is within spec of both 0 and 1.
+    Every value must be a positive finite real number: a NaN would pass
+    every `x > tol.*` gate, and a bool, Python's or numpy's, is a flag
+    that compares as 1 rather than a number.  spec must also be below
+    1/2, so that no eigenvalue is within spec of both 0 and 1.
     """
 
     herm: float = 1e-10      # max-norm asymmetry allowed in a Hermitian input
@@ -32,11 +34,8 @@ class Tolerances:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            try:
-                inside = 0.0 < value < float("inf")
-            except (TypeError, ValueError):  # not a number
-                inside = False
-            if not inside:
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)  # numpy's bool is no Real
+            if not (real and 0.0 < value < float("inf")):
                 raise DomainError(f"tolerance {field.name!r} must be positive and finite, got {value}")
         if not self.spec < 0.5:
             raise DomainError(f"tolerance 'spec' must be below 0.5, got {self.spec}")

@@ -11,10 +11,10 @@ integers, and the commuting pair's admissible points) from its own
 stream, in a fixed order; everything after them (Box-Muller, the Haar
 QR and its phase fix, the products with the unitary, the canonical pair
 and its postcondition) runs once on the stack, with the trial as the
-leading axis, and gives each trial the bits it gets alone; a trial that
-a rejection rule refuses draws again alone, from the start of its
-stream.  The streams of a batch come from one Philox, re-keyed to each
-trial's seed (counter 0, empty buffers): the stream a fresh
+leading axis, and gives each trial the bits it gets alone; a pair spec
+whose first target is not separated draws again alone, from the start
+of its stream.  The streams of a batch come from one Philox, re-keyed
+to each trial's seed (counter 0, empty buffers): the stream a fresh
 Philox(key=seed) gives, without the entropy-seeded construction that
 the key then overrides.  A public generator is a batch of one through
 the same core: it takes exactly one integer seed (_key), and given one
@@ -35,7 +35,7 @@ from .hermitian import _compose, _span, _vnorm, dagger, hermitize
 SEED_STRIDE = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 _MAX_REJECT = 10000
-_TINY = 1e-6  # a drawn Gaussian vector of norm at most this is skipped
+_SEPARATION = 0.05  # a pair spec's target is farther than this from the pivot and its complement
 
 
 def _key(seed) -> int:
@@ -278,89 +278,55 @@ def random_projection(n: int, rank: int, seed) -> np.ndarray:
     return _projections(n, _size(rank, "rank {!r} outside [0, {}]", 0, n), _key(seed))
 
 
-def _rank_ones(u):
+def _rank_ones(u) -> np.ndarray:
     """The rank-one projections, (..., 2, 2), onto the complex Gaussian
-    vectors of uniforms of shape (..., 4), and the norms of the vectors."""
+    vectors of uniforms of shape (..., 4).  A zero vector, which needs two
+    zero radius uniforms, gives the zero matrix rather than NaN."""
     v = _complex_gaussians(u, (2,))
     nrm = _vnorm(v)
     v = v / np.where(nrm > 0.0, nrm, 1.0)[..., None]
-    return hermitize(v[..., :, None] * np.conj(v)[..., None, :]), nrm
-
-
-def _rank_one_2x2s(gen, count: int) -> np.ndarray:
-    """count random rank-one 2x2 projections, (count, 2, 2), each the
-    projection onto a complex Gaussian vector; a vector of norm at most
-    _TINY is skipped for the next draw.  Draws come count at a time, so the
-    result is what count draws one by one give, bit for bit."""
-    found = []
-    while count:
-        proj, nrm = _rank_ones(gen.random((count, 4)))
-        keep = nrm > _TINY
-        found.append(proj[keep])
-        count -= int(np.count_nonzero(keep))
-    return np.concatenate(found)
+    return hermitize(v[..., :, None] * np.conj(v)[..., None, :])
 
 
 def _rank_one_projections(seeds, count: int) -> np.ndarray:
-    """count random rank-one 2x2 projections per trial, (..., count, 2, 2), over
-    seeds; a trial with a vector of norm at most _TINY draws again alone."""
-    (u,) = _uniforms(seeds, lambda gen: (gen.random((count, 4)),))
-    proj, nrm = _rank_ones(u)
-    (proj,) = _redraw(seeds, ~np.all(nrm > _TINY, axis=-1), lambda gen: (_rank_one_2x2s(gen, count),), (proj,))
-    return proj
+    """count random rank-one 2x2 projections per trial, (..., count, 2, 2), over seeds."""
+    return _rank_ones(*_uniforms(seeds, lambda gen: (gen.random((count, 4)),)))
 
 
 def random_rank_one_projection(seed) -> np.ndarray:
     return _rank_one_projections(_key(seed), 1)[0]
 
 
-def _pair_spec_alone(gen, margin: float, separation: float):
+def _pair_spec_alone(gen, margin: float):
     """random_pair_spec from one stream: index, pivot, then targets until
     one is separated from the pivot and its complement (_separated)."""
     index = margin + (1.0 - 2.0 * margin) * float(gen.random())
-    pivot = _rank_one_2x2s(gen, 1)[0]
+    pivot = _rank_ones(gen.random(4))
     for _ in range(_MAX_REJECT):
-        target = _rank_one_2x2s(gen, 1)[0]
-        if np.all(_separated(pivot, target, separation)):
+        target = _rank_ones(gen.random(4))
+        if np.all(_separated(pivot, target, _SEPARATION)):
             return pivot, target, index
     raise DegenerateSpec("could not separate the projections")
 
 
-def _pair_specs(seeds, margin: float, separation: float):
+def _pair_specs(seeds, margin: float):
     """random_pair_spec over seeds.  Each trial draws the uniforms of its
     index, pivot and first target; the stack builds them, and a trial
-    whose two vectors are drawn (norm above _TINY) and separated keeps
-    them.  Any other trial draws again alone (_pair_spec_alone)."""
+    whose first target is separated keeps them.  Any other trial draws
+    again alone (_pair_spec_alone)."""
     (u,) = _uniforms(seeds, lambda gen: (gen.random(9),))
     index = margin + (1.0 - 2.0 * margin) * u[..., 0]
-    proj, nrm = _rank_ones(u[..., 1:].reshape(u.shape[:-1] + (2, 4)))
+    proj = _rank_ones(u[..., 1:].reshape(u.shape[:-1] + (2, 4)))
     pivot, target = proj[..., 0, :, :].copy(), proj[..., 1, :, :].copy()
-    redo = ~(np.all(nrm > _TINY, axis=-1) & np.all(_separated(pivot, target, separation), axis=-1))
-    return _redraw(seeds, redo, lambda gen: _pair_spec_alone(gen, margin, separation),
-                   (pivot, target, index))
+    redo = ~np.all(_separated(pivot, target, _SEPARATION), axis=-1)
+    return _redraw(seeds, redo, lambda gen: _pair_spec_alone(gen, margin), (pivot, target, index))
 
 
-def _check_separation(separation) -> float:
-    """separation as a float in [0, 1/sqrt(2)).  For rank-one P and Q in
-    M2, ||P - Q|| = sin(theta) and ||P - (1 - Q)|| = cos(theta) at some
-    angle theta, so no target is farther than 1/sqrt(2) from both Q and
-    1 - Q, and such a separation raises before any draw."""
-    try:
-        separation = float(separation)
-    except (TypeError, ValueError):
-        raise DomainError("separation %r is not a number" % (separation,)) from None
-    if not separation >= 0.0:
-        raise DomainError("separation %r is negative or NaN" % separation)
-    if separation >= np.sqrt(0.5):
-        raise DegenerateSpec("separation %r leaves no target: it must be below 1/sqrt(2)" % separation)
-    return separation
-
-
-def random_pair_spec(seed, margin=0.05, separation=0.05):
+def random_pair_spec(seed, margin=0.05):
     """Rank-one (pivot, target), the pivot strictly farther than
-    separation from the target and from its complement, plus an index in
-    [margin, 1 - margin]."""
-    pivot, target, index = _pair_specs(_key(seed), _check_margin(margin), _check_separation(separation))
+    _SEPARATION = 0.05 from the target and from its complement, plus an
+    index in [margin, 1 - margin]."""
+    pivot, target, index = _pair_specs(_key(seed), _check_margin(margin))
     return pivot, target, float(index)
 
 

@@ -123,7 +123,7 @@ def _check_canonical(x, tol):
 
 
 def _draw_m2(seeds, n):
-    pivot, target, index = _pair_specs(_derived(seeds, 1), 0.05, 0.05)
+    pivot, target, index = _pair_specs(_derived(seeds, 1), 0.05)
     a, b = pair_from_projections(pivot, target, index)
     return {"pivot": pivot, "target": target, "index": index, "a": a, "b": b}
 
@@ -230,12 +230,12 @@ def _check_fiveblock(x, tol):
     for members in _grouped(len(a) for a in x["a"]).values():
         a, b = (np.array([x[name][i] for i in members]) for name in "ab")
         _, groups = _five_blocks(*_hermitian_pair(a, b, tol, stack=True), tol)
-        for (at,), bases, blocks_a, blocks_b in groups:
+        for (at,), fb in groups:
             rows = np.array(members)[at]
-            sa, sb = blocks_a["strict"], blocks_b["strict"]
+            sa, sb = fb.blocks_a["strict"], fb.blocks_b["strict"]
             # is_strict of each compression: no singular value at 0 or at 1
             strict = np.all(_strict_rows(np.linalg.svd(np.stack((sa, sb)), compute_uv=False), tol), axis=0)
-            out[:, rows] = (_larger(_off_block_mass(a[at], bases), _off_block_mass(b[at], bases)),
+            out[:, rows] = (_larger(_off_block_mass(a[at], fb.bases), _off_block_mass(b[at], fb.bases)),
                             np.abs(sa.shape[-1] - np.array(x["strict_rank"])[rows]),
                             np.where(strict, 0.0, 1.0), is_abs_compatible(sa, sb, tol).residual)
     names = ("off_block_mass", "strict_rank", "strict_blocks", "strict_compatible")

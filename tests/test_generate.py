@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from abscompat import DEFAULT_TOL
+from abscompat import DEFAULT_TOL, generate
 from abscompat.compat import is_abs_compatible, is_orthogonal
 from abscompat.errors import BadMargin, DegenerateSpec, OddDimension
 from abscompat.generate import (
@@ -97,7 +97,7 @@ def test_random_projection():
     assert abs(np.trace(r1).real - 1.0) <= 1e-12
 
 
-def test_pair_spec():
+def test_pair_spec(monkeypatch):
     for i in range(10):
         pivot, target, index = random_pair_spec(derive_seed(53, i))
         a, b = pair_from_projections(pivot, target, index)  # validates everything
@@ -105,8 +105,9 @@ def test_pair_spec():
         _reference_focus(a, DEFAULT_TOL)  # raises outside the punctured ball
     # no rank-one target is farther than 1/sqrt(2) from both the pivot and its
     # complement, and just below that almost none is: the draws run out
+    monkeypatch.setattr(generate, "_SEPARATION", np.sqrt(0.5) - 1e-12)
     with pytest.raises(DegenerateSpec, match="^could not separate the projections$"):
-        random_pair_spec(53, separation=np.sqrt(0.5) - 1e-12)
+        random_pair_spec(53)
 
 
 def test_orthogonal_pair():

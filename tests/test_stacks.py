@@ -46,7 +46,6 @@ from abscompat.generate import (
     _commuting_strict_pairs,
     _orthogonal_pairs,
     _pair_specs,
-    _rank_one_2x2s,
     _streams,
     _strict_effects,
     derive_seed,
@@ -218,17 +217,14 @@ class _Stream:
 def _reference_rank_one(gen):
     """One rank-one projection drawn as before batching: Box-Muller on two
     separate uniform draws, the norm from np.linalg.norm, np.outer."""
-    while True:
-        u1, u2 = gen.random(2), gen.random(2)
-        r = np.sqrt(-2.0 * np.log1p(-u1))
-        th = 2.0 * np.pi * u2
-        z = np.empty(4)
-        z[0::2], z[1::2] = r * np.cos(th), r * np.sin(th)
-        v = (z[0::2] + 1j * z[1::2]) / np.sqrt(2.0)
-        nrm = float(np.linalg.norm(v))
-        if nrm > 1e-6:
-            v = v / nrm
-            return hermitize(np.outer(v, np.conj(v)))
+    u1, u2 = gen.random(2), gen.random(2)
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    th = 2.0 * np.pi * u2
+    z = np.empty(4)
+    z[0::2], z[1::2] = r * np.cos(th), r * np.sin(th)
+    v = (z[0::2] + 1j * z[1::2]) / np.sqrt(2.0)
+    v = v / float(np.linalg.norm(v))
+    return hermitize(np.outer(v, np.conj(v)))
 
 
 def _fresh(seed):
@@ -275,19 +271,6 @@ def test_spheroid_stats_equal_the_per_partner_loop():
         sums = np.array([float(np.linalg.norm(pt - focus) + np.linalg.norm(pt - mirror)) for pt in pts])
         stats = spheroid_residual(a, partners)
         assert (stats.mean, stats.spread) == (float(np.mean(sums)), float(np.max(sums) - np.min(sums))), i
-
-
-def test_rank_one_draws_skip_a_tiny_vector_like_the_loop():
-    """A group of four uniforms whose vector has norm below 1e-6 is skipped,
-    and the next group of the stream takes its place."""
-    stream = np.random.default_rng(25).random(4 * 12)
-    for j in (0, 3, 7):
-        values = stream.copy()
-        values[4 * j:4 * j + 2] = 1e-15  # u1 ~ 0 gives r ~ 4e-8 for both coordinates
-        got = _rank_one_2x2s(_Stream(values), 8)
-        ref_gen = _Stream(values)
-        want = [_reference_rank_one(ref_gen) for _ in range(8)]
-        assert np.array_equal(got, np.array(want)), j
 
 
 def _reference_spheroid_error(a, partners, tol):
@@ -832,16 +815,16 @@ def _ref_strict_effect(n, seed, margin=0.1):
     return _ref_spectral(_ref_haar(gen, n), vals)
 
 
-def _ref_pair_spec(seed, margin=0.05, separation=0.05, gen=None):
+def _ref_pair_spec(seed, margin=0.05, gen=None):
     """random_pair_spec as one loop: index, pivot, then targets until the
-    exact norm gap to the pivot and its complement exceeds separation."""
+    exact norm gap to the pivot and its complement exceeds 0.05."""
     gen = gen or _fresh(seed)
     index = margin + (1.0 - 2.0 * margin) * float(gen.random())
     pivot = _reference_rank_one(gen)
     while True:
         target = _reference_rank_one(gen)
         gap = float(np.min(_hnorm(np.array((pivot - target, pivot - (np.eye(2) - target))))))
-        if gap > separation:
+        if gap > 0.05:
             return pivot, target, index
 
 
@@ -992,11 +975,12 @@ def test_commuting_draws_keep_the_points_of_the_one_by_one_loop(margin):
         _commuting_strict_pairs(2, seeds[:2], 0.4999)
 
 
-def _open_candidates(seeds, separation=0.05):
+def _open_candidates(seeds):
     """How many candidate targets of random_pair_spec over seeds have a
     difference whose Frobenius norm lies in the band (separation (1 - 2
     _ROUNDING), sqrt(2) separation (1 + 2 _ROUNDING)], where the bounds
-    leave the decision to the exact norm."""
+    leave the decision to the exact norm, at its separation of 0.05."""
+    separation = 0.05
     count, top = 0, np.sqrt(2.0) * separation * (1.0 + 2.0 * _ROUNDING)
     low = separation * (1.0 - 2.0 * _ROUNDING)
     for seed in seeds:
@@ -1037,7 +1021,7 @@ def test_draws_stay_stacked(monkeypatch):
             REGISTRY[name].draw(seeds, n)
             assert calls["qr"] <= count, (name, n)
     calls.update(svd=0, eigvalsh=0)
-    _pair_specs(seeds, 0.05, 0.05)
+    _pair_specs(seeds, 0.05)
     assert calls["svd"] == 0 and calls["eigvalsh"] <= _open_candidates(seeds)
 
 
@@ -1175,20 +1159,20 @@ def test_five_block_stack_elements_equal_their_lone_calls(kind, n):
     alone = [_pair_spectra(x, y, DEFAULT_TOL.compat) for x, y in zip(a, b)]
     assert residual.tobytes() == np.array(alone).tobytes()
     seen = []
-    for group in groups:
-        for j, (i,) in enumerate(zip(*group.at)):
+    for at, fb in groups:
+        for j, (i,) in enumerate(zip(*at)):
             alone = five_block_decompose(a[i], b[i])
             for name in BLOCK_NAMES:
-                basis = group.bases[name][j]
+                basis = fb.bases[name][j]
                 for x, y in ((basis, alone.bases[name]), (_span(basis), alone.projections()[name]),
-                             (group.blocks_a[name][j], alone.blocks_a[name]),
-                             (group.blocks_b[name][j], alone.blocks_b[name])):
+                             (fb.blocks_a[name][j], alone.blocks_a[name]),
+                             (fb.blocks_b[name][j], alone.blocks_b[name])):
                     assert x.shape == y.shape and x.tobytes() == y.tobytes(), (i, name)
             seen.append(i)
     assert sorted(seen) == list(range(len(a)))
     if kind == "mixed":
         assert len(groups) == 5
-        assert {j for group in groups for j in group.at[0]} == set(range(len(MIXED)))
+        assert {j for at, _ in groups for j in at[0]} == set(range(len(MIXED)))
         units_b = [five_block_decompose(a[i], b[i]).ranks()["unit_b"] for i in (3, 5)]
         assert units_b == [2, 1]
 
@@ -1300,31 +1284,31 @@ def test_spec_separation_decisions_equal_the_exact_norm(monkeypatch):
     assert shapes == [(1, 2, 2)]
 
 
-def _spoiled_stream(seed, spoils):
-    """A fixed stream of uniforms for seed, with the places spoils names
-    set to 1e-15: a radius uniform that small gives a vector of norm about
-    4e-8, which the draws skip."""
+def _unseparated_stream(seed, unseparated):
+    """A fixed stream of uniforms for seed; for a seed in unseparated, the
+    uniforms 5-8 of its first target repeat the uniforms 1-4 of its pivot,
+    so that target equals the pivot and is not separated from it."""
     values = np.random.default_rng(seed).random(400)
-    values[list(spoils.get(seed, ()))] = 1e-15
+    if seed in unseparated:
+        values[5:9] = values[1:5]
     return values
 
 
-def test_a_trial_with_a_skipped_vector_draws_again_alone(monkeypatch):
-    """A trial whose pivot, first target or a partner vector is skipped
-    draws again from the start of its own stream, as the one-trial loop
-    did, and the other trials of the batch keep their stacked draws."""
+def test_a_trial_with_an_unseparated_target_draws_again_alone(monkeypatch):
+    """A trial whose first target is not separated from its pivot draws
+    again from the start of its own stream, as the one-trial loop did, and
+    the other trials of the batch keep their stacked draws."""
     seeds = [derive_seed(33, i) for i in range(4)]
     spec, partners = [derive_seed(s, 1) for s in seeds], [derive_seed(s, 2) for s in seeds]
-    # uniforms: index 0, pivot 1-4 (radii 1-2), first target 5-8 (radii 5-6); partner k at 4k
-    spoils = {spec[1]: (1, 2), spec[2]: (5, 6), partners[3]: (12, 13)}
+    unseparated = {spec[1], spec[2]}
     monkeypatch.setattr(generate, "_streams",
-                        lambda seeds: (_Stream(_spoiled_stream(s, spoils)) for s in seeds))
+                        lambda seeds: (_Stream(_unseparated_stream(s, unseparated)) for s in seeds))
     batch = REGISTRY["geometry"].draw(seeds, 2)
     for j in range(len(seeds)):
-        spec_gen = _Stream(_spoiled_stream(spec[j], spoils))
+        spec_gen = _Stream(_unseparated_stream(spec[j], unseparated))
         pivot, target, index = _ref_pair_spec(None, gen=spec_gen)
-        partner_gen = _Stream(_spoiled_stream(partners[j], spoils))
+        partner_gen = _Stream(_unseparated_stream(partners[j], unseparated))
         want = _reference_partners(batch["a"][j], 8, None, gen=partner_gen)
         assert _bits((batch["pivot"][j], batch["target"][j], batch["index"][j], batch["partners"][j])) \
             == _bits((pivot, target, np.float64(index), np.array(want))), j
-        assert (spec_gen.pos > 9) == (j in (1, 2)) and (partner_gen.pos > 32) == (j == 3)
+        assert (spec_gen.pos > 9) == (j in (1, 2)) and partner_gen.pos == 32, j
