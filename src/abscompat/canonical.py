@@ -166,22 +166,22 @@ def _sites(x) -> SiteBlockMatrix:
 
 
 def _unimodular(w, label: str) -> np.ndarray:
-    """w as a vector of phases, each normalized to modulus one, once every
-    | |w| - 1 | is at most 1e-9.
+    """w as a vector of phases, once every | |w| - 1 | is at most 1e-9.
 
-    No derivation fixes 1e-9.  It guards that each parameter is a phase,
-    so the normalization moves it by at most 1e-9.  Phases computed as
-    x / |x|, as the inverse maps compute them, are unimodular to a few u.
-    Those maps normalize before they get here: the raw w = p01 / (a0 s0)
-    of a strict projection has |w|^2 = |p01|^2 / (p00 (1 - p00)) per
-    site, which an idempotence defect far below tol.proj moves past 1e-9
-    when p00 (1 - p00) is small, so _strict_projection_read normalizes it
-    and its callers check the projection it rebuilds at tol.proj instead.
+    No derivation fixes 1e-9.  It guards that each parameter is a phase;
+    a phase is kept as given, not normalized again, since every phase the
+    package hands over is x / |x| already, normalized once where it is
+    made: the draws of generate normalize theirs, and the inverse maps
+    read theirs as x / |x|.  Those maps must normalize before they get
+    here: the raw w = p01 / (a0 s0) of a strict projection has
+    |w|^2 = |p01|^2 / (p00 (1 - p00)) per site, which an idempotence
+    defect far below tol.proj moves past 1e-9 when p00 (1 - p00) is
+    small, so _strict_projection_read normalizes it and its callers check
+    the projection it rebuilds at tol.proj instead.
     """
     w = _vector(w, complex, label)
-    mod = np.abs(w)
-    _require(np.abs(mod - 1.0) <= 1e-9, NotStrictParams, "%s phases must be unimodular", label)
-    return w / mod
+    _require(np.abs(np.abs(w) - 1.0) <= 1e-9, NotStrictParams, "%s phases must be unimodular", label)
+    return w
 
 
 def _strict_reals(a0, label: str) -> np.ndarray:

@@ -14,14 +14,15 @@ a bound proves the operator norm is too (hermitian._hnorm_upto).  So a
 residual that is only compared with tol.compat factorizes 1-a-b alone,
 and a-b only for a pair the bound leaves open; canonical.canonicalize
 takes the same bound from the eigh of 1-a-b its form comes from.
-Five-block certifies its strict block from what it already holds: the
-spectra the block interlaces clear the strictness cut
-(_strict_by_interlacing), and the whole pair's residual plus its
-off-block norms bound the block's residual (_strict_block_bound).  That
-bound needs the whole pair's residual only from above, so _five_blocks
-always takes the Sylvester bound, and a five-block call makes 4 eigh
-and no eigvalsh, where taking the pair's exact residual and factorizing
-the strict block again for its own would make 7 and 4.
+Five-block decomposes first and certifies the pair from its own blocks
+(_blocks_bound): the strict block by its own Sylvester bound, from an
+eigh of 1-a-b compressed to it, and the four outer blocks by their
+distances from 1 and 0 and their partners' spectra, which the eigh of a
+and of b on a's kernel give, with one eigvalsh of b on unit_a.  That
+bound also certifies both operands as effects.  So on a pair with all
+five blocks a five-block call makes 4 eigh and 1 eigvalsh, and the only
+n x n one is the eigh of a; only a pair its blocks leave open takes the
+whole pair's eigh of 1-a-b, reusing the eigh of a and the blocks.
 
 is_abs_compatible and projection_compat_equiv take stacks of pairs and
 run each in one pass: a stack raises at the first check that any pair
@@ -145,10 +146,13 @@ def _sylvester_bounds(a, b, zvals, zvecs, bound):
                   = 2(ab + ba) - 4c-,
 
     with c- the negative part of c, so Z = X^2 - d^2 needs only
-    products.  Sylvester step: Y = X - |d| solves XY + Y|d| = Z, and in
-    eigenbases of X >= mu and |d| >= 0 its entries are those of Z over
-    x_i + t_j >= mu, so r <= ||Y||_F <= ||Z||_F / mu when mu > 0
-    (Bhatia, Matrix Analysis, 1997, VII.2).  On a compatible pair
+    products: Z/4 = herm(ab - V- diag(-zvals-) V-*), with V- the
+    eigenvectors of the negative eigenvalues zvals-, the first columns of
+    the ascending eigh.  Sylvester step: Y = X - |d| solves
+    XY + Y|d| = Z, and in eigenbases of X >= mu and |d| >= 0 its
+    entries are those of Z over x_i + t_j >= mu, so
+    r <= ||Y||_F <= ||Z||_F / mu when mu > 0 (Bhatia, Matrix Analysis,
+    1997, VII.2).  On a compatible pair
     |d| = X, so Z = 0: the canonical form has |a-b| = x0 and
     |1-a-b| = 1 - x0 on every site, and mu is the least x0.
 
@@ -157,7 +161,7 @@ def _sylvester_bounds(a, b, zvals, zvecs, bound):
     plus the rounding of 1-a-b, and the computed V diag(zvals-) V* is
     (c + E)- up to the departure of V from a unitary, about n u.  The
     Hilbert-Schmidt continuity of x -> |x| (|| |S| - |T| ||_F <=
-    ||S - T||_F for Hermitian S and T, as in _strict_block_bound) carries
+    ||S - T||_F for Hermitian S and T, as in _blocks_bound) carries
     over to x- = (|x| - x)/2, so ||(c + E)- - c-||_F <= ||E||_F, and by
     Weyl's inequality mu >= 1 - max|zvals| - ||E||.  The product ab + ba
     rounds by about n u ||a|| ||b||, where ||a + b|| = ||1 - c|| <= 2
@@ -178,7 +182,11 @@ def _sylvester_bounds(a, b, zvals, zvecs, bound):
     bound within reach and stays open.
     """
     allowance = _ROUNDING * a.shape[-1]
-    z_norm = 4.0 * _fnorm(hermitize(a @ b) - _compose(np.maximum(-zvals, 0.0), zvecs)) + allowance
+    # zvals ascend, so c- lives on the first k columns, those where some
+    # pair has a negative eigenvalue, each weighted by max(-zval, 0)
+    k = np.count_nonzero((zvals < 0.0).any(axis=tuple(range(zvals.ndim - 1))))
+    neg, minus = np.maximum(-zvals[..., :k], 0.0), zvecs[..., :k]
+    z_norm = 4.0 * _fnorm(hermitize(a @ b - (minus * neg[..., None, :]) @ dagger(minus))) + allowance
     gap = 1.0 - np.abs(zvals).max(axis=-1, initial=0.0) - allowance
     certified = z_norm <= bound * gap
     return np.asarray(z_norm / np.where(certified, gap, 1.0)), certified
@@ -191,11 +199,13 @@ def _require_compatible(residual, tol: Tolerances) -> None:
 
 
 def _built_pair(a, b, tol: Tolerances, not_strict, incompatible="constructed pair residual %.3e",
-                sites: bool = False):
+                sites: bool = False, compatible=np.False_):
     """(a, b), a pair a construction built, or stacks of such pairs, once
     both are strict (one eigvalsh of the stack [a, b]) and their residual
     is within tol.compat; otherwise raises not_strict, an (error, message)
-    pair, or PostconditionFailure(incompatible % residual).
+    pair, or PostconditionFailure(incompatible % residual).  compatible
+    masks the pairs a caller has certified compatible already; the
+    residual is taken unless every pair is.
 
     With sites=True, a and b are the (..., m, 2, 2) site blocks of pairs
     with exact zeros off their sites, and each pair is checked on its
@@ -208,8 +218,9 @@ def _built_pair(a, b, tol: Tolerances, not_strict, incompatible="constructed pai
     """
     va, vb = np.linalg.eigvalsh(np.stack([a, b]))
     _require(_strict_rows(va, tol) & _strict_rows(vb, tol), *not_strict)
-    residual = _over_sites(_pair_spectra(a, b, tol.compat), sites)
-    _require(residual <= tol.compat, PostconditionFailure, incompatible, residual)
+    if not np.all(compatible):
+        residual = _over_sites(_pair_spectra(a, b, tol.compat), sites)
+        _require(residual <= tol.compat, PostconditionFailure, incompatible, residual)
     return a, b
 
 
@@ -347,9 +358,9 @@ def five_block_decompose(a, b, tol: Tolerances = DEFAULT_TOL) -> FiveBlockDecomp
     its b = 1 part (unit_b) and null_a; one eigh of b compressed to R
     splits it into its b = 1 part (unit_b), its b = 0 part (null_b) and
     the strict block.  _reduced_blocks checks the reduction claim.  The
-    pair runs through _five_blocks as a batch of one, which takes the
-    residual it only bounds from the eigh of 1-a-b alone
-    (_sylvester_bounds).
+    pair runs through _five_blocks as a batch of one, which certifies it
+    from its own blocks (_blocks_bound) and takes the whole pair's
+    certificate only where that bound leaves it open.
     """
     a, b = _hermitian_pair(a, b, tol)
     _, ((_, blocks),) = _five_blocks(a, b, tol)
@@ -361,33 +372,80 @@ def _five_blocks(a, b, tol: Tolerances):
     (..., n, n) stacks: (the compatibility residual its certificate took,
     one (at, FiveBlockDecomposition) per pattern of block ranks, where at
     holds index arrays into the leading axes, Ellipsis for one pair, and
-    the record's arrays are stacked in the order of at).  That residual
-    is the Sylvester bound where that settles the pair (_certified_pair
-    with compared=True), never below the exact residual, which is all the
-    strict-block bound needs.
+    the record's arrays are stacked in the order of at).
 
-    The certificate and the eigh of a run on the whole stack.  eigh sorts
-    each spectrum in ascending order, so the kernel of a is a prefix of
-    its eigenvectors, its eigenspace at 1 a suffix and the rest between
-    them; the pairs with the same counts slice the same columns, and
-    each such group takes one eigh of b on the kernel and one on the
-    rest.  Those spectra ascend too, so the pairs of a group are grouped
-    again by their counts at 1 and 0, which fix the columns of every
-    block, and each of those groups checks its blocks as one stack.
-    Every postcondition holds for every pair; a stack raises at the
-    first check some pair of it fails.
-
-    The strict block of a pair is strict when the spectra it interlaces
-    clear the cut (_strict_by_interlacing) and compatible when
-    _strict_block_bound is within tol.compat; only the pairs that these
-    certificates leave open take _built_pair on their strict blocks.
+    Each pair is decomposed first (_decomposed), and its residual bounded
+    from its blocks (_blocks_bound).  Where that bound is within
+    tol.compat, and within tol.spec by the rounding allowance, it is the
+    residual returned: it certifies both operands as effects and the pair
+    as compatible.  Only the pairs it leaves open take the whole pair's
+    certificate (_certified_pair with compared=True), and they take it
+    before any block postcondition raises, so every pair raises what
+    certifying it first raises: the effect checks, then tol.compat, then
+    the blocks.  Operands of two shapes, or with an entry past
+    1 + tol.spec, which no effect has, take that certificate before
+    anything is factorized.  Every postcondition holds for every pair; a
+    stack raises at the first check some pair of it fails.
     """
-    residual, _ = _certified_pair(a, b, tol, compared=True)
+    n = a.shape[-1]
+    residual = None
+    if a.shape != b.shape or not _bounded(a, b, tol):
+        residual = np.asarray(_whole_pair(a, b, tol))
+    bound, parts = _decomposed(a, b, tol)
+    if residual is None:
+        residual = bound
+        open_ = np.logical_not((bound <= tol.compat) & (bound + _ROUNDING * n <= tol.spec))
+        if np.any(open_):
+            residual[open_] = _whole_pair(a[open_], b[open_], tol)
+    out = []
+    for where, bases, blocks_a, blocks_b, reduction, strict, compatible, outer in parts:
+        _require_reduced(*reduction, tol)
+        _verify_block_contents(blocks_a, blocks_b, tol, strict, compatible, outer)
+        out.append((where, FiveBlockDecomposition(bases, blocks_a, blocks_b)))
+    return _per_matrix(residual), out
+
+
+def _whole_pair(a, b, tol: Tolerances):
+    """The whole-pair certificate of Hermitian a and b, or stacks of them:
+    the residual _certified_pair takes with compared=True, once it is
+    within tol.compat; raises what _certified_pair raises, then
+    NotAbsolutelyCompatible."""
+    residual = _certified_pair(a, b, tol, compared=True)[0]
     _require_compatible(residual, tol)
+    return residual
+
+
+def _decomposed(a, b, tol: Tolerances):
+    """(bound, parts) for Hermitian a and b of one shape, or stacks: the
+    five blocks of each pair, before any check of them raises.  bound is
+    _blocks_bound over the leading axes; parts holds one (at, bases,
+    blocks_a, blocks_b, reduction, strict, compatible, outer) per pattern
+    of block ranks: reduction is what _require_reduced checks, strict and
+    compatible mask the pairs whose strict blocks are certified so, and
+    outer is the largest Frobenius distance of an outer block from 1 or
+    0 (_outer).
+
+    The eigh of a runs on the whole stack.  eigh sorts each spectrum in
+    ascending order, so the kernel of a is a prefix of its eigenvectors,
+    its eigenspace at 1 a suffix and the rest between them; the pairs
+    with the same counts slice the same columns, and each such group
+    takes one eigh of b on the kernel and one on the rest.  Those spectra
+    ascend too, so the pairs of a group are grouped again by their counts
+    at 1 and 0, which fix the columns of every block, and each of those
+    groups takes its blocks and their bounds as one stack: one eigh of
+    1-a-b on the strict block and one eigvalsh of b on unit_a, each at
+    the block's size.  The strict block of a pair is strict when the
+    spectra it interlaces clear the cut (_strict_by_interlacing) and
+    compatible when its own Sylvester bound is within tol.compat
+    (_strict_sylvester); only the pairs that these certificates leave
+    open take _built_pair on their strict blocks, and only for what they
+    leave open, so no strict block is factorized twice.
+    """
     n = a.shape[-1]
     vals, vecs = np.linalg.eigh(a)
-    whole = np.asarray(residual)
-    out = []
+    outside = _outside(vals)
+    norms = np.abs(vals).max(axis=-1, initial=0.0) + _fnorm(b)
+    groups = []
     for at, (units, zeros) in _patterns(_level_counts(vals, tol)):
         v, ga, gb = vecs[at], a[at], b[at]
         kernel, kvals = _eigh_on(gb, v[..., :zeros])
@@ -404,13 +462,40 @@ def _five_blocks(a, b, tol: Tolerances):
                 "null_a": k[..., :zeros - unit_k],
                 "null_b": r[..., :zero_r],
             }
-            blocks_a, blocks_b, frob = _reduced_blocks(ga[inner], gb[inner], bases, tol)
+            blocks_a, blocks_b, *reduction = _reduced_blocks(ga[inner], gb[inner], bases)
             strict = _strict_by_interlacing(vals[where][..., zeros:n - units], rvals[inner][..., zero_r:top],
                                             n, tol)
-            settled = strict & (_strict_block_bound(whole[where], frob, n, tol) <= tol.compat)
-            _verify_block_contents(blocks_a, blocks_b, tol, settled)
-            out.append((where, FiveBlockDecomposition(bases, blocks_a, blocks_b)))
-    return residual, out
+            outer = np.max([_fnorm(dev) for _, _, dev in _outer(blocks_a, blocks_b)], axis=0)
+            partners = np.maximum(outside[where], _outside(kvals[inner]))
+            groups.append((where, bases, blocks_a, blocks_b, reduction, strict, outer, partners))
+    # the blocks of one size, over all groups, take one eigh or eigvalsh
+    sylvester = _per_width(lambda sa, sb: _strict_sylvester(sa, sb, tol),
+                           [g[2]["strict"] for g in groups], [g[3]["strict"] for g in groups])
+    unit_a = _per_width(_outside_spectrum, [g[3]["unit_a"] for g in groups])
+    bound = np.empty(a.shape[:-2])
+    parts = []
+    for group, s, u in zip(groups, sylvester, unit_a):
+        where, bases, blocks_a, blocks_b, reduction, strict, outer, partners = group
+        bound[where] = _blocks_bound(s, outer, np.maximum(partners, u), reduction[1], norms[where], n)
+        parts.append((where, bases, blocks_a, blocks_b, reduction, strict, s <= tol.compat, outer))
+    return bound, parts
+
+
+def _per_width(fn, *groups) -> list:
+    """fn(*x) for each x in zip(*groups), where each of groups holds a
+    stack of square matrices per group of pairs and fn returns a value
+    per matrix: the stacks of one width go to fn as one stack."""
+    widths = [x.shape[-1] for x in groups[0]]
+    out = [None] * len(widths)
+    for width in set(widths):
+        picked = [i for i, w in enumerate(widths) if w == width]
+        if len(picked) == 1:
+            out[picked[0]] = fn(*(g[picked[0]] for g in groups))
+            continue
+        values = fn(*(np.concatenate([g[i] for i in picked]) for g in groups))
+        for i, part in zip(picked, np.split(values, np.cumsum([len(groups[0][i]) for i in picked])[:-1])):
+            out[i] = part
+    return out
 
 
 def _level_counts(vals, tol: Tolerances) -> np.ndarray:
@@ -442,9 +527,41 @@ def _eigh_on(x, w):
     return w @ vecs, vals
 
 
-def _reduced_blocks(a, b, bases, tol):
-    """The compressions of a and b to the five blocks, once the blocks are
-    checked to reduce both; for stacks, pair by pair.
+def _outside(vals):
+    """How far each ascending spectrum reaches outside [0, 1], over the
+    leading axes; 0 for an empty one."""
+    return np.maximum(-vals[..., :1], vals[..., -1:] - 1.0).max(axis=-1, initial=0.0)
+
+
+def _outside_spectrum(x):
+    """_outside of the spectrum of each Hermitian matrix of x, from one
+    eigvalsh; 0 for 0x0 matrices, which take none."""
+    return _outside(np.linalg.eigvalsh(x)) if x.shape[-1] else np.zeros(x.shape[:-2])
+
+
+def _reduced_blocks(a, b, bases):
+    """(blocks_a, blocks_b, mats, frob): the compressions of a and b to the
+    five blocks, for stacks pair by pair, with what _require_reduced
+    checks them by, the matrices V*V - I and the off-block parts of V*aV
+    and V*bV, V being the bases side by side, and their Frobenius norms
+    (eps, delta_a, delta_b) over leading axes."""
+    v = np.concatenate(list(bases.values()), axis=-1)
+    widths = [w.shape[-1] for w in bases.values()]
+    owner = np.repeat(np.arange(len(bases)), widths)
+    on_block = owner[:, None] == owner[None, :]
+    gram = dagger(v) @ v - identity_like(v)
+    ms = [hermitize(dagger(v) @ x @ v) for x in (a, b)]
+    mats = [gram] + [np.where(on_block, 0.0, m) for m in ms]
+    # owner repeats each block's label over its width: block k owns edges[k]:edges[k + 1]
+    edges = np.cumsum([0] + widths)
+    blocks_a, blocks_b = ({name: m[..., s:e, s:e].copy() for name, s, e in zip(bases, edges[:-1], edges[1:])}
+                          for m in ms)
+    return blocks_a, blocks_b, mats, np.array([_fnorm(x) for x in mats])
+
+
+def _require_reduced(mats, frob, tol: Tolerances) -> None:
+    """Raises unless the blocks of _reduced_blocks reduce both operands;
+    for stacks, pair by pair.
 
     Let V be the bases side by side, eps = ||V*V - I|| and, for x = a, b,
     delta the off-block mass of V*xV.  Then ||V||^2 <= 1 + eps and:
@@ -456,20 +573,10 @@ def _reduced_blocks(a, b, bases, tol):
     So the two checks below enforce the sum, idempotence, orthogonality,
     commutation and reconstruction postconditions at tol.proj and
     tol.block.  Both bounds grow with eps and delta, so they are first
-    taken with Frobenius norms, which are never below the operator norms;
-    only a pair they do not settle takes them exactly.  Returns the
-    compressions of a, of b and the Frobenius norms (eps, delta_a,
-    delta_b), over leading axes.
+    taken with the Frobenius norms frob, which are never below the
+    operator norms; only a pair they do not settle takes them exactly.
     """
-    v = np.concatenate(list(bases.values()), axis=-1)
-    widths = [w.shape[-1] for w in bases.values()]
-    owner = np.repeat(np.arange(len(bases)), widths)
-    on_block = owner[:, None] == owner[None, :]
-    gram = dagger(v) @ v - identity_like(v)
-    ms = [hermitize(dagger(v) @ x @ v) for x in (a, b)]
-    mats = [gram] + [np.where(on_block, 0.0, m) for m in ms]
-    frob = norms = np.array([_fnorm(x) for x in mats])
-    eps, bounds = _reduction_bounds(norms, tol)
+    eps, bounds = _reduction_bounds(frob, tol)
     open_ = np.logical_not(((1.0 + eps) * eps <= tol.proj) & np.all(bounds <= tol.block, axis=0))
     if np.any(open_):
         norms = frob.copy()
@@ -481,15 +588,10 @@ def _reduced_blocks(a, b, bases, tol):
     for label, bound in zip("ab", bounds):
         _require(bound <= tol.block, PostconditionFailure,
                  "blocks do not reduce %s: off-block bound %.3e", label, bound)
-    # owner repeats each block's label over its width: block k owns edges[k]:edges[k + 1]
-    edges = np.cumsum([0] + widths)
-    blocks_a, blocks_b = ({name: m[..., s:e, s:e].copy() for name, s, e in zip(bases, edges[:-1], edges[1:])}
-                          for m in ms)
-    return blocks_a, blocks_b, frob
 
 
 def _reduction_bounds(norms, tol):
-    """eps and the two off-block bounds of _reduced_blocks from the norms
+    """eps and the two off-block bounds of _require_reduced from the norms
     of V*V - I and of the off-block parts of V*aV and V*bV."""
     eps = norms[0]
     return eps, (1.0 + eps) * (norms[1:] + 2.0 * eps * (1.0 + tol.spec))
@@ -516,54 +618,99 @@ def _strict_by_interlacing(rest_a, middle_b, n: int, tol: Tolerances):
     return _strict_rows(np.concatenate([rest_a, middle_b], axis=-1), tol, _ROUNDING * n)
 
 
-def _strict_block_bound(residual, frob, n: int, tol: Tolerances):
-    """A bound on the compatibility residual of the strict block of each
-    pair of n x n effects, from the residual of the whole pair and the
-    Frobenius norms frob = (eps, delta_a, delta_b) of V*V - I and of the
-    off-block parts of V*aV and V*bV that _reduced_blocks takes.
+def _strict_sylvester(sa, sb, tol: Tolerances):
+    """The Sylvester bound on the compatibility residual of each strict
+    block (sa, sb), from one eigh of 1 - sa - sb at the block's size
+    (_sylvester_bounds), where it is within tol.compat; inf where it is
+    not, and 0 for 0x0 blocks, over leading axes."""
+    if not sa.shape[-1]:
+        return np.zeros(sa.shape[:-2])
+    zvals, zvecs = np.linalg.eigh(identity_like(sa) - sa - sb)
+    s, certified = _sylvester_bounds(sa, sb, zvals, zvecs, tol.compat)
+    return np.where(certified, s, np.inf)
 
-    Write f(x, y) = |x-y| + |1-x-y| - 1.  For Hermitian S and T,
-    || |S| - |T| ||_F <= ||S - T||_F, the Hilbert-Schmidt form of the
-    continuity of S -> |S| (Kato 1973; Bhatia, Matrix Analysis, ch. X),
-    which carries no log factor: in eigenbases of S and T the entries of
-    |S| - |T| are (|s_i| - |t_j|) c_ij and those of S - T are
-    (s_i - t_j) c_ij.  So ||f(x, y) - f(x', y')||_F <= 2 (||x - x'||_F
-    + ||y - y'||_F), and:
+
+def _blocks_bound(strict, outer, partners, frob, norms, n: int):
+    """A bound s on the compatibility residual r of each pair of n x n
+    Hermitian (a, b) from its five blocks: strict, the strict block's
+    Sylvester bound (_strict_sylvester); outer, the largest ||X - 1||_F
+    or ||X||_F of the four outer blocks, X the compression of the operand
+    that is 1 or 0 there; partners, the largest distance from [0, 1] of
+    the spectra of a (eigh), of b on the kernel of a (its eigh) and of b
+    on unit_a (an eigvalsh); frob = (eps, delta_a, delta_b), the
+    Frobenius norms of V*V - I and of the off-block parts of V*aV and
+    V*bV (_reduced_blocks); norms, ||a|| + ||b|| from above, as the
+    largest |eigenvalue| of a plus ||b||_F.
+
+    Write f(x, y) = |x-y| + |1-x-y| - 1, so r = ||f(a, b)||.  For
+    Hermitian S and T, || |S| - |T| ||_F <= ||S - T||_F, the
+    Hilbert-Schmidt form of the continuity of S -> |S| (Kato 1973;
+    Bhatia, Matrix Analysis, ch. X), which carries no log factor: in
+    eigenbases of S and T the entries of |S| - |T| are
+    (|s_i| - |t_j|) c_ij and those of S - T are (s_i - t_j) c_ij.  So
+    ||f(x, y) - f(x', y')||_F <= 2 (||x - x'||_F + ||y - y'||_F), and:
       - V = UP with U unitary and P = (V*V)^(1/2), so ||P - I||_F <= eps
-        and ||V*xV - U*xU||_F <= eps (2 + eps) ||x||, with
-        ||x|| <= 1 + tol.spec for an effect; f(U*aU, U*bU) = U* f(a, b) U
-        has the norm r of the whole pair's residual;
+        and ||V*xV - U*xU||_F <= eps (2 + eps) ||x||; f(U*aU, U*bU) =
+        U* f(a, b) U has norm r;
       - dropping the off-block parts moves f by at most 2 (delta_a +
-        delta_b) and leaves a block diagonal pair, whose f has the strict
-        block's f as one diagonal block.
-    So the strict block's residual is at most
-        r + 2 (delta_a + delta_b) + 4 eps (2 + eps) (1 + tol.spec),
-    and _ROUNDING n covers the rounding of the two computed residuals and
-    of the compressions, about n u each, as in _certified_pair.
-    _five_blocks, its one caller, takes r from above, as the Sylvester
-    bound.
+        delta_b) and leaves a block diagonal pair, whose f is block
+        diagonal, so its norm is the largest block's;
+      - the strict block's f has norm at most strict;
+      - on an outer block one operand is X, near t = 1 or 0, and for
+        the partner Y, f(t, Y) = |1 - Y| + |Y| - 1 whichever t is, whose
+        norm is twice the distance of Y's spectrum from [0, 1]; moving t
+        to X moves f by at most 2 ||X - t||_F.  Y's spectrum is in
+        partners: b on unit_a takes the eigvalsh, b on null_a is
+        diag(kvals) on part of the kernel, and a on unit_b and on null_b
+        is a compressed to columns of its own eigenvectors, so its
+        spectrum lies in the range of a's (Cauchy interlacing).
+    So
+
+        r <= max(strict, 2 (outer + partners)) + 2 (delta_a + delta_b)
+             + 2 eps (2 + eps) (||a|| + ||b||),
+
+    and s adds delta(n) = _ROUNDING n, which covers the rounding of the
+    compressions and the norms and the backward errors of the eigh and
+    eigvalsh behind the spectra (p(n) u ||x||, LAPACK Users' Guide,
+    section 4.7), about n u each, with ||x|| near 1 wherever s is small,
+    as in _certified_pair.
+
+    s certifies more than r <= s.  By _certified_pair's identity the
+    spectra of a and b lie in [-s/2, 1 + s/2], so s + delta(n) <=
+    tol.spec puts them where the validating eigvalsh accepts: both
+    operands are certified effects.  And s exceeds the exact residual by
+    about delta(n), more than the rounding of the residual from two eigh
+    (below 2.3 n eps, measured for n from 2 to 256), so a pair with
+    s <= tol.compat is one the whole pair's certificate passes too.
     """
     eps, delta_a, delta_b = frob
-    return (residual + 2.0 * (delta_a + delta_b) + 4.0 * eps * (2.0 + eps) * (1.0 + tol.spec)
-            + _ROUNDING * n)
+    return (np.maximum(strict, 2.0 * (outer + partners)) + 2.0 * (delta_a + delta_b)
+            + 2.0 * eps * (2.0 + eps) * norms + _ROUNDING * n)
 
 
-def _verify_block_contents(blocks_a, blocks_b, tol, settled=np.False_):
+def _outer(blocks_a, blocks_b):
+    """(name, target, X - target) of each outer block, X the compression
+    of the operand that is target there, in the order they are checked."""
+    sides = (("unit_a", blocks_a, 1.0), ("unit_b", blocks_b, 1.0), ("null_a", blocks_a, 0.0),
+             ("null_b", blocks_b, 0.0))
+    return [(name, target, side[name] - target * identity_like(side[name])) for name, side, target in sides]
+
+
+def _verify_block_contents(blocks_a, blocks_b, tol, strict=np.False_, compatible=np.False_, outer=np.inf):
     """The unit and null blocks are 1 and 0, and the strict blocks, unless
     they are 0x0, are strict and absolutely compatible, for each pair of
-    stacked blocks; _built_pair checks the strict blocks of the pairs
-    that settled, a mask over leading axes, leaves open."""
-    checks = (
-        ("unit_a", blocks_a, 1.0),
-        ("unit_b", blocks_b, 1.0),
-        ("null_a", blocks_a, 0.0),
-        ("null_b", blocks_b, 0.0),
-    )
-    for name, side, target in checks:
-        blk = side[name]
-        _require(_hnorm_upto(blk - target * identity_like(blk), tol.block) <= tol.block, PostconditionFailure,
-                 "restriction to %s is not %r", name, target)
-    if blocks_a["strict"].shape[-1] and not np.all(settled):
-        _built_pair(blocks_a["strict"][~settled], blocks_b["strict"][~settled], tol,
+    stacked blocks.  strict and compatible mask, over leading axes, the
+    pairs whose strict blocks are certified so: _built_pair checks the
+    others, and takes the residual only where compatible does not hold.
+    outer, the largest Frobenius distance of an outer block from 1 or 0
+    where the caller holds it, settles all four outer checks when it is
+    within tol.block."""
+    if not np.all(outer <= tol.block):
+        for name, target, dev in _outer(blocks_a, blocks_b):
+            _require(_hnorm_upto(dev, tol.block) <= tol.block, PostconditionFailure,
+                     "restriction to %s is not %r", name, target)
+    open_ = np.logical_not(strict & compatible)
+    if blocks_a["strict"].shape[-1] and np.any(open_):
+        _built_pair(blocks_a["strict"][open_], blocks_b["strict"][open_], tol,
                     (PostconditionFailure, "strict block has spectrum touching 0 or 1"),
-                    "strict block not absolutely compatible, residual %.3e")
+                    "strict block not absolutely compatible, residual %.3e", compatible=compatible[open_])

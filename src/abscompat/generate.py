@@ -200,13 +200,20 @@ def random_commuting_strict_pair(n: int, seed, margin=0.05):
     return _commuting_strict_pairs(_size(n, "dimension must be positive"), _key(seed), margin)
 
 
+def _phases(u):
+    """The phases exp(2 pi i u), each normalized to modulus one: the one
+    normalization a drawn phase gets (canonical._unimodular)."""
+    w = np.exp(2j * np.pi * u)
+    return w / np.abs(w)
+
+
 def _pair_params(n: int, seeds, margin: float):
-    """Per-site x0 and a0, the raw phases w and the Haar unitary of
+    """Per-site x0 and a0, the phases w and the Haar unitary of
     random_pair_params, over seeds."""
     m = n // 2
     (u,) = _uniforms(seeds, lambda gen: (gen.random(3 * m + 2 * n * n),))
     x0, a0 = (margin + (1.0 - 2.0 * margin) * u[..., k * m:(k + 1) * m] for k in (0, 1))
-    return x0, a0, np.exp(2j * np.pi * u[..., 2 * m:3 * m]), _haar(u[..., 3 * m:], n)
+    return x0, a0, _phases(u[..., 2 * m:3 * m]), _haar(u[..., 3 * m:], n)
 
 
 def random_pair_params(n: int, seed, margin=0.1):
@@ -233,12 +240,13 @@ def random_abscompat_pair(n: int, seed, margin=0.1):
 
 
 def _site_params(m: int, seeds, margin, phases: int) -> tuple:
-    """Per-site a0 uniform in [margin, 1 - margin], then that many raw
-    uniform phases, each (..., m) over seeds, once margin and m are valid."""
+    """Per-site a0 uniform in [margin, 1 - margin], then that many
+    uniform phases (_phases), each (..., m) over seeds, once margin and m
+    are valid."""
     margin = _check_margin(margin)
     m = _size(m, "need at least one site")
     (u,) = _uniforms(seeds, lambda gen: (gen.random((1 + phases) * m),))
-    w = np.exp(2j * np.pi * u[..., m:])
+    w = _phases(u[..., m:])
     return (margin + (1.0 - 2.0 * margin) * u[..., :m], *(w[..., k * m:(k + 1) * m] for k in range(phases)))
 
 

@@ -26,9 +26,8 @@ from abscompat.canonical import _embed, _site_pairs, canonicalize
 from abscompat.compat import (
     BLOCK_NAMES,
     CompatReport,
+    _decomposed,
     _pair_spectra,
-    _reduced_blocks,
-    _strict_block_bound,
     five_block_decompose,
     is_abs_compatible,
     is_orthogonal,
@@ -144,14 +143,17 @@ def _n96_pairs():
 #    operands as strict effects and the pair as compatible, so neither
 #    is factorized again; the same count for a stack of pairs, each
 #    call on the whole stack;
-#  - five_block_decompose: one eigh of 1-a-b, whose Sylvester bound on
-#    the residual certifies both operands and is all the strict-block
-#    bound needs, one eigh of a, and one eigh of b on each of the kernel
-#    of a and the rest; the strictness and compatibility of the strict
-#    block are read off those spectra and norms, and the orthonormality,
-#    off-block and block-content checks are settled by Frobenius norms;
-#    the same count per pair for a stack, each call on the whole stack
-#    or on the pairs of one pattern of block ranks;
+#  - five_block_decompose: one eigh of a, one eigh of b on each of the
+#    kernel of a and the rest, one eigh of 1-a-b on the strict block,
+#    whose Sylvester bound certifies that block, and one eigvalsh of b on
+#    unit_a; with the distances of the outer blocks from 1 and 0 and the
+#    off-block norms these bound the whole pair's residual, which
+#    certifies both operands and the pair, so the eigh of 1-a-b at n is
+#    not taken; the strictness of the strict block is read off the
+#    spectra it interlaces, and the orthonormality, off-block and
+#    block-content checks are settled by Frobenius norms; the same count
+#    per pair for a stack, each call on the whole stack or on the blocks
+#    of one size;
 #  - decompose_pair_m2 (2x2): canonicalize at n = 2, so its count; the
 #    spec is read off the form, and the round-trip norm is settled by a
 #    Frobenius bound;
@@ -165,7 +167,7 @@ def _n96_pairs():
 BUDGET = {
     "is_abs_compatible": {"eigh": 2, "eigvalsh": 1, "svd": 0},
     "canonicalize": {"eigh": 1, "eigvalsh": 2, "svd": 1},
-    "five_block_decompose": {"eigh": 4, "eigvalsh": 0, "svd": 0},
+    "five_block_decompose": {"eigh": 4, "eigvalsh": 1, "svd": 0},
     "decompose_pair_m2": {"eigh": 1, "eigvalsh": 2, "svd": 1},
     "pair_from_projections": {"eigh": 1, "eigvalsh": 2, "svd": 0},
     "projection_compat_equiv": {"eigh": 3, "eigvalsh": 3, "svd": 0},
@@ -622,7 +624,8 @@ def _five_block_cases():
 def test_five_block_certificate_parity(case, monkeypatch):
     """five_block_decompose raises what checking the strict block by its
     own factorizations raises, or returns the same blocks bit for bit; the
-    strict block is factorized only when the certificates leave it open."""
+    strict block takes _built_pair only when the certificates leave it
+    open."""
     a, b, tol, path = _five_block_cases()[case]
     ref = _uncertified(monkeypatch, _five_block_bits, a, b, tol)
     ran = []
@@ -644,20 +647,86 @@ def _perturbed(a, b, scale, seed):
     return out
 
 
-def test_strict_block_bound_bounds():
-    """The bound that certifies the strict block is at least the residual
-    its own factorizations give, and is not carried by the rounding
-    allowance alone, on exact, near-cut and perturbed pairs."""
+def test_blocks_bound_bounds():
+    """The bound from the blocks that certifies the whole pair, less its
+    rounding allowance, is at least the residual of the whole pair from
+    its two eigh, on exact, near-cut and perturbed pairs, and it settles
+    every pair that is not moved by 1e-10."""
     pairs = list(_n96_pairs())
     pairs += [_near_cut_assembled(n, k, side, n) for n in (4, 8) for k in (0.5, 2.0) for side in "ab"]
+    settled = len(pairs)
     pairs += [_perturbed(a, b, scale, k) for k, (a, b) in enumerate(pairs[:3]) for scale in (1e-11, 1e-10)]
-    for a, b in pairs:
+    for i, (a, b) in enumerate(pairs):
         n = a.shape[-1]
-        fb = five_block_decompose(a, b)
-        frob = _reduced_blocks(a, b, fb.bases, DEFAULT_TOL)[2]
-        whole, strict = _strict_residuals(a, b, fb)
-        bound = _strict_block_bound(whole, frob, n, DEFAULT_TOL)
-        assert bound >= strict and bound - _ROUNDING * n >= strict, (n, whole, strict, bound)
+        bound = _decomposed(a, b, DEFAULT_TOL)[0]
+        whole = _pair_spectra(a, b)
+        assert np.isfinite(bound) and bound - _ROUNDING * n >= whole, (n, whole, bound)
+        if i < settled:
+            assert bound + _ROUNDING * n <= DEFAULT_TOL.spec, (n, whole, bound)
+
+
+def _factorized(monkeypatch):
+    """(name, shape, bytes) of each eigh, eigvalsh and svd call from here on."""
+    log = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def spy(x, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            log.append((_name, np.shape(x), np.asarray(x).tobytes()))
+            return _fn(x, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return log
+
+
+def test_five_block_factorizes_one_matrix_at_full_size(monkeypatch):
+    """On a 64x64 strict pair beside eight slots of each overlap, as the
+    benchmark's assembled pairs are, the only n x n factorization of
+    five_block_decompose is the eigh of a: the residual is bounded from
+    the blocks, at their sizes.  A strict pair has no outer blocks, so
+    the rest of a and the strict block are the whole space: the eigh of
+    a, of b on the rest and of 1-a-b on the strict block."""
+    a, b = next(_n96_pairs())
+    strict = random_abscompat_pair(64, derive_seed(17, 99))
+    log = _factorized(monkeypatch)
+    five_block_decompose(a, b)
+    full = [(name, shape, data) for name, shape, data in log if shape[-1] == 96]
+    assert full == [("eigh", (96, 96), a.tobytes())]
+    assert sorted((name, shape) for name, shape, _ in log) == [
+        ("eigh", (8, 8)), ("eigh", (64, 64)), ("eigh", (80, 80)), ("eigh", (96, 96)), ("eigvalsh", (8, 8))]
+    log.clear()
+    five_block_decompose(*strict)
+    assert [(name, shape) for name, shape, _ in log if shape[-1] == 64] == [("eigh", (64, 64))] * 3
+    assert [name for name, _, _ in log].count("eigvalsh") == 0
+
+
+def test_a_strict_block_left_open_is_factorized_once(monkeypatch):
+    """A strict block whose strictness the interlaced spectra leave open
+    (an eigenvalue of a within the rounding allowance of the cut), but
+    whose own Sylvester bound settles its compatibility, takes one
+    eigvalsh for its strictness and no second eigh of 1-a-b."""
+    a, b = _near_cut_assembled(4, 0.5, "a", 1)
+    log = _factorized(monkeypatch)
+    five_block_decompose(a, b)
+    assert [(name, shape) for name, shape, _ in log] == [
+        ("eigh", (6, 6)), ("eigh", (0, 0)), ("eigh", (6, 6)), ("eigh", (4, 4)), ("eigvalsh", (2, 1, 4, 4))]
+
+
+def test_incompatible_strict_block_raises_the_whole_pair_message():
+    """A pair whose strict block is moved off compatibility is left open by
+    the bound from its blocks, and raises what the whole pair's
+    certificate raises: NotAbsolutelyCompatible with that certificate's
+    residual, alone and as the second pair of a stack."""
+    a, b = _direct_sum(*_perturbed(*random_abscompat_pair(4, derive_seed(61, 0)), 3e-8, 62),
+                       ASSEMBLED_SLOTS, derive_seed(61, 1))[:2]
+    assert _decomposed(a, b, DEFAULT_TOL)[0] > DEFAULT_TOL.compat
+    residual = _pair_spectra(a, b, DEFAULT_TOL.compat)
+    assert residual == is_abs_compatible(a, b).residual > DEFAULT_TOL.compat
+    want = "residual %.3e > %.3e" % (residual, DEFAULT_TOL.compat)
+    with pytest.raises(NotAbsolutelyCompatible) as exc:
+        five_block_decompose(a, b)
+    assert str(exc.value) == want
+    c, d = _assembled_pair(derive_seed(61, 2))
+    with pytest.raises(NotAbsolutelyCompatible) as exc:
+        compat._five_blocks(np.array([c, a, c]), np.array([d, b, d]), DEFAULT_TOL)
+    assert str(exc.value) == want
 
 
 @pytest.mark.parametrize("offset", [0.5, 2.0, 1e3, 1e4])

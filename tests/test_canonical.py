@@ -195,6 +195,22 @@ def test_params_round_trips():
         assert np.allclose(back.w, pq.w)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_each_phase_is_normalized_once(seed):
+    """A phase is normalized once, where it is made: the draw normalizes
+    its phases and the record keeps them, bit for bit, as does a record
+    of the phases params_from_strict_projection reads as x / |x|, and a
+    phase within the 1e-9 gate is kept as given.  So the round trip
+    moves each phase by one rounding of a modulus-one number, about
+    u = 1.1e-16, where normalizing it twice moved it by up to 3.4e-16."""
+    drawn = random_strict_projection_params(5, seed)
+    for w in (drawn.w, drawn.w * (1.0 + 5e-10)):
+        assert StrictProjectionParams(drawn.a0, w).w.tobytes() == w.tobytes()
+    back = params_from_strict_projection(strict_projection_from_params(drawn))
+    assert StrictProjectionParams(back.a0, back.w).w.tobytes() == back.w.tobytes()
+    assert np.abs(back.w - drawn.w).max() <= 1.15e-16
+
+
 def _moved_off_diagonal(a0, by):
     """The strict projection of StrictProjectionParams([a0], [1]) with both
     off-diagonal entries moved by `by`."""

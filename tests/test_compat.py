@@ -180,7 +180,7 @@ def test_reduced_blocks_are_the_index_grid_compressions(slots):
     bases = five_block_decompose(big_a, big_b).bases
     v = np.hstack(list(bases.values()))
     owner = np.repeat(np.arange(len(bases)), [w.shape[1] for w in bases.values()])
-    for got, x in zip(_reduced_blocks(big_a, big_b, bases, DEFAULT_TOL), (big_a, big_b)):
+    for got, x in zip(_reduced_blocks(big_a, big_b, bases), (big_a, big_b)):
         m = hermitize(dagger(v) @ x @ v)
         for k, name in enumerate(bases):
             want = m[np.ix_(owner == k, owner == k)]

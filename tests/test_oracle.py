@@ -1,13 +1,12 @@
 """High-precision oracle: canonicalize and its certificates, the
-five-block strict-block bound, the Sylvester bound on the compatibility
-residual and the site-wise postcondition of pair_from_params checked
-against 50-digit arithmetic (mpmath) at n <= 6.
+five-block bound on a pair's residual from its blocks, the Sylvester
+bound on the compatibility residual and the site-wise postcondition of
+pair_from_params checked against 50-digit arithmetic (mpmath) at n <= 6.
 
 Every float input converts to mpmath exactly, so the oracle's values are
 those of the very matrices the library saw, to about 1e-50: the exact
 reconstruction residual of the returned form, the exact x0 of the pair,
-its exact compatibility residual and its exact spectra, and the exact
-compatibility residual of a returned strict block.
+its exact compatibility residual and its exact spectra.
 """
 
 import numpy as np
@@ -15,7 +14,7 @@ import pytest
 
 from abscompat import DEFAULT_TOL, canonical, compat
 from abscompat.canonical import StrictProjectionParams, _site_pairs, canonicalize, pair_from_params
-from abscompat.compat import _pair_spectra, _reduced_blocks, _strict_block_bound, five_block_decompose
+from abscompat.compat import _decomposed, five_block_decompose
 from abscompat.generate import derive_seed, haar_unitary, random_abscompat_pair
 from abscompat.errors import PostconditionFailure
 from abscompat.hermitian import _ROUNDING, dagger, hermitize, identity_like
@@ -170,24 +169,50 @@ def _assembled(k, slots, move, scale, seed):
 MOVES = [("strict", 0.0)] + [(move, scale) for move in ("strict", "coupling") for scale in (1e-11, 2.5e-9)]
 
 
-def test_strict_block_bound_against_the_oracle():
-    """The bound that lets five_block_decompose skip the strict block's
-    own residual, less its rounding allowance, is at least the exact
-    residual of the strict block it returns, on exact and moved assembled
-    pairs, and the pairs put the bound on both sides of tol.compat."""
+def test_blocks_bound_against_the_oracle():
+    """The bound from its blocks that lets five_block_decompose skip the
+    whole pair's eigh of 1-a-b, less its rounding allowance, is never
+    below the exact residual of the whole pair, on exact and moved
+    assembled pairs, and the pairs put the bound on both sides of
+    tol.compat."""
     sides = set()
     for k, slots in ((2, SLOTS[:2]), (2, SLOTS), (4, SLOTS[2:])):
         for move, scale in MOVES:
             for seed in range(2):
                 a, b = _assembled(k, slots, move, scale, derive_seed(60 + k, seed + 10 * len(slots)))
                 n = a.shape[-1]
-                fb = five_block_decompose(a, b)
-                frob = _reduced_blocks(a, b, fb.bases, DEFAULT_TOL)[2]
-                bound = _strict_block_bound(_pair_spectra(a, b), frob, n, DEFAULT_TOL)
-                exact = _compat_residual(_mat(fb.blocks_a["strict"]), _mat(fb.blocks_b["strict"]))
+                bound = _decomposed(a, b, DEFAULT_TOL)[0]
+                exact = _compat_residual(_mat(a), _mat(b))
                 assert bound - _ROUNDING * n >= exact, (k, len(slots), move, scale, seed, bound, exact)
                 sides.add(bool(bound <= DEFAULT_TOL.compat))
     assert sides == {True, False}
+
+
+def test_coupled_pairs_decompose_by_the_whole_pair_certificate(monkeypatch):
+    """b coupling the strict block to the slots (Frobenius 2.5e-9) tilts
+    the blocks: the whole pair's residual, about 1e-9, is itself past
+    what certifies the operands as effects, so these compatible pairs
+    take the whole pair's certificate; their strict blocks, whose exact
+    residuals stay near 1e-15, settle by their own Sylvester bounds, so
+    _built_pair does not run."""
+    ran = []
+
+    def spy(fn):
+        return lambda *args, **kwargs: ran.append(fn.__name__) or fn(*args, **kwargs)
+
+    for name in ("_certified_pair", "_built_pair"):
+        monkeypatch.setattr(compat, name, spy(getattr(compat, name)))
+    for k, slots in ((2, SLOTS), (4, SLOTS[2:])):
+        for seed in range(2):
+            a, b = _assembled(k, slots, "coupling", 2.5e-9, derive_seed(60 + k, seed + 10 * len(slots)))
+            bound = _decomposed(a, b, DEFAULT_TOL)[0]
+            assert bound + _ROUNDING * a.shape[-1] > DEFAULT_TOL.spec
+            ran.clear()
+            fb = five_block_decompose(a, b)
+            assert ran == ["_certified_pair"]
+            assert fb.ranks()["strict"] == k
+            strict = _compat_residual(_mat(fb.blocks_a["strict"]), _mat(fb.blocks_b["strict"]))
+            assert strict <= 1e-13
 
 
 def _sylvester(a, b):
@@ -196,6 +221,42 @@ def _sylvester(a, b):
     zvals, zvecs = np.linalg.eigh(np.eye(len(a)) - a - b)
     bound, certified = compat._sylvester_bounds(a, b, zvals, zvecs, DEFAULT_TOL.compat)
     return float(bound), bool(certified)
+
+
+def _two_product_bound(a, b, zvals, zvecs, bound):
+    """The Sylvester bound with Z/4 = herm(ab) - c- formed as two full
+    n x n products, c- composed from every column of the eigh, each side
+    made Hermitian on its own: the form the negative columns replaced."""
+    allowance = _ROUNDING * a.shape[-1]
+    minus = hermitize((zvecs * np.maximum(-zvals, 0.0)[..., None, :]) @ dagger(zvecs))
+    z_norm = 4.0 * np.linalg.norm(hermitize(a @ b) - minus, axis=(-2, -1)) + allowance
+    gap = 1.0 - np.abs(zvals).max(axis=-1) - allowance
+    certified = z_norm <= bound * gap
+    return z_norm / np.where(certified, gap, 1.0), certified
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 32, 96])
+def test_sylvester_bound_moves_by_roundings_only(n):
+    """c- from the negative columns alone, with one hermitize, certifies
+    the pairs the two-product form certifies, on drawn pairs moved to
+    both sides of tol.compat and under a tolerance 100 times tighter, and
+    moves the bound by a few n eps, far inside the rounding allowance.
+    At n <= 6 the bound, less that allowance, is never below the 50-digit
+    residual wherever it certifies."""
+    x = REGISTRY["canonical"].draw([derive_seed(46, i) for i in range(8)], n)
+    sides = set()
+    for scale in (0.0, 1e-11, 1e-9, 3e-9, 3e-8):
+        a, b = (hermitize(v) for v in _perturbed(x["a"], x["b"], scale, derive_seed(47, n)))
+        zvals, zvecs = np.linalg.eigh(identity_like(a) - a - b)
+        for bound in (1e-2 * DEFAULT_TOL.compat, DEFAULT_TOL.compat):
+            got, certified = compat._sylvester_bounds(a, b, zvals, zvecs, bound)
+            want, reference = _two_product_bound(a, b, zvals, zvecs, bound)
+            assert certified.tolist() == reference.tolist(), (scale, bound)
+            assert np.all(np.abs(got - want)[certified] <= 50 * n * np.finfo(float).eps), (scale, bound)
+            sides |= set(certified.tolist())
+        for i in np.nonzero(certified)[0] if n <= 6 else ():
+            assert got[i] - _ROUNDING * n >= _compat_residual(_mat(a[i]), _mat(b[i])), (scale, i)
+    assert sides == {True, False}
 
 
 def test_sylvester_bound_against_the_oracle():
