@@ -153,6 +153,8 @@ def _sphere_samples(sphere, count: int) -> np.ndarray:
 
 
 def cmd_geometry(args) -> int:
+    if args.sample < 0:
+        raise ParseError("--sample must be at least 0")
     tol = _tolerances(args)
     if args.a and args.b:
         spec = decompose_pair_m2(load_matrix(args.a), load_matrix(args.b), tol)

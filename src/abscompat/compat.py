@@ -445,7 +445,8 @@ def _decomposed(a, b, tol: Tolerances):
     vals, vecs = np.linalg.eigh(a)
     outside = _outside(vals)
     norms = np.abs(vals).max(axis=-1, initial=0.0) + _fnorm(b)
-    groups = []
+    bound = np.empty(a.shape[:-2])
+    parts = []
     for at, (units, zeros) in _patterns(_level_counts(vals, tol)):
         v, ga, gb = vecs[at], a[at], b[at]
         kernel, kvals = _eigh_on(gb, v[..., :zeros])
@@ -466,36 +467,11 @@ def _decomposed(a, b, tol: Tolerances):
             strict = _strict_by_interlacing(vals[where][..., zeros:n - units], rvals[inner][..., zero_r:top],
                                             n, tol)
             outer = np.max([_fnorm(dev) for _, _, dev in _outer(blocks_a, blocks_b)], axis=0)
-            partners = np.maximum(outside[where], _outside(kvals[inner]))
-            groups.append((where, bases, blocks_a, blocks_b, reduction, strict, outer, partners))
-    # the blocks of one size, over all groups, take one eigh or eigvalsh
-    sylvester = _per_width(lambda sa, sb: _strict_sylvester(sa, sb, tol),
-                           [g[2]["strict"] for g in groups], [g[3]["strict"] for g in groups])
-    unit_a = _per_width(_outside_spectrum, [g[3]["unit_a"] for g in groups])
-    bound = np.empty(a.shape[:-2])
-    parts = []
-    for group, s, u in zip(groups, sylvester, unit_a):
-        where, bases, blocks_a, blocks_b, reduction, strict, outer, partners = group
-        bound[where] = _blocks_bound(s, outer, np.maximum(partners, u), reduction[1], norms[where], n)
-        parts.append((where, bases, blocks_a, blocks_b, reduction, strict, s <= tol.compat, outer))
+            partners = [outside[where], _outside(kvals[inner]), _outside_spectrum(blocks_b["unit_a"])]
+            sylvester = _strict_sylvester(blocks_a["strict"], blocks_b["strict"], tol)
+            bound[where] = _blocks_bound(sylvester, outer, np.max(partners, axis=0), reduction[1], norms[where], n)
+            parts.append((where, bases, blocks_a, blocks_b, reduction, strict, sylvester <= tol.compat, outer))
     return bound, parts
-
-
-def _per_width(fn, *groups) -> list:
-    """fn(*x) for each x in zip(*groups), where each of groups holds a
-    stack of square matrices per group of pairs and fn returns a value
-    per matrix: the stacks of one width go to fn as one stack."""
-    widths = [x.shape[-1] for x in groups[0]]
-    out = [None] * len(widths)
-    for width in set(widths):
-        picked = [i for i, w in enumerate(widths) if w == width]
-        if len(picked) == 1:
-            out[picked[0]] = fn(*(g[picked[0]] for g in groups))
-            continue
-        values = fn(*(np.concatenate([g[i] for i in picked]) for g in groups))
-        for i, part in zip(picked, np.split(values, np.cumsum([len(groups[0][i]) for i in picked])[:-1])):
-            out[i] = part
-    return out
 
 
 def _level_counts(vals, tol: Tolerances) -> np.ndarray:
@@ -696,15 +672,14 @@ def _outer(blocks_a, blocks_b):
     return [(name, target, side[name] - target * identity_like(side[name])) for name, side, target in sides]
 
 
-def _verify_block_contents(blocks_a, blocks_b, tol, strict=np.False_, compatible=np.False_, outer=np.inf):
+def _verify_block_contents(blocks_a, blocks_b, tol, strict, compatible, outer):
     """The unit and null blocks are 1 and 0, and the strict blocks, unless
     they are 0x0, are strict and absolutely compatible, for each pair of
     stacked blocks.  strict and compatible mask, over leading axes, the
     pairs whose strict blocks are certified so: _built_pair checks the
     others, and takes the residual only where compatible does not hold.
-    outer, the largest Frobenius distance of an outer block from 1 or 0
-    where the caller holds it, settles all four outer checks when it is
-    within tol.block."""
+    outer, the largest Frobenius distance of an outer block from 1 or 0,
+    settles all four outer checks when it is within tol.block."""
     if not np.all(outer <= tol.block):
         for name, target, dev in _outer(blocks_a, blocks_b):
             _require(_hnorm_upto(dev, tol.block) <= tol.block, PostconditionFailure,

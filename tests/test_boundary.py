@@ -152,8 +152,8 @@ def _n96_pairs():
 #    not taken; the strictness of the strict block is read off the
 #    spectra it interlaces, and the orthonormality, off-block and
 #    block-content checks are settled by Frobenius norms; the same count
-#    per pair for a stack, each call on the whole stack or on the blocks
-#    of one size;
+#    per pair for a stack, each call on the whole stack or on the pairs
+#    of one pattern of block ranks;
 #  - decompose_pair_m2 (2x2): canonicalize at n = 2, so its count; the
 #    spec is read off the form, and the round-trip norm is settled by a
 #    Frobenius bound;
@@ -174,7 +174,7 @@ BUDGET = {
 }
 
 
-def test_factorization_budget(monkeypatch):
+def test_factorization_budget(linalg_log):
     a, b = random_abscompat_pair(8, derive_seed(5, 0))
     c, d = _assembled_pair(derive_seed(5, 1))
     spec = random_pair_spec(derive_seed(5, 2))
@@ -188,36 +188,17 @@ def test_factorization_budget(monkeypatch):
         "pair_from_projections": lambda: pair_from_projections(*spec),
         "projection_compat_equiv": lambda: projection_compat_equiv(np.array(projections), np.array(effects)),
     }
-    counts = dict.fromkeys(("eigh", "eigvalsh", "svd"), 0)
-
-    def matrices(x) -> int:
-        return math.prod(np.shape(x)[:-2])
-
-    def counted(name, fn):
-        def wrapper(x, *args, **kwargs):
-            counts[name] += matrices(x)
-            return fn(x, *args, **kwargs)
-        return wrapper
-
-    norm = np.linalg.norm
-
-    def norm_counted(x, ord=None, *args, **kwargs):
-        if ord == 2 and np.ndim(x) >= 2:  # the spectral norm of matrices is an svd
-            counts["svd"] += matrices(x)
-        return norm(x, ord, *args, **kwargs)
-
-    for name in counts:
-        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    monkeypatch.setattr(np.linalg, "norm", norm_counted)
-
     for label, call in calls.items():
-        counts.update(dict.fromkeys(counts, 0))
+        linalg_log.clear()
         call()
+        # the spectral norm of matrices is an svd
+        counts = {"eigh": linalg_log.matrices("eigh"), "eigvalsh": linalg_log.matrices("eigvalsh"),
+                  "svd": linalg_log.matrices("svd", "norm2")}
         over = {k: v for k, v in counts.items() if v > BUDGET[label][k]}
         assert not over, "%s made %r, over its budget %r" % (label, counts, BUDGET[label])
 
 
-def test_a_stack_with_one_open_pair_factorizes_each_matrix_once(monkeypatch):
+def test_a_stack_with_one_open_pair_factorizes_each_matrix_once(monkeypatch, linalg_log):
     """A residual only compared with a bound takes one eigh of 1-a-b per
     pair, and the eigh of a-b only for the pair whose Sylvester bound is
     out of reach (a = b = 1 on a vector, so mu = 0), which reuses its
@@ -230,15 +211,9 @@ def test_a_stack_with_one_open_pair_factorizes_each_matrix_once(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(compat, "_ROUNDING", np.inf)
         alone = _pair_spectra(a[1], b[1], DEFAULT_TOL.compat)
-    factorized = []
-    eigh = np.linalg.eigh
-
-    def spy(x, *args, **kwargs):
-        factorized.extend(x.reshape((-1,) + x.shape[-2:]))
-        return eigh(x, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    linalg_log.clear()
     residual = _pair_spectra(a, b, DEFAULT_TOL.compat)
+    factorized = [x for call in linalg_log.of("eigh") for x in call.arg.reshape((-1,) + call.arg.shape[-2:])]
     assert len({x.tobytes() for x in factorized}) == len(factorized) == 4
     assert residual[1] == alone
     assert np.all(residual <= DEFAULT_TOL.compat)
@@ -342,27 +317,17 @@ def test_each_operand_is_validated_once(monkeypatch):
         assert len(seen) == 2 and seen[0] is a and seen[1] is b, (fn.__name__, len(seen))
 
 
-def test_spheroid_calls_do_not_grow_with_the_partners(monkeypatch):
+def test_spheroid_calls_do_not_grow_with_the_partners(linalg_log):
     """The partners are validated, charted and checked as one stack, so
     2 and 8 partners take the same number of numpy.linalg calls."""
     pivot, target, index = random_pair_spec(derive_seed(5, 3))
     a, _ = pair_from_projections(pivot, target, index)
     partners = random_spheroid_partners(a, 8, derive_seed(5, 4))
-    calls = []
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in ("eigh", "eigvalsh", "svd", "det", "qr", "norm"):
-        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     made = []
     for k in (2, 8):
-        calls.clear()
+        linalg_log.clear()
         spheroid_residual(a, partners[:k])
-        made.append(sorted(calls))
+        made.append(sorted(call.name for call in linalg_log))
     assert made[0] == made[1], made
 
 
@@ -665,18 +630,7 @@ def test_blocks_bound_bounds():
             assert bound + _ROUNDING * n <= DEFAULT_TOL.spec, (n, whole, bound)
 
 
-def _factorized(monkeypatch):
-    """(name, shape, bytes) of each eigh, eigvalsh and svd call from here on."""
-    log = []
-    for name in ("eigh", "eigvalsh", "svd"):
-        def spy(x, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-            log.append((_name, np.shape(x), np.asarray(x).tobytes()))
-            return _fn(x, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, spy)
-    return log
-
-
-def test_five_block_factorizes_one_matrix_at_full_size(monkeypatch):
+def test_five_block_factorizes_one_matrix_at_full_size(linalg_log):
     """On a 64x64 strict pair beside eight slots of each overlap, as the
     benchmark's assembled pairs are, the only n x n factorization of
     five_block_decompose is the eigh of a: the residual is bounded from
@@ -685,27 +639,29 @@ def test_five_block_factorizes_one_matrix_at_full_size(monkeypatch):
     a, of b on the rest and of 1-a-b on the strict block."""
     a, b = next(_n96_pairs())
     strict = random_abscompat_pair(64, derive_seed(17, 99))
-    log = _factorized(monkeypatch)
+    linalg_log.clear()
     five_block_decompose(a, b)
-    full = [(name, shape, data) for name, shape, data in log if shape[-1] == 96]
+    log = linalg_log.of("eigh", "eigvalsh", "svd")
+    full = [(call.name, call.arg.shape, call.arg.tobytes()) for call in log if call.arg.shape[-1] == 96]
     assert full == [("eigh", (96, 96), a.tobytes())]
-    assert sorted((name, shape) for name, shape, _ in log) == [
+    assert sorted((call.name, call.arg.shape) for call in log) == [
         ("eigh", (8, 8)), ("eigh", (64, 64)), ("eigh", (80, 80)), ("eigh", (96, 96)), ("eigvalsh", (8, 8))]
-    log.clear()
+    linalg_log.clear()
     five_block_decompose(*strict)
-    assert [(name, shape) for name, shape, _ in log if shape[-1] == 64] == [("eigh", (64, 64))] * 3
-    assert [name for name, _, _ in log].count("eigvalsh") == 0
+    log = linalg_log.of("eigh", "eigvalsh", "svd")
+    assert [(call.name, call.arg.shape) for call in log if call.arg.shape[-1] == 64] == [("eigh", (64, 64))] * 3
+    assert [call.name for call in log].count("eigvalsh") == 0
 
 
-def test_a_strict_block_left_open_is_factorized_once(monkeypatch):
+def test_a_strict_block_left_open_is_factorized_once(linalg_log):
     """A strict block whose strictness the interlaced spectra leave open
     (an eigenvalue of a within the rounding allowance of the cut), but
     whose own Sylvester bound settles its compatibility, takes one
     eigvalsh for its strictness and no second eigh of 1-a-b."""
     a, b = _near_cut_assembled(4, 0.5, "a", 1)
-    log = _factorized(monkeypatch)
+    linalg_log.clear()
     five_block_decompose(a, b)
-    assert [(name, shape) for name, shape, _ in log] == [
+    assert [(call.name, call.arg.shape) for call in linalg_log.of("eigh", "eigvalsh", "svd")] == [
         ("eigh", (6, 6)), ("eigh", (0, 0)), ("eigh", (6, 6)), ("eigh", (4, 4)), ("eigvalsh", (2, 1, 4, 4))]
 
 

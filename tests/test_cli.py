@@ -289,7 +289,9 @@ def test_geometry_missing_spec():
     (["geometry", "--pivot", "1,2", "--target", "0.5,0.5,0", "--index", "0.3"],
      "--pivot must have exactly three coordinates"),
     (["fuzz", "compat", "--trials", "0"], "--trials must be at least 1"),
-], ids=["pivot-of-two-coordinates", "no-trials"])
+    (["geometry", "--pivot", "1,0,0", "--target", "0.5,0.5,0", "--index", "0.3", "--sample", "-3"],
+     "--sample must be at least 0"),
+], ids=["pivot-of-two-coordinates", "no-trials", "negative-sample"])
 def test_argument_errors_exit_1(capsys, argv, message):
     assert run(argv) == 1
     captured = capsys.readouterr()

@@ -134,12 +134,14 @@ def _blocks(strict):
 
 
 def test_strict_block_postconditions():
-    # a compatible pair's strict block always passes, so the helper is called itself
+    # a compatible pair's strict block always passes, so the helper is called
+    # itself, with no block certified
+    uncertified = {"strict": np.False_, "compatible": np.False_, "outer": np.inf}
     with pytest.raises(PostconditionFailure, match="^strict block has spectrum touching 0 or 1$"):
-        _verify_block_contents(_blocks(np.diag([0.0, 0.5])), _blocks(HALF), DEFAULT_TOL)
+        _verify_block_contents(_blocks(np.diag([0.0, 0.5])), _blocks(HALF), DEFAULT_TOL, **uncertified)
     with pytest.raises(PostconditionFailure,
                        match=r"^strict block not absolutely compatible, residual 1\.000e\+00$"):
-        _verify_block_contents(_blocks(HALF), _blocks(HALF), DEFAULT_TOL)
+        _verify_block_contents(_blocks(HALF), _blocks(HALF), DEFAULT_TOL, **uncertified)
 
 
 def test_pivot_residuals():

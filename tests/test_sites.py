@@ -293,19 +293,8 @@ def test_the_gate_cases_reach_every_outcome():
 # --- what the constructions and gates factorize, and where pairs are embedded ---
 
 
-def _sizes_factorized(monkeypatch):
-    """The sizes of the matrices passed to eigh, eigvalsh and svd from now on."""
-    sizes = []
-    for name in ("eigh", "eigvalsh", "svd"):
-        def spy(x, *args, fn=getattr(np.linalg, name), **kwargs):
-            sizes.append(np.shape(x)[-1])
-            return fn(x, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, spy)
-    return sizes
-
-
 @pytest.mark.parametrize("n", [8, 96])
-def test_constructions_and_gates_factorize_2x2_only(monkeypatch, n):
+def test_constructions_and_gates_factorize_2x2_only(linalg_log, n):
     """pair_from_params, random_abscompat_pair and the site-block gates
     pass no matrix larger than 2x2 to eigh, eigvalsh or svd, whether
     the Sylvester bounds certify every site or leave one open and its
@@ -317,7 +306,7 @@ def test_constructions_and_gates_factorize_2x2_only(monkeypatch, n):
     u = strict_unitary_from_params(random_strict_unitary_params(m, derive_seed(92, n)))
     p = strict_projection_from_params(random_strict_projection_params(m, derive_seed(93, n)))
     moved = SiteBlockMatrix(_moved(p.blocks, 1e-7, [0], derive_seed(94, n)))
-    sizes = _sizes_factorized(monkeypatch)
+    linalg_log.clear()
     pair_from_params(x0, params)
     pair_from_params(opened, params)
     random_abscompat_pair(n, derive_seed(95, n))
@@ -325,6 +314,7 @@ def test_constructions_and_gates_factorize_2x2_only(monkeypatch, n):
         gate(u if gate is is_strict_unitary else p)
     with pytest.raises(AbscompatError):
         is_strict_projection(moved)
+    sizes = [call.arg.shape[-1] for call in linalg_log.of("eigh", "eigvalsh", "svd")]
     assert sizes and set(sizes) == {2}
 
 

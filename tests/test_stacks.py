@@ -601,7 +601,7 @@ def test_failing_stack_raises_what_its_first_failing_element_raises(name, fault)
 
 @pytest.mark.parametrize("name, fault", [(name, f) for name in ("is_abs_compatible", "decompose_pair_m2")
                                          for f in FAULTS[name]])
-def test_failing_stack_costs_the_same_wherever_its_bad_element_sits(monkeypatch, name, fault):
+def test_failing_stack_costs_the_same_wherever_its_bad_element_sits(linalg_log, name, fault):
     """A stack is checked in one pass, so the same bad pair first or last
     in it takes the same numpy.linalg calls."""
     fn, *stacks = STACKED[name](4)
@@ -609,13 +609,11 @@ def test_failing_stack_costs_the_same_wherever_its_bad_element_sits(monkeypatch,
     FAULTS[name][fault](stacks, 0)
     last = [np.roll(x, -1, axis=0) for x in stacks]
     assert _error(fn, *stacks) == _error(fn, *last) is not None
-    names = ("eigh", "eigvalsh", "svd", "det", "qr", "norm")
-    calls = _count_calls(monkeypatch, names)
     made = []
     for args in (stacks, last):
-        calls.update(dict.fromkeys(names, 0))
+        linalg_log.clear()
         _error(fn, *args)
-        made.append(dict(calls))
+        made.append(sorted(call.name for call in linalg_log))
     assert made[0] == made[1], made
 
 
@@ -998,63 +996,40 @@ def _open_candidates(seeds):
     return count
 
 
-def _count_calls(monkeypatch, names):
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
-def test_draws_stay_stacked(monkeypatch):
+def test_draws_stay_stacked(linalg_log):
     """A 30-trial campaign draw makes at most one QR per generator, and the
     spec draw of the m2 and geometry suites makes an eigvalsh only for a
     candidate target with a Frobenius norm in the band, and no svd.
     Counts, unlike timings, hold on any host."""
     seeds = [derive_seed(32, i) for i in range(30)]
-    calls = _count_calls(monkeypatch, ("qr", "svd", "eigvalsh"))
     generators = {"compat": 2, "canonical": 1, "m2": 0, "geometry": 0, "equivalences": 4}
     for name, count in generators.items():
         for n in REGISTRY[name].sizes:
-            calls.update(qr=0)
+            linalg_log.clear()
             REGISTRY[name].draw(seeds, n)
-            assert calls["qr"] <= count, (name, n)
-    calls.update(svd=0, eigvalsh=0)
+            assert linalg_log.counts("qr")["qr"] <= count, (name, n)
+    linalg_log.clear()
     _pair_specs(seeds, 0.05)
+    calls = linalg_log.counts("svd", "eigvalsh")
     assert calls["svd"] == 0 and calls["eigvalsh"] <= _open_candidates(seeds)
 
 
-def _spy_eigvalsh(monkeypatch):
-    """The argument and result of each numpy.linalg.eigvalsh call, in
-    order, and the eigvalsh the spy wraps."""
-    seen, real = [], np.linalg.eigvalsh
-
-    def spy(x, *args, **kwargs):
-        out = real(x, *args, **kwargs)
-        seen.append((np.array(x), out))
-        return out
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    return seen, real
-
-
-def _assert_shapes_and_lone_bits(seen, real, shapes):
-    """The eigvalsh calls took arguments of these shapes, and each matrix
-    of each argument got the spectrum of its own lone eigvalsh, bit for
-    bit."""
-    assert [x.shape for x, _ in seen] == shapes
-    for x, vals in seen:
-        n = x.shape[-1]
-        for one, spectrum in zip(x.reshape(-1, n, n), vals.reshape(-1, n)):
-            assert spectrum.tobytes() == real(one).tobytes(), x.shape
+def _assert_shapes_and_lone_bits(log, shapes):
+    """The eigvalsh calls of log took arguments of these shapes, and each
+    matrix of each argument got the spectrum of its own lone eigvalsh, bit
+    for bit."""
+    seen = log.of("eigvalsh")
+    assert [call.arg.shape for call in seen] == shapes
+    for call in seen:
+        n = call.arg.shape[-1]
+        for one, spectrum in zip(call.arg.reshape(-1, n, n), call.result.reshape(-1, n)):
+            assert spectrum.tobytes() == np.linalg.eigvalsh(one).tobytes(), call.arg.shape
 
 
 LONE_SIZES = (8, 40, 96)
 
 
-def test_canonical_check_stays_stacked(monkeypatch):
+def test_canonical_check_stays_stacked(linalg_log):
     """The canonical check of a 30-trial batch makes a fixed number of
     numpy.linalg calls at each size, where one trial at a time made six or
     seven per trial.  A lone canonicalize takes the spectra of its two
@@ -1065,18 +1040,15 @@ def test_canonical_check_stays_stacked(monkeypatch):
     prop = REGISTRY["canonical"]
     batches = {n: prop.draw(seeds, n) for n in prop.sizes}
     lone = {n: random_abscompat_pair(n, derive_seed(33, 30)) for n in LONE_SIZES}
-    names = ("eigh", "eigvalsh", "svd", "qr", "det", "norm")
-    calls = _count_calls(monkeypatch, names)
     for n, stacks in batches.items():
-        calls.update(dict.fromkeys(names, 0))
+        linalg_log.clear()
         prop.check(stacks, DEFAULT_TOL)
-        assert sum(calls.values()) <= 10, (n, calls)
+        assert len(linalg_log) <= 10, (n, [call.name for call in linalg_log])
 
-    seen, real = _spy_eigvalsh(monkeypatch)
     for n, pair in lone.items():
-        seen.clear()
+        linalg_log.clear()
         canonicalize(*pair)
-        _assert_shapes_and_lone_bits(seen, real, [(2, n, n)])
+        _assert_shapes_and_lone_bits(linalg_log, [(2, n, n)])
 
 
 def test_a_clustered_pair_in_a_stack_gets_its_own_bits(monkeypatch):
@@ -1133,6 +1105,10 @@ UA, UB_KERNEL, UB_REST, NA, NB = (1.0, 0.3), (0.0, 1.0), (0.4, 1.0), (0.0, 0.6),
 # by the counts of b at 1 and at 0 on the rest
 MIXED = [[UA, UB_REST, NA, NB], [UA, UB_REST, NA, NB], [UA, UB_REST, UB_REST, NA],
          [UB_KERNEL, UB_REST, NA, NB], [UA, UA, NB, NB], [UB_KERNEL, NA, NA, UA]]
+# strict 2x2, 4x4 and 6x6 pairs beside slots filling 8x8: six patterns,
+# two for each width of the strict block
+WIDTHS = [[UA, UB_KERNEL, UB_REST, NA, NB, NB], [UA, UA, UB_REST, NA, NA, NB], [UA, UB_REST, NA, NB],
+          [UB_KERNEL, UB_REST, NA, UA], [UA, NB], [UB_KERNEL, NA]]
 
 
 def _stack(kind, n):
@@ -1141,12 +1117,13 @@ def _stack(kind, n):
         return _orthogonal_pairs(n, seeds, 0.1)
     if kind == "strict":
         return _abscompat_pairs(n, seeds, 0.1)[1:]
-    pairs = [_slotted(derive_seed(38, i), 4, slots) for i, slots in enumerate(MIXED)]
+    slotted = MIXED if kind == "mixed" else WIDTHS
+    pairs = [_slotted(derive_seed(38, i), n - len(slots), slots) for i, slots in enumerate(slotted)]
     return tuple(np.array(x) for x in zip(*pairs))
 
 
 FIVE_BLOCK_STACKS = [("orthogonal", n) for n in (2, 4, 8, 40)] + [("strict", n) for n in (2, 4, 8)]
-FIVE_BLOCK_STACKS.append(("mixed", 8))
+FIVE_BLOCK_STACKS += [("mixed", 8), ("widths", 8)]
 
 
 @pytest.mark.parametrize("kind, n", FIVE_BLOCK_STACKS)
@@ -1155,7 +1132,7 @@ def test_five_block_stack_elements_equal_their_lone_calls(kind, n):
     the bases, blocks and projections of its own five_block_decompose, and
     the residual its certificate took has the bits of the pair's own: the
     bound from its blocks, which settles every pair here, whatever the
-    width of the blocks it shares a factorization with."""
+    pairs beside it in the stack."""
     a, b = _stack(kind, n)
     residual, groups = _five_blocks(a, b, DEFAULT_TOL)
     alone = [_five_blocks(x, y, DEFAULT_TOL)[0] for x, y in zip(a, b)]
@@ -1179,9 +1156,11 @@ def test_five_block_stack_elements_equal_their_lone_calls(kind, n):
         assert {j for at, _ in groups for j in at[0]} == set(range(len(MIXED)))
         units_b = [five_block_decompose(a[i], b[i]).ranks()["unit_b"] for i in (3, 5)]
         assert units_b == [2, 1]
+    if kind == "widths":
+        assert sorted(fb.bases["strict"].shape[-1] for _, fb in groups) == [2, 2, 4, 4, 6, 6]
 
 
-def test_compat_check_stays_stacked(monkeypatch):
+def test_compat_check_stays_stacked(linalg_log):
     """The compat check of a 30-trial batch makes a fixed number of
     numpy.linalg calls per pattern of block ranks, where one five-block
     call per trial made seven per trial: the orthogonal pairs are
@@ -1201,23 +1180,20 @@ def test_compat_check_stays_stacked(monkeypatch):
     patterns = {n: len({tuple(five_block_decompose(*pair).ranks().values()) for pair in zip(x["oa"], x["ob"])})
                 for n, x in batches.items()}
     lone = {n: _slotted(derive_seed(39, 30), n - 4, [UA, UB_KERNEL, NA, NB]) for n in LONE_SIZES}
-    names = ("eigh", "eigvalsh", "svd", "qr", "det", "norm")
-    calls = _count_calls(monkeypatch, names)
     for n, stacks in batches.items():
-        calls.update(dict.fromkeys(names, 0))
+        linalg_log.clear()
         prop.check(stacks, DEFAULT_TOL)
-        assert sum(calls.values()) <= 9 + 2 * patterns[n], (n, patterns[n], calls)
+        assert len(linalg_log) <= 9 + 2 * patterns[n], (n, patterns[n], [call.name for call in linalg_log])
 
-    seen, real = _spy_eigvalsh(monkeypatch)
     for n, (a, b) in lone.items():
-        seen.clear()
+        linalg_log.clear()
         assert not is_abs_compatible(a, a)
         # the exact residual's own norm, then the two effects
-        _assert_shapes_and_lone_bits(seen, real, [(n, n), (2, n, n)])
-        seen.clear()
+        _assert_shapes_and_lone_bits(linalg_log, [(n, n), (2, n, n)])
+        linalg_log.clear()
         with pytest.raises(PostconditionFailure, match="off-block bound"):
             five_block_decompose(a, b, DEFAULT_TOL.override(block=1e-15))
-        _assert_shapes_and_lone_bits(seen, real, [(1, 1), (3, 1, n, n)])
+        _assert_shapes_and_lone_bits(linalg_log, [(1, 1), (3, 1, n, n)])
 
 
 # (property, size): {residual: (the Tolerances field its bound reads, the
@@ -1248,7 +1224,7 @@ def test_registry_bounds_follow_their_tolerance(name, size):
 SCALES = (0.5, 0.7, 2**-0.5, 0.75, 0.99, 1.0, 1.01, 1.4, 2**0.5, 1.5, 3.0)
 
 
-def test_spec_separation_decisions_equal_the_exact_norm(monkeypatch):
+def test_spec_separation_decisions_equal_the_exact_norm(linalg_log):
     """_separated, the one separation test of the spec validator and of
     random_pair_spec, keeps a pivot apart from a target, and from its
     complement, exactly when the exact norm of the difference is strictly
@@ -1261,7 +1237,6 @@ def test_spec_separation_decisions_equal_the_exact_norm(monkeypatch):
     separation = 0.05
     low, top = separation * (1.0 - 2.0 * _ROUNDING), np.sqrt(2.0) * separation * (1.0 + 2.0 * _ROUNDING)
     pivot = np.diag([1.0, 0.0]).astype(complex)
-    calls = _count_calls(monkeypatch, ("eigvalsh", "svd"))
     targets = []
     for scale in SCALES:
         theta = np.arcsin(scale * separation)
@@ -1271,23 +1246,21 @@ def test_spec_separation_decisions_equal_the_exact_norm(monkeypatch):
             targets.append(target)
             diffs = np.array((pivot - target, pivot - (np.eye(2) - target)))
             norms, frob = _hnorm(diffs), _fnorm(diffs)
-            calls.update(eigvalsh=0, svd=0)
+            linalg_log.clear()
             assert _separated(pivot, target, separation).tolist() == (norms > separation).tolist(), scale
             between = bool(np.any((frob > low) & (frob <= top)))
-            assert calls == {"eigvalsh": int(between), "svd": 0}, scale
+            assert linalg_log.counts("eigvalsh", "svd") == {"eigvalsh": int(between), "svd": 0}, scale
             assert between == (2**-0.5 <= scale <= 1.0), scale
             gap = float(np.min(norms))
             for s in (gap, np.nextafter(gap, 0.0), np.nextafter(gap, 1.0)):
                 assert _separated(pivot, target, s).tolist() == (norms > s).tolist(), (scale, s)
     stacked = _separated(np.array([pivot] * len(targets)), np.array(targets), separation)
     assert stacked.tolist() == [_separated(pivot, t, separation).tolist() for t in targets]
-    shapes = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: shapes.append(h.shape) or eigvalsh(h))
     one_open = np.array([targets[i] for i in (0, SCALES.index(0.99) * 2, -1)])  # scales 0.5, 0.99, 3
+    linalg_log.clear()
     got = _separated(np.array([pivot] * 3), one_open, separation)
     assert got.tolist() == [[False, True], [False, True], [True, True]]
-    assert shapes == [(1, 2, 2)]
+    assert [call.arg.shape for call in linalg_log.of("eigvalsh")] == [(1, 2, 2)]
 
 
 def _unseparated_stream(seed, unseparated):
