@@ -28,10 +28,11 @@ way.  The form comes from one eigh of 1-a-b, whose positive half
 gives x0 and the site pairing.  The same eigh certifies the pair
 compatible, by the Sylvester bound of compat._sylvester_bounds, and
 the form's reconstruction certifies both operands as strict effects,
-by Weyl's inequality (_weyl_margin).  So a canonicalize call makes 1
-eigh, 2 eigvalsh (the reconstruction residual) and 1 svd; a pair the
-certificates leave open is validated as before they existed, which
-adds 2 eigh and 2 eigvalsh.
+by Weyl's inequality (_weyl_margin), which needs only an upper bound on
+the reconstruction residual, its Frobenius norm.  So a canonicalize
+call makes 1 eigh, no eigvalsh and 1 svd; a pair the certificates leave
+open is validated by _certified_pair and both spectra, which adds 1
+eigh and 2 eigvalsh where the Sylvester bound settles its residual.
 
 Site layout: site k occupies coordinates 2k and 2k+1 of the full matrix.
 It holds the M2 pair of geometry.py with pivot P0, target P and index x0[k],
@@ -422,8 +423,9 @@ class CanonicalForm:
 
     ``residual`` is the reconstruction residual max(||a' - a||, ||b' - b||)
     that ``canonicalize`` checked against ``tol.canon``, a float for one
-    pair, and ``reconstruct()`` returns the reconstruction (a', b') it
-    was checked on.
+    pair: within tol.canon a certified upper bound, the larger Frobenius
+    norm, and above it the exact norm.  ``reconstruct()`` returns the
+    reconstruction (a', b') it was checked on.
     """
 
     u0: np.ndarray
@@ -512,8 +514,8 @@ def _validated(a, b, tol: Tolerances) -> None:
     """Raises what the pair, or the first failing check over a stack,
     fails, in this order: the effect checks of _certified_pair, an odd
     size, strictness (one eigvalsh of [a, b] when the residual certified
-    the effects), then compatibility, on the exact residual: it runs
-    where the certificates failed."""
+    the effects), then compatibility, on _certified_pair's residual: it
+    runs where the certificates failed."""
     residual, vals = _certified_pair(a, b, tol)
     if a.shape[-1] % 2:
         raise OddDimension("canonical form needs even dimension, got %d" % a.shape[-1])
@@ -568,7 +570,7 @@ def _weyl_margin(cf: CanonicalForm, tol: Tolerances):
 def _recovered(a, b, lam, vecs, tol: Tolerances) -> CanonicalForm:
     """The canonical form of each pair of two stacks of Hermitian (a, b)
     of even size n = 2m, from the eigh (lam, vecs) of 1-a-b, once its
-    reconstruction is within tol.canon.
+    reconstruction residual, Frobenius-first, is within tol.canon.
 
     In the form, 1-a-b is (1-x0)(1-2 P0) and |a-b| is x0 on each site, so
     for a compatible pair |a-b| = 1 - |1-a-b|: the positive half of 1-a-b
@@ -610,7 +612,7 @@ def _recovered(a, b, lam, vecs, tol: Tolerances) -> CanonicalForm:
 
     w = np.ones(x0.shape, dtype=complex)
     ra, rb = _conjugate_pair(u0, _site_pairs(x0, a0, w))
-    err = np.abs(np.linalg.eigvalsh(np.stack([ra - a, rb - b]))).max(axis=(0, -1))
+    err = _hnorm_upto(np.stack([ra - a, rb - b]), tol.canon).max(axis=0)
     _require(err <= tol.canon, PostconditionFailure, "reconstruction residual %.3e > %.3e", err, tol.canon)
     return CanonicalForm(u0, x0, a0, w, err if err.ndim else float(err), (ra, rb))
 

@@ -10,8 +10,9 @@ factorization runs only when the certificate is inconclusive: a small
 compatibility residual proves both operands are effects
 (_certified_pair), a Sylvester bound from the one eigh of 1-a-b proves
 the residual is small (_sylvester_bounds), and a Frobenius norm within
-a bound proves the operator norm is too (hermitian._hnorm_upto).  So a
-residual that is only compared with tol.compat factorizes 1-a-b alone,
+a bound proves the operator norm is too (hermitian._hnorm_upto).  Every
+reported residual is a certified upper bound within its tolerance and
+the exact norm above it.  So is_abs_compatible factorizes 1-a-b alone,
 and a-b only for a pair the bound leaves open; canonical.canonicalize
 takes the same bound from the eigh of 1-a-b its form comes from.
 Five-block decomposes first and certifies the pair from its own blocks
@@ -48,7 +49,6 @@ from .hermitian import (
     _effects,
     _fnorm,
     _hermitian_pair,
-    _hnorm,
     _hnorm_upto,
     _levels,
     _over_sites,
@@ -71,7 +71,8 @@ BLOCK_NAMES = ("unit_a", "unit_b", "strict", "null_a", "null_b")
 class CompatReport:
     """The residual and the verdict of one pair, or arrays of them over
     the leading axes of a stack of pairs; bool() holds when every pair
-    is compatible."""
+    is compatible.  A residual within the tolerance is a certified upper
+    bound on the exact one, and a residual above it is the exact one."""
 
     residual: float
     compatible: bool
@@ -100,36 +101,33 @@ def _canonical_order(a, b):
     return np.where(swap, b, a), np.where(swap, a, b)
 
 
-def _pair_spectra(a, b, bound=None):
-    """|| |a-b| + |1-a-b| - 1 ||, from one eigh of 1-a-b and one of a-b,
-    exact where there is no bound.  A residual that is only compared with
-    a bound is first bounded from the eigh of 1-a-b alone
-    (_sylvester_bounds), and only a pair that bound leaves open takes the
-    eigh of a-b and its residual Frobenius-first (_hnorm_upto), exact
-    where it exceeds the bound.  No matrix is factorized twice.
+def _pair_spectra(a, b, bound):
+    """|| |a-b| + |1-a-b| - 1 ||, for a residual that is compared with
+    bound: a value within the bound is a certified upper bound on the
+    exact residual, and a value above it is the exact residual.  It is
+    first bounded from one eigh of 1-a-b (_sylvester_bounds), and only a
+    pair that bound leaves open takes the eigh of a-b and its residual
+    Frobenius-first (_hnorm_upto).  No matrix is factorized twice.
 
     a and b may be stacks of pairs of one shape; the residual is then an
     array.  Each pair is put in a canonical order before any
     floating-point work, so the residual is symmetric in (a, b) to the
     last bit.  The two halves are composed apart, each on its own, so one
-    pair's products are plain 2-D products.  With a bound, a Sylvester
-    bound is never below the exact residual and a Frobenius-first value
-    never below the computed one, and a value within the bound is one the
-    two-eigh computation puts within it too (_sylvester_bounds).
+    pair's products are plain 2-D products.  A Sylvester bound is never
+    below the exact residual and a Frobenius-first value never below the
+    computed one, and a value within the bound is one the two-eigh
+    computation puts within it too (_sylvester_bounds).
     """
     a, b = _canonical_order(a, b)
     one = identity_like(a)
     zvals, zvecs = np.linalg.eigh(one - a - b)
-    if bound is None:
-        residual, at = np.empty(a.shape[:-2]), ...  # every pair is open
-    else:
-        residual, certified = _sylvester_bounds(a, b, zvals, zvecs, bound)
-        if np.all(certified):
-            return _per_matrix(residual)
-        at = ~certified
+    residual, certified = _sylvester_bounds(a, b, zvals, zvecs, bound)
+    if np.all(certified):
+        return _per_matrix(residual)
+    at = ~certified
     dvals, dvecs = np.linalg.eigh(a[at] - b[at])
     excess = _compose(np.abs(dvals), dvecs) + _compose(np.abs(zvals[at]), zvecs[at]) - one
-    residual[at] = _hnorm(excess) if bound is None else _hnorm_upto(excess, bound)
+    residual[at] = _hnorm_upto(excess, bound)
     return _per_matrix(residual)
 
 
@@ -224,15 +222,11 @@ def _built_pair(a, b, tol: Tolerances, not_strict, incompatible="constructed pai
     return a, b
 
 
-def _certified_pair(a, b, tol: Tolerances, compared: bool = False):
-    """(_pair_spectra(a, b), vals) for Hermitian a and b, or stacks of
-    them, where vals is None when the residual certifies both as effects
-    and the spectra (va, vb) of _effects otherwise; raises what _effects
-    raises, in its order, when they are not effects.  With compared=True,
-    for a caller that only compares the residual with tol.compat, the
-    residual is the Sylvester bound from the eigh of 1-a-b alone where
-    that is within tol.compat, and Frobenius-first elsewhere
-    (_pair_spectra).
+def _certified_pair(a, b, tol: Tolerances):
+    """(_pair_spectra(a, b, tol.compat), vals) for Hermitian a and b, or
+    stacks of them, where vals is None when the residual certifies both
+    as effects and the spectra (va, vb) of _effects otherwise; raises
+    what _effects raises, in its order, when they are not effects.
 
     A small residual proves both operands are effects.  With c = 1-a-b,
     d = a-b, their positive and negative parts c+, c-, d+, d- and
@@ -265,14 +259,13 @@ def _certified_pair(a, b, tol: Tolerances, compared: bool = False):
     [-r/2, 1 + r/2] and only the final eigvalsh's rounding is left for
     delta(n): r + delta(n) <= tol.spec still certifies both operands.
     """
-    bound = tol.compat if compared else None
     residual = None
     if a.shape == b.shape and _bounded(a, b, tol):
-        residual = _pair_spectra(a, b, bound)
+        residual = _pair_spectra(a, b, tol.compat)
         if np.all(residual + _ROUNDING * a.shape[-1] <= tol.spec):
             return residual, None
     vals = _effects(a, b, tol)
-    return residual if residual is not None else _pair_spectra(a, b, bound), vals
+    return residual if residual is not None else _pair_spectra(a, b, tol.compat), vals
 
 
 def _bounded(a, b, tol: Tolerances) -> bool:
@@ -283,7 +276,8 @@ def _bounded(a, b, tol: Tolerances) -> bool:
 
 def is_abs_compatible(a, b, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
     """Residual ||  |a-b| + |1-a-b| - 1  ||_op and the pass/fail flag, of
-    one pair or of each pair of two (..., n, n) stacks.
+    one pair or of each pair of two (..., n, n) stacks; within tol.compat
+    the residual is a certified upper bound, above it the exact norm.
 
     The report is symmetric in (a, b) by construction: arguments are put
     in a canonical order before any floating-point work.  A residual
@@ -379,7 +373,7 @@ def _five_blocks(a, b, tol: Tolerances):
     tol.compat, and within tol.spec by the rounding allowance, it is the
     residual returned: it certifies both operands as effects and the pair
     as compatible.  Only the pairs it leaves open take the whole pair's
-    certificate (_certified_pair with compared=True), and they take it
+    certificate (_certified_pair), and they take it
     before any block postcondition raises, so every pair raises what
     certifying it first raises: the effect checks, then tol.compat, then
     the blocks.  Operands of two shapes, or with an entry past
@@ -407,10 +401,9 @@ def _five_blocks(a, b, tol: Tolerances):
 
 def _whole_pair(a, b, tol: Tolerances):
     """The whole-pair certificate of Hermitian a and b, or stacks of them:
-    the residual _certified_pair takes with compared=True, once it is
-    within tol.compat; raises what _certified_pair raises, then
-    NotAbsolutelyCompatible."""
-    residual = _certified_pair(a, b, tol, compared=True)[0]
+    the residual _certified_pair takes, once it is within tol.compat;
+    raises what _certified_pair raises, then NotAbsolutelyCompatible."""
+    residual = _certified_pair(a, b, tol)[0]
     _require_compatible(residual, tol)
     return residual
 

@@ -86,10 +86,11 @@ def _check_compat(x, tol):
     """The definition identity on (a, b); on the orthogonal pair (oa, ob),
     ab = 0, a + b <= 1 and absolute compatibility hold together, and the
     five-block decomposition of the whole batch passes its checks, one
-    computation per pattern of block ranks (compat._five_blocks).  The
-    orthogonal residual is the bound the decomposition's certificate
-    took, never below the exact residual that is_abs_compatible reports
-    (the equivalences check reports that one)."""
+    computation per pattern of block ranks (compat._five_blocks).  Each
+    residual follows the package's one rule, a certified upper bound
+    within its tolerance and the exact norm above it: the pair residual
+    is is_abs_compatible's, and the orthogonal residual is the bound the
+    decomposition's certificate took."""
     a, b, oa, ob = x["a"], x["b"], x["oa"], x["ob"]
     fwd = is_abs_compatible(a, b, tol)
     rev = is_abs_compatible(b, a, tol)

@@ -1,11 +1,17 @@
 """A log of the numpy.linalg calls a test makes, for the tests that count
-factorizations or compare their arguments and results."""
+factorizations or compare their arguments and results; the two-eigh
+compatibility residual that the tests take as the computed exact one,
+and the Sylvester bound that is reported in its place on a pair the
+bound certifies."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+
+from abscompat import compat
+from abscompat.hermitian import dagger, hermitize, identity_like
 
 LINALG = ("eigh", "eigvalsh", "svd", "qr", "det", "norm")
 
@@ -47,3 +53,29 @@ def linalg_log(monkeypatch) -> LinalgLog:
             return call.result
         monkeypatch.setattr(np.linalg, name, spy)
     return log
+
+
+def _two_call_residual(a, b):
+    """The compatibility residual of one pair from one eigh of a-b and one
+    of 1-a-b, each taken alone, and one eigvalsh of the excess: the
+    computed exact residual, which compat._pair_spectra reports, bit for
+    bit, wherever it exceeds the bound."""
+    if b.tobytes() < a.tobytes():
+        a, b = b, a
+    one = np.eye(len(a), dtype=complex)
+    dvals, dvecs = np.linalg.eigh(a - b)
+    zvals, zvecs = np.linalg.eigh(one - a - b)
+    abs_diff = hermitize((dvecs * np.abs(dvals)) @ dagger(dvecs))
+    rest = hermitize((zvecs * np.abs(zvals)) @ dagger(zvecs))
+    return float(np.max(np.abs(np.linalg.eigvalsh(abs_diff + rest - one))))
+
+
+def _sylvester_certificate(a, b, tol):
+    """The Sylvester bound on the compatibility residual of the Hermitian
+    pair (a, b), in its canonical order, from its eigh of 1-a-b, and
+    whether that bound certifies the pair within tol.compat: the residual
+    compat._pair_spectra reports, bit for bit, where it does."""
+    a, b = compat._canonical_order(a, b)
+    zvals, zvecs = np.linalg.eigh(identity_like(a) - a - b)
+    bound, certified = compat._sylvester_bounds(a, b, zvals, zvecs, tol.compat)
+    return float(bound), bool(certified)

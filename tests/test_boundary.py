@@ -52,6 +52,7 @@ from abscompat.hermitian import (
     hermitize,
 )
 from abscompat.io import json_text, load_matrix, matrix_to_json, save_matrix
+from conftest import _sylvester_certificate, _two_call_residual
 
 
 def _strided(x):
@@ -132,17 +133,18 @@ def _n96_pairs():
 # Matrices that numpy.linalg factorizes in one call at n = 8; a call on a
 # (k, n, n) stack counts k, so stacking several matrices into one call
 # cannot hide a factorization:
-#  - is_abs_compatible: one eigh each of a-b and 1-a-b and one eigvalsh
-#    for the norm of the residual, which also certifies both operands as
-#    effects, so neither takes a validating eigvalsh;
+#  - is_abs_compatible: one eigh of 1-a-b, whose Sylvester bound
+#    certifies the pair and is the residual reported, which also
+#    certifies both operands as effects, so neither takes a validating
+#    eigvalsh, and a-b takes no eigh;
 #  - canonicalize: one eigh of 1-a-b, whose positive half gives x0 and
 #    the site pairing (a pair whose eigenvalues there cluster takes one
 #    more eigh per cluster, of a on the cluster; a random pair has none),
-#    one svd for the polar factor of the cross block, and one eigvalsh
-#    per reconstruction residual; the reconstruction certifies both
-#    operands as strict effects and the pair as compatible, so neither
-#    is factorized again; the same count for a stack of pairs, each
-#    call on the whole stack;
+#    and one svd for the polar factor of the cross block; the
+#    reconstruction residuals are settled by their Frobenius norms, and
+#    the reconstruction certifies both operands as strict effects and the
+#    pair as compatible, so neither is factorized again; the same count
+#    for a stack of pairs, each call on the whole stack;
 #  - five_block_decompose: one eigh of a, one eigh of b on each of the
 #    kernel of a and the rest, one eigh of 1-a-b on the strict block,
 #    whose Sylvester bound certifies that block, and one eigvalsh of b on
@@ -165,10 +167,10 @@ def _n96_pairs():
 #    for the Sylvester bound; the commutator is settled by its Frobenius
 #    norm.
 BUDGET = {
-    "is_abs_compatible": {"eigh": 2, "eigvalsh": 1, "svd": 0},
-    "canonicalize": {"eigh": 1, "eigvalsh": 2, "svd": 1},
+    "is_abs_compatible": {"eigh": 1, "eigvalsh": 0, "svd": 0},
+    "canonicalize": {"eigh": 1, "eigvalsh": 0, "svd": 1},
     "five_block_decompose": {"eigh": 4, "eigvalsh": 1, "svd": 0},
-    "decompose_pair_m2": {"eigh": 1, "eigvalsh": 2, "svd": 1},
+    "decompose_pair_m2": {"eigh": 1, "eigvalsh": 0, "svd": 1},
     "pair_from_projections": {"eigh": 1, "eigvalsh": 2, "svd": 0},
     "projection_compat_equiv": {"eigh": 3, "eigvalsh": 3, "svd": 0},
 }
@@ -333,10 +335,10 @@ def test_spheroid_calls_do_not_grow_with_the_partners(linalg_log):
 
 def _reference(a, b, tol):
     """What is_abs_compatible and five_block_decompose validated before the
-    certificate: both spectra, then the residual."""
+    certificate: both spectra, then the exact residual."""
     a, b = _hermitian_pair(a, b, tol)
     _effects(a, b, tol)
-    return a, b, _pair_spectra(a, b)
+    return a, b, _two_call_residual(a, b)
 
 
 def _outcome(fn, *args):
@@ -372,8 +374,11 @@ def _parity_cases():
 @pytest.mark.parametrize("case", sorted(_parity_cases()))
 def test_certificate_parity(case, monkeypatch):
     """The certified path raises what validating both spectra raises, or
-    returns the same report bit for bit; a valid pair is validated by its
-    spectra only when its residual does not certify it."""
+    returns the verdict of the exact residual with the certificate's
+    value as its residual, bit for bit: the Sylvester bound from the eigh
+    of 1-a-b, which less the rounding allowance is never below the exact
+    residual; a valid pair is validated
+    by its spectra only when that bound does not certify it."""
     a, b, tol = _parity_cases()[case]
     fallbacks = []
 
@@ -389,8 +394,10 @@ def test_certificate_parity(case, monkeypatch):
         assert report == ref and fb == ref, (report, fb, ref)
         return
     assert bool(fallbacks) == (case == "valid-tight-spec")
-    res = ref[2]
-    assert report == CompatReport(res, res <= tol.compat, tol.compat)
+    exact = ref[2]
+    bound, certified = _sylvester_certificate(*ref[:2], tol)
+    assert certified and bound - _ROUNDING * a.shape[-1] >= exact, (bound, exact)
+    assert report == CompatReport(bound, exact <= tol.compat, tol.compat)
     certified = five_block_decompose(a, b)
     for name in BLOCK_NAMES:
         assert np.array_equal(fb.bases[name], certified.bases[name])
@@ -558,7 +565,7 @@ def _five_block_bits(a, b, tol):
 def _strict_residuals(a, b, fb):
     """The residuals of the whole pair and of the strict block of its
     decomposition fb."""
-    return _pair_spectra(a, b), _pair_spectra(fb.blocks_a["strict"], fb.blocks_b["strict"])
+    return _two_call_residual(a, b), _two_call_residual(fb.blocks_a["strict"], fb.blocks_b["strict"])
 
 
 def _strict_block_failure():
@@ -624,7 +631,7 @@ def test_blocks_bound_bounds():
     for i, (a, b) in enumerate(pairs):
         n = a.shape[-1]
         bound = _decomposed(a, b, DEFAULT_TOL)[0]
-        whole = _pair_spectra(a, b)
+        whole = _two_call_residual(a, b)
         assert np.isfinite(bound) and bound - _ROUNDING * n >= whole, (n, whole, bound)
         if i < settled:
             assert bound + _ROUNDING * n <= DEFAULT_TOL.spec, (n, whole, bound)

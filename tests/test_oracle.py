@@ -9,16 +9,21 @@ reconstruction residual of the returned form, the exact x0 of the pair,
 its exact compatibility residual and its exact spectra.
 """
 
+import json
+import math
+
 import numpy as np
 import pytest
 
-from abscompat import DEFAULT_TOL, canonical, compat
+from abscompat import DEFAULT_TOL, canonical, cli, compat
 from abscompat.canonical import StrictProjectionParams, _site_pairs, canonicalize, pair_from_params
 from abscompat.compat import _decomposed, five_block_decompose
 from abscompat.generate import derive_seed, haar_unitary, random_abscompat_pair
 from abscompat.errors import PostconditionFailure
-from abscompat.hermitian import _ROUNDING, dagger, hermitize, identity_like
+from abscompat.hermitian import _ROUNDING, _hermitian_pair, dagger, hermitize, identity_like
+from abscompat.io import load_matrix, save_matrix
 from abscompat.properties import REGISTRY
+from conftest import _sylvester_certificate, _two_call_residual
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.MPContext()
@@ -106,8 +111,9 @@ CASES += [(n, 3e-9, False) for n in (2, 4, 6)]
 
 @pytest.mark.parametrize("n, scale, certified", CASES, ids=["n%d-%g" % case[:2] for case in CASES])
 def test_canonicalize_against_the_oracle(n, scale, certified):
-    """The reported reconstruction residual is the exact one up to the
-    rounding allowance; x0 is the drawn one and the exact one of the
+    """The reported reconstruction residual, a Frobenius norm, is at least
+    the exact one and at most sqrt(n) times it, each up to the rounding
+    allowance; x0 is the drawn one and the exact one of the
     pair; the Sylvester bound from the eigh of 1-a-b that canonicalize
     takes, less its rounding allowance, is at least the exact residual,
     and each exact eigenvalue is within the Weyl margin of a site
@@ -122,7 +128,8 @@ def test_canonicalize_against_the_oracle(n, scale, certified):
 
     ra, rb = (_mat(cf.u0) * s * _mat(cf.u0).H for s in _site_pair(cf))
     exact = max(_norm(ra - ma), _norm(rb - mb))
-    assert abs(exact - cf.residual) <= allowance and exact <= DEFAULT_TOL.canon
+    assert exact - allowance <= cf.residual <= math.sqrt(n) * exact + allowance, (cf.residual, exact)
+    assert exact <= DEFAULT_TOL.canon
 
     if not scale:
         assert np.max(np.abs(cf.x0 - x0)) <= DEFAULT_TOL.spec
@@ -139,6 +146,64 @@ def test_canonicalize_against_the_oracle(n, scale, certified):
     margin = float(canonical._weyl_margin(cf, DEFAULT_TOL))
     for vals, sites in zip((_eigvals(ma), _eigvals(mb)), _site_eigenvalues(cf)):
         assert max(abs(v - s) for v, s in zip(vals, sites)) <= margin - allowance
+
+
+# drawn pairs moved so that check's residual comes from each of its three
+# sources: the Sylvester bound, the Frobenius norm of the excess within
+# tol.compat, and the exact norm above it
+RESIDUAL_SCALES = (0.0, 1e-11, 3e-9, 3e-8)
+
+
+def test_reported_residuals_are_never_below_the_oracle(tmp_path):
+    """Within tol.compat, check's JSON residual is never below the
+    50-digit residual of the pair it read: it is the Sylvester bound, bit
+    for bit, where that certifies the pair, and not below it even less the
+    rounding allowance, and a Frobenius norm where it does not.  Above
+    tol.compat it is the exact norm, the two-eigh residual byte for byte,
+    within the rounding allowance of the 50-digit one.  CanonicalForm.residual, less the allowance, is never below the
+    50-digit reconstruction residual, and under a tol.canon below that
+    residual canonicalize raises with its exact norm.  The pairs put the
+    residual on both sides of tol.compat and the reconstruction on both
+    sides of tol.canon."""
+    paths = [str(tmp_path / name) for name in ("a.json", "b.json", "check.json")]
+    sources = set()
+    for n in (2, 4, 6):
+        allowance = _ROUNDING * n
+        for scale in RESIDUAL_SCALES:
+            _, a, b = _drawn(n, derive_seed(48, n))
+            if scale:
+                a, b = _perturbed(a, b, scale, derive_seed(49, n))
+            for path, x in zip(paths, (a, b)):
+                save_matrix(path, x)
+            code = cli.run(["check", *paths[:2], "--out", paths[2]])
+            with open(paths[2], encoding="utf-8") as fh:
+                got = json.load(fh)["residual"]
+            a, b = _hermitian_pair(*map(load_matrix, paths[:2]), DEFAULT_TOL)
+            ma, mb = _mat(a), _mat(b)
+            exact = _compat_residual(ma, mb)
+            bound, certified = _sylvester_certificate(a, b, DEFAULT_TOL)
+            if got > DEFAULT_TOL.compat:
+                assert code == cli.EXIT_INCOMPATIBLE and not certified
+                assert got == _two_call_residual(a, b) and abs(got - exact) <= allowance, (n, scale, got, exact)
+                sources.add("exact")
+                continue
+            assert code == cli.EXIT_OK and got >= exact, (n, scale, got, exact)
+            if certified:
+                assert got == bound and got - allowance >= exact, (n, scale, got, bound, exact)
+            sources.add("bound" if certified else "frobenius")
+
+            cf = canonicalize(a, b)
+            ra, rb = (_mat(cf.u0) * s * _mat(cf.u0).H for s in _site_pair(cf))
+            rebuilt = max(_norm(ra - ma), _norm(rb - mb))
+            assert cf.residual >= rebuilt - allowance, (n, scale, cf.residual, rebuilt)
+            ra, rb = cf.reconstruct()
+            computed = float(np.abs(np.linalg.eigvalsh(np.stack([ra - a, rb - b]))).max())
+            assert abs(computed - rebuilt) <= allowance
+            tight = DEFAULT_TOL.override(canon=0.5 * computed)
+            with pytest.raises(PostconditionFailure) as exc:
+                canonicalize(a, b, tight)
+            assert str(exc.value) == "reconstruction residual %.3e > %.3e" % (computed, tight.canon)
+    assert sources == {"bound", "frobenius", "exact"}
 
 
 # an a-unit, b-unit, a-null and b-null slot

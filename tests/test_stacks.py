@@ -79,6 +79,7 @@ from abscompat.hermitian import (
     _ROUNDING, _effect, _effects, _fnorm, _hermitian_pair, _hnorm, _span, dagger, hermitize, op_norm,
 )
 from abscompat.properties import REGISTRY, Outcome, run
+from conftest import _sylvester_certificate, _two_call_residual
 
 SIZES = (2, 4, 8, 64)
 K = 5
@@ -94,38 +95,35 @@ def _pairs(n, seed):
     return np.array([a for a, _ in out]), np.array([b for _, b in out])
 
 
-def _two_call_residual(a, b):
-    """_pair_spectra as one eigh per half: the computation before stacks."""
-    if b.tobytes() < a.tobytes():
-        a, b = b, a
-    one = np.eye(len(a), dtype=complex)
-    dvals, dvecs = np.linalg.eigh(a - b)
-    zvals, zvecs = np.linalg.eigh(one - a - b)
-    abs_diff = hermitize((dvecs * np.abs(dvals)) @ dagger(dvecs))
-    rest = hermitize((zvecs * np.abs(zvals)) @ dagger(zvecs))
-    return float(np.max(np.abs(np.linalg.eigvalsh(abs_diff + rest - one))))
-
-
 @pytest.mark.parametrize("n", SIZES)
 def test_pair_spectra_stack_equals_batches_of_one(n):
     """On compatible pairs and on the same pairs moved off compatibility
     by 1e-3, the residual of _pair_spectra and of is_abs_compatible,
-    stacked or alone, is byte for byte the residual of one eigh of a-b
-    and one of 1-a-b, each taken alone."""
+    stacked or alone and in either operand order, has the same bits.  On
+    a compatible pair it is the Sylvester bound from its eigh of 1-a-b,
+    bit for bit, which certifies it and, less the rounding allowance, is
+    never below the residual of one eigh of a-b and one of 1-a-b, each
+    taken alone; on a moved pair,
+    above tol.compat, it is that residual, byte for byte."""
+    tol = DEFAULT_TOL
     a, b = _pairs(n, derive_seed(21, n))
     gen = np.random.default_rng(n)
     h = hermitize(gen.normal(size=a.shape) + 1j * gen.normal(size=a.shape))
     a = np.concatenate([a, a + 1e-3 * h / np.linalg.norm(h, axis=(-2, -1), keepdims=True)])
     b = np.concatenate([b, b])
-    stacked = _pair_spectra(a, b)
+    stacked = _pair_spectra(a, b, tol.compat)
     assert stacked.shape == (2 * K,)
     assert is_abs_compatible(a, b).residual.tobytes() == stacked.tobytes()
     for i in range(2 * K):
-        one = _pair_spectra(a[i], b[i])
+        one = _pair_spectra(a[i], b[i], tol.compat)
         assert isinstance(one, float)
+        assert stacked[i] == one == _pair_spectra(b[i], a[i], tol.compat) == is_abs_compatible(a[i], b[i]).residual
         residual = _two_call_residual(a[i], b[i])
-        assert stacked[i] == one == residual == is_abs_compatible(a[i], b[i]).residual
-        assert _pair_spectra(b[i], a[i]) == residual
+        if i < K:
+            bound, certified = _sylvester_certificate(a[i], b[i], tol)
+            assert certified and one == bound and bound - _ROUNDING * n >= residual, (i, one, bound, residual)
+        else:
+            assert one == residual > tol.compat, (i, one, residual)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -281,7 +279,7 @@ def _reference_spheroid_error(a, partners, tol):
     for x in partners:
         x, _ = _effect(x, tol)
         _bloch(x, tol)
-        _require_compatible(_pair_spectra(a, x), tol)
+        _require_compatible(_two_call_residual(a, x), tol)
     return None
 
 
@@ -1030,12 +1028,14 @@ LONE_SIZES = (8, 40, 96)
 
 
 def test_canonical_check_stays_stacked(linalg_log):
-    """The canonical check of a 30-trial batch makes a fixed number of
-    numpy.linalg calls at each size, where one trial at a time made six or
-    seven per trial.  A lone canonicalize takes the spectra of its two
-    reconstruction residuals from one eigvalsh of their stack at every
-    size, each with the bits it gets alone.  Counts, unlike timings, hold
-    on any host."""
+    """The canonical check of a 30-trial batch makes three numpy.linalg
+    calls at each size, where one trial at a time made six or seven per
+    trial: the eigh of 1-a-b and the svd of the cross blocks of the whole
+    batch, and the svd of the check's own norms.  A lone canonicalize
+    makes one eigh of 1-a-b and one svd at every size: the Frobenius
+    norms of its two reconstruction residuals settle them, and the eigh's
+    Sylvester bound the pair.  Counts, unlike timings, hold on any
+    host."""
     seeds = [derive_seed(33, i) for i in range(30)]
     prop = REGISTRY["canonical"]
     batches = {n: prop.draw(seeds, n) for n in prop.sizes}
@@ -1043,12 +1043,12 @@ def test_canonical_check_stays_stacked(linalg_log):
     for n, stacks in batches.items():
         linalg_log.clear()
         prop.check(stacks, DEFAULT_TOL)
-        assert len(linalg_log) <= 10, (n, [call.name for call in linalg_log])
+        assert len(linalg_log) <= 3, (n, [call.name for call in linalg_log])
 
     for n, pair in lone.items():
         linalg_log.clear()
         canonicalize(*pair)
-        _assert_shapes_and_lone_bits(linalg_log, [(2, n, n)])
+        assert [(call.name, call.arg.shape) for call in linalg_log] == [("eigh", (n, n)), ("svd", (n // 2, n // 2))]
 
 
 def test_a_clustered_pair_in_a_stack_gets_its_own_bits(monkeypatch):
@@ -1166,10 +1166,10 @@ def test_compat_check_stays_stacked(linalg_log):
     call per trial made seven per trial: the orthogonal pairs are
     certified from their blocks, and their 0x0 strict blocks take no
     factorization.  The
-    exact residual of the pairs takes one eigh of the stack 1-a-b and one
-    of the stack a-b, two calls where one eigh of [a-b, 1-a-b] was one.  At
-    every size, a lone call puts its operands in one eigvalsh: the two
-    effects of an uncertified pair, and the three matrices of the exact
+    residual of the pairs takes one eigh of the stack 1-a-b, whose
+    Sylvester bound certifies every pair, so a-b takes none.  At every
+    size, a lone call puts its operands in one eigvalsh: the two effects
+    of an uncertified pair, and the three matrices of the exact
     five-block bounds, where the lone pair is a stack of one, after the
     eigvalsh of b on unit_a that the bound from the blocks takes.  Each matrix
     gets the bits it gets alone.  Counts, unlike timings, hold on any
@@ -1183,13 +1183,14 @@ def test_compat_check_stays_stacked(linalg_log):
     for n, stacks in batches.items():
         linalg_log.clear()
         prop.check(stacks, DEFAULT_TOL)
-        assert len(linalg_log) <= 9 + 2 * patterns[n], (n, patterns[n], [call.name for call in linalg_log])
+        assert len(linalg_log) <= 5 + 2 * patterns[n], (n, patterns[n], [call.name for call in linalg_log])
 
     for n, (a, b) in lone.items():
         linalg_log.clear()
         assert not is_abs_compatible(a, a)
-        # the exact residual's own norm, then the two effects
-        _assert_shapes_and_lone_bits(linalg_log, [(n, n), (2, n, n)])
+        # the exact residual's own norm, of the pair its bound left open as
+        # a stack of one, then the two effects
+        _assert_shapes_and_lone_bits(linalg_log, [(1, n, n), (2, n, n)])
         linalg_log.clear()
         with pytest.raises(PostconditionFailure, match="off-block bound"):
             five_block_decompose(a, b, DEFAULT_TOL.override(block=1e-15))
