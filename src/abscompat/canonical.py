@@ -19,7 +19,9 @@ only outputs are embedded into full matrices.
 
 `canonicalize` runs on the private core `_canonical` over (..., n, n)
 stacks of pairs, of which a single pair is a batch of one with no
-leading axis: every step is one computation on the whole stack that
+leading axis.  The core takes same-shape pairs whose entries are within
+1 + tol.spec (hermitian._hermitian_pair), nonempty and of even size
+(canonicalize): every step is one computation on the whole stack that
 gives each pair the bits it gets alone, and only a pair whose 1-a-b
 spectrum clusters takes a step of its own.  The core returns the
 CanonicalForm, of one pair or of a stack, with the reconstruction it
@@ -82,7 +84,7 @@ from .hermitian import (
     identity_like,
 )
 from .compat import (
-    _bounded, _built_pair, _certified_pair, _eigh_on, _pair_spectra, _require_compatible, _sylvester_bounds,
+    _built_pair, _certified_pair, _eigh_on, _pair_spectra, _require_compatible, _sylvester_bounds,
 )
 from .io import matrix_to_json
 
@@ -346,13 +348,12 @@ def conjugate_to_pivot(p, tol: Tolerances = DEFAULT_TOL) -> SiteBlockMatrix:
     return SiteBlockMatrix(u)
 
 
-def _pivot_unitary(a0, w, exchange: bool = False) -> np.ndarray:
+def _pivot_unitary(a0, w) -> np.ndarray:
     """The (..., m, 2, 2) site blocks U = [[s0, -w a0], [a0, w s0]],
     s0 = (1 - a0^2)^(1/2), so that U* diag(0,1) U is the strict projection
-    with parameters (a0, w); with exchange, diag(1,-1) U."""
+    with parameters (a0, w)."""
     s0 = np.sqrt(1.0 - a0 * a0)
-    lower = (-a0, -w * s0) if exchange else (a0, w * s0)
-    return _two_by_two(s0, -w * a0, *lower)
+    return _two_by_two(s0, -w * a0, a0, w * s0)
 
 
 def dilate_commuting_pair(a, b, tol: Tolerances = DEFAULT_TOL):
@@ -480,7 +481,8 @@ def _joint_eigenbasis(a, lam_plus, v_plus, gap: float):
 
 
 def _canonical(a, b, tol: Tolerances) -> CanonicalForm:
-    """canonicalize of the Hermitian a and b of _hermitian_pair, or of
+    """canonicalize of the same-shape a and b of _hermitian_pair, whose
+    entries are within 1 + tol.spec, nonempty and of even size, or of
     each pair of two (..., n, n) stacks: each step runs once on the whole
     stack, and a stack raises at the first step some pair of it fails.
 
@@ -493,12 +495,6 @@ def _canonical(a, b, tol: Tolerances) -> CanonicalForm:
     a pair it passes keeps the recovered form, or raises the recovery's
     error.
     """
-    n = a.shape[-1]
-    # the recovery takes nonempty same-shape pairs of even size with no
-    # entry beyond an effect's, where 1-a-b cannot overflow; _validated
-    # rejects the others
-    if a.shape != b.shape or not a.size or n % 2 or not _bounded(a, b, tol):
-        _validated(a, b, tol)
     lam, vecs = np.linalg.eigh(identity_like(a) - a - b)
     try:
         cf = _recovered(a, b, lam, vecs, tol)
@@ -627,7 +623,10 @@ def canonicalize(a, b, tol: Tolerances = DEFAULT_TOL) -> CanonicalForm:
     the polar factor of the off-diagonal block of a aligns the negative
     half with the positive one and absorbs the phase gauge (so w = 1).
     """
-    return _canonical(*_hermitian_pair(a, b, tol), tol)
+    a, b = _hermitian_pair(a, b, tol)
+    if not a.size or a.shape[-1] % 2:
+        _validated(a, b, tol)
+    return _canonical(a, b, tol)
 
 
 def _exchanged_sites(x0, a0):
@@ -672,7 +671,8 @@ def exchanged_pivot_form(cf: CanonicalForm, tol: Tolerances = DEFAULT_TOL) -> Ex
     effect picks up diag(1,0) instead.
     """
     _record(cf, CanonicalForm, "cf")
-    u = cf.u0 @ dagger(SiteBlockMatrix(_pivot_unitary(cf.a0, cf.w, exchange=True)).embed())
+    # diag(1,-1) U: a sign flip of each site's second row, which is exact
+    u = cf.u0 @ dagger(SiteBlockMatrix(_pivot_unitary(cf.a0, cf.w) * [[1.0], [-1.0]]).embed())
     rebuilt = _conjugate_pair(u, _exchanged_sites(cf.x0, cf.a0))
     err = np.maximum(*(_hnorm_upto(e - r, tol.canon) for e, r in zip(rebuilt, cf.reconstruct())))
     _require(err <= tol.canon, PostconditionFailure, "pivot exchange residual %.3e", err)

@@ -226,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="canonical form of a strict compatible pair")
     p.add_argument("a", help="matrix JSON file")
     p.add_argument("b", help="matrix JSON file")
-    p.add_argument("--blocks", metavar="PATH", help="also write the five-block decomposition")
+    p.add_argument("--blocks", metavar="PATH",
+                   help="also write the five-block split of the strict pair that decompose accepts")
     p.add_argument("--out", help="write the canonical form here instead of stdout")
 
     p = sub.add_parser("gen", help="write seeded random instances")

@@ -29,6 +29,8 @@ is_abs_compatible and projection_compat_equiv take stacks of pairs and
 run each in one pass: a stack raises at the first check that any pair
 fails, with the message of the first such pair in C order
 (hermitian._require), so one failing pair raises what it raises alone.
+The cores take same-shape pairs whose entries are within 1 + tol.spec,
+as hermitian._hermitian_pair returns them, and check neither.
 """
 
 import math
@@ -224,9 +226,11 @@ def _built_pair(a, b, tol: Tolerances, not_strict, incompatible="constructed pai
 
 def _certified_pair(a, b, tol: Tolerances):
     """(_pair_spectra(a, b, tol.compat), vals) for Hermitian a and b, or
-    stacks of them, where vals is None when the residual certifies both
-    as effects and the spectra (va, vb) of _effects otherwise; raises
-    what _effects raises, in its order, when they are not effects.
+    stacks of them, of one shape and with no entry beyond 1 + tol.spec,
+    as hermitian._hermitian_pair returns them; vals is None when the
+    residual certifies both as effects and the spectra (va, vb) of
+    _effects otherwise.  Raises what _effects raises, in its order, when
+    they are not effects.
 
     A small residual proves both operands are effects.  With c = 1-a-b,
     d = a-b, their positive and negative parts c+, c-, d+, d- and
@@ -248,10 +252,8 @@ def _certified_pair(a, b, tol: Tolerances):
     [-tol.spec/2, 1 + tol.spec/2], where the validating eigvalsh accepts,
     and that eigvalsh is skipped.
 
-    Otherwise (a larger residual; an entry above 1 + tol.spec, which no
-    effect has and which could overflow a - b; a shape mismatch) _effects
-    decides.  A stack is certified when every pair of it is, and
-    validated whole otherwise.
+    Otherwise, on a larger residual, _effects decides.  A stack is
+    certified when every pair of it is, and validated whole otherwise.
     A Frobenius-first residual is never below the computed one, so what
     it certifies the computed residual certifies too.  A Sylvester bound
     r is never below the exact residual of the pair, the rounding of
@@ -259,19 +261,10 @@ def _certified_pair(a, b, tol: Tolerances):
     [-r/2, 1 + r/2] and only the final eigvalsh's rounding is left for
     delta(n): r + delta(n) <= tol.spec still certifies both operands.
     """
-    residual = None
-    if a.shape == b.shape and _bounded(a, b, tol):
-        residual = _pair_spectra(a, b, tol.compat)
-        if np.all(residual + _ROUNDING * a.shape[-1] <= tol.spec):
-            return residual, None
-    vals = _effects(a, b, tol)
-    return residual if residual is not None else _pair_spectra(a, b, tol.compat), vals
-
-
-def _bounded(a, b, tol: Tolerances) -> bool:
-    """Whether no entry of a or b exceeds 1 + tol.spec in modulus, as none
-    of an effect does; past it, a - b could overflow."""
-    return max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)) <= 1.0 + tol.spec
+    residual = _pair_spectra(a, b, tol.compat)
+    if np.all(residual + _ROUNDING * a.shape[-1] <= tol.spec):
+        return residual, None
+    return residual, _effects(a, b, tol)
 
 
 def is_abs_compatible(a, b, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
@@ -363,49 +356,35 @@ def five_block_decompose(a, b, tol: Tolerances = DEFAULT_TOL) -> FiveBlockDecomp
 
 def _five_blocks(a, b, tol: Tolerances):
     """five_block_decompose of Hermitian a and b, or of each pair of two
-    (..., n, n) stacks: (the compatibility residual its certificate took,
-    one (at, FiveBlockDecomposition) per pattern of block ranks, where at
-    holds index arrays into the leading axes, Ellipsis for one pair, and
-    the record's arrays are stacked in the order of at).
+    (..., n, n) stacks, of one shape and with no entry beyond 1 + tol.spec
+    (hermitian._hermitian_pair): (the compatibility residual its
+    certificate took, one (at, FiveBlockDecomposition) per pattern of
+    block ranks, where at holds index arrays into the leading axes,
+    Ellipsis for one pair, and the record's arrays are stacked in the
+    order of at).
 
     Each pair is decomposed first (_decomposed), and its residual bounded
     from its blocks (_blocks_bound).  Where that bound is within
     tol.compat, and within tol.spec by the rounding allowance, it is the
     residual returned: it certifies both operands as effects and the pair
     as compatible.  Only the pairs it leaves open take the whole pair's
-    certificate (_certified_pair), and they take it
-    before any block postcondition raises, so every pair raises what
-    certifying it first raises: the effect checks, then tol.compat, then
-    the blocks.  Operands of two shapes, or with an entry past
-    1 + tol.spec, which no effect has, take that certificate before
-    anything is factorized.  Every postcondition holds for every pair; a
-    stack raises at the first check some pair of it fails.
+    certificate (_certified_pair), and they take it before any block
+    postcondition raises, so every pair raises what certifying it first
+    raises: the effect checks, then tol.compat, then the blocks.  Every
+    postcondition holds for every pair; a stack raises at the first check
+    some pair of it fails.
     """
-    n = a.shape[-1]
-    residual = None
-    if a.shape != b.shape or not _bounded(a, b, tol):
-        residual = np.asarray(_whole_pair(a, b, tol))
-    bound, parts = _decomposed(a, b, tol)
-    if residual is None:
-        residual = bound
-        open_ = np.logical_not((bound <= tol.compat) & (bound + _ROUNDING * n <= tol.spec))
-        if np.any(open_):
-            residual[open_] = _whole_pair(a[open_], b[open_], tol)
+    residual, parts = _decomposed(a, b, tol)
+    open_ = np.logical_not((residual <= tol.compat) & (residual + _ROUNDING * a.shape[-1] <= tol.spec))
+    if np.any(open_):
+        residual[open_] = _certified_pair(a[open_], b[open_], tol)[0]
+        _require_compatible(residual[open_], tol)
     out = []
     for where, bases, blocks_a, blocks_b, reduction, strict, compatible, outer in parts:
         _require_reduced(*reduction, tol)
         _verify_block_contents(blocks_a, blocks_b, tol, strict, compatible, outer)
         out.append((where, FiveBlockDecomposition(bases, blocks_a, blocks_b)))
     return _per_matrix(residual), out
-
-
-def _whole_pair(a, b, tol: Tolerances):
-    """The whole-pair certificate of Hermitian a and b, or stacks of them:
-    the residual _certified_pair takes, once it is within tol.compat;
-    raises what _certified_pair raises, then NotAbsolutelyCompatible."""
-    residual = _certified_pair(a, b, tol)[0]
-    _require_compatible(residual, tol)
-    return residual
 
 
 def _decomposed(a, b, tol: Tolerances):

@@ -39,11 +39,8 @@ _SEPARATION = 0.05  # a pair spec's target is farther than this from the pivot a
 
 
 def _key(seed) -> int:
-    """seed, an integer through operator.index, mod 2^64."""
-    try:
-        return operator.index(seed) & _MASK64
-    except TypeError:
-        raise DomainError("seed must be an integer, got %r" % (seed,)) from None
+    """seed, an integer (_integer), mod 2^64."""
+    return _integer(seed, DomainError, "seed must be an integer, got %r") & _MASK64
 
 
 def derive_seed(base, index) -> int:
@@ -51,12 +48,15 @@ def derive_seed(base, index) -> int:
     return _key(base) ^ ((_key(index) * SEED_STRIDE) & _MASK64)
 
 
-def _integer(value) -> int:
-    """value through operator.index; DimensionMismatch if it is not an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DimensionMismatch("expected an integer, got %r" % (value,)) from None
+def _integer(value, error=DimensionMismatch, message: str = "expected an integer, got %r") -> int:
+    """value through operator.index; error(message % value) if it is not
+    an integer or is a bool, which is a flag."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(message % (value,))
 
 
 def _size(value, message: str, low: int = 1, high=None) -> int:

@@ -66,7 +66,7 @@ from .hermitian import (
     as_matrix,
     require_hermitian,
 )
-from .canonical import PIVOT_0, _canonical, _conjugate_pair, _projection_blocks
+from .canonical import PIVOT_0, _canonical, _conjugate_pair, _projection_blocks, _validated
 from .compat import _built_pair, _pair_spectra, _require_compatible
 
 BALL_CENTER = np.array([0.5, 0.0, 0.0])
@@ -226,12 +226,15 @@ def decompose_pair_m2(a, b, tol: Tolerances = DEFAULT_TOL) -> PairSpec:
     of (a0, w), and the index x0.  The pair is validated as canonicalize
     validates it, after a check that it is 2x2, and the spec must rebuild
     it within tol.geo.  A pair whose spectra do not pair up as the form's
-    raises SpectralAmbiguity.
+    raises SpectralAmbiguity, and a stack of no pairs raises EmptyInput,
+    as canonicalize does on an empty pair.
     """
     a, b = _hermitian_pair(a, b, tol, stack=True)
     if a.shape[-2:] != (2, 2):
         _effects(a, b, tol)
         raise DimensionMismatch("decomposition is for 2x2 effects")
+    if not a.size:
+        _validated(a, b, tol)
     try:
         cf = _canonical(a, b, tol)
     except PairingFailure as exc:

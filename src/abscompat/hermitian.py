@@ -23,7 +23,8 @@ by element.  Raw input is validated once, at an entry point, by
 as_matrix, require_hermitian, _hermitian_pair, _effect, _projection or
 _unitary: stack=True admits a stack, and _unitary, or _projection with
 sites=True, takes site blocks (_over_sites).  The private cores take
-the arrays they return.
+the arrays they return: _hermitian_pair is the one place where a pair's
+shapes and entry sizes are checked.
 
 One strictness cut: a value is at 1 from 1 - tol.spec up and at 0 up
 to tol.spec in every such decision of the package, for kernels and
@@ -287,14 +288,18 @@ def _effect(a, tol: Tolerances, stack: bool = False):
 
 
 def _hermitian_pair(a, b, tol: Tolerances, stack: bool = False):
-    """Both operands through require_hermitian; when b fails, the spectrum
-    of a is checked first, so a's effect errors come before b's."""
+    """Both operands through require_hermitian, a's spectrum checked first
+    when b fails; then a pair of two shapes, or with an entry beyond
+    1 + tol.spec, which no effect has and which could overflow a - b,
+    goes through _effects, which raises a's, b's, then the shapes' error."""
     a = require_hermitian(a, tol, stack)
     try:
         b = require_hermitian(b, tol, stack)
     except AbscompatError:
         _require_unit_interval(np.linalg.eigvalsh(a), tol)
         raise
+    if a.shape != b.shape or max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)) > 1.0 + tol.spec:
+        _effects(a, b, tol)
     return a, b
 
 

@@ -123,11 +123,17 @@ def test_decompose_not_compatible(tmp_path):
 
 
 def test_decompose_not_strict(tmp_path):
+    """A pair with outer blocks is no strict pair: decompose exits 3, and
+    --blocks writes no file, as it splits only the pairs decompose
+    accepts."""
     p = tmp_path / "p.json"
     q = tmp_path / "q.json"
+    blocks = tmp_path / "blocks.json"
     save_matrix(p, np.diag([1.0, 0.0]).astype(complex))
     save_matrix(q, np.diag([0.0, 1.0]).astype(complex))
     assert run(["decompose", str(p), str(q)]) == 3
+    assert run(["decompose", str(p), str(q), "--blocks", str(blocks)]) == 3
+    assert not blocks.exists()
 
 
 def test_gen_pair_then_check(tmp_path, capsys):

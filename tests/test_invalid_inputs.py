@@ -224,10 +224,13 @@ def test_non_finite_points_are_domain_errors(fn):
             fn(pt)
 
 
-@pytest.mark.parametrize("fn", [canonicalize, dilate_commuting_pair], ids=lambda fn: fn.__name__)
-def test_empty_operands_raise_before_the_spectrum_is_read(fn):
+# decompose_pair_m2 takes stacks of 2x2 pairs, so its empty operands are a stack of none
+@pytest.mark.parametrize("fn, empty", [(canonicalize, EMPTY), (dilate_commuting_pair, EMPTY),
+                                       (decompose_pair_m2, np.zeros((0, 2, 2)))],
+                         ids=["canonicalize", "dilate_commuting_pair", "decompose_pair_m2"])
+def test_empty_operands_raise_before_the_spectrum_is_read(fn, empty):
     with pytest.raises(EmptyInput, match="^strictness needs nonempty effects$"):
-        fn(EMPTY, EMPTY)
+        fn(empty, empty)
 
 
 @pytest.mark.parametrize("value", [-1.0, 0.0, NAN, INF, "x", [1e-9], True, np.True_])
@@ -272,21 +275,26 @@ GENERATORS = {
     (lambda: random_projection(4, 1.5, 0), DimensionMismatch, "expected an integer, got 1.5"),
     (lambda: random_strict_projection_params(1.5, 0), DimensionMismatch, "expected an integer, got 1.5"),
     (lambda: random_spheroid_partners(A2, 1.5, 0), DimensionMismatch, "expected an integer, got 1.5"),
+    (lambda: haar_unitary(True, 0), DimensionMismatch, "expected an integer, got True"),
+    (lambda: random_projection(4, True, 0), DimensionMismatch, "expected an integer, got True"),
+    (lambda: random_spheroid_partners(A2, True, 0), DimensionMismatch, "expected an integer, got True"),
     (lambda: random_abscompat_pair(4, 0, "x"), BadMargin, "margin 'x' is not a number"),
     (lambda: derive_seed("x", 1), DomainError, "seed must be an integer, got 'x'"),
     (lambda: haar_unitary(2, None), DomainError, "seed must be an integer, got None"),
     (lambda: random_abscompat_pair(4, 1.5), DomainError, "seed must be an integer, got 1.5"),
+    (lambda: random_abscompat_pair(4, True), DomainError, "seed must be an integer, got True"),
     *((lambda draw=draw: draw([1, 2]), DomainError, "seed must be an integer, got [1, 2]")
       for draw in GENERATORS.values()),
 ], ids=["haar-float-n", "haar-str-n", "pair-float-n", "orthogonal-float-n", "projection-float-rank",
-        "params-float-sites", "partners-float-count", "pair-str-margin", "derive-str-seed",
-        "haar-none-seed", "pair-float-seed", *("%s-list-seed" % name for name in GENERATORS)])
+        "params-float-sites", "partners-float-count", "haar-bool-n", "projection-bool-rank",
+        "partners-bool-count", "pair-str-margin", "derive-str-seed", "haar-none-seed", "pair-float-seed",
+        "pair-bool-seed", *("%s-list-seed" % name for name in GENERATORS)])
 def test_generator_arguments_raise_package_errors(draw, error, message):
-    """Sizes, ranks, site counts and counts that are not integers raise
-    DimensionMismatch, seeds that are not integers DomainError (a float
-    seed is not truncated, and a list of seeds, which a private core
-    would draw as a stack, is no seed), and a margin that is not a
-    number BadMargin."""
+    """Sizes, ranks, site counts and counts that are not integers, or are
+    bools, raise DimensionMismatch, seeds that are not integers, or are
+    bools, DomainError (a float seed is not truncated, a bool is a flag,
+    and a list of seeds, which a private core would draw as a stack, is
+    no seed), and a margin that is not a number BadMargin."""
     with pytest.raises(error, match="^%s$" % re.escape(message)):
         draw()
 

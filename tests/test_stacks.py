@@ -164,12 +164,14 @@ def _boundary_effects(a, b, tol):
 
 
 def _operands(n):
-    """A good effect of size n beside one operand of each fault; "stack" is
-    a 3-D stack of good effects, which only the stacked entry points take."""
+    """A good effect of size n beside one operand of each fault; "huge"
+    has entries past 1 + tol.spec that would overflow a @ b, and "stack"
+    is a 3-D stack of good effects, which only the stacked entry points
+    take."""
     good = random_abscompat_pair(n, derive_seed(29, n))[0]
     return {"good": good, "negative": good - 0.5 * np.eye(n), "above": good + 0.5 * np.eye(n),
-            "skew": good + np.triu(np.full((n, n), 1e-6), 1), "shape": np.eye(n + 1) / 2, "text": "abc",
-            "stack": np.array([good, good])}
+            "huge": 1e300 * good, "skew": good + np.triu(np.full((n, n), 1e-6), 1),
+            "shape": np.eye(n + 1) / 2, "text": "abc", "stack": np.array([good, good])}
 
 
 # the validation of two effects and the public entry points that take two
