@@ -47,7 +47,6 @@ from .errors import (
 from .hermitian import (
     _ROUNDING,
     _compose,
-    _effect,
     _effects,
     _fnorm,
     _hermitian_pair,
@@ -57,12 +56,14 @@ from .hermitian import (
     _per_matrix,
     _projection,
     _require,
+    _require_unit_interval,
     _span,
     _strict_rows,
     dagger,
     hermitize,
     identity_like,
     op_norm,
+    require_hermitian,
 )
 from .io import matrix_to_json
 
@@ -294,8 +295,9 @@ def is_orthogonal(a, b, tol: Tolerances = DEFAULT_TOL) -> bool:
 def projection_compat_equiv(p, a, tol: Tolerances = DEFAULT_TOL):
     """(lhs, rhs) of the criterion: p absolutely compatible with a  <=>  pa = ap,
     for one pair or as arrays over two (..., n, n) stacks."""
-    p = _projection(p, tol, stack=True)
-    a = _effect(a, tol, stack=True)[0]
+    p = _projection(p, tol)
+    a = require_hermitian(a, tol, stack=True)
+    _require_unit_interval(np.linalg.eigvalsh(a), tol)
     if p.shape != a.shape:
         raise DimensionMismatch("shapes %r and %r" % (p.shape, a.shape))
     # a projection is an effect; i[p, a] is Hermitian with the norm of [p, a]

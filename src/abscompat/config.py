@@ -37,6 +37,8 @@ class Tolerances:
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)  # numpy's bool is no Real
             if not (real and 0.0 < value < float("inf")):
                 raise DomainError(f"tolerance {field.name!r} must be positive and finite, got {value}")
+            # a numpy scalar would carry its own precision into 1 - spec and every other cut
+            object.__setattr__(self, field.name, float(value))
         if not self.spec < 0.5:
             raise DomainError(f"tolerance 'spec' must be below 0.5, got {self.spec}")
 

@@ -158,7 +158,7 @@ def _reference_focus(a, tol: Tolerances):
 
 
 def _rank_one(p, tol: Tolerances) -> np.ndarray:
-    p = _projection(p, tol, stack=True)
+    p = _projection(p, tol)
     if p.shape[-2:] != (2, 2):
         raise DimensionMismatch("expected a 2x2 projection")
     _require(np.abs(np.real(np.trace(p, axis1=-2, axis2=-1)) - 1.0) <= tol.proj, NotProjection,

@@ -20,9 +20,10 @@ two n = 96 matrices took 1.5-1.6x two lone ones.  The compatibility
 check, the dilation, the site-block maps and the dimension-2 entry
 points take stacks too, and run each stack in one pass, never element
 by element.  Raw input is validated once, at an entry point, by
-as_matrix, require_hermitian, _hermitian_pair, _effect, _projection or
-_unitary: stack=True admits a stack, and _unitary, or _projection with
-sites=True, takes site blocks (_over_sites).  The private cores take
+as_matrix, require_hermitian, _hermitian_pair, _projection or _unitary:
+stack=True admits a stack to the first three, the last two always admit
+one, and _unitary, or _projection with sites=True, takes site blocks
+(_over_sites).  The private cores take
 the arrays they return: _hermitian_pair is the one place where a pair's
 shapes and entry sizes are checked.
 
@@ -259,11 +260,11 @@ def _unitary(u, tol: Tolerances) -> np.ndarray:
     return u
 
 
-def _projection(p, tol: Tolerances, stack: bool = False, sites: bool = False) -> np.ndarray:
-    """p made exactly Hermitian, once it is idempotent within tol.proj;
-    with stack=True, each matrix of a (..., n, n) stack; with sites=True,
-    each matrix of the site blocks p, checked on its sites (_over_sites)."""
-    p = _hermitian(as_matrix(p, stack or sites), tol, sites)
+def _projection(p, tol: Tolerances, sites: bool = False) -> np.ndarray:
+    """p made exactly Hermitian, once it is idempotent within tol.proj, or
+    each matrix of a (..., n, n) stack; with sites=True, each matrix of
+    the site blocks p, checked on its sites (_over_sites)."""
+    p = _hermitian(as_matrix(p, stack=True), tol, sites)
     dev = _over_sites(_hnorm_upto(p @ p - p, tol.proj), sites)
     _require(dev <= tol.proj, NotProjection, "||P^2 - P|| = %.3e > %.3e", dev, tol.proj)
     return p
@@ -278,13 +279,6 @@ def _require_unit_interval(vals, tol: Tolerances) -> np.ndarray:
     _require(-tol.spec <= low, NegativeSpectrum, "smallest eigenvalue %.3e < -%.3e", low, tol.spec)
     _require(high <= 1.0 + tol.spec, DomainError, "largest eigenvalue %.3e exceeds 1", high)
     return vals
-
-
-def _effect(a, tol: Tolerances, stack: bool = False):
-    """The validated effect a and its ascending spectrum (eigvalsh); with
-    stack=True, of each matrix of a stack."""
-    a = require_hermitian(a, tol, stack)
-    return a, _require_unit_interval(np.linalg.eigvalsh(a), tol)
 
 
 def _hermitian_pair(a, b, tol: Tolerances, stack: bool = False):

@@ -1,8 +1,8 @@
 """A log of the numpy.linalg calls a test makes, for the tests that count
 factorizations or compare their arguments and results; the two-eigh
 compatibility residual that the tests take as the computed exact one,
-and the Sylvester bound that is reported in its place on a pair the
-bound certifies."""
+the Sylvester bound that is reported in its place on a pair the bound
+certifies, and the operator norm of a Hermitian matrix."""
 
 import math
 from dataclasses import dataclass
@@ -79,3 +79,9 @@ def _sylvester_certificate(a, b, tol):
     zvals, zvecs = np.linalg.eigh(identity_like(a) - a - b)
     bound, certified = compat._sylvester_bounds(a, b, zvals, zvecs, tol.compat)
     return float(bound), bool(certified)
+
+
+def _eig_norm(h):
+    """The operator norm of the Hermitian h, or of each matrix of a stack
+    of them: its largest |eigenvalue|."""
+    return np.abs(np.linalg.eigvalsh(h)).max(axis=-1)

@@ -46,7 +46,7 @@ from abscompat.generate import (
     random_strict_projection_params,
     random_strict_unitary_params,
 )
-from abscompat.hermitian import _compose, _levels, dagger, hermitize, is_strict, jordan_product, op_norm
+from abscompat.hermitian import dagger, hermitize, is_strict, jordan_product, op_norm
 
 RT2 = 1.0 / np.sqrt(2.0)
 FIX_A = np.array([[0.25, 0.25], [0.25, 0.75]], dtype=complex)
@@ -56,7 +56,7 @@ FIX_B = np.array([[0.25, -0.25], [-0.25, 0.75]], dtype=complex)
 def _modulus(h):
     """|h| of a Hermitian h as compat._pair_spectra composes it."""
     vals, vecs = np.linalg.eigh(h)
-    return _compose(np.abs(vals), vecs)
+    return hermitize((vecs * np.abs(vals)[..., None, :]) @ dagger(vecs))
 
 
 def test_embed_extract_round_trip():
@@ -285,7 +285,7 @@ def _edges(cut):
     return [cut, np.nextafter(cut, -1.0), np.nextafter(cut, 2.0)]
 
 
-# every strictness gate cuts at tol.spec and 1 - tol.spec (hermitian._levels)
+# every strictness gate cuts at tol.spec and 1 - tol.spec
 SPEC = DEFAULT_TOL.spec
 EDGES = _edges(SPEC) + _edges(1.0 - SPEC)
 
@@ -293,12 +293,12 @@ EDGES = _edges(SPEC) + _edges(1.0 - SPEC)
 @pytest.mark.parametrize("v", EDGES)
 def test_null_and_support_ranks_at_the_cut(v):
     """An eigenvalue v of an effect is in the kernel when v <= tol.spec and
-    in the eigenspace at 1 when v >= 1 - tol.spec, to the ulp."""
-    vals = np.linalg.eigh(np.diag([v, 0.5]).astype(complex))[0]
-    assert v in vals
-    support, null = _levels(vals, DEFAULT_TOL)
-    assert np.count_nonzero(null) == int(v <= SPEC)
-    assert np.count_nonzero(support) == int(v >= 1.0 - SPEC)
+    in the eigenspace at 1 when v >= 1 - tol.spec, to the ulp, as is_strict
+    counts them."""
+    report = is_strict(np.diag([v, 0.5]).astype(complex), DEFAULT_TOL)
+    assert v in (report.spectrum_min, report.spectrum_max)
+    assert report.null_rank == int(v <= SPEC)
+    assert report.support_rank == int(v >= 1.0 - SPEC)
 
 
 @pytest.mark.parametrize("v", EDGES)

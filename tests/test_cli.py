@@ -1,5 +1,6 @@
 """Exit codes, file schemas, and determinism of the command-line layer."""
 
+import argparse
 import json
 import os
 import shutil
@@ -281,6 +282,25 @@ def test_geometry_csv_samples(tmp_path):
     assert len(samples) == 64
 
 
+def test_geometry_json_samples(tmp_path):
+    out = tmp_path / "geo.json"
+    code = run([
+        "geometry", "--pivot", "0,0,0", "--target", "0.5,0.5,0", "--index", "0.5",
+        "--sample", "2", "--out", str(out),
+    ])
+    assert code == 0
+    samples = json.loads(out.read_text())["samples"]
+    assert len(samples) == 2 and all(len(pt) == 3 for pt in samples)
+
+
+def test_unwritable_out_exits_1(fixture_files, tmp_path, capsys):
+    code = run(["check", *fixture_files, "--out", str(tmp_path / "missing" / "x.json")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "OSError"
+
+
 def test_geometry_not_strict(tmp_path):
     p = tmp_path / "p.json"
     save_matrix(p, np.diag([1.0, 0.0]).astype(complex))
@@ -294,10 +314,11 @@ def test_geometry_missing_spec():
 @pytest.mark.parametrize("argv, message", [
     (["geometry", "--pivot", "1,2", "--target", "0.5,0.5,0", "--index", "0.3"],
      "--pivot must have exactly three coordinates"),
+    (["geometry", "--pivot", "a,b,c", "--target", "0.5,0.5,0", "--index", "0.3"], "--pivot must be X,Y,Z"),
     (["fuzz", "compat", "--trials", "0"], "--trials must be at least 1"),
     (["geometry", "--pivot", "1,0,0", "--target", "0.5,0.5,0", "--index", "0.3", "--sample", "-3"],
      "--sample must be at least 0"),
-], ids=["pivot-of-two-coordinates", "no-trials", "negative-sample"])
+], ids=["pivot-of-two-coordinates", "pivot-not-numeric", "no-trials", "negative-sample"])
 def test_argument_errors_exit_1(capsys, argv, message):
     assert run(argv) == 1
     captured = capsys.readouterr()
@@ -378,11 +399,14 @@ def test_an_override_does_not_outlive_its_call(tmp_path, monkeypatch):
     command patched after the parser was built still runs."""
     out, bundle = tmp_path / "r.json", tmp_path / "f.json"
     argv = ["fuzz", "compat", "--trials", "3", "--seed", "9", "--out", str(out), "--fail-out", str(bundle)]
+    parsers, parse = [], argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *args: parsers.append(self) or parse(self, *args))
     assert run(argv + ["--tol-compat", "1e-17"]) == 4
     assert json.loads(out.read_text())["failed"] == 3
     assert run(argv) == 0
     assert json.loads(out.read_text())["failed"] == 0
-    assert cli._parser() is cli._parser() and cli.build_parser() is not cli.build_parser()
+    assert len(parsers) == 2 and parsers[0] is parsers[1] and cli.build_parser() is not cli.build_parser()
     monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
     assert run(["check", "a.json", "b.json"]) == 7
 

@@ -4,7 +4,6 @@ import pytest
 from abscompat import DEFAULT_TOL
 from abscompat.compat import (
     BLOCK_NAMES,
-    _reduced_blocks,
     five_block_decompose,
     is_abs_compatible,
     is_orthogonal,
@@ -20,7 +19,7 @@ from abscompat.generate import (
     random_orthogonal_pair,
     random_projection,
 )
-from abscompat.hermitian import _levels, _span, dagger, hermitize, op_norm
+from abscompat.hermitian import dagger, hermitize, op_norm
 
 FIX_A = np.array([[0.25, 0.25], [0.25, 0.75]], dtype=complex)
 FIX_B = np.array([[0.25, -0.25], [-0.25, 0.75]], dtype=complex)
@@ -148,9 +147,10 @@ def test_five_block_assembled():
 
         fb = five_block_decompose(a, b)
         assert fb.ranks() == {"unit_a": 1, "unit_b": 1, "strict": 4, "null_a": 1, "null_b": 1}
-        # both cut a at 1 with the same eigh and the same _levels
+        # both cut a at 1 with the same eigh, from 1 - tol.spec up
         vals, vecs = np.linalg.eigh(a)
-        unit_a = _span(vecs[:, _levels(vals, DEFAULT_TOL)[0]])
+        v = vecs[:, vals >= 1.0 - DEFAULT_TOL.spec]
+        unit_a = hermitize(v @ dagger(v))
         assert unit_a.tobytes() == fb.projections()["unit_a"].tobytes()
 
         proj = fb.projections()
@@ -165,9 +165,9 @@ def test_five_block_assembled():
 
 @pytest.mark.parametrize("slots", [(1, 1, 1, 1), (0, 2, 0, 1), (0, 0, 0, 0)])
 def test_reduced_blocks_are_the_index_grid_compressions(slots):
-    """Each block owns a contiguous range of the bases side by side, so its
-    slice of V*xV is, bit for bit, the grid the block's mask picks out,
-    empty blocks included."""
+    """Each block owns a contiguous range of the bases side by side, so the
+    compression of x to it is its slice of V*xV, bit for bit the grid the
+    block's mask picks out, empty blocks included."""
     a, b = random_abscompat_pair(4, derive_seed(73, sum(slots)))
     dim = 4 + sum(slots)
     big_a, big_b = np.zeros((dim, dim), dtype=complex), np.zeros((dim, dim), dtype=complex)
@@ -177,10 +177,11 @@ def test_reduced_blocks_are_the_index_grid_compressions(slots):
                                                      slots, axis=0).T
     u = haar_unitary(dim, derive_seed(74, dim))
     big_a, big_b = hermitize(u @ big_a @ dagger(u)), hermitize(u @ big_b @ dagger(u))
-    bases = five_block_decompose(big_a, big_b).bases
+    fb = five_block_decompose(big_a, big_b)
+    bases = fb.bases
     v = np.hstack(list(bases.values()))
     owner = np.repeat(np.arange(len(bases)), [w.shape[1] for w in bases.values()])
-    for got, x in zip(_reduced_blocks(big_a, big_b, bases), (big_a, big_b)):
+    for got, x in zip((fb.blocks_a, fb.blocks_b), (big_a, big_b)):
         m = hermitize(dagger(v) @ x @ v)
         for k, name in enumerate(bases):
             want = m[np.ix_(owner == k, owner == k)]

@@ -20,7 +20,7 @@ from abscompat.generate import (
     random_strict_unitary_params,
 )
 from abscompat.canonical import is_strict_projection, strict_projection_from_params
-from abscompat.geometry import _reference_focus, pair_from_projections
+from abscompat.geometry import pair_from_projections
 from abscompat.hermitian import dagger, is_strict, op_norm
 
 
@@ -77,6 +77,7 @@ def test_strict_param_generators():
     p = random_strict_projection_params(3, 17)
     assert is_strict_projection(strict_projection_from_params(p))
     q = random_strict_unitary_params(3, 18)
+    assert p.m == q.m == 3
     assert np.all((q.a0 > 0) & (q.a0 < 1))
     assert np.allclose(np.abs(q.w1), 1.0)
 
@@ -102,7 +103,7 @@ def test_pair_spec(monkeypatch):
         pivot, target, index = random_pair_spec(derive_seed(53, i))
         a, b = pair_from_projections(pivot, target, index)  # validates everything
         assert 0.0 < index < 1.0
-        _reference_focus(a, DEFAULT_TOL)  # raises outside the punctured ball
+        random_spheroid_partners(a, 1, 0)  # raises outside the punctured ball
     # no rank-one target is farther than 1/sqrt(2) from both the pivot and its
     # complement, and just below that almost none is: the draws run out
     monkeypatch.setattr(generate, "_SEPARATION", np.sqrt(0.5) - 1e-12)

@@ -26,7 +26,6 @@ from abscompat.generate import (
 from abscompat.geometry import (
     BALL_CENTER,
     BALL_RADIUS,
-    _reference_focus,
     ball_to_sphere,
     bloch_matrix,
     bloch_point,
@@ -63,7 +62,7 @@ def test_bloch_point_rejections():
 def test_bloch_matrix_fixtures():
     assert np.allclose(bloch_matrix([0.0, 0.0, 0.0]), P0)
     assert np.allclose(bloch_matrix([0.5, 0.5, 0.0]), QHALF)
-    with pytest.raises(OutsideBall):
+    with pytest.raises(OutsideBall, match=r"^point \[1\.0, 1\.0, 1\.0\] lies outside the chart ball$"):
         bloch_matrix([1.0, 1.0, 1.0])
 
 
@@ -85,11 +84,13 @@ def test_bloch_round_trip_and_affinity():
 
 
 def test_in_punctured_ball():
-    _reference_focus(np.array([[0.25, 0.25], [0.25, 0.75]]), DEFAULT_TOL)
+    """random_spheroid_partners draws for a reference inside the punctured
+    ball and raises for one outside it."""
+    random_spheroid_partners(np.array([[0.25, 0.25], [0.25, 0.75]]), 1, 0)
     # det = 1/4 exactly, det = 0, trace != 1
     for x in (0.5 * np.eye(2), P0, np.diag([0.3, 0.3])):
         with pytest.raises(DegenerateSpec, match="^reference effect must lie in the open punctured ball$"):
-            _reference_focus(x, DEFAULT_TOL)
+            random_spheroid_partners(x, 1, 0)
 
 
 def test_pair_from_projections_fixture():

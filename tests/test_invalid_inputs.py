@@ -65,7 +65,6 @@ from abscompat.generate import (
 )
 from abscompat.geometry import (
     PivotalSphere,
-    _reference_focus,
     ball_to_sphere,
     bloch_matrix,
     bloch_point,
@@ -76,6 +75,7 @@ from abscompat.geometry import (
     sphere_to_ball,
     spheroid_residual,
 )
+from abscompat.hermitian import is_strict
 from abscompat.io import matrix_to_json, save_matrix
 
 NAN, INF = float("nan"), float("inf")
@@ -251,6 +251,17 @@ def test_tolerances_constructor_rejects_non_positive_and_non_finite(field, value
     assert isinstance(info.value, ValueError)
 
 
+def test_a_numpy_scalar_tolerance_is_stored_as_a_float():
+    """A float32 spec is kept as a Python float, so 1 - spec keeps double
+    precision: in float32 it rounds to 1.0, and an eigenvalue just below
+    1 - spec would not be at 1."""
+    x = np.diag([1.0 - 5e-10, 0.5])
+    tol = Tolerances(spec=np.float32(1e-9))
+    assert all(type(getattr(tol, f.name)) is float for f in dataclasses.fields(tol))
+    assert is_strict(x, Tolerances(spec=1e-9)).strict is False
+    assert is_strict(x, tol) == is_strict(x, Tolerances(spec=1e-9))
+
+
 # each public generator at its smallest valid arguments, called on a seed
 GENERATORS = {
     "haar_unitary": lambda seed: haar_unitary(2, seed),
@@ -283,18 +294,25 @@ GENERATORS = {
     (lambda: haar_unitary(2, None), DomainError, "seed must be an integer, got None"),
     (lambda: random_abscompat_pair(4, 1.5), DomainError, "seed must be an integer, got 1.5"),
     (lambda: random_abscompat_pair(4, True), DomainError, "seed must be an integer, got True"),
+    (lambda: haar_unitary(0, 0), DimensionMismatch, "dimension must be positive"),
+    (lambda: random_projection(4, 9, 0), DimensionMismatch, "rank 9 outside [0, 4]"),
+    (lambda: random_orthogonal_pair(1, 0), DimensionMismatch, "need dimension at least 2"),
+    (lambda: random_spheroid_partners(A2, 0, 0), DimensionMismatch, "count must be positive"),
+    (lambda: random_strict_projection_params(0, 0), DimensionMismatch, "need at least one site"),
     *((lambda draw=draw: draw([1, 2]), DomainError, "seed must be an integer, got [1, 2]")
       for draw in GENERATORS.values()),
 ], ids=["haar-float-n", "haar-str-n", "pair-float-n", "orthogonal-float-n", "projection-float-rank",
         "params-float-sites", "partners-float-count", "haar-bool-n", "projection-bool-rank",
         "partners-bool-count", "pair-str-margin", "derive-str-seed", "haar-none-seed", "pair-float-seed",
-        "pair-bool-seed", *("%s-list-seed" % name for name in GENERATORS)])
+        "pair-bool-seed", "haar-zero-n", "projection-rank-above-n", "orthogonal-n-below-2",
+        "partners-zero-count", "params-zero-sites", *("%s-list-seed" % name for name in GENERATORS)])
 def test_generator_arguments_raise_package_errors(draw, error, message):
     """Sizes, ranks, site counts and counts that are not integers, or are
-    bools, raise DimensionMismatch, seeds that are not integers, or are
-    bools, DomainError (a float seed is not truncated, a bool is a flag,
-    and a list of seeds, which a private core would draw as a stack, is
-    no seed), and a margin that is not a number BadMargin."""
+    bools, or lie outside their range, raise DimensionMismatch, seeds
+    that are not integers, or are bools, DomainError (a float seed is not
+    truncated, a bool is a flag, and a list of seeds, which a private core
+    would draw as a stack, is no seed), and a margin that is not a number
+    BadMargin."""
     with pytest.raises(error, match="^%s$" % re.escape(message)):
         draw()
 
@@ -334,8 +352,6 @@ def test_reference_effect_errors_keep_their_class(reference, error):
         spheroid_residual(reference, [B2])
     with pytest.raises(error):
         random_spheroid_partners(reference, 2, 1)
-    with pytest.raises(error):
-        _reference_focus(reference, DEFAULT_TOL)
 
 
 @pytest.mark.parametrize("partners, kind", [(0.5, "float"), (None, "NoneType")], ids=["number", "none"])

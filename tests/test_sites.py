@@ -28,8 +28,6 @@ from abscompat.canonical import (
     StrictProjectionParams,
     StrictUnitaryParams,
     _embed,
-    _pivot_unitary,
-    _projection_blocks,
     _site_pairs,
     canonicalize,
     conjugate_to_pivot,
@@ -44,9 +42,8 @@ from abscompat.canonical import (
     strict_unitary_from_params,
 )
 from abscompat.compat import _built_pair, _sylvester_bounds
-from abscompat.errors import NotStrictProjection, NotUnitary, PostconditionFailure
+from abscompat.errors import NotProjection, NotStrictProjection, NotUnitary, PostconditionFailure
 from abscompat.generate import (
-    _site_params,
     derive_seed,
     random_abscompat_pair,
     random_pair_params,
@@ -54,17 +51,8 @@ from abscompat.generate import (
     random_strict_unitary_params,
 )
 from abscompat.geometry import decompose_pair_m2
-from abscompat.hermitian import (
-    _ROUNDING,
-    _hnorm_upto,
-    _per_matrix,
-    _projection,
-    _require,
-    _strict_rows,
-    as_matrix,
-    dagger,
-    identity_like,
-)
+from abscompat.hermitian import _ROUNDING, as_matrix, dagger, identity_like, require_hermitian
+from conftest import _eig_norm
 
 NUMBER = re.compile(r"[-+]?\d\.\d{3}e[-+]\d+")
 
@@ -72,32 +60,55 @@ NUMBER = re.compile(r"[-+]?\d\.\d{3}e[-+]\d+")
 # --- the embedded checks, as they were before they moved to the sites ---
 
 
+def _sites(x) -> SiteBlockMatrix:
+    """x as site blocks: a SiteBlockMatrix as it is, a matrix extracted."""
+    return x if isinstance(x, SiteBlockMatrix) else SiteBlockMatrix.extract(x)
+
+
+def _gate(ok, error, message: str, *values) -> None:
+    """Raises error(message % values) unless ok holds everywhere, reading
+    each value of ok's shape at the first failing element in C order."""
+    ok = np.asarray(ok)
+    if ok.all():
+        return
+    at = np.argmin(ok)
+    raise error(message % tuple(np.asarray(v).flat[at] if np.shape(v) == ok.shape else v for v in values))
+
+
+def _strict(vals, tol):
+    """Whether every |value| along the last axis is inside (tol.spec, 1 - tol.spec)."""
+    vals = np.abs(vals)
+    return np.all((tol.spec < vals) & (vals < 1.0 - tol.spec), axis=-1)
+
+
 def _embedded_pair_from_params(x0, params, tol):
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), params.a0.shape)
     sa, sb = _site_pairs(x0, params.a0, params.w)
-    return _built_pair(_embed(sa), _embed(sb), tol,
+    return _built_pair(SiteBlockMatrix(sa).embed(), SiteBlockMatrix(sb).embed(), tol,
                        (PostconditionFailure, "constructed pair is not strict at this tolerance"))
 
 
 def _embedded_is_strict_unitary(u, tol):
-    u = canonical._sites(u)
+    u = _sites(u)
     x = as_matrix(u.embed(), stack=True)
-    dev = _hnorm_upto(dagger(x) @ x - identity_like(x), tol.unit)
-    _require(dev <= tol.unit, NotUnitary, "||U*U - I|| = %.3e > %.3e", dev, tol.unit)
-    return _per_matrix(np.all(_strict_rows(u.blocks, tol), axis=(-2, -1)))
+    dev = _eig_norm(dagger(x) @ x - identity_like(x))
+    _gate(dev <= tol.unit, NotUnitary, "||U*U - I|| = %.3e > %.3e", dev, tol.unit)
+    return np.all(_strict(u.blocks, tol), axis=(-2, -1))
 
 
 def _embedded_is_strict_projection(p, tol):
-    p = canonical._sites(p)
-    _projection(p.embed(), tol, stack=True)
+    p = _sites(p)
+    x = require_hermitian(p.embed(), tol, stack=True)
+    dev = _eig_norm(x @ x - x)
+    _gate(dev <= tol.proj, NotProjection, "||P^2 - P|| = %.3e > %.3e", dev, tol.proj)
     trace = np.real(p.entry(0, 0) + p.entry(1, 1))
     unit = np.all(np.abs(trace - 1.0) <= tol.proj, axis=-1)
-    return _per_matrix(unit & _strict_rows(np.real(p.entry(0, 0)), tol))
+    return unit & _strict(np.real(p.entry(0, 0)), tol)
 
 
 def _embedded_read(p, tol, not_strict):
-    p = canonical._sites(p)
-    _require(_embedded_is_strict_projection(p, tol), NotStrictProjection, not_strict)
+    p = _sites(p)
+    _gate(_embedded_is_strict_projection(p, tol), NotStrictProjection, not_strict)
     a0 = np.sqrt(np.real(p.entry(0, 0)))
     w = p.entry(0, 1) / (a0 * np.sqrt(1.0 - a0 * a0))
     return p, a0, w / np.abs(w)
@@ -105,16 +116,26 @@ def _embedded_read(p, tol, not_strict):
 
 def _embedded_params_from_strict_projection(p, tol):
     p, a0, w = _embedded_read(p, tol, "not a strict projection")
-    dev = _hnorm_upto(_embed(_projection_blocks(a0, w) - p.blocks), tol.proj)
-    _require(dev <= tol.proj, PostconditionFailure, "projection parameter residual %.3e", dev)
+    rebuilt = strict_projection_from_params(StrictProjectionParams(a0, w)).blocks
+    dev = _eig_norm(SiteBlockMatrix(rebuilt - p.blocks).embed())
+    _gate(dev <= tol.proj, PostconditionFailure, "projection parameter residual %.3e", dev)
     return StrictProjectionParams(a0=a0, w=w)
+
+
+def _pivot_blocks(a0, w) -> np.ndarray:
+    """The site blocks U = [[s0, -w a0], [a0, w s0]], s0 = (1 - a0^2)^(1/2),
+    with U* diag(0, 1) U the strict projection of (a0, w)."""
+    s0 = np.sqrt(1.0 - a0 * a0)
+    u = np.empty(np.shape(a0) + (2, 2), dtype=complex)
+    u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1] = s0, -w * a0, a0, w * s0
+    return u
 
 
 def _embedded_conjugate_to_pivot(p, tol):
     p, a0, w = _embedded_read(p, tol, "conjugation to the pivot needs a strict projection")
-    u = _pivot_unitary(a0, w)
-    dev = _hnorm_upto(_embed(dagger(u) @ PIVOT_0 @ u - p.blocks), tol.proj)
-    _require(dev <= tol.proj, PostconditionFailure, "pivot conjugation residual %.3e", dev)
+    u = _pivot_blocks(a0, w)
+    dev = _eig_norm(SiteBlockMatrix(dagger(u) @ PIVOT_0 @ u - p.blocks).embed())
+    _gate(dev <= tol.proj, PostconditionFailure, "pivot conjugation residual %.3e", dev)
     return SiteBlockMatrix(u)
 
 
@@ -241,16 +262,17 @@ def _site_block_cases():
             nan[..., 1, 0, 0] = np.nan
             yield "projection-nan-m%d" % m, nan
     yield "unitary-at-cut", strict_unitary_from_params(StrictUnitaryParams([0.5, 1e-10], *np.ones((3, 2)))).blocks
-    yield "projection-at-cut", _projection_blocks(np.array([0.5, 3e-5]), np.ones(2))
+    yield "projection-at-cut", strict_projection_from_params(StrictProjectionParams([0.5, 3e-5], np.ones(2))).blocks
     # idempotent in floats, so only a rebuild residual fails a tolerance below the rounding level
     yield "projection-exact", 0.5 * np.array([[[1, 1], [1, 1]], [[1, -1], [-1, 1]], [[1, 1j], [-1j, 1]]])
-    # a stack of parameters comes from the private core: a public generator takes one seed
-    seeds = [derive_seed(87, k) for k in range(3)], [derive_seed(88, k) for k in range(3)]
-    u = strict_unitary_from_params(StrictUnitaryParams(*_site_params(4, seeds[0], 0.1, 3))).blocks
-    p = strict_projection_from_params(StrictProjectionParams(*_site_params(4, seeds[1], 0.1, 1)))
+    # stacks of the draws of three seeds each
+    u = np.array([strict_unitary_from_params(random_strict_unitary_params(4, derive_seed(87, k))).blocks
+                  for k in range(3)])
+    p = np.array([strict_projection_from_params(random_strict_projection_params(4, derive_seed(88, k))).blocks
+                  for k in range(3)])
     yield "unitary-stack", u
-    yield "projection-stack", p.blocks
-    yield "projection-stack-moved", _moved(p.blocks, 1e-7, [1, 2], derive_seed(89, 4))
+    yield "projection-stack", p
+    yield "projection-stack-moved", _moved(p, 1e-7, [1, 2], derive_seed(89, 4))
 
 
 SITE_BLOCKS = {name: x for name, x in _site_block_cases()}
@@ -273,7 +295,7 @@ def test_site_block_gates_decide_as_the_embedded_checks(case, gate, tol):
     blocks, (fn, embedded), tol = SITE_BLOCKS[case], GATES[gate], GATE_TOLERANCES[tol]
     inputs = [SiteBlockMatrix(blocks)]
     if blocks.ndim == 3 and np.isfinite(blocks).all():
-        inputs.append(_embed(blocks))
+        inputs.append(SiteBlockMatrix(blocks).embed())
     for x in inputs:
         _assert_same(_outcome(lambda: fn(x, tol)), _outcome(lambda: embedded(x, tol)), 2 * blocks.shape[-3])
 

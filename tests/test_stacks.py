@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from abscompat import DEFAULT_TOL, AbscompatError, canonical, generate
+from abscompat import DEFAULT_TOL, AbscompatError, generate
 from abscompat.canonical import (
     PIVOT_0, SiteBlockMatrix, StrictProjectionParams, StrictUnitaryParams, _canonical, canonicalize,
     conjugate_to_pivot, dilate_commuting_pair, exchanged_pivot_form, is_strict_projection, is_strict_unitary,
@@ -22,10 +22,8 @@ from abscompat.compat import (
     BLOCK_NAMES,
     _canonical_order,
     _decomposed,
-    _eigh_on,
     _five_blocks,
     _pair_spectra,
-    _require_compatible,
     five_block_decompose,
     is_abs_compatible,
     is_orthogonal,
@@ -37,16 +35,13 @@ from abscompat.errors import (
     DimensionMismatch,
     DomainError,
     NotAbsolutelyCompatible,
+    NegativeSpectrum,
     NotHermitian,
     PostconditionFailure,
     TraceNotOne,
 )
 from abscompat.generate import (
-    _abscompat_pairs,
     _commuting_projection_effects,
-    _commuting_strict_pairs,
-    _orthogonal_pairs,
-    _pair_specs,
     _streams,
     _strict_effects,
     derive_seed,
@@ -63,8 +58,6 @@ from abscompat.generate import (
 )
 from abscompat.geometry import (
     BALL_CENTER,
-    _bloch,
-    _reference_focus,
     _separated,
     ball_to_sphere,
     bloch_matrix,
@@ -76,13 +69,20 @@ from abscompat.geometry import (
     spheroid_residual,
 )
 from abscompat.hermitian import (
-    _ROUNDING, _effect, _effects, _fnorm, _hermitian_pair, _hnorm, _span, dagger, hermitize, op_norm,
+    _ROUNDING, _effects, _hermitian_pair, _hnorm, dagger, hermitize, op_norm, require_hermitian,
 )
 from abscompat.properties import REGISTRY, Outcome, run
-from conftest import _sylvester_certificate, _two_call_residual
+from conftest import _eig_norm, _sylvester_certificate, _two_call_residual
 
 SIZES = (2, 4, 8, 64)
 K = 5
+
+
+def _frobenius(h):
+    """The Frobenius norm of each matrix of h, reduced by vecdot as the
+    package's Frobenius cuts reduce it, so a cut decides as theirs do."""
+    flat = h.reshape(h.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat, flat).real)
 
 
 def _pairs(n, seed):
@@ -146,14 +146,27 @@ def test_effects_take_each_spectrum_alone(n):
     ea, eb = _hermitian_pair(a, b, DEFAULT_TOL)
     va, vb = _effects(ea, eb, DEFAULT_TOL)
     for x, got, vals in ((a, ea, va), (b, eb, vb)):
-        want, want_vals = _effect(x, DEFAULT_TOL)
+        want, want_vals = _as_effect(x, DEFAULT_TOL)
         assert np.array_equal(got, want) and np.array_equal(vals, want_vals)
+
+
+def _as_effect(x, tol):
+    """(x, its ascending spectrum) for x checked as one effect, in the
+    package's order and words: made exactly Hermitian by
+    require_hermitian, then its spectrum inside [0, 1] within tol.spec."""
+    x = require_hermitian(x, tol)
+    vals = np.linalg.eigvalsh(x)
+    if vals.size and not -tol.spec <= vals[0]:
+        raise NegativeSpectrum("smallest eigenvalue %.3e < -%.3e" % (vals[0], tol.spec))
+    if vals.size and not vals[-1] <= 1.0 + tol.spec:
+        raise DomainError("largest eigenvalue %.3e exceeds 1" % vals[-1])
+    return x, vals
 
 
 def _one_at_a_time(a, b, tol):
     """Each operand validated as an effect on its own, a, then b, then the
     shapes compared."""
-    a, b = _effect(a, tol), _effect(b, tol)
+    a, b = _as_effect(a, tol), _as_effect(b, tol)
     if a[0].shape != b[0].shape:
         raise DimensionMismatch("effects of shapes %r and %r" % (a[0].shape, b[0].shape))
 
@@ -236,7 +249,7 @@ def _fresh(seed):
 
 def _reference_partners(a, count, seed, gen=None):
     """random_spheroid_partners as a per-partner loop."""
-    _, focus = _reference_focus(a, DEFAULT_TOL)
+    focus = bloch_point(a)
     gen = gen or _fresh(seed)
     partners = []
     for _ in range(count):
@@ -266,22 +279,25 @@ def test_spheroid_stats_equal_the_per_partner_loop():
         seed = derive_seed(30, i)
         a, _ = pair_from_projections(*random_pair_spec(derive_seed(seed, 1)))
         partners = random_spheroid_partners(a, 8, derive_seed(seed, 2))
-        _, focus = _reference_focus(a, DEFAULT_TOL)
+        focus = bloch_point(a)
         mirror = 2.0 * BALL_CENTER - focus
-        pts = [_bloch(hermitize(x), DEFAULT_TOL) for x in partners]
+        pts = [bloch_point(x) for x in partners]
         sums = np.array([float(np.linalg.norm(pt - focus) + np.linalg.norm(pt - mirror)) for pt in pts])
         stats = spheroid_residual(a, partners)
         assert (stats.mean, stats.spread) == (float(np.mean(sums)), float(np.max(sums) - np.min(sums))), i
 
 
 def _reference_spheroid_error(a, partners, tol):
-    """What the per-partner loop raised: each partner validated as an
-    effect, charted, then checked compatible with a, in order."""
-    a, _ = _reference_focus(a, tol)
+    """What the per-partner loop raised for a valid reference a: each
+    partner validated as an effect, charted, then checked compatible with
+    a, in order."""
+    a = require_hermitian(a, tol)
     for x in partners:
-        x, _ = _effect(x, tol)
-        _bloch(x, tol)
-        _require_compatible(_two_call_residual(a, x), tol)
+        x, _ = _as_effect(x, tol)
+        bloch_point(x, tol)
+        residual = _two_call_residual(a, x)
+        if not residual <= tol.compat:
+            raise NotAbsolutelyCompatible("residual %.3e > %.3e" % (residual, tol.compat))
     return None
 
 
@@ -330,7 +346,7 @@ def test_separation_decisions_equal_the_exact_norm(scale):
     near = np.outer(v, v).astype(complex)
     for target, message in ((near, "pivot equals the target projection"),
                             (np.eye(2) - near, "pivot equals the complement of the target")):
-        close = min(_hnorm(pivot - target), _hnorm(pivot - (np.eye(2) - target))) <= DEFAULT_TOL.proj
+        close = min(_eig_norm(pivot - target), _eig_norm(pivot - (np.eye(2) - target))) <= DEFAULT_TOL.proj
         assert close == (scale <= 1.0)
         got = _error(pair_from_projections, pivot, target, 0.5)
         assert (got == (DegenerateSpec, message)) == close
@@ -822,7 +838,7 @@ def _ref_pair_spec(seed, margin=0.05, gen=None):
     pivot = _reference_rank_one(gen)
     while True:
         target = _reference_rank_one(gen)
-        gap = float(np.min(_hnorm(np.array((pivot - target, pivot - (np.eye(2) - target))))))
+        gap = float(np.min(_eig_norm(np.array((pivot - target, pivot - (np.eye(2) - target))))))
         if gap > 0.05:
             return pivot, target, index
 
@@ -962,16 +978,17 @@ def test_a_rekeyed_philox_gives_the_stream_of_a_fresh_one():
 
 @pytest.mark.parametrize("margin", (0.05, 0.3, 0.45))
 def test_commuting_draws_keep_the_points_of_the_one_by_one_loop(margin):
-    """Each trial of a stacked commuting draw keeps the first n admissible
-    points of its stream, as the one-by-one loop does.  A margin that
-    leaves almost no point admissible raises."""
+    """Each trial of a commuting draw keeps the first n admissible points of
+    its stream, as the one-by-one loop does; a trial of a stacked draw
+    draws what it draws alone (test_stacked_draws_equal_the_per_trial_generators).
+    A margin that leaves almost no point admissible raises."""
     seeds = [derive_seed(58, i) for i in range(30)]
     for n in (1, 3, 8):
-        a, b = _commuting_strict_pairs(n, seeds, margin)
         for j, s in enumerate(seeds):
-            assert _bits((a[j], b[j])) == _bits(_ref_commuting_strict_pair(n, s, margin)), (n, j)
+            got = random_commuting_strict_pair(n, s, margin)
+            assert _bits(got) == _bits(_ref_commuting_strict_pair(n, s, margin)), (n, j)
     with pytest.raises(BadMargin, match="leaves almost no admissible pairs"):
-        _commuting_strict_pairs(2, seeds[:2], 0.4999)
+        random_commuting_strict_pair(2, seeds[0], 0.4999)
 
 
 def _open_candidates(seeds):
@@ -989,18 +1006,19 @@ def _open_candidates(seeds):
         while True:
             target = _reference_rank_one(gen)
             diffs = np.array((pivot - target, pivot - (np.eye(2) - target)))
-            frob = _fnorm(diffs)
+            frob = _frobenius(diffs)
             count += bool(np.any((frob > low) & (frob <= top)))
-            if np.all(_hnorm(diffs) > separation):
+            if np.all(_eig_norm(diffs) > separation):
                 break
     return count
 
 
 def test_draws_stay_stacked(linalg_log):
     """A 30-trial campaign draw makes at most one QR per generator, and the
-    spec draw of the m2 and geometry suites makes an eigvalsh only for a
-    candidate target with a Frobenius norm in the band, and no svd.
-    Counts, unlike timings, hold on any host."""
+    spec draw of the m2 and geometry suites, random_pair_spec trial by
+    trial, makes an eigvalsh only for a candidate target with a Frobenius
+    norm in the band, and no svd.  Counts, unlike timings, hold on any
+    host."""
     seeds = [derive_seed(32, i) for i in range(30)]
     generators = {"compat": 2, "canonical": 1, "m2": 0, "geometry": 0, "equivalences": 4}
     for name, count in generators.items():
@@ -1009,7 +1027,8 @@ def test_draws_stay_stacked(linalg_log):
             REGISTRY[name].draw(seeds, n)
             assert linalg_log.counts("qr")["qr"] <= count, (name, n)
     linalg_log.clear()
-    _pair_specs(seeds, 0.05)
+    for s in seeds:
+        random_pair_spec(s, 0.05)
     calls = linalg_log.counts("svd", "eigvalsh")
     assert calls["svd"] == 0 and calls["eigvalsh"] <= _open_candidates(seeds)
 
@@ -1053,7 +1072,7 @@ def test_canonical_check_stays_stacked(linalg_log):
         assert [(call.name, call.arg.shape) for call in linalg_log] == [("eigh", (n, n)), ("svd", (n // 2, n // 2))]
 
 
-def test_a_clustered_pair_in_a_stack_gets_its_own_bits(monkeypatch):
+def test_a_clustered_pair_in_a_stack_gets_its_own_bits(linalg_log):
     """A pair whose x0 repeats a value has a cluster in the spectrum of
     |a-b| on the positive half of 1-a-b, which only that pair refines
     with a, in one more eigh; every pair of the stack still gets the bits
@@ -1066,10 +1085,10 @@ def test_a_clustered_pair_in_a_stack_gets_its_own_bits(monkeypatch):
     pairs.insert(2, (hermitize(u @ ca @ dagger(u)), hermitize(u @ cb @ dagger(u))))
     a, b = (np.array(x) for x in zip(*pairs))
 
-    refined = []
-    monkeypatch.setattr(canonical, "_eigh_on", lambda *args: refined.append(args) or _eigh_on(*args))
+    linalg_log.clear()
     stacked = _canonical(a, b, DEFAULT_TOL)
-    assert len(refined) == 1 and refined[0][1].shape == (3, 2)
+    # the eigh of the stack 1-a-b, then that of a on the one cluster, two of x0's three sites
+    assert [call.arg.shape for call in linalg_log.of("eigh")] == [(6, 6, 6), (2, 2)]
     np.testing.assert_allclose(stacked.x0[2], x0, rtol=0.0, atol=1e-12)
     exchanged = exchanged_pivot_form(stacked)
     for j, pair in enumerate(pairs):
@@ -1115,10 +1134,9 @@ WIDTHS = [[UA, UB_KERNEL, UB_REST, NA, NB, NB], [UA, UA, UB_REST, NA, NA, NB], [
 
 def _stack(kind, n):
     seeds = [derive_seed(37, i) for i in range(12)]
-    if kind == "orthogonal":
-        return _orthogonal_pairs(n, seeds, 0.1)
-    if kind == "strict":
-        return _abscompat_pairs(n, seeds, 0.1)[1:]
+    draw = {"orthogonal": random_orthogonal_pair, "strict": random_abscompat_pair}.get(kind)
+    if draw:
+        return tuple(np.array(x) for x in zip(*(draw(n, s) for s in seeds)))
     slotted = MIXED if kind == "mixed" else WIDTHS
     pairs = [_slotted(derive_seed(38, i), n - len(slots), slots) for i, slots in enumerate(slotted)]
     return tuple(np.array(x) for x in zip(*pairs))
@@ -1147,7 +1165,7 @@ def test_five_block_stack_elements_equal_their_lone_calls(kind, n):
             alone = five_block_decompose(a[i], b[i])
             for name in BLOCK_NAMES:
                 basis = fb.bases[name][j]
-                for x, y in ((basis, alone.bases[name]), (_span(basis), alone.projections()[name]),
+                for x, y in ((basis, alone.bases[name]), (hermitize(basis @ dagger(basis)), alone.projections()[name]),
                              (fb.blocks_a[name][j], alone.blocks_a[name]),
                              (fb.blocks_b[name][j], alone.blocks_b[name])):
                     assert x.shape == y.shape and x.tobytes() == y.tobytes(), (i, name)
@@ -1248,7 +1266,7 @@ def test_spec_separation_decisions_equal_the_exact_norm(linalg_log):
         for target in (near, np.eye(2) - near):  # near the pivot, near its complement
             targets.append(target)
             diffs = np.array((pivot - target, pivot - (np.eye(2) - target)))
-            norms, frob = _hnorm(diffs), _fnorm(diffs)
+            norms, frob = _eig_norm(diffs), _frobenius(diffs)
             linalg_log.clear()
             assert _separated(pivot, target, separation).tolist() == (norms > separation).tolist(), scale
             between = bool(np.any((frob > low) & (frob <= top)))
