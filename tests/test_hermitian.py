@@ -26,7 +26,7 @@ from abscompat.hermitian import (
     op_norm,
     require_hermitian,
 )
-from abscompat.generate import _strict_effects, derive_seed, haar_unitary
+from abscompat.generate import _strict_effects, derive_seed, haar_unitary, random_projection
 
 
 def _rand_hermitian(n, seed):
@@ -59,6 +59,40 @@ def test_support_null_reject_like_require_effect(bad):
     with pytest.raises(type(ref.value)) as got:
         five_block_decompose(bad, bad)
     assert str(got.value) == str(ref.value)
+
+
+def _support_null(a):
+    """The support and null projections of the effect a: the unit_a and
+    null_a blocks of its five-block decomposition beside the zero effect."""
+    projections = five_block_decompose(a, np.zeros_like(a)).projections()
+    return projections["unit_a"], projections["null_a"]
+
+
+def test_support_null_of_a_projection():
+    # a projection p is its own support, and I - p is its kernel
+    for i in range(10):
+        n = 2 + i % 5
+        p = random_projection(n, 1 + i % (n - 1), derive_seed(46, i))
+        s, nn = _support_null(p)
+        assert op_norm(s - p) <= 1e-9
+        assert op_norm(nn - (np.eye(n) - p)) <= 1e-9
+
+
+def test_support_null_are_exact_projections_and_deterministic():
+    for i in range(15):
+        gen = np.random.Generator(np.random.Philox(key=derive_seed(47, i)))
+        n = 5
+        vals = np.concatenate([[0.0, 0.0, 1.0], gen.random(n - 3)])
+        u = haar_unitary(n, derive_seed(48, i))
+        a = hermitize((u * vals) @ dagger(u))
+        spans = _support_null(a)
+        for q, again, rank in zip(spans, _support_null(a.copy()), (1, 2)):
+            assert op_norm(q - dagger(q)) == 0.0
+            assert op_norm(q @ q - q) <= 1e-12
+            assert round(float(np.trace(q).real)) == rank
+            assert again.tobytes() == q.tobytes()
+        assert op_norm(a @ spans[0] - spans[0]) <= 1e-9
+        assert op_norm(a @ spans[1]) <= 1e-9
 
 
 def test_require_hermitian_rejects_asymmetry():
