@@ -38,8 +38,9 @@ def main():
     print("block ranks:", fb.ranks())
 
     for name in ("unit_a", "unit_b", "null_a", "null_b"):
-        print("restriction of a to %-6s:" % name, np.round(np.diag(fb.blocks_a[name]).real, 6))
-        print("restriction of b to %-6s:" % name, np.round(np.diag(fb.blocks_b[name]).real, 6))
+        # + 0.0 prints a rounded -0.0 as 0.0
+        print("restriction of a to %-6s:" % name, np.round(np.diag(fb.blocks_a[name]).real, 6) + 0.0)
+        print("restriction of b to %-6s:" % name, np.round(np.diag(fb.blocks_b[name]).real, 6) + 0.0)
 
     sa_rec = fb.blocks_a["strict"]
     sb_rec = fb.blocks_b["strict"]

@@ -84,7 +84,7 @@ from .hermitian import (
     identity_like,
 )
 from .compat import (
-    _built_pair, _certified_pair, _eigh_on, _pair_spectra, _require_compatible, _sylvester_bounds,
+    _built_pair, _certified_pair, _pair_spectra, _require_compatible, _sylvester_bounds,
 )
 from .io import matrix_to_json
 
@@ -474,7 +474,7 @@ def _joint_eigenbasis(a, lam_plus, v_plus, gap: float):
         w = identity_like(a_pp)
         for idx in cluster_indices(lam_plus[i], gap):
             if len(idx) > 1:
-                w[:, idx] = _eigh_on(a_pp, w[:, idx])[0]
+                w[:, idx] = w[:, idx] @ np.linalg.eigh(hermitize(dagger(w[:, idx]) @ a_pp @ w[:, idx]))[1]
         f_plus[i] = v_plus[i] @ w
         x0[i] = np.sum(np.abs(w) ** 2 * x0[i][:, None], axis=0)
     return f_plus, x0

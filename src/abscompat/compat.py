@@ -15,15 +15,9 @@ reported residual is a certified upper bound within its tolerance and
 the exact norm above it.  So is_abs_compatible factorizes 1-a-b alone,
 and a-b only for a pair the bound leaves open; canonical.canonicalize
 takes the same bound from the eigh of 1-a-b its form comes from.
-Five-block decomposes first and certifies the pair from its own blocks
-(_blocks_bound): the strict block by its own Sylvester bound, from an
-eigh of 1-a-b compressed to it, and the four outer blocks by their
-distances from 1 and 0 and their partners' spectra, which the eigh of a
-and of b on a's kernel give, with one eigvalsh of b on unit_a.  That
-bound also certifies both operands as effects.  So on a pair with all
-five blocks a five-block call makes 4 eigh and 1 eigvalsh, and the only
-n x n one is the eigh of a; only a pair its blocks leave open takes the
-whole pair's eigh of 1-a-b, reusing the eigh of a and the blocks.
+Five-block certifies and decomposes the pair from that same eigh, as
+Halmos' decomposition of two projections it gives (_five_blocks), and
+takes one more eigh on each side of the first where its blocks settle.
 
 is_abs_compatible and projection_compat_equiv take stacks of pairs and
 run each in one pass: a stack raises at the first check that any pair
@@ -104,13 +98,15 @@ def _canonical_order(a, b):
     return np.where(swap, b, a), np.where(swap, a, b)
 
 
-def _pair_spectra(a, b, bound):
+def _pair_spectra(a, b, bound, spectra=None):
     """|| |a-b| + |1-a-b| - 1 ||, for a residual that is compared with
     bound: a value within the bound is a certified upper bound on the
     exact residual, and a value above it is the exact residual.  It is
     first bounded from one eigh of 1-a-b (_sylvester_bounds), and only a
     pair that bound leaves open takes the eigh of a-b and its residual
-    Frobenius-first (_hnorm_upto).  No matrix is factorized twice.
+    Frobenius-first (_hnorm_upto).  No matrix is factorized twice:
+    spectra, when given, is that eigh, taken by the caller on the pair in
+    its canonical order.
 
     a and b may be stacks of pairs of one shape; the residual is then an
     array.  Each pair is put in a canonical order before any
@@ -123,7 +119,7 @@ def _pair_spectra(a, b, bound):
     """
     a, b = _canonical_order(a, b)
     one = identity_like(a)
-    zvals, zvecs = np.linalg.eigh(one - a - b)
+    zvals, zvecs = np.linalg.eigh(one - a - b) if spectra is None else spectra
     residual, certified = _sylvester_bounds(a, b, zvals, zvecs, bound)
     if np.all(certified):
         return _per_matrix(residual)
@@ -162,9 +158,9 @@ def _sylvester_bounds(a, b, zvals, zvecs, bound):
     plus the rounding of 1-a-b, and the computed V diag(zvals-) V* is
     (c + E)- up to the departure of V from a unitary, about n u.  The
     Hilbert-Schmidt continuity of x -> |x| (|| |S| - |T| ||_F <=
-    ||S - T||_F for Hermitian S and T, as in _blocks_bound) carries
-    over to x- = (|x| - x)/2, so ||(c + E)- - c-||_F <= ||E||_F, and by
-    Weyl's inequality mu >= 1 - max|zvals| - ||E||.  The product ab + ba
+    ||S - T||_F for Hermitian S, T; Bhatia, Matrix Analysis, ch. X)
+    carries over to x- = (|x| - x)/2, so ||(c + E)- - c-||_F <= ||E||_F,
+    and by Weyl's inequality mu >= 1 - max|zvals| - ||E||.  The product ab + ba
     rounds by about n u ||a|| ||b||, where ||a + b|| = ||1 - c|| <= 2
     and ||d||^2 <= ||X^2|| + ||Z|| <= 1 + ||Z||, so each of ||a||, ||b||
     is below about 2 wherever ||Z|| is small.  delta(n) = _ROUNDING n =
@@ -200,13 +196,13 @@ def _require_compatible(residual, tol: Tolerances) -> None:
 
 
 def _built_pair(a, b, tol: Tolerances, not_strict, incompatible="constructed pair residual %.3e",
-                sites: bool = False, compatible=np.False_):
+                sites: bool = False, strict: bool = False, compatible: bool = False):
     """(a, b), a pair a construction built, or stacks of such pairs, once
     both are strict (one eigvalsh of the stack [a, b]) and their residual
     is within tol.compat; otherwise raises not_strict, an (error, message)
-    pair, or PostconditionFailure(incompatible % residual).  compatible
-    masks the pairs a caller has certified compatible already; the
-    residual is taken unless every pair is.
+    pair, or PostconditionFailure(incompatible % residual).  strict and
+    compatible say that a caller has certified every pair so, and skip
+    the eigvalsh and the residual.
 
     With sites=True, a and b are the (..., m, 2, 2) site blocks of pairs
     with exact zeros off their sites, and each pair is checked on its
@@ -217,21 +213,22 @@ def _built_pair(a, b, tol: Tolerances, not_strict, incompatible="constructed pai
     leaves open takes its own exact residual, so the whole check makes
     2x2 factorizations only.
     """
-    va, vb = np.linalg.eigvalsh(np.stack([a, b]))
-    _require(_strict_rows(va, tol) & _strict_rows(vb, tol), *not_strict)
-    if not np.all(compatible):
+    if not strict:
+        va, vb = np.linalg.eigvalsh(np.stack([a, b]))
+        _require(_strict_rows(va, tol) & _strict_rows(vb, tol), *not_strict)
+    if not compatible:
         residual = _over_sites(_pair_spectra(a, b, tol.compat), sites)
         _require(residual <= tol.compat, PostconditionFailure, incompatible, residual)
     return a, b
 
 
-def _certified_pair(a, b, tol: Tolerances):
-    """(_pair_spectra(a, b, tol.compat), vals) for Hermitian a and b, or
-    stacks of them, of one shape and with no entry beyond 1 + tol.spec,
-    as hermitian._hermitian_pair returns them; vals is None when the
-    residual certifies both as effects and the spectra (va, vb) of
-    _effects otherwise.  Raises what _effects raises, in its order, when
-    they are not effects.
+def _certified_pair(a, b, tol: Tolerances, spectra=None):
+    """(_pair_spectra(a, b, tol.compat, spectra), vals) for Hermitian a
+    and b, or stacks of them, of one shape and with no entry beyond
+    1 + tol.spec, as hermitian._hermitian_pair returns them; vals is None
+    when the residual certifies both as effects and the spectra (va, vb)
+    of _effects otherwise.  Raises what _effects raises, in its order,
+    when they are not effects.
 
     A small residual proves both operands are effects.  With c = 1-a-b,
     d = a-b, their positive and negative parts c+, c-, d+, d- and
@@ -262,7 +259,7 @@ def _certified_pair(a, b, tol: Tolerances):
     [-r/2, 1 + r/2] and only the final eigvalsh's rounding is left for
     delta(n): r + delta(n) <= tol.spec still certifies both operands.
     """
-    residual = _pair_spectra(a, b, tol.compat)
+    residual = _pair_spectra(a, b, tol.compat, spectra)
     if np.all(residual + _ROUNDING * a.shape[-1] <= tol.spec):
         return residual, None
     return residual, _effects(a, b, tol)
@@ -341,15 +338,10 @@ def five_block_decompose(a, b, tol: Tolerances = DEFAULT_TOL) -> FiveBlockDecomp
     """Split an absolutely compatible pair into its five blocks.
 
     Overlaps land in the earliest eligible block of unit_a, unit_b, null_a,
-    null_b.  For a compatible pair the eigenspaces of a at 1 and at 0
-    reduce b, so one eigh of a cuts the space into unit_a, the kernel K
-    of a, and the rest R; one eigh of b compressed to K splits it into
-    its b = 1 part (unit_b) and null_a; one eigh of b compressed to R
-    splits it into its b = 1 part (unit_b), its b = 0 part (null_b) and
-    the strict block.  _reduced_blocks checks the reduction claim.  The
-    pair runs through _five_blocks as a batch of one, which certifies it
-    from its own blocks (_blocks_bound) and takes the whole pair's
-    certificate only where that bound leaves it open.
+    null_b.  With c = 1-a-b, the blocks are Halmos' decomposition of
+    Q = 1(c < 0) and P = (1-|c|)^-1 (a - c-): unit_a where both hold,
+    unit_b where only Q does, null_b where only P does, null_a where
+    neither does, and the strict block for the rest (_five_blocks).
     """
     a, b = _hermitian_pair(a, b, tol)
     _, ((_, blocks),) = _five_blocks(a, b, tol)
@@ -365,93 +357,68 @@ def _five_blocks(a, b, tol: Tolerances):
     Ellipsis for one pair, and the record's arrays are stacked in the
     order of at).
 
-    Each pair is decomposed first (_decomposed), and its residual bounded
-    from its blocks (_blocks_bound).  Where that bound is within
-    tol.compat, and within tol.spec by the rounding allowance, it is the
-    residual returned: it certifies both operands as effects and the pair
-    as compatible.  Only the pairs it leaves open take the whole pair's
-    certificate (_certified_pair), and they take it before any block
-    postcondition raises, so every pair raises what certifying it first
-    raises: the effect checks, then tol.compat, then the blocks.  Every
-    postcondition holds for every pair; a stack raises at the first check
-    some pair of it fails.
-    """
-    residual, parts = _decomposed(a, b, tol)
-    open_ = np.logical_not((residual <= tol.compat) & (residual + _ROUNDING * a.shape[-1] <= tol.spec))
-    if np.any(open_):
-        residual[open_] = _certified_pair(a[open_], b[open_], tol)[0]
-        _require_compatible(residual[open_], tol)
-    out = []
-    for where, bases, blocks_a, blocks_b, reduction, strict, compatible, outer in parts:
-        _require_reduced(*reduction, tol)
-        _verify_block_contents(blocks_a, blocks_b, tol, strict, compatible, outer)
-        out.append((where, FiveBlockDecomposition(bases, blocks_a, blocks_b)))
-    return _per_matrix(residual), out
+    One eigh of c = 1-a-b on the whole stack certifies every pair first
+    (_certified_pair), so a pair raises the effect checks, then
+    tol.compat, before any block check, and then gives the blocks.  With
+    d = a-b, X = 1 - |c| and 2e = X - |d|, exactly a = c- + d+ + e, and
+    where X is invertible P = X^-1/2 (a - c-) X^-1/2 is a projection
+    commuting with X exactly when e = 0: if e = 0, |d| = X, so
+    d+ = X 1(d > 0) and P = 1(d > 0); conversely b - c- = X - X^1/2 P X^1/2
+    makes d = X^1/2 (2P - 1) X^1/2, so such a P gives |d| = X.  Then
+    a = c- + XP and b = c- + X(1-P), and Q = 1(c < 0) commutes with X and
+    P, so on the intersections of Q and P (Halmos, Two subspaces, Trans.
+    AMS 144, 1969) a = 1 on Q^P, unit_a; b = 1 on Q^P', unit_b; b = 0 on
+    Q'^P, null_b; a = 0 on Q'^P', null_a.  On an eigenspace of X at x0,
+    a = (1-x0) Q + x0 P, the paper's form with pivot Q, and the generic
+    part of (Q, P) is a sum of planes at angles t in (0, pi/2), where a
+    has trace 1 and determinant x0 (1-x0) sin^2 t, and b the same with
+    cos^2 t: the strict block.  Where |c| = 1 (at the _levels cut), P is
+    not defined but a = b = c-, so those vectors go straight to unit_a
+    (c = -1) or null_a (c = 1), the earlier eligible block.  Where c = 0,
+    |d| = 1, a = P and b = 1 - a, so on the Q side Q^P = unit_a and
+    Q^P' = unit_b are again the earlier blocks: the Q side takes every
+    eigenvector with c <= tol.spec, where b = 1 - c or a = 1 - c is at 1.
 
-
-def _decomposed(a, b, tol: Tolerances):
-    """(bound, parts) for Hermitian a and b of one shape, or stacks: the
-    five blocks of each pair, before any check of them raises.  bound is
-    _blocks_bound over the leading axes; parts holds one (at, bases,
-    blocks_a, blocks_b, reduction, strict, compatible, outer) per pattern
-    of block ranks: reduction is what _require_reduced checks, strict and
-    compatible mask the pairs whose strict blocks are certified so, and
-    outer is the largest Frobenius distance of an outer block from 1 or
-    0 (_outer).
-
-    The eigh of a runs on the whole stack.  eigh sorts each spectrum in
-    ascending order, so the kernel of a is a prefix of its eigenvectors,
-    its eigenspace at 1 a suffix and the rest between them; the pairs
-    with the same counts slice the same columns, and each such group
-    takes one eigh of b on the kernel and one on the rest.  Those spectra
-    ascend too, so the pairs of a group are grouped again by their counts
-    at 1 and 0, which fix the columns of every block, and each of those
-    groups takes its blocks and their bounds as one stack: one eigh of
-    1-a-b on the strict block and one eigvalsh of b on unit_a, each at
-    the block's size.  The strict block of a pair is strict when the
-    spectra it interlaces clear the cut (_strict_by_interlacing) and
-    compatible when its own Sylvester bound is within tol.compat
-    (_strict_sylvester); only the pairs that these certificates leave
-    open take _built_pair on their strict blocks, and only for what they
-    leave open, so no strict block is factorized twice.
+    One eigh of P compressed to each side (_halmos_vectors) gives vectors
+    spanning its two intersections and its half of the generic part, and
+    each is put in the first of unit_a, unit_b, null_a, null_b whose
+    operand's Rayleigh quotient is at its level, or in the strict block.
+    On an intersection that operand's quotient is exactly 1 or 0, and a
+    vector whose partner is at a level too is eligible for both blocks
+    and passes the earlier test first, on either side; a generic vector's
+    quotients lie between the strict block's extreme eigenvalues, which
+    its check keeps off both cuts.  So the overlap order holds.  Pairs
+    with the same side counts are compressed as one stack, and those with
+    the same ranks checked as one (_require_reduced,
+    _verify_block_contents).
     """
     n = a.shape[-1]
-    vals, vecs = np.linalg.eigh(a)
-    outside = _outside(vals)
-    norms = np.abs(vals).max(axis=-1, initial=0.0) + _fnorm(b)
-    bound = np.empty(a.shape[:-2])
-    parts = []
-    for at, (units, zeros) in _patterns(_level_counts(vals, tol)):
-        v, ga, gb = vecs[at], a[at], b[at]
-        kernel, kvals = _eigh_on(gb, v[..., :zeros])
-        rest, rvals = _eigh_on(gb, v[..., zeros:n - units])
-        counts = np.concatenate([_level_counts(kvals, tol)[..., :1], _level_counts(rvals, tol)], axis=-1)
-        for inner, (unit_k, unit_r, zero_r) in _patterns(counts):
+    ordered = _canonical_order(a, b)
+    zvals, zvecs = np.linalg.eigh(identity_like(a) - ordered[0] - ordered[1])
+    residual = _certified_pair(a, b, tol, (zvals, zvecs))[0]
+    _require_compatible(residual, tol)
+    # per pair, how many eigenvalues of c are at -1, on the Q side (a prefix) and at 1 (a suffix)
+    sides = [_levels(-zvals, tol)[0], zvals <= tol.spec, _levels(zvals, tol)[0]]
+    out = []
+    for at, (units, q, nulls) in _patterns(np.stack([np.count_nonzero(m, axis=-1) for m in sides], axis=-1)):
+        v, lam, ga, gb = zvecs[at], zvals[at], a[at], b[at]
+        halves = [_halmos_vectors(ga, v[..., s], lam[..., s]) for s in (slice(units, q), slice(q, n - nulls))]
+        w = np.concatenate([v[..., :units], *halves, v[..., n - nulls:]], axis=-1)
+        aw, bw = ga @ w, gb @ w
+        (unit_a, null_a), (unit_b, null_b) = (_levels(np.vecdot(w, x, axis=-2).real, tol) for x in (aw, bw))
+        # each vector's block, as an index into BLOCK_NAMES
+        labels = np.select([unit_a, unit_b, null_a, null_b], [0, 1, 3, 4], 2)
+        labels[..., :units], labels[..., n - nulls:] = 0, 3
+        ranks = np.stack([np.count_nonzero(labels == k, axis=-1) for k in range(len(BLOCK_NAMES))], axis=-1)
+        for inner, widths in _patterns(ranks):
+            by_block = np.argsort(labels[inner], axis=-1, kind="stable")[..., None, :]
             where = _within(at, inner)
-            k, r = kernel[inner], rest[inner]
-            top = r.shape[-1] - unit_r
-            bases = {
-                "unit_a": v[inner][..., n - units:],
-                "unit_b": np.concatenate([k[..., zeros - unit_k:], r[..., top:]], axis=-1),
-                "strict": r[..., zero_r:top],
-                "null_a": k[..., :zeros - unit_k],
-                "null_b": r[..., :zero_r],
-            }
-            blocks_a, blocks_b, *reduction = _reduced_blocks(ga[inner], gb[inner], bases)
-            strict = _strict_by_interlacing(vals[where][..., zeros:n - units], rvals[inner][..., zero_r:top],
-                                            n, tol)
-            outer = np.max([_fnorm(dev) for _, _, dev in _outer(blocks_a, blocks_b)], axis=0)
-            partners = [outside[where], _outside(kvals[inner]), _outside_spectrum(blocks_b["unit_a"])]
-            sylvester = _strict_sylvester(blocks_a["strict"], blocks_b["strict"], tol)
-            bound[where] = _blocks_bound(sylvester, outer, np.max(partners, axis=0), reduction[1], norms[where], n)
-            parts.append((where, bases, blocks_a, blocks_b, reduction, strict, sylvester <= tol.compat, outer))
-    return bound, parts
-
-
-def _level_counts(vals, tol: Tolerances) -> np.ndarray:
-    """How many eigenvalues of each ascending spectrum are at 1, a suffix,
-    and at 0, a prefix (_levels), over the leading axes."""
-    return np.stack([np.count_nonzero(m, axis=-1) for m in _levels(vals, tol)], axis=-1)
+            bases, blocks_a, blocks_b, mats, frob = _reduced_blocks(
+                *(np.take_along_axis(x[inner], by_block, axis=-1) for x in (w, aw, bw)), widths)
+            _require_reduced(mats, frob, tol)
+            _verify_block_contents(blocks_a, blocks_b, tol, _strict_bound(np.asarray(residual)[where], frob, n, tol))
+            out.append((where, FiveBlockDecomposition(bases, blocks_a, blocks_b)))
+    return residual, out
 
 
 def _patterns(counts) -> list:
@@ -470,61 +437,51 @@ def _within(outer, inner):
     return inner if outer is Ellipsis else tuple(ix[inner] for ix in outer)
 
 
-def _eigh_on(x, w):
-    """eigh of x compressed to the columns of w: (w times the eigenvectors,
-    the eigenvalues)."""
-    vals, vecs = np.linalg.eigh(hermitize(dagger(w) @ x @ w))
-    return w @ vecs, vals
+def _halmos_vectors(a, v, lam):
+    """v times the eigenvectors of P = X^-1/2 (v*av - diag(c-)) X^-1/2,
+    X = 1 - |lam|, for columns v of the eigh of c = 1-a-b with eigenvalues
+    lam, none at -1 or 1; v itself, with no factorization, when it has
+    no column."""
+    if not v.shape[-1]:
+        return v
+    scale = 1.0 / np.sqrt(1.0 - np.abs(lam))
+    minus = identity_like(v) * np.maximum(-lam, 0.0)[..., None, :]
+    p = (hermitize(dagger(v) @ a @ v) - minus) * (scale[..., :, None] * scale[..., None, :])
+    return v @ np.linalg.eigh(p)[1]
 
 
-def _outside(vals):
-    """How far each ascending spectrum reaches outside [0, 1], over the
-    leading axes; 0 for an empty one."""
-    return np.maximum(-vals[..., :1], vals[..., -1:] - 1.0).max(axis=-1, initial=0.0)
-
-
-def _outside_spectrum(x):
-    """_outside of the spectrum of each Hermitian matrix of x, from one
-    eigvalsh; 0 for 0x0 matrices, which take none."""
-    return _outside(np.linalg.eigvalsh(x)) if x.shape[-1] else np.zeros(x.shape[:-2])
-
-
-def _reduced_blocks(a, b, bases):
-    """(blocks_a, blocks_b, mats, frob): the compressions of a and b to the
-    five blocks, for stacks pair by pair, with what _require_reduced
-    checks them by, the matrices V*V - I and the off-block parts of V*aV
-    and V*bV, V being the bases side by side, and their Frobenius norms
-    (eps, delta_a, delta_b) over leading axes."""
-    v = np.concatenate(list(bases.values()), axis=-1)
-    widths = [w.shape[-1] for w in bases.values()]
-    owner = np.repeat(np.arange(len(bases)), widths)
+def _reduced_blocks(v, av, bv, widths):
+    """(bases, blocks_a, blocks_b, mats, frob) from the five blocks'
+    columns v side by side, widths[k] of them for BLOCK_NAMES[k], and
+    av = a v, bv = b v: the compressions of a and b to each block, and
+    what _require_reduced checks, V*V - I and the off-block parts of V*aV
+    and V*bV, with their Frobenius norms (eps, delta_a, delta_b)."""
+    owner = np.repeat(np.arange(len(widths)), widths)
     on_block = owner[:, None] == owner[None, :]
     gram = dagger(v) @ v - identity_like(v)
-    ms = [hermitize(dagger(v) @ x @ v) for x in (a, b)]
+    ms = [hermitize(dagger(v) @ x) for x in (av, bv)]
     mats = [gram] + [np.where(on_block, 0.0, m) for m in ms]
     # owner repeats each block's label over its width: block k owns edges[k]:edges[k + 1]
-    edges = np.cumsum([0] + widths)
-    blocks_a, blocks_b = ({name: m[..., s:e, s:e].copy() for name, s, e in zip(bases, edges[:-1], edges[1:])}
-                          for m in ms)
-    return blocks_a, blocks_b, mats, np.array([_fnorm(x) for x in mats])
+    edges = np.cumsum([0, *widths])
+    bases, blocks_a, blocks_b = ({name: x[..., lo:hi, lo:hi].copy() if square else x[..., lo:hi]
+                                  for name, lo, hi in zip(BLOCK_NAMES, edges[:-1], edges[1:])}
+                                 for x, square in ((v, False), (ms[0], True), (ms[1], True)))
+    return bases, blocks_a, blocks_b, mats, np.array([_fnorm(x) for x in mats])
 
 
 def _require_reduced(mats, frob, tol: Tolerances) -> None:
     """Raises unless the blocks of _reduced_blocks reduce both operands;
     for stacks, pair by pair.
 
-    Let V be the bases side by side, eps = ||V*V - I|| and, for x = a, b,
-    delta the off-block mass of V*xV.  Then ||V||^2 <= 1 + eps and:
-      - the projections V_k V_k* sum to VV*, and ||VV* - I|| = eps;
-      - each is idempotent and any two are orthogonal up to (1 + eps) eps;
-      - each commutes with x, and the blocks rebuild x, up to
-        (1 + eps) (delta + 2 eps ||x||), where ||x|| <= 1 + tol.spec for a
-        validated or certified effect.
-    So the two checks below enforce the sum, idempotence, orthogonality,
-    commutation and reconstruction postconditions at tol.proj and
-    tol.block.  Both bounds grow with eps and delta, so they are first
-    taken with the Frobenius norms frob, which are never below the
-    operator norms; only a pair they do not settle takes them exactly.
+    With V the bases side by side, eps = ||V*V - I|| and delta the
+    off-block mass of V*xV, x = a, b: ||V||^2 <= 1 + eps, the projections
+    V_k V_k* sum to VV* with ||VV* - I|| = eps, each is idempotent and
+    any two are orthogonal up to (1 + eps) eps, and each commutes with x,
+    and the blocks rebuild x, up to (1 + eps) (delta + 2 eps ||x||), with
+    ||x|| <= 1 + tol.spec for a certified effect.  So the two checks below
+    enforce all five postconditions at tol.proj and tol.block.  They take
+    the Frobenius norms frob first, never below the operator norms, and
+    only a pair those do not settle takes the exact norms.
     """
     eps, bounds = _reduction_bounds(frob, tol)
     open_ = np.logical_not(((1.0 + eps) * eps <= tol.proj) & np.all(bounds <= tol.block, axis=0))
@@ -547,119 +504,62 @@ def _reduction_bounds(norms, tol):
     return eps, (1.0 + eps) * (norms[1:] + 2.0 * eps * (1.0 + tol.spec))
 
 
-def _strict_by_interlacing(rest_a, middle_b, n: int, tol: Tolerances):
-    """Whether the strict block of each pair of n x n effects is certified
-    strict: a's eigenvalues on the rest, rest_a, and b's on the strict
-    block, middle_b, all clear the _levels cut by _ROUNDING n.
-
-    The strict basis is W Q, with W the computed eigenvectors of a on the
-    rest and Q orthonormal eigenvectors of W*bW.  W*aW is diag(rest_a)
-    and Q*(W*bW)Q is diag(middle_b), each up to the backward error of its
-    eigh (p(n) u ||x||, LAPACK Users' Guide, section 4.7) and the
-    rounding of the products (about n u ||x||), with ||x|| <= 1 + tol.spec
-    for an effect.  By Cauchy interlacing the spectrum of Q* diag(rest_a) Q
-    lies between the extremes of rest_a, and by Weyl's inequality the
-    eigenvalues that _built_pair's eigvalsh computes for the compressions
-    of a and b lie within those errors of rest_a's range and of
-    middle_b.  _ROUNDING n = 2e3 n u covers them, as in _certified_pair,
-    so when every value clears the cut by it, that eigvalsh would find
-    both compressions strict.
-    """
-    return _strict_rows(np.concatenate([rest_a, middle_b], axis=-1), tol, _ROUNDING * n)
+def _verify_block_contents(blocks_a, blocks_b, tol: Tolerances, bound) -> None:
+    """The unit and null blocks are 1 and 0, and the strict blocks, unless
+    0x0, strict and absolutely compatible, for each pair of stacked
+    blocks: their residual is taken unless bound, an upper bound on it
+    (_strict_bound), is within tol.compat for every pair, and their
+    spectra unless the Cholesky gate certifies them (_certified_strict)."""
+    outer = ("unit_a", blocks_a, 1.0), ("unit_b", blocks_b, 1.0), ("null_a", blocks_a, 0.0), ("null_b", blocks_b, 0.0)
+    for name, blocks, target in outer:
+        dev = _hnorm_upto(blocks[name] - target * identity_like(blocks[name]), tol.block)
+        _require(dev <= tol.block, PostconditionFailure, "restriction to %s is not %r", name, target)
+    sa, sb = blocks_a["strict"], blocks_b["strict"]
+    if sa.shape[-1]:
+        _built_pair(sa, sb, tol, (PostconditionFailure, "strict block has spectrum touching 0 or 1"),
+                    "strict block not absolutely compatible, residual %.3e", strict=_certified_strict(sa, sb, tol),
+                    compatible=bool(np.all(bound <= tol.compat)))
 
 
-def _strict_sylvester(sa, sb, tol: Tolerances):
-    """The Sylvester bound on the compatibility residual of each strict
-    block (sa, sb), from one eigh of 1 - sa - sb at the block's size
-    (_sylvester_bounds), where it is within tol.compat; inf where it is
-    not, and 0 for 0x0 blocks, over leading axes."""
-    if not sa.shape[-1]:
-        return np.zeros(sa.shape[:-2])
-    zvals, zvecs = np.linalg.eigh(identity_like(sa) - sa - sb)
-    s, certified = _sylvester_bounds(sa, sb, zvals, zvecs, tol.compat)
-    return np.where(certified, s, np.inf)
+def _strict_bound(residual, frob, n: int, tol: Tolerances):
+    """An upper bound on the compatibility residual of the strict block of
+    each pair of n x n effects, from the residual that certified the
+    whole pair and frob = (eps, delta_a, delta_b) of _reduced_blocks.
 
-
-def _blocks_bound(strict, outer, partners, frob, norms, n: int):
-    """A bound s on the compatibility residual r of each pair of n x n
-    Hermitian (a, b) from its five blocks: strict, the strict block's
-    Sylvester bound (_strict_sylvester); outer, the largest ||X - 1||_F
-    or ||X||_F of the four outer blocks, X the compression of the operand
-    that is 1 or 0 there; partners, the largest distance from [0, 1] of
-    the spectra of a (eigh), of b on the kernel of a (its eigh) and of b
-    on unit_a (an eigvalsh); frob = (eps, delta_a, delta_b), the
-    Frobenius norms of V*V - I and of the off-block parts of V*aV and
-    V*bV (_reduced_blocks); norms, ||a|| + ||b|| from above, as the
-    largest |eigenvalue| of a plus ||b||_F.
-
-    Write f(x, y) = |x-y| + |1-x-y| - 1, so r = ||f(a, b)||.  For
-    Hermitian S and T, || |S| - |T| ||_F <= ||S - T||_F, the
-    Hilbert-Schmidt form of the continuity of S -> |S| (Kato 1973;
-    Bhatia, Matrix Analysis, ch. X), which carries no log factor: in
-    eigenbases of S and T the entries of |S| - |T| are
-    (|s_i| - |t_j|) c_ij and those of S - T are (s_i - t_j) c_ij.  So
-    ||f(x, y) - f(x', y')||_F <= 2 (||x - x'||_F + ||y - y'||_F), and:
-      - V = UP with U unitary and P = (V*V)^(1/2), so ||P - I||_F <= eps
-        and ||V*xV - U*xU||_F <= eps (2 + eps) ||x||; f(U*aU, U*bU) =
-        U* f(a, b) U has norm r;
-      - dropping the off-block parts moves f by at most 2 (delta_a +
-        delta_b) and leaves a block diagonal pair, whose f is block
-        diagonal, so its norm is the largest block's;
-      - the strict block's f has norm at most strict;
-      - on an outer block one operand is X, near t = 1 or 0, and for
-        the partner Y, f(t, Y) = |1 - Y| + |Y| - 1 whichever t is, whose
-        norm is twice the distance of Y's spectrum from [0, 1]; moving t
-        to X moves f by at most 2 ||X - t||_F.  Y's spectrum is in
-        partners: b on unit_a takes the eigvalsh, b on null_a is
-        diag(kvals) on part of the kernel, and a on unit_b and on null_b
-        is a compressed to columns of its own eigenvectors, so its
-        spectrum lies in the range of a's (Cauchy interlacing).
-    So
-
-        r <= max(strict, 2 (outer + partners)) + 2 (delta_a + delta_b)
-             + 2 eps (2 + eps) (||a|| + ||b||),
-
-    and s adds delta(n) = _ROUNDING n, which covers the rounding of the
-    compressions and the norms and the backward errors of the eigh and
-    eigvalsh behind the spectra (p(n) u ||x||, LAPACK Users' Guide,
-    section 4.7), about n u each, with ||x|| near 1 wherever s is small,
-    as in _certified_pair.
-
-    s certifies more than r <= s.  By _certified_pair's identity the
-    spectra of a and b lie in [-s/2, 1 + s/2], so s + delta(n) <=
-    tol.spec puts them where the validating eigvalsh accepts: both
-    operands are certified effects.  And s exceeds the exact residual by
-    about delta(n), more than the rounding of the residual from two eigh
-    (below 2.3 n eps, measured for n from 2 to 256), so a pair with
-    s <= tol.compat is one the whole pair's certificate passes too.
+    With f(x, y) = |x-y| + |1-x-y| - 1, || |S| - |T| ||_F <= ||S - T||_F
+    for Hermitian S, T (Kato 1973; Bhatia, Matrix Analysis, ch. X) gives
+    ||f(x, y) - f(x', y')||_F <= 2 (||x - x'||_F + ||y - y'||_F).  With
+    V = UP, U unitary, ||P - I||_F <= ||P^2 - I||_F = eps, so V*xV is
+    within eps (2 + eps) (1 + tol.spec) of U*xU for an effect x, and
+    f(U*aU, U*bU) = U* f(a, b) U; dropping the off-block parts moves f by
+    at most 2 (delta_a + delta_b) and leaves f(sa, sb) on the strict
+    block.  delta(n) = _ROUNDING n covers the rounding of the products
+    and of a residual taken exactly, as in _certified_pair.
     """
     eps, delta_a, delta_b = frob
-    return (np.maximum(strict, 2.0 * (outer + partners)) + 2.0 * (delta_a + delta_b)
-            + 2.0 * eps * (2.0 + eps) * norms + _ROUNDING * n)
+    return residual + 2.0 * (delta_a + delta_b) + 4.0 * eps * (2.0 + eps) * (1.0 + tol.spec) + _ROUNDING * n
 
 
-def _outer(blocks_a, blocks_b):
-    """(name, target, X - target) of each outer block, X the compression
-    of the operand that is target there, in the order they are checked."""
-    sides = (("unit_a", blocks_a, 1.0), ("unit_b", blocks_b, 1.0), ("null_a", blocks_a, 0.0),
-             ("null_b", blocks_b, 0.0))
-    return [(name, target, side[name] - target * identity_like(side[name])) for name, side, target in sides]
+def _certified_strict(sa, sb, tol: Tolerances) -> bool:
+    """Whether every pair of k x k strict blocks (sa, sb) is certified
+    strict: one Cholesky of the stack sa - t, (1 - t) - sa, sb - t and
+    (1 - t) - sb, t = tol.spec + _ROUNDING k, runs to completion.
 
-
-def _verify_block_contents(blocks_a, blocks_b, tol, strict, compatible, outer):
-    """The unit and null blocks are 1 and 0, and the strict blocks, unless
-    they are 0x0, are strict and absolutely compatible, for each pair of
-    stacked blocks.  strict and compatible mask, over leading axes, the
-    pairs whose strict blocks are certified so: _built_pair checks the
-    others, and takes the residual only where compatible does not hold.
-    outer, the largest Frobenius distance of an outer block from 1 or 0,
-    settles all four outer checks when it is within tol.block."""
-    if not np.all(outer <= tol.block):
-        for name, target, dev in _outer(blocks_a, blocks_b):
-            _require(_hnorm_upto(dev, tol.block) <= tol.block, PostconditionFailure,
-                     "restriction to %s is not %r", name, target)
-    open_ = np.logical_not(strict & compatible)
-    if blocks_a["strict"].shape[-1] and np.any(open_):
-        _built_pair(blocks_a["strict"][open_], blocks_b["strict"][open_], tol,
-                    (PostconditionFailure, "strict block has spectrum touching 0 or 1"),
-                    "strict block not absolutely compatible, residual %.3e", compatible=compatible[open_])
+    A Cholesky of a Hermitian H that completes in floating point is exact
+    for H + E with ||E|| <= g(k+1) tr(H), g(m) about m u (Demmel, LAPACK
+    Working Note 14, 1989; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, Thm 10.5), and tr(H) <= k (1 + tol.spec) here.  So
+    every eigenvalue of sa and sb clears the cut by _ROUNDING k -
+    g(k+1) k (1 + tol.spec), above 900 k u for k up to 256, far more than
+    the rounding of the eigvalsh it spares (below 3 k u measured, as in
+    _certified_pair), which would find both strict too.
+    """
+    low = tol.spec + _ROUNDING * sa.shape[-1]
+    h = np.stack([sa, -sa, sb, -sb])
+    diag = np.einsum("...ii->...i", h)
+    diag += np.reshape([-low, 1.0 - low, -low, 1.0 - low], (4,) + (1,) * (sa.ndim - 1))
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True

@@ -138,10 +138,9 @@ def op_norm(x):
 
 
 def _hnorm(h):
-    """Operator norm of a Hermitian matrix, its largest |eigenvalue|, over
-    the last two axes: a float for one matrix, an array for a stack."""
-    if h.size == 0:
-        return _per_matrix(np.zeros(h.shape[:-2]))
+    """Operator norm of a nonempty Hermitian matrix, its largest
+    |eigenvalue|, over the last two axes: a float for one matrix, an
+    array for a stack."""
     return _per_matrix(np.abs(np.linalg.eigvalsh(h)).max(axis=-1))
 
 

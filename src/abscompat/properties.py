@@ -85,12 +85,12 @@ def _draw_compat(seeds, n):
 def _check_compat(x, tol):
     """The definition identity on (a, b); on the orthogonal pair (oa, ob),
     ab = 0, a + b <= 1 and absolute compatibility hold together, and the
-    five-block decomposition of the whole batch passes its checks, one
-    computation per pattern of block ranks (compat._five_blocks).  Each
-    residual follows the package's one rule, a certified upper bound
-    within its tolerance and the exact norm above it: the pair residual
-    is is_abs_compatible's, and the orthogonal residual is the bound the
-    decomposition's certificate took."""
+    five-block decomposition of the whole batch passes its checks, from
+    one eigh of 1-a-b on the batch (compat._five_blocks).  Each residual
+    follows the package's one rule, a certified upper bound within its
+    tolerance and the exact norm above it: the pair residual is
+    is_abs_compatible's, and the orthogonal residual is the Sylvester
+    bound from the eigh the decomposition comes from."""
     a, b, oa, ob = x["a"], x["b"], x["oa"], x["ob"]
     fwd = is_abs_compatible(a, b, tol)
     rev = is_abs_compatible(b, a, tol)
@@ -226,7 +226,7 @@ def _off_block_mass(x, bases):
 def _check_fiveblock(x, tol):
     """The five blocks reduce both effects; the strict block has the assembled
     rank, and its compressions are strict and absolutely compatible.  The
-    trials of each size run through five_block_decompose's core as one stack."""
+    trials of each size run through five-block's one eigh of 1-a-b as one stack."""
     out = np.empty((4, len(x["a"])))
     for members in _grouped(len(a) for a in x["a"]).values():
         a, b = (np.array([x[name][i] for i in members]) for name in "ab")

@@ -13,7 +13,7 @@ import pytest
 from abscompat import compat
 from abscompat.hermitian import dagger, hermitize, identity_like
 
-LINALG = ("eigh", "eigvalsh", "svd", "qr", "det", "norm")
+LINALG = ("eigh", "eigvalsh", "svd", "qr", "det", "norm", "cholesky")
 
 
 @dataclass

@@ -147,11 +147,10 @@ def test_five_block_assembled():
 
         fb = five_block_decompose(a, b)
         assert fb.ranks() == {"unit_a": 1, "unit_b": 1, "strict": 4, "null_a": 1, "null_b": 1}
-        # both cut a at 1 with the same eigh, from 1 - tol.spec up
+        # unit_a is the eigenspace of a at 1, from 1 - tol.spec up
         vals, vecs = np.linalg.eigh(a)
         v = vecs[:, vals >= 1.0 - DEFAULT_TOL.spec]
-        unit_a = hermitize(v @ dagger(v))
-        assert unit_a.tobytes() == fb.projections()["unit_a"].tobytes()
+        assert op_norm(hermitize(v @ dagger(v)) - fb.projections()["unit_a"]) <= DEFAULT_TOL.proj
 
         proj = fb.projections()
         total = sum(proj.values())
@@ -166,8 +165,8 @@ def test_five_block_assembled():
 @pytest.mark.parametrize("slots", [(1, 1, 1, 1), (0, 2, 0, 1), (0, 0, 0, 0)])
 def test_reduced_blocks_are_the_index_grid_compressions(slots):
     """Each block owns a contiguous range of the bases side by side, so the
-    compression of x to it is its slice of V*xV, bit for bit the grid the
-    block's mask picks out, empty blocks included."""
+    compression of x to it is its slice of V*(xV), bit for bit the grid
+    the block's mask picks out, empty blocks included."""
     a, b = random_abscompat_pair(4, derive_seed(73, sum(slots)))
     dim = 4 + sum(slots)
     big_a, big_b = np.zeros((dim, dim), dtype=complex), np.zeros((dim, dim), dtype=complex)
@@ -182,7 +181,7 @@ def test_reduced_blocks_are_the_index_grid_compressions(slots):
     v = np.hstack(list(bases.values()))
     owner = np.repeat(np.arange(len(bases)), [w.shape[1] for w in bases.values()])
     for got, x in zip((fb.blocks_a, fb.blocks_b), (big_a, big_b)):
-        m = hermitize(dagger(v) @ x @ v)
+        m = hermitize(dagger(v) @ (x @ v))
         for k, name in enumerate(bases):
             want = m[np.ix_(owner == k, owner == k)]
             assert got[name].shape == want.shape and got[name].tobytes() == want.tobytes(), name

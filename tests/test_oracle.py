@@ -1,7 +1,8 @@
-"""High-precision oracle: canonicalize and its certificates, the
-five-block bound on a pair's residual from its blocks, the Sylvester
-bound on the compatibility residual and the site-wise postcondition of
-pair_from_params checked against 50-digit arithmetic (mpmath) at n <= 6.
+"""High-precision oracle: canonicalize and its certificates, the strict
+blocks five-block returns and the Cholesky gate on their strictness, the
+Sylvester bound on the compatibility residual and the site-wise
+postcondition of pair_from_params checked against 50-digit arithmetic
+(mpmath) at n <= 8.
 
 Every float input converts to mpmath exactly, so the oracle's values are
 those of the very matrices the library saw, to about 1e-50: the exact
@@ -15,9 +16,11 @@ import math
 import numpy as np
 import pytest
 
-from abscompat import DEFAULT_TOL, canonical, cli, compat
-from abscompat.canonical import StrictProjectionParams, _site_pairs, canonicalize, pair_from_params
-from abscompat.compat import _decomposed, five_block_decompose
+from abscompat import DEFAULT_TOL, AbscompatError, canonical, cli, compat
+from abscompat.canonical import (
+    SiteBlockMatrix, StrictProjectionParams, _site_pairs, canonicalize, pair_from_params,
+)
+from abscompat.compat import five_block_decompose
 from abscompat.generate import derive_seed, haar_unitary, random_abscompat_pair
 from abscompat.errors import PostconditionFailure
 from abscompat.hermitian import _ROUNDING, _hermitian_pair, dagger, hermitize, identity_like
@@ -210,13 +213,14 @@ def test_reported_residuals_are_never_below_the_oracle(tmp_path):
 SLOTS = [(1.0, 0.5), (0.3, 1.0), (0.0, 0.7), (0.6, 0.0)]
 
 
-def _assembled(k, slots, move, scale, seed):
-    """A strict k x k pair beside diagonal slots, under a Haar conjugation,
-    with b moved by a Hermitian of Frobenius norm scale: inside the
-    strict block (move "strict"), which moves the residual, or coupling
-    the strict coordinates to the slots ("coupling"), which tilts the
-    blocks and moves no eigenvalue of b at 0 or 1 to first order."""
-    sa, sb = random_abscompat_pair(k, derive_seed(seed, 1))
+def _assembled(k, slots, move, scale, seed, strict=None):
+    """A strict k x k pair, or the pair strict, beside diagonal slots,
+    under a Haar conjugation, with b moved by a Hermitian of Frobenius
+    norm scale: inside the strict block (move "strict"), which moves the
+    residual, or coupling the strict coordinates to the slots
+    ("coupling"), which tilts the blocks and moves no eigenvalue of b at
+    0 or 1 to first order."""
+    sa, sb = strict or random_abscompat_pair(k, derive_seed(seed, 1))
     n = k + len(slots)
     a, b = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
     a[:k, :k], b[:k, :k] = sa, sb
@@ -234,47 +238,78 @@ def _assembled(k, slots, move, scale, seed):
 MOVES = [("strict", 0.0)] + [(move, scale) for move in ("strict", "coupling") for scale in (1e-11, 2.5e-9)]
 
 
-def test_blocks_bound_against_the_oracle():
-    """The bound from its blocks that lets five_block_decompose skip the
-    whole pair's eigh of 1-a-b, less its rounding allowance, is never
-    below the exact residual of the whole pair, on exact and moved
-    assembled pairs, and the pairs put the bound on both sides of
-    tol.compat."""
-    sides = set()
-    for k, slots in ((2, SLOTS[:2]), (2, SLOTS), (4, SLOTS[2:])):
-        for move, scale in MOVES:
-            for seed in range(2):
-                a, b = _assembled(k, slots, move, scale, derive_seed(60 + k, seed + 10 * len(slots)))
-                n = a.shape[-1]
-                bound = _decomposed(a, b, DEFAULT_TOL)[0]
-                exact = _compat_residual(_mat(a), _mat(b))
-                assert bound - _ROUNDING * n >= exact, (k, len(slots), move, scale, seed, bound, exact)
-                sides.add(bool(bound <= DEFAULT_TOL.compat))
-    assert sides == {True, False}
+def _near_cut(offset, side):
+    """A strict-by-construction 4x4 pair whose side has a smallest
+    eigenvalue tol.spec + offset * _ROUNDING * 4, below the cut for a
+    negative offset: two sites, at x0 = 0.5 with lam (1 - lam) =
+    x0 a0^2 (1 - x0) for a and x0 (1 - a0^2)(1 - x0) for b, and at
+    x0 = 0.3."""
+    lam = DEFAULT_TOL.spec + offset * _ROUNDING * 4
+    sq = 4.0 * lam * (1.0 - lam)
+    a0 = [math.sqrt(sq if side == "a" else 1.0 - sq), 0.6]
+    sites = _site_pairs(np.array([0.5, 0.3]), np.array(a0), np.ones(2, dtype=complex))
+    return tuple(SiteBlockMatrix(x).embed() for x in sites)
 
 
-def test_coupled_pairs_decompose_by_the_whole_pair_certificate(monkeypatch):
+# the slots where the other effect is 0 or 1, beside a near-cut eigenvalue of side a or b
+NEAR_CUT_SLOTS = {"a": [(0.0, 0.7), (0.3, 1.0)], "b": [(0.7, 0.0), (1.0, 0.3)]}
+
+
+def _recorded(monkeypatch, name) -> list:
+    """The values compat's function name returns from here on."""
+    fn, seen = getattr(compat, name), []
+    monkeypatch.setattr(compat, name, lambda *args: seen.append(fn(*args)) or seen[-1])
+    return seen
+
+
+def test_five_block_results_against_the_oracle(monkeypatch):
+    """Whatever five_block_decompose returns has strict blocks that are
+    strict and compatible at 50 digits: their exact spectra clear the
+    cut, which the Cholesky gate (compat._certified_strict) certifies
+    without a spectrum, and their exact residual is within tol.compat and
+    below the bound from the whole pair's residual and the off-block
+    norms (compat._strict_bound); a pair it cannot decompose raises.  The
+    pairs are exact and moved assembled pairs, and strict pairs with an
+    eigenvalue on either side of the cut beside slots, so the gate both
+    certifies strict blocks and leaves them to their eigvalsh, and the
+    bound both settles them and leaves them to their own residual."""
+    verdicts, bounds = _recorded(monkeypatch, "_certified_strict"), _recorded(monkeypatch, "_strict_bound")
+    pairs = [_assembled(k, slots, move, scale, derive_seed(60 + k, seed + 10 * len(slots)))
+             for k, slots in ((2, SLOTS[:2]), (2, SLOTS), (4, SLOTS[2:])) for move, scale in MOVES
+             for seed in range(2)]
+    pairs += [_assembled(4, NEAR_CUT_SLOTS[side], "strict", 0.0, derive_seed(64, seed), _near_cut(offset, side))
+              for offset in (-0.5, 0.5, 2.0) for side in "ab" for seed in range(2)]
+    raised = 0
+    for a, b in pairs:
+        try:
+            fb = five_block_decompose(a, b)
+        except AbscompatError:
+            raised += 1
+            continue
+        sa, sb = _mat(fb.blocks_a["strict"]), _mat(fb.blocks_b["strict"])
+        for x in (sa, sb):
+            vals = _eigvals(x)
+            assert DEFAULT_TOL.spec < vals[0] and vals[-1] < 1 - DEFAULT_TOL.spec, vals
+        exact = _compat_residual(sa, sb)
+        assert exact <= DEFAULT_TOL.compat and exact <= bounds[-1], (exact, bounds[-1])
+    assert set(verdicts) == {True, False} and raised
+    assert {bool(bound <= DEFAULT_TOL.compat) for bound in bounds} == {True, False}
+
+
+def test_coupled_pairs_decompose_by_the_whole_pair_certificate():
     """b coupling the strict block to the slots (Frobenius 2.5e-9) tilts
     the blocks: the whole pair's residual, about 1e-9, is itself past
     what certifies the operands as effects, so these compatible pairs
-    take the whole pair's certificate; their strict blocks, whose exact
-    residuals stay near 1e-15, settle by their own Sylvester bounds, so
-    _built_pair does not run."""
-    ran = []
-
-    def spy(fn):
-        return lambda *args, **kwargs: ran.append(fn.__name__) or fn(*args, **kwargs)
-
-    for name in ("_certified_pair", "_built_pair"):
-        monkeypatch.setattr(compat, name, spy(getattr(compat, name)))
+    are validated by their spectra.  They still decompose with the slots'
+    ranks, the residual their certificate took is not below the 50-digit
+    residual of the whole pair, and their strict blocks' exact residuals
+    stay near 1e-15."""
     for k, slots in ((2, SLOTS), (4, SLOTS[2:])):
         for seed in range(2):
             a, b = _assembled(k, slots, "coupling", 2.5e-9, derive_seed(60 + k, seed + 10 * len(slots)))
-            bound = _decomposed(a, b, DEFAULT_TOL)[0]
-            assert bound + _ROUNDING * a.shape[-1] > DEFAULT_TOL.spec
-            ran.clear()
-            fb = five_block_decompose(a, b)
-            assert ran == ["_certified_pair"]
+            residual, ((_, fb),) = compat._five_blocks(*_hermitian_pair(a, b, DEFAULT_TOL), DEFAULT_TOL)
+            assert residual + _ROUNDING * a.shape[-1] > DEFAULT_TOL.spec
+            assert residual >= _compat_residual(_mat(a), _mat(b))
             assert fb.ranks()["strict"] == k
             strict = _compat_residual(_mat(fb.blocks_a["strict"]), _mat(fb.blocks_b["strict"]))
             assert strict <= 1e-13

@@ -21,7 +21,6 @@ from abscompat.canonical import (
 from abscompat.compat import (
     BLOCK_NAMES,
     _canonical_order,
-    _decomposed,
     _five_blocks,
     _pair_spectra,
     five_block_decompose,
@@ -137,7 +136,7 @@ def test_norms_of_a_stack_equal_batches_of_one(n):
         assert isinstance(_hnorm(h[i]), float) and isinstance(op_norm(x[i]), float)
         assert hnorms[i] == _hnorm(h[i]) == float(np.max(np.abs(np.linalg.eigvalsh(h[i]))))
         assert onorms[i] == op_norm(x[i]) == float(np.linalg.norm(x[i], 2))
-    assert op_norm(np.zeros((0, 0))) == 0.0 and _hnorm(np.zeros((0, 0))) == 0.0
+    assert op_norm(np.zeros((0, 0))) == 0.0
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -1151,13 +1150,14 @@ def test_five_block_stack_elements_equal_their_lone_calls(kind, n):
     """Every pair of a stack, whichever pattern of block ranks it has, gets
     the bases, blocks and projections of its own five_block_decompose, and
     the residual its certificate took has the bits of the pair's own: the
-    bound from its blocks, which settles every pair here, whatever the
-    pairs beside it in the stack."""
+    Sylvester bound from the eigh of 1-a-b that is_abs_compatible takes,
+    which settles every pair here, whatever the pairs beside it in the
+    stack."""
     a, b = _stack(kind, n)
     residual, groups = _five_blocks(a, b, DEFAULT_TOL)
     alone = [_five_blocks(x, y, DEFAULT_TOL)[0] for x, y in zip(a, b)]
     assert residual.tobytes() == np.array(alone).tobytes()
-    assert residual.tobytes() == _decomposed(a, b, DEFAULT_TOL)[0].tobytes()
+    assert residual.tobytes() == is_abs_compatible(a, b).residual.tobytes()
     assert np.all(residual + _ROUNDING * n <= DEFAULT_TOL.spec)
     seen = []
     for at, fb in groups:
@@ -1184,16 +1184,15 @@ def test_compat_check_stays_stacked(linalg_log):
     """The compat check of a 30-trial batch makes a fixed number of
     numpy.linalg calls per pattern of block ranks, where one five-block
     call per trial made seven per trial: the orthogonal pairs are
-    certified from their blocks, and their 0x0 strict blocks take no
-    factorization.  The
-    residual of the pairs takes one eigh of the stack 1-a-b, whose
-    Sylvester bound certifies every pair, so a-b takes none.  At every
-    size, a lone call puts its operands in one eigvalsh: the two effects
-    of an uncertified pair, and the three matrices of the exact
-    five-block bounds, where the lone pair is a stack of one, after the
-    eigvalsh of b on unit_a that the bound from the blocks takes.  Each matrix
-    gets the bits it gets alone.  Counts, unlike timings, hold on any
-    host."""
+    certified by the Sylvester bound of their one stacked eigh of 1-a-b,
+    and their 0x0 strict blocks take no factorization.  The residual of
+    the pairs takes one eigh of the stack 1-a-b, whose Sylvester bound
+    certifies every pair, so a-b takes none.  At every size, a lone call
+    puts its operands in one eigvalsh: the two effects of an uncertified
+    pair, and the three matrices of the exact five-block bounds, where
+    the lone pair is a stack of one; the Cholesky gate settles the
+    strictness of its strict block.  Each matrix gets the bits it gets
+    alone.  Counts, unlike timings, hold on any host."""
     seeds = [derive_seed(39, i) for i in range(30)]
     prop = REGISTRY["compat"]
     batches = {n: prop.draw(seeds, n) for n in prop.sizes}
@@ -1214,7 +1213,7 @@ def test_compat_check_stays_stacked(linalg_log):
         linalg_log.clear()
         with pytest.raises(PostconditionFailure, match="off-block bound"):
             five_block_decompose(a, b, DEFAULT_TOL.override(block=1e-15))
-        _assert_shapes_and_lone_bits(linalg_log, [(1, 1), (3, 1, n, n)])
+        _assert_shapes_and_lone_bits(linalg_log, [(3, 1, n, n)])
 
 
 # (property, size): {residual: (the Tolerances field its bound reads, the
