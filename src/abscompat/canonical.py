@@ -20,21 +20,23 @@ only outputs are embedded into full matrices.
 `canonicalize` runs on the private core `_canonical` over (..., n, n)
 stacks of pairs, of which a single pair is a batch of one with no
 leading axis.  The core takes same-shape pairs whose entries are within
-1 + tol.spec (hermitian._hermitian_pair), nonempty and of even size
-(canonicalize): every step is one computation on the whole stack that
+1 + tol.spec (hermitian._hermitian_pair), and raises on an empty or
+odd-sized one: every step is one computation on the whole stack that
 gives each pair the bits it gets alone, and only a pair whose 1-a-b
 spectrum clusters takes a step of its own.  The core returns the
 CanonicalForm, of one pair or of a stack, with the reconstruction it
 checked, and exchanged_pivot_form keeps the pair it checks in the same
-way.  The form comes from one eigh of 1-a-b, whose positive half
-gives x0 and the site pairing.  The same eigh certifies the pair
-compatible, by the Sylvester bound of compat._sylvester_bounds, and
-the form's reconstruction certifies both operands as strict effects,
-by Weyl's inequality (_weyl_margin), which needs only an upper bound on
-the reconstruction residual, its Frobenius norm.  So a canonicalize
-call makes 1 eigh, no eigvalsh and 1 svd; a pair the certificates leave
-open is validated by _certified_pair and both spectra, which adds 1
-eigh and 2 eigvalsh where the Sylvester bound settles its residual.
+way.  The form comes from the eigh of 1-a-b that compat._pair_spectra
+takes of the pair in its canonical order, whose positive half gives x0
+and the site pairing, so outside clusters x0 is symmetric in (a, b) to
+the last bit.  The same call bounds the compatibility residual from it
+(compat._sylvester_bounds), or takes it exactly where that bound falls
+short, and the form's reconstruction certifies both operands as strict
+effects, by Weyl's inequality (_weyl_margin), which needs only an upper
+bound on the reconstruction residual, its Frobenius norm.  So a
+canonicalize call makes 1 eigh, no eigvalsh and 1 svd.  A pair the
+certificates leave open is validated on that residual and both spectra
+(_validated): 1 eigvalsh of the pair, and 1-a-b is factorized no more.
 
 Site layout: site k occupies coordinates 2k and 2k+1 of the full matrix.
 It holds the M2 pair of geometry.py with pivot P0, target P and index x0[k],
@@ -83,9 +85,7 @@ from .hermitian import (
     hermitize,
     identity_like,
 )
-from .compat import (
-    _built_pair, _certified_pair, _pair_spectra, _require_compatible, _sylvester_bounds,
-)
+from .compat import _built_pair, _certified_effects, _pair_spectra, _require_compatible
 from .io import matrix_to_json
 
 PIVOT_0 = np.diag([0.0, 1.0]).astype(complex)
@@ -381,7 +381,7 @@ def dilate_commuting_pair(a, b, tol: Tolerances = DEFAULT_TOL):
     a1 = np.block([[a @ a, ab], [ab, one - a @ a]])
     b1 = np.block([[b @ b, -ab], [-ab, one - b @ b]])
     a1, b1 = hermitize(a1), hermitize(b1)
-    residual = _pair_spectra(a1, b1, tol.compat)
+    residual = _pair_spectra(a1, b1, tol.compat)[0]
     _require(residual <= tol.compat, PostconditionFailure, "dilated pair residual %.3e", residual)
     return a1, b1
 
@@ -482,57 +482,59 @@ def _joint_eigenbasis(a, lam_plus, v_plus, gap: float):
 
 def _canonical(a, b, tol: Tolerances) -> CanonicalForm:
     """canonicalize of the same-shape a and b of _hermitian_pair, whose
-    entries are within 1 + tol.spec, nonempty and of even size, or of
-    each pair of two (..., n, n) stacks: each step runs once on the whole
-    stack, and a stack raises at the first step some pair of it fails.
+    entries are within 1 + tol.spec, or of each pair of two (..., n, n)
+    stacks: each step runs once on the whole stack, and a stack raises at
+    the first step some pair of it fails.
 
-    The form is recovered first (_recovered), from one eigh of 1-a-b,
-    and that eigh and the form settle the pair when both certificates
-    hold for every pair (_certified_form).  Otherwise, and whenever the
-    recovery raises, _validated runs first and raises what the pair
-    fails, so a pair that is not an effect, of odd size, not strict or
-    not compatible raises that error ahead of any error of the recovery;
-    a pair it passes keeps the recovered form, or raises the recovery's
-    error.
+    compat._pair_spectra, the one factorization of 1-a-b, gives the
+    residual and the eigh of the pair in its canonical order; an empty or
+    odd-sized pair raises in _validated.  The form is recovered from that
+    eigh (_recovered), and the residual and the form settle the pair when
+    both certificates hold for every pair (_certified_form).  Otherwise,
+    and whenever the recovery raises, _validated runs first and raises
+    what the pair fails, so a pair that is not an effect, of odd size,
+    not strict or not compatible raises that error ahead of any error of
+    the recovery; a pair it passes keeps the recovered form, or raises
+    the recovery's error.
     """
-    lam, vecs = np.linalg.eigh(identity_like(a) - a - b)
+    residual, (lam, vecs) = _pair_spectra(a, b, tol.compat)
+    if not a.size or a.shape[-1] % 2:
+        _validated(a, b, residual, tol)
     try:
         cf = _recovered(a, b, lam, vecs, tol)
     except AbscompatError:
-        _validated(a, b, tol)
+        _validated(a, b, residual, tol)
         raise
-    if not np.all(_certified_form(a, b, cf, lam, vecs, tol)):
-        _validated(a, b, tol)
+    if not np.all(_certified_form(cf, residual, tol)):
+        _validated(a, b, residual, tol)
     return cf
 
 
-def _validated(a, b, tol: Tolerances) -> None:
+def _validated(a, b, residual, tol: Tolerances) -> None:
     """Raises what the pair, or the first failing check over a stack,
-    fails, in this order: the effect checks of _certified_pair, an odd
-    size, strictness (one eigvalsh of [a, b] when the residual certified
-    the effects), then compatibility, on _certified_pair's residual: it
-    runs where the certificates failed."""
-    residual, vals = _certified_pair(a, b, tol)
+    fails, in this order: the effect checks (compat._certified_effects),
+    an odd size, strictness (one eigvalsh of [a, b] when the residual
+    certified the effects), then compatibility, all on residual,
+    _pair_spectra's: it runs where the certificates failed."""
+    vals = _certified_effects(a, b, residual, tol)
     if a.shape[-1] % 2:
         raise OddDimension("canonical form needs even dimension, got %d" % a.shape[-1])
     _require_strict(*(vals or np.linalg.eigvalsh(np.stack([a, b]))), tol)
     _require_compatible(residual, tol)
 
 
-def _certified_form(a, b, cf: CanonicalForm, lam, vecs, tol: Tolerances):
-    """Whether each pair of n x n Hermitian (a, b), over leading axes, is
-    certified absolutely compatible by the Sylvester bound from the eigh
-    (lam, vecs) of 1-a-b (compat._sylvester_bounds, whose rounding
-    allowance covers 1-a-b in either operand order), and as two strict
-    effects by its recovered form cf: every site eigenvalue clears the
-    _levels cut by the Weyl margin (_weyl_margin)."""
-    certified = _sylvester_bounds(a, b, lam, vecs, tol.compat)[1]
+def _certified_form(cf: CanonicalForm, residual, tol: Tolerances):
+    """Whether each pair, over leading axes, is certified absolutely
+    compatible by its residual from compat._pair_spectra, within
+    tol.compat, and as two strict effects by its recovered form cf: every
+    site eigenvalue clears the _levels cut by the Weyl margin
+    (_weyl_margin)."""
     spread, sq = cf.x0 * (1.0 - cf.x0), cf.a0 * cf.a0
     p = np.concatenate([spread * sq, spread * (1.0 - sq)], axis=-1)
     # the smaller root of lam (1 - lam) = p, where p < (1 - tol.spec)/4 by
     # the gates on d; the larger root, 1 - lam, clears the same cut
     low = 2.0 * p / (1.0 + np.sqrt(1.0 - 4.0 * p))
-    return certified & _strict_rows(low, tol, _weyl_margin(cf, tol)[..., None])
+    return (residual <= tol.compat) & _strict_rows(low, tol, _weyl_margin(cf, tol)[..., None])
 
 
 def _weyl_margin(cf: CanonicalForm, tol: Tolerances):
@@ -623,10 +625,7 @@ def canonicalize(a, b, tol: Tolerances = DEFAULT_TOL) -> CanonicalForm:
     the polar factor of the off-diagonal block of a aligns the negative
     half with the positive one and absorbs the phase gauge (so w = 1).
     """
-    a, b = _hermitian_pair(a, b, tol)
-    if not a.size or a.shape[-1] % 2:
-        _validated(a, b, tol)
-    return _canonical(a, b, tol)
+    return _canonical(*_hermitian_pair(a, b, tol), tol)
 
 
 def _exchanged_sites(x0, a0):
@@ -671,8 +670,11 @@ def exchanged_pivot_form(cf: CanonicalForm, tol: Tolerances = DEFAULT_TOL) -> Ex
     effect picks up diag(1,0) instead.
     """
     _record(cf, CanonicalForm, "cf")
-    # diag(1,-1) U: a sign flip of each site's second row, which is exact
-    u = cf.u0 @ dagger(SiteBlockMatrix(_pivot_unitary(cf.a0, cf.w) * [[1.0], [-1.0]]).embed())
+    # diag(1,-1) U: a sign flip of each site's second row, which is exact;
+    # V is site-diagonal, so u0 V* mixes each site's column pair of u0 alone
+    v = _pivot_unitary(cf.a0, cf.w) * [[1.0], [-1.0]]
+    pairs = np.swapaxes(cf.u0.reshape(cf.u0.shape[:-1] + (cf.m, 2)), -2, -3)
+    u = np.swapaxes(pairs @ dagger(v), -2, -3).reshape(cf.u0.shape)
     rebuilt = _conjugate_pair(u, _exchanged_sites(cf.x0, cf.a0))
     err = np.maximum(*(_hnorm_upto(e - r, tol.canon) for e, r in zip(rebuilt, cf.reconstruct())))
     _require(err <= tol.canon, PostconditionFailure, "pivot exchange residual %.3e", err)

@@ -8,16 +8,17 @@ where b vanishes, and a strict remainder.
 A check is settled by the cheapest certificate that settles it, and a
 factorization runs only when the certificate is inconclusive: a small
 compatibility residual proves both operands are effects
-(_certified_pair), a Sylvester bound from the one eigh of 1-a-b proves
+(_certified_effects), a Sylvester bound from the one eigh of 1-a-b proves
 the residual is small (_sylvester_bounds), and a Frobenius norm within
 a bound proves the operator norm is too (hermitian._hnorm_upto).  Every
 reported residual is a certified upper bound within its tolerance and
 the exact norm above it.  So is_abs_compatible factorizes 1-a-b alone,
 and a-b only for a pair the bound leaves open; canonical.canonicalize
-takes the same bound from the eigh of 1-a-b its form comes from.
-Five-block certifies and decomposes the pair from that same eigh, as
-Halmos' decomposition of two projections it gives (_five_blocks), and
-takes one more eigh on each side of the first where its blocks settle.
+takes its form from the eigh of 1-a-b that bound comes from, which
+_pair_spectra hands back.  Five-block certifies and decomposes the
+pair from that same eigh, as Halmos' decomposition of two projections
+it gives (_five_blocks), and takes one more eigh on each side of the
+first where its blocks settle.
 
 is_abs_compatible and projection_compat_equiv take stacks of pairs and
 run each in one pass: a stack raises at the first check that any pair
@@ -98,36 +99,36 @@ def _canonical_order(a, b):
     return np.where(swap, b, a), np.where(swap, a, b)
 
 
-def _pair_spectra(a, b, bound, spectra=None):
-    """|| |a-b| + |1-a-b| - 1 ||, for a residual that is compared with
-    bound: a value within the bound is a certified upper bound on the
-    exact residual, and a value above it is the exact residual.  It is
-    first bounded from one eigh of 1-a-b (_sylvester_bounds), and only a
-    pair that bound leaves open takes the eigh of a-b and its residual
-    Frobenius-first (_hnorm_upto).  No matrix is factorized twice:
-    spectra, when given, is that eigh, taken by the caller on the pair in
-    its canonical order.
+def _pair_spectra(a, b, bound):
+    """(r, (zvals, zvecs)): r = || |a-b| + |1-a-b| - 1 ||, for a residual
+    that is compared with bound, and the eigh of 1-a-b of the pair in its
+    canonical order, which r is bounded from.  A value of r within the
+    bound is a certified upper bound on the exact residual, and a value
+    above it is the exact residual.  r is first bounded from the eigh of
+    1-a-b (_sylvester_bounds), and only a pair that bound leaves open
+    takes the eigh of a-b and its residual Frobenius-first (_hnorm_upto).
+    This is the one place that factorizes 1-a-b: callers that need its
+    spectrum, as five-block and canonicalize do, take the eigh returned.
 
-    a and b may be stacks of pairs of one shape; the residual is then an
-    array.  Each pair is put in a canonical order before any
-    floating-point work, so the residual is symmetric in (a, b) to the
-    last bit.  The two halves are composed apart, each on its own, so one
-    pair's products are plain 2-D products.  A Sylvester bound is never
-    below the exact residual and a Frobenius-first value never below the
-    computed one, and a value within the bound is one the two-eigh
-    computation puts within it too (_sylvester_bounds).
+    a and b may be stacks of pairs of one shape; r is then an array.
+    Each pair is put in a canonical order before any floating-point work,
+    so r and the eigh are symmetric in (a, b) to the last bit.  The two
+    halves are composed apart, each on its own, so one pair's products
+    are plain 2-D products.  A Sylvester bound is never below the exact
+    residual and a Frobenius-first value never below the computed one,
+    and a value within the bound is one the two-eigh computation puts
+    within it too (_sylvester_bounds).
     """
     a, b = _canonical_order(a, b)
     one = identity_like(a)
-    zvals, zvecs = np.linalg.eigh(one - a - b) if spectra is None else spectra
+    zvals, zvecs = np.linalg.eigh(one - a - b)
     residual, certified = _sylvester_bounds(a, b, zvals, zvecs, bound)
-    if np.all(certified):
-        return _per_matrix(residual)
-    at = ~certified
-    dvals, dvecs = np.linalg.eigh(a[at] - b[at])
-    excess = _compose(np.abs(dvals), dvecs) + _compose(np.abs(zvals[at]), zvecs[at]) - one
-    residual[at] = _hnorm_upto(excess, bound)
-    return _per_matrix(residual)
+    if not np.all(certified):
+        at = ~certified
+        dvals, dvecs = np.linalg.eigh(a[at] - b[at])
+        excess = _compose(np.abs(dvals), dvecs) + _compose(np.abs(zvals[at]), zvecs[at]) - one
+        residual[at] = _hnorm_upto(excess, bound)
+    return _per_matrix(residual), (zvals, zvecs)
 
 
 def _sylvester_bounds(a, b, zvals, zvecs, bound):
@@ -164,7 +165,7 @@ def _sylvester_bounds(a, b, zvals, zvecs, bound):
     rounds by about n u ||a|| ||b||, where ||a + b|| = ||1 - c|| <= 2
     and ||d||^2 <= ||X^2|| + ||Z|| <= 1 + ||Z||, so each of ||a||, ||b||
     is below about 2 wherever ||Z|| is small.  delta(n) = _ROUNDING n =
-    2e3 n u covers each of these errors, as in _certified_pair; so with
+    2e3 n u covers each of these errors, as in _certified_effects; so with
     Z and mu as computed,
 
         r <= (||Z||_F + delta(n)) / (mu - delta(n)) = s,
@@ -195,14 +196,11 @@ def _require_compatible(residual, tol: Tolerances) -> None:
     _require(residual <= tol.compat, NotAbsolutelyCompatible, "residual %.3e > %.3e", residual, tol.compat)
 
 
-def _built_pair(a, b, tol: Tolerances, not_strict, incompatible="constructed pair residual %.3e",
-                sites: bool = False, strict: bool = False, compatible: bool = False):
+def _built_pair(a, b, tol: Tolerances, not_strict, sites: bool = False):
     """(a, b), a pair a construction built, or stacks of such pairs, once
     both are strict (one eigvalsh of the stack [a, b]) and their residual
     is within tol.compat; otherwise raises not_strict, an (error, message)
-    pair, or PostconditionFailure(incompatible % residual).  strict and
-    compatible say that a caller has certified every pair so, and skip
-    the eigvalsh and the residual.
+    pair, or PostconditionFailure("constructed pair residual ...").
 
     With sites=True, a and b are the (..., m, 2, 2) site blocks of pairs
     with exact zeros off their sites, and each pair is checked on its
@@ -213,22 +211,19 @@ def _built_pair(a, b, tol: Tolerances, not_strict, incompatible="constructed pai
     leaves open takes its own exact residual, so the whole check makes
     2x2 factorizations only.
     """
-    if not strict:
-        va, vb = np.linalg.eigvalsh(np.stack([a, b]))
-        _require(_strict_rows(va, tol) & _strict_rows(vb, tol), *not_strict)
-    if not compatible:
-        residual = _over_sites(_pair_spectra(a, b, tol.compat), sites)
-        _require(residual <= tol.compat, PostconditionFailure, incompatible, residual)
+    va, vb = np.linalg.eigvalsh(np.stack([a, b]))
+    _require(_strict_rows(va, tol) & _strict_rows(vb, tol), *not_strict)
+    residual = _over_sites(_pair_spectra(a, b, tol.compat)[0], sites)
+    _require(residual <= tol.compat, PostconditionFailure, "constructed pair residual %.3e", residual)
     return a, b
 
 
-def _certified_pair(a, b, tol: Tolerances, spectra=None):
-    """(_pair_spectra(a, b, tol.compat, spectra), vals) for Hermitian a
-    and b, or stacks of them, of one shape and with no entry beyond
-    1 + tol.spec, as hermitian._hermitian_pair returns them; vals is None
-    when the residual certifies both as effects and the spectra (va, vb)
-    of _effects otherwise.  Raises what _effects raises, in its order,
-    when they are not effects.
+def _certified_effects(a, b, residual, tol: Tolerances):
+    """None when residual, _pair_spectra's for Hermitian a and b, or stacks
+    of them, of one shape and with no entry beyond 1 + tol.spec, as
+    hermitian._hermitian_pair returns them, certifies both as effects,
+    and the spectra (va, vb) of _effects otherwise, which raises what it
+    raises, in its order, when they are not effects.
 
     A small residual proves both operands are effects.  With c = 1-a-b,
     d = a-b, their positive and negative parts c+, c-, d+, d- and
@@ -259,10 +254,9 @@ def _certified_pair(a, b, tol: Tolerances, spectra=None):
     [-r/2, 1 + r/2] and only the final eigvalsh's rounding is left for
     delta(n): r + delta(n) <= tol.spec still certifies both operands.
     """
-    residual = _pair_spectra(a, b, tol.compat, spectra)
     if np.all(residual + _ROUNDING * a.shape[-1] <= tol.spec):
-        return residual, None
-    return residual, _effects(a, b, tol)
+        return None
+    return _effects(a, b, tol)
 
 
 def is_abs_compatible(a, b, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
@@ -273,13 +267,15 @@ def is_abs_compatible(a, b, tol: Tolerances = DEFAULT_TOL) -> CompatReport:
     The report is symmetric in (a, b) by construction: arguments are put
     in a canonical order before any floating-point work.  A residual
     within tol.spec, less a rounding allowance, certifies both operands
-    as effects (_certified_pair); otherwise each is validated by its
+    as effects (_certified_effects); otherwise each is validated by its
     spectrum.  A stack raises at the first check that any pair fails,
     with the message of the first such pair in C order
     (hermitian._require); so a stack with one invalid pair raises what
     that pair raises alone.
     """
-    res = _certified_pair(*_hermitian_pair(a, b, tol, stack=True), tol)[0]
+    a, b = _hermitian_pair(a, b, tol, stack=True)
+    res = _pair_spectra(a, b, tol.compat)[0]
+    _certified_effects(a, b, res, tol)
     return CompatReport(res, res <= tol.compat, tol.compat)
 
 
@@ -298,7 +294,7 @@ def projection_compat_equiv(p, a, tol: Tolerances = DEFAULT_TOL):
     if p.shape != a.shape:
         raise DimensionMismatch("shapes %r and %r" % (p.shape, a.shape))
     # a projection is an effect; i[p, a] is Hermitian with the norm of [p, a]
-    lhs = _pair_spectra(p, a, tol.compat) <= tol.compat
+    lhs = _pair_spectra(p, a, tol.compat)[0] <= tol.compat
     rhs = _hnorm_upto(1j * (p @ a - a @ p), tol.compat) <= tol.compat
     return lhs, rhs
 
@@ -358,7 +354,7 @@ def _five_blocks(a, b, tol: Tolerances):
     order of at).
 
     One eigh of c = 1-a-b on the whole stack certifies every pair first
-    (_certified_pair), so a pair raises the effect checks, then
+    (_certified_effects), so a pair raises the effect checks, then
     tol.compat, before any block check, and then gives the blocks.  With
     d = a-b, X = 1 - |c| and 2e = X - |d|, exactly a = c- + d+ + e, and
     where X is invertible P = X^-1/2 (a - c-) X^-1/2 is a projection
@@ -393,9 +389,8 @@ def _five_blocks(a, b, tol: Tolerances):
     _verify_block_contents).
     """
     n = a.shape[-1]
-    ordered = _canonical_order(a, b)
-    zvals, zvecs = np.linalg.eigh(identity_like(a) - ordered[0] - ordered[1])
-    residual = _certified_pair(a, b, tol, (zvals, zvecs))[0]
+    residual, (zvals, zvecs) = _pair_spectra(a, b, tol.compat)
+    _certified_effects(a, b, residual, tol)
     _require_compatible(residual, tol)
     # per pair, how many eigenvalues of c are at -1, on the Q side (a prefix) and at 1 (a suffix)
     sides = [_levels(-zvals, tol)[0], zvals <= tol.spec, _levels(zvals, tol)[0]]
@@ -515,10 +510,14 @@ def _verify_block_contents(blocks_a, blocks_b, tol: Tolerances, bound) -> None:
         dev = _hnorm_upto(blocks[name] - target * identity_like(blocks[name]), tol.block)
         _require(dev <= tol.block, PostconditionFailure, "restriction to %s is not %r", name, target)
     sa, sb = blocks_a["strict"], blocks_b["strict"]
-    if sa.shape[-1]:
-        _built_pair(sa, sb, tol, (PostconditionFailure, "strict block has spectrum touching 0 or 1"),
-                    "strict block not absolutely compatible, residual %.3e", strict=_certified_strict(sa, sb, tol),
-                    compatible=bool(np.all(bound <= tol.compat)))
+    if sa.shape[-1] and not _certified_strict(sa, sb, tol):
+        va, vb = np.linalg.eigvalsh(np.stack([sa, sb]))
+        _require(_strict_rows(va, tol) & _strict_rows(vb, tol), PostconditionFailure,
+                 "strict block has spectrum touching 0 or 1")
+    if sa.shape[-1] and not np.all(bound <= tol.compat):
+        residual = _pair_spectra(sa, sb, tol.compat)[0]
+        _require(residual <= tol.compat, PostconditionFailure,
+                 "strict block not absolutely compatible, residual %.3e", residual)
 
 
 def _strict_bound(residual, frob, n: int, tol: Tolerances):
@@ -534,7 +533,7 @@ def _strict_bound(residual, frob, n: int, tol: Tolerances):
     f(U*aU, U*bU) = U* f(a, b) U; dropping the off-block parts moves f by
     at most 2 (delta_a + delta_b) and leaves f(sa, sb) on the strict
     block.  delta(n) = _ROUNDING n covers the rounding of the products
-    and of a residual taken exactly, as in _certified_pair.
+    and of a residual taken exactly, as in _certified_effects.
     """
     eps, delta_a, delta_b = frob
     return residual + 2.0 * (delta_a + delta_b) + 4.0 * eps * (2.0 + eps) * (1.0 + tol.spec) + _ROUNDING * n
@@ -552,7 +551,7 @@ def _certified_strict(sa, sb, tol: Tolerances) -> bool:
     every eigenvalue of sa and sb clears the cut by _ROUNDING k -
     g(k+1) k (1 + tol.spec), above 900 k u for k up to 256, far more than
     the rounding of the eigvalsh it spares (below 3 k u measured, as in
-    _certified_pair), which would find both strict too.
+    _certified_effects), which would find both strict too.
     """
     low = tol.spec + _ROUNDING * sa.shape[-1]
     h = np.stack([sa, -sa, sb, -sb])

@@ -66,7 +66,7 @@ from .hermitian import (
     as_matrix,
     require_hermitian,
 )
-from .canonical import PIVOT_0, _canonical, _conjugate_pair, _projection_blocks, _validated
+from .canonical import PIVOT_0, _canonical, _conjugate_pair, _projection_blocks
 from .compat import _built_pair, _pair_spectra, _require_compatible
 
 BALL_CENTER = np.array([0.5, 0.0, 0.0])
@@ -233,8 +233,6 @@ def decompose_pair_m2(a, b, tol: Tolerances = DEFAULT_TOL) -> PairSpec:
     if a.shape[-2:] != (2, 2):
         _effects(a, b, tol)
         raise DimensionMismatch("decomposition is for 2x2 effects")
-    if not a.size:
-        _validated(a, b, tol)
     try:
         cf = _canonical(a, b, tol)
     except PairingFailure as exc:
@@ -397,7 +395,7 @@ def spheroid_residual(a, partners, tol: Tolerances = DEFAULT_TOL) -> SpheroidSta
     xs = require_hermitian(xs, tol, stack=True)
     _require_unit_interval(np.linalg.eigvalsh(xs), tol)
     pts = _bloch(xs, tol)
-    _require_compatible(_pair_spectra(np.broadcast_to(a[..., None, :, :], xs.shape), xs, tol.compat), tol)
+    _require_compatible(_pair_spectra(np.broadcast_to(a[..., None, :, :], xs.shape), xs, tol.compat)[0], tol)
     sums = _vnorm(pts - focus[..., None, :]) + _vnorm(pts - mirror[..., None, :])
     mean = np.mean(sums, axis=-1)
     spread = np.max(sums, axis=-1) - np.min(sums, axis=-1)

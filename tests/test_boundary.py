@@ -203,9 +203,9 @@ def test_a_stack_with_one_open_pair_factorizes_each_matrix_once(monkeypatch, lin
     a, b = (np.array(x) for x in zip(*pairs))
     with monkeypatch.context() as m:
         m.setattr(compat, "_ROUNDING", np.inf)
-        alone = _pair_spectra(a[1], b[1], DEFAULT_TOL.compat)
+        alone = _pair_spectra(a[1], b[1], DEFAULT_TOL.compat)[0]
     linalg_log.clear()
-    residual = _pair_spectra(a, b, DEFAULT_TOL.compat)
+    residual = _pair_spectra(a, b, DEFAULT_TOL.compat)[0]
     factorized = [x for call in linalg_log.of("eigh") for x in call.arg.reshape((-1,) + call.arg.shape[-2:])]
     assert len({x.tobytes() for x in factorized}) == len(factorized) == 4
     assert residual[1] == alone
@@ -453,15 +453,17 @@ def _canonical_bits(a, b, tol):
 
 def _canonical_bound_case(side):
     """A valid pair with a tol.compat at the least value at which the
-    Sylvester bound from the eigh of 1-a-b that canonicalize takes
-    certifies it (compat._sylvester_bounds), or one ulp below."""
+    Sylvester bound from the eigh of 1-a-b that canonicalize takes, of
+    the pair in its canonical order, certifies it
+    (compat._sylvester_bounds), or one ulp below."""
     a, b = (hermitize(x) for x in random_abscompat_pair(8, derive_seed(11, 3)))
-    zvals, zvecs = np.linalg.eigh(hermitian.identity_like(a) - a - b)
+    ordered = compat._canonical_order(a, b)
+    zvals, zvecs = np.linalg.eigh(hermitian.identity_like(a) - ordered[0] - ordered[1])
 
     def certifies(bound):
-        return bool(compat._sylvester_bounds(a, b, zvals, zvecs, bound)[1])
+        return bool(compat._sylvester_bounds(*ordered, zvals, zvecs, bound)[1])
 
-    bound = float(compat._sylvester_bounds(a, b, zvals, zvecs, np.inf)[0])
+    bound = float(compat._sylvester_bounds(*ordered, zvals, zvecs, np.inf)[0])
     while not certifies(bound):
         bound = np.nextafter(bound, np.inf)
     while certifies(np.nextafter(bound, 0.0)):
@@ -490,10 +492,12 @@ def _canonical_cases():
     odd = (_conjugated(np.diag([-0.1, 0.2, 0.3, 0.4, 0.5]), derive_seed(11, 7)),
            _conjugated(np.diag([0.5, 0.4, 0.3, 0.2, 0.1]), derive_seed(11, 8)))
     return {
-        # path: "certified" when the recovered form settles the pair,
-        # "validated" when its fallback validates both spectra, "deferred"
-        # when the residual certifies the effects and one eigvalsh
-        # settles strictness
+        # path: "certified" when the residual and the recovered form
+        # settle the pair, "validated" when its fallback validates both
+        # spectra, "deferred" when the residual certifies the effects and
+        # one eigvalsh settles strictness; below the Sylvester bound's
+        # reach the exact residual is within tol.compat, so the pair is
+        # still certified
         "certified": (*valid, DEFAULT_TOL, "certified"),
         "tight-spec": (*valid, DEFAULT_TOL.override(spec=1e-16), "certified"),
         "compatible-not-strict": (*_assembled_pair(derive_seed(5, 1)), DEFAULT_TOL, "deferred"),
@@ -501,7 +505,7 @@ def _canonical_cases():
         "within-allowance-of-cut": (*_near_cut(4, 0.5), DEFAULT_TOL, "deferred"),
         "below-cut-b": (*_near_cut(4, -0.5, "b"), DEFAULT_TOL, "deferred"),
         "compat-at-the-bound": (*_canonical_bound_case("over"), "certified"),
-        "compat-below-the-bound": (*_canonical_bound_case("under"), "deferred"),
+        "compat-below-the-bound": (*_canonical_bound_case("under"), "certified"),
         "incompatible-unequal-halves": (*_unequal_halves(), DEFAULT_TOL, "validated"),
         "incompatible-not-strict": (*_unequal_halves(0.0), DEFAULT_TOL, "validated"),
         "incompatible-odd": (*_unequal_halves(n=5), DEFAULT_TOL, "validated"),
@@ -529,7 +533,8 @@ CANONICAL_RAISES = {
 def test_canonical_certificate_parity(case, monkeypatch, linalg_log):
     """canonicalize raises what checking both spectra first raises, or
     returns the same form bit for bit, whichever path settles strictness
-    and compatibility."""
+    and compatibility; every path factorizes 1-a-b exactly once,
+    counting 1-a-b and 1-b-a alike."""
     a, b, tol, path = _canonical_cases()[case]
     ref = _uncertified(monkeypatch, _canonical_bits, a, b, tol)
     ran = []
@@ -541,6 +546,9 @@ def test_canonical_certificate_parity(case, monkeypatch, linalg_log):
     strictness = any(call.arg.tobytes() == np.stack([a, b]).tobytes() for call in linalg_log.of("eigvalsh"))
     took = "validated" if ran else "deferred" if strictness else "certified"
     assert took == path, ran
+    one = np.eye(a.shape[-1])
+    sums = [(one - x - y).tobytes() for x, y in ((a, b), (b, a))]
+    assert sum(call.arg.tobytes() in sums for call in linalg_log.of("eigh")) == 1
     raised = got[0] if isinstance(got[0], type) else None
     assert raised is CANONICAL_RAISES.get(case), got
     if case == "incompatible-unequal-halves":
@@ -702,7 +710,7 @@ def test_incompatible_strict_block_raises_the_whole_pair_message():
     residual, alone and as the second pair of a stack."""
     a, b = _direct_sum(*_perturbed(*random_abscompat_pair(4, derive_seed(61, 0)), 3e-8, 62),
                        ASSEMBLED_SLOTS, derive_seed(61, 1))[:2]
-    residual = _pair_spectra(a, b, DEFAULT_TOL.compat)
+    residual = _pair_spectra(a, b, DEFAULT_TOL.compat)[0]
     assert residual == is_abs_compatible(a, b).residual > DEFAULT_TOL.compat
     want = "residual %.3e > %.3e" % (residual, DEFAULT_TOL.compat)
     with pytest.raises(NotAbsolutelyCompatible) as exc:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from abscompat import DEFAULT_TOL
+from abscompat.canonical import canonicalize
 from abscompat.compat import (
     BLOCK_NAMES,
     five_block_decompose,
@@ -59,6 +60,18 @@ def test_symmetry_is_exact():
         rev = is_abs_compatible(b, a)
         assert fwd.residual == rev.residual
         assert fwd.compatible == rev.compatible
+
+
+@pytest.mark.parametrize("n", [4, 8, 96])
+def test_canonical_x0_is_symmetric_to_the_bit(n):
+    """x0 comes from the eigh of 1-a-b alone, which is symmetric in the
+    operands, so canonicalize(b, a) has the bits of canonicalize(a, b)'s
+    x0 wherever no two sites of x0 cluster."""
+    for i in range(20):
+        a, b = random_abscompat_pair(n, derive_seed(32, 100 * n + i))
+        fwd, rev = canonicalize(a, b), canonicalize(b, a)
+        assert np.all(np.diff(fwd.x0) > DEFAULT_TOL.cluster), (i, fwd.x0)
+        assert fwd.x0.tobytes() == rev.x0.tobytes(), (i, fwd.x0 - rev.x0)
 
 
 def test_orthogonal_fixtures():
